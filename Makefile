@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench tables examples chaos scrub advisor critpath relevel all clean
+.PHONY: install test bench tables examples chaos scrub advisor critpath relevel perf perf-selftest all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -47,6 +47,16 @@ critpath:
 # demotion on the live deployment, under nemesis + leader kill.
 relevel:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_releveling.py
+
+# The frozen two-clock benchmark (perf/README.md): all six workloads,
+# host throughput + sim-time latencies; compare two runs with
+# `python3 perf/compare.py A.json B.json`.
+perf:
+	python3 perf/run.py --workload all --out perf/out/latest.json
+
+# ~20 s: every workload at 1/20 scale with its invariants asserted.
+perf-selftest:
+	python3 perf/run.py --selftest
 
 # The two artifacts EXPERIMENTS.md points reviewers at.
 all:

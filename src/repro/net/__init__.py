@@ -13,6 +13,7 @@ from repro.net.headers import (
     TcpFlags,
     TcpHeader,
     UdpHeader,
+    WireRecord,
 )
 from repro.net.link import Channel, Link, LinkStats, Node
 from repro.net.multicast import MulticastGroup, MulticastRegistry
@@ -41,6 +42,7 @@ __all__ = [
     "TcpFlags",
     "TcpHeader",
     "UdpHeader",
+    "WireRecord",
     "Channel",
     "Link",
     "LinkStats",

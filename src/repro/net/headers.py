@@ -8,6 +8,11 @@ exactly as an in-switch implementation would encapsulate them.
 Headers are lightweight dataclasses rather than byte buffers: the
 simulator never needs to serialize to real bytes, only to know sizes and
 field values.  Each header class reports its wire size via ``wire_size``.
+
+Every header — and every protocol message of
+``repro.protocols.messages`` — is a :class:`WireRecord`: a flat record
+of immutable values, which is what lets ``Packet.clone()`` copy it one
+level deep.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 __all__ = [
+    "WireRecord",
     "EthernetHeader",
     "IPv4Header",
     "TcpHeader",
@@ -36,8 +42,30 @@ PROTO_UDP = 17
 PROTO_SWISHMEM = 0xFD
 
 
+class WireRecord:
+    """Base of everything a packet carries by reference: the headers
+    here and the messages in ``repro.protocols.messages``.
+
+    A wire record is a *flat* dataclass.  Its fields may be reassigned
+    (``ipv4.ttl -= 1``, ``update.trace = ctx``), but every value they
+    hold — strings, numbers, enums, tuples, frozen dataclasses, register
+    keys and values — is immutable and only ever replaced, never
+    mutated in place.  One level of copying therefore yields a record
+    that is fully independent of the original while sharing every leaf,
+    and ``Packet.clone()`` relies on exactly that.
+    """
+
+    def copy(self):
+        """An independent record with the same field values — what
+        ``copy.copy`` returns, without its detour through the pickle
+        protocol (this runs for every header of every fan-out copy)."""
+        duplicate = object.__new__(type(self))
+        duplicate.__dict__.update(self.__dict__)
+        return duplicate
+
+
 @dataclass
-class EthernetHeader:
+class EthernetHeader(WireRecord):
     """Simplified Ethernet II header."""
 
     src_mac: str = "00:00:00:00:00:00"
@@ -48,7 +76,7 @@ class EthernetHeader:
 
 
 @dataclass
-class IPv4Header:
+class IPv4Header(WireRecord):
     """IPv4 header (options not modeled)."""
 
     src: str = "0.0.0.0"
@@ -73,7 +101,7 @@ class TcpFlags(enum.IntFlag):
 
 
 @dataclass
-class TcpHeader:
+class TcpHeader(WireRecord):
     """TCP header (no options)."""
 
     src_port: int = 0
@@ -86,7 +114,7 @@ class TcpHeader:
 
 
 @dataclass
-class UdpHeader:
+class UdpHeader(WireRecord):
     """UDP header."""
 
     src_port: int = 0
@@ -138,7 +166,7 @@ class SwiShmemOp(enum.Enum):
 
 
 @dataclass
-class SwiShmemHeader:
+class SwiShmemHeader(WireRecord):
     """SwiShmem replication header.
 
     ``payload`` carries the protocol message object (see

@@ -14,7 +14,7 @@ egress) — so loss and bandwidth are accounted per copy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 __all__ = ["MulticastGroup", "MulticastRegistry"]
 
@@ -25,6 +25,10 @@ class MulticastGroup:
     def __init__(self, group_id: int, members: Iterable[str] = ()) -> None:
         self.group_id = group_id
         self._members: Set[str] = set(members)
+        #: Sorted fan-out per sender, built on first use and dropped on
+        #: every membership change: ``others`` runs on every EWO write
+        #: and sync tick, membership changes only on failover.
+        self._fanout: Dict[str, Tuple[str, ...]] = {}
 
     @property
     def members(self) -> List[str]:
@@ -32,6 +36,7 @@ class MulticastGroup:
 
     def add(self, node_name: str) -> None:
         self._members.add(node_name)
+        self._fanout.clear()
 
     def remove(self, node_name: str) -> None:
         """Remove a member; removing a non-member is a no-op.
@@ -40,10 +45,17 @@ class MulticastGroup:
         more than once if multiple detectors race — hence idempotent.
         """
         self._members.discard(node_name)
+        self._fanout.clear()
 
-    def others(self, node_name: str) -> List[str]:
-        """All members except ``node_name`` — the broadcast fan-out set."""
-        return sorted(self._members - {node_name})
+    def others(self, node_name: str) -> Tuple[str, ...]:
+        """All members except ``node_name``, sorted — the broadcast
+        fan-out set."""
+        fanout = self._fanout.get(node_name)
+        if fanout is None:
+            fanout = self._fanout[node_name] = tuple(
+                sorted(self._members - {node_name})
+            )
+        return fanout
 
     def __contains__(self, node_name: str) -> bool:
         return node_name in self._members

@@ -5,14 +5,41 @@ mutable metadata dict.  The metadata dict plays the role of PISA
 per-packet metadata: the parser and pipeline stages communicate through
 it, and it is discarded when the packet leaves the switch.
 
-Packets are copied (never aliased) when they fan out — multicast,
-mirroring, recirculation — because each copy is independently mutable
-down its own path, exactly as hardware would re-serialize and re-parse.
+Copy contract
+-------------
+
+A packet is copied when it fans out — multicast, egress mirroring, a
+nemesis duplicate — because each copy travels its own path, exactly as
+hardware would re-serialize and re-parse it.  :meth:`Packet.clone` is a
+structural copy, not a deep one.  It copies exactly the levels the code
+assigns to in flight and shares everything below them:
+
+* **Fresh per copy** — the :class:`Packet` itself (new ``uid``); every
+  present header (``ipv4.ttl`` is decremented per hop, the multicast
+  engine stamps ``swishmem.dst_node`` per copy); the
+  ``swishmem_payload`` message (``request.attempt`` and
+  ``update.trace`` are reassigned by retries and by each chain hop);
+  the ``meta`` dict; the INT hop list (``int_data.push``).
+* **Shared** — every value *inside* those records: strings, numbers,
+  enums, the frozen ``TraceContext`` and ``WriteToken``, chain member
+  tuples, the ``EwoUpdate.entries`` tuple and its frozen ``EwoEntry``
+  objects, frozen INT hop records, ``meta`` values, and register keys
+  and values.
+
+Sharing is safe because none of those is ever mutated in place.
+Every header and message is a ``WireRecord`` (``repro.net.headers``):
+a flat record whose fields are reassigned but whose values are
+immutable.  Register values in particular are treated as immutable
+*values* everywhere in the system — SRO already hands the one
+``ChainUpdate.value`` object to the store of every chain member — so a
+program that wants to change a register writes a new value rather than
+mutating the old one.  Likewise a ``meta`` entry is replaced, not
+updated in place.  Anything new that a packet carries by reference
+must either be such a value or be given its own copy in ``clone()``.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -78,7 +105,7 @@ class Packet:
             if header is not None:
                 size += header.wire_size
         if self.swishmem_payload is not None:
-            size += getattr(self.swishmem_payload, "wire_size", 0)
+            size += self.swishmem_payload.wire_size
         if self.int_data is not None:
             size += self.int_data.wire_size
         return size
@@ -98,10 +125,26 @@ class Packet:
         return None
 
     def clone(self) -> "Packet":
-        """Deep copy with a fresh uid (multicast/mirror/recirculation copies)."""
-        duplicate = copy.deepcopy(self)
-        duplicate.uid = next(_packet_ids)
-        return duplicate
+        """An independently mutable copy with a fresh uid (multicast,
+        mirror and nemesis-duplicate copies) — see the module docstring
+        for what is copied and what is shared."""
+        eth, ipv4, tcp, udp = self.eth, self.ipv4, self.tcp, self.udp
+        swishmem, payload, int_data = self.swishmem, self.swishmem_payload, self.int_data
+        return Packet(
+            eth=None if eth is None else eth.copy(),
+            ipv4=None if ipv4 is None else ipv4.copy(),
+            tcp=None if tcp is None else tcp.copy(),
+            udp=None if udp is None else udp.copy(),
+            swishmem=None if swishmem is None else swishmem.copy(),
+            swishmem_payload=None if payload is None else payload.copy(),
+            payload_size=self.payload_size,
+            payload_digest=self.payload_digest,
+            uid=next(_packet_ids),
+            meta=dict(self.meta),
+            created_at=self.created_at,
+            int_data=None if int_data is None else int_data.copy(),
+            trace=self.trace,
+        )
 
     def __str__(self) -> str:
         parts = [f"pkt#{self.uid}"]

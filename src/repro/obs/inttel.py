@@ -50,9 +50,13 @@ INT_SHIM_BYTES = 8
 INT_HOP_BYTES = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntHopRecord:
-    """Metadata pushed by one switch."""
+    """Metadata pushed by one switch.
+
+    Immutable: fan-out copies of a packet share the records pushed
+    before the split and append their own after it.
+    """
 
     node: str
     ingress_time: float
@@ -95,6 +99,11 @@ class IntTelemetry:
             return False
         self.hops.append(record)
         return True
+
+    def copy(self) -> "IntTelemetry":
+        """The stack for a fan-out copy of the packet: its own hop list
+        (each copy grows independently) over the shared records."""
+        return IntTelemetry(list(self.hops), self.max_hops, self.truncated)
 
     @property
     def path(self) -> List[str]:

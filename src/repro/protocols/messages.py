@@ -36,15 +36,22 @@ carry ``wire_size`` so management-plane overhead can be accounted.
 ``ScrubRepair`` is the one anti-entropy message on the data plane: the
 actual state re-propagation, subject to loss and chaos like any
 replication packet.
+
+Every data-plane message is a :class:`~repro.net.headers.WireRecord` —
+a flat record whose field values are immutable — so ``Packet.clone()``
+gives each multicast, mirror or duplicate copy its own message object
+(``request.attempt`` and ``update.trace`` are reassigned in flight)
+while keys, values, tokens, chain tuples and EWO entries are shared.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.crdt.clock import Timestamp
+from repro.net.headers import WireRecord
 
 __all__ = [
     "WriteToken",
@@ -107,7 +114,7 @@ class WriteToken:
 
 
 @dataclass
-class WriteRequest:
+class WriteRequest(WireRecord):
     """SRO write submitted by the writer's control plane to the chain head."""
 
     group: int
@@ -131,7 +138,7 @@ class WriteRequest:
 
 
 @dataclass
-class ChainUpdate:
+class ChainUpdate(WireRecord):
     """A sequenced write propagating down the chain.
 
     ``chain`` embeds the member list, per the paper's "write request
@@ -173,7 +180,7 @@ class ChainUpdate:
 
 
 @dataclass
-class WriteAck:
+class WriteAck(WireRecord):
     """Commit acknowledgement generated by the chain tail.
 
     ``value`` carries the committed value back to the writer — needed by
@@ -196,7 +203,7 @@ class WriteAck:
         return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class EwoEntry:
     """One register's worth of EWO state.
 
@@ -204,6 +211,9 @@ class EwoEntry:
     ``value`` that slot's count (element-wise-max merge).  For LWW-mode
     groups, ``version`` is a :class:`Timestamp` and ``value`` the
     register value.
+
+    Immutable: one entry object is shared by every multicast copy of
+    the update that carries it.
     """
 
     key: Any
@@ -229,7 +239,7 @@ class EwoEntry:
 
 
 @dataclass
-class EwoUpdate:
+class EwoUpdate(WireRecord):
     """Asynchronous broadcast of fresh local writes (paper section 6.2).
 
     "small write update packets containing only this switch's new
@@ -239,14 +249,19 @@ class EwoUpdate:
 
     group: int
     origin: str
-    entries: List[EwoEntry] = field(default_factory=list)
+    #: Any iterable is accepted; it is frozen into a tuple, which every
+    #: copy of the message then shares.
+    entries: Tuple[EwoEntry, ...] = ()
     key_bytes: int = 8
     value_bytes: int = 8
     trace: Any = _trace_field()
+    #: Summed once here, not per copy per hop: the entries and widths
+    #: it depends on never change after construction.
+    wire_size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_size(self) -> int:
-        return _BASE_MSG_BYTES + sum(
+    def __post_init__(self) -> None:
+        self.entries = tuple(self.entries)
+        self.wire_size = _BASE_MSG_BYTES + sum(
             e.wire_bytes(self.key_bytes, self.value_bytes) for e in self.entries
         )
 
@@ -263,7 +278,7 @@ class EwoSync(EwoUpdate):
 
 
 @dataclass
-class SnapshotWrite:
+class SnapshotWrite(WireRecord):
     """Recovery replay of one key from a control-plane snapshot (6.3).
 
     Carries the sequence number captured at snapshot time "to prevent
@@ -292,7 +307,7 @@ class SnapshotWrite:
 
 
 @dataclass
-class SnapshotAck:
+class SnapshotAck(WireRecord):
     """Recovering switch confirms application of one snapshot write."""
 
     group: int
@@ -309,7 +324,7 @@ class SnapshotAck:
 
 
 @dataclass
-class Heartbeat:
+class Heartbeat(WireRecord):
     """Periodic liveness beacon (controller failure detection).
 
     Emitted by every switch's packet generator toward the controller's
@@ -468,7 +483,7 @@ class ScrubKeyReply:
 
 
 @dataclass
-class ScrubRepair:
+class ScrubRepair(WireRecord):
     """Authoritative state re-propagated to a diverged chain member.
 
     Shaped like a :class:`SnapshotWrite`: carries the authority's

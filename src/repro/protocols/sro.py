@@ -529,7 +529,11 @@ class SroEngine:
                 group=group_id,
             )
         packet.swishmem = None
-        packet.meta.setdefault("at_tail_groups", set()).add(group_id)
+        # Replaced, not updated in place: meta values are shared by
+        # packet copies (see the copy contract in repro.net.packet).
+        packet.meta["at_tail_groups"] = packet.meta.get(
+            "at_tail_groups", frozenset()
+        ) | {group_id}
         return False
 
     # ------------------------------------------------------------------

@@ -130,14 +130,17 @@ class TestViolationsCaught:
     def test_file_derived_sys_path_allowed(self, tmp_path, source):
         assert self._lint_source(tmp_path, source) == []
 
-    def _lint_obs_source(self, tmp_path, source):
-        """Place the snippet under a repro/obs/ directory so the
-        wall-clock scope rule applies."""
-        obs_dir = tmp_path / "repro" / "obs"
-        obs_dir.mkdir(parents=True)
-        target = obs_dir / "snippet.py"
+    def _lint_packaged_source(self, tmp_path, package, source):
+        """Place the snippet under a repro/<package>/ directory so the
+        rules scoped to that package apply."""
+        directory = tmp_path / "repro" / package
+        directory.mkdir(parents=True)
+        target = directory / "snippet.py"
         target.write_text(source)
         return lint.lint_file(str(target))
+
+    def _lint_obs_source(self, tmp_path, source):
+        return self._lint_packaged_source(tmp_path, "obs", source)
 
     @pytest.mark.parametrize(
         "source",
@@ -217,6 +220,42 @@ class TestViolationsCaught:
         sidecars that compare float aggregates exactly."""
         violations = self._lint_source(tmp_path, "d = {}\ntotal = sum(d.values())\n")
         assert violations == []
+
+    @pytest.mark.parametrize("package", ["sim", "net", "switch", "core", "protocols"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import copy\ndup = copy.deepcopy(object())\n",
+            "import copy as cp\nclone = cp.deepcopy\n",
+            "from copy import deepcopy\n",
+            "from copy import copy, deepcopy as dc\n",
+        ],
+    )
+    def test_deepcopy_on_packet_path_flagged(self, tmp_path, package, source):
+        violations = self._lint_packaged_source(tmp_path, package, source)
+        assert len(violations) == 1
+        assert "copy.deepcopy" in violations[0][2]
+        assert "copy contract" in violations[0][2]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # a shallow copy is the sanctioned tool
+            "import copy\ndup = copy.copy(object())\n",
+            "from copy import copy\n",
+            # a method merely named deepcopy on another object
+            "class C:\n    def deepcopy(self):\n        return self\nC().deepcopy()\n",
+        ],
+    )
+    def test_shallow_copy_on_packet_path_allowed(self, tmp_path, source):
+        assert self._lint_packaged_source(tmp_path, "net", source) == []
+
+    def test_deepcopy_off_the_packet_path_not_flagged(self, tmp_path):
+        """Scoped: analysis, observability exports, tests and tools may
+        deep-copy (the clone-contract tests use it as the reference)."""
+        source = "import copy\ndup = copy.deepcopy(object())\n"
+        assert self._lint_source(tmp_path, source) == []
+        assert self._lint_packaged_source(tmp_path, "obs", source) == []
 
     def test_exempt_module_skipped(self):
         exempt = os.path.join(REPO_ROOT, "src", lint.EXEMPT_SUFFIX)

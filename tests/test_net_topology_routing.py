@@ -184,9 +184,25 @@ class TestMulticast:
     def test_group_membership(self):
         group = MulticastGroup(1, ["a", "b", "c"])
         assert group.members == ["a", "b", "c"]
-        assert group.others("a") == ["b", "c"]
+        assert group.others("a") == ("b", "c")
         assert "a" in group and "z" not in group
         assert len(group) == 3
+
+    def test_cached_fanout_follows_membership(self):
+        registry = MulticastRegistry()
+        group = registry.create(1, ["a", "b", "c"])
+        assert group.others("a") == ("b", "c")
+        assert group.others("a") is group.others("a")  # cached, not rebuilt
+        group.add("d")
+        assert group.others("a") == ("b", "c", "d")
+        group.remove("b")
+        assert group.others("a") == ("c", "d")
+        assert group.others("c") == ("a", "d")
+        registry.remove_member_everywhere("c")
+        assert group.others("a") == ("d",)
+        assert group.others("c") == ("a", "d")  # a non-member may still ask
+        registry.delete(1)
+        assert registry.create(1, ["a", "x"]).others("a") == ("x",)
 
     def test_remove_idempotent(self):
         group = MulticastGroup(1, ["a", "b"])

@@ -7,7 +7,9 @@ from __future__ import annotations
 import pytest
 
 from repro.net.endhost import AddressBook, EndHost
-from repro.net.packet import make_tcp_packet
+from repro.net.headers import SwiShmemHeader
+from repro.net.multicast import MulticastRegistry
+from repro.net.packet import Packet, make_tcp_packet
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology, build_chain
 from repro.obs.inttel import (
@@ -145,6 +147,50 @@ class TestIntOnChain:
         assert decoded["path"] == ["s0", "s1"]
         assert decoded["truncated"] == 2
         assert registry.value("counter", "int.hops_truncated", "int-sink") == 2
+
+    def test_multicast_copies_grow_their_own_stacks(self):
+        """Fan-out copies share the hop records pushed before the split
+        and nothing after it: each copy's stack names only its own path."""
+        sim, switches, _, _ = make_chain_fabric(length=3)
+        s0, s1, s2 = switches
+        registry = MulticastRegistry()
+        registry.create(7, ["s0", "s1", "s2"])
+        s1.multicast = registry
+        arrived = {}
+
+        def capture(name):
+            def handler(packet, from_node):
+                arrived[name] = packet
+                return True  # consumed; the hop is stamped after the pass
+
+            return handler
+
+        s0.install_handler(capture("s0"))
+        s2.install_handler(capture("s2"))
+        original = Packet(swishmem=SwiShmemHeader(register_group=7))
+        original.int_data = IntTelemetry()
+        upstream = IntHopRecord("up", 0.0, 1e-6)
+        original.int_data.push(upstream)
+
+        assert s1.multicast_to_group(original, 7) == 2
+        sim.run()
+
+        assert original.int_data.path == ["up"]
+        assert arrived["s0"].int_data.path == ["up", "s0"]
+        assert arrived["s2"].int_data.path == ["up", "s2"]
+        stacks = [p.int_data for p in (original, arrived["s0"], arrived["s2"])]
+        assert len({id(stack.hops) for stack in stacks}) == 3
+        assert all(stack.hops[0] is upstream for stack in stacks)
+        # a sibling pushed past its budget does not truncate the others
+        arrived["s0"].int_data.max_hops = 2
+        assert not arrived["s0"].int_data.push(IntHopRecord("x", 0.0, 0.0))
+        assert arrived["s0"].int_data.truncated == 1
+        assert original.int_data.truncated == arrived["s2"].int_data.truncated == 0
+
+    def test_hop_records_are_immutable(self):
+        record = IntHopRecord("s0", 0.0, 1e-6)
+        with pytest.raises(AttributeError):
+            record.egress_time = 2e-6
 
     def test_int_disabled_adds_nothing(self):
         sim, switches, src, dst = make_chain_fabric(length=3, int_enabled=False)

@@ -54,6 +54,33 @@ class TestFailureDetection:
         assert "s2" not in dep.multicast.get(spec.group_id)
         assert dep.controller.last_failure().multicast_groups_updated == 1
 
+    def test_removal_reaches_the_very_next_fanout(self, make_deployment):
+        """The group caches its sorted fan-out per sender; the failover
+        removal must reach the next write's multicast and the next sync
+        target pick, not a stale cached tuple."""
+        dep, _, _ = make_deployment(3)
+        spec = dep.declare(
+            RegisterSpec("c", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
+        )
+        s0 = dep.manager("s0")
+        copies = s0.switch.stats
+        s0.register_increment(spec, "k", 1)  # warms the cached fan-out
+        assert copies.multicast_copies == 2
+        picks = {s0.ewo._pick_sync_target(spec.group_id) for _ in range(32)}
+        assert picks == {"s1", "s2"}
+
+        # exactly what the controller's failure handling does
+        dep.multicast.remove_member_everywhere("s2")
+        s0.register_increment(spec, "k", 1)
+        assert copies.multicast_copies == 3
+        picks = {s0.ewo._pick_sync_target(spec.group_id) for _ in range(32)}
+        assert picks == {"s1"}
+
+        # and recovery's re-add is seen just as promptly
+        dep.multicast.get(spec.group_id).add("s2")
+        s0.register_increment(spec, "k", 1)
+        assert copies.multicast_copies == 5
+
 
 class TestSroFailover:
     def test_writes_resume_after_middle_switch_fails(self, make_deployment):

@@ -44,6 +44,15 @@ This lint walks the AST of every Python file and flags:
   across interpreter builds.  Wrapping the iterable in ``sorted(...)``
   pins the order and is the sanctioned escape hatch.
 
+* inside ``src/repro/{sim,net,switch,core,protocols}`` only: any use of
+  ``copy.deepcopy`` (under any import alias, or ``from copy import
+  deepcopy``).  These packages are the per-packet path; a deep copy
+  there walks every header, message and register value of every
+  multicast, mirror and duplicate copy — about 70 % of the host time
+  of an EWO workload before ``Packet.clone()`` became a structural
+  copy.  Copy the levels the code assigns to and share the immutable
+  values below them (see the copy contract in ``repro/net/packet.py``).
+
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
 must go through.
@@ -83,15 +92,32 @@ WALLCLOCK_TIME_ATTRS = frozenset({"time", "time_ns"})
 #: Wall-clock constructors on ``datetime``/``date`` classes.
 WALLCLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
+#: ``copy.deepcopy`` is forbidden under these path fragments: the
+#: packages on the per-packet path.
+DEEPCOPY_SCOPES = tuple(
+    os.path.join("repro", package) + os.sep
+    for package in ("sim", "net", "switch", "core", "protocols")
+)
+
+DEEPCOPY_MESSAGE = (
+    "copy.deepcopy on the per-packet path walks every object a packet "
+    "references; copy the levels the code assigns to and share the "
+    "immutable values below (see the copy contract in repro/net/packet.py)"
+)
+
 Violation = Tuple[str, int, str]
 
 
 class _RandomUseVisitor(ast.NodeVisitor):
-    def __init__(self, path: str, check_wallclock: bool = False) -> None:
+    def __init__(
+        self, path: str, check_wallclock: bool = False, check_deepcopy: bool = False
+    ) -> None:
         self.path = path
         # One flag gates both obs-scope checks: wall-clock reads and
         # float sums over unordered dict iteration.
         self.check_wallclock = check_wallclock
+        self.check_deepcopy = check_deepcopy
+        self.copy_aliases: set = set()
         self.aliases: set = set()
         self.random_class_aliases: set = set()
         self.sys_aliases: set = set()
@@ -110,6 +136,8 @@ class _RandomUseVisitor(ast.NodeVisitor):
                 self.time_aliases.add(alias.asname or alias.name)
             if alias.name == "datetime":
                 self.datetime_aliases.add(alias.asname or alias.name)
+            if alias.name == "copy":
+                self.copy_aliases.add(alias.asname or alias.name)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -225,6 +253,10 @@ class _RandomUseVisitor(ast.NodeVisitor):
                         f"unseeded process-global generator; use "
                         f"repro.sim.random.SeededRng (or random.Random)",
                     ))
+        if self.check_deepcopy and node.module == "copy" and node.level == 0:
+            for alias in node.names:
+                if alias.name == "deepcopy":
+                    self.violations.append((self.path, node.lineno, DEEPCOPY_MESSAGE))
         if node.module == "datetime" and node.level == 0:
             for alias in node.names:
                 if alias.name in ("datetime", "date"):
@@ -264,6 +296,13 @@ class _RandomUseVisitor(ast.NodeVisitor):
                 f"process-global generator; use repro.sim.random.SeededRng "
                 f"(or construct a seeded random.Random)",
             ))
+        if (
+            self.check_deepcopy
+            and node.attr == "deepcopy"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.copy_aliases
+        ):
+            self.violations.append((self.path, node.lineno, DEEPCOPY_MESSAGE))
         if self.check_wallclock:
             if (
                 isinstance(node.value, ast.Name)
@@ -298,8 +337,12 @@ def lint_file(path: str) -> List[Violation]:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [(path, exc.lineno or 0, f"syntax error: {exc.msg}")]
-    check_wallclock = WALLCLOCK_SCOPE in os.path.normpath(os.path.abspath(path))
-    visitor = _RandomUseVisitor(path, check_wallclock=check_wallclock)
+    normalized = os.path.normpath(os.path.abspath(path))
+    visitor = _RandomUseVisitor(
+        path,
+        check_wallclock=WALLCLOCK_SCOPE in normalized,
+        check_deepcopy=any(scope in normalized for scope in DEEPCOPY_SCOPES),
+    )
     visitor.visit(tree)
     return visitor.violations
 
