@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench tables examples chaos scrub advisor critpath relevel perf perf-selftest all clean
+.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -47,6 +47,28 @@ critpath:
 # demotion on the live deployment, under nemesis + leader kill.
 relevel:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_releveling.py
+
+# The sidecar gate: regenerate all nine gated sidecars (S1 P5 C2 F3 F4
+# F5 T2 T3 T4) into a scratch directory and diff them against the
+# committed baselines in bench_results/.  A refactor that claims
+# "nothing moves" proves it with this one command; CI's bench-json job
+# runs exactly this target.
+SWISHMEM_BENCH_DIR ?= fresh_bench
+gate: export SWISHMEM_BENCH_DIR := $(SWISHMEM_BENCH_DIR)
+gate: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+gate:
+	mkdir -p $(SWISHMEM_BENCH_DIR)
+	$(PYTHON) benchmarks/bench_simulator_performance.py
+	$(PYTHON) benchmarks/bench_sro_write_throughput.py
+	$(PYTHON) benchmarks/bench_sync_bandwidth.py
+	$(PYTHON) benchmarks/bench_chaos_soak.py --quick --seeds 1 \
+		--metrics-jsonl $(SWISHMEM_BENCH_DIR)/chaos_metrics.jsonl
+	$(PYTHON) benchmarks/bench_controller_failover.py
+	$(PYTHON) benchmarks/bench_scrub_repair.py --quick --seeds 1 2 3
+	$(PYTHON) benchmarks/bench_access_advisor.py
+	$(PYTHON) benchmarks/bench_critpath_tails.py
+	$(PYTHON) benchmarks/bench_releveling.py
+	$(PYTHON) tools/check_bench.py --fresh $(SWISHMEM_BENCH_DIR)
 
 # The frozen two-clock benchmark (perf/README.md): all six workloads,
 # host throughput + sim-time latencies; compare two runs with

@@ -58,7 +58,7 @@ from repro.workload.zipf import ZipfSampler
 
 from benchmarks.bench_chaos_soak import run_chaos_soak
 from benchmarks.common import emit_json, print_header, print_table
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 VIP = "100.0.0.100"
 NAT_IP = "100.0.0.1"

@@ -42,7 +42,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -54,9 +54,9 @@ from repro.chaos import FaultInjector, InvariantSuite, Nemesis
 from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
-from repro.obs.accessprof import AccessProfiler, NULL_ACCESS_PROFILER
-from repro.obs.flightrec import FlightRecorder, NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.accessprof import AccessProfiler
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -96,10 +96,10 @@ def run_chaos_soak(
     seed: int,
     duration: float = 0.12,
     switches: int = 5,
-    metrics: MetricsRegistry = NULL_REGISTRY,
+    metrics: Optional[MetricsRegistry] = None,
     controller_chaos: bool = False,
-    flightrec: FlightRecorder = NULL_FLIGHT_RECORDER,
-    access_profiler: AccessProfiler = NULL_ACCESS_PROFILER,
+    flightrec: Optional[FlightRecorder] = None,
+    access_profiler: Optional[AccessProfiler] = None,
 ) -> SoakResult:
     sim = Simulator()
     topo = Topology(sim, SeededRng(seed))
@@ -209,11 +209,12 @@ def run_chaos_soak(
     )
     digest = hashlib.sha256(repr(history).encode("utf-8")).hexdigest()
 
-    # Ring-truncation visibility: export the tracer's and the flight
-    # recorder's eviction/occupancy gauges so bench sidecars show when
-    # a post-mortem may be missing its earliest history.
-    dep.tracer.bind_metrics(metrics)
-    flightrec.bind_metrics(metrics)
+    # Ring-truncation visibility: export the flight recorder's
+    # eviction/occupancy gauges so bench sidecars show when a
+    # post-mortem may be missing its earliest history (all zero for a
+    # run that recorded nothing).
+    if metrics is not None:
+        (flightrec or FlightRecorder()).bind_metrics(metrics)
 
     return SoakResult(
         seed=seed,

@@ -50,9 +50,9 @@ from repro.core.registers import Consistency, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
 from repro.obs.critpath import CriticalPathAnalyzer
 from repro.obs.dashboard import render_critpath, render_slo
-from repro.obs.flightrec import FlightRecorder, NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.slo import NULL_SLO_MONITOR, SLOMonitor
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import SLOMonitor
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -90,9 +90,9 @@ def _run_once(
     scenario: str,
     seed: int,
     duration: float,
-    recorder=NULL_FLIGHT_RECORDER,
-    slo_monitor=NULL_SLO_MONITOR,
-    metrics=NULL_REGISTRY,
+    recorder=None,
+    slo_monitor=None,
+    metrics=None,
 ):
     """One seeded scenario run; returns (deployment, spec, digest)."""
     sim = Simulator()
@@ -136,7 +136,8 @@ def _run_once(
 
     sim.schedule(1e-3, workload)
     sim.run(until=duration)
-    slo_monitor.finalize(sim.now)
+    if slo_monitor is not None:
+        slo_monitor.finalize(sim.now)
 
     history = (
         injector.log_digest(),

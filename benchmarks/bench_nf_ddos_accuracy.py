@@ -39,7 +39,7 @@ from repro.nf.ddos import DdosDetectorNF
 from repro.workload.attack import AttackScenario
 
 from benchmarks.common import fmt_us, print_header, print_table
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 ATTACK_START = 12e-3
 ATTACK_DURATION = 12e-3

@@ -33,7 +33,7 @@ from repro.net.packet import make_tcp_packet
 from repro.nf.nat import NatNF
 
 from benchmarks.common import fmt_pct, print_header, print_table
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 NAT_IP = "100.0.0.1"
 CONNECTIONS = 24

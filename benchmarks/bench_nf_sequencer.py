@@ -32,7 +32,7 @@ from repro.net.packet import make_udp_packet
 from repro.nf.sequencer import SequencerNF
 
 from benchmarks.common import fmt_rate, print_header, print_table
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 SEQ_PORT = 9000
 DURATION = 20e-3

@@ -49,7 +49,7 @@ from repro.obs import AccessProfiler, ConsistencyAdvisor
 
 from benchmarks.bench_access_advisor import MeterSroNF
 from benchmarks.common import emit_json, fmt_us, print_header, print_table
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 SEED = 2400
 

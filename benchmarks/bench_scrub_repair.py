@@ -36,7 +36,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -48,8 +48,8 @@ from repro.chaos import FaultInjector, InvariantSuite
 from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
-from repro.obs.flightrec import FlightRecorder, NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -92,8 +92,8 @@ def run_scrub_repair(
     seed: int,
     duration: float = 0.12,
     switches: int = 4,
-    metrics: MetricsRegistry = NULL_REGISTRY,
-    flightrec: FlightRecorder = NULL_FLIGHT_RECORDER,
+    metrics: Optional[MetricsRegistry] = None,
+    flightrec: Optional[FlightRecorder] = None,
 ) -> ScrubResult:
     sim = Simulator()
     topo = Topology(sim, SeededRng(seed))

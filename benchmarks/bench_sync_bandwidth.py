@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import pytest
 
@@ -31,7 +31,7 @@ from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.headers import PROTO_SWISHMEM
 from repro.net.topology import Topology, build_full_mesh
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -70,7 +70,7 @@ def measured_sync(
     keys: int = 200,
     period: float = 1e-3,
     duration: float = 0.05,
-    metrics: MetricsRegistry = NULL_REGISTRY,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> MeasuredRow:
     sim = Simulator()
     topo = Topology(sim, SeededRng(51))

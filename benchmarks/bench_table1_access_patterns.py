@@ -3,9 +3,12 @@
 Paper Table 1 classifies six NFs by write frequency, read frequency, and
 consistency requirement.  This experiment *measures* those columns: each
 NF runs on a 3-switch SwiShmem cluster under a representative workload,
-the access profiler counts per-packet reads/writes on every shared
-register group, and the paper's recommendation rule (Observations 1 and
-2) must reproduce the register type each NF was built with.
+the streaming access profiler (``repro.obs.accessprof``) counts reads
+and writes on every shared register group, and the consistency advisor
+(``repro.obs.advisor``, the paper's Observations 1 and 2) must reproduce
+the register type each NF was built with.  T2
+(``bench_access_advisor.py``) repeats this under Zipf-skewed flows and
+gates the result as a sidecar.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ for _p in (_REPO_ROOT, os.path.join(_REPO_ROOT, "src")):
     if _p not in sys.path:
         sys.path.insert(0, _p)
 
-from repro.core.compiler import AccessProfiler, recommend_consistency
 from repro.core.registers import Consistency
 from repro.net.headers import TcpFlags
 from repro.net.packet import make_tcp_packet, make_udp_packet
@@ -33,10 +35,11 @@ from repro.nf.ips import IpsNF
 from repro.nf.loadbalancer import LoadBalancerNF
 from repro.nf.nat import NatNF
 from repro.nf.ratelimiter import RateLimiterNF
+from repro.obs import AccessProfiler, ConsistencyAdvisor
 from repro.workload.flows import FlowGenerator
 
 from benchmarks.common import print_header, print_table
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 VIP = "100.0.0.100"
 
@@ -49,20 +52,6 @@ PAPER_TABLE1 = {
     "ddos_src": ("Every packet", "Every packet", "Weak"),
     "ddos_dst": ("Every packet", "Every packet", "Weak"),
     "rl_usage": ("Every packet", "Every window", "Weak"),
-}
-
-#: The application-level consistency requirement (Table 1 last column),
-#: an input the profiler cannot infer from counts.
-NEEDS_STRONG = {
-    "nat_table": True,
-    "fw_conntrack": True,
-    "ips_signatures": False,
-    "lb_connections": True,
-    "ddos_src": False,
-    "ddos_dst": False,
-    "rl_usage": False,
-    "rl_blocked": False,
-    "ips_matches": False,
 }
 
 #: Register type each NF was built with (section 5 mapping).
@@ -119,28 +108,30 @@ def run_experiment() -> List[Table1Row]:
     }
 
     def profile(nf_label, install, drive, responders=True):
-        world = build_nf_world(seed=1000 + len(rows), responder_servers=responders)
+        profiler = AccessProfiler()
+        world = build_nf_world(
+            seed=1000 + len(rows),
+            responder_servers=responders,
+            access_profiler=profiler,
+        )
         install(world)
-        profiler = AccessProfiler(world.deployment)
         drive(world)
         # Denominator: data packets the hosts actually injected (replies
         # included), not per-hop or replication receives.
         data_packets = sum(h.sent_count for h in world.clients + world.servers)
-        profiles = {
-            p.group_name: p
-            for p in profiler.profiles(needs_strong=NEEDS_STRONG, packets=data_packets)
-        }
+        advisor = ConsistencyAdvisor(profiler, packets=data_packets)
         for state_name in nf_state_names[nf_label]:
-            p = profiles[state_name]
-            write_label, read_label = p.frequency_label(per_packet_threshold=0.4)
+            advice = advisor.advice_for(state_name)
             rows.append(
                 Table1Row(
                     nf=nf_label,
                     state=state_name,
-                    write_freq=write_label,
-                    read_freq=read_label,
-                    required="Strong" if NEEDS_STRONG[state_name] else "Weak",
-                    recommended=recommend_consistency(p, write_intensive_threshold=0.4),
+                    write_freq=advice.write_freq,
+                    read_freq=advice.read_freq,
+                    # Table 1's last column, inferred: only the state the
+                    # advisor sends down the pending-bit chain needs it.
+                    required="Strong" if advice.recommended == "sro" else "Weak",
+                    recommended=Consistency(advice.recommended),
                 )
             )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 # Resolve imports relative to this file rather than the caller's CWD, so
-# `repro` and `tests.nfworld` import no matter where pytest/python runs.
+# `repro` and `benchmarks.common` import no matter where pytest/python runs.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _path in (_REPO_ROOT, os.path.join(_REPO_ROOT, "src")):
     if _path not in sys.path:

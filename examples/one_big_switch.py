@@ -3,16 +3,15 @@
 
 Writes a *single-switch* program — it declares registers and processes
 packets with no notion of replication — and lets the compiler layer
-distribute it across a fabric.  Then uses the access profiler to
-reproduce the paper's register-type analysis: measure each register's
-access pattern and check that the paper's recommendation rule picks the
-type the program's author chose.
+distribute it across a fabric.  Then uses the streaming access profiler
+and the consistency advisor to reproduce the paper's register-type
+analysis: measure each register's access pattern and check that the
+advisor picks the type the program's author chose.
 
 Run:  python examples/one_big_switch.py
 """
 
 from repro import (
-    AccessProfiler,
     Consistency,
     Decision,
     EwoMode,
@@ -25,10 +24,10 @@ from repro import (
     Topology,
     build_full_mesh,
     distribute,
-    recommend_consistency,
 )
 from repro.net.endhost import AddressBook, EndHost
 from repro.net.packet import make_udp_packet
+from repro.obs import AccessProfiler, ConsistencyAdvisor
 
 
 class FlowAuditor(SingleSwitchProgram):
@@ -68,13 +67,15 @@ def main() -> None:
         host = topo.add_node(EndHost(f"h{i}", sim, f"10.0.0.{i + 1}", book))
         topo.connect(host.name, switch.name)
         hosts.append(host)
-    deployment = SwiShmemDeployment(sim, topo, switches, address_book=book)
+    profiler = AccessProfiler()
+    deployment = SwiShmemDeployment(
+        sim, topo, switches, address_book=book, access_profiler=profiler
+    )
 
     # One call distributes the single-switch program everywhere.
     adapters = distribute(FlowAuditor, deployment)
     print(f"distributed FlowAuditor onto {len(adapters)} switches\n")
 
-    profiler = AccessProfiler(deployment)
     # traffic between all host pairs, entering at different switches
     count = 0
     for round_index in range(20):
@@ -101,17 +102,11 @@ def main() -> None:
           f"volume tracked for {len(merged)} sources (weak counters)\n")
 
     print("access-pattern analysis (the Table 1 method):")
-    needs_strong = {"first_seen": True, "volume": False}
-    for profile in profiler.profiles(needs_strong=needs_strong, packets=injected):
-        write_label, read_label = profile.frequency_label(
-            per_packet_threshold=0.4, occasional_threshold=0.02
-        )
-        recommended = recommend_consistency(profile, write_intensive_threshold=0.4)
-        chosen = deployment.spec_by_name(profile.group_name).consistency
-        verdict = "matches author's choice" if recommended is chosen else "DIFFERS"
-        print(f"  {profile.group_name:<12} writes: {write_label:<15} "
-              f"reads: {read_label:<13} -> recommend {recommended.value.upper()} "
-              f"({verdict})")
+    for advice in ConsistencyAdvisor(profiler, packets=injected).advise():
+        verdict = "DIFFERS" if advice.mismatch else "matches author's choice"
+        print(f"  {advice.name:<12} writes: {advice.write_freq:<15} "
+              f"reads: {advice.read_freq:<13} -> recommend "
+              f"{advice.recommended.upper()} ({verdict})")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ for Programmable Switches* (Zeno, Ports, Nelson, Silberstein — HotNets
   meters, control plane, packet generator, ~10 MB memory budget;
 * ``repro.core`` — the paper's contribution: SRO/ERO/EWO shared
   registers, the per-switch runtime, the deployment ("one big switch")
-  facade, the compiler/profiler, and the directory-service extension;
+  facade, the single-switch program compiler, and the
+  directory-service extension;
 * ``repro.protocols`` — the replication protocols: chain replication
   with pending bits and control-plane write buffering, CRAQ-style read
   forwarding, EWO broadcast + periodic sync, failover and recovery;
@@ -50,7 +51,6 @@ from repro.analysis import (
     replica_divergence,
 )
 from repro.core import (
-    AccessProfiler,
     ChainDescriptor,
     Consistency,
     Decision,
@@ -65,7 +65,6 @@ from repro.core import (
     SwiShmemDeployment,
     SwiShmemManager,
     distribute,
-    recommend_consistency,
 )
 from repro.crdt import GCounter, LwwRegister, ORSet, PNCounter, Timestamp
 from repro.net import (
@@ -83,7 +82,7 @@ from repro.net import (
     make_tcp_packet,
     make_udp_packet,
 )
-from repro.sim import SeededRng, Simulator, Tracer
+from repro.sim import SeededRng, Simulator
 from repro.sketch import BloomFilter, CountMinSketch, HeavyHitterTracker
 from repro.switch import (
     DEFAULT_SWITCH_MEMORY_BYTES,
@@ -104,7 +103,6 @@ __all__ = [
     "convergence_time",
     "count_stale_reads",
     "replica_divergence",
-    "AccessProfiler",
     "ChainDescriptor",
     "Consistency",
     "Decision",
@@ -119,7 +117,6 @@ __all__ = [
     "SwiShmemDeployment",
     "SwiShmemManager",
     "distribute",
-    "recommend_consistency",
     "GCounter",
     "LwwRegister",
     "ORSet",
@@ -140,7 +137,6 @@ __all__ = [
     "make_udp_packet",
     "SeededRng",
     "Simulator",
-    "Tracer",
     "BloomFilter",
     "CountMinSketch",
     "HeavyHitterTracker",

@@ -189,7 +189,7 @@ def explain_violation(
             f"{op.kind:<5s} @{op.node:<6s} {op.key!r} = {op.value!r}"
             f"{'' if op.complete else '  [incomplete]'}"
         )
-    if flight_recorder is not None and getattr(flight_recorder, "enabled", False):
+    if flight_recorder is not None:
         lines.append(flight_recorder.render_timeline(group=group, key=key))
     return "\n".join(lines)
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.registers import Consistency, EwoMode
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.events import MONITORS
 from repro.sim.engine import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,15 +123,7 @@ class InvariantSuite:
     def __init__(self, deployment: "SwiShmemDeployment") -> None:
         self.deployment = deployment
         self.sim = deployment.sim
-        self.report = InvariantReport(
-            checks={
-                "no_lost_write": 0,
-                "counter_monotonic": 0,
-                "config_consistent": 0,
-                "single_leader": 0,
-                "divergence_healed": 0,
-            }
-        )
+        self.report = InvariantReport(checks=dict.fromkeys(MONITORS, 0))
         #: Commit timestamps, for unavailability-window analysis.
         self.commit_times: List[float] = []
         #: (group, key) -> (slot, seq, value) of the newest committed write.
@@ -146,21 +138,14 @@ class InvariantSuite:
         # Live telemetry mirror of report.checks / violations, so a
         # metrics snapshot can be cross-checked against the suite's
         # verdicts without holding the report object.
-        metrics = getattr(deployment, "metrics", NULL_REGISTRY)
-        self._m_commits = metrics.counter("invariant.commits_observed", "invariants")
-        self._m_checks = {
-            monitor: metrics.counter(f"invariant.{monitor}.checks", "invariants")
-            for monitor in self.report.checks
-        }
-        self._m_violations = {
-            monitor: metrics.counter(f"invariant.{monitor}.violations", "invariants")
-            for monitor in self.report.checks
-        }
+        self.obs = deployment.obs
+        self.obs.announce("invariants")
 
     # ------------------------------------------------------------------
     def _on_commit(self, writer: str, spec, key: Any, ack) -> None:
         self.commit_times.append(self.sim.now)
-        self._m_commits.inc()
+        if self.obs.on:
+            self.obs.emit("invariant.commit", "invariants")
         gid = spec.group_id
         current = self._commits.get((gid, key))
         if current is None or ack.seq >= current[1]:
@@ -207,13 +192,19 @@ class InvariantSuite:
         key: Any = None,
     ) -> None:
         timeline = None
-        flightrec = getattr(self.deployment, "flight_recorder", None)
-        if flightrec is not None and flightrec.enabled and group is not None:
-            timeline = flightrec.render_timeline(group=group, key=key)
+        recorder = self.obs.flight_recorder
+        if recorder is not None and group is not None:
+            timeline = recorder.render_timeline(group=group, key=key)
         self.report.violations.append(
             Violation(at=self.sim.now, monitor=monitor, detail=detail, timeline=timeline)
         )
-        self._m_violations[monitor].inc()
+        if self.obs.on:
+            self.obs.emit("invariant.violation", "invariants", monitor=monitor)
+
+    def _checked(self, monitor: str) -> None:
+        self.report.checks[monitor] += 1
+        if self.obs.on:
+            self.obs.emit("invariant.check", "invariants", monitor=monitor)
 
     def _full_members(self, group_id: int):
         """Live, non-catching-up members of the group's current chain —
@@ -243,8 +234,7 @@ class InvariantSuite:
     # Monitor 1: no committed write lost
     # ------------------------------------------------------------------
     def _check_no_lost_write(self, final: bool = False) -> None:
-        self.report.checks["no_lost_write"] += 1
-        self._m_checks["no_lost_write"].inc()
+        self._checked("no_lost_write")
         # With a scrubber running, replicas with a known, still-unhealed
         # injected divergence (or a frozen apply unit) lag committed
         # seqs *by design* — that is the fault, and the divergence_healed
@@ -315,8 +305,7 @@ class InvariantSuite:
         )
 
     def _check_counters(self) -> None:
-        self.report.checks["counter_monotonic"] += 1
-        self._m_checks["counter_monotonic"].inc()
+        self._checked("counter_monotonic")
         picture = self._current_fault_picture()
         rebaseline = picture != self._fault_picture
         self._fault_picture = picture
@@ -369,8 +358,7 @@ class InvariantSuite:
     # Monitor 3: chain / multicast configuration consistency
     # ------------------------------------------------------------------
     def _check_config(self) -> None:
-        self.report.checks["config_consistent"] += 1
-        self._m_checks["config_consistent"].inc()
+        self._checked("config_consistent")
         controller = self.deployment.controller
         detected_failed = set(controller._known_failed)
         for gid, chain in self.deployment.chains.items():
@@ -418,8 +406,7 @@ class InvariantSuite:
     # Monitor 4: at most one active controller leader
     # ------------------------------------------------------------------
     def _check_single_leader(self) -> None:
-        self.report.checks["single_leader"] += 1
-        self._m_checks["single_leader"].inc()
+        self._checked("single_leader")
         replicas = getattr(self.deployment.controller, "replicas", None)
         if not replicas:
             return
@@ -434,8 +421,7 @@ class InvariantSuite:
     # Monitor 5: injected divergence detected and healed within bound
     # ------------------------------------------------------------------
     def _check_divergence(self) -> None:
-        self.report.checks["divergence_healed"] += 1
-        self._m_checks["divergence_healed"].inc()
+        self._checked("divergence_healed")
         scrubber = self.deployment.scrubber
         if scrubber is None:
             return  # nothing promises healing without the scrub loop

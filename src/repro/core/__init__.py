@@ -1,13 +1,7 @@
 """SwiShmem core: register abstractions, per-switch runtime, deployment facade."""
 
 from repro.core.chain import ChainDescriptor
-from repro.core.compiler import (
-    AccessProfile,
-    AccessProfiler,
-    SingleSwitchProgram,
-    distribute,
-    recommend_consistency,
-)
+from repro.core.compiler import SingleSwitchProgram, distribute
 from repro.core.directory import DirectoryService, MigrationRecord, PlacementEntry
 from repro.core.manager import (
     Decision,
@@ -34,11 +28,8 @@ from repro.core.registers import (
 
 __all__ = [
     "ChainDescriptor",
-    "AccessProfile",
-    "AccessProfiler",
     "SingleSwitchProgram",
     "distribute",
-    "recommend_consistency",
     "DirectoryService",
     "MigrationRecord",
     "PlacementEntry",

@@ -3,36 +3,24 @@
 Paper section 5: "a compiler could be used to translate regular P4
 register accesses into SwiShmem operations", and section 9 envisions
 "automatic transformation of a single-switch program into a distributed
-one".  This module provides both halves of that story at the Python
-level:
+one".  :func:`distribute` takes a *single-switch program* (register
+declarations + a packet-processing function written as if one switch
+existed) and instantiates it on every switch of a deployment, with its
+register accesses transparently routed through SwiShmem protocols.
 
-* :func:`distribute` — take a *single-switch program* (register
-  declarations + a packet-processing function written as if one switch
-  existed) and instantiate it on every switch of a deployment, with its
-  register accesses transparently routed through SwiShmem protocols.
-
-* :class:`AccessProfiler` / :func:`recommend_consistency` — the
-  analysis behind Table 1: run a program, measure each register group's
-  read/write frequency, and recommend the register type per the paper's
-  observations (read-intensive + strong-needs -> SRO, read-intensive +
-  weak -> ERO, write-intensive -> EWO).
+The analysis behind Table 1 — measure each register group's access
+pattern and recommend its register type — lives in
+:mod:`repro.obs.accessprof` and :mod:`repro.obs.advisor`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
 from repro.core.manager import SwiShmemDeployment
-from repro.core.registers import Consistency, RegisterSpec
+from repro.core.registers import RegisterSpec
 
-__all__ = [
-    "SingleSwitchProgram",
-    "distribute",
-    "AccessProfile",
-    "AccessProfiler",
-    "recommend_consistency",
-]
+__all__ = ["SingleSwitchProgram", "distribute"]
 
 
 class SingleSwitchProgram:
@@ -91,148 +79,3 @@ def distribute(
         manager.install_nf(adapter)
         adapters.append(adapter)
     return adapters
-
-
-# ----------------------------------------------------------------------
-# Access-pattern analysis (Table 1 reproduction)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class AccessProfile:
-    """Measured access pattern of one register group."""
-
-    group_name: str
-    reads: int = 0
-    writes: int = 0
-    packets: int = 0
-    needs_strong: bool = True
-
-    @property
-    def reads_per_packet(self) -> float:
-        return self.reads / self.packets if self.packets else 0.0
-
-    @property
-    def writes_per_packet(self) -> float:
-        return self.writes / self.packets if self.packets else 0.0
-
-    @property
-    def write_fraction(self) -> float:
-        total = self.reads + self.writes
-        return self.writes / total if total else 0.0
-
-    def frequency_label(
-        self,
-        per_packet_threshold: float = 0.5,
-        occasional_threshold: float = 0.02,
-    ) -> Tuple[str, str]:
-        """(write frequency, read frequency) in Table 1's vocabulary.
-
-        Three tiers: accesses on (nearly) every packet, accesses tied to
-        occasional events (new connections for writes, periodic windows
-        for reads), and rare control-plane-only accesses ("Low").
-        """
-        writes = (
-            "Every packet" if self.writes_per_packet >= per_packet_threshold
-            else "New connection" if self.writes_per_packet >= occasional_threshold
-            else "Low"
-        )
-        reads = (
-            "Every packet" if self.reads_per_packet >= per_packet_threshold
-            else "Every window" if self.reads_per_packet > 0.0
-            else "Low"
-        )
-        return writes, reads
-
-
-class AccessProfiler:
-    """Counts register accesses per group while a workload runs.
-
-    Attach to a deployment *before* traffic, then read profiles after:
-    the profiler snapshots engine counters at start and diffs at the
-    end, so it composes with any protocol configuration.
-    """
-
-    def __init__(self, deployment: SwiShmemDeployment) -> None:
-        self.deployment = deployment
-        self._start_counts: Dict[int, Tuple[int, int]] = {}
-        self._start_packets = 0
-        self.begin()
-
-    def _counts(self) -> Dict[int, Tuple[int, int]]:
-        totals: Dict[int, Tuple[int, int]] = {}
-        for group_id, spec in self.deployment.specs.items():
-            reads = writes = 0
-            for manager in self.deployment.managers.values():
-                if spec.consistency is Consistency.EWO:
-                    stats = manager.ewo.groups[group_id].stats
-                    reads += stats.local_reads
-                    writes += stats.local_writes
-                else:
-                    stats = manager.sro.groups[group_id].stats
-                    reads += stats.local_reads + stats.forwarded_reads + stats.tail_reads
-                    writes += stats.writes_initiated
-            totals[group_id] = (reads, writes)
-        return totals
-
-    def _packet_count(self) -> int:
-        return sum(s.stats.rx_packets for s in self.deployment.switches)
-
-    def begin(self) -> None:
-        self._start_counts = self._counts()
-        self._start_packets = self._packet_count()
-
-    def profiles(
-        self,
-        needs_strong: Optional[Dict[str, bool]] = None,
-        packets: Optional[int] = None,
-    ) -> List[AccessProfile]:
-        """Access profiles accumulated since :meth:`begin`.
-
-        ``needs_strong`` optionally maps group names to the application's
-        stated consistency requirement (an application property the
-        profiler cannot infer from counts alone — Table 1's last column).
-
-        ``packets`` overrides the denominator.  The default counts every
-        switch-level receive, which inflates per-hop and replication
-        traffic; workloads that know how many data packets they injected
-        should pass that number for per-packet ratios in the sense Table
-        1 uses them.
-        """
-        needs_strong = needs_strong or {}
-        end = self._counts()
-        if packets is None:
-            packets = self._packet_count() - self._start_packets
-        profiles = []
-        for group_id, spec in sorted(self.deployment.specs.items()):
-            start_r, start_w = self._start_counts.get(group_id, (0, 0))
-            reads, writes = end[group_id]
-            profiles.append(
-                AccessProfile(
-                    group_name=spec.name,
-                    reads=reads - start_r,
-                    writes=writes - start_w,
-                    packets=packets,
-                    needs_strong=needs_strong.get(spec.name, spec.is_strong),
-                )
-            )
-        return profiles
-
-
-def recommend_consistency(
-    profile: AccessProfile, write_intensive_threshold: float = 0.5
-) -> Consistency:
-    """The paper's register-type choice, from measured behavior.
-
-    * Write-intensive state cannot afford chain writes; the paper's
-      Observation 2 sends it to EWO (and asserts such NFs tolerate it).
-    * Read-intensive state that *requires* strong consistency -> SRO
-      (Observation 1: infrequent writes make the chain affordable).
-    * Read-intensive state with weak requirements -> ERO, keeping the
-      cheap chain-ordered write path but avoiding pending-bit costs.
-    """
-    if profile.writes_per_packet >= write_intensive_threshold:
-        return Consistency.EWO
-    if profile.needs_strong:
-        return Consistency.SRO
-    return Consistency.ERO

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type, TYPE_CHECKING
 
 from repro.analysis.history import HistoryRecorder
 from repro.core.chain import ChainDescriptor
@@ -43,20 +43,22 @@ from repro.net.multicast import MulticastRegistry
 from repro.net.packet import Packet
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology
-from repro.obs.accessprof import AccessProfiler, NULL_ACCESS_PROFILER
-from repro.obs.causal import CausalClock
-from repro.obs.flightrec import FlightRecorder, NULL_FLIGHT_RECORDER
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.slo import NULL_SLO_MONITOR, SLOMonitor
+from repro.obs.events import SWITCH
+from repro.obs.spine import ObsSpine
 from repro.protocols.antientropy import ScrubAgent
 from repro.protocols.ewo import EwoEngine
 from repro.protocols.messages import WriteToken
 from repro.protocols.sro import SroEngine
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.pisa import PisaSwitch
 from repro.switch.pktgen import PacketGenerator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.accessprof import AccessProfiler
+    from repro.obs.flightrec import FlightRecorder
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.slo import SLOMonitor
 
 __all__ = ["Decision", "PacketContext", "SwiShmemManager", "SwiShmemDeployment"]
 
@@ -158,16 +160,19 @@ class SwiShmemManager:
             read_true_time=lambda: self.sim.now,
             offset=deployment.clock_offset(switch.name),
         )
+        #: The deployment's observability spine, held by reference: a
+        #: sink attached later reaches this switch without re-binding.
+        self.obs: ObsSpine = deployment.obs
+        self.obs.announce(SWITCH, switch.name)
         #: Causal tracing clock (repro.obs.causal): Lamport counter plus
         #: deterministic span-id allocation.  Must exist before the
         #: engines, which cache it at construction.
-        self.causal = CausalClock(switch.name)
+        self.causal = self.obs.clock(switch.name)
         self.sro = SroEngine(self)
         self.ewo = EwoEngine(self, sync_period=deployment.sync_period)
         #: Member-side anti-entropy agent: digest trees over this
         #: switch's register groups plus repair application.
         self.scrub = ScrubAgent(self)
-        self._bind_observability()
         #: Live consistency level per group on this switch.  Seeded by
         #: ``add_group`` and rewritten by ``relevel_switch`` commands;
         #: every per-access branch on consistency goes through
@@ -189,19 +194,6 @@ class SwiShmemManager:
         self.controller_epoch = 0
         self.fenced_commands = 0
         switch.install_handler(self._protocol_handler, front=True)
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks (construction
-        and ``Deployment.rebind_observability``)."""
-        metrics = self.deployment.metrics
-        self._metrics_on = metrics.enabled
-        self._m_reads = metrics.counter("state.reads", self.switch.name)
-        self._m_writes = metrics.counter("state.writes", self.switch.name)
-        # Access-pattern profiler (repro.obs.accessprof): like metrics,
-        # cached with its enabled flag; all hooks are passive
-        # (profiler-internal state only, digest-neutral).
-        self._accessprof = self.deployment.access_profiler
-        self._accessprof_on = self._accessprof.enabled
 
     # ------------------------------------------------------------------
     # Replication traffic dispatch
@@ -264,27 +256,17 @@ class SwiShmemManager:
         Returns False — counting a fenced command — when the command's
         epoch is below the highest this switch has obeyed: it was issued
         by a since-deposed leader and must not land."""
-        flightrec = self.deployment.flight_recorder
+        obs = self.obs
         ctx = (
             self.causal.child(command.trace) if command.trace is not None else None
         )
         if command.epoch < self.controller_epoch:
             self.fenced_commands += 1
-            self.deployment.tracer.emit(
-                self.sim.now,
-                "controller",
-                self.switch.name,
-                "fenced-command",
-                kind=command.kind,
-                epoch=command.epoch,
-                current=self.controller_epoch,
-            )
-            if flightrec.enabled and ctx is not None:
-                flightrec.record(
-                    ctx,
+            if obs.on:
+                obs.emit(
                     "controller.command.fenced",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=command.group,
                     kind=command.kind,
                     command_epoch=command.epoch,
@@ -304,12 +286,11 @@ class SwiShmemManager:
             self._apply_relevel_unfence(command)
         else:
             raise ValueError(f"unknown controller command kind {command.kind!r}")
-        if flightrec.enabled and ctx is not None:
-            flightrec.record(
-                ctx,
+        if obs.on:
+            obs.emit(
                 "controller.command.apply",
                 self.switch.name,
-                self.sim.now,
+                ctx,
                 group=command.group,
                 kind=command.kind,
                 epoch=command.epoch,
@@ -526,20 +507,23 @@ class SwiShmemManager:
     # ------------------------------------------------------------------
     # Register access mediation (called by RegisterHandle)
     # ------------------------------------------------------------------
-    def _note_state_op(self, counter: Any) -> None:
-        """Account one register operation: the per-switch counter plus,
-        in INT mode, the ``int_state_ops`` metadata the switch stamps
-        into this hop's telemetry record."""
-        if self._metrics_on:
-            counter.inc()
+    def _note_state_op(self) -> None:
+        """In INT mode, account one register operation in the
+        ``int_state_ops`` metadata the switch stamps into this hop's
+        telemetry record."""
         if self.switch.int_enabled and self._ctx is not None:
             meta = self._ctx.packet.meta
             meta["int_state_ops"] = meta.get("int_state_ops", 0) + 1
 
+    def _note_write(self) -> None:
+        self._note_state_op()
+        if self.obs.on:
+            self.obs.emit("state.write", self.switch.name)
+
     def register_read(self, spec: RegisterSpec, key: Any, default: Any) -> Any:
-        self._note_state_op(self._m_reads)
-        if self._accessprof_on:
-            self._accessprof.on_read(spec.group_id, key, self.switch.name, self.sim.now)
+        self._note_state_op()
+        if self.obs.on:
+            self.obs.emit("state.read", self.switch.name, group=spec.group_id, key=key)
         fence = self._relevel_fences.get(spec.group_id)
         if fence is not None and key in fence.overlay:
             # Mid-handoff: the writer sees its own fenced writes.
@@ -557,7 +541,7 @@ class SwiShmemManager:
         return value
 
     def register_write(self, spec: RegisterSpec, key: Any, value: Any) -> None:
-        self._note_state_op(self._m_writes)
+        self._note_write()
         fence = self._relevel_fences.get(spec.group_id)
         if fence is not None:
             # Mid-handoff: park the write in the fence overlay; it
@@ -590,7 +574,7 @@ class SwiShmemManager:
         """
         from repro.core.registers import FetchAdd
 
-        self._note_state_op(self._m_writes)
+        self._note_write()
         if self.level_of(spec) is Consistency.EWO:
             raise TypeError(
                 f"fetch_add targets strong registers; use increment() on the "
@@ -617,7 +601,7 @@ class SwiShmemManager:
         self._ctx.write_set.append((spec, key, FetchAdd(amount)))
 
     def register_increment(self, spec: RegisterSpec, key: Any, amount: int) -> int:
-        self._note_state_op(self._m_writes)
+        self._note_write()
         if self.level_of(spec) is not Consistency.EWO:
             raise TypeError(
                 f"increment() requires an EWO counter group; {spec.name!r} is "
@@ -632,7 +616,7 @@ class SwiShmemManager:
         return value
 
     def register_set_add(self, spec: RegisterSpec, key: Any, element: Any) -> None:
-        self._note_state_op(self._m_writes)
+        self._note_write()
         self.ewo.set_add(spec, key, element)
         history = self.deployment.history
         if history is not None:
@@ -641,7 +625,7 @@ class SwiShmemManager:
             )
 
     def register_set_remove(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        self._note_state_op(self._m_writes)
+        self._note_write()
         removed = self.ewo.set_remove(spec, key, element)
         history = self.deployment.history
         if history is not None and removed:
@@ -651,15 +635,13 @@ class SwiShmemManager:
         return removed
 
     def register_set_contains(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        if self._accessprof_on:
-            self._accessprof.on_read(spec.group_id, key, self.switch.name, self.sim.now)
+        if self.obs.on:
+            self.obs.emit("state.contains", self.switch.name, group=spec.group_id, key=key)
         return self.ewo.set_contains(spec, key, element)
 
     def register_peek(self, spec: RegisterSpec, key: Any, default: Any) -> Any:
-        if self._accessprof_on:
-            self._accessprof.on_read(
-                spec.group_id, key, self.switch.name, self.sim.now, peek=True
-            )
+        if self.obs.on:
+            self.obs.emit("state.peek", self.switch.name, group=spec.group_id, key=key)
         fence = self._relevel_fences.get(spec.group_id)
         if fence is not None and key in fence.overlay:
             return fence.overlay[key]
@@ -690,8 +672,33 @@ class SwiShmemManager:
             listener(self.switch.name, spec, key, ack)
 
 
+class _Sink:
+    """Read-only view of one of the spine's sinks.  The spine owns them;
+    assigning one on the deployment would reach nothing, so it raises."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, deployment: Any, owner: Optional[type] = None) -> Any:
+        return self if deployment is None else getattr(deployment.obs, self.name)
+
+    def __set__(self, deployment: Any, value: Any) -> None:
+        raise AttributeError(
+            f"deployment.{self.name} belongs to the observability spine; use "
+            f"deployment.rebind_observability({self.name}=...) instead"
+        )
+
+
 class SwiShmemDeployment:
     """A set of switches acting as one logical NF processor."""
+
+    #: Live-telemetry registry, causal flight recorder, access-pattern
+    #: profiler and SLO monitor (repro.obs), or None; attach one late
+    #: with :meth:`rebind_observability`.
+    metrics = _Sink()
+    flight_recorder = _Sink()
+    access_profiler = _Sink()
+    slo_monitor = _Sink()
 
     def __init__(
         self,
@@ -701,17 +708,16 @@ class SwiShmemDeployment:
         address_book: Optional[AddressBook] = None,
         sync_period: float = DEFAULT_SYNC_PERIOD,
         clock_skew: float = DEFAULT_CLOCK_SKEW,
-        tracer: Tracer = NULL_TRACER,
         record_history: bool = False,
         detection: str = "heartbeat",
         heartbeat_period: Optional[float] = None,
         heartbeat_timeout: Optional[float] = None,
-        metrics: MetricsRegistry = NULL_REGISTRY,
+        metrics: Optional["MetricsRegistry"] = None,
         controller_replicas: int = 1,
         lease_duration: Optional[float] = None,
-        flight_recorder: FlightRecorder = NULL_FLIGHT_RECORDER,
-        access_profiler: AccessProfiler = NULL_ACCESS_PROFILER,
-        slo_monitor: SLOMonitor = NULL_SLO_MONITOR,
+        flight_recorder: Optional["FlightRecorder"] = None,
+        access_profiler: Optional["AccessProfiler"] = None,
+        slo_monitor: Optional["SLOMonitor"] = None,
     ) -> None:
         if not switches:
             raise ValueError("a deployment needs at least one switch")
@@ -722,17 +728,15 @@ class SwiShmemDeployment:
         self.switch_names = [s.name for s in switches]
         self.sync_period = sync_period
         self.clock_skew = clock_skew
-        self.tracer = tracer
-        # Observability hooks (repro.obs).  Engines cache each hook and
-        # its enabled flag at construction, so these are exposed as
-        # read-only properties: assigning them after construction would
-        # be silently ignored by every engine.  Swapping hooks on a live
-        # deployment must go through :meth:`rebind_observability`, which
-        # re-binds every cached copy.
-        self._metrics = metrics
-        self._flight_recorder = flight_recorder
-        self._access_profiler = access_profiler
-        self._slo_monitor = slo_monitor
+        #: The observability spine (repro.obs.spine): every protocol
+        #: component reports its steps to it and it alone calls sinks.
+        self.obs = ObsSpine(
+            sim,
+            metrics=metrics,
+            flight_recorder=flight_recorder,
+            access_profiler=access_profiler,
+            slo_monitor=slo_monitor,
+        )
         self.address_book = address_book if address_book is not None else AddressBook()
         self.routing = RoutingTable(topo)
         self.multicast = MulticastRegistry()
@@ -764,11 +768,8 @@ class SwiShmemDeployment:
             switch.routing = self.routing
             switch.address_book = self.address_book
             switch.multicast = self.multicast
-        if metrics.enabled:
-            for switch in self.switches:
-                switch.bind_metrics(metrics)
-            for link in self.topo.links:
-                link.bind_metrics(metrics)
+        if metrics is not None:
+            self._bind_dataplane_metrics(metrics)
         # Late imports to avoid a protocols <-> core cycle at module load.
         from repro.protocols.controller import (
             DEFAULT_HEARTBEAT_PERIOD,
@@ -805,104 +806,35 @@ class SwiShmemDeployment:
         self.releveler = RelevelingCoordinator(self)
 
     # ------------------------------------------------------------------
-    # Observability hooks (read-only; swap via rebind_observability)
+    # Observability
     # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """Live-telemetry registry (repro.obs)."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value: Any) -> None:
-        raise AttributeError(
-            "deployment.metrics is cached by every engine at construction; "
-            "late assignment would be silently ignored — use "
-            "deployment.rebind_observability(metrics=...) instead"
-        )
-
-    @property
-    def flight_recorder(self) -> FlightRecorder:
-        """Causal flight recorder (repro.obs.flightrec).  Trace
-        *stamping* happens regardless — it is digest-neutral — only span
-        recording is gated on this."""
-        return self._flight_recorder
-
-    @flight_recorder.setter
-    def flight_recorder(self, value: Any) -> None:
-        raise AttributeError(
-            "deployment.flight_recorder is cached by every engine at "
-            "construction; late assignment would be silently ignored — use "
-            "deployment.rebind_observability(flight_recorder=...) instead"
-        )
-
-    @property
-    def access_profiler(self) -> AccessProfiler:
-        """Access-pattern profiler (repro.obs.accessprof)."""
-        return self._access_profiler
-
-    @access_profiler.setter
-    def access_profiler(self, value: Any) -> None:
-        raise AttributeError(
-            "deployment.access_profiler is cached by every engine at "
-            "construction; late assignment would be silently ignored — use "
-            "deployment.rebind_observability(access_profiler=...) instead"
-        )
-
-    @property
-    def slo_monitor(self) -> SLOMonitor:
-        """Live SLO monitor (repro.obs.slo).  Evaluation is lazy off the
-        sim clock the hooks carry — digest-neutral."""
-        return self._slo_monitor
-
-    @slo_monitor.setter
-    def slo_monitor(self, value: Any) -> None:
-        raise AttributeError(
-            "deployment.slo_monitor is cached by every engine at "
-            "construction; late assignment would be silently ignored — use "
-            "deployment.rebind_observability(slo_monitor=...) instead"
-        )
+    def _bind_dataplane_metrics(self, metrics: "MetricsRegistry") -> None:
+        """The packet-rate counters of switches and links stay bound
+        instruments, off the spine (see repro.obs.spine)."""
+        for switch in self.switches:
+            switch.bind_metrics(metrics)
+        for link in self.topo.links:
+            link.bind_metrics(metrics)
 
     def rebind_observability(
         self,
-        metrics: Optional[MetricsRegistry] = None,
-        flight_recorder: Optional[FlightRecorder] = None,
-        access_profiler: Optional[AccessProfiler] = None,
-        slo_monitor: Optional[SLOMonitor] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+        flight_recorder: Optional["FlightRecorder"] = None,
+        access_profiler: Optional["AccessProfiler"] = None,
+        slo_monitor: Optional["SLOMonitor"] = None,
     ) -> None:
-        """Swap observability hooks on a live deployment.
-
-        Engines cache every hook (and its enabled flag) at construction
-        for hot-path cheapness; this is the one sanctioned way to attach
-        or replace a hook afterwards — it updates the deployment's
-        references and then re-binds every cached copy: switches, links,
-        managers, protocol engines, scrub agents, the scrub coordinator,
-        controller replicas, and the re-leveling coordinator.
-        """
+        """Attach or replace sinks on a live deployment.  Every emitter
+        holds the spine by reference, so nothing is re-bound per engine;
+        the spine replays instruments, groups and NF ownership to the
+        newcomer."""
         if metrics is not None:
-            self._metrics = metrics
-            if metrics.enabled:
-                for switch in self.switches:
-                    switch.bind_metrics(metrics)
-                for link in self.topo.links:
-                    link.bind_metrics(metrics)
-        if flight_recorder is not None:
-            self._flight_recorder = flight_recorder
-        if access_profiler is not None:
-            self._access_profiler = access_profiler
-            if access_profiler.enabled:
-                for spec in self.specs.values():
-                    access_profiler.describe_group(spec)
-        if slo_monitor is not None:
-            self._slo_monitor = slo_monitor
-        for manager in self.managers.values():
-            manager._bind_observability()
-            manager.sro._bind_observability()
-            manager.ewo._bind_observability()
-            manager.scrub._bind_observability()
-        if self.scrubber is not None:
-            self.scrubber._bind_observability()
-        self.controller.rebind_observability()
-        self.releveler._bind_observability()
+            self._bind_dataplane_metrics(metrics)
+        self.obs.attach(
+            metrics=metrics,
+            flight_recorder=flight_recorder,
+            access_profiler=access_profiler,
+            slo_monitor=slo_monitor,
+        )
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -931,8 +863,7 @@ class SwiShmemDeployment:
         spec.group_id = next(self._group_ids)
         self.specs[spec.group_id] = spec
         self._spec_names[spec.name] = spec
-        if self.access_profiler.enabled:
-            self.access_profiler.describe_group(spec)
+        self.obs.describe_group(spec)
         chain: Optional[ChainDescriptor] = None
         if spec.consistency is Consistency.EWO:
             self.multicast.create(spec.group_id, members=self.switch_names)

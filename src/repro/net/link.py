@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
-from repro.sim.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -120,7 +119,6 @@ class Channel:
         bandwidth_bps: float,
         loss_rate: float,
         rng: SeededRng,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if latency < 0:
             raise ValueError(f"latency must be non-negative, got {latency}")
@@ -137,11 +135,9 @@ class Channel:
         self.up = True
         self.stats = LinkStats()
         self._loss_stream = rng.stream(f"loss:{src.name}->{dst.name}")
-        self._tracer = tracer
         # Hot-path precomputation: transmit() runs once per packet per
-        # hop, so the event labels and the tracer's category decision are
-        # resolved here instead of rebuilding f-strings every call.
-        self._trace_drops = tracer.enabled("link")
+        # hop, so the event labels are resolved here instead of
+        # rebuilding f-strings every call.
         self._deliver_label = f"link:{src.name}->{dst.name}"
         self._dup_label = f"nemesis-dup:{src.name}->{dst.name}"
         #: Time the transmitter is busy until (FIFO serialization).
@@ -200,10 +196,6 @@ class Channel:
             stats.packets_dropped += 1
             if self._metrics_on:
                 self._m_drops.inc()
-            if self._trace_drops:
-                self._tracer.emit(
-                    now, "link", self.src.name, "drop", to=self.dst.name, pkt=packet.uid
-                )
             return
         if self.nemesis is not None:
             extra, duplicate_offsets = self.nemesis.plan(packet, self)
@@ -239,13 +231,12 @@ class Link:
         bandwidth_bps: float = 100e9,
         loss_rate: float = 0.0,
         rng: Optional[SeededRng] = None,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         rng = rng if rng is not None else SeededRng(0)
         self.a = a
         self.b = b
-        self.ab = Channel(sim, a, b, latency, bandwidth_bps, loss_rate, rng, tracer)
-        self.ba = Channel(sim, b, a, latency, bandwidth_bps, loss_rate, rng, tracer)
+        self.ab = Channel(sim, a, b, latency, bandwidth_bps, loss_rate, rng)
+        self.ba = Channel(sim, b, a, latency, bandwidth_bps, loss_rate, rng)
         a.attach_link(self, b.name)
         b.attach_link(self, a.name)
 

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.net.link import Link, Node
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
-from repro.sim.trace import NULL_TRACER, Tracer
 
 __all__ = [
     "Topology",
@@ -37,15 +36,9 @@ __all__ = [
 class Topology:
     """A named collection of nodes and the links between them."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rng: Optional[SeededRng] = None,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
+    def __init__(self, sim: Simulator, rng: Optional[SeededRng] = None) -> None:
         self.sim = sim
         self.rng = rng if rng is not None else SeededRng(0)
-        self.tracer = tracer
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
 
@@ -75,7 +68,6 @@ class Topology:
             bandwidth_bps=bandwidth_bps,
             loss_rate=loss_rate,
             rng=self.rng,
-            tracer=self.tracer,
         )
         self.links.append(link)
         return link

@@ -58,14 +58,12 @@ class NetworkFunction:
         self.manager = manager
         self.handles = handles
         self.stats = NfStats()
-        # Attribute this NF's register groups to it in the access
-        # profiler (repro.obs.accessprof), so advisory reports can say
-        # *whose* state a group is without hand-maintained tables.
-        # Idempotent across the per-switch instances install_nf builds.
-        profiler = manager.deployment.access_profiler
-        if profiler.enabled:
-            for handle in handles.values():
-                profiler.note_nf(handle.spec.group_id, self.NAME)
+        # Attribute this NF's register groups to it, so the access
+        # profiler's advisory reports can say *whose* state a group is
+        # without hand-maintained tables.  The first claim wins, so this
+        # is idempotent across the per-switch instances install_nf builds.
+        for handle in handles.values():
+            manager.obs.note_nf(handle.spec.group_id, self.NAME)
 
     @classmethod
     def build_specs(cls, **kwargs: Any) -> List[RegisterSpec]:

@@ -1,4 +1,4 @@
-"""Live observability: metrics registry, INT telemetry, sim profiler.
+"""Live observability: the spine and its sinks, INT telemetry, sim profiler.
 
 See docs/OBSERVABILITY.md for the full guide.  Quick start::
 
@@ -15,8 +15,6 @@ from repro.obs.accessprof import (
     AccessProfiler,
     GroupProfile,
     KeyProfile,
-    NULL_ACCESS_PROFILER,
-    NullAccessProfiler,
     WindowedCount,
 )
 from repro.obs.advisor import ConsistencyAdvisor, GroupAdvice
@@ -38,13 +36,8 @@ from repro.obs.dashboard import (
     render_registry,
     render_slo,
 )
-from repro.obs.flightrec import (
-    DEFAULT_MAX_SPANS,
-    FlightRecorder,
-    NULL_FLIGHT_RECORDER,
-    Span,
-    TraceQuery,
-)
+from repro.obs.events import EVENTS
+from repro.obs.flightrec import DEFAULT_MAX_SPANS, FlightRecorder, Span, TraceQuery
 from repro.obs.inttel import (
     INT_HOP_BYTES,
     INT_SHIM_BYTES,
@@ -65,21 +58,14 @@ from repro.obs.metrics import (
     registry_from_records,
 )
 from repro.obs.profiler import HandlerStats, SimProfiler
-from repro.obs.slo import (
-    NULL_SLO_MONITOR,
-    NullSLOMonitor,
-    SLOMonitor,
-    SLOObjective,
-    parse_objective,
-)
+from repro.obs.slo import SLOMonitor, SLOObjective, parse_objective
+from repro.obs.spine import ObsSpine
 
 __all__ = [
     "AccessProfiler",
     "GroupProfile",
     "KeyProfile",
     "WindowedCount",
-    "NullAccessProfiler",
-    "NULL_ACCESS_PROFILER",
     "ConsistencyAdvisor",
     "GroupAdvice",
     "CAUSES",
@@ -91,8 +77,6 @@ __all__ = [
     "WriteAttribution",
     "SLOMonitor",
     "SLOObjective",
-    "NullSLOMonitor",
-    "NULL_SLO_MONITOR",
     "parse_objective",
     "render_access_profile",
     "render_critpath",
@@ -103,7 +87,8 @@ __all__ = [
     "Span",
     "FlightRecorder",
     "TraceQuery",
-    "NULL_FLIGHT_RECORDER",
+    "EVENTS",
+    "ObsSpine",
     "DEFAULT_MAX_SPANS",
     "Counter",
     "Gauge",

@@ -3,9 +3,10 @@
 The paper's Table 1 labels each NF's state by write frequency, read
 frequency, and consistency requirement — *by hand*.  This module is the
 measurement half of the adaptive-consistency north star (ROADMAP item
-3): an :class:`AccessProfiler` that the protocol hot paths feed directly
-(SRO write initiate/apply, EWO local write/merge, every mediated
-register read), maintaining per register group and per key:
+3): an :class:`AccessProfiler` that the observability spine feeds from
+the protocol hot paths (SRO write initiate/apply, EWO local write/merge,
+every mediated register read), maintaining per register group and per
+key:
 
 * read/write mix, split by originating switch (cross-switch sharing set,
   writer-set cardinality — single- vs multi-writer);
@@ -29,9 +30,9 @@ regardless of arrival order.
 Like the rest of ``repro.obs``, profiling is **digest-neutral**: hooks
 only mutate profiler-internal state — no events are scheduled, no RNG
 streams are drawn, and windows roll lazily off the sim clock carried by
-the caller.  An instrumented chaos replay stays byte-identical per seed,
-and :data:`NULL_ACCESS_PROFILER` (the deployment default) reduces every
-hook to one cached attribute check.
+the caller.  An instrumented chaos replay stays byte-identical per seed;
+a deployment without a profiler (the default, ``None``) pays the
+spine's one flag test per step.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
     "GroupProfile",
     "KeyProfile",
     "WindowedCount",
-    "NullAccessProfiler",
-    "NULL_ACCESS_PROFILER",
     "DEFAULT_PROFILE_WINDOW",
     "DEFAULT_TOP_K",
     "INTER_WRITE_BOUNDS",
@@ -376,18 +375,14 @@ class AccessProfiler:
     """Deployment-wide streaming access profiler.
 
     Pass one to :class:`~repro.core.manager.SwiShmemDeployment` via the
-    ``access_profiler`` keyword *at construction* — engines cache it
-    (and its ``enabled`` flag) when they are built, exactly like the
-    metrics registry::
+    ``access_profiler`` keyword, or attach it to a live deployment with
+    ``deployment.rebind_observability(access_profiler=...)``::
 
         profiler = AccessProfiler()
         deployment = SwiShmemDeployment(sim, topo, nodes, access_profiler=profiler)
         ...
         print(profiler.snapshot()["groups"][0]["hot_keys"])
     """
-
-    #: Hot paths cache this to skip the hook calls entirely when off.
-    enabled = True
 
     def __init__(
         self,
@@ -572,34 +567,3 @@ class AccessProfiler:
                 for group_id in sorted(self.groups)
             ],
         }
-
-
-class NullAccessProfiler(AccessProfiler):
-    """The deployment default: every hook is a no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def describe_group(self, spec: Any) -> None:  # type: ignore[override]
-        return None
-
-    def note_nf(self, group_id: int, nf_name: str) -> None:
-        return None
-
-    def on_read(self, group_id, key, node, now, peek=False) -> None:
-        return None
-
-    def on_write(self, group_id, key, node, now, origin="dataplane", op="overwrite") -> None:
-        return None
-
-    def on_apply(self, group_id, key, node, now) -> None:
-        return None
-
-    def on_merge(self, group_id, key, node, origin, applied, now) -> None:
-        return None
-
-
-#: Shared no-op profiler; hot paths bound to it pay one attribute check.
-NULL_ACCESS_PROFILER = NullAccessProfiler()

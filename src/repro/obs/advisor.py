@@ -3,10 +3,9 @@
 Given a populated :class:`~repro.obs.accessprof.AccessProfiler` and the
 number of data packets the hosts injected, :class:`ConsistencyAdvisor`
 classifies every register group into the paper's Table 1 taxonomy and
-recommends a consistency class — with **zero hand labels**.  Where the
-coarse profiler in ``repro.core.compiler`` needs the operator to supply
-each group's consistency *requirement* (``needs_strong``), this advisor
-infers it from observables the streaming profiler records:
+recommends a consistency class — with **zero hand labels**: each
+group's consistency *requirement* (Table 1's last column) is inferred
+from observables the streaming profiler records:
 
 * **write-per-packet** groups (writes on ~every packet) cannot afford
   chain writes — Observation 2 sends them to EWO;
@@ -39,8 +38,7 @@ __all__ = [
     "OCCASIONAL_THRESHOLD",
 ]
 
-#: Accesses-per-packet tier edges, matching the T1 experiment's use of
-#: :meth:`repro.core.compiler.AccessProfile.frequency_label`.
+#: Accesses-per-packet tier edges of Table 1's frequency vocabulary.
 PER_PACKET_THRESHOLD = 0.4
 OCCASIONAL_THRESHOLD = 0.02
 
@@ -160,9 +158,9 @@ class ConsistencyAdvisor:
     def _labels(self, group: GroupProfile) -> tuple:
         """(write freq, read freq) in Table 1's vocabulary.
 
-        Same tiers as :meth:`repro.core.compiler.AccessProfile.
-        frequency_label` (duplicated here: importing the compiler would
-        cycle through ``core.manager``, which imports this package).
+        Three tiers: accesses on (nearly) every packet, accesses tied to
+        occasional events (new connections for writes, periodic windows
+        for reads), and rare control-plane-only accesses ("Low").
         """
         writes_pp = group.writes / self.packets if self.packets else 0.0
         reads_pp = group.reads / self.packets if self.packets else 0.0

@@ -18,7 +18,7 @@ flight recorder's output be asserted in tests rather than eyeballed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 __all__ = ["TraceContext", "CausalClock"]
 
@@ -46,7 +46,8 @@ class TraceContext:
 class CausalClock:
     """Per-node Lamport clock + deterministic span-id allocator.
 
-    One instance per switch manager and per controller replica.  All
+    One instance per switch manager, controller replica and coordinator,
+    handed out by the deployment's ``ObsSpine.clock(node)``.  All
     allocation is pure counter arithmetic — no RNG, no wall clock — so
     trace identity is a deterministic function of the event order the
     simulator already guarantees.
@@ -93,8 +94,3 @@ class CausalClock:
         return TraceContext(
             context.trace_id, self._next_span_id(), context.parent_id, self.tick()
         )
-
-
-def clock_registry() -> Dict[str, CausalClock]:
-    """Convenience factory for deployments tracking one clock per node."""
-    return {}

@@ -2,10 +2,9 @@
 
 Protocol code stamps :class:`~repro.obs.causal.TraceContext` objects on
 messages unconditionally (pure counter arithmetic, digest-neutral); the
-*recording* of spans is what this module gates.  A disabled recorder
-(:data:`NULL_FLIGHT_RECORDER`, the default everywhere) drops every
-span in a single attribute check, mirroring the ``NULL_REGISTRY`` /
-``NULL_TRACER`` idiom.
+*recording* of spans happens only while a recorder is attached to the
+deployment's observability spine (:mod:`repro.obs.spine`), which is the
+recorder's one caller on the protocol path.
 
 The recorder answers two questions the aggregate telemetry of PR 2
 cannot:
@@ -19,10 +18,10 @@ cannot:
   ``assert_happens_before`` / ``span_count`` / ``max_chain_depth`` so
   tests and ``bench_chaos_soak`` can assert causal structure directly.
 
-Like :class:`~repro.sim.trace.Tracer`, the ring is bounded
-(``max_records``) and counts ``evictions``; ``bind_metrics`` exports
-the eviction count as a gauge so truncation shows up in bench sidecars
-instead of silently eating the start of a post-mortem.
+The ring is bounded (``max_records``) and counts ``evictions``;
+``bind_metrics`` exports the eviction count as a gauge so truncation
+shows up in bench sidecars instead of silently eating the start of a
+post-mortem.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 from repro.obs.causal import TraceContext
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
-__all__ = ["Span", "FlightRecorder", "TraceQuery", "NULL_FLIGHT_RECORDER"]
+__all__ = ["Span", "FlightRecorder", "TraceQuery"]
 
-#: Default ring capacity — matches the order of magnitude of
-#: ``Tracer``'s default and comfortably holds a chaos-soak's hot keys.
+#: Default ring capacity — comfortably holds a chaos-soak's hot keys.
 DEFAULT_MAX_SPANS = 65536
 
 
@@ -93,8 +91,6 @@ class FlightRecorder:
     eviction.
     """
 
-    enabled = True
-
     def __init__(self, max_records: int = DEFAULT_MAX_SPANS) -> None:
         self.max_records = max_records
         self.spans: Deque[Span] = deque(maxlen=max_records)
@@ -109,12 +105,16 @@ class FlightRecorder:
         name: str,
         node: str,
         time: float,
+        /,
         group: Optional[int] = None,
         key: Any = None,
         **attrs: Any,
     ) -> Optional[Span]:
-        """Append one span; silently drops untraced (None-context) events."""
-        if not self.enabled or context is None:
+        """Append one span; silently drops untraced (None-context) events.
+
+        The first four parameters are positional-only, so attrs named
+        ``name``, ``node`` or ``time`` land in :attr:`Span.attrs`."""
+        if context is None:
             return None
         if self.max_records and len(self.spans) == self.max_records:
             self.evictions += 1
@@ -328,18 +328,3 @@ class TraceQuery:
             return self.recorder.render_timeline(trace_id=next(iter(trace_ids)))
         lines = [self.recorder.render_timeline(trace_id=t) for t in sorted(trace_ids)]
         return "\n".join(lines)
-
-
-class _NullFlightRecorder(FlightRecorder):
-    """Shared disabled singleton: recording is a single attribute check."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(max_records=0)
-
-    def record(self, *args: Any, **kwargs: Any) -> Optional[Span]:
-        return None
-
-
-NULL_FLIGHT_RECORDER = _NullFlightRecorder()

@@ -27,8 +27,8 @@ Digest neutrality is the same contract as the rest of ``repro.obs``:
 hooks only mutate monitor-internal state — no events are scheduled, no
 RNG streams are drawn, and windows roll lazily off the sim clock the
 caller carries.  An instrumented chaos replay stays byte-identical per
-seed, and :data:`NULL_SLO_MONITOR` (the deployment default) reduces
-every hook to one cached attribute check.
+seed; a deployment without a monitor (the default, ``None``) pays the
+spine's one flag test per step.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS, Histogram
 __all__ = [
     "SLOObjective",
     "SLOMonitor",
-    "NullSLOMonitor",
-    "NULL_SLO_MONITOR",
     "parse_objective",
 ]
 
@@ -208,17 +206,11 @@ class SLOMonitor:
     """Deployment-wide, digest-neutral SLO evaluation in sim time.
 
     Pass one to :class:`~repro.core.manager.SwiShmemDeployment` via the
-    ``slo_monitor`` keyword at construction — engines cache it (and its
-    ``enabled`` flag) when they are built, exactly like the metrics
-    registry and the access profiler.  To attach one *after*
-    construction, call ``deployment.rebind_observability(slo_monitor=m)``,
-    which re-binds every engine's cached hooks; assigning to
-    ``deployment.slo_monitor`` directly raises, because the engines
-    would silently keep their stale cached references.
+    ``slo_monitor`` keyword, or attach it to a live deployment with
+    ``deployment.rebind_observability(slo_monitor=m)``; assigning to
+    ``deployment.slo_monitor`` directly raises, because only the
+    observability spine's reference is ever read.
     """
-
-    #: Hot paths cache this to skip the hook calls entirely when off.
-    enabled = True
 
     #: Breach events kept (oldest dropped beyond this, with a counter).
     max_breaches = 1024
@@ -322,28 +314,3 @@ class SLOMonitor:
             "breaches": list(self.breaches),
             "breaches_dropped": self.breaches_dropped,
         }
-
-
-class NullSLOMonitor(SLOMonitor):
-    """The deployment default: every hook is a no-op."""
-
-    enabled = False
-
-    def add_objective(self, spec: str) -> SLOObjective:
-        raise RuntimeError(
-            "NULL_SLO_MONITOR takes no objectives; construct an SLOMonitor "
-            "and pass it to the deployment via slo_monitor="
-        )
-
-    def observe(self, metric: str, value: float, now: float) -> None:
-        return None
-
-    def observe_event(self, metric: str, ok: bool, now: float) -> None:
-        return None
-
-    def finalize(self, now: float) -> None:
-        return None
-
-
-#: Shared no-op monitor; hot paths bound to it pay one attribute check.
-NULL_SLO_MONITOR = NullSLOMonitor()

@@ -61,7 +61,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from repro.core.registers import Consistency, DigestTree, EwoMode, RegisterSpec
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
-from repro.obs.causal import CausalClock
 from repro.protocols.messages import (
     ScrubDigestQuery,
     ScrubDigestReply,
@@ -173,18 +172,8 @@ class ScrubAgent:
         self.repairs_applied = 0
         self.repairs_stale = 0
         self.repairs_fenced = 0
-        self._bind_observability()
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks (called at
-        construction and again by ``Deployment.rebind_observability``)."""
-        metrics = self.manager.deployment.metrics
-        self._metrics_on = metrics.enabled
-        self._m_repairs = metrics.counter("scrub.repairs_applied", self.switch.name)
-        self._m_fenced = metrics.counter("scrub.repairs_fenced", self.switch.name)
-        self._causal = self.manager.causal
-        self._flightrec = self.manager.deployment.flight_recorder
-        self._flightrec_on = self._flightrec.enabled
+        self.obs = manager.obs
+        self._causal = manager.causal
 
     # ------------------------------------------------------------------
     def tree(self, group_id: int) -> DigestTree:
@@ -289,14 +278,11 @@ class ScrubAgent:
             # than this member now runs: the repair might resurrect
             # pre-failover state, so it must not land.
             self.repairs_fenced += 1
-            if self._metrics_on:
-                self._m_fenced.inc()
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ctx,
+            if self.obs.on:
+                self.obs.emit(
                     "scrub.repair.fenced",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=repair.group,
                     key=repair.key,
                     repair_epoch=repair.epoch,
@@ -313,16 +299,13 @@ class ScrubAgent:
         )
         if applied:
             self.repairs_applied += 1
-            if self._metrics_on:
-                self._m_repairs.inc()
         else:
             self.repairs_stale += 1
-        if self._flightrec_on:
-            self._flightrec.record(
-                ctx,
+        if self.obs.on:
+            self.obs.emit(
                 "scrub.repair.apply",
                 self.switch.name,
-                self.sim.now,
+                ctx,
                 group=repair.group,
                 key=repair.key,
                 seq=repair.seq,
@@ -388,25 +371,11 @@ class ScrubCoordinator:
         # safe as long as scrubbing has not started yet.
         for manager in deployment.managers.values():
             manager.scrub.buckets = buckets
-        self._causal = CausalClock("scrub")
-        self._bind_observability()
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks (called at
-        construction and again by ``Deployment.rebind_observability``)."""
-        metrics = self.deployment.metrics
-        self._metrics_on = metrics.enabled
-        self._m_rounds = metrics.counter("scrub.rounds", "scrub")
-        self._m_diverged = metrics.counter("scrub.rounds_diverged", "scrub")
-        self._m_aborted = metrics.counter("scrub.rounds_aborted", "scrub")
-        self._m_repairs = metrics.counter("scrub.repairs_sent", "scrub")
-        self._m_repair_bytes = metrics.counter("scrub.repair_bytes", "scrub")
-        self._m_detect_latency = metrics.histogram(
-            "scrub.detect_latency_seconds", "scrub"
-        )
-        self._m_heal_latency = metrics.histogram("scrub.heal_latency_seconds", "scrub")
-        self._flightrec = self.deployment.flight_recorder
-        self._flightrec_on = self._flightrec.enabled
+        #: The deployment's observability spine; coordinator spans and
+        #: metrics carry the "scrub" node.
+        self.obs = deployment.obs
+        self.obs.announce("scrub")
+        self._causal = self.obs.clock("scrub")
 
     # ------------------------------------------------------------------
     def start(self) -> "ScrubCoordinator":
@@ -489,14 +458,11 @@ class ScrubCoordinator:
         )
         self._rounds[group_id] = round_
         self.stats.rounds_started += 1
-        if self._metrics_on:
-            self._m_rounds.inc()
-        if self._flightrec_on:
-            self._flightrec.record(
-                round_.trace,
+        if self.obs.on:
+            self.obs.emit(
                 "scrub.round.start",
                 "scrub",
-                self.sim.now,
+                round_.trace,
                 group=group_id,
                 round=round_.round_id,
                 members=",".join(members),
@@ -618,12 +584,11 @@ class ScrubCoordinator:
                 )
             )
         )
-        if self._flightrec_on:
-            self._flightrec.record(
-                self._causal.child(round_.trace),
+        if self.obs.on:
+            self.obs.emit(
                 "scrub.round.descend",
                 "scrub",
-                self.sim.now,
+                round_.trace,
                 group=round_.group_id,
                 round=round_.round_id,
                 level=next_level,
@@ -770,20 +735,18 @@ class ScrubCoordinator:
         self._suspects.update(fresh)
         if divergent:
             self.stats.rounds_diverged += 1
-            if self._metrics_on:
-                self._m_diverged.inc()
         else:
             self.stats.rounds_clean += 1
-        if self._flightrec_on:
-            self._flightrec.record(
-                self._causal.child(round_.trace),
+        if self.obs.on:
+            self.obs.emit(
                 "scrub.round.complete",
                 "scrub",
-                now,
+                round_.trace,
                 group=group_id,
                 round=round_.round_id,
                 divergent=",".join(sorted(divergent)),
                 confirmed=",".join(sorted(confirmed)),
+                diverged=bool(divergent),
             )
         self._mark_detections(round_, divergent, now)
         if confirmed:
@@ -807,19 +770,17 @@ class ScrubCoordinator:
             if event.key is None or event.key in keys:
                 event.detected_at = now
                 self.stats.detections += 1
-                if self._metrics_on:
-                    self._m_detect_latency.observe(now - event.at)
-                if self._flightrec_on:
-                    self._flightrec.record(
-                        self._causal.child(round_.trace),
+                if self.obs.on:
+                    self.obs.emit(
                         "scrub.detect",
                         "scrub",
-                        now,
+                        round_.trace,
                         group=event.group,
                         switch=event.switch,
                         kind=event.kind,
                         key=event.key,
                         latency_us=round((now - event.at) * 1e6, 3),
+                        latency=now - event.at,
                     )
 
     def _mark_heals(
@@ -846,19 +807,17 @@ class ScrubCoordinator:
                     # the clean round is still the verification.
                     event.detected_at = now
                 self.stats.heals += 1
-                if self._metrics_on:
-                    self._m_heal_latency.observe(now - event.at)
-                if self._flightrec_on:
-                    self._flightrec.record(
-                        self._causal.child(round_.trace),
+                if self.obs.on:
+                    self.obs.emit(
                         "scrub.heal",
                         "scrub",
-                        now,
+                        round_.trace,
                         group=event.group,
                         switch=event.switch,
                         kind=event.kind,
                         key=event.key,
                         latency_us=round((now - event.at) * 1e6, 3),
+                        latency=now - event.at,
                     )
 
     # ------------------------------------------------------------------
@@ -884,12 +843,11 @@ class ScrubCoordinator:
                         self._force_sync, victim, round_.group_id, peer,
                         label="scrub-force-sync",
                     )
-                if self._flightrec_on:
-                    self._flightrec.record(
-                        self._causal.child(round_.trace),
+                if self.obs.on:
+                    self.obs.emit(
                         "scrub.repair.sync",
                         "scrub",
-                        self.sim.now,
+                        round_.trace,
                         group=round_.group_id,
                         victim=victim,
                         keys=len(confirmed[victim]),
@@ -964,18 +922,6 @@ class ScrubCoordinator:
             value_bytes=round_.spec.value_bytes,
         )
         repair.trace = manager.causal.root()
-        if self._flightrec_on:
-            self._flightrec.record(
-                repair.trace,
-                "scrub.repair.send",
-                source,
-                self.sim.now,
-                group=round_.group_id,
-                key=key,
-                victim=victim,
-                seq=repair.seq,
-                epoch=repair.epoch,
-            )
         packet = Packet(
             swishmem=SwiShmemHeader(
                 op=SwiShmemOp.SCRUB_REPAIR,
@@ -987,9 +933,18 @@ class ScrubCoordinator:
         )
         self.stats.repairs_sent += 1
         self.stats.repair_bytes += packet.wire_size
-        if self._metrics_on:
-            self._m_repairs.inc()
-            self._m_repair_bytes.inc(packet.wire_size)
+        if self.obs.on:
+            self.obs.emit(
+                "scrub.repair.send",
+                source,
+                repair.trace,
+                group=round_.group_id,
+                key=key,
+                victim=victim,
+                seq=repair.seq,
+                epoch=repair.epoch,
+                bytes=packet.wire_size,
+            )
         manager.switch.forward_to_node(packet, victim)
 
     def _force_sync(self, member: str, group_id: int, target: str) -> None:
@@ -998,8 +953,8 @@ class ScrubCoordinator:
         if packets:
             self.stats.forced_syncs += 1
             self.stats.repair_bytes += sync_bytes
-            if self._metrics_on:
-                self._m_repair_bytes.inc(sync_bytes)
+            if self.obs.on:
+                self.obs.emit("scrub.repair.synced", "scrub", bytes=sync_bytes)
 
     # ------------------------------------------------------------------
     # Fencing and deadline bookkeeping
@@ -1024,14 +979,11 @@ class ScrubCoordinator:
         round_.aborted = True
         self._rounds.pop(round_.group_id, None)
         self.stats.rounds_aborted += 1
-        if self._metrics_on:
-            self._m_aborted.inc()
-        if self._flightrec_on:
-            self._flightrec.record(
-                self._causal.child(round_.trace),
+        if self.obs.on:
+            self.obs.emit(
                 "scrub.round.abort",
                 "scrub",
-                self.sim.now,
+                round_.trace,
                 group=round_.group_id,
                 round=round_.round_id,
                 reason=reason,

@@ -74,7 +74,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.chain import ChainDescriptor
-from repro.obs.causal import CausalClock
 from repro.protocols.messages import (
     ControllerCommand,
     GroupView,
@@ -212,14 +211,14 @@ class CentralController:
         #: All deadlines are measured from max(last beacon, this base);
         #: reset on (re-)homing and takeover for a fresh grace window.
         self._deadline_base = self.sim.now
-        # Live telemetry (repro.obs); instruments are registry-shared
-        # across replicas, so they aggregate naturally.
+        # Observability spine (repro.obs.spine).  Metrics carry the
+        # shared "controller" label, so replicas aggregate naturally.
         # Causal tracing: one Lamport clock per replica; ``trace_ctx``
         # is the root span of the current reign, set on activation.
+        self.obs = self.deployment.obs
         self.node = f"ctl{replica_id}"
-        self.causal = CausalClock(self.node)
+        self.causal = self.obs.clock(self.node)
         self.trace_ctx: Any = None
-        self._bind_observability()
         period = (
             self.heartbeat_period / 4
             if self.detection == "heartbeat"
@@ -231,21 +230,6 @@ class CentralController:
             self._tick,
             name=f"controller:replica-{replica_id}",
         ).start()
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks (construction
-        and ``Deployment.rebind_observability``)."""
-        self._flightrec = self.deployment.flight_recorder
-        metrics = self.deployment.metrics
-        self._m_heartbeats = metrics.counter("controller.heartbeats", "controller")
-        self._m_failures = metrics.counter("controller.failures_detected", "controller")
-        self._m_false_positives = metrics.counter(
-            "controller.false_positives", "controller"
-        )
-        self._m_recoveries = metrics.counter("controller.recoveries", "controller")
-        self._m_detection_latency = metrics.histogram(
-            "controller.detection_latency_seconds", "controller"
-        )
 
     # ------------------------------------------------------------------
     # Leadership
@@ -394,14 +378,8 @@ class CentralController:
         rc_ctx = (
             self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
         )
-        if self._flightrec.enabled and rc_ctx is not None:
-            self._flightrec.record(
-                rc_ctx,
-                "controller.reconstruct.begin",
-                self.node,
-                self.sim.now,
-                epoch=self.epoch,
-            )
+        if self.obs.on:
+            self.obs.emit("controller.reconstruct.begin", self.node, rc_ctx, epoch=self.epoch)
         query = ReconstructQuery(
             epoch=self.epoch, replica=self.replica_id, sent_at=self.sim.now, trace=rc_ctx
         )
@@ -436,14 +414,8 @@ class CentralController:
         answer_ctx = (
             manager.causal.child(query.trace) if query.trace is not None else None
         )
-        if self._flightrec.enabled and answer_ctx is not None:
-            self._flightrec.record(
-                answer_ctx,
-                "controller.reconstruct.answer",
-                name,
-                self.sim.now,
-                epoch=query.epoch,
-            )
+        if self.obs.on:
+            self.obs.emit("controller.reconstruct.answer", name, answer_ctx, epoch=query.epoch)
         views = tuple(
             GroupView(
                 group=gid,
@@ -479,12 +451,11 @@ class CentralController:
         self._reconstruct_replies[reply.switch] = reply
         self._last_heard[reply.switch] = self.sim.now
         self._last_beacon = self.sim.now
-        if self._flightrec.enabled and reply.trace is not None:
-            self._flightrec.record(
-                self.causal.child(reply.trace),
+        if self.obs.on:
+            self.obs.emit(
                 "controller.reconstruct.reply",
                 self.node,
-                self.sim.now,
+                reply.trace,
                 switch=reply.switch,
                 epoch=reply.epoch,
                 groups=len(reply.groups),
@@ -574,18 +545,16 @@ class CentralController:
                     if self.trace_ctx is not None
                     else None
                 )
-                if self._flightrec.enabled and event.trace is not None:
-                    self._flightrec.record(
-                        event.trace,
+                if self.obs.on:
+                    self.obs.emit(
                         "controller.recovery.redrive",
                         self.node,
-                        self.sim.now,
+                        event.trace,
                         switch=name,
                         groups=",".join(str(g) for g in redrive),
                         epoch=self.epoch,
                     )
                 self.recoveries.append(event)
-                self._m_recoveries.inc()
                 for group_id in redrive:
                     gen = self._recovery_gen.get((group_id, name), 0) + 1
                     self._recovery_gen[(group_id, name)] = gen
@@ -633,7 +602,8 @@ class CentralController:
     def on_heartbeat(self, beacon: Heartbeat) -> None:
         """A beacon reached this replica's management port."""
         self.heartbeats_received += 1
-        self._m_heartbeats.inc()
+        if self.obs.on:
+            self.obs.emit("controller.heartbeat", self.node)
         self._last_heard[beacon.origin] = self.sim.now
         self._last_beacon = self.sim.now
         if self.role != "leader":
@@ -644,7 +614,8 @@ class CentralController:
                 # really is down — not evidence of life.
                 return
             self.false_positives += 1
-            self._m_false_positives.inc()
+            if self.obs.on:
+                self.obs.emit("controller.false_positive", self.node)
             self._readmit(beacon.origin)
 
     def _check_liveness(self) -> None:
@@ -705,21 +676,18 @@ class CentralController:
             epoch=self.epoch,
         )
         self.failures.append(event)
-        self._m_failures.inc()
-        if not event.false_positive:
-            self._m_detection_latency.observe(event.detection_latency)
         fail_ctx = (
             self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
         )
-        if self._flightrec.enabled and fail_ctx is not None:
-            self._flightrec.record(
-                fail_ctx,
+        if self.obs.on:
+            self.obs.emit(
                 "controller.failure.detect",
                 self.node,
-                self.sim.now,
+                fail_ctx,
                 switch=name,
                 false_positive=event.false_positive,
                 epoch=self.epoch,
+                latency=None if event.false_positive else event.detection_latency,
             )
         # "First, we regain connectivity by reprogramming the routing of
         # the failed switch neighbors."
@@ -778,12 +746,11 @@ class CentralController:
             # ControllerCommand is frozen; re-create it with the send
             # span stamped (trace is excluded from eq/wire_size).
             command = replace(command, trace=self.causal.child(parent))
-            if self._flightrec.enabled:
-                self._flightrec.record(
-                    command.trace,
+            if self.obs.on:
+                self.obs.emit(
                     "controller.command.send",
                     self.node,
-                    self.sim.now,
+                    command.trace,
                     group=command.group,
                     kind=command.kind,
                     epoch=command.epoch,
@@ -821,18 +788,16 @@ class CentralController:
         event.trace = (
             self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
         )
-        if self._flightrec.enabled and event.trace is not None:
-            self._flightrec.record(
-                event.trace,
+        if self.obs.on:
+            self.obs.emit(
                 "controller.recovery.begin",
                 self.node,
-                self.sim.now,
+                event.trace,
                 switch=name,
                 wiped=wipe_state,
                 epoch=self.epoch,
             )
         self.recoveries.append(event)
-        self._m_recoveries.inc()
         switch.recover()
         self._known_failed.discard(name)
         self.cluster._fail_times.pop(name, None)
@@ -881,18 +846,16 @@ class CentralController:
         event.trace = (
             self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
         )
-        if self._flightrec.enabled and event.trace is not None:
-            self._flightrec.record(
-                event.trace,
-                "controller.recovery.begin",
+        if self.obs.on:
+            self.obs.emit(
+                "controller.recovery.readmit",
                 self.node,
-                self.sim.now,
+                event.trace,
                 switch=name,
                 readmission=True,
                 epoch=self.epoch,
             )
         self.recoveries.append(event)
-        self._m_recoveries.inc()
         self.deployment.routing.recompute()
         manager = self.deployment.manager(name)
         rejoined = False
@@ -983,16 +946,8 @@ class CentralController:
         state = manager.sro.groups.get(group_id)
         return state is not None and not state.catching_up
 
-    def _abort_recovery(self, group_id: int, target: str, attempt: int) -> None:
+    def _abort_recovery(self, group_id: int, target: str) -> None:
         self.aborted_recoveries.append((group_id, target, self.sim.now))
-        self.deployment.tracer.emit(
-            self.sim.now,
-            "controller",
-            target,
-            "recovery-abort",
-            group=group_id,
-            attempts=attempt,
-        )
 
     def _start_snapshot(
         self,
@@ -1046,7 +1001,7 @@ class CentralController:
             # one of their own transfers completes; abort (logged) if
             # that never happens.
             if attempt >= MAX_TRANSFER_ATTEMPTS:
-                self._abort_recovery(group_id, target, attempt)
+                self._abort_recovery(group_id, target)
                 return
             self.sim.schedule(
                 self.drain_delay,
@@ -1067,12 +1022,11 @@ class CentralController:
         snap_ctx = (
             self.causal.child(event.trace) if event.trace is not None else None
         )
-        if self._flightrec.enabled and snap_ctx is not None:
-            self._flightrec.record(
-                snap_ctx,
+        if self.obs.on:
+            self.obs.emit(
                 "controller.snapshot.start",
                 self.node,
-                self.sim.now,
+                snap_ctx,
                 group=group_id,
                 source=source,
                 target=target,
@@ -1105,7 +1059,7 @@ class CentralController:
         if self.deployment.manager(target).switch.failed:
             return  # the target itself died; nothing to salvage here
         if attempt >= MAX_TRANSFER_ATTEMPTS:
-            self._abort_recovery(group_id, target, attempt)
+            self._abort_recovery(group_id, target)
             return
         self.sim.schedule(
             self.config_latency,
@@ -1143,12 +1097,11 @@ class CentralController:
         promote_ctx = (
             self.causal.child(event.trace) if event.trace is not None else None
         )
-        if self._flightrec.enabled and promote_ctx is not None:
-            self._flightrec.record(
-                promote_ctx,
+        if self.obs.on:
+            self.obs.emit(
                 "controller.promote",
                 self.node,
-                self.sim.now,
+                promote_ctx,
                 group=group_id,
                 target=target,
                 epoch=self.epoch,

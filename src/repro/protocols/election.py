@@ -172,16 +172,10 @@ class ControllerCluster:
         #: crashes, reconstructions; part of chaos determinism digests.
         self.leader_log: List[Tuple[float, str, int, Any]] = []
         self._last_leader: Optional[CentralController] = None
-        metrics = deployment.metrics
-        self._m_leader_changes = metrics.counter(
-            "controller.leader_changes", "controller"
-        )
-        self._m_lease_expiries = metrics.counter(
-            "controller.lease_expiries", "controller"
-        )
-        self._m_reconstruction = metrics.histogram(
-            "controller.reconstruction_latency_seconds", "controller"
-        )
+        #: The deployment's observability spine; the cluster, its
+        #: replicas and the re-leveler share the "controller" label.
+        self.obs = deployment.obs
+        self.obs.announce("controller")
         self._hb_seq = 0
         self._hb_generators: Dict[str, PacketGenerator] = {}
         if detection == "heartbeat":
@@ -190,22 +184,6 @@ class ControllerCluster:
         for replica_id in range(replicas):
             self.replicas.append(CentralController(self, replica_id))
         self.activate(self.replicas[0], initial=True)
-
-    def rebind_observability(self) -> None:
-        """Re-capture the deployment's observability hooks on the
-        cluster and every replica (``Deployment.rebind_observability``)."""
-        metrics = self.deployment.metrics
-        self._m_leader_changes = metrics.counter(
-            "controller.leader_changes", "controller"
-        )
-        self._m_lease_expiries = metrics.counter(
-            "controller.lease_expiries", "controller"
-        )
-        self._m_reconstruction = metrics.histogram(
-            "controller.reconstruction_latency_seconds", "controller"
-        )
-        for replica in self.replicas:
-            replica._bind_observability()
 
     # ------------------------------------------------------------------
     # Leadership bookkeeping
@@ -248,19 +226,17 @@ class ControllerCluster:
         if self.deployment.manager(replica.host).switch.failed:
             replica._rehome()
         self.leader_changes += 1
-        self._m_leader_changes.inc()
         self.leader_log.append((now, "activate", replica.replica_id, replica.epoch))
         self._last_leader = replica
         # Root span for this reign: every command/repair/recovery span
         # this leader emits descends from it, so a takeover shows up as
         # a fresh trace rooted at the successor's activation.
         replica.trace_ctx = replica.causal.root()
-        if replica._flightrec.enabled:
-            replica._flightrec.record(
-                replica.trace_ctx,
+        if self.obs.on:
+            self.obs.emit(
                 "controller.activate",
                 replica.node,
-                now,
+                replica.trace_ctx,
                 epoch=replica.epoch,
                 initial=initial,
             )
@@ -273,11 +249,13 @@ class ControllerCluster:
     def on_leader_deposed(self, replica: CentralController, reason: str) -> None:
         if reason == "lease-expired":
             self.lease_expiries += 1
-            self._m_lease_expiries.inc()
+            if self.obs.on:
+                self.obs.emit("controller.lease_expired", replica.node)
         self.leader_log.append((self.sim.now, "depose", replica.replica_id, reason))
 
     def note_reconstruction(self, replica: CentralController, latency: float) -> None:
-        self._m_reconstruction.observe(latency)
+        if self.obs.on:
+            self.obs.emit("controller.reconstructed", replica.node, latency=latency)
         self.leader_log.append(
             (self.sim.now, "reconstructed", replica.replica_id, round(latency, 12))
         )

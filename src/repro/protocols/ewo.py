@@ -158,36 +158,11 @@ class EwoEngine:
         self.sync_period = sync_period
         self.groups: Dict[int, EwoGroupState] = {}
         self._sync_rng = manager.rng.stream(f"ewo-sync:{self.switch.name}")
-        self._bind_observability()
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks.
-
-        Called at construction and again by
-        ``Deployment.rebind_observability``; the engine caches these
-        (hot-path flag checks), so late hook swaps must go through the
-        rebind API rather than assigning deployment attributes directly.
-        """
-        # Live telemetry (repro.obs): sync/update volume and merge
-        # outcomes, labelled by this switch.  All no-ops when metrics
-        # are off.
-        metrics = self.manager.deployment.metrics
-        self._metrics_on = metrics.enabled
+        #: The deployment's observability spine (repro.obs.spine).
+        self.obs = manager.obs
         # Causal tracing: one trace per update broadcast / sync round,
-        # merge spans fan in at the receivers (repro.obs.flightrec).
-        self._causal = self.manager.causal
-        self._flightrec = self.manager.deployment.flight_recorder
-        self._flightrec_on = self._flightrec.enabled
-        # Access-pattern profiler (repro.obs.accessprof): local writes
-        # and merge outcomes feed it; passive and digest-neutral.
-        self._accessprof = self.manager.deployment.access_profiler
-        self._accessprof_on = self._accessprof.enabled
-        self._m_sync_packets = metrics.counter("ewo.sync_packets", self.switch.name)
-        self._m_sync_bytes = metrics.counter("ewo.sync_bytes", self.switch.name)
-        self._m_update_packets = metrics.counter("ewo.update_packets", self.switch.name)
-        self._m_update_bytes = metrics.counter("ewo.update_bytes", self.switch.name)
-        self._m_merges_applied = metrics.counter("ewo.merges_applied", self.switch.name)
-        self._m_merges_stale = metrics.counter("ewo.merges_stale", self.switch.name)
+        # merge spans fan in at the receivers; stamped unconditionally.
+        self._causal = manager.causal
 
     # ------------------------------------------------------------------
     def add_group(
@@ -268,7 +243,7 @@ class EwoEngine:
         stamp = state.clock.now()
         state.cell_for(key).write(value, stamp)
         state.stats.local_writes += 1
-        if self._accessprof_on:
+        if self.obs.on:
             self._note_write(spec.group_id, key, "overwrite")
         self._queue_entry(state, EwoEntry(key=key, version=stamp, value=value))
 
@@ -280,7 +255,7 @@ class EwoEngine:
         vector = state.vector_for(key)
         vector[state.my_slot] += amount
         state.stats.local_writes += 1
-        if self._accessprof_on:
+        if self.obs.on:
             self._note_write(spec.group_id, key, "increment")
         self._queue_entry(
             state, EwoEntry(key=key, version=state.my_slot, value=vector[state.my_slot])
@@ -294,7 +269,7 @@ class EwoEngine:
             raise TypeError(f"group {spec.name!r} is not an OR-Set group")
         tag = state.set_for(key).add(element)
         state.stats.local_writes += 1
-        if self._accessprof_on:
+        if self.obs.on:
             self._note_write(spec.group_id, key, "set_add")
         self._queue_entry(state, EwoEntry(key=key, version=("add", tag), value=element))
 
@@ -308,7 +283,7 @@ class EwoEngine:
         if not orset.remove(element):
             return False
         state.stats.local_writes += 1
-        if self._accessprof_on:
+        if self.obs.on:
             self._note_write(spec.group_id, key, "set_remove")
         self._queue_entry(
             state, EwoEntry(key=key, version=("rm", observed), value=element)
@@ -336,9 +311,7 @@ class EwoEngine:
         data-plane when made inside a packet pass (the manager's context
         is live) and control-plane otherwise (window tasks, management)."""
         origin = "dataplane" if self.manager._ctx is not None else "control"
-        self._accessprof.on_write(
-            group_id, key, self.switch.name, self.sim.now, origin=origin, op=op
-        )
+        self.obs.emit("ewo.write", self.switch.name, group=group_id, key=key, origin=origin, op=op)
 
     # ------------------------------------------------------------------
     # Asynchronous broadcast
@@ -368,23 +341,20 @@ class EwoEngine:
         state.stats.updates_sent += len(update.entries)
         state.stats.update_packets_sent += 1
         update.trace = self._causal.root()
-        if self._flightrec_on:
-            self._flightrec.record(
-                update.trace,
-                "ewo.update.broadcast",
-                self.switch.name,
-                self.sim.now,
-                group=group_id,
-                entries=len(update.entries),
-            )
         packet = Packet(
             swishmem=SwiShmemHeader(op=SwiShmemOp.EWO_UPDATE, register_group=group_id),
             swishmem_payload=update,
             trace=update.trace,
         )
-        if self._metrics_on:
-            self._m_update_packets.inc()
-            self._m_update_bytes.inc(packet.wire_size)
+        if self.obs.on:
+            self.obs.emit(
+                "ewo.update.broadcast",
+                self.switch.name,
+                update.trace,
+                group=group_id,
+                entries=len(update.entries),
+                bytes=packet.wire_size,
+            )
         return self.switch.multicast_to_group(packet, group_id)
 
     def _flush_partial(self, state: EwoGroupState, entries: List[EwoEntry], directory) -> int:
@@ -408,12 +378,11 @@ class EwoEngine:
                 value_bytes=state.spec.value_bytes,
             )
             update.trace = self._causal.root()
-            if self._flightrec_on:
-                self._flightrec.record(
-                    update.trace,
+            if self.obs.on:
+                self.obs.emit(
                     "ewo.update.send",
                     self.switch.name,
-                    self.sim.now,
+                    update.trace,
                     group=group_id,
                     target=target,
                     entries=len(update.entries),
@@ -429,9 +398,8 @@ class EwoEngine:
                 copies += 1
                 state.stats.updates_sent += len(update.entries)
                 state.stats.update_packets_sent += 1
-                if self._metrics_on:
-                    self._m_update_packets.inc()
-                    self._m_update_bytes.inc(packet.wire_size)
+                if self.obs.on:
+                    self.obs.emit("ewo.update.sent", self.switch.name, bytes=packet.wire_size)
         return copies
 
     # ------------------------------------------------------------------
@@ -450,41 +418,34 @@ class EwoEngine:
         if is_sync:
             state.stats.sync_packets_received += 1
         applied = stale = 0
+        obs = self.obs
+        #: (key, applied) per entry, in entry order, while watched.
+        outcomes = []
         for entry in update.entries:
             state.stats.updates_received += 1
-            if self._merge_entry(state, entry):
+            merged = self._merge_entry(state, entry)
+            if merged:
                 state.stats.merges_applied += 1
                 applied += 1
-                if self._metrics_on:
-                    self._m_merges_applied.inc()
-                if self._accessprof_on:
-                    self._accessprof.on_merge(
-                        update.group, entry.key, self.switch.name,
-                        update.origin, True, self.sim.now,
-                    )
             else:
                 state.stats.merges_stale += 1
                 stale += 1
-                if self._metrics_on:
-                    self._m_merges_stale.inc()
-                if self._accessprof_on:
-                    self._accessprof.on_merge(
-                        update.group, entry.key, self.switch.name,
-                        update.origin, False, self.sim.now,
-                    )
-        if self._flightrec_on and update.trace is not None:
-            # One fan-in span per received packet: merges from many
-            # origins parent into each origin's broadcast/sync span.
-            self._flightrec.record(
-                self._causal.child(update.trace),
+            if obs.on:
+                outcomes.append((entry.key, merged))
+        if obs.on:
+            # One event per received packet: its fan-in span (merges from
+            # many origins parent into each origin's broadcast/sync
+            # span) and every entry's merge outcome.
+            obs.emit(
                 "ewo.merge",
                 self.switch.name,
-                self.sim.now,
+                update.trace,
                 group=update.group,
                 origin=update.origin,
                 sync=is_sync,
                 applied=applied,
                 stale=stale,
+                outcomes=outcomes,
             )
 
     def _merge_entry(self, state: EwoGroupState, entry: EwoEntry) -> bool:
@@ -533,7 +494,7 @@ class EwoEngine:
         target = self._pick_sync_target(group_id)
         if target is None:
             return 0
-        packets, _ = self._sync_to(state, group_id, target, "ewo.sync.round")
+        packets, _ = self._sync_to(state, group_id, target, forced=False)
         return packets
 
     def force_sync(self, group_id: int, target: str) -> Tuple[int, int]:
@@ -548,10 +509,10 @@ class EwoEngine:
         state = self.groups.get(group_id)
         if state is None or self.switch.failed or target == self.switch.name:
             return (0, 0)
-        return self._sync_to(state, group_id, target, "ewo.sync.force")
+        return self._sync_to(state, group_id, target, forced=True)
 
     def _sync_to(
-        self, state: EwoGroupState, group_id: int, target: str, span: str
+        self, state: EwoGroupState, group_id: int, target: str, forced: bool
     ) -> Tuple[int, int]:
         """Ship full known state to ``target`` in MTU-sized sync packets."""
         entries = self._full_state_entries(state)
@@ -566,16 +527,19 @@ class EwoEngine:
         packets = 0
         sync_bytes = 0
         round_ctx = self._causal.root() if entries else None
-        if self._flightrec_on and round_ctx is not None:
-            self._flightrec.record(
-                round_ctx,
-                span,
-                self.switch.name,
-                self.sim.now,
-                group=group_id,
-                target=target,
-                entries=len(entries),
-            )
+        obs = self.obs
+        if obs.on:
+            name = self.switch.name
+            if forced:
+                obs.emit(
+                    "ewo.sync.force", name, round_ctx, group=group_id, target=target,
+                    entries=len(entries),
+                )
+            else:
+                obs.emit(
+                    "ewo.sync.round", name, round_ctx, group=group_id, target=target,
+                    entries=len(entries),
+                )
         for start in range(0, len(entries), SYNC_ENTRIES_PER_PACKET):
             chunk = entries[start : start + SYNC_ENTRIES_PER_PACKET]
             sync = EwoSync(
@@ -598,9 +562,8 @@ class EwoEngine:
                 sync_bytes += packet.wire_size
                 state.stats.sync_packets_sent += 1
                 state.stats.sync_entries_sent += len(chunk)
-                if self._metrics_on:
-                    self._m_sync_packets.inc()
-                    self._m_sync_bytes.inc(packet.wire_size)
+                if obs.on:
+                    obs.emit("ewo.sync.sent", self.switch.name, bytes=packet.wire_size)
         return packets, sync_bytes
 
     def _pick_sync_target(self, group_id: int) -> Optional[str]:

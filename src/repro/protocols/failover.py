@@ -84,6 +84,7 @@ class FailoverCoordinator:
 
     def __init__(self, deployment: "SwiShmemDeployment") -> None:
         self.deployment = deployment
+        self.obs = deployment.obs
         self._transfers: Dict[Tuple[int, str], SnapshotTransfer] = {}
         self.transfers_completed = 0
         self.transfers_failed = 0
@@ -146,18 +147,16 @@ class FailoverCoordinator:
             return
         spec = self.deployment.specs[transfer.group_id]
         switch = source_manager.switch
-        flightrec = self.deployment.flight_recorder
         round_ctx = None
         if transfer.trace is not None:
             # One span per retransmit round; the individual SnapshotWrite
             # packets all carry it (per-entry spans would swamp the ring).
             round_ctx = source_manager.causal.child(transfer.trace)
-            if flightrec.enabled:
-                flightrec.record(
-                    round_ctx,
+            if self.obs.on:
+                self.obs.emit(
                     "failover.snapshot.round",
                     transfer.source,
-                    self.deployment.sim.now,
+                    round_ctx,
                     group=transfer.group_id,
                     target=transfer.target,
                     entries=len(transfer.unacked),
@@ -215,13 +214,11 @@ class FailoverCoordinator:
         ack_ctx = None
         if message.trace is not None:
             ack_ctx = manager.causal.child(message.trace)
-            flightrec = self.deployment.flight_recorder
-            if flightrec.enabled:
-                flightrec.record(
-                    ack_ctx,
+            if self.obs.on:
+                self.obs.emit(
                     "failover.snapshot.apply",
                     manager.switch.name,
-                    self.deployment.sim.now,
+                    ack_ctx,
                     group=message.group,
                     key=message.key,
                     seq=message.seq,
@@ -265,14 +262,11 @@ class FailoverCoordinator:
             return
         transfer.done = True
         self.transfers_completed += 1
-        flightrec = self.deployment.flight_recorder
-        if flightrec.enabled and transfer.trace is not None:
-            source_manager = self.deployment.manager(transfer.source)
-            flightrec.record(
-                source_manager.causal.child(transfer.trace),
+        if self.obs.on:
+            self.obs.emit(
                 "failover.transfer.complete",
                 transfer.source,
-                self.deployment.sim.now,
+                transfer.trace,
                 group=transfer.group_id,
                 target=transfer.target,
                 entries=transfer.total_entries,

@@ -63,7 +63,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.core.chain import ChainDescriptor
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.crdt.clock import Timestamp
-from repro.obs.causal import CausalClock
 from repro.protocols.messages import ControllerCommand
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,7 +129,11 @@ class RelevelingCoordinator:
         self.deployment = deployment
         self.sim = deployment.sim
         self.stats = RelevelStats()
-        self.causal = CausalClock("releveler")
+        #: The deployment's observability spine.  Spans carry the
+        #: "releveler" node, each a child of the handoff's root context;
+        #: metrics share the controller's label.
+        self.obs = deployment.obs
+        self.causal = self.obs.clock("releveler")
         #: In-flight handoffs by group id.
         self._active: Dict[int, Handoff] = {}
         #: Requests waiting for a leader (or for the group's current
@@ -152,20 +155,6 @@ class RelevelingCoordinator:
         self.drain_timeout: Optional[float] = None
         #: Completed handoffs: (group name, source, target, duration).
         self.log: List[Tuple[str, str, str, float]] = []
-        self._bind_observability()
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks (construction
-        and ``Deployment.rebind_observability``)."""
-        metrics = self.deployment.metrics
-        self._metrics_on = metrics.enabled
-        self._flightrec = self.deployment.flight_recorder
-        self._flightrec_on = self._flightrec.enabled
-        self._m_requested = metrics.counter("relevel.requested", "controller")
-        self._m_completed = metrics.counter("relevel.completed", "controller")
-        self._m_rollbacks = metrics.counter("relevel.rollbacks", "controller")
-        self._m_resumed = metrics.counter("relevel.resumed", "controller")
-        self._m_duration = metrics.histogram("relevel.handoff_seconds", "controller")
 
     # ------------------------------------------------------------------
     # Public API
@@ -245,9 +234,15 @@ class RelevelingCoordinator:
             handoff.resumes += 1
             handoff.epoch = leader.epoch
             self.stats.resumed += 1
-            if self._metrics_on:
-                self._m_resumed.inc()
-            self._record(handoff, "relevel.resume", phase=handoff.phase)
+            if self.obs.on:
+                self.obs.emit(
+                    "relevel.resume",
+                    "releveler",
+                    handoff.trace,
+                    group=group_id,
+                    name=handoff.spec.name,
+                    phase=handoff.phase,
+                )
             if handoff.phase == "drain":
                 # Give the drain a fresh window: the dead leader's
                 # outage ate into the old deadline.
@@ -350,16 +345,18 @@ class RelevelingCoordinator:
         handoff.drain_deadline = self.sim.now + self._drain_timeout()
         self._active[spec.group_id] = handoff
         self.stats.requested += 1
-        if self._metrics_on:
-            self._m_requested.inc()
-        self._record(
-            handoff,
-            "relevel.begin",
-            source=handoff.source.value,
-            target=target.value,
-            epoch=handoff.epoch,
-            reason=reason[:120],
-        )
+        if self.obs.on:
+            self.obs.emit(
+                "relevel.begin",
+                "releveler",
+                handoff.trace,
+                group=spec.group_id,
+                name=spec.name,
+                source=handoff.source.value,
+                target=target.value,
+                epoch=handoff.epoch,
+                reason=reason[:120],
+            )
         self._send_fences(handoff, leader)
         self._schedule_poll(handoff)
 
@@ -374,7 +371,15 @@ class RelevelingCoordinator:
 
     def _send_fences(self, handoff: Handoff, leader: Any) -> None:
         self._broadcast(leader, "relevel_fence", handoff)
-        self._record(handoff, "relevel.drain", epoch=handoff.epoch)
+        if self.obs.on:
+            self.obs.emit(
+                "relevel.drain",
+                "releveler",
+                handoff.trace,
+                group=handoff.group_id,
+                name=handoff.spec.name,
+                epoch=handoff.epoch,
+            )
         self._notify("drain", handoff)
 
     def _schedule_poll(self, handoff: Handoff) -> None:
@@ -540,13 +545,17 @@ class RelevelingCoordinator:
 
     def _send_switch(self, handoff: Handoff, leader: Any) -> None:
         self._broadcast(leader, "relevel_switch", handoff, handoff.switch_payload)
-        self._record(
-            handoff,
-            "relevel.switch",
-            target=handoff.target.value,
-            seeded=len(handoff.switch_payload.get("seed", ())),
-            epoch=handoff.epoch,
-        )
+        if self.obs.on:
+            self.obs.emit(
+                "relevel.switch",
+                "releveler",
+                handoff.trace,
+                group=handoff.group_id,
+                name=handoff.spec.name,
+                target=handoff.target.value,
+                seeded=len(handoff.switch_payload.get("seed", ())),
+                epoch=handoff.epoch,
+            )
         self._notify("switch", handoff)
 
     def _schedule_unfence(self, handoff: Handoff) -> None:
@@ -576,7 +585,15 @@ class RelevelingCoordinator:
 
     def _send_unfence(self, handoff: Handoff, leader: Any) -> None:
         self._broadcast(leader, "relevel_unfence", handoff)
-        self._record(handoff, "relevel.unfence", epoch=handoff.epoch)
+        if self.obs.on:
+            self.obs.emit(
+                "relevel.unfence",
+                "releveler",
+                handoff.trace,
+                group=handoff.group_id,
+                name=handoff.spec.name,
+                epoch=handoff.epoch,
+            )
         self._notify("unfence", handoff)
 
     def _schedule_finish(self, handoff: Handoff) -> None:
@@ -595,9 +612,6 @@ class RelevelingCoordinator:
         del self._active[group_id]
         duration = self.sim.now - handoff.started_at
         self.stats.completed += 1
-        if self._metrics_on:
-            self._m_completed.inc()
-            self._m_duration.observe(duration)
         self.log.append(
             (
                 handoff.spec.name,
@@ -606,18 +620,21 @@ class RelevelingCoordinator:
                 duration,
             )
         )
-        self._record(
-            handoff,
-            "relevel.complete",
-            source=handoff.source.value,
-            target=handoff.target.value,
-            duration_us=round(duration * 1e6, 3),
-            resumes=handoff.resumes,
-        )
-        profiler = self.deployment.access_profiler
-        if profiler.enabled:
-            # Future advice compares against the new declared level.
-            profiler.describe_group(handoff.spec)
+        if self.obs.on:
+            self.obs.emit(
+                "relevel.complete",
+                "releveler",
+                handoff.trace,
+                group=group_id,
+                name=handoff.spec.name,
+                source=handoff.source.value,
+                target=handoff.target.value,
+                duration_us=round(duration * 1e6, 3),
+                resumes=handoff.resumes,
+                duration=duration,
+            )
+        # Future advice compares against the new declared level.
+        self.obs.describe_group(handoff.spec)
         self._drain_queue()
 
     # ------------------------------------------------------------------
@@ -629,16 +646,18 @@ class RelevelingCoordinator:
         simply kept its level."""
         del self._active[handoff.group_id]
         self.stats.rollbacks += 1
-        if self._metrics_on:
-            self._m_rollbacks.inc()
         self._broadcast(leader, "relevel_unfence", handoff)
-        self._record(
-            handoff,
-            "relevel.rollback",
-            why=why,
-            source=handoff.source.value,
-            target=handoff.target.value,
-        )
+        if self.obs.on:
+            self.obs.emit(
+                "relevel.rollback",
+                "releveler",
+                handoff.trace,
+                group=handoff.group_id,
+                name=handoff.spec.name,
+                why=why,
+                source=handoff.source.value,
+                target=handoff.target.value,
+            )
         self._drain_queue()
 
     # ------------------------------------------------------------------
@@ -684,17 +703,3 @@ class RelevelingCoordinator:
     def _notify(self, phase: str, handoff: Handoff) -> None:
         for listener in list(self.phase_listeners):
             listener(phase, handoff)
-
-    def _record(self, handoff: Handoff, what: str, **fields: Any) -> None:
-        if not self._flightrec_on or handoff.trace is None:
-            return
-        ctx = self.causal.child(handoff.trace)
-        self._flightrec.record(
-            ctx,
-            what,
-            "releveler",
-            self.sim.now,
-            group=handoff.group_id,
-            name=handoff.spec.name,
-            **fields,
-        )

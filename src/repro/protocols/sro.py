@@ -299,7 +299,11 @@ class SroEngine:
         # the head).  A per-switch named stream keeps replays
         # byte-identical per seed.
         self._backoff_rng = manager.rng.stream(f"sro-backoff:{self.switch.name}")
-        self._bind_observability()
+        #: The deployment's observability spine (repro.obs.spine).
+        self.obs = manager.obs
+        # Causal contexts are stamped unconditionally (pure counters,
+        # digest-neutral); only the emits below are gated.
+        self._causal = manager.causal
         self._dedup_evictions_reported = 0
         # Data-plane write-buffering state and accounting (section 9).
         self._dp_holds: Dict[WriteToken, _DataplaneHold] = {}
@@ -307,46 +311,6 @@ class SroEngine:
         self.dp_recirculations = 0
         self.dp_resends = 0
         self.dp_drops = 0
-
-    def _bind_observability(self) -> None:
-        """Capture the deployment's observability hooks.
-
-        Called at construction and again by
-        ``Deployment.rebind_observability``; engines deliberately cache
-        these (hot-path flag checks), so any late hook swap must go
-        through the rebind API rather than assigning deployment
-        attributes directly.
-        """
-        # Live telemetry (repro.obs): engine-level gauges plus per-group
-        # instruments bound in add_group; all of it degrades to no-op
-        # singletons when metrics are off.
-        metrics = self.manager.deployment.metrics
-        self._metrics_on = metrics.enabled
-        # Causal tracing (repro.obs.causal / flightrec): contexts are
-        # stamped unconditionally (pure counters, digest-neutral), span
-        # *recording* is gated on the deployment's flight recorder.
-        self._causal = self.manager.causal
-        self._flightrec = self.manager.deployment.flight_recorder
-        self._flightrec_on = self._flightrec.enabled
-        # Access-pattern profiler (repro.obs.accessprof): write initiates
-        # and chain applies feed it; passive and digest-neutral.
-        self._accessprof = self.manager.deployment.access_profiler
-        self._accessprof_on = self._accessprof.enabled
-        # Live SLO monitor (repro.obs.slo): commit latencies and write
-        # outcomes feed it; passive and digest-neutral.
-        self._slo = self.manager.deployment.slo_monitor
-        self._slo_on = self._slo.enabled
-        self._m_outstanding = metrics.gauge("sro.outstanding_writes", self.switch.name)
-        self._m_pending = metrics.gauge("sro.pending_bits", self.switch.name)
-        self._m_commit_latency = metrics.histogram(
-            "sro.write_commit_latency_seconds", self.switch.name
-        )
-        self._m_reads_local = metrics.counter("sro.reads_local", self.switch.name)
-        self._m_reads_forwarded = metrics.counter("sro.reads_forwarded", self.switch.name)
-        self._m_reads_tail = metrics.counter("sro.reads_tail", self.switch.name)
-        self._m_retries = metrics.counter("sro.write_retries", self.switch.name)
-        self._m_dedup_occupancy = metrics.gauge("sro.dedup_occupancy", self.switch.name)
-        self._m_dedup_evictions = metrics.counter("sro.dedup_evictions", self.switch.name)
 
     # ------------------------------------------------------------------
     # Group lifecycle
@@ -383,11 +347,12 @@ class SroEngine:
             if barrier is not None and barrier.token is not None:
                 self._dp_holds.pop(barrier.token, None)
                 self.switch.control.drop_buffered(barrier.token)
-        if self._metrics_on:
-            self._m_outstanding.set(len(self._outstanding))
+        obs = self.obs
+        if obs.on:
+            obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
             still_pending = state.pending.pending_count()
             if state.track_pending and still_pending:
-                self._m_pending.dec(still_pending)
+                obs.emit("sro.pending.clear", self.switch.name, cleared=still_pending)
         budget = self.switch.memory
         budget.release(f"sro-store:{state.spec.name}")
         budget.release(f"sro-dedup:{state.spec.name}")
@@ -419,8 +384,8 @@ class SroEngine:
         state.track_pending = value
         if not value:
             cleared = state.pending.clear_all()
-            if cleared and self._metrics_on:
-                self._m_pending.dec(cleared)
+            if cleared and self.obs.on:
+                self.obs.emit("sro.pending.clear", self.switch.name, cleared=cleared)
 
     def set_chain(self, group_id: int, chain: ChainDescriptor) -> None:
         """Install a new chain descriptor (controller reconfiguration)."""
@@ -430,11 +395,13 @@ class SroEngine:
             state.chain = chain
             if advanced and state.dedup:
                 evicted = state.evict_dedup_epochs(chain.version, self.sim.now)
-                if evicted and self._metrics_on:
-                    self._m_dedup_evictions.inc(evicted)
+                if evicted and self.obs.on:
                     self._dedup_evictions_reported += evicted
-                    self._m_dedup_occupancy.set(
-                        sum(len(g.dedup) for g in self.groups.values())
+                    self.obs.emit(
+                        "sro.dedup",
+                        self.switch.name,
+                        occupancy=sum(len(g.dedup) for g in self.groups.values()),
+                        evicted=evicted,
                     )
 
     def set_catching_up(self, group_id: int, value: bool) -> None:
@@ -451,8 +418,8 @@ class SroEngine:
         )
         if self.switch.name == state.chain.read_tail or at_tail:
             state.stats.tail_reads += 1
-            if self._metrics_on:
-                self._m_reads_tail.inc()
+            if self.obs.on:
+                self.obs.emit("sro.read.tail", self.switch.name)
             return state.store.get(key, default if default is not None else spec.default)
         if state.track_pending:
             slot = state.pending.slot_of(key)
@@ -462,17 +429,15 @@ class SroEngine:
                     # local copy (peek semantics); only data-plane reads
                     # forward packets.
                     state.stats.local_reads += 1
-                    if self._metrics_on:
-                        self._m_reads_local.inc()
+                    if self.obs.on:
+                        self.obs.emit("sro.read.local", self.switch.name)
                     return state.store.get(key, default if default is not None else spec.default)
                 state.stats.forwarded_reads += 1
-                if self._metrics_on:
-                    self._m_reads_forwarded.inc()
                 self._forward_read(state, packet)
                 raise ReadForwarded(spec.group_id, key, state.chain.read_tail)
         state.stats.local_reads += 1
-        if self._metrics_on:
-            self._m_reads_local.inc()
+        if self.obs.on:
+            self.obs.emit("sro.read.local", self.switch.name)
         return state.store.get(key, default if default is not None else spec.default)
 
     def _forward_read(self, state: SroGroupState, packet: Packet) -> None:
@@ -484,12 +449,11 @@ class SroEngine:
         )
         packet.swishmem_payload = None
         packet.trace = self._causal.root()
-        if self._flightrec_on:
-            self._flightrec.record(
-                packet.trace,
+        if self.obs.on:
+            self.obs.emit(
                 "sro.read.forward",
                 self.switch.name,
-                self.sim.now,
+                packet.trace,
                 group=state.spec.group_id,
                 next_hop=state.chain.read_tail,
             )
@@ -508,26 +472,19 @@ class SroEngine:
             # Chain moved under the packet; chase the current tail.
             if packet.trace is not None:
                 packet.trace = self._causal.child(packet.trace)
-                if self._flightrec_on:
-                    self._flightrec.record(
-                        packet.trace,
+                if self.obs.on:
+                    self.obs.emit(
                         "sro.read.chase",
                         self.switch.name,
-                        self.sim.now,
+                        packet.trace,
                         group=group_id,
                         next_hop=state.chain.read_tail,
                     )
             packet.swishmem.dst_node = state.chain.read_tail
             self.switch.forward_to_node(packet, state.chain.read_tail)
             return True
-        if self._flightrec_on and packet.trace is not None:
-            self._flightrec.record(
-                self._causal.child(packet.trace),
-                "sro.read.tail",
-                self.switch.name,
-                self.sim.now,
-                group=group_id,
-            )
+        if self.obs.on:
+            self.obs.emit("sro.read.arrive", self.switch.name, packet.trace, group=group_id)
         packet.swishmem = None
         # Replaced, not updated in place: meta values are shared by
         # packet copies (see the copy contract in repro.net.packet).
@@ -539,7 +496,9 @@ class SroEngine:
     # ------------------------------------------------------------------
     # Write path, writer side (paper 6.1 "Writes")
     # ------------------------------------------------------------------
-    def _build_request(self, spec: RegisterSpec, key: Any, value: Any) -> WriteRequest:
+    def _build_request(
+        self, spec: RegisterSpec, key: Any, value: Any, origin: str
+    ) -> WriteRequest:
         """Build a request, translating FetchAdd markers into RMW requests."""
         rmw_delta = value.amount if isinstance(value, FetchAdd) else None
         request = WriteRequest(
@@ -553,15 +512,16 @@ class SroEngine:
         )
         # Every SRO write starts a fresh trace rooted at the writer.
         request.trace = self._causal.root()
-        if self._flightrec_on:
-            self._flightrec.record(
-                request.trace,
+        if self.obs.on:
+            self.obs.emit(
                 "sro.write.initiate",
                 self.switch.name,
-                self.sim.now,
+                request.trace,
                 group=spec.group_id,
                 key=key,
                 token=str(request.token),
+                origin=origin,
+                op="overwrite" if rmw_delta is None else "fetch_add",
             )
         return request
 
@@ -601,16 +561,7 @@ class SroEngine:
         for spec, key, value in writes:
             state = self.groups[spec.group_id]
             state.stats.writes_initiated += 1
-            if self._accessprof_on:
-                self._accessprof.on_write(
-                    spec.group_id,
-                    key,
-                    self.switch.name,
-                    self.sim.now,
-                    origin=origin,
-                    op="fetch_add" if isinstance(value, FetchAdd) else "overwrite",
-                )
-            request = self._build_request(spec, key, value)
+            request = self._build_request(spec, key, value, origin)
             outstanding = _OutstandingWrite(
                 request=request, started_at=self.sim.now, barrier=barrier
             )
@@ -620,8 +571,8 @@ class SroEngine:
             self.switch.control.submit(
                 self._send_write_request, request.token, label="sro-write-send"
             )
-        if self._metrics_on:
-            self._m_outstanding.set(len(self._outstanding))
+        if self.obs.on:
+            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
 
     # ------------------------------------------------------------------
     # Data-plane write buffering (section 9 open question, realized)
@@ -642,16 +593,7 @@ class SroEngine:
         for spec, key, value in writes:
             state = self.groups[spec.group_id]
             state.stats.writes_initiated += 1
-            if self._accessprof_on:
-                self._accessprof.on_write(
-                    spec.group_id,
-                    key,
-                    self.switch.name,
-                    self.sim.now,
-                    origin=origin,
-                    op="fetch_add" if isinstance(value, FetchAdd) else "overwrite",
-                )
-            request = self._build_request(spec, key, value)
+            request = self._build_request(spec, key, value, origin)
             outstanding = _OutstandingWrite(
                 request=request, started_at=self.sim.now, barrier=barrier
             )
@@ -659,8 +601,8 @@ class SroEngine:
             write_tokens.append(request.token)
             self.manager.on_write_initiated(spec, key, value, request.token)
             self._dp_send_request(request)
-        if self._metrics_on:
-            self._m_outstanding.set(len(self._outstanding))
+        if self.obs.on:
+            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
         # A hold always exists: it is both the output buffer *and* the
         # data-plane retransmission timer.  Writes with no output packet
         # (control-plane-originated) recirculate a generated marker
@@ -719,8 +661,8 @@ class SroEngine:
                 if outstanding is not None:
                     state = self.groups[outstanding.request.group]
                     state.stats.retries += 1
-                    if self._metrics_on:
-                        self._m_retries.inc()
+                    if self.obs.on:
+                        self.obs.emit("sro.write.retry", self.switch.name)
                     self._dp_send_request(outstanding.request)
         self.sim.schedule(RECIRCULATION_LATENCY, self._dp_tick, token, label="sro-dp-hold")
 
@@ -732,8 +674,8 @@ class SroEngine:
             if outstanding is not None:
                 state = self.groups[outstanding.request.group]
                 state.stats.writes_failed += 1
-        if self._metrics_on:
-            self._m_outstanding.set(len(self._outstanding))
+        if self.obs.on:
+            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
         if hold.packet is not None:
             self.switch.drop(hold.packet, reason="dp-write-giveup")
 
@@ -783,19 +725,19 @@ class SroEngine:
             return
         state = self.groups[outstanding.request.group]
         state.stats.retries += 1
-        if self._metrics_on:
-            self._m_retries.inc()
+        if self.obs.on:
+            self.obs.emit("sro.write.retry", self.switch.name)
         self._send_write_request(token)
 
     def _give_up(self, outstanding: _OutstandingWrite) -> None:
         request = outstanding.request
         state = self.groups[request.group]
         state.stats.writes_failed += 1
-        if self._slo_on:
-            self._slo.observe_event("sro.write", False, self.sim.now)
         self._outstanding.pop(request.token, None)
-        if self._metrics_on:
-            self._m_outstanding.set(len(self._outstanding))
+        if self.obs.on:
+            self.obs.emit(
+                "sro.write.give_up", self.switch.name, outstanding=len(self._outstanding)
+            )
         if outstanding.timer is not None:
             outstanding.timer.cancel()
         barrier = outstanding.barrier
@@ -807,12 +749,11 @@ class SroEngine:
         that actually reached it (retries form a causal chain)."""
         parent = request.trace if request.trace is not None else self._causal.root()
         request.trace = self._causal.child(parent)
-        if self._flightrec_on:
-            self._flightrec.record(
-                request.trace,
+        if self.obs.on:
+            self.obs.emit(
                 "sro.write.send",
                 self.switch.name,
-                self.sim.now,
+                request.trace,
                 group=request.group,
                 key=request.key,
                 next_hop=head,
@@ -836,12 +777,11 @@ class SroEngine:
         if state.chain.head != self.switch.name:
             # We are no longer head (reconfiguration raced the request);
             # drop it — the writer's retry will target the new head.
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ctx,
+            if self.obs.on:
+                self.obs.emit(
                     "sro.head.stale_drop",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=request.group,
                     key=request.key,
                     current_head=state.chain.head,
@@ -861,22 +801,21 @@ class SroEngine:
             else:
                 value = request.value
             state.remember_token(request.token, seq, slot, value, self.sim.now)
-            if self._metrics_on:
-                self._m_dedup_occupancy.set(
-                    sum(len(g.dedup) for g in self.groups.values())
-                )
+            if self.obs.on:
                 evictions = sum(g.dedup_evictions for g in self.groups.values())
-                if evictions > self._dedup_evictions_reported:
-                    self._m_dedup_evictions.inc(
-                        evictions - self._dedup_evictions_reported
-                    )
-                    self._dedup_evictions_reported = evictions
-        if self._flightrec_on:
-            self._flightrec.record(
-                ctx,
+                evicted = max(0, evictions - self._dedup_evictions_reported)
+                self._dedup_evictions_reported += evicted
+                self.obs.emit(
+                    "sro.dedup",
+                    self.switch.name,
+                    occupancy=sum(len(g.dedup) for g in self.groups.values()),
+                    evicted=evicted,
+                )
+        if self.obs.on:
+            self.obs.emit(
                 "sro.head.sequence",
                 self.switch.name,
-                self.sim.now,
+                ctx,
                 group=request.group,
                 key=request.key,
                 seq=seq,
@@ -965,6 +904,7 @@ class SroEngine:
             if update.trace is not None
             else self._causal.root()
         )
+        obs = self.obs
         stats = state.stats
         stats.chain_updates_seen += 1
         if update.epoch < state.chain.version:
@@ -974,12 +914,11 @@ class SroEngine:
             # outright — the writer's retry will go through the current
             # head under the current epoch.
             stats.fenced_updates += 1
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ctx,
+            if obs.on:
+                obs.emit(
                     "sro.chain.fenced",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=update.group,
                     key=update.key,
                     seq=update.seq,
@@ -994,12 +933,11 @@ class SroEngine:
             # Duplicate of something we already applied: do not re-apply,
             # but keep it flowing so downstream members converge.
             stats.duplicate_updates += 1
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ctx,
+            if obs.on:
+                obs.emit(
                     "sro.chain.duplicate",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=update.group,
                     key=update.key,
                     seq=update.seq,
@@ -1008,22 +946,15 @@ class SroEngine:
         elif state.pending.is_next_in_order(slot, update.seq):
             state.store[update.key] = update.value
             state.pending.mark_applied(slot, update.seq)
-            if self._accessprof_on:
-                self._accessprof.on_apply(
-                    update.group, update.key, self.switch.name, self.sim.now
-                )
-            pending_set = False
-            if state.track_pending and not is_tail:
-                if self._metrics_on and not state.pending.is_pending(slot):
-                    self._m_pending.inc()
+            pending_set = state.track_pending and not is_tail
+            if pending_set:
+                raised = not state.pending.is_pending(slot)
                 state.pending.set_pending(slot, update.seq)
-                pending_set = True
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ctx,
+            if obs.on:
+                obs.emit(
                     "sro.chain.apply",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=update.group,
                     key=update.key,
                     seq=update.seq,
@@ -1031,31 +962,26 @@ class SroEngine:
                     tail=bool(is_tail),
                 )
                 if pending_set:
-                    self._flightrec.record(
-                        self._causal.child(ctx),
+                    obs.emit(
                         "sro.pending.set",
                         self.switch.name,
-                        self.sim.now,
+                        ctx,
                         group=update.group,
                         key=update.key,
                         seq=update.seq,
                         slot=slot,
+                        raised=raised,
                     )
         elif state.catching_up:
             # Recovery: gaps are covered by the snapshot replay, so the
             # catching-up switch applies out-of-order (paper 6.3).
             state.store[update.key] = update.value
             state.pending.force_applied(slot, update.seq)
-            if self._accessprof_on:
-                self._accessprof.on_apply(
-                    update.group, update.key, self.switch.name, self.sim.now
-                )
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ctx,
-                    "sro.chain.apply",
+            if obs.on:
+                obs.emit(
+                    "sro.chain.catchup",
                     self.switch.name,
-                    self.sim.now,
+                    ctx,
                     group=update.group,
                     key=update.key,
                     seq=update.seq,
@@ -1080,12 +1006,11 @@ class SroEngine:
                 # the critical-path analyzer sees the residency as a
                 # wait (split against leaderless windows) instead of an
                 # impossibly slow network hop.
-                if self._flightrec_on:
-                    self._flightrec.record(
-                        ctx,
+                if obs.on:
+                    obs.emit(
                         "sro.chain.reorder_stash",
                         self.switch.name,
-                        self.sim.now,
+                        ctx,
                         group=update.group,
                         key=update.key,
                         seq=update.seq,
@@ -1099,12 +1024,11 @@ class SroEngine:
             # next member parents to it — a forward span with no child
             # from ``next_hop`` is a lost hop in the post-mortem.
             update.trace = self._causal.child(ctx)
-            if self._flightrec_on:
-                self._flightrec.record(
-                    update.trace,
+            if obs.on:
+                obs.emit(
                     "sro.chain.forward",
                     self.switch.name,
-                    self.sim.now,
+                    update.trace,
                     group=update.group,
                     key=update.key,
                     seq=update.seq,
@@ -1162,12 +1086,11 @@ class SroEngine:
             # it.  The ack object is shared across the fan-out packets,
             # so receivers derive children without re-stamping it.
             ack.trace = self._causal.child(parent)
-            if self._flightrec_on:
-                self._flightrec.record(
-                    ack.trace,
+            if self.obs.on:
+                self.obs.emit(
                     "sro.ack.emit",
                     self.switch.name,
-                    self.sim.now,
+                    ack.trace,
                     group=update.group,
                     key=update.key,
                     seq=update.seq,
@@ -1194,16 +1117,14 @@ class SroEngine:
         cleared = False
         if state.track_pending:
             cleared = state.pending.clear_pending(ack.slot, ack.seq)
-            if cleared and self._metrics_on:
-                self._m_pending.dec()
         ctx = self._causal.child(ack.trace) if ack.trace is not None else None
         outstanding = self._outstanding.pop(ack.token, None)
-        if self._flightrec_on and ctx is not None:
-            self._flightrec.record(
-                ctx,
+        obs = self.obs
+        if obs.on:
+            obs.emit(
                 "sro.ack.deliver",
                 self.switch.name,
-                self.sim.now,
+                ctx,
                 group=ack.group,
                 key=ack.key,
                 seq=ack.seq,
@@ -1212,29 +1133,23 @@ class SroEngine:
             )
         if outstanding is None:
             return
-        if self._metrics_on:
-            self._m_outstanding.set(len(self._outstanding))
         if outstanding.timer is not None:
             outstanding.timer.cancel()
         state.stats.writes_committed += 1
         latency = self.sim.now - outstanding.started_at
         state.stats.record_write_latency(latency)
-        if self._flightrec_on and ctx is not None:
-            self._flightrec.record(
-                self._causal.child(ctx),
+        if obs.on:
+            obs.emit(
                 "sro.write.commit",
                 self.switch.name,
-                self.sim.now,
+                ctx,
                 group=ack.group,
                 key=ack.key,
                 seq=ack.seq,
                 latency_us=round(latency * 1e6, 3),
+                latency=latency,
+                outstanding=len(self._outstanding),
             )
-        if self._metrics_on:
-            self._m_commit_latency.observe(latency)
-        if self._slo_on:
-            self._slo.observe("sro.write_commit", latency, self.sim.now)
-            self._slo.observe_event("sro.write", True, self.sim.now)
         self.manager.on_write_committed(state.spec, outstanding.request.key, ack)
         barrier = outstanding.barrier
         if barrier is None:

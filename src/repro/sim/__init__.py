@@ -1,8 +1,7 @@
-"""Discrete-event simulation kernel: clock, scheduler, RNG streams, tracing."""
+"""Discrete-event simulation kernel: clock, scheduler, RNG streams."""
 
 from repro.sim.engine import Event, Process, SimulationError, Simulator, format_time
 from repro.sim.random import SeededRng, derive_seed
-from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -12,7 +11,4 @@ __all__ = [
     "format_time",
     "SeededRng",
     "derive_seed",
-    "Tracer",
-    "TraceRecord",
-    "NULL_TRACER",
 ]

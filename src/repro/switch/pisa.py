@@ -36,7 +36,6 @@ from repro.net.routing import RoutingTable
 from repro.obs.inttel import IntHopRecord, IntTelemetry
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switch.control import ControlPlaneAgent, DEFAULT_OP_LATENCY
 from repro.switch.memory import DEFAULT_SWITCH_MEMORY_BYTES, MemoryBudget
 
@@ -99,7 +98,6 @@ class PisaSwitch(Node):
         control_op_latency: float = DEFAULT_OP_LATENCY,
         pipeline_rate_pps: Optional[float] = None,
         queue_capacity: int = 1024,
-        tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         super().__init__(name)
@@ -109,12 +107,8 @@ class PisaSwitch(Node):
         self.multicast = multicast
         self.memory = MemoryBudget(memory_bytes)
         self.control = ControlPlaneAgent(self, op_latency=control_op_latency)
-        self.tracer = tracer
-        # Tracer category decisions and event labels are fixed per switch;
-        # resolve them once instead of on every packet (the tracer is
-        # bound at construction and never swapped).
-        self._trace_fwd = tracer.enabled("fwd")
-        self._trace_drop = tracer.enabled("drop")
+        # Event labels are fixed per switch; resolve them once instead
+        # of on every packet.
         self._serve_label = f"{name}:serve"
         self._recirc_label = f"{name}:recirc"
         self._cpu_inject_label = f"{name}:cpu-inject"
@@ -297,8 +291,6 @@ class PisaSwitch(Node):
             self.stats.tx_packets += 1
             if self._metrics_on:
                 self._m_tx.inc()
-            if self._trace_fwd:
-                self.tracer.emit(self.sim.now, "fwd", self.name, "tx", to=hop, pkt=packet.uid)
         return sent
 
     def _send_via_routing(self, packet: Packet, hop: str) -> bool:
@@ -321,11 +313,11 @@ class PisaSwitch(Node):
         return self.forward_to_node(packet, dst_node)
 
     def drop(self, packet: Packet, reason: str = "") -> None:
+        """Count one dropped packet; ``reason`` names the cause at the
+        call site."""
         self.stats.dropped_packets += 1
         if self._metrics_on:
             self._m_drops.inc()
-        if self._trace_drop:
-            self.tracer.emit(self.sim.now, "drop", self.name, reason or "drop", pkt=packet.uid)
 
     def punt_to_cpu(self, packet: Packet, handler: Callable[[Packet], None]) -> None:
         """Send a packet to the local control plane (paper section 2)."""

@@ -19,14 +19,12 @@ from repro.obs import (
     AccessProfiler,
     ConsistencyAdvisor,
     MetricsRegistry,
-    NULL_ACCESS_PROFILER,
-    NullAccessProfiler,
     render_access_profile,
     render_dashboard,
 )
 from repro.obs.accessprof import DEFAULT_TOP_K, WindowedCount
 from repro.workload.flows import FlowGenerator
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 def _spec(name: str, consistency: Consistency, group_id: int, **kwargs) -> RegisterSpec:
@@ -224,19 +222,10 @@ class TestObserverNeutrality:
 
 
 class TestNullProfiler:
-    def test_null_profiler_is_disabled_and_inert(self):
-        assert not NULL_ACCESS_PROFILER.enabled
-        assert NULL_ACCESS_PROFILER.describe_group(
-            _spec("g", Consistency.SRO, 1)
-        ) is None
-        NULL_ACCESS_PROFILER.on_write(1, "k", "s0", 1e-3)
-        NULL_ACCESS_PROFILER.on_read(1, "k", "s0", 1e-3)
-        assert NULL_ACCESS_PROFILER.groups == {}
-        assert NULL_ACCESS_PROFILER.snapshot()["groups"] == []
-
     def test_deployment_defaults_to_null(self, make_deployment):
         dep, _, _ = make_deployment(3)
-        assert isinstance(dep.access_profiler, NullAccessProfiler)
+        assert dep.access_profiler is None
+        assert not dep.obs.on
 
 
 class TestAdvisor:

@@ -21,7 +21,7 @@ from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
 from repro.obs.causal import CausalClock, TraceContext
-from repro.obs.flightrec import FlightRecorder, NULL_FLIGHT_RECORDER
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols.messages import ControllerCommand
 from repro.sim.engine import Simulator
@@ -60,12 +60,6 @@ class TestCausalClock:
 
 
 class TestFlightRecorderBasics:
-    def test_null_recorder_records_nothing(self):
-        clock = CausalClock("s0")
-        assert NULL_FLIGHT_RECORDER.record(clock.root(), "x", "s0", 0.0) is None
-        assert not NULL_FLIGHT_RECORDER.enabled
-        assert len(NULL_FLIGHT_RECORDER.spans) == 0
-
     def test_none_context_is_dropped(self):
         recorder = FlightRecorder()
         assert recorder.record(None, "x", "s0", 0.0) is None
@@ -276,14 +270,12 @@ class TestControllerTracing:
 
 class TestDeterminismAndDigestNeutrality:
     def _soak(self, seed, recorder, slo_monitor=None):
-        from repro.obs.slo import NULL_SLO_MONITOR
-
         sim = Simulator()
         topo = Topology(sim, SeededRng(seed))
         nodes = build_full_mesh(topo, lambda n: PisaSwitch(n, sim), 3)
         dep = SwiShmemDeployment(
             sim, topo, nodes, sync_period=1e-3, flight_recorder=recorder,
-            slo_monitor=slo_monitor if slo_monitor is not None else NULL_SLO_MONITOR,
+            slo_monitor=slo_monitor,
         )
         sro = dep.declare(RegisterSpec("reg", Consistency.SRO, capacity=32))
         ctr = dep.declare(RegisterSpec("ctr", Consistency.EWO, ewo_mode=EwoMode.COUNTER))
@@ -321,7 +313,7 @@ class TestDeterminismAndDigestNeutrality:
         assert self._tree(first) == self._tree(second)
 
     def test_recorder_does_not_perturb_the_simulation(self):
-        baseline = self._soak(11, NULL_FLIGHT_RECORDER)
+        baseline = self._soak(11, None)
         traced = self._soak(11, FlightRecorder())
         assert baseline == traced
 
@@ -332,7 +324,7 @@ class TestDeterminismAndDigestNeutrality:
         from repro.obs.critpath import CriticalPathAnalyzer
         from repro.obs.slo import SLOMonitor
 
-        baseline = self._soak(11, NULL_FLIGHT_RECORDER)
+        baseline = self._soak(11, None)
         monitor = SLOMonitor()
         monitor.add_objective("sro.write_commit p99 < 1s over 10ms windows")
         monitor.add_objective("sro.write availability >= 0.5 over 10ms windows")
@@ -344,6 +336,83 @@ class TestDeterminismAndDigestNeutrality:
         report = CriticalPathAnalyzer(recorder).report()
         assert report.writes
         assert report.fraction_sum_error_max <= 1e-9
+
+
+    # -- sink independence: the spine's subscribers never see each other --
+    @staticmethod
+    def _nf_world_run(**sinks):
+        """One seeded NF world under 1% loss and a crash; returns its
+        chaos replay digest."""
+        import hashlib
+
+        from repro.nf.heavyhitter import HeavyHitterNF
+        from repro.nf.nat import NatNF
+        from repro.testing import build_nf_world
+        from repro.workload.flows import FlowGenerator
+
+        world = build_nf_world(seed=77, loss_rate=0.01, **sinks)
+        dep = world.deployment
+        world.book.register("100.0.0.1", "egress")
+        dep.install_nf(NatNF, nat_ip="100.0.0.1")
+        dep.install_nf(HeavyHitterNF, threshold=10**9)
+        injector = FaultInjector(dep, seed=77)
+        injector.crash_recover(6e-3, world.cluster[1].name, down_for=8e-3)
+        suite = InvariantSuite(dep).start(period=1e-3)
+        FlowGenerator(
+            world.sim, world.clients, world.server_ips(), world.rng,
+            flow_rate=3000, data_packets=4, inter_packet_gap=300e-6,
+        ).start(duration=15e-3)
+        world.sim.run(until=45e-3)
+        report = suite.finalize()
+        history = (
+            world.sim.events_processed,
+            tuple((h.sent_count, len(h.received)) for h in world.clients + world.servers),
+            tuple(
+                tuple(sorted((repr(k), repr(v)) for k, v in store.items()))
+                for spec in dep.specs.values()
+                for store in (
+                    dep.ewo_states(spec)
+                    if spec.consistency is Consistency.EWO
+                    else dep.sro_stores(spec)
+                )
+            ),
+            injector.log_digest(),
+            tuple(str(v) for v in report.violations),
+        )
+        return hashlib.sha256(repr(history).encode("utf-8")).hexdigest()
+
+    def test_sinks_are_independent_of_each_other_and_of_the_simulation(self):
+        from repro.obs import AccessProfiler, SLOMonitor
+
+        def fresh():
+            monitor = SLOMonitor()
+            monitor.add_objective("sro.write_commit p99 < 1ms over 10ms windows")
+            monitor.add_objective("sro.write availability >= 0.999 over 10ms windows")
+            return {
+                "metrics": MetricsRegistry(),
+                "flight_recorder": FlightRecorder(),
+                "access_profiler": AccessProfiler(),
+                "slo_monitor": monitor,
+            }
+
+        output = {
+            "metrics": lambda registry: registry.snapshot(),
+            "flight_recorder": self._tree,
+            "access_profiler": lambda profiler: profiler.snapshot(),
+            "slo_monitor": lambda monitor: monitor.as_dict(),
+        }
+        together = fresh()
+        digests = {"none": self._nf_world_run(), "all": self._nf_world_run(**together)}
+        for name, read in output.items():
+            alone = fresh()[name]
+            digests[name] = self._nf_world_run(**{name: alone})
+            assert read(alone) == read(together[name]), f"{name} output depends on other sinks"
+        assert len(set(digests.values())) == 1, digests
+        # every sink demonstrably saw the run
+        assert together["flight_recorder"].recorded > 0
+        assert together["access_profiler"].events > 0
+        assert together["slo_monitor"].samples > 0
+        assert together["metrics"].value("counter", "state.reads", "nf0") > 0
 
 
 class TestPostMortem:
@@ -374,7 +443,7 @@ class TestPostMortem:
         assert "timeline" not in str(report.violations[0])
 
     def test_without_recorder_post_mortem_degrades_gracefully(self, make_deployment):
-        report, _ = self._force_lost_apply(make_deployment, NULL_FLIGHT_RECORDER)
+        report, _ = self._force_lost_apply(make_deployment, None)
         assert not report.ok
         assert report.violations[0].timeline is None
         assert report.post_mortems()[0] == str(report.violations[0])
@@ -420,24 +489,3 @@ class TestLinearizabilityExplanations:
         assert report.ok
         assert report.explanations == []
         assert report.explain() == "linearizable: no violations"
-
-
-class TestTracerMetricsExport:
-    def test_tracer_evictions_exported_as_gauges(self):
-        from repro.sim.trace import Tracer
-
-        tracer = Tracer(max_records=2)
-        for i in range(5):
-            tracer.emit(float(i), "cat", "s0", f"m{i}")
-        registry = MetricsRegistry()
-        tracer.bind_metrics(registry)
-        assert registry.value("gauge", "tracer.evictions", "obs") == 3
-        assert registry.value("gauge", "tracer.records", "obs") == 2
-
-    def test_bind_metrics_noop_on_disabled_registry(self):
-        from repro.obs.metrics import NULL_REGISTRY
-        from repro.sim.trace import Tracer
-
-        tracer = Tracer()
-        tracer.emit(0.0, "cat", "s0", "m")
-        tracer.bind_metrics(NULL_REGISTRY)  # must not raise or allocate

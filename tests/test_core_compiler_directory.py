@@ -1,16 +1,10 @@
-"""Tests for the compiler (distribute + profiler) and directory service."""
+"""Tests for the compiler (distribute) and directory service."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.compiler import (
-    AccessProfile,
-    AccessProfiler,
-    SingleSwitchProgram,
-    distribute,
-    recommend_consistency,
-)
+from repro.core.compiler import SingleSwitchProgram, distribute
 from repro.core.directory import DirectoryService
 from repro.core.manager import Decision
 from repro.core.merge import (
@@ -54,78 +48,6 @@ class TestDistribute:
         deployment.manager("s0").register_increment(spec, "total", 3)
         deployment.sim.run(until=0.01)
         assert all(s["total"] == 3 for s in deployment.ewo_states(spec))
-
-
-class TestAccessProfile:
-    def test_frequency_labels_match_table1_vocabulary(self):
-        every_packet = AccessProfile("sketch", reads=100, writes=100, packets=100)
-        assert every_packet.frequency_label() == ("Every packet", "Every packet")
-        connection_table = AccessProfile("nat", reads=100, writes=5, packets=100)
-        assert connection_table.frequency_label() == ("New connection", "Every packet")
-        idle = AccessProfile("sig", reads=0, writes=0, packets=100)
-        assert idle.frequency_label() == ("Low", "Low")
-
-    def test_rates(self):
-        profile = AccessProfile("x", reads=50, writes=25, packets=100)
-        assert profile.reads_per_packet == 0.5
-        assert profile.writes_per_packet == 0.25
-        assert profile.write_fraction == pytest.approx(1 / 3)
-
-    def test_zero_packets_safe(self):
-        profile = AccessProfile("x")
-        assert profile.reads_per_packet == 0.0 and profile.write_fraction == 0.0
-
-
-class TestRecommendation:
-    def test_write_intensive_goes_ewo(self):
-        profile = AccessProfile("sketch", reads=100, writes=100, packets=100, needs_strong=False)
-        assert recommend_consistency(profile) is Consistency.EWO
-
-    def test_write_intensive_goes_ewo_even_if_strong_desired(self):
-        """Observation 2: strong + frequent writes is not offered; the
-        recommendation follows the paper and picks EWO."""
-        profile = AccessProfile("x", reads=10, writes=100, packets=100, needs_strong=True)
-        assert recommend_consistency(profile) is Consistency.EWO
-
-    def test_read_intensive_strong_goes_sro(self):
-        profile = AccessProfile("nat", reads=100, writes=2, packets=100, needs_strong=True)
-        assert recommend_consistency(profile) is Consistency.SRO
-
-    def test_read_intensive_weak_goes_ero(self):
-        profile = AccessProfile("ips", reads=100, writes=1, packets=100, needs_strong=False)
-        assert recommend_consistency(profile) is Consistency.ERO
-
-
-class TestProfiler:
-    def test_profiles_measure_accesses(self, deployment):
-        spec = deployment.declare(
-            RegisterSpec("ctr", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
-        )
-        profiler = AccessProfiler(deployment)
-        manager = deployment.manager("s0")
-        for _ in range(10):
-            manager.register_increment(spec, "k", 1)
-        for _ in range(5):
-            manager.register_read(spec, "k", None)
-        profiles = profiler.profiles()
-        ctr = next(p for p in profiles if p.group_name == "ctr")
-        assert ctr.writes == 10 and ctr.reads == 5
-
-    def test_begin_resets_baseline(self, deployment):
-        spec = deployment.declare(
-            RegisterSpec("ctr", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
-        )
-        profiler = AccessProfiler(deployment)
-        deployment.manager("s0").register_increment(spec, "k", 1)
-        profiler.begin()
-        profiles = profiler.profiles()
-        assert profiles[0].writes == 0
-
-    def test_needs_strong_override(self, deployment):
-        deployment.declare(RegisterSpec("sig", Consistency.ERO))
-        profiler = AccessProfiler(deployment)
-        profiles = profiler.profiles(needs_strong={"sig": False})
-        assert profiles[0].needs_strong is False
 
 
 class TestMergeHelpers:

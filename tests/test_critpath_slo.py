@@ -26,8 +26,6 @@ from repro.obs.critpath import (
 from repro.obs.dashboard import render_critpath, render_slo
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.slo import (
-    NULL_SLO_MONITOR,
-    NullSLOMonitor,
     SLOMonitor,
     parse_objective,
 )
@@ -43,7 +41,7 @@ def _run_writes(
     n_writes: int = 20,
     loss_burst=None,
     leader_kill=None,
-    slo_monitor=NULL_SLO_MONITOR,
+    slo_monitor=None,
     duration: float = 60e-3,
 ):
     """Drive a small SRO write workload, optionally through faults.
@@ -178,16 +176,6 @@ class TestSLOMonitor:
         assert len(monitor.breaches) == 2
         assert monitor.breaches_dropped == 3
         assert not monitor.ok
-
-    def test_null_monitor_is_inert_and_rejects_objectives(self):
-        assert not NULL_SLO_MONITOR.enabled
-        NULL_SLO_MONITOR.observe("m", 1.0, 0.0)
-        NULL_SLO_MONITOR.observe_event("m", True, 0.0)
-        NULL_SLO_MONITOR.finalize(1.0)
-        assert NULL_SLO_MONITOR.samples == 0
-        assert isinstance(NULL_SLO_MONITOR, NullSLOMonitor)
-        with pytest.raises(RuntimeError):
-            NULL_SLO_MONITOR.add_objective("m p99 < 1ms over 1ms windows")
 
     def test_deployment_feed_records_commits(self):
         monitor = SLOMonitor()

@@ -257,6 +257,49 @@ class TestViolationsCaught:
         assert self._lint_source(tmp_path, source) == []
         assert self._lint_packaged_source(tmp_path, "obs", source) == []
 
+    @pytest.mark.parametrize("package", ["core", "protocols", "chaos", "nf"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.obs.metrics import NULL_REGISTRY\n",
+            "from repro.obs.flightrec import FlightRecorder\n",
+            "import repro.obs.accessprof\n",
+            "from repro.obs import SLOMonitor\n",
+            "from repro.obs import slo as slo_module\n",
+            "def late():\n    from repro.obs.slo import SLOMonitor\n",
+            "if not TYPE_CHECKING:\n    pass\nelse:\n    pass\n"
+            "from repro.obs.metrics import Counter\n",
+        ],
+    )
+    def test_sink_import_in_protocol_layer_flagged(self, tmp_path, package, source):
+        violations = self._lint_packaged_source(tmp_path, package, source)
+        assert len(violations) == 1
+        assert "obs.emit" in violations[0][2]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # annotations only
+            "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+            "    from repro.obs.metrics import MetricsRegistry\n"
+            "    from repro.obs import FlightRecorder\n",
+            "import typing\nif typing.TYPE_CHECKING:\n    import repro.obs.slo\n",
+            # the spine, its vocabulary and the causal clock are the API
+            "from repro.obs.spine import ObsSpine\nfrom repro.obs.events import SWITCH\n"
+            "from repro.obs.causal import CausalClock\nfrom repro.obs import ObsSpine\n",
+        ],
+    )
+    def test_spine_and_annotation_imports_allowed(self, tmp_path, source):
+        assert self._lint_packaged_source(tmp_path, "protocols", source) == []
+
+    def test_sink_import_outside_the_protocol_layer_not_flagged(self, tmp_path):
+        """Scoped: the dataplane keeps bound instruments (``bind_metrics``)
+        and analysis, benchmarks and tests build sinks freely."""
+        source = "from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY\n"
+        assert self._lint_source(tmp_path, source) == []
+        for package in ("switch", "net", "obs", "analysis"):
+            assert self._lint_packaged_source(tmp_path, package, source) == []
+
     def test_exempt_module_skipped(self):
         exempt = os.path.join(REPO_ROOT, "src", lint.EXEMPT_SUFFIX)
         assert os.path.exists(exempt)

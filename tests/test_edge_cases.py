@@ -10,7 +10,7 @@ from repro.net.headers import TcpFlags
 from repro.net.packet import make_tcp_packet
 from repro.nf.nat import NatNF
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 class TestNatPortExhaustion:

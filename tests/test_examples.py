@@ -2,8 +2,7 @@
 
 Examples are documentation that executes; these tests keep them from
 rotting as the library evolves.  Each runs in a subprocess from the
-repository root (several examples import the shared ``tests.nfworld``
-world builder via ``sys.path``).
+repository root.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
 from repro.workload.flows import FlowGenerator
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 VIP = "100.0.0.100"
 

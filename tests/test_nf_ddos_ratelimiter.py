@@ -9,7 +9,7 @@ from repro.nf.ddos import DdosDetectorNF
 from repro.nf.ratelimiter import RateLimiterNF, user_of_packet
 from repro.workload.attack import AttackScenario
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 def ddos_world(window=2e-3, replicate=True, **kwargs):

@@ -7,7 +7,7 @@ import pytest
 from repro.nf.ddos import SKETCH_DEPTH, SKETCH_WIDTH, DdosDetectorNF
 from repro.workload.attack import AttackScenario
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 def sketch_world(**kwargs):

@@ -11,7 +11,7 @@ from repro.nf.heavyhitter import (
     HeavyHitterNF,
 )
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 def hh_world(threshold=30, **kwargs):

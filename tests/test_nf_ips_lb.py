@@ -9,7 +9,7 @@ from repro.net.packet import make_tcp_packet, make_udp_packet
 from repro.nf.ips import IpsNF, packet_signature
 from repro.nf.loadbalancer import LoadBalancerNF
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 VIP = "100.0.0.100"
 

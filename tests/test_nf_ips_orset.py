@@ -7,7 +7,7 @@ import pytest
 from repro.net.packet import make_udp_packet
 from repro.nf.ips import IpsNF, packet_signature
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 def ips_orset_world(**kwargs):

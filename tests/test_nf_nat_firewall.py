@@ -9,7 +9,7 @@ from repro.net.packet import make_tcp_packet
 from repro.nf.firewall import ConnState, FirewallNF
 from repro.nf.nat import NAT_PORT_BASE, NatNF
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 NAT_IP = "100.0.0.1"

@@ -8,7 +8,7 @@ from repro.core.registers import Consistency, EwoMode, FetchAdd, RegisterSpec
 from repro.net.packet import make_udp_packet
 from repro.nf.sequencer import SequencerNF
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 class TestFetchAdd:

@@ -1,6 +1,6 @@
 """Tests for the observability layer: metric instruments, the registry
-(snapshot / merge / JSONL export), the no-op null registry, the tracer's
-ring-buffer bound, the sim profiler, and agreement between a live
+(snapshot / merge / JSONL export), the no-op null registry, the sim
+profiler, and agreement between a live
 metrics snapshot and the chaos invariant suite's verdicts."""
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.obs.metrics import (
 from repro.obs.dashboard import render_registry
 from repro.obs.profiler import SimProfiler
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 
 class TestInstruments:
@@ -230,27 +229,6 @@ class TestNullRegistry:
         }
 
 
-class TestTracerRing:
-    def test_unbounded_by_default(self):
-        tracer = Tracer()
-        for i in range(5):
-            tracer.emit(float(i), "cat", "s0", f"m{i}")
-        assert len(tracer) == 5
-        assert tracer.evictions == 0
-
-    def test_ring_evicts_oldest(self):
-        tracer = Tracer(max_records=3)
-        for i in range(5):
-            tracer.emit(float(i), "cat", "s0", f"m{i}")
-        assert len(tracer) == 3
-        assert tracer.evictions == 2
-        assert [r.message for r in tracer.records] == ["m2", "m3", "m4"]
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            Tracer(max_records=0)
-
-
 class _FakeClock:
     """Deterministic clock: each reading advances by ``tick``."""
 
@@ -367,5 +345,5 @@ class TestChaosAgreement:
         spec = dep.declare(RegisterSpec("reg", Consistency.SRO))
         dep.manager("s0").register_write(spec, "k", 1)
         dep.sim.run(until=5e-3)
-        assert dep.metrics is NULL_REGISTRY
-        assert len(NULL_REGISTRY) == 0
+        assert dep.metrics is None
+        assert not dep.obs.on

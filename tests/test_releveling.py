@@ -16,14 +16,14 @@ from typing import Any, List
 
 import pytest
 
-from repro.chaos import LeaderKiller
+from repro.chaos import InvariantSuite, LeaderKiller
 from repro.core.manager import Decision, PacketContext
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.nf.base import NetworkFunction
-from repro.obs import AccessProfiler, ConsistencyAdvisor
+from repro.nf.heavyhitter import HeavyHitterNF
+from repro.obs import AccessProfiler, ConsistencyAdvisor, FlightRecorder, SLOMonitor
 from repro.obs.metrics import MetricsRegistry
-
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 class MeterSroNF(NetworkFunction):
@@ -408,7 +408,7 @@ class TestRebindObservability:
         spec = dep.spec_by_name("meter_usage")
         profiler = AccessProfiler()
         metrics = MetricsRegistry()
-        assert not dep.metrics.enabled
+        assert dep.metrics is None
 
         dep.rebind_observability(metrics=metrics, access_profiler=profiler)
         assert dep.metrics is metrics
@@ -431,9 +431,93 @@ class TestRebindObservability:
         dep = world.deployment
         spec = dep.spec_by_name("meter_usage")
         metrics = MetricsRegistry()
-        dep.rebind_observability(metrics=metrics)
+        recorder = FlightRecorder()
+        dep.rebind_observability(metrics=metrics, flight_recorder=recorder)
         dep.releveler.request(spec, Consistency.EWO, reason="after-rebind")
         world.sim.run(until=world.sim.now + 0.05)
         assert spec.consistency is Consistency.EWO
         completed = metrics.counter("relevel.completed", "controller")
         assert completed.value == 1
+        # every phase is on the recorder's timeline, under the group's name
+        phases = [s for s in recorder.spans if s.name.startswith("relevel.")]
+        assert [s.name for s in phases] == [
+            "relevel.begin", "relevel.drain", "relevel.switch",
+            "relevel.unfence", "relevel.complete",
+        ]
+        assert all(s.node == "releveler" for s in phases)
+        assert all(s.attrs["name"] == "meter_usage" for s in phases)
+
+    def test_metrics_attached_after_the_invariant_suite_started(self):
+        world = build_nf_world(seed=2100, responder_servers=False)
+        dep = world.deployment
+        dep.install_nf(MeterSroNF)
+        suite = InvariantSuite(dep).start(period=1e-3)
+        registry = MetricsRegistry()
+        dep.rebind_observability(metrics=registry)
+        _drive(world, flows=8)
+        report = suite.finalize()
+
+        commits = registry.get("counter", "invariant.commits_observed", "invariants")
+        assert commits is not None and commits.value == len(suite.commit_times) > 0
+        for monitor, count in report.checks.items():
+            checks = registry.get("counter", f"invariant.{monitor}.checks", "invariants")
+            assert checks is not None and checks.value == count > 0
+            violations = registry.get(
+                "counter", f"invariant.{monitor}.violations", "invariants"
+            )
+            assert violations is not None and violations.value == report.count(monitor)
+
+    def test_profiler_attached_after_install_nf_names_the_owners(self):
+        world = build_nf_world(seed=2100, responder_servers=False)
+        dep = world.deployment
+        dep.install_nf(MeterSroNF)
+        dep.install_nf(HeavyHitterNF, threshold=10**9)
+        profiler = AccessProfiler()
+        dep.rebind_observability(access_profiler=profiler)
+        _drive(world, flows=8)
+        groups = profiler.snapshot()["groups"]
+        assert {g["name"] for g in groups} == {spec.name for spec in dep.specs.values()}
+        owners = {g["name"]: g["nf"] for g in groups}
+        assert owners["meter_usage"] == MeterSroNF.NAME
+        assert all(
+            nf == (MeterSroNF.NAME if name == "meter_usage" else HeavyHitterNF.NAME)
+            for name, nf in owners.items()
+        )
+        assert all(g["reads"] + g["writes"] > 0 for g in groups)
+
+    def test_sinks_attached_late_reach_replicas_promoted_afterwards(self):
+        world = build_nf_world(seed=2100, responder_servers=False, controller_replicas=3)
+        dep = world.deployment
+        dep.install_nf(MeterSroNF)
+        world.sim.run(until=2e-3)
+        registry, recorder = MetricsRegistry(), FlightRecorder()
+        profiler, monitor = AccessProfiler(), SLOMonitor()
+        monitor.add_objective("sro.write_commit p99 < 1s over 10ms windows")
+        dep.rebind_observability(
+            metrics=registry, flight_recorder=recorder,
+            access_profiler=profiler, slo_monitor=monitor,
+        )
+        standbys = [r for r in dep.controller.replicas if r.role == "standby"]
+        assert len(standbys) == 2
+        dep.controller.crash_replica(dep.controller.active_leader().replica_id)
+        world.sim.run(until=world.sim.now + 40e-3)
+        successor = dep.controller.active_leader()
+        assert successor in standbys
+        _drive(world, flows=8)
+
+        # the promoted standby's reign is on the timeline and in the counters
+        activations = [s for s in recorder.spans if s.name == "controller.activate"]
+        assert [s.node for s in activations] == [successor.node]
+        assert any(
+            s.name == "controller.reconstruct.reply" and s.node == successor.node
+            for s in recorder.spans
+        )
+        assert registry.value("counter", "controller.leader_changes", "controller") == 1
+        heartbeats = registry.value("counter", "controller.heartbeats", "controller")
+        assert 0 < heartbeats <= dep.controller.heartbeats_received
+        assert registry.get(
+            "histogram", "controller.reconstruction_latency_seconds", "controller"
+        ).count == 1
+        # and the traffic that followed reached the other two sinks
+        assert profiler.groups[dep.spec_by_name("meter_usage").group_id].writes > 0
+        assert monitor.samples > 0

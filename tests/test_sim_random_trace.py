@@ -1,11 +1,10 @@
-"""Tests for seeded RNG streams and the tracer."""
+"""Tests for seeded RNG streams."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim.random import SeededRng, derive_seed
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class TestSeededRng:
@@ -56,49 +55,3 @@ class TestSeededRng:
         items = list(range(10))
         rng.shuffle(items)
         assert sorted(items) == list(range(10))
-
-
-class TestTracer:
-    def test_records_everything_by_default(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "fwd", "s0", "tx", pkt=1)
-        tracer.emit(2.0, "drop", "s1", "loss")
-        assert len(tracer) == 2
-
-    def test_category_filter(self):
-        tracer = Tracer(categories={"drop"})
-        tracer.emit(1.0, "fwd", "s0", "tx")
-        tracer.emit(2.0, "drop", "s1", "loss")
-        assert len(tracer) == 1
-        assert tracer.records[0].category == "drop"
-
-    def test_null_tracer_records_nothing(self):
-        NULL_TRACER.emit(1.0, "anything", "s0", "msg")
-        assert len(NULL_TRACER) == 0
-
-    def test_by_category_and_node(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "fwd", "s0", "a")
-        tracer.emit(2.0, "fwd", "s1", "b")
-        tracer.emit(3.0, "drop", "s0", "c")
-        assert len(tracer.by_category("fwd")) == 2
-        assert len(tracer.by_node("s0")) == 2
-
-    def test_sink_invoked(self):
-        tracer = Tracer()
-        seen = []
-        tracer.add_sink(seen.append)
-        tracer.emit(1.0, "x", "n", "m")
-        assert len(seen) == 1
-
-    def test_record_str_includes_fields(self):
-        tracer = Tracer()
-        tracer.emit(1e-6, "fwd", "s0", "tx", pkt=7)
-        text = str(tracer.records[0])
-        assert "s0" in text and "fwd" in text and "pkt=7" in text
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "x", "n", "m")
-        tracer.clear()
-        assert len(tracer) == 0

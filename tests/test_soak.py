@@ -17,7 +17,7 @@ from repro.nf.heavyhitter import HeavyHitterNF
 from repro.nf.ratelimiter import RateLimiterNF
 from repro.workload.flows import FlowGenerator
 
-from tests.nfworld import build_nf_world
+from repro.testing import build_nf_world
 
 
 @pytest.fixture(scope="module")

@@ -56,6 +56,7 @@ class TestForwarding:
         hosts[0].inject(packet)
         sim.run()
         assert len(hosts[1].received) == 0
+        assert sum(s.stats.dropped_packets for s in switches) == 1
 
     def test_forward_to_node_by_name(self):
         sim, topo, switches, hosts, *_ = make_fabric()

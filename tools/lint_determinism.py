@@ -53,6 +53,16 @@ This lint walks the AST of every Python file and flags:
   copy.  Copy the levels the code assigns to and share the immutable
   values below them (see the copy contract in ``repro/net/packet.py``).
 
+* inside ``src/repro/{core,protocols,chaos,nf}`` only: any import of an
+  observability sink — the modules ``repro.obs.metrics``, ``flightrec``,
+  ``accessprof`` and ``slo``, or their classes through ``repro.obs`` —
+  outside an ``if TYPE_CHECKING:`` block.  Protocol code reports each
+  step with one ``obs.emit(...)`` (``repro/obs/spine.py``) and only the
+  spine calls sinks; a second path into a sink is how a late-attached
+  sink gets missed.  Annotations may name the classes, and recorded
+  data is read off ``deployment.flight_recorder`` and friends
+  (``render_timeline``, ``snapshot``) without importing anything.
+
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
 must go through.
@@ -105,18 +115,49 @@ DEEPCOPY_MESSAGE = (
     "immutable values below (see the copy contract in repro/net/packet.py)"
 )
 
+#: Direct sink imports are forbidden under these path fragments: the
+#: packages that report through the observability spine.
+SINK_SCOPES = tuple(
+    os.path.join("repro", package) + os.sep
+    for package in ("core", "protocols", "chaos", "nf")
+)
+
+SINK_MODULES = frozenset(
+    f"repro.obs.{module}" for module in ("metrics", "flightrec", "accessprof", "slo")
+)
+
+#: The sinks' classes and singletons as ``repro.obs`` re-exports them.
+SINK_NAMES = frozenset({
+    "MetricsRegistry", "NullRegistry", "NULL_REGISTRY", "Counter", "Gauge",
+    "Histogram", "FlightRecorder", "AccessProfiler", "SLOMonitor",
+    "metrics", "flightrec", "accessprof", "slo",
+})
+
+SINK_MESSAGE = (
+    "imports an observability sink into the protocol layer; report the "
+    "step with obs.emit(...) and add its rule to repro/obs/events.py "
+    "(import under `if TYPE_CHECKING:` for annotations only)"
+)
+
 Violation = Tuple[str, int, str]
 
 
 class _RandomUseVisitor(ast.NodeVisitor):
     def __init__(
-        self, path: str, check_wallclock: bool = False, check_deepcopy: bool = False
+        self,
+        path: str,
+        check_wallclock: bool = False,
+        check_deepcopy: bool = False,
+        check_sinks: bool = False,
     ) -> None:
         self.path = path
         # One flag gates both obs-scope checks: wall-clock reads and
         # float sums over unordered dict iteration.
         self.check_wallclock = check_wallclock
         self.check_deepcopy = check_deepcopy
+        self.check_sinks = check_sinks
+        #: Depth of enclosing ``if TYPE_CHECKING:`` bodies.
+        self.type_checking = 0
         self.copy_aliases: set = set()
         self.aliases: set = set()
         self.random_class_aliases: set = set()
@@ -126,8 +167,27 @@ class _RandomUseVisitor(ast.NodeVisitor):
         self.datetime_classes: set = set()
         self.violations: List[Violation] = []
 
+    def visit_If(self, node: ast.If) -> None:
+        test = node.test
+        guard = (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+            isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+        )
+        self.visit(test)
+        self.type_checking += guard
+        for child in node.body:
+            self.visit(child)
+        self.type_checking -= guard
+        for child in node.orelse:
+            self.visit(child)
+
+    def _sink_import(self, node: ast.AST) -> None:
+        if self.check_sinks and not self.type_checking:
+            self.violations.append((self.path, node.lineno, SINK_MESSAGE))
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
+            if alias.name in SINK_MODULES:
+                self._sink_import(node)
             if alias.name == "random":
                 self.aliases.add(alias.asname or alias.name)
             if alias.name == "sys":
@@ -241,6 +301,14 @@ class _RandomUseVisitor(ast.NodeVisitor):
             ))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 0 and (
+            node.module in SINK_MODULES
+            or (
+                node.module == "repro.obs"
+                and any(alias.name in SINK_NAMES for alias in node.names)
+            )
+        ):
+            self._sink_import(node)
         if node.module == "random" and node.level == 0:
             for alias in node.names:
                 if alias.name == ALLOWED_ATTR:
@@ -342,6 +410,7 @@ def lint_file(path: str) -> List[Violation]:
         path,
         check_wallclock=WALLCLOCK_SCOPE in normalized,
         check_deepcopy=any(scope in normalized for scope in DEEPCOPY_SCOPES),
+        check_sinks=any(scope in normalized for scope in SINK_SCOPES),
     )
     visitor.visit(tree)
     return visitor.violations
