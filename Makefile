@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest all clean
+.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest dead-surface all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -79,6 +79,11 @@ perf:
 # ~20 s: every workload at 1/20 scale with its invariants asserted.
 perf-selftest:
 	python3 perf/run.py --selftest
+
+# Report-only (several minutes): the functions of src/repro that no test,
+# benchmark, example or perf workload enters, and those only tests/ enter.
+dead-surface:
+	$(PYTHON) tools/dead_surface.py
 
 # The two artifacts EXPERIMENTS.md points reviewers at.
 all:

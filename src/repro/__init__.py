@@ -42,8 +42,6 @@ Quickstart::
 from repro.analysis import (
     HistoryRecorder,
     LinearizabilityReport,
-    RateMeter,
-    SampleSeries,
     check_history,
     check_key_linearizable,
     convergence_time,
@@ -96,8 +94,6 @@ __version__ = "1.0.0"
 __all__ = [
     "HistoryRecorder",
     "LinearizabilityReport",
-    "RateMeter",
-    "SampleSeries",
     "check_history",
     "check_key_linearizable",
     "convergence_time",

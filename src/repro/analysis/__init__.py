@@ -7,8 +7,6 @@ from repro.analysis.linearizability import (
     check_key_linearizable,
 )
 from repro.analysis.metrics import (
-    RateMeter,
-    SampleSeries,
     convergence_time,
     count_stale_reads,
     replica_divergence,
@@ -20,8 +18,6 @@ __all__ = [
     "LinearizabilityReport",
     "check_history",
     "check_key_linearizable",
-    "RateMeter",
-    "SampleSeries",
     "convergence_time",
     "count_stale_reads",
     "replica_divergence",

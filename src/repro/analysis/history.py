@@ -50,15 +50,6 @@ class Operation:
     def complete(self) -> bool:
         return self.completed_at is not None
 
-    def overlaps(self, other: "Operation") -> bool:
-        """Whether the two operations are concurrent in real time."""
-        if not (self.complete and other.complete):
-            return True
-        return not (
-            self.completed_at < other.invoked_at
-            or other.completed_at < self.invoked_at
-        )
-
     def __repr__(self) -> str:
         end = f"{self.completed_at * 1e6:.1f}us" if self.complete else "?"
         return (
@@ -139,10 +130,6 @@ class HistoryRecorder:
                 seen_set.add(marker)
                 seen.append((op.group, op.key))
         return seen
-
-    def clear(self) -> None:
-        self._operations.clear()
-        self._open.clear()
 
     def __len__(self) -> int:
         return len(self._operations)

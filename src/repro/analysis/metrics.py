@@ -1,129 +1,18 @@
-"""Measurement collectors shared by the experiments.
-
-Small, dependency-free statistics helpers: latency/size samples with
-percentiles, windowed rate meters, and staleness/convergence probes for
-eventually consistent state.
+"""Measurement probes shared by the experiments: staleness and
+convergence of eventually consistent state.  (Latency distributions
+and their percentiles are :class:`repro.obs.metrics.Histogram`'s job —
+one definition of p99 per repository.)
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 __all__ = [
-    "SampleSeries",
-    "RateMeter",
     "convergence_time",
     "count_stale_reads",
     "replica_divergence",
 ]
-
-
-class SampleSeries:
-    """A series of numeric samples with summary statistics."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._samples: List[float] = []
-
-    def add(self, value: float) -> None:
-        self._samples.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        if not self._samples:
-            return 0.0
-        return sum(self._samples) / len(self._samples)
-
-    @property
-    def minimum(self) -> float:
-        return min(self._samples) if self._samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self._samples) if self._samples else 0.0
-
-    @property
-    def stddev(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / (len(self._samples) - 1))
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, p in [0, 100]."""
-        if not self._samples:
-            return 0.0
-        if not 0 <= p <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "p50": self.p50,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
-
-    def samples(self) -> List[float]:
-        return list(self._samples)
-
-
-class RateMeter:
-    """Counts events against elapsed simulation time."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.events = 0
-        self.units = 0.0
-        self._start: Optional[float] = None
-        self._end: Optional[float] = None
-
-    def mark(self, now: float, units: float = 1.0) -> None:
-        if self._start is None:
-            self._start = now
-        self._end = now
-        self.events += 1
-        self.units += units
-
-    def rate(self, window: Optional[float] = None) -> float:
-        """Events per second over the observed (or given) window."""
-        if self._start is None or self._end is None:
-            return 0.0
-        elapsed = window if window is not None else (self._end - self._start)
-        if elapsed <= 0:
-            return 0.0
-        return self.events / elapsed
-
-    def unit_rate(self, window: Optional[float] = None) -> float:
-        """Units (e.g. bytes) per second."""
-        if self._start is None or self._end is None:
-            return 0.0
-        elapsed = window if window is not None else (self._end - self._start)
-        if elapsed <= 0:
-            return 0.0
-        return self.units / elapsed
 
 
 def count_stale_reads(recorder, group: Optional[int] = None, key: Any = None) -> int:

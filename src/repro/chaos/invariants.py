@@ -108,14 +108,6 @@ class InvariantReport:
         timeline of the offending key's spans."""
         return [v.post_mortem() for v in self.violations]
 
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "checks": dict(self.checks),
-            "violations": [str(v) for v in self.violations],
-            "notes": list(self.notes),
-        }
-
 
 class InvariantSuite:
     """Live + final invariant checking against one deployment."""

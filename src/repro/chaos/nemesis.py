@@ -164,8 +164,3 @@ class LeaderKiller:
         self.kills_remaining -= 1
         self.log.append((self.deployment.sim.now, leader.replica_id, handoff.group_id))
         self.deployment.controller.crash_replica(leader.replica_id)
-
-    def uninstall(self) -> None:
-        listeners = self.deployment.releveler.phase_listeners
-        if self._on_phase in listeners:
-            listeners.remove(self._on_phase)

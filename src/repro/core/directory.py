@@ -121,9 +121,6 @@ class DirectoryService:
         """Record that ``switch`` touched ``key`` (fed by experiments)."""
         self._observed.setdefault((group_id, key), set()).add(switch)
 
-    def accessors_of(self, group_id: int, key: Hashable) -> FrozenSet[str]:
-        return frozenset(self._observed.get((group_id, key), set()))
-
     def place_by_locality(
         self, group_id: int, min_replicas: int = 2
     ) -> List[PlacementEntry]:

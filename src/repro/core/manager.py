@@ -122,11 +122,6 @@ class PacketContext:
     def switch_name(self) -> str:
         return self.manager.switch.name
 
-    @property
-    def at_tail(self) -> bool:
-        """Whether this packet arrived via tail read-forwarding."""
-        return bool(self.packet.meta.get("at_tail_groups"))
-
 
 @dataclass
 class _RelevelFence:
@@ -730,13 +725,8 @@ class SwiShmemDeployment:
         self.clock_skew = clock_skew
         #: The observability spine (repro.obs.spine): every protocol
         #: component reports its steps to it and it alone calls sinks.
-        self.obs = ObsSpine(
-            sim,
-            metrics=metrics,
-            flight_recorder=flight_recorder,
-            access_profiler=access_profiler,
-            slo_monitor=slo_monitor,
-        )
+        self.obs = ObsSpine(sim)
+        self.rebind_observability(metrics, flight_recorder, access_profiler, slo_monitor)
         self.address_book = address_book if address_book is not None else AddressBook()
         self.routing = RoutingTable(topo)
         self.multicast = MulticastRegistry()
@@ -768,8 +758,6 @@ class SwiShmemDeployment:
             switch.routing = self.routing
             switch.address_book = self.address_book
             switch.multicast = self.multicast
-        if metrics is not None:
-            self._bind_dataplane_metrics(metrics)
         # Late imports to avoid a protocols <-> core cycle at module load.
         from repro.protocols.controller import (
             DEFAULT_HEARTBEAT_PERIOD,
@@ -808,13 +796,30 @@ class SwiShmemDeployment:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _bind_dataplane_metrics(self, metrics: "MetricsRegistry") -> None:
-        """The packet-rate counters of switches and links stay bound
-        instruments, off the spine (see repro.obs.spine)."""
+    def _read_dataplane(self, into: "MetricsRegistry") -> None:
+        """The dataplane's metrics source (``MetricsRegistry.add_source``):
+        devices count, the registry reads.  Switches and links are
+        walked as they are at the read, so a link connected later is
+        listed, and every value is the device's lifetime total however
+        late the registry was attached."""
         for switch in self.switches:
-            switch.bind_metrics(metrics)
+            node, stats = switch.name, switch.stats
+            into.counter("switch.rx_packets", node).inc(stats.rx_packets)
+            into.counter("switch.tx_packets", node).inc(stats.tx_packets)
+            into.counter("switch.dropped_packets", node).inc(stats.dropped_packets)
+            into.counter("switch.punted_packets", node).inc(stats.punted_packets)
+            into.counter("switch.queue_drops", node).inc(stats.queue_drops)
+            depth = into.gauge("switch.queue_depth", node)
+            depth.set(switch.queue_high_water)  # a gauge's max is the highest value set
+            depth.set(switch.queue_depth)
+            into.histogram("switch.queue_wait_seconds", node).add(switch.queue_wait)
         for link in self.topo.links:
-            link.bind_metrics(metrics)
+            for channel in (link.ab, link.ba):
+                node, stats = f"{channel.src.name}->{channel.dst.name}", channel.stats
+                into.counter("link.packets_sent", node).inc(stats.packets_sent)
+                into.counter("link.bytes_sent", node).inc(stats.bytes_sent)
+                into.counter("link.drops", node).inc(stats.packets_dropped)
+                into.counter("link.busy_seconds", node).inc(stats.busy_seconds)
 
     def rebind_observability(
         self,
@@ -828,7 +833,7 @@ class SwiShmemDeployment:
         the spine replays instruments, groups and NF ownership to the
         newcomer."""
         if metrics is not None:
-            self._bind_dataplane_metrics(metrics)
+            metrics.add_source(self._read_dataplane)
         self.obs.attach(
             metrics=metrics,
             flight_recorder=flight_recorder,
@@ -892,18 +897,6 @@ class SwiShmemDeployment:
         return self.managers[switch_name].handle(spec)
 
     # ------------------------------------------------------------------
-    # Chain reconfiguration (driven by the controller / failover)
-    # ------------------------------------------------------------------
-    def install_chain(self, chain: ChainDescriptor) -> None:
-        """Push a new chain descriptor version to all live managers."""
-        self.chains[chain.chain_id] = chain
-        for manager in self.managers.values():
-            if manager.switch.failed:
-                continue
-            if chain.chain_id in manager.sro.groups:
-                manager.sro.set_chain(chain.chain_id, chain)
-
-    # ------------------------------------------------------------------
     # NF installation
     # ------------------------------------------------------------------
     def install_nf(self, nf_class: Type, **kwargs: Any) -> List[Any]:
@@ -929,12 +922,6 @@ class SwiShmemDeployment:
     # ------------------------------------------------------------------
     # Experiment conveniences
     # ------------------------------------------------------------------
-    def enable_int(self, max_hops: int = 16) -> None:
-        """Turn on INT hop stamping at every switch (repro.obs.inttel)."""
-        for switch in self.switches:
-            switch.int_enabled = True
-            switch.int_max_hops = max_hops
-
     def fail_switch(self, name: str) -> None:
         """Fail-stop a switch (the controller will detect it)."""
         self.topo.fail_node(name)

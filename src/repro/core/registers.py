@@ -298,10 +298,6 @@ class RegisterSpec:
                 "incompatible with control-plane table state"
             )
 
-    @property
-    def is_strong(self) -> bool:
-        return self.consistency is Consistency.SRO
-
     def effective_pending_slots(self) -> int:
         """Default: one slot per key (no sharing)."""
         return self.pending_slots if self.pending_slots is not None else self.capacity
@@ -317,14 +313,6 @@ class RegisterHandle:
     def __init__(self, spec: RegisterSpec, manager: "SwiShmemManager") -> None:
         self.spec = spec
         self._manager = manager
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def consistency(self) -> Consistency:
-        return self.spec.consistency
 
     def read(self, key: Any, default: Any = None) -> Any:
         """Read the register for ``key``.

@@ -59,10 +59,6 @@ class LamportClock:
         """Advance past a timestamp observed on a received message."""
         self._counter = max(self._counter, remote.logical)
 
-    @property
-    def counter(self) -> int:
-        return self._counter
-
 
 class SynchronizedClock:
     """A physical clock with bounded offset from true time.
@@ -84,9 +80,6 @@ class SynchronizedClock:
 
     def now(self) -> Timestamp:
         return Timestamp(self._read_true_time() + self.offset, 0, self.node_id)
-
-    def witness(self, remote: Timestamp) -> None:
-        """Physical clocks do not adjust on receive."""
 
 
 class HybridClock:

@@ -64,10 +64,6 @@ class GCounter:
         """A copy of the state vector (what goes on the wire)."""
         return list(self._vector)
 
-    def slot_entry(self) -> int:
-        """This replica's element alone — the EWO incremental update."""
-        return self._vector[self.my_slot]
-
     def apply_slot(self, slot: int, value: int) -> bool:
         """Merge a single remote element (incremental EWO_UPDATE)."""
         if not 0 <= slot < self.num_replicas:

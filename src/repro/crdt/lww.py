@@ -13,7 +13,7 @@ experiments measure exactly that window.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any
 
 from repro.crdt.clock import Timestamp
 
@@ -73,9 +73,6 @@ class LwwRegister:
                 self._value = value
                 return True
         return False
-
-    def state(self) -> Tuple[Any, Timestamp]:
-        return (self._value, self._version)
 
     def __repr__(self) -> str:
         return f"<LwwRegister {self._value!r} @ {self._version}>"

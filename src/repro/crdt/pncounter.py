@@ -49,10 +49,6 @@ class PNCounter:
         """(positive, negative) vectors — the on-wire state."""
         return (self._positive.vector(), self._negative.vector())
 
-    @property
-    def state_bytes(self) -> int:
-        return self._positive.state_bytes + self._negative.state_bytes
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PNCounter):
             return NotImplemented

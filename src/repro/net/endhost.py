@@ -137,6 +137,3 @@ class EndHost(Node):
             for r in self.received
             if r.packet.ipv4 is not None and r.packet.ipv4.src == src_ip
         ]
-
-    def clear(self) -> None:
-        self.received.clear()

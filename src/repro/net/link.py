@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 
@@ -88,23 +87,23 @@ class Node:
 
 
 class LinkStats:
-    """Per-channel counters used by bandwidth-overhead experiments."""
+    """Per-channel counters: what the bandwidth-overhead experiments sum
+    and what a metrics registry reads as ``link.*`` (the channel counts,
+    the registry reads — see :mod:`repro.obs.metrics`)."""
 
-    __slots__ = ("packets_sent", "bytes_sent", "packets_dropped", "packets_delivered")
+    __slots__ = (
+        "packets_sent", "bytes_sent", "packets_dropped", "packets_delivered", "busy_seconds"
+    )
 
     def __init__(self) -> None:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.packets_dropped = 0
         self.packets_delivered = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "packets_sent": self.packets_sent,
-            "bytes_sent": self.bytes_sent,
-            "packets_dropped": self.packets_dropped,
-            "packets_delivered": self.packets_delivered,
-        }
+        #: Transmitter occupancy, so utilization over a window is
+        #: ``busy_seconds / window``.  Starts as int 0: an idle channel
+        #: exports ``0``, not ``0.0``.
+        self.busy_seconds = 0
 
 
 class Channel:
@@ -145,21 +144,6 @@ class Channel:
         #: Optional adversarial wrapper (``repro.chaos.nemesis``): consulted
         #: after the loss decision to delay and/or duplicate the packet.
         self.nemesis = None
-        self.bind_metrics(NULL_REGISTRY)
-
-    def bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """(Re)bind utilization instruments; the deployment calls this.
-
-        The ``node`` label is the directed channel, ``src->dst``.
-        ``link.busy_seconds`` accumulates transmitter occupancy, so
-        utilization over a window is ``busy_seconds / window``.
-        """
-        channel = f"{self.src.name}->{self.dst.name}"
-        self._metrics_on = metrics.enabled
-        self._m_packets = metrics.counter("link.packets_sent", channel)
-        self._m_bytes = metrics.counter("link.bytes_sent", channel)
-        self._m_drops = metrics.counter("link.drops", channel)
-        self._m_busy = metrics.counter("link.busy_seconds", channel)
 
     def transmit(self, packet: "Packet") -> None:
         """Queue ``packet`` for delivery to ``dst``.
@@ -175,13 +159,8 @@ class Channel:
         wire_size = packet.wire_size
         stats.packets_sent += 1
         stats.bytes_sent += wire_size
-        if self._metrics_on:
-            self._m_packets.inc()
-            self._m_bytes.inc(wire_size)
         if not self.up:
             stats.packets_dropped += 1
-            if self._metrics_on:
-                self._m_drops.inc()
             return
         sim = self.sim
         now = sim.now
@@ -190,12 +169,9 @@ class Channel:
         serialization = wire_size * 8 / self.bandwidth_bps
         self._busy_until = start + serialization
         arrival = start + serialization + self.latency
-        if self._metrics_on:
-            self._m_busy.inc(serialization)
+        stats.busy_seconds += serialization
         if self.loss_rate > 0.0 and self._loss_stream.random() < self.loss_rate:
             stats.packets_dropped += 1
-            if self._metrics_on:
-                self._m_drops.inc()
             return
         if self.nemesis is not None:
             extra, duplicate_offsets = self.nemesis.plan(packet, self)
@@ -212,8 +188,6 @@ class Channel:
     def _deliver(self, packet: "Packet") -> None:
         if not self.up:
             self.stats.packets_dropped += 1
-            if self._metrics_on:
-                self._m_drops.inc()
             return
         self.stats.packets_delivered += 1
         self.dst.deliver(packet, from_node=self.src.name)
@@ -239,11 +213,6 @@ class Link:
         self.ba = Channel(sim, b, a, latency, bandwidth_bps, loss_rate, rng)
         a.attach_link(self, b.name)
         b.attach_link(self, a.name)
-
-    def bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Bind utilization instruments for both directions."""
-        self.ab.bind_metrics(metrics)
-        self.ba.bind_metrics(metrics)
 
     @property
     def up(self) -> bool:

@@ -48,9 +48,6 @@ class Topology:
         self.nodes[node.name] = node
         return node
 
-    def node(self, name: str) -> Node:
-        return self.nodes[name]
-
     def connect(
         self,
         a: str,

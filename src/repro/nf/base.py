@@ -44,9 +44,6 @@ class NfStats:
         self.state_hits = 0
         self.state_misses = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 class NetworkFunction:
     """Base class: plumbing shared by the six Table 1 NFs."""

@@ -1,4 +1,4 @@
-"""Live observability: the spine and its sinks, INT telemetry, sim profiler.
+"""Live observability: the spine and its sinks, and INT telemetry.
 
 See docs/OBSERVABILITY.md for the full guide.  Quick start::
 
@@ -52,12 +52,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     load_jsonl,
     registry_from_records,
 )
-from repro.obs.profiler import HandlerStats, SimProfiler
 from repro.obs.slo import SLOMonitor, SLOObjective, parse_objective
 from repro.obs.spine import ObsSpine
 
@@ -94,8 +91,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_LATENCY_BOUNDS",
     "load_jsonl",
     "registry_from_records",
@@ -107,6 +102,4 @@ __all__ = [
     "decode_path",
     "INT_SHIM_BYTES",
     "INT_HOP_BYTES",
-    "HandlerStats",
-    "SimProfiler",
 ]

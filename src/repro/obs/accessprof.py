@@ -177,9 +177,6 @@ class KeyProfile:
         promotion/eviction comparison quantity)."""
         return self.prior + self.reads + self.writes
 
-    def node_set(self) -> List[str]:
-        return sorted(set(self.readers) | set(self.writers))
-
     def as_dict(self, now: float) -> Dict[str, Any]:
         return {
             "key": repr(self.key),
@@ -435,9 +432,6 @@ class AccessProfiler:
         if profile is not None and profile.nf is None:
             profile.nf = nf_name
 
-    def _group(self, group_id: int) -> Optional[GroupProfile]:
-        return self.groups.get(group_id)
-
     # ------------------------------------------------------------------
     # Hot-path hooks (all passive: mutate profiler state only)
     # ------------------------------------------------------------------
@@ -538,9 +532,6 @@ class AccessProfiler:
     # ------------------------------------------------------------------
     def group(self, name: str) -> GroupProfile:
         return self._by_name[name]
-
-    def group_names(self) -> List[str]:
-        return sorted(self._by_name)
 
     def hot_keys(self, limit: int = 10, now: Optional[float] = None) -> List[Dict[str, Any]]:
         """Deployment-wide hot-key ranking (feeds migration decisions)."""

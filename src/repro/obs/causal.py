@@ -88,9 +88,3 @@ class CausalClock:
         """Derive the receiving-side span for a message stamped ``parent``."""
         lamport = self.observe(parent.lamport)
         return TraceContext(parent.trace_id, self._next_span_id(), parent.span_id, lamport)
-
-    def sibling(self, context: TraceContext) -> TraceContext:
-        """A further local span under the same parent (fan-out stamping)."""
-        return TraceContext(
-            context.trace_id, self._next_span_id(), context.parent_id, self.tick()
-        )

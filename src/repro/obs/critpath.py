@@ -93,16 +93,6 @@ class Segment:
     def duration(self) -> float:
         return self.end - self.start
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "cause": self.cause,
-            "start": self.start,
-            "end": self.end,
-            "seconds": self.duration,
-            "src": self.src,
-            "dst": self.dst,
-        }
-
 
 @dataclass
 class WriteAttribution:
@@ -119,40 +109,11 @@ class WriteAttribution:
     by_cause: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def fractions(self) -> Dict[str, float]:
-        if self.latency <= 0:
-            return {cause: 0.0 for cause in CAUSES}
-        return {cause: self.by_cause[cause] / self.latency for cause in CAUSES}
-
-    @property
     def fraction_sum(self) -> float:
         total = 0.0
         for cause in CAUSES:
             total += self.by_cause[cause]
         return total / self.latency if self.latency > 0 else 1.0
-
-    @property
-    def top_cause(self) -> str:
-        best = CAUSES[0]
-        for cause in CAUSES[1:]:
-            if self.by_cause[cause] > self.by_cause[best]:
-                best = cause
-        return best
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "group": self.group,
-            "key": repr(self.key),
-            "writer": self.writer,
-            "committed_at": self.committed_at,
-            "latency_us": self.latency * 1e6,
-            "attempts": self.attempts,
-            "top_cause": self.top_cause,
-            "by_cause": {cause: self.by_cause[cause] for cause in CAUSES},
-            "fractions": {cause: self.fractions[cause] for cause in CAUSES},
-            "fraction_sum": self.fraction_sum,
-        }
 
 
 @dataclass
@@ -165,16 +126,6 @@ class HopAttribution:
     dst_node: str
     latency: float
     by_cause: Dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "kind": self.kind,
-            "src": self.src_node,
-            "dst": self.dst_node,
-            "latency_us": self.latency * 1e6,
-            "by_cause": {cause: self.by_cause[cause] for cause in CAUSES},
-        }
 
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:

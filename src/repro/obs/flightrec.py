@@ -9,19 +9,18 @@ recorder's one caller on the protocol path.
 The recorder answers two questions the aggregate telemetry of PR 2
 cannot:
 
-* **"what happened to this write?"** — :meth:`FlightRecorder.span_tree`
-  reconstructs the causally ordered span tree for a trace_id or a
-  ``(group, key)`` pair, and :meth:`render_timeline` prints it as a
-  human-readable timeline (who held the pending bit, which epoch fenced
-  which command, where a chain hop was lost);
+* **"what happened to this write?"** — :meth:`FlightRecorder.render_timeline`
+  orders the spans of a trace_id or a ``(group, key)`` pair causally
+  and prints them as a human-readable timeline (who held the pending
+  bit, which epoch fenced which command, where a chain hop was lost);
 * **"did A happen before B?"** — :class:`TraceQuery` exposes
   ``assert_happens_before`` / ``span_count`` / ``max_chain_depth`` so
   tests and ``bench_chaos_soak`` can assert causal structure directly.
 
 The ring is bounded (``max_records``) and counts ``evictions``;
-``bind_metrics`` exports the eviction count as a gauge so truncation
-shows up in bench sidecars instead of silently eating the start of a
-post-mortem.
+``bind_metrics`` has a registry read the eviction count as a gauge so
+truncation shows up in bench sidecars instead of silently eating the
+start of a post-mortem.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.causal import TraceContext
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["Span", "FlightRecorder", "TraceQuery"]
 
@@ -123,13 +122,16 @@ class FlightRecorder:
         self.recorded += 1
         return span
 
-    def bind_metrics(self, metrics: MetricsRegistry = NULL_REGISTRY, node: str = "obs") -> None:
-        """Register eviction/occupancy gauges (call before snapshotting)."""
-        if not metrics.enabled:
-            return
-        metrics.gauge("flightrec.evictions", node).set(self.evictions)
-        metrics.gauge("flightrec.spans", node).set(len(self.spans))
-        metrics.gauge("flightrec.recorded", node).set(self.recorded)
+    def bind_metrics(self, metrics: MetricsRegistry, node: str = "obs") -> None:
+        """Have ``metrics`` read the eviction/occupancy gauges whenever
+        it is read (:meth:`MetricsRegistry.add_source`)."""
+
+        def read(into: MetricsRegistry) -> None:
+            into.gauge("flightrec.evictions", node).set(self.evictions)
+            into.gauge("flightrec.spans", node).set(len(self.spans))
+            into.gauge("flightrec.recorded", node).set(self.recorded)
+
+        metrics.add_source(read)
 
     # -- selection ------------------------------------------------------
 
@@ -162,16 +164,6 @@ class FlightRecorder:
         return sorted(spans, key=lambda s: (s.lamport, s.time, s.span_id))
 
     # -- reconstruction -------------------------------------------------
-
-    def span_tree(self, trace_id: str) -> Dict[Optional[str], List[Span]]:
-        """Children-by-parent map for one trace (``None`` key = roots)."""
-        tree: Dict[Optional[str], List[Span]] = {}
-        spans = self.spans_for_trace(trace_id)
-        ids = {s.span_id for s in spans}
-        for span in spans:
-            parent = span.parent_id if span.parent_id in ids else None
-            tree.setdefault(parent, []).append(span)
-        return tree
 
     def lost_hops(self, spans: Iterable[Span]) -> List[Span]:
         """Forward-spans whose announced next hop never produced a span.

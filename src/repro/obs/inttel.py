@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "INT_SHIM_BYTES",
@@ -68,16 +68,6 @@ class IntHopRecord:
     def hop_latency(self) -> float:
         """Total time spent at this switch (queue wait + pipeline)."""
         return self.egress_time - self.ingress_time
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "ingress_time": self.ingress_time,
-            "egress_time": self.egress_time,
-            "queue_depth": self.queue_depth,
-            "state_ops": self.state_ops,
-            "hop_latency": self.hop_latency,
-        }
 
 
 @dataclass
@@ -179,7 +169,11 @@ class IntSink:
     or call :meth:`absorb` directly from test/benchmark code.
     """
 
-    def __init__(self, sim: Any, registry: MetricsRegistry = NULL_REGISTRY, node: str = "int-sink") -> None:
+    def __init__(
+        self, sim: Any, registry: Optional[MetricsRegistry] = None, node: str = "int-sink"
+    ) -> None:
+        if registry is None:
+            registry = MetricsRegistry()  # private: nobody else reads it
         self.sim = sim
         self.node = node
         self.decoded: List[Dict[str, Any]] = []

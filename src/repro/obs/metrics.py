@@ -1,16 +1,26 @@
 """Low-overhead metrics: counters, gauges, and fixed-bucket histograms.
 
-The registry is the live-telemetry backbone of the reproduction.  Hot
-paths (the switch pipeline, the replication engines, the links) hold
-*bound instruments* — tiny objects with one method — created once at
-construction time, so recording a sample is a single method call with
-no name lookup, no dict access, and no allocation.
+The registry is the live-telemetry backbone of the reproduction, and it
+is filled two ways:
 
-Observability defaults to **off**: every instrumented component takes a
-registry argument defaulting to :data:`NULL_REGISTRY`, whose instrument
-factories return shared no-op singletons.  A disabled deployment
-therefore pays at most an attribute check per packet (components cache
-``registry.enabled`` and skip the call entirely).
+* **Pushed** — protocol steps.  The observability spine
+  (:mod:`repro.obs.spine`) resolves an instrument once per
+  ``(name, node)`` and calls ``inc`` / ``set`` / ``observe`` on it as
+  each step happens.
+* **Pulled** — the dataplane.  *Devices count, the registry reads*: a
+  switch or channel keeps its own counters (``PisaSwitch.stats``,
+  ``Channel.stats``) whether or not anyone is watching, and a *source*
+  registered with :meth:`MetricsRegistry.add_source` copies them into
+  instruments each time the registry is read — the way a collector
+  scrapes a PISA switch's counters.  A pulled value is therefore the
+  device's **lifetime total**, whenever the registry was attached, and
+  a device added after the source was registered is listed at the next
+  read.  To add a pulled instrument, count on the device and report the
+  field from the source (``SwiShmemDeployment._read_dataplane``).
+
+There is no "off" registry: a component without one holds ``None`` (or,
+for the INT sink, a private registry) and the spine's ``on`` flag is
+the only guard on the protocol path.
 
 Metric naming scheme (see docs/OBSERVABILITY.md):
 
@@ -31,18 +41,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "DEFAULT_LATENCY_BOUNDS",
     "load_jsonl",
     "registry_from_records",
@@ -164,6 +169,27 @@ class Histogram:
         else:
             self.overflow += 1
 
+    def add(self, other: "Histogram") -> None:
+        """Fold ``other``'s samples in bucket-wise; bounds must match."""
+        if self.bounds != other.bounds:
+            raise ValueError(
+                f"histogram {self.name!r}/{self.node!r}: "
+                "cannot merge differing bucket bounds"
+            )
+        self.count += other.count
+        self.sum += other.sum
+        # Fold min and the exact observed max (which the overflow
+        # bucket's percentile estimate reports) only when the other
+        # side actually saw samples: an empty histogram round-tripped
+        # through as_dict carries min=0.0 / max=0.0 placeholders that
+        # must not clobber real extremes.
+        if other.count:
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
+        self.overflow += other.overflow
+        for i, bucket in enumerate(other.buckets):
+            self.buckets[i] += bucket
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -234,57 +260,40 @@ class Histogram:
         }
 
 
-# ----------------------------------------------------------------------
-# No-op instruments: shared singletons so NULL_REGISTRY allocates nothing
-# per call site beyond the bound reference itself.
-# ----------------------------------------------------------------------
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:  # noqa: D102 - no-op
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
-NULL_HISTOGRAM = _NullHistogram("null", bounds=(1.0,))
-
-
 class MetricsRegistry:
     """Creates, deduplicates, and exports instruments.
 
     Instruments are keyed by ``(kind, name, node)``: asking twice for
     the same key returns the same object, so independently constructed
-    components share counters safely.
+    components share counters safely.  A name is either pushed through
+    these factories or pulled from a source, never both.
     """
-
-    #: Components cache this to skip instrumentation entirely when off.
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: "Dict[Tuple[str, str, str], Any]" = {}
+        self._sources: "List[Callable[[MetricsRegistry], None]]" = []
+
+    def add_source(self, source: "Callable[[MetricsRegistry], None]") -> None:
+        """Read ``source`` at every read of this registry.
+
+        ``source(into)`` reports what its devices count *now* through
+        ``into``'s ordinary factories (``into.counter(name, node).inc(
+        stats.field)``).  ``into`` starts empty at each read, so
+        readings never accumulate across reads, while sources that
+        report the same ``(name, node)`` — successive worlds sharing
+        one registry — add into one instrument.  Registering a source
+        twice is a no-op.
+        """
+        if source not in self._sources:
+            self._sources.append(source)
+
+    def _pull(self) -> None:
+        """Replace every pulled instrument with the sources' readings."""
+        if self._sources:
+            pulled = MetricsRegistry()
+            for source in self._sources:
+                source(pulled)
+            self._instruments.update(pulled._instruments)
 
     # -- factories ------------------------------------------------------
     def counter(self, name: str, node: str = "") -> Counter:
@@ -313,9 +322,11 @@ class MetricsRegistry:
     # -- introspection --------------------------------------------------
     def instruments(self) -> List[Any]:
         """All instruments, sorted by (kind, name, node) for stable output."""
+        self._pull()
         return [self._instruments[key] for key in sorted(self._instruments)]
 
     def get(self, kind: str, name: str, node: str = "") -> Optional[Any]:
+        self._pull()
         return self._instruments.get((kind, name, node))
 
     def value(self, kind: str, name: str, node: str = "", default: float = 0) -> float:
@@ -324,6 +335,7 @@ class MetricsRegistry:
         return instrument.value if instrument is not None else default
 
     def __len__(self) -> int:
+        self._pull()
         return len(self._instruments)
 
     # -- export ---------------------------------------------------------
@@ -361,50 +373,10 @@ class MetricsRegistry:
                 mine.set(max(mine.value, instrument.value))
                 mine.max_value = max(mine.max_value, instrument.max_value)
             else:
-                mine = self.histogram(
+                self.histogram(
                     instrument.name, instrument.node, bounds=instrument.bounds
-                )
-                if mine.bounds != instrument.bounds:
-                    raise ValueError(
-                        f"histogram {instrument.name!r}/{instrument.node!r}: "
-                        "cannot merge differing bucket bounds"
-                    )
-                mine.count += instrument.count
-                mine.sum += instrument.sum
-                # Fold min and the exact observed max (which the
-                # overflow bucket's percentile estimate reports) only
-                # when the other side actually saw samples: an empty
-                # histogram round-tripped through as_dict carries
-                # min=0.0 / max=0.0 placeholders that must not clobber
-                # real extremes.
-                if instrument.count:
-                    mine.min = min(mine.min, instrument.min)
-                    mine.max = max(mine.max, instrument.max)
-                mine.overflow += instrument.overflow
-                for i, bucket in enumerate(instrument.buckets):
-                    mine.buckets[i] += bucket
+                ).add(instrument)
         return self
-
-
-class NullRegistry(MetricsRegistry):
-    """The default everywhere: hands out no-op singletons, exports nothing."""
-
-    enabled = False
-
-    def counter(self, name: str, node: str = "") -> Counter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str, node: str = "") -> Gauge:
-        return NULL_GAUGE
-
-    def histogram(
-        self, name: str, node: str = "", bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS
-    ) -> Histogram:
-        return NULL_HISTOGRAM
-
-
-#: Shared no-op registry; hot paths bound to it stay effectively free.
-NULL_REGISTRY = NullRegistry()
 
 
 def load_jsonl(path: str) -> List[Dict[str, Any]]:

@@ -21,14 +21,14 @@ construction; :meth:`attach` replays the static facts — which
 instruments exist, which groups are declared, which NF owns them — to
 the newcomer.
 
-Not on the spine, deliberately: the packet-rate dataplane counters of
-``switch/pisa.py``, ``switch/pipeline.py`` and ``net/link.py`` keep
-their bound instruments (``bind_metrics``).  They fire about twice as
-often as all protocol steps together, and an ``emit`` per packet would
-tax the workloads that watch nothing.  ``SimProfiler``
-(the simulator's dispatch hook), INT (rides the packets) and
-``CausalClock`` stamping (unconditional, digest-neutral) are likewise
-not sinks.
+Not on the spine, deliberately: the packet-rate dataplane.  Devices
+count, the registry reads — ``switch/pisa.py`` and ``net/link.py``
+keep their own ``stats`` whether or not anyone watches, and the
+deployment registers one source (``MetricsRegistry.add_source``) that
+reports them as ``switch.*`` / ``link.*`` whenever the registry is
+read, so the per-packet path holds no instrument and tests no flag.
+INT (rides the packets) and ``CausalClock`` stamping (unconditional,
+digest-neutral) are likewise not sinks.
 """
 
 from __future__ import annotations

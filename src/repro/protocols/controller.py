@@ -1127,6 +1127,3 @@ class CentralController:
     def stop(self) -> None:
         self._stopped = True
         self._process.stop()
-
-    def last_failure(self) -> Optional[FailureEvent]:
-        return self.failures[-1] if self.failures else None

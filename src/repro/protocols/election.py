@@ -260,10 +260,6 @@ class ControllerCluster:
             (self.sim.now, "reconstructed", replica.replica_id, round(latency, 12))
         )
 
-    def observe_epoch(self, epoch: int) -> None:
-        if epoch > self.max_epoch:
-            self.max_epoch = epoch
-
     def deliver_renewal(
         self, peer: CentralController, renewal: LeaseRenewal
     ) -> None:
@@ -502,10 +498,6 @@ class ControllerCluster:
     @property
     def _recovery_gen(self) -> Dict[Tuple[int, str], int]:
         return self._delegate()._recovery_gen
-
-    @property
-    def _last_heard(self) -> Dict[str, float]:
-        return self._delegate()._last_heard
 
     def last_failure(self) -> Optional[FailureEvent]:
         failures = self.failures

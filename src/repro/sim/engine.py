@@ -139,7 +139,7 @@ class Simulator:
         self.events_cancelled = 0
         self.compactions = 0
         self.peak_queue_len = 0
-        #: Optional dispatch interceptor (see ``repro.obs.profiler``).
+        #: Optional dispatch interceptor (``perf/trace.py`` installs one).
         #: When set, events run through ``profiler.dispatch(event)`` so
         #: wall-clock cost can be attributed per handler label.  The hook
         #: is sampled when ``run()`` starts; install/uninstall between

@@ -84,13 +84,6 @@ class BloomFilter:
         duplicate.items_added = self.items_added
         return duplicate
 
-    def bits(self) -> List[bool]:
-        return list(self._bits)
-
-    @property
-    def state_bytes(self) -> int:
-        return (self.nbits + 7) // 8
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
             return NotImplemented

@@ -81,8 +81,5 @@ class HeavyHitterTracker:
         ordered = sorted(self._candidates.items(), key=lambda kv: (-kv[1], repr(kv[0])))
         return ordered if n is None else ordered[:n]
 
-    def estimate(self, key: Hashable) -> int:
-        return self.sketch.estimate(key)
-
     def __contains__(self, key: Hashable) -> bool:
         return key in self._candidates

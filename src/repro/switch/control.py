@@ -20,7 +20,7 @@ is "limited by the need to send packets through the control plane"
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.sim.engine import Event, Simulator
 
@@ -149,6 +149,3 @@ class ControlPlaneAgent:
     @property
     def buffered_count(self) -> int:
         return len(self._buffer)
-
-    def buffered_tokens(self) -> List[Any]:
-        return list(self._buffer)

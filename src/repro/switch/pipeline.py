@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.packet import Packet
-from repro.obs.metrics import NULL_COUNTER
 from repro.switch.memory import MemoryBudget, OutOfSwitchMemory
 from repro.switch.objects import Counter, MatchTable, Meter, RegisterArray
 
@@ -55,10 +54,6 @@ class Stage:
         self.handler: Optional[Callable[[Packet, str], str]] = None
         self.objects: Dict[str, Any] = {}
         self.packets_seen = 0
-        #: Stage-occupancy counter, bound by Pipeline.add_stage once the
-        #: stage is claimed (a no-op singleton until then / when metrics
-        #: are off).
-        self._occupancy = NULL_COUNTER
 
     # Object factories: allocate from *this stage's* share. --------------
     def register_array(self, name: str, size: int, width_bytes: int, initial: Any = 0) -> RegisterArray:
@@ -87,7 +82,6 @@ class Stage:
 
     def process(self, packet: Packet, from_node: str) -> str:
         self.packets_seen += 1
-        self._occupancy.inc()
         if self.handler is None:
             return StageAction.CONTINUE
         return self.handler(packet, from_node)
@@ -122,9 +116,6 @@ class Pipeline:
             raise OutOfSwitchMemory(0, 0, f"pipeline {self.name}: no stages left")
         stage = self.stages[self._next_free]
         stage.name = f"{self.name}.{stage_name}"
-        stage._occupancy = self.switch.metrics.counter(
-            "pipeline.stage_packets", f"{self.switch.name}:{stage.name}"
-        )
         self._next_free += 1
         return stage
 

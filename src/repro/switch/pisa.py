@@ -34,7 +34,7 @@ from repro.net.multicast import MulticastRegistry
 from repro.net.packet import Packet
 from repro.net.routing import RoutingTable
 from repro.obs.inttel import IntHopRecord, IntTelemetry
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import Histogram
 from repro.sim.engine import Simulator
 from repro.switch.control import ControlPlaneAgent, DEFAULT_OP_LATENCY
 from repro.switch.memory import DEFAULT_SWITCH_MEMORY_BYTES, MemoryBudget
@@ -98,7 +98,6 @@ class PisaSwitch(Node):
         control_op_latency: float = DEFAULT_OP_LATENCY,
         pipeline_rate_pps: Optional[float] = None,
         queue_capacity: int = 1024,
-        metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         super().__init__(name)
         self.sim = sim
@@ -124,25 +123,17 @@ class PisaSwitch(Node):
         self.queue_capacity = queue_capacity
         self._queue: Deque[Tuple[Packet, str, float, int]] = deque()
         self._serving = False
+        #: Deepest the service queue has been, and how long packets
+        #: waited in it.  Kept here, not in ``stats``, whose fields are
+        #: all plain packet counts; a metrics registry reads both
+        #: (``switch.queue_depth`` max, ``switch.queue_wait_seconds``).
+        self.queue_high_water = 0
+        self.queue_wait = Histogram("switch.queue_wait_seconds", name)
         # Atomicity guard (paper section 2).
         self._in_pipeline = False
         # INT mode: stamp a per-hop telemetry record onto each packet.
         self.int_enabled = False
         self.int_max_hops = 16
-        self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """(Re)bind telemetry instruments; deployments call this to turn
-        a pre-constructed switch's metrics on after the fact."""
-        self.metrics = metrics
-        self._metrics_on = metrics.enabled
-        self._m_rx = metrics.counter("switch.rx_packets", self.name)
-        self._m_tx = metrics.counter("switch.tx_packets", self.name)
-        self._m_drops = metrics.counter("switch.dropped_packets", self.name)
-        self._m_punts = metrics.counter("switch.punted_packets", self.name)
-        self._m_queue_depth = metrics.gauge("switch.queue_depth", self.name)
-        self._m_queue_drops = metrics.counter("switch.queue_drops", self.name)
-        self._m_queue_wait = metrics.histogram("switch.queue_wait_seconds", self.name)
 
     # ------------------------------------------------------------------
     # Program installation
@@ -166,10 +157,13 @@ class PisaSwitch(Node):
     # ------------------------------------------------------------------
     # Ingress
     # ------------------------------------------------------------------
+    @property
+    def queue_depth(self) -> int:
+        """Packets waiting for a service slot right now."""
+        return len(self._queue)
+
     def handle_packet(self, packet: Packet, from_node: str) -> None:
         self.stats.rx_packets += 1
-        if self._metrics_on:
-            self._m_rx.inc()
         if self.pipeline_rate_pps is None:
             self._pipeline_pass(packet, from_node)
             return
@@ -178,13 +172,10 @@ class PisaSwitch(Node):
         if depth >= self.queue_capacity:
             self.stats.queue_drops += 1
             self.stats.dropped_packets += 1
-            if self._metrics_on:
-                self._m_queue_drops.inc()
-                self._m_drops.inc()
             return
         self._queue.append((packet, from_node, self.sim.now, depth))
-        if self._metrics_on:
-            self._m_queue_depth.set(depth + 1)
+        if depth >= self.queue_high_water:
+            self.queue_high_water = depth + 1
         if not self._serving:
             self._serving = True
             self.sim.schedule(
@@ -200,9 +191,7 @@ class PisaSwitch(Node):
             self._serving = False
             return
         packet, from_node, enqueued_at, depth = self._queue.popleft()
-        if self._metrics_on:
-            self._m_queue_depth.set(len(self._queue))
-            self._m_queue_wait.observe(self.sim.now - enqueued_at)
+        self.queue_wait.observe(self.sim.now - enqueued_at)
         self._pipeline_pass(packet, from_node, arrived_at=enqueued_at, queue_depth=depth)
         if self._queue:
             self.sim.schedule(
@@ -286,16 +275,13 @@ class PisaSwitch(Node):
         if hop is None:
             self.drop(packet, reason="unreachable")
             return False
-        sent = self.send(packet, hop) if hop in self.links else self._send_via_routing(packet, hop)
+        if hop not in self.links:
+            # next_hop always returns a direct neighbor; anything else is a bug.
+            raise RuntimeError(f"{self.name}: next hop {hop} is not a neighbor")
+        sent = self.send(packet, hop)
         if sent:
             self.stats.tx_packets += 1
-            if self._metrics_on:
-                self._m_tx.inc()
         return sent
-
-    def _send_via_routing(self, packet: Packet, hop: str) -> bool:
-        # next_hop always returns a direct neighbor; anything else is a bug.
-        raise RuntimeError(f"{self.name}: next hop {hop} is not a neighbor")
 
     def forward_by_ip(self, packet: Packet) -> bool:
         """Default L3 forwarding using the address book + routing."""
@@ -316,14 +302,10 @@ class PisaSwitch(Node):
         """Count one dropped packet; ``reason`` names the cause at the
         call site."""
         self.stats.dropped_packets += 1
-        if self._metrics_on:
-            self._m_drops.inc()
 
     def punt_to_cpu(self, packet: Packet, handler: Callable[[Packet], None]) -> None:
         """Send a packet to the local control plane (paper section 2)."""
         self.stats.punted_packets += 1
-        if self._metrics_on:
-            self._m_punts.inc()
         self.control.submit(handler, packet, label="punt")
 
     def recirculate(self, packet: Packet) -> None:

@@ -67,9 +67,5 @@ class PacketGenerator:
         self._process.stop()
 
     @property
-    def ticks(self) -> int:
-        return self._process.ticks
-
-    @property
     def alive(self) -> bool:
         return self._process.alive

@@ -38,9 +38,6 @@ class NfWorld:
     def switches(self) -> List[PisaSwitch]:
         return self.deployment.switches
 
-    def client_ips(self) -> List[str]:
-        return [h.ip for h in self.clients]
-
     def server_ips(self) -> List[str]:
         return [h.ip for h in self.servers]
 

@@ -76,9 +76,6 @@ class AttackScenario:
         )
         return self
 
-    def stop(self) -> None:
-        self._running = False
-
     # ------------------------------------------------------------------
     def _schedule_background(self) -> None:
         if not self._running or self.sim.now > self._deadline:

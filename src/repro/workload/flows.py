@@ -126,9 +126,6 @@ class FlowGenerator:
         self._schedule_next()
         return self
 
-    def stop(self) -> None:
-        self._running = False
-
     def _schedule_next(self) -> None:
         gap = self._rng.expovariate(self.flow_rate)
         self.sim.schedule(gap, self._launch, label="flowgen")

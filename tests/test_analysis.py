@@ -12,8 +12,6 @@ from repro.analysis.linearizability import (
     check_key_linearizable,
 )
 from repro.analysis.metrics import (
-    RateMeter,
-    SampleSeries,
     convergence_time,
     replica_divergence,
 )
@@ -154,55 +152,6 @@ class TestHistoryRecorder:
         recorder.record_instant("read", 2, "b", None, "s0", 0.0)
         report = check_history(recorder, group=2)
         assert report.checked_keys == 1 and report.ok
-
-
-class TestSampleSeries:
-    def test_summary_statistics(self):
-        series = SampleSeries("latency")
-        series.extend([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert series.count == 5
-        assert series.mean == pytest.approx(3.0)
-        assert series.minimum == 1.0 and series.maximum == 5.0
-        assert series.p50 == 3.0
-        assert series.stddev == pytest.approx(1.5811, rel=1e-3)
-
-    def test_percentiles(self):
-        series = SampleSeries()
-        series.extend(range(1, 101))
-        assert series.percentile(99) == 99
-        assert series.p99 == 99
-        assert series.percentile(100) == 100
-        with pytest.raises(ValueError):
-            series.percentile(150)
-
-    def test_empty_series_safe(self):
-        series = SampleSeries()
-        assert series.mean == 0.0 and series.p99 == 0.0 and series.stddev == 0.0
-
-    def test_summary_dict(self):
-        series = SampleSeries()
-        series.add(2.0)
-        summary = series.summary()
-        assert summary["count"] == 1 and summary["mean"] == 2.0
-
-
-class TestRateMeter:
-    def test_rate_over_window(self):
-        meter = RateMeter()
-        for i in range(11):
-            meter.mark(now=i * 0.1, units=100)
-        assert meter.rate() == pytest.approx(11 / 1.0)
-        assert meter.unit_rate() == pytest.approx(1100 / 1.0)
-
-    def test_explicit_window(self):
-        meter = RateMeter()
-        meter.mark(0.0)
-        meter.mark(1.0)
-        assert meter.rate(window=2.0) == pytest.approx(1.0)
-
-    def test_empty_meter(self):
-        assert RateMeter().rate() == 0.0
-        assert RateMeter().unit_rate() == 0.0
 
 
 class TestConvergenceHelpers:

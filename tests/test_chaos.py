@@ -437,7 +437,7 @@ class TestInvariantSuite:
             )
         dep.sim.run(until=0.05)
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.violations
         assert all(count > 0 for count in report.checks.values())
         assert len(suite.commit_times) == 20
 
@@ -484,7 +484,7 @@ class TestInvariantSuite:
         dep.sim.run(until=2e-3)
         suite.check_now()  # merged dropped to 0, but a fault happened
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.violations
         assert any("re-baselined" in note for note in report.notes)
 
     def test_counter_regression_without_fault_is_a_violation(self, make_deployment):
@@ -538,7 +538,7 @@ class TestCombinedAdversities:
         dep.sim.schedule(1e-3, workload)
         dep.sim.run(until=0.1)
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.violations
         assert all(count > 0 for count in report.checks.values())
         # the adversities actually bit
         assert nemesis.packets_duplicated > 0 and nemesis.packets_delayed > 0
@@ -605,7 +605,7 @@ class TestChaosSoakMini:
 
     def test_soak_invariants_green(self):
         report, _digest, dep = self._run_soak(seed=1)
-        assert report.ok, report.summary()
+        assert report.ok, report.violations
         assert all(count > 0 for count in report.checks.values())
         # detection latency bounded for every real (noted) failure
         for event in dep.controller.failures:

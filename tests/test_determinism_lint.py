@@ -134,7 +134,7 @@ class TestViolationsCaught:
         """Place the snippet under a repro/<package>/ directory so the
         rules scoped to that package apply."""
         directory = tmp_path / "repro" / package
-        directory.mkdir(parents=True)
+        directory.mkdir(parents=True, exist_ok=True)
         target = directory / "snippet.py"
         target.write_text(source)
         return lint.lint_file(str(target))
@@ -257,11 +257,14 @@ class TestViolationsCaught:
         assert self._lint_source(tmp_path, source) == []
         assert self._lint_packaged_source(tmp_path, "obs", source) == []
 
-    @pytest.mark.parametrize("package", ["core", "protocols", "chaos", "nf"])
+    @pytest.mark.parametrize(
+        "package", ["core", "protocols", "chaos", "nf", "net", "switch"]
+    )
     @pytest.mark.parametrize(
         "source",
         [
-            "from repro.obs.metrics import NULL_REGISTRY\n",
+            "from repro.obs.metrics import MetricsRegistry\n",
+            "from repro.obs.metrics import Histogram, Counter\n",
             "from repro.obs.flightrec import FlightRecorder\n",
             "import repro.obs.accessprof\n",
             "from repro.obs import SLOMonitor\n",
@@ -292,12 +295,21 @@ class TestViolationsCaught:
     def test_spine_and_annotation_imports_allowed(self, tmp_path, source):
         assert self._lint_packaged_source(tmp_path, "protocols", source) == []
 
+    def test_dataplane_may_keep_a_histogram_value_and_nothing_else(self, tmp_path):
+        """A device owns the ``Histogram`` a registry folds; the type is
+        the one ``repro.obs.metrics`` name ``net`` / ``switch`` may import."""
+        source = "from repro.obs.metrics import Histogram\n"
+        for package in ("net", "switch"):
+            assert self._lint_packaged_source(tmp_path, package, source) == []
+            for other in ("from repro.obs import Histogram\n", "import repro.obs.metrics\n"):
+                assert len(self._lint_packaged_source(tmp_path, package, other)) == 1
+        assert len(self._lint_packaged_source(tmp_path, "core", source)) == 1
+
     def test_sink_import_outside_the_protocol_layer_not_flagged(self, tmp_path):
-        """Scoped: the dataplane keeps bound instruments (``bind_metrics``)
-        and analysis, benchmarks and tests build sinks freely."""
-        source = "from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY\n"
+        """Scoped: analysis, benchmarks and tests build sinks freely."""
+        source = "from repro.obs.metrics import MetricsRegistry, Counter\n"
         assert self._lint_source(tmp_path, source) == []
-        for package in ("switch", "net", "obs", "analysis"):
+        for package in ("obs", "analysis", "sim"):
             assert self._lint_packaged_source(tmp_path, package, source) == []
 
     def test_exempt_module_skipped(self):

@@ -34,6 +34,31 @@ class TestDesignDocIndex:
         for path in sorted(on_disk):
             assert path in design, f"{path} missing from DESIGN.md's index"
 
+    def test_layout_block_matches_the_source_tree(self):
+        """DESIGN.md section 2: every file it names exists and every
+        module of every ``src/repro`` package is named."""
+        section = read("DESIGN.md").split("## 2. Repository layout")[1]
+        block = section.split("```")[1].split("\ntests/")[0]
+        listed, package = set(), ""
+        for line in block.splitlines():
+            entry = line.split("#")[0]
+            directory = re.match(r"  (\w+)/", entry)
+            if directory:
+                package = directory.group(1) + "/"
+            elif re.match(r"  \w", entry):  # a module of src/repro itself
+                package = ""
+            listed.update(package + name for name in re.findall(r"\w+\.py", entry))
+        source = REPO_ROOT / "src" / "repro"
+        for path in sorted(listed):
+            assert (source / path).exists(), f"DESIGN.md lists missing src/repro/{path}"
+        on_disk = {
+            str(p.relative_to(source))
+            for pattern in ("*.py", "*/*.py")
+            for p in source.glob(pattern)
+            if p.name != "__init__.py"
+        }
+        assert on_disk - listed == set(), "modules missing from DESIGN.md's layout"
+
     def test_experiments_doc_covers_every_experiment_id(self):
         design = read("DESIGN.md")
         experiments = read("EXPERIMENTS.md")

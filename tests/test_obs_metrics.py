@@ -1,7 +1,7 @@
 """Tests for the observability layer: metric instruments, the registry
-(snapshot / merge / JSONL export), the no-op null registry, the sim
-profiler, and agreement between a live
-metrics snapshot and the chaos invariant suite's verdicts."""
+(snapshot / merge / JSONL export, pulled sources), the simulator's
+profiler hook, and agreement between a live metrics snapshot and the
+chaos invariant suite's verdicts."""
 
 from __future__ import annotations
 
@@ -14,15 +14,10 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
     load_jsonl,
     registry_from_records,
 )
 from repro.obs.dashboard import render_registry
-from repro.obs.profiler import SimProfiler
 from repro.sim.engine import Simulator
 
 
@@ -206,73 +201,60 @@ class TestRegistry:
         assert "sro.write_commit_latency_seconds" in text
 
 
-class TestNullRegistry:
-    def test_factories_return_shared_singletons(self):
-        assert NULL_REGISTRY.counter("anything", "s0") is NULL_COUNTER
-        assert NULL_REGISTRY.gauge("anything") is NULL_GAUGE
-        assert NULL_REGISTRY.histogram("anything") is NULL_HISTOGRAM
-        assert not NULL_REGISTRY.enabled
+class TestSources:
+    """``add_source``: devices count, the registry reads."""
 
-    def test_null_instruments_record_nothing(self):
-        NULL_COUNTER.inc(100)
-        NULL_GAUGE.set(100)
-        NULL_HISTOGRAM.observe(100.0)
-        assert NULL_COUNTER.value == 0
-        assert (NULL_GAUGE.value, NULL_GAUGE.max_value) == (0, 0)
-        assert NULL_HISTOGRAM.count == 0
+    def test_every_read_folds_the_source_in_and_none_accumulates(self, tmp_path):
+        device = {"packets": 3}
+        reg = MetricsRegistry()
+        reg.counter("pushed", "s0").inc(7)
+        reg.add_source(lambda into: into.counter("pulled", "s0").inc(device["packets"]))
+        assert len(reg) == 2
+        assert reg.value("counter", "pulled", "s0") == 3
+        device["packets"] = 5
+        assert reg.get("counter", "pulled", "s0").value == 5
+        assert [i.value for i in reg.instruments()] == [5, 7]
+        assert reg.snapshot()["counters"][0]["value"] == 5
+        path = str(tmp_path / "m.jsonl")
+        assert reg.write_jsonl(path) == 2
+        assert load_jsonl(path)[0]["value"] == 5
+        assert MetricsRegistry().merge(reg).value("counter", "pulled", "s0") == 5
+        assert reg.value("counter", "pushed", "s0") == 7
 
-    def test_null_registry_stays_empty(self):
-        NULL_REGISTRY.counter("x", "s0")
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": [], "gauges": [], "histograms": []
-        }
+    def test_sources_reporting_one_instrument_add_into_it(self):
+        reg = MetricsRegistry()
+        for world in (2, 40):
+            def read(into, world=world):
+                into.counter("link.packets_sent", "a->b").inc(world)
+                into.gauge("depth", "s0").set(world)
+                into.histogram("wait", "s0").observe(world * 1e-6)
+            reg.add_source(read)
+        assert reg.value("counter", "link.packets_sent", "a->b") == 42
+        gauge = reg.get("gauge", "depth", "s0")
+        assert (gauge.value, gauge.max_value) == (40, 40)
+        assert reg.get("histogram", "wait", "s0").count == 2
 
+    def test_registering_a_source_twice_reads_it_once(self):
+        reg = MetricsRegistry()
 
-class _FakeClock:
-    """Deterministic clock: each reading advances by ``tick``."""
+        def read(into):
+            into.counter("pulled").inc(1)
 
-    def __init__(self, tick: float = 0.5) -> None:
-        self.now = 0.0
-        self.tick = tick
-
-    def __call__(self) -> float:
-        value = self.now
-        self.now += self.tick
-        return value
+        reg.add_source(read)
+        reg.add_source(read)
+        assert reg.value("counter", "pulled") == 1
 
 
 class TestProfiler:
-    def test_attributes_wall_time_to_labels(self):
-        sim = Simulator()
-        profiler = SimProfiler(clock=_FakeClock()).install(sim)
-        assert sim.profiler is profiler
-
-        def unlabeled() -> None:
-            pass
-
-        sim.schedule(1e-6, lambda: None, label="tick")
-        sim.schedule(2e-6, lambda: None, label="tick")
-        sim.schedule(3e-6, unlabeled)
-        sim.run()
-        assert profiler.events_profiled == 3
-        # the fake clock makes every dispatch cost exactly one tick
-        tick = profiler.stats("tick")
-        assert tick.events == 2
-        assert tick.wall_seconds == pytest.approx(1.0)
-        assert tick.mean_seconds == pytest.approx(0.5)
-        # unlabeled events fall back to the callback's qualified name
-        assert profiler.stats(unlabeled.__qualname__).events == 1
-        assert profiler.top(1)[0].label == "tick"
-        assert "tick" in profiler.report()
-        profiler.uninstall(sim)
-        assert sim.profiler is None
-
     def test_sim_runs_identically_with_profiler(self):
+        class Passthrough:
+            def dispatch(self, event):
+                event.callback(*event.args)
+
         def run(profiled: bool) -> list:
             sim = Simulator()
             if profiled:
-                SimProfiler(clock=_FakeClock()).install(sim)
+                sim.profiler = Passthrough()
             order = []
             sim.schedule(2e-6, lambda: order.append("b"))
             sim.schedule(1e-6, lambda: order.append("a"))

@@ -19,6 +19,8 @@ import pytest
 from repro.chaos import InvariantSuite, LeaderKiller
 from repro.core.manager import Decision, PacketContext
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
+from repro.net.endhost import EndHost
+from repro.net.packet import make_tcp_packet
 from repro.nf.base import NetworkFunction
 from repro.nf.heavyhitter import HeavyHitterNF
 from repro.obs import AccessProfiler, ConsistencyAdvisor, FlightRecorder, SLOMonitor
@@ -521,3 +523,85 @@ class TestRebindObservability:
         # and the traffic that followed reached the other two sinks
         assert profiler.groups[dep.spec_by_name("meter_usage").group_id].writes > 0
         assert monitor.samples > 0
+
+    # -- the dataplane counts once: devices own the counters, the
+    # -- registry reads them (lifetime totals, read at snapshot time)
+
+    #: pulled counter -> the ``stats`` field of the device it is read from
+    DEVICE_FIELD = {
+        "switch.rx_packets": "rx_packets",
+        "switch.tx_packets": "tx_packets",
+        "switch.dropped_packets": "dropped_packets",
+        "switch.punted_packets": "punted_packets",
+        "switch.queue_drops": "queue_drops",
+        "link.packets_sent": "packets_sent",
+        "link.bytes_sent": "bytes_sent",
+        "link.drops": "packets_dropped",
+        "link.busy_seconds": "busy_seconds",
+    }
+
+    @staticmethod
+    def _channels(world):
+        return {
+            f"{channel.src.name}->{channel.dst.name}": channel
+            for link in world.topo.links
+            for channel in (link.ab, link.ba)
+        }
+
+    def test_registry_attached_mid_run_reads_the_devices_lifetime_totals(self):
+        world = _meter_world(seed=2100)  # 20 flows before anyone watches
+        dep = world.deployment
+        registry = MetricsRegistry()
+        dep.rebind_observability(metrics=registry)
+        _drive(world, flows=8)
+        devices = {switch.name: switch for switch in dep.switches}
+        devices.update(self._channels(world))
+        dataplane = [
+            i for i in registry.instruments()
+            if i.kind == "counter" and i.name.split(".")[0] in ("link", "switch")
+        ]
+        assert len(dataplane) == 5 * len(dep.switches) + 4 * len(self._channels(world))
+        for instrument in dataplane:
+            owned = getattr(devices[instrument.node].stats, self.DEVICE_FIELD[instrument.name])
+            assert instrument.value == owned, (instrument.name, instrument.node)
+        assert sum(i.value for i in dataplane if i.name == "link.packets_sent") > 0
+        assert sum(i.value for i in dataplane if i.name == "switch.rx_packets") > 0
+
+    def test_link_connected_after_the_deployment_is_in_the_snapshot(self):
+        registry = MetricsRegistry()
+        world = build_nf_world(seed=5, metrics=registry)
+        late = world.topo.add_node(EndHost("late", world.sim, "10.9.9.9", world.book))
+        world.topo.connect("late", world.ingress.name)
+        for _ in range(3):
+            late.inject(make_tcp_packet("10.9.9.9", world.server_ips()[0], 1, 2))
+        world.sim.run(until=world.sim.now + 1e-3)
+        sent = {
+            c["node"]: c["value"]
+            for c in registry.snapshot()["counters"]
+            if c["name"] == "link.packets_sent"
+        }
+        assert sent[f"late->{world.ingress.name}"] == 3
+
+    def test_worlds_sharing_one_registry_report_their_sum(self):
+        registry = MetricsRegistry()
+        worlds = [build_nf_world(seed=seed, metrics=registry) for seed in (5, 6)]
+        for world, flows in zip(worlds, (4, 9)):
+            world.deployment.install_nf(MeterSroNF)
+            _drive(world, flows=flows)
+        for node, channel in self._channels(worlds[0]).items():
+            twin = self._channels(worlds[1])[node]
+            for name in ("link.packets_sent", "link.bytes_sent", "link.drops"):
+                field = self.DEVICE_FIELD[name]
+                assert registry.value("counter", name, node) == (
+                    getattr(channel.stats, field) + getattr(twin.stats, field)
+                ), (name, node)
+        totals = [
+            sum(c.stats.packets_sent for c in self._channels(world).values())
+            for world in worlds
+        ]
+        assert 0 < totals[0] != totals[1] > 0  # two different worlds, both busy
+        # reading again does not add the worlds in a second time
+        assert sum(
+            c["value"] for c in registry.snapshot()["counters"]
+            if c["name"] == "link.packets_sent"
+        ) == sum(totals)

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.manager import SwiShmemDeployment
 from repro.net.endhost import AddressBook, EndHost
 from repro.net.multicast import MulticastRegistry
 from repro.net.packet import Packet, make_tcp_packet
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology, build_full_mesh
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -292,6 +294,25 @@ class TestServiceRate:
         sim.run()
         assert switch.stats.queue_drops == 7
         assert len(host_b.received) == 3
+
+    def test_failing_a_switch_empties_the_queue_depth_gauge(self):
+        sim = Simulator()
+        topo = Topology(sim, SeededRng(1))
+        book = AddressBook()
+        switch = topo.add_node(PisaSwitch("s0", sim, pipeline_rate_pps=10.0))
+        host_a = topo.add_node(EndHost("a", sim, "10.0.0.1", book))
+        topo.connect("a", "s0")
+        registry = MetricsRegistry()
+        SwiShmemDeployment(sim, topo, [switch], address_book=book, metrics=registry)
+        for _ in range(10):
+            host_a.inject(make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2))
+        sim.run(until=1e-3)  # all ten queued; the first service slot is at 100 ms
+        depth = registry.get("gauge", "switch.queue_depth", "s0")
+        assert (depth.value, depth.max_value) == (10, 10)
+        switch.fail()
+        depth = registry.get("gauge", "switch.queue_depth", "s0")
+        assert (depth.value, depth.max_value) == (0, 10)
+        assert switch.queue_depth == 0 and switch.queue_high_water == 10
 
 
 class TestPacketGenerator:

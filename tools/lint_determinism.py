@@ -32,9 +32,8 @@ This lint walks the AST of every Python file and flags:
   and ``datetime.now()`` / ``utcnow()`` / ``today()``.  The
   observability layer feeds replay digests and committed benchmark
   sidecars, so its outputs must be pure functions of sim time carried
-  by the caller.  ``time.perf_counter`` stays allowed: it is the sim
-  profiler's host-cost clock, measuring the harness rather than the
-  simulation.
+  by the caller.  ``time.perf_counter`` stays allowed: it is a
+  host-cost clock, measuring the harness rather than the simulation.
 
 * also inside ``src/repro/obs/`` only: float accumulation via ``sum()``
   over unordered dict iteration — ``sum(d.values())``,
@@ -53,15 +52,20 @@ This lint walks the AST of every Python file and flags:
   copy.  Copy the levels the code assigns to and share the immutable
   values below them (see the copy contract in ``repro/net/packet.py``).
 
-* inside ``src/repro/{core,protocols,chaos,nf}`` only: any import of an
-  observability sink — the modules ``repro.obs.metrics``, ``flightrec``,
-  ``accessprof`` and ``slo``, or their classes through ``repro.obs`` —
-  outside an ``if TYPE_CHECKING:`` block.  Protocol code reports each
-  step with one ``obs.emit(...)`` (``repro/obs/spine.py``) and only the
-  spine calls sinks; a second path into a sink is how a late-attached
-  sink gets missed.  Annotations may name the classes, and recorded
-  data is read off ``deployment.flight_recorder`` and friends
-  (``render_timeline``, ``snapshot``) without importing anything.
+* inside ``src/repro/{core,protocols,chaos,nf,net,switch}`` only: any
+  import of an observability sink — the modules ``repro.obs.metrics``,
+  ``flightrec``, ``accessprof`` and ``slo``, or their classes through
+  ``repro.obs`` — outside an ``if TYPE_CHECKING:`` block.  Protocol
+  code reports each step with one ``obs.emit(...)``
+  (``repro/obs/spine.py``) and only the spine calls sinks; the
+  dataplane (``net``, ``switch``) counts on the device and a registry
+  reads it (``MetricsRegistry.add_source``).  A second path into a
+  sink is how a late-attached sink gets missed.  Annotations may name
+  the classes, recorded data is read off ``deployment.flight_recorder``
+  and friends (``render_timeline``, ``snapshot``) without importing
+  anything, and ``net`` / ``switch`` may import the one value type a
+  device keeps for the registry to fold,
+  ``from repro.obs.metrics import Histogram``.
 
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
@@ -102,12 +106,14 @@ WALLCLOCK_TIME_ATTRS = frozenset({"time", "time_ns"})
 #: Wall-clock constructors on ``datetime``/``date`` classes.
 WALLCLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
+def _package_scopes(*packages: str) -> Tuple[str, ...]:
+    """The path fragments of ``src/repro/<package>/``."""
+    return tuple(os.path.join("repro", package) + os.sep for package in packages)
+
+
 #: ``copy.deepcopy`` is forbidden under these path fragments: the
 #: packages on the per-packet path.
-DEEPCOPY_SCOPES = tuple(
-    os.path.join("repro", package) + os.sep
-    for package in ("sim", "net", "switch", "core", "protocols")
-)
+DEEPCOPY_SCOPES = _package_scopes("sim", "net", "switch", "core", "protocols")
 
 DEEPCOPY_MESSAGE = (
     "copy.deepcopy on the per-packet path walks every object a packet "
@@ -116,11 +122,13 @@ DEEPCOPY_MESSAGE = (
 )
 
 #: Direct sink imports are forbidden under these path fragments: the
-#: packages that report through the observability spine.
-SINK_SCOPES = tuple(
-    os.path.join("repro", package) + os.sep
-    for package in ("core", "protocols", "chaos", "nf")
-)
+#: packages that report through the observability spine, and the
+#: dataplane, whose devices count for a registry to read.
+SINK_SCOPES = _package_scopes("core", "protocols", "chaos", "nf", "net", "switch")
+
+#: ... of which the dataplane may ``from repro.obs.metrics import
+#: Histogram``: the value type behind ``switch.queue_wait_seconds``.
+VALUE_TYPE_SCOPES = _package_scopes("net", "switch")
 
 SINK_MODULES = frozenset(
     f"repro.obs.{module}" for module in ("metrics", "flightrec", "accessprof", "slo")
@@ -128,15 +136,17 @@ SINK_MODULES = frozenset(
 
 #: The sinks' classes and singletons as ``repro.obs`` re-exports them.
 SINK_NAMES = frozenset({
-    "MetricsRegistry", "NullRegistry", "NULL_REGISTRY", "Counter", "Gauge",
+    "MetricsRegistry", "Counter", "Gauge",
     "Histogram", "FlightRecorder", "AccessProfiler", "SLOMonitor",
     "metrics", "flightrec", "accessprof", "slo",
 })
 
 SINK_MESSAGE = (
-    "imports an observability sink into the protocol layer; report the "
-    "step with obs.emit(...) and add its rule to repro/obs/events.py "
-    "(import under `if TYPE_CHECKING:` for annotations only)"
+    "imports an observability sink below the spine; protocol code "
+    "reports the step with obs.emit(...) and a rule in "
+    "repro/obs/events.py, a device counts in its own stats for "
+    "MetricsRegistry.add_source to read (import under "
+    "`if TYPE_CHECKING:` for annotations only)"
 )
 
 Violation = Tuple[str, int, str]
@@ -149,6 +159,7 @@ class _RandomUseVisitor(ast.NodeVisitor):
         check_wallclock: bool = False,
         check_deepcopy: bool = False,
         check_sinks: bool = False,
+        histogram_ok: bool = False,
     ) -> None:
         self.path = path
         # One flag gates both obs-scope checks: wall-clock reads and
@@ -156,6 +167,7 @@ class _RandomUseVisitor(ast.NodeVisitor):
         self.check_wallclock = check_wallclock
         self.check_deepcopy = check_deepcopy
         self.check_sinks = check_sinks
+        self.histogram_ok = histogram_ok
         #: Depth of enclosing ``if TYPE_CHECKING:`` bodies.
         self.type_checking = 0
         self.copy_aliases: set = set()
@@ -307,6 +319,10 @@ class _RandomUseVisitor(ast.NodeVisitor):
                 node.module == "repro.obs"
                 and any(alias.name in SINK_NAMES for alias in node.names)
             )
+        ) and not (
+            self.histogram_ok
+            and node.module == "repro.obs.metrics"
+            and [alias.name for alias in node.names] == ["Histogram"]
         ):
             self._sink_import(node)
         if node.module == "random" and node.level == 0:
@@ -411,6 +427,7 @@ def lint_file(path: str) -> List[Violation]:
         check_wallclock=WALLCLOCK_SCOPE in normalized,
         check_deepcopy=any(scope in normalized for scope in DEEPCOPY_SCOPES),
         check_sinks=any(scope in normalized for scope in SINK_SCOPES),
+        histogram_ok=any(scope in normalized for scope in VALUE_TYPE_SCOPES),
     )
     visitor.visit(tree)
     return visitor.violations
