@@ -87,7 +87,7 @@ def run_point(n_switches: int, partial: bool, seed: int = 91) -> DirectoryResult
     replication_bytes = topo.total_bytes_sent() - start_bytes
     # replica copies actually materialized (memory proxy)
     copies = sum(
-        len(manager.ewo.groups[spec.group_id].vectors)
+        len(manager.ewo.groups[spec.group_id].cells)
         for manager in deployment.managers.values()
     )
     # convergence check on each key's replica set

@@ -90,7 +90,7 @@ def run_point(sync_period: float, seed: int = 12) -> EwoFailoverResult:
     survivor_value = states[0].get("k", 0)
     # the dead writer's own slot must have survived on its peers
     writer_slot_preserved = all(
-        manager.ewo.groups[spec.group_id].vector_for("k")[1] == 20
+        manager.ewo.groups[spec.group_id].cell_for("k").vector()[1] == 20
         for name, manager in deployment.managers.items()
         if name != "s1" and not manager.switch.failed
     )

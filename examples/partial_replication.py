@@ -65,7 +65,7 @@ def run(partial: bool):
     sim.run(until=20e-3)
     replication_bytes = topo.total_bytes_sent() - start
     copies = sum(
-        len(manager.ewo.groups[spec.group_id].vectors)
+        len(manager.ewo.groups[spec.group_id].cells)
         for manager in deployment.managers.values()
     )
     return deployment, directory, spec, replication_bytes, copies

@@ -16,8 +16,9 @@ for Programmable Switches* (Zeno, Ports, Nelson, Silberstein — HotNets
 * ``repro.protocols`` — the replication protocols: chain replication
   with pending bits and control-plane write buffering, CRAQ-style read
   forwarding, EWO broadcast + periodic sync, failover and recovery;
-* ``repro.crdt`` / ``repro.sketch`` — CRDTs (G/PN counters, LWW,
-  OR-Set) and sketches (count-min, Bloom, heavy hitters);
+* ``repro.crdt`` / ``repro.sketch`` — the CRDT cells the EWO engine
+  stores (G-Counter, LWW register, OR-Set) and sketches (count-min,
+  Bloom, heavy hitters);
 * ``repro.nf`` — the six Table 1 network functions;
 * ``repro.workload`` — deterministic traffic generation;
 * ``repro.analysis`` — history recording, a linearizability checker,
@@ -64,7 +65,7 @@ from repro.core import (
     SwiShmemManager,
     distribute,
 )
-from repro.crdt import GCounter, LwwRegister, ORSet, PNCounter, Timestamp
+from repro.crdt import GCounter, LwwRegister, ORSet, Timestamp
 from repro.net import (
     AddressBook,
     EndHost,
@@ -116,7 +117,6 @@ __all__ = [
     "GCounter",
     "LwwRegister",
     "ORSet",
-    "PNCounter",
     "Timestamp",
     "AddressBook",
     "EndHost",

@@ -176,17 +176,16 @@ class FaultInjector:
         elif spec.ewo_mode is EwoMode.COUNTER:
             ewo = manager.ewo.groups[group_id]
             if key is None:
-                live = sorted(ewo.vectors, key=repr)
+                live = sorted(ewo.cells, key=repr)
                 key = stream.choice(live) if live else None
-            vector = ewo.vectors.get(key) if key is not None else None
-            # Corrupt a *peer* slot (never our own: local increments
-            # build on the local slot, and must stay truthful), and only
-            # downward — the true value re-wins the max-merge.
-            slots = (
-                [s for s, v in enumerate(vector) if v > 0 and s != ewo.my_slot]
-                if vector is not None
-                else []
-            )
+            cell = ewo.cells.get(key) if key is not None else None
+            # A bit flip lands beneath the CRDT's API: reach for the
+            # GCounter's raw vector.  Corrupt a *peer* slot (never our
+            # own: local increments build on the local slot, and must
+            # stay truthful), and only downward — the true value re-wins
+            # the max-merge.
+            vector = cell._vector if cell is not None else []
+            slots = [s for s, v in enumerate(vector) if v > 0 and s != ewo.my_slot]
             if not slots:
                 self._record("corrupt-noop", f"{name} group {group_id} (empty)")
                 return
@@ -196,16 +195,13 @@ class FaultInjector:
         elif spec.ewo_mode is EwoMode.LWW:
             ewo = manager.ewo.groups[group_id]
             if key is None:
-                live = sorted(
-                    (k for k, c in ewo.cells.items() if c.version.node_id >= 0),
-                    key=repr,
-                )
+                live = sorted((k for k, c in ewo.cells.items() if c.written), key=repr)
                 key = stream.choice(live) if live else None
             cell = ewo.cells.get(key) if key is not None else None
-            if cell is None or cell.version.node_id < 0:
+            if cell is None or not cell.written:
                 self._record("corrupt-noop", f"{name} group {group_id} (empty)")
                 return
-            cell._value = self._flip_value(cell.value, stream)
+            cell._value = self._flip_value(cell._value, stream)
             detail = f"{name} group {group_id} key {key!r} (lww)"
         else:
             raise ValueError("corrupt_register does not support OR-Set groups")

@@ -314,7 +314,7 @@ class InvariantSuite:
                 state = manager.ewo.groups.get(gid)
                 if state is None:
                     continue
-                for key, vector in state.vectors.items():
+                for key, vector in state.canonical_items():
                     best = merged.setdefault(key, [0] * len(vector))
                     if len(best) < len(vector):
                         best.extend([0] * (len(vector) - len(best)))

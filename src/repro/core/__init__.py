@@ -9,12 +9,6 @@ from repro.core.manager import (
     SwiShmemDeployment,
     SwiShmemManager,
 )
-from repro.core.merge import (
-    is_mergeable,
-    merge_counter_vectors,
-    merge_last_writer_wins,
-    merge_value,
-)
 from repro.core.pending import PendingTable, stable_slot_hash
 from repro.core.registers import (
     Consistency,
@@ -37,10 +31,6 @@ __all__ = [
     "PacketContext",
     "SwiShmemDeployment",
     "SwiShmemManager",
-    "is_mergeable",
-    "merge_counter_vectors",
-    "merge_last_writer_wins",
-    "merge_value",
     "PendingTable",
     "stable_slot_hash",
     "Consistency",

@@ -347,19 +347,12 @@ class SwiShmemManager:
                 self._start_ewo_sync(group_id)
         elif current is Consistency.EWO:
             # Promotion: broadcast replica -> chain replica, seeded with
-            # the merged LWW state.  Seed seqs are assigned per slot in
-            # sorted-key order, so every member lands identical
-            # (store, applied_seq) state.
+            # the merged LWW state.
             self._stop_ewo_sync(group_id)
             self.ewo.remove_group(group_id)
             state = self.sro.add_group(spec, payload["chain"])
             state.track_pending = target is Consistency.SRO
-            seq_by_slot: Dict[int, int] = {}
-            for key, value in payload["seed"]:
-                slot = state.pending.slot_of(key)
-                seq = seq_by_slot.get(slot, 0) + 1
-                seq_by_slot[slot] = seq
-                self.sro.apply_snapshot_write(key, value, slot, seq, group_id)
+            self.sro.seed_group(group_id, payload["seed"])
         else:
             # SRO <-> ERO: same chain engine, flip pending-bit tracking.
             self.sro.set_track_pending(group_id, target is Consistency.SRO)
@@ -597,11 +590,6 @@ class SwiShmemManager:
 
     def register_increment(self, spec: RegisterSpec, key: Any, amount: int) -> int:
         self._note_write()
-        if self.level_of(spec) is not Consistency.EWO:
-            raise TypeError(
-                f"increment() requires an EWO counter group; {spec.name!r} is "
-                f"{spec.consistency.value} (strong registers have overwrite semantics)"
-            )
         value = self.ewo.increment(spec, key, amount)
         history = self.deployment.history
         if history is not None:

@@ -51,6 +51,11 @@ class PendingTable:
         self.name = name
         self.slots = slots
         budget.allocate(f"pending:{name}", slots * _SLOT_BYTES)
+        self.reset()
+
+    def reset(self) -> None:
+        """Every slot back to its power-on state (also a wiped restart)."""
+        slots = self.slots
         self._next_seq: List[int] = [0] * slots
         self._applied_seq: List[int] = [0] * slots
         self._pending: List[bool] = [False] * slots

@@ -6,16 +6,13 @@ write request.  The timestamp can be a Lamport clock or a realtime
 clock, which can be synchronized among the switches down to tens of
 nanoseconds."
 
-Three clock types are provided:
+The engine runs on one clock type, :class:`HybridClock`: a per-switch
+physical clock with a bounded, seeded offset from true simulation time
+(modeling DPTP-style data-plane time sync, tens of nanoseconds of skew)
+plus a logical component that guarantees strict monotonicity even under
+that skew.
 
-* :class:`LamportClock` — the classic logical clock;
-* :class:`SynchronizedClock` — a per-switch physical clock with a
-  bounded, seeded offset from true simulation time, modeling DPTP-style
-  data-plane time sync (tens of nanoseconds of skew);
-* :class:`HybridClock` — physical time plus a logical component that
-  guarantees strict monotonicity even under clock skew.
-
-All produce :class:`Timestamp` values totally ordered by
+It produces :class:`Timestamp` values totally ordered by
 ``(time, logical, node_id)`` — the node id is the paper's switch-ID tie
 breaker.
 """
@@ -25,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["Timestamp", "LamportClock", "SynchronizedClock", "HybridClock"]
+__all__ = ["Timestamp", "HybridClock"]
 
 
 @dataclass(frozen=True, order=True)
@@ -41,45 +38,6 @@ class Timestamp:
 
     def __str__(self) -> str:
         return f"{self.time * 1e6:.3f}us/{self.logical}@{self.node_id}"
-
-
-class LamportClock:
-    """Classic Lamport logical clock, one per switch."""
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self._counter = 0
-
-    def now(self) -> Timestamp:
-        """Tick and return a fresh local timestamp."""
-        self._counter += 1
-        return Timestamp(0.0, self._counter, self.node_id)
-
-    def witness(self, remote: Timestamp) -> None:
-        """Advance past a timestamp observed on a received message."""
-        self._counter = max(self._counter, remote.logical)
-
-
-class SynchronizedClock:
-    """A physical clock with bounded offset from true time.
-
-    ``read_true_time`` is usually ``lambda: sim.now``; ``offset`` is the
-    fixed per-switch skew (drawn once from the seeded RNG within the
-    sync bound, e.g. +/- 50 ns for DPTP-class synchronization).
-    """
-
-    def __init__(
-        self,
-        node_id: int,
-        read_true_time: Callable[[], float],
-        offset: float = 0.0,
-    ) -> None:
-        self.node_id = node_id
-        self._read_true_time = read_true_time
-        self.offset = offset
-
-    def now(self) -> Timestamp:
-        return Timestamp(self._read_true_time() + self.offset, 0, self.node_id)
 
 
 class HybridClock:

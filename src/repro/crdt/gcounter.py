@@ -15,13 +15,16 @@ element for memory and message accounting.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 __all__ = ["GCounter"]
 
 
 class GCounter:
-    """State-based grow-only counter over a fixed replica group."""
+    """State-based grow-only counter over a fixed replica group (an EWO
+    cell: see ``repro.crdt`` for the four shared methods)."""
+
+    __slots__ = ("num_replicas", "my_slot", "slot_width_bytes", "_vector")
 
     def __init__(self, num_replicas: int, my_slot: int, slot_width_bytes: int = 8) -> None:
         if num_replicas <= 0:
@@ -34,55 +37,55 @@ class GCounter:
         self._vector: List[int] = [0] * num_replicas
 
     # ------------------------------------------------------------------
-    def increment(self, amount: int = 1) -> None:
-        """Add to this replica's own element.  Negative amounts are illegal."""
+    def increment(self, amount: int = 1) -> int:
+        """Add to this replica's own element; returns its new value.
+        Negative amounts are illegal: a peer's max-merge undoes them."""
         if amount < 0:
-            raise ValueError("G-Counter cannot decrement; use PNCounter")
+            raise ValueError(f"a grow-only counter cannot decrement (got {amount})")
         self._vector[self.my_slot] += amount
+        return self._vector[self.my_slot]
 
-    def value(self) -> int:
+    def read(self) -> int:
         """The counter's value: the sum of all elements."""
         return sum(self._vector)
 
-    def local_value(self) -> int:
-        """This replica's own contribution."""
-        return self._vector[self.my_slot]
+    value = read
 
     # ------------------------------------------------------------------
-    def merge(self, other_vector: Iterable[int]) -> bool:
-        """Element-wise max merge.  Returns True if any element advanced."""
-        changed = False
-        for index, remote in enumerate(other_vector):
-            if index >= self.num_replicas:
-                raise ValueError("merge vector longer than replica group")
-            if remote > self._vector[index]:
-                self._vector[index] = remote
-                changed = True
-        return changed
-
-    def vector(self) -> List[int]:
-        """A copy of the state vector (what goes on the wire)."""
-        return list(self._vector)
-
-    def apply_slot(self, slot: int, value: int) -> bool:
-        """Merge a single remote element (incremental EWO_UPDATE)."""
-        if not 0 <= slot < self.num_replicas:
-            raise ValueError(f"slot {slot} out of range")
+    def apply(self, slot: int, value: int) -> bool:
+        """Merge one remote element; True if it advanced.  A slot that
+        is not an index into this replica group is a ValueError."""
+        if not isinstance(slot, int) or not 0 <= slot < self.num_replicas:
+            raise ValueError(f"slot {slot!r} out of range for group of {self.num_replicas}")
         if value > self._vector[slot]:
             self._vector[slot] = value
             return True
         return False
+
+    def merge(self, other_vector: Iterable[int]) -> bool:
+        """Element-wise max merge.  Returns True if any element advanced."""
+        changed = False
+        for slot, remote in enumerate(other_vector):
+            changed = self.apply(slot, remote) or changed
+        return changed
+
+    def entries(self) -> List[Tuple[int, int]]:
+        """Full state as wire entries: every non-zero slot, ascending."""
+        return [(slot, value) for slot, value in enumerate(self._vector) if value]
+
+    def vector(self) -> List[int]:
+        """A copy of the state vector."""
+        return list(self._vector)
+
+    def canonical(self) -> Tuple[int, ...]:
+        """Immutable form for digesting: the vector, frozen."""
+        return tuple(self._vector)
 
     # ------------------------------------------------------------------
     @property
     def state_bytes(self) -> int:
         """In-switch footprint of the full vector."""
         return self.num_replicas * self.slot_width_bytes
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GCounter):
-            return NotImplemented
-        return self._vector == other._vector
 
     def __repr__(self) -> str:
         return f"<GCounter slot={self.my_slot} value={self.value()} vec={self._vector}>"

@@ -13,17 +13,19 @@ experiments measure exactly that window.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List, Optional, Tuple
 
 from repro.crdt.clock import Timestamp
 
 __all__ = ["LwwRegister"]
 
+#: Below every real stamp, under a node id no switch has (``written``).
 _ZERO = Timestamp(float("-inf"), 0, -1)
 
 
 class LwwRegister:
-    """A single last-writer-wins cell: (value, version)."""
+    """A single last-writer-wins cell: (value, version) — an EWO cell
+    (see ``repro.crdt`` for the four shared methods)."""
 
     __slots__ = ("_value", "_version")
 
@@ -32,12 +34,13 @@ class LwwRegister:
         self._version: Timestamp = _ZERO
 
     @property
-    def value(self) -> Any:
-        return self._value
+    def written(self) -> bool:
+        """Whether any write, local or merged, ever landed here; until
+        then the cell is not gossiped, digested or promoted."""
+        return self._version.node_id >= 0
 
-    @property
-    def version(self) -> Timestamp:
-        return self._version
+    def read(self) -> Any:
+        return self._value
 
     def write(self, value: Any, version: Timestamp) -> None:
         """Local write: the caller supplies a fresh clock stamp."""
@@ -49,9 +52,9 @@ class LwwRegister:
         self._value = value
         self._version = version
 
-    def merge(self, value: Any, version: Timestamp) -> bool:
-        """Remote merge: accept newer versions; break value ties on equal
-        versions deterministically.
+    def apply(self, version: Timestamp, value: Any) -> bool:
+        """Merge one wire entry ``(version, value)``: accept newer
+        versions; break value ties on equal versions deterministically.
 
         Returns True when the remote write won.  Equal versions are
         impossible across distinct switches under correct operation
@@ -73,6 +76,14 @@ class LwwRegister:
                 self._value = value
                 return True
         return False
+
+    def entries(self) -> List[Tuple[Timestamp, Any]]:
+        """Full state as wire entries: the one write, once written."""
+        return [(self._version, self._value)] if self.written else []
+
+    def canonical(self) -> Optional[Tuple[Any, Timestamp]]:
+        """Immutable form for digesting; None while never written."""
+        return (self._value, self._version) if self.written else None
 
     def __repr__(self) -> str:
         return f"<LwwRegister {self._value!r} @ {self._version}>"

@@ -17,7 +17,7 @@ register-array budget.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 __all__ = ["ORSet"]
 
@@ -25,7 +25,10 @@ Tag = Tuple[int, int]  # (switch id, per-switch add counter)
 
 
 class ORSet:
-    """State-based observed-remove set."""
+    """State-based observed-remove set (an EWO cell: see ``repro.crdt``
+    for the four shared methods)."""
+
+    __slots__ = ("node_id", "_next_tag", "_adds", "_removes")
 
     #: Estimated on-wire/in-switch bytes per tag: element hash (4) +
     #: switch id (2) + counter (4).
@@ -78,6 +81,20 @@ class ORSet:
         mine.update(tags)
         return len(mine) != before
 
+    def apply(self, version: Tuple[Any, ...], element: Hashable) -> bool:
+        """Merge one wire entry for ``element`` — ``("add", tag)``,
+        ``("rm", tags)`` or the sync form ``("state", add_tags,
+        remove_tags)``; True if any tag was new."""
+        kind = version[0]
+        if kind == "add":
+            return self.apply_add(element, version[1])
+        if kind == "rm":
+            return self.apply_remove(element, version[1])
+        if kind == "state":
+            added = [self.apply_add(element, tag) for tag in version[1]]
+            return self.apply_remove(element, version[2]) or any(added)
+        return False
+
     def element_state(self, element: Hashable) -> Tuple[FrozenSet[Tag], FrozenSet[Tag]]:
         """(add tags, remove tags) for one element — the sync payload."""
         return (
@@ -85,12 +102,26 @@ class ORSet:
             frozenset(self._removes.get(element, ())),
         )
 
-    def known_elements(self) -> Set[Hashable]:
-        """Every element with any tag state, live or tombstoned."""
-        return set(self._adds) | set(self._removes)
+    def entries(self) -> List[Tuple[Tuple[Any, ...], Hashable]]:
+        """Full state as wire entries: one ``("state", ...)`` entry per
+        element with any tag state, live or tombstoned, sorted by ``repr``."""
+        return [
+            (("state", *self.element_state(element)), element)
+            for element in sorted(set(self._adds) | set(self._removes), key=repr)
+        ]
+
+    def canonical(self) -> Tuple[Tuple[Hashable, Tuple[Tag, ...], Tuple[Tag, ...]], ...]:
+        """Immutable form for digesting: the sorted tag listing."""
+        return tuple(
+            (element, tuple(sorted(version[1])), tuple(sorted(version[2])))
+            for version, element in self.entries()
+        )
 
     def elements(self) -> Set[Hashable]:
         return {e for e in self._adds if self._live_tags(e)}
+
+    def read(self) -> FrozenSet[Hashable]:
+        return frozenset(self.elements())
 
     def _live_tags(self, element: Hashable) -> Set[Tag]:
         return self._adds.get(element, set()) - self._removes.get(element, set())
@@ -101,15 +132,10 @@ class ORSet:
         remote_adds, remote_removes = other_state
         changed = False
         for element, tags in remote_adds.items():
-            mine = self._adds.setdefault(element, set())
-            before = len(mine)
-            mine.update(tags)
-            changed = changed or len(mine) != before
+            for tag in tags:
+                changed = self.apply_add(element, tag) or changed
         for element, tags in remote_removes.items():
-            mine = self._removes.setdefault(element, set())
-            before = len(mine)
-            mine.update(tags)
-            changed = changed or len(mine) != before
+            changed = self.apply_remove(element, tags) or changed
         return changed
 
     def state(self) -> Tuple[Dict[Hashable, FrozenSet[Tag]], Dict[Hashable, FrozenSet[Tag]]]:
@@ -126,14 +152,6 @@ class ORSet:
             len(t) for t in self._removes.values()
         )
         return tag_count * self.TAG_BYTES
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ORSet):
-            return NotImplemented
-        return self.state() == other.state()
-
-    def __len__(self) -> int:
-        return len(self.elements())
 
     def __repr__(self) -> str:
         return f"<ORSet node={self.node_id} elements={sorted(map(repr, self.elements()))}>"

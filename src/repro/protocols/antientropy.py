@@ -58,7 +58,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.core.registers import Consistency, DigestTree, EwoMode, RegisterSpec
+from repro.core.registers import Consistency, DigestTree, RegisterSpec
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
 from repro.protocols.messages import (
@@ -186,57 +186,21 @@ class ScrubAgent:
         return tree
 
     def _items(self, group_id: int) -> List[Tuple[Any, Any]]:
-        """Canonical (key, value) pairs for digesting one group.
-
-        Values must be immutable and identical on converged replicas:
-        live lists (counter vectors) are frozen to tuples, LWW cells
-        become (value, version) pairs, OR-Sets become sorted tag
-        listings.  SRO entries fold in the slot's applied sequence
-        number alongside the value: a member whose value matches but
-        whose apply progress has a hole (a dropped apply whose value a
-        later repair restored) would otherwise digest clean while its
-        in-order apply check refuses every subsequent seq — wedging the
-        chain permanently.  Mid-flight skew (head applied, tail not yet)
-        is transient and absorbed by the confirm-rounds requirement.
-        """
+        """Canonical (key, value) pairs for digesting one group: values
+        immutable and identical on converged replicas, as the group's
+        engine state lists them (``canonical_items``)."""
         spec = self.manager.deployment.specs[group_id]
         # Branch on this member's *live* level, not the (possibly
         # rewritten-mid-handoff) spec: a scrub stage can overlap a
         # runtime re-level, and an engine this member no longer runs
         # simply digests as empty — the stage-finish fence aborts the
         # round anyway.
-        if self.manager.level_of(spec) is not Consistency.EWO:
-            state = self.manager.sro.groups.get(group_id)
-            if state is None:
-                return []
-            pending = state.pending
-            return [
-                (key, (value, pending.applied_seq(pending.slot_of(key))))
-                for key, value in state.store.items()
-            ]
-        ewo = self.manager.ewo.groups.get(group_id)
-        if ewo is None:
-            return []
-        if spec.ewo_mode is EwoMode.COUNTER:
-            return [(key, tuple(vector)) for key, vector in ewo.vectors.items()]
-        if spec.ewo_mode is EwoMode.ORSET:
-            items: List[Tuple[Any, Any]] = []
-            for key, orset in ewo.sets.items():
-                elements = tuple(
-                    (
-                        element,
-                        tuple(sorted(orset.element_state(element)[0])),
-                        tuple(sorted(orset.element_state(element)[1])),
-                    )
-                    for element in sorted(orset.known_elements(), key=repr)
-                )
-                items.append((key, elements))
-            return items
-        return [
-            (key, (cell.value, cell.version))
-            for key, cell in ewo.cells.items()
-            if cell.version.node_id >= 0
-        ]
+        if self.manager.level_of(spec) is Consistency.EWO:
+            engine = self.manager.ewo
+        else:
+            engine = self.manager.sro
+        state = engine.groups.get(group_id)
+        return state.canonical_items() if state is not None else []
 
     # ------------------------------------------------------------------
     # Management-plane query handlers (invoked by the coordinator)

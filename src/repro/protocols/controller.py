@@ -922,20 +922,9 @@ class CentralController:
 
     def _wipe_state(self, manager) -> None:
         for state in manager.sro.groups.values():
-            state.store.clear()
-            slots = state.pending.slots
-            state.pending._next_seq = [0] * slots
-            state.pending._applied_seq = [0] * slots
-            state.pending._pending = [False] * slots
-            state.pending._pending_seq = [0] * slots
-            state.dedup.clear()
+            state.wipe()
         for state in manager.ewo.groups.values():
-            state.vectors.clear()
-            if state.cells is not None:
-                state.cells.clear()
-            if state.sets is not None:
-                state.sets.clear()
-            state._pending_entries.clear()
+            state.wipe()
 
     def _is_full_member(self, group_id: int, name: str) -> bool:
         """A member that provably holds every committed write: live and

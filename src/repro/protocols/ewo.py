@@ -10,9 +10,10 @@ replication is asynchronous.
   batched (``ewo_batch_size``), trading bandwidth for staleness
   (experiment A2).
 
-* **Merging** is per the group's mode: last-writer-wins with
-  (timestamp, switch-id) versions, or CRDT counters as a per-switch slot
-  vector with element-wise max merge.
+* **Merging** is per the group's mode and lives in ``repro.crdt``: a
+  replica is a dict of cells — ``LwwRegister`` ((timestamp, switch-id)
+  versions), ``GCounter`` (per-switch slot vector, element-wise max) or
+  ``ORSet`` — picked by ``MERGE_TYPES``; the engine moves wire entries.
 
 * **Periodic synchronization** replaces retransmission: the switch's
   packet generator iterates the register state every ``sync_period`` and
@@ -28,11 +29,12 @@ back and waits one sync round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.registers import EwoMode, RegisterSpec
 from repro.crdt.clock import HybridClock, Timestamp
+from repro.crdt.gcounter import GCounter
 from repro.crdt.lww import LwwRegister
 from repro.crdt.orset import ORSet
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
@@ -42,10 +44,43 @@ from repro.protocols.messages import EwoEntry, EwoSync, EwoUpdate
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import SwiShmemManager
 
-__all__ = ["EwoEngine", "EwoGroupState", "EwoStats"]
+__all__ = ["EwoEngine", "EwoGroupState", "EwoStats", "MERGE_TYPES", "merge_replicas"]
 
 #: Entries per sync packet, keeping sync packets around an MTU.
 SYNC_ENTRIES_PER_PACKET = 48
+
+
+class MergeType(NamedTuple):
+    """What one EWO mode needs: a ``repro.crdt`` cell and its memory
+    cost.  (An absent key reads as an empty cell does.)"""
+
+    #: (spec, replicas, my_slot) -> an empty cell for this replica.
+    new_cell: Callable[[RegisterSpec, int, int], Any]
+    #: (spec, replicas) -> bytes budgeted per key.
+    bytes_per_key: Callable[[RegisterSpec, int], int]
+
+
+#: The single per-mode dispatch: adding a mode is a cell class with the
+#: four cell methods plus one row here.
+MERGE_TYPES: Dict[EwoMode, MergeType] = {
+    EwoMode.LWW: MergeType(
+        lambda spec, replicas, my_slot: LwwRegister(spec.default),
+        lambda spec, replicas: Timestamp.wire_size + spec.value_bytes,
+    ),
+    # "One register array for each switch in the replica group" (paper
+    # section 7): version + value per slot.
+    EwoMode.COUNTER: MergeType(
+        lambda spec, replicas, my_slot: GCounter(replicas, my_slot),
+        lambda spec, replicas: replicas * (4 + spec.value_bytes),
+    ),
+    # The open-question accounting: each element costs add tags (and,
+    # after removal, tombstones).  Budget for value_bytes elements per
+    # key, two tags each (live + tombstone).
+    EwoMode.ORSET: MergeType(
+        lambda spec, replicas, my_slot: ORSet(node_id=my_slot),
+        lambda spec, replicas: spec.value_bytes * 2 * ORSet.TAG_BYTES,
+    ),
+}
 
 
 class EwoStats:
@@ -73,12 +108,10 @@ class EwoStats:
 
 
 class EwoGroupState:
-    """One EWO register group's replica state on one switch.
-
-    Counter mode stores, per key, a vector with one slot per replica —
-    "one register array for each switch in the replica group" (paper
-    section 7).  LWW mode stores (value, version) pairs; packet-
-    processing atomicity lets both be updated in one pass.
+    """One EWO register group's replica state on one switch: a dict of
+    CRDT cells of the group's merge type (``MERGE_TYPES``).  Packet-
+    processing atomicity lets a cell's value and version be updated in
+    one pass.
     """
 
     def __init__(
@@ -101,51 +134,50 @@ class EwoGroupState:
         #: while looking perfectly healthy.
         self.chaos_frozen_until = 0.0
         self.chaos_frozen_drops = 0
-        if spec.ewo_mode is EwoMode.COUNTER:
-            per_key = len(group_members) * (4 + spec.value_bytes)  # version+value per slot
-            budget.allocate(f"ewo-store:{spec.name}", spec.capacity * per_key)
-            self.vectors: Dict[Any, List[int]] = {}
-            self.cells: Optional[Dict[Any, LwwRegister]] = None
-            self.sets: Optional[Dict[Any, ORSet]] = None
-        elif spec.ewo_mode is EwoMode.ORSET:
-            # The open-question accounting: each element costs add tags
-            # (and, after removal, tombstones).  Budget for value_bytes
-            # elements per key, two tags each (live + tombstone).
-            per_key = spec.value_bytes * 2 * ORSet.TAG_BYTES
-            budget.allocate(f"ewo-store:{spec.name}", spec.capacity * per_key)
-            self.vectors = {}
-            self.cells = None
-            self.sets = {}
-        else:
-            per_key = Timestamp.wire_size + spec.value_bytes
-            budget.allocate(f"ewo-store:{spec.name}", spec.capacity * per_key)
-            self.vectors = {}
-            self.cells = {}
-            self.sets = None
+        new_cell, bytes_per_key = MERGE_TYPES[spec.ewo_mode]
+        replicas = len(self.members)
+        budget.allocate(f"ewo-store:{spec.name}", spec.capacity * bytes_per_key(spec, replicas))
+        #: () -> an empty cell of the group's merge type, for this replica.
+        self.new_cell = partial(new_cell, spec, replicas, my_slot)
+        #: key -> cell.  A key gets a cell when a local write, a seed or
+        #: a remote merge (even a stale one) first names it; reads never
+        #: create one.
+        self.cells: Dict[Any, Any] = {}
+        #: What a key with no cell reads as.
+        self.absent = self.new_cell().read()
 
-    # --- counter mode ----------------------------------------------------
-    def vector_for(self, key: Any) -> List[int]:
-        vector = self.vectors.get(key)
-        if vector is None:
-            vector = [0] * len(self.members)
-            self.vectors[key] = vector
-        return vector
-
-    # --- lww mode ----------------------------------------------------
-    def cell_for(self, key: Any) -> LwwRegister:
+    def cell_for(self, key: Any) -> Any:
         cell = self.cells.get(key)
         if cell is None:
-            cell = LwwRegister(self.spec.default)
-            self.cells[key] = cell
+            cell = self.cells[key] = self.new_cell()
         return cell
 
-    # --- orset mode ----------------------------------------------------
-    def set_for(self, key: Any) -> ORSet:
-        orset = self.sets.get(key)
-        if orset is None:
-            orset = ORSet(node_id=self.my_slot)
-            self.sets[key] = orset
-        return orset
+    def wipe(self) -> None:
+        """Lose everything a restarted pipeline loses."""
+        self.cells.clear()
+        self._pending_entries.clear()
+
+    def canonical_items(self) -> List[Tuple[Any, Any]]:
+        """(key, immutable canonical cell form) pairs — identical on
+        converged replicas; what the scrubber digests."""
+        return [
+            (key, form)
+            for key, cell in self.cells.items()
+            if (form := cell.canonical()) is not None
+        ]
+
+
+def merge_replicas(states: Iterable[EwoGroupState]) -> Dict[Any, Any]:
+    """The value every key converges to, were these replicas to finish
+    gossiping: their full states merged by the cells' own merge."""
+    merged: Dict[Any, Any] = {}
+    for state in states:
+        for key, cell in state.cells.items():
+            for version, value in cell.entries():
+                if key not in merged:
+                    merged[key] = state.new_cell()
+                merged[key].apply(version, value)
+    return {key: cell.read() for key, cell in merged.items()}
 
 
 class EwoEngine:
@@ -186,7 +218,7 @@ class EwoEngine:
         group's memory budget; removing an absent group is a no-op so a
         resumed handoff can replay the command.  Straggler
         ``EwoUpdate``/``EwoSync`` packets that arrive after removal are
-        already ignored by ``handle_update``/``handle_sync``.
+        already ignored by ``handle_update``.
         """
         state = self.groups.pop(group_id, None)
         if state is not None:
@@ -198,10 +230,9 @@ class EwoEngine:
         Every replica seeds the same ``(key, value)`` list under the
         same controller-issued ``stamp``, so seeded cells are
         byte-identical across the group (digest-identical replays) and
-        carry ``node_id >= 0`` — the "ever written" marker — so sync
-        rounds gossip them.  Witnessing the stamp keeps each replica's
-        hybrid clock ahead of it: the first post-switch local write
-        always wins LWW against the seed.
+        count as written, so sync rounds gossip them.  Witnessing the
+        stamp keeps each replica's hybrid clock ahead of it: the first
+        post-switch local write always wins LWW against the seed.
         """
         state = self.groups[group_id]
         if state.spec.ewo_mode is not EwoMode.LWW:
@@ -210,7 +241,7 @@ class EwoEngine:
             )
         state.clock.witness(stamp)
         for key, value in entries:
-            state.cell_for(key).merge(value, stamp)
+            state.cell_for(key).apply(stamp, value)
 
     # ------------------------------------------------------------------
     # Local operations (paper 6.2: reads local, writes local + async)
@@ -218,109 +249,90 @@ class EwoEngine:
     def read(self, spec: RegisterSpec, key: Any, default: Any) -> Any:
         state = self.groups[spec.group_id]
         state.stats.local_reads += 1
-        if spec.ewo_mode is EwoMode.COUNTER:
-            vector = state.vectors.get(key)
-            if vector is None:
-                return 0 if default is None else default
-            return sum(vector)
-        if spec.ewo_mode is EwoMode.ORSET:
-            orset = state.sets.get(key)
-            if orset is None:
-                return frozenset() if default is None else default
-            return frozenset(orset.elements())
         cell = state.cells.get(key)
-        if cell is None or cell.value is None:
-            return default if default is not None else spec.default
-        return cell.value
+        value = None if cell is None else cell.read()
+        if value is None:  # no cell, or an LWW cell holding None
+            return default if default is not None else state.absent
+        return value
 
     def write(self, spec: RegisterSpec, key: Any, value: Any) -> None:
         """LWW write: stamp with the local clock, queue the broadcast."""
-        state = self.groups[spec.group_id]
-        if spec.ewo_mode is EwoMode.COUNTER:
-            raise TypeError(
-                f"group {spec.name!r} is a counter group; use increment()"
-            )
+        state = self._group(spec, EwoMode.LWW)
         stamp = state.clock.now()
         state.cell_for(key).write(value, stamp)
-        state.stats.local_writes += 1
-        if self.obs.on:
-            self._note_write(spec.group_id, key, "overwrite")
-        self._queue_entry(state, EwoEntry(key=key, version=stamp, value=value))
+        self._local_write(state, "overwrite", key, stamp, value)
 
     def increment(self, spec: RegisterSpec, key: Any, amount: int) -> int:
         """CRDT counter increment on our own slot; returns the global sum."""
-        state = self.groups[spec.group_id]
-        if spec.ewo_mode is not EwoMode.COUNTER:
-            raise TypeError(f"group {spec.name!r} is not a counter group")
-        vector = state.vector_for(key)
-        vector[state.my_slot] += amount
-        state.stats.local_writes += 1
-        if self.obs.on:
-            self._note_write(spec.group_id, key, "increment")
-        self._queue_entry(
-            state, EwoEntry(key=key, version=state.my_slot, value=vector[state.my_slot])
-        )
-        return sum(vector)
+        state = self._group(spec, EwoMode.COUNTER)
+        cell = state.cell_for(key)
+        self._local_write(state, "increment", key, state.my_slot, cell.increment(amount))
+        return cell.read()
 
     def set_add(self, spec: RegisterSpec, key: Any, element: Any) -> None:
         """OR-Set add: tag locally, ship the (element, tag) delta."""
-        state = self.groups[spec.group_id]
-        if spec.ewo_mode is not EwoMode.ORSET:
-            raise TypeError(f"group {spec.name!r} is not an OR-Set group")
-        tag = state.set_for(key).add(element)
-        state.stats.local_writes += 1
-        if self.obs.on:
-            self._note_write(spec.group_id, key, "set_add")
-        self._queue_entry(state, EwoEntry(key=key, version=("add", tag), value=element))
+        state = self._group(spec, EwoMode.ORSET)
+        tag = state.cell_for(key).add(element)
+        self._local_write(state, "set_add", key, ("add", tag), element)
 
     def set_remove(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
         """OR-Set remove: tombstone the observed tags and ship them."""
-        state = self.groups[spec.group_id]
-        if spec.ewo_mode is not EwoMode.ORSET:
-            raise TypeError(f"group {spec.name!r} is not an OR-Set group")
-        orset = state.set_for(key)
+        state = self._group(spec, EwoMode.ORSET)
+        orset = state.cell_for(key)
         observed = tuple(sorted(orset.element_state(element)[0]))
         if not orset.remove(element):
             return False
-        state.stats.local_writes += 1
-        if self.obs.on:
-            self._note_write(spec.group_id, key, "set_remove")
-        self._queue_entry(
-            state, EwoEntry(key=key, version=("rm", observed), value=element)
-        )
+        self._local_write(state, "set_remove", key, ("rm", observed), element)
         return True
 
     def set_contains(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        state = self.groups[spec.group_id]
-        if spec.ewo_mode is not EwoMode.ORSET:
-            raise TypeError(f"group {spec.name!r} is not an OR-Set group")
+        state = self._group(spec, EwoMode.ORSET)
         state.stats.local_reads += 1
-        orset = state.sets.get(key)
+        orset = state.cells.get(key)
         return orset is not None and element in orset
+
+    def _group(self, spec: RegisterSpec, mode: EwoMode) -> EwoGroupState:
+        """The state of ``spec``'s group, for an operation only ``mode``
+        groups take; on any other kind of group it is a TypeError."""
+        state = self.groups.get(spec.group_id)  # None: an SRO/ERO group
+        if state is None or spec.ewo_mode is not mode:
+            raise TypeError(
+                f"group {spec.name!r} is not an EWO {mode.value} group (LWW groups "
+                f"take write(), counters increment(), OR-Sets add()/discard()/"
+                f"contains(), SRO/ERO registers write()/fetch_add())"
+            )
+        return state
 
     def orset_footprint(self, group_id: int) -> int:
         """Total tag bytes across this replica's OR-Sets — the metric
         behind the paper's 'implementable in a data plane?' question."""
-        state = self.groups[group_id]
-        if state.sets is None:
-            return 0
-        return sum(s.state_bytes for s in state.sets.values())
+        return sum(
+            cell.state_bytes
+            for cell in self.groups[group_id].cells.values()
+            if isinstance(cell, ORSet)
+        )
 
-    def _note_write(self, group_id: int, key: Any, op: str) -> None:
-        """Feed one local write to the access profiler.  EWO writes are
-        data-plane when made inside a packet pass (the manager's context
-        is live) and control-plane otherwise (window tasks, management)."""
-        origin = "dataplane" if self.manager._ctx is not None else "control"
-        self.obs.emit("ewo.write", self.switch.name, group=group_id, key=key, origin=origin, op=op)
+    def _local_write(
+        self, state: EwoGroupState, op: str, key: Any, version: Any, value: Any
+    ) -> None:
+        """Account one applied local write and queue its wire entry for
+        the asynchronous broadcast."""
+        state.stats.local_writes += 1
+        if self.obs.on:
+            # Data-plane when made inside a packet pass (the manager's
+            # context is live), else control-plane (window tasks).
+            origin = "dataplane" if self.manager._ctx is not None else "control"
+            self.obs.emit(
+                "ewo.write", self.switch.name,
+                group=state.spec.group_id, key=key, origin=origin, op=op,
+            )
+        state._pending_entries.append(EwoEntry(key=key, version=version, value=value))
+        if len(state._pending_entries) >= state.spec.ewo_batch_size:
+            self.flush(state.spec.group_id)
 
     # ------------------------------------------------------------------
     # Asynchronous broadcast
     # ------------------------------------------------------------------
-    def _queue_entry(self, state: EwoGroupState, entry: EwoEntry) -> None:
-        state._pending_entries.append(entry)
-        if len(state._pending_entries) >= state.spec.ewo_batch_size:
-            self.flush(state.spec.group_id)
-
     def flush(self, group_id: int) -> int:
         """Broadcast queued entries to the replica group.  Returns copies sent."""
         state = self.groups[group_id]
@@ -449,36 +461,24 @@ class EwoEngine:
             )
 
     def _merge_entry(self, state: EwoGroupState, entry: EwoEntry) -> bool:
-        if state.spec.ewo_mode is EwoMode.COUNTER:
-            slot = entry.version
-            if not isinstance(slot, int) or not 0 <= slot < len(state.members):
-                return False
-            vector = state.vector_for(entry.key)
-            if entry.value > vector[slot]:
-                vector[slot] = entry.value
-                return True
-            return False
-        if state.spec.ewo_mode is EwoMode.ORSET:
-            return self._merge_orset_entry(state, entry)
+        """Merge one wire entry into its key's cell; True if it advanced.
+        An unseen key gets its cell here even if the merge is stale, but
+        not from a malformed entry (the cell's ValueError): that is stale
+        and names nothing."""
         stamp = entry.version
-        state.clock.witness(stamp)
-        return state.cell_for(entry.key).merge(entry.value, stamp)
-
-    def _merge_orset_entry(self, state: EwoGroupState, entry: EwoEntry) -> bool:
-        orset = state.set_for(entry.key)
-        kind = entry.version[0]
-        if kind == "add":
-            return orset.apply_add(entry.value, entry.version[1])
-        if kind == "rm":
-            return orset.apply_remove(entry.value, entry.version[1])
-        if kind == "state":
-            _, add_tags, remove_tags = entry.version
-            changed_add = False
-            for tag in add_tags:
-                changed_add = orset.apply_add(entry.value, tag) or changed_add
-            changed_rm = orset.apply_remove(entry.value, remove_tags)
-            return changed_add or changed_rm
-        return False
+        if isinstance(stamp, Timestamp):
+            # The hybrid clock is per switch, not per cell: witness
+            # first, so the next local write beats what we just saw.
+            state.clock.witness(stamp)
+        cell = state.cells.get(entry.key)
+        if cell is None:
+            cell = state.new_cell()
+        try:
+            merged = cell.apply(stamp, entry.value)
+        except ValueError:
+            return False
+        state.cells[entry.key] = cell
+        return merged
 
     # ------------------------------------------------------------------
     # Periodic synchronization (paper 6.2 / 7)
@@ -578,33 +578,13 @@ class EwoEngine:
         return self._sync_rng.choice(others)
 
     def _full_state_entries(self, state: EwoGroupState) -> List[EwoEntry]:
-        """All state we know — every replica's slots, not just ours."""
-        entries: List[EwoEntry] = []
-        if state.spec.ewo_mode is EwoMode.COUNTER:
-            for key in sorted(state.vectors, key=repr):
-                for slot, value in enumerate(state.vectors[key]):
-                    if value:
-                        entries.append(EwoEntry(key=key, version=slot, value=value))
-        elif state.spec.ewo_mode is EwoMode.ORSET:
-            for key in sorted(state.sets, key=repr):
-                orset = state.sets[key]
-                for element in sorted(orset.known_elements(), key=repr):
-                    add_tags, remove_tags = orset.element_state(element)
-                    entries.append(
-                        EwoEntry(
-                            key=key,
-                            version=("state", add_tags, remove_tags),
-                            value=element,
-                        )
-                    )
-        else:
-            for key in sorted(state.cells, key=repr):
-                cell = state.cells[key]
-                if cell.version.node_id >= 0:  # ever written
-                    entries.append(
-                        EwoEntry(key=key, version=cell.version, value=cell.value)
-                    )
-        return entries
+        """All state we know — every replica's slots, not just ours —
+        keys sorted by ``repr``, each cell's entries in its wire order."""
+        return [
+            EwoEntry(key=key, version=version, value=value)
+            for key in sorted(state.cells, key=repr)
+            for version, value in state.cells[key].entries()
+        ]
 
     # ------------------------------------------------------------------
     def stats_for(self, group_id: int) -> EwoStats:
@@ -612,9 +592,4 @@ class EwoEngine:
 
     def local_state(self, group_id: int) -> Dict[Any, Any]:
         """Readable view of the local replica (for convergence checks)."""
-        state = self.groups[group_id]
-        if state.spec.ewo_mode is EwoMode.COUNTER:
-            return {key: sum(vector) for key, vector in state.vectors.items()}
-        if state.spec.ewo_mode is EwoMode.ORSET:
-            return {key: frozenset(s.elements()) for key, s in state.sets.items()}
-        return {key: cell.value for key, cell in state.cells.items()}
+        return {key: cell.read() for key, cell in self.groups[group_id].cells.items()}

@@ -63,6 +63,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.core.chain import ChainDescriptor
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.crdt.clock import Timestamp
+from repro.protocols.ewo import merge_replicas
 from repro.protocols.messages import ControllerCommand
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -499,27 +500,20 @@ class RelevelingCoordinator:
                 "stamp": Timestamp(self.sim.now, 0, 0),
             }
         elif handoff.source is Consistency.EWO:
-            # Promotion: LWW-merge every live replica's cells — the
-            # group's convergent value — then delete the fan-out and
-            # install a chain whose version continues past anything the
-            # group has ever seen.
+            # Promotion: merge every live replica's cells — the group's
+            # convergent value — then delete the fan-out and install a
+            # chain whose version continues past anything the group has
+            # ever seen.
             members = [
                 name
                 for name in deployment.multicast.get(group_id).members
                 if not deployment.managers[name].switch.failed
             ]
-            best: Dict[Any, Tuple[Any, Timestamp]] = {}
-            for name in members:
-                state = deployment.managers[name].ewo.groups.get(group_id)
-                if state is None or state.cells is None:
-                    continue
-                for key, cell in state.cells.items():
-                    if cell.version.node_id < 0:
-                        continue  # never written
-                    kept = best.get(key)
-                    if kept is None or cell.version > kept[1]:
-                        best[key] = (cell.value, cell.version)
-            seed = [(key, best[key][0]) for key in sorted(best, key=repr)]
+            replicas = (
+                deployment.managers[name].ewo.groups.get(group_id) for name in members
+            )
+            merged = merge_replicas(state for state in replicas if state is not None)
+            seed = [(key, merged[key]) for key in sorted(merged, key=repr)]
             version = self._retired_versions.get(group_id, 0) + 1
             chain = ChainDescriptor(
                 chain_id=group_id, members=tuple(members), version=version

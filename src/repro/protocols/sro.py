@@ -243,6 +243,29 @@ class SroGroupState:
         self.chaos_frozen_until = 0.0
         self.chaos_frozen_drops = 0
 
+    def wipe(self) -> None:
+        """Lose everything a restarted pipeline loses — the reorder
+        stash too: it is recirculating packets, not memory."""
+        self.store.clear()
+        self.pending.reset()
+        self.dedup.clear()
+        self.reorder.clear()
+
+    def canonical_items(self) -> List[Tuple[Any, Any]]:
+        """(key, (value, applied seq of the key's slot)) pairs — what the
+        scrubber digests.  The seq is folded in because a member whose
+        value matches but whose apply progress has a hole (a dropped
+        apply whose value a later repair restored) would otherwise
+        digest clean while its in-order apply check refuses every
+        subsequent seq — wedging the chain permanently.  Mid-flight skew
+        (head applied, tail not yet) is transient and absorbed by the
+        scrubber's confirm-rounds requirement."""
+        pending = self.pending
+        return [
+            (key, (value, pending.applied_seq(pending.slot_of(key))))
+            for key, value in self.store.items()
+        ]
+
     def remember_token(
         self, token: WriteToken, seq: int, slot: int, value: Any, now: float
     ) -> int:
@@ -1188,6 +1211,18 @@ class SroEngine:
             slot = state.pending.slot_of(key)
             entries.append((key, state.store[key], slot, state.pending.applied_seq(slot)))
         return entries
+
+    def seed_group(self, group_id: int, entries: List[Tuple[Any, Any]]) -> None:
+        """Install merged values into a fresh chain group (re-level
+        promotion).  Seqs are assigned per slot in entry order, so every
+        member seeding the same list lands identical (store,
+        applied_seq) state."""
+        pending = self.groups[group_id].pending
+        seq_by_slot: Dict[int, int] = {}
+        for key, value in entries:
+            slot = pending.slot_of(key)
+            seq = seq_by_slot[slot] = seq_by_slot.get(slot, 0) + 1
+            self.apply_snapshot_write(key, value, slot, seq, group_id)
 
     def apply_snapshot_write(self, key: Any, value: Any, slot: int, seq: int, group_id: int) -> bool:
         """Apply one replayed snapshot entry under the seq guard."""

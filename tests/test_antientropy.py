@@ -89,15 +89,15 @@ class TestLwwMergeTiebreak:
         a, b = LwwRegister(), LwwRegister()
         a.write(200, stamp)
         b.write(150, stamp)  # corrupt twin: same stamp, smaller repr
-        assert not a.merge(150, stamp)  # smaller repr loses
-        assert b.merge(200, stamp)
-        assert a.value == b.value == 200
+        assert not a.apply(stamp, 150)  # smaller repr loses
+        assert b.apply(stamp, 200)
+        assert a.read() == b.read() == 200
 
     def test_equal_version_equal_value_is_noop(self):
         stamp = Timestamp(1.0, 0, 0)
         reg = LwwRegister()
         reg.write(7, stamp)
-        assert not reg.merge(7, stamp)
+        assert not reg.apply(stamp, 7)
 
 
 def build(seed, n=3, sync_period=1e-3, **kwargs):

@@ -100,7 +100,7 @@ class TestAtomicPacketProcessing:
             value = manager.register_increment(spec, "k", 1)
             # the returned sum equals the vector's sum at this instant —
             # no event can interleave inside the increment
-            assert value == sum(state.vector_for("k"))
+            assert value == sum(state.cells["k"].vector())
         assert manager.register_read(spec, "k", 0) == 50
 
     def test_interleaved_packets_see_full_write_sets(self):

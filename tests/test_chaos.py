@@ -495,7 +495,7 @@ class TestInvariantSuite:
         suite.check_now()
         # tamper: zero the counter vector on every replica, no fault
         for name in dep.switch_names:
-            dep.manager(name).ewo.groups[ctr.group_id].vectors.get("c", [])[:] = [0, 0, 0]
+            dep.manager(name).ewo.groups[ctr.group_id].cells["c"]._vector[:] = [0, 0, 0]
         suite.check_now()
         assert suite.report.count("counter_monotonic") >= 1
 

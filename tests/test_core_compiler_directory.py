@@ -7,17 +7,7 @@ import pytest
 from repro.core.compiler import SingleSwitchProgram, distribute
 from repro.core.directory import DirectoryService
 from repro.core.manager import Decision
-from repro.core.merge import (
-    is_mergeable,
-    merge_counter_vectors,
-    merge_last_writer_wins,
-    merge_value,
-)
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
-from repro.crdt.clock import Timestamp
-from repro.crdt.gcounter import GCounter
-from repro.sketch.bloom import BloomFilter
-from repro.sketch.countmin import CountMinSketch
 
 
 class CountingProgram(SingleSwitchProgram):
@@ -48,44 +38,6 @@ class TestDistribute:
         deployment.manager("s0").register_increment(spec, "total", 3)
         deployment.sim.run(until=0.01)
         assert all(s["total"] == 3 for s in deployment.ewo_states(spec))
-
-
-class TestMergeHelpers:
-    def test_lww_merge(self):
-        newer = ("new", Timestamp(2.0, 0, 1))
-        older = ("old", Timestamp(1.0, 0, 0))
-        assert merge_last_writer_wins(older, newer)[0] == "new"
-        assert merge_last_writer_wins(newer, older)[0] == "new"
-
-    def test_counter_vector_merge(self):
-        assert merge_counter_vectors([1, 5, 0], [3, 2, 4]) == [3, 5, 4]
-        with pytest.raises(ValueError):
-            merge_counter_vectors([1], [1, 2])
-
-    def test_is_mergeable(self):
-        assert is_mergeable(CountMinSketch())
-        assert is_mergeable(BloomFilter())
-        assert is_mergeable(GCounter(2, 0))
-        assert not is_mergeable(42)
-
-    def test_merge_value_dispatch(self):
-        a, b = CountMinSketch(seed=1), CountMinSketch(seed=1)
-        b.add("x", 3)
-        merge_value(a, b)
-        assert a.estimate("x") == 3
-
-        bloom_a, bloom_b = BloomFilter(seed=1), BloomFilter(seed=1)
-        bloom_b.add("y")
-        merge_value(bloom_a, bloom_b)
-        assert "y" in bloom_a
-
-        counter_a, counter_b = GCounter(2, 0), GCounter(2, 1)
-        counter_b.increment(4)
-        merge_value(counter_a, counter_b)
-        assert counter_a.value() == 4
-
-        with pytest.raises(TypeError):
-            merge_value(1, 2)
 
 
 class TestDirectory:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crdt.clock import HybridClock, LamportClock, SynchronizedClock, Timestamp
+from repro.crdt.clock import HybridClock, Timestamp
 from repro.crdt.gcounter import GCounter
 from repro.crdt.lww import LwwRegister
 from repro.crdt.orset import ORSet
-from repro.crdt.pncounter import PNCounter
 
 
 class TestTimestamp:
@@ -29,33 +28,6 @@ class TestTimestamp:
         assert hash(stamp) == hash(Timestamp(1.0, 2, 3))
         with pytest.raises(AttributeError):
             stamp.time = 2.0
-
-
-class TestLamportClock:
-    def test_monotone_local(self):
-        clock = LamportClock(0)
-        stamps = [clock.now() for _ in range(5)]
-        assert stamps == sorted(stamps)
-        assert len(set(stamps)) == 5
-
-    def test_witness_advances(self):
-        clock = LamportClock(0)
-        clock.witness(Timestamp(0.0, 100, 1))
-        assert clock.now().logical == 101
-
-    def test_witness_does_not_regress(self):
-        clock = LamportClock(0)
-        for _ in range(10):
-            clock.now()
-        clock.witness(Timestamp(0.0, 3, 1))
-        assert clock.now().logical == 11
-
-
-class TestSynchronizedClock:
-    def test_reads_time_with_offset(self):
-        time_holder = {"t": 5.0}
-        clock = SynchronizedClock(0, lambda: time_holder["t"], offset=1e-9)
-        assert clock.now().time == pytest.approx(5.0 + 1e-9)
 
 
 class TestHybridClock:
@@ -85,9 +57,8 @@ class TestGCounter:
     def test_increment_and_value(self):
         counter = GCounter(3, my_slot=0)
         counter.increment()
-        counter.increment(4)
+        assert counter.increment(4) == 5  # this replica's own element
         assert counter.value() == 5
-        assert counter.local_value() == 5
 
     def test_negative_increment_rejected(self):
         counter = GCounter(2, 0)
@@ -112,8 +83,8 @@ class TestGCounter:
 
     def test_apply_slot_incremental(self):
         a = GCounter(3, 0)
-        assert a.apply_slot(2, 7) is True
-        assert a.apply_slot(2, 5) is False  # stale
+        assert a.apply(2, 7) is True
+        assert a.apply(2, 5) is False  # stale
         assert a.value() == 7
 
     def test_invalid_construction(self):
@@ -142,40 +113,11 @@ class TestGCounter:
         assert values.pop() == sum(amount for _, amount in ops)
 
 
-class TestPNCounter:
-    def test_increment_decrement(self):
-        counter = PNCounter(2, 0)
-        counter.increment(10)
-        counter.decrement(3)
-        assert counter.value() == 7
-
-    def test_negative_amounts_rejected(self):
-        counter = PNCounter(2, 0)
-        with pytest.raises(ValueError):
-            counter.increment(-1)
-        with pytest.raises(ValueError):
-            counter.decrement(-1)
-
-    def test_merge_converges(self):
-        a = PNCounter(2, 0)
-        b = PNCounter(2, 1)
-        a.increment(5)
-        b.decrement(2)
-        a.merge(b.state())
-        b.merge(a.state())
-        assert a.value() == b.value() == 3
-
-    def test_value_can_go_negative(self):
-        counter = PNCounter(2, 0)
-        counter.decrement(5)
-        assert counter.value() == -5
-
-
 class TestLwwRegister:
     def test_write_and_read(self):
         cell = LwwRegister()
         cell.write("x", Timestamp(1.0, 0, 0))
-        assert cell.value == "x"
+        assert cell.read() == "x"
 
     def test_local_write_must_advance(self):
         cell = LwwRegister()
@@ -186,26 +128,26 @@ class TestLwwRegister:
     def test_merge_newer_wins(self):
         cell = LwwRegister()
         cell.write("old", Timestamp(1.0, 0, 0))
-        assert cell.merge("new", Timestamp(2.0, 0, 1)) is True
-        assert cell.value == "new"
+        assert cell.apply(Timestamp(2.0, 0, 1), "new") is True
+        assert cell.read() == "new"
 
     def test_merge_stale_ignored(self):
         cell = LwwRegister()
         cell.write("current", Timestamp(5.0, 0, 0))
-        assert cell.merge("stale", Timestamp(1.0, 0, 1)) is False
-        assert cell.value == "current"
+        assert cell.apply(Timestamp(1.0, 0, 1), "stale") is False
+        assert cell.read() == "current"
 
     def test_merge_idempotent(self):
         cell = LwwRegister()
         stamp = Timestamp(1.0, 0, 1)
-        cell.merge("x", stamp)
-        assert cell.merge("x", stamp) is False
+        cell.apply(stamp, "x")
+        assert cell.apply(stamp, "x") is False
 
     def test_tie_broken_by_node_id(self):
         a = LwwRegister()
-        a.merge("from0", Timestamp(1.0, 0, 0))
-        assert a.merge("from1", Timestamp(1.0, 0, 1)) is True
-        assert a.value == "from1"
+        a.apply(Timestamp(1.0, 0, 0), "from0")
+        assert a.apply(Timestamp(1.0, 0, 1), "from1") is True
+        assert a.read() == "from1"
 
     @given(
         st.lists(
@@ -226,10 +168,10 @@ class TestLwwRegister:
         forward = LwwRegister()
         backward = LwwRegister()
         for value, stamp in stamps:
-            forward.merge(value, stamp)
+            forward.apply(stamp, value)
         for value, stamp in reversed(stamps):
-            backward.merge(value, stamp)
-        assert forward.value == backward.value
+            backward.apply(stamp, value)
+        assert forward.read() == backward.read()
 
 
 class TestORSet:
@@ -273,7 +215,7 @@ class TestORSet:
         a.merge(b.state())
         b.merge(a.state())
         assert a.elements() == b.elements() == {"one", "two"}
-        assert a == b
+        assert a.canonical() == b.canonical()
 
     def test_state_bytes_grows_with_tags(self):
         s = ORSet(0)

@@ -312,6 +312,41 @@ class TestViolationsCaught:
         for package in ("obs", "analysis", "sim"):
             assert self._lint_packaged_source(tmp_path, package, source) == []
 
+    @pytest.mark.parametrize("package", ["core", "protocols", "chaos"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def wipe(state):\n    state.pending._next_seq = [0]\n",
+            "def bump(self):\n    self.table._count += 1\n",
+            "def note(a):\n    a.b._c: int = 0\n",
+        ],
+    )
+    def test_private_poke_through_another_object_flagged(self, tmp_path, package, source):
+        violations = self._lint_packaged_source(tmp_path, package, source)
+        assert len(violations) == 1
+        assert violations[0][1] == 2
+        assert "give the owner a method" in violations[0][2]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # an object's own layout, and a module's own helper objects
+            "class C:\n    def __init__(self):\n        self._x = 0\n",
+            "def reset(cell):\n    cell._value = None\n",
+            # public attributes and reads are not layout pokes
+            "def f(a):\n    a.b.c = 1\n    return a.b._c\n",
+            "def g(a):\n    a.b._items.append(1)\n    a.b._slots[0] = 1\n",
+        ],
+    )
+    def test_own_and_public_attribute_assignment_allowed(self, tmp_path, source):
+        assert self._lint_packaged_source(tmp_path, "protocols", source) == []
+
+    def test_private_poke_outside_the_engine_packages_not_flagged(self, tmp_path):
+        """Scoped: tests and tools may reach into a replica to tamper."""
+        source = "def tamper(state):\n    state.pending._next_seq = [9]\n"
+        assert self._lint_source(tmp_path, source) == []
+        assert self._lint_packaged_source(tmp_path, "obs", source) == []
+
     def test_exempt_module_skipped(self):
         exempt = os.path.join(REPO_ROOT, "src", lint.EXEMPT_SUFFIX)
         assert os.path.exists(exempt)

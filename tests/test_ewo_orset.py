@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 
 
@@ -37,17 +35,6 @@ class TestLocalOps:
         assert m0.register_set_remove(spec, "sigs", 1) is True
         assert m0.register_set_remove(spec, "sigs", 1) is False
         assert not m0.register_set_contains(spec, "sigs", 1)
-
-    def test_set_ops_rejected_on_other_modes(self, deployment):
-        counter = deployment.declare(
-            RegisterSpec("c", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
-        )
-        with pytest.raises(TypeError):
-            deployment.manager("s0").register_set_add(counter, "k", 1)
-        with pytest.raises(TypeError):
-            deployment.manager("s0").register_set_remove(counter, "k", 1)
-        with pytest.raises(TypeError):
-            deployment.manager("s0").register_set_contains(counter, "k", 1)
 
     def test_handle_api(self, deployment):
         spec = declare_set(deployment)

@@ -60,14 +60,6 @@ class TestSwiShmemHeavyHitter:
                     ),
                 )
         world.sim.run(until=0.1)
-        spec = world.deployment.spec_by_name("hh_counts")
-        per_switch = [
-            world.deployment.manager(s.name).ewo.groups[spec.group_id].vectors.get("9.9.9.9")
-            for s in world.cluster
-        ]
-        contributing = sum(
-            1 for vec in per_switch if vec and vec[world.deployment.node_id(world.cluster[0].name)] is not None
-        )
         # detection happened even though the 48 packets were split
         assert any("9.9.9.9" in i.detected for i in instances)
 

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.analysis.metrics import convergence_time, replica_divergence
+from repro.crdt.clock import Timestamp
+from repro.protocols import ewo
+from repro.protocols.ewo import MERGE_TYPES
+from repro.protocols.messages import EwoEntry, EwoUpdate
 
 
 def declare_counter(deployment, name="ctr", **kwargs):
@@ -49,20 +56,57 @@ class TestCounterMode:
         assert m0.register_read(spec, "k", None) == 1  # immediately visible
         assert m0.register_read(spec, "missing", None) == 0
 
-    def test_write_rejected_on_counter_group(self, deployment):
+    def test_negative_increment_rejected_and_changes_nothing(self, deployment):
+        """A grow-only counter cannot be decremented: a negative amount
+        used to be accepted, read low on the writer, and be undone by
+        the peers' max-merge one sync round later."""
         spec = declare_counter(deployment)
-        with pytest.raises(TypeError):
-            deployment.manager("s0").ewo.write(spec, "k", 5)
+        handle = deployment.handle("s0", spec)
+        handle.increment("k", 5)
+        deployment.sim.run(until=0.01)
+        before = deployment.ewo_states(spec)
+        assert before == [{"k": 5}] * 3
+        with pytest.raises(ValueError):
+            handle.increment("k", -3)
+        assert handle.read("k") == 5
+        deployment.sim.run(until=0.02)  # several sync rounds later
+        assert deployment.ewo_states(spec) == before
 
-    def test_increment_rejected_on_lww_group(self, deployment):
-        spec = declare_lww(deployment)
-        with pytest.raises(TypeError):
-            deployment.manager("s0").register_increment(spec, "k", 1)
 
-    def test_increment_rejected_on_sro_group(self, deployment):
-        spec = deployment.declare(RegisterSpec("strong", Consistency.SRO))
-        with pytest.raises(TypeError):
-            deployment.manager("s0").register_increment(spec, "k", 1)
+#: The five kinds of register group, by the RegisterSpec that declares one.
+GROUP_KINDS = {
+    "sro": dict(consistency=Consistency.SRO),
+    "ero": dict(consistency=Consistency.ERO),
+    "lww": dict(consistency=Consistency.EWO, ewo_mode=EwoMode.LWW),
+    "counter": dict(consistency=Consistency.EWO, ewo_mode=EwoMode.COUNTER),
+    "orset": dict(consistency=Consistency.EWO, ewo_mode=EwoMode.ORSET),
+}
+
+#: Every RegisterHandle operation that only some kinds support, and which.
+HANDLE_OPS = {
+    "write": (lambda h: h.write("k", 1), {"sro", "ero", "lww"}),
+    "increment": (lambda h: h.increment("k", 1), {"counter"}),
+    "fetch_add": (lambda h: h.fetch_add("k", 1), {"sro", "ero"}),
+    "add": (lambda h: h.add("k", "e"), {"orset"}),
+    "discard": (lambda h: h.discard("k", "e"), {"orset"}),
+    "contains": (lambda h: h.contains("k", "e"), {"orset"}),
+}
+
+
+class TestWrongOpMatrix:
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    @pytest.mark.parametrize("op", HANDLE_OPS)
+    def test_op_works_or_raises_type_error(self, deployment, op, kind):
+        """The wrong operation for a group's kind is always a TypeError
+        — never an AttributeError or KeyError from the layout below."""
+        spec = deployment.declare(RegisterSpec("g", **GROUP_KINDS[kind]))
+        handle = deployment.handle("s0", spec)
+        call, supported = HANDLE_OPS[op]
+        if kind in supported:
+            call(handle)
+        else:
+            with pytest.raises(TypeError, match="'g'"):
+                call(handle)
 
 
 class TestLwwMode:
@@ -238,3 +282,156 @@ class TestStats:
         )
         used = switches[0].memory.used_bytes - before
         assert used == 100 * 4 * (4 + 4)  # capacity * replicas * (ver+val)
+
+
+def pinned_scenario(make_deployment, mode):
+    """Three replicas, no gossip: writes on s0 and s1 (and one on s2),
+    s0's broadcast hand-delivered to s2 twice (the second all stale,
+    with a few entries that must or must not name a new key), s1's
+    lost; then one real targeted sync s2 -> s1 over the wire."""
+    dep, _, _ = make_deployment(3, sync_period=10.0)
+    spec = dep.declare(
+        RegisterSpec("pin", Consistency.EWO, ewo_mode=mode, ewo_batch_size=100)
+    )
+    gid = spec.group_id
+    s0, s1, s2 = (dep.manager(name) for name in ("s0", "s1", "s2"))
+    if mode is EwoMode.COUNTER:
+        s0.register_increment(spec, "a", 5)
+        s0.register_increment(spec, "b", 2)
+        s1.register_increment(spec, "a", 3)
+        s2.register_increment(spec, "b", 1)
+        extra = [
+            EwoEntry("z", 0, 0),  # stale on arrival: still names the key
+            EwoEntry("bad", 7, 9),  # slot out of range: names nothing
+            EwoEntry("bad", "1", 9),  # slot not an int: names nothing
+        ]
+    elif mode is EwoMode.LWW:
+        s0.register_write(spec, "a", "x0")
+        s0.register_write(spec, "b", "y0")
+        s1.register_write(spec, "a", "x1")
+        s2.register_write(spec, "b", "y2")
+        extra = [EwoEntry("b", Timestamp(-1.0, 0, 0), "old")]  # stale
+    else:
+        s0.register_set_add(spec, "a", "e1")
+        s0.register_set_add(spec, "a", "e2")
+        s0.register_set_remove(spec, "a", "e1")
+        s1.register_set_add(spec, "a", "e3")
+        s2.register_set_add(spec, "b", "e4")
+        extra = [EwoEntry("z", ("rm", ()), "e9")]  # changes nothing: still names the key
+    sent = tuple(s0.ewo.groups[gid]._pending_entries)
+    for entries in (sent, sent + tuple(extra)):
+        s2.ewo.handle_update(EwoUpdate(group=gid, origin="s0", entries=entries))
+    sync = [
+        (e.key, e.version, e.value, e.wire_bytes(spec.key_bytes, spec.value_bytes))
+        for e in s2.ewo._full_state_entries(s2.ewo.groups[gid])
+    ]
+    stats = s2.ewo.stats_for(gid)
+    merges = (stats.merges_applied, stats.merges_stale)
+    s2.ewo.force_sync(gid, "s1")
+    dep.sim.run(until=1e-3)
+    return {
+        "items": sorted(s2.scrub._items(gid), key=repr),
+        "sync": sync,
+        "local": s2.ewo.local_state(gid),
+        "merges": merges,
+        "writer_items": sorted(s0.scrub._items(gid), key=repr),
+        "s1_local": s1.ewo.local_state(gid),
+        "s1_items": sorted(s1.scrub._items(gid), key=repr),
+    }
+
+
+def _pinned_literals():
+    a0 = Timestamp(time=0.0, logical=1, node_id=0)
+    b0 = Timestamp(time=0.0, logical=2, node_id=0)
+    a1 = Timestamp(time=3.812533852398976e-08, logical=0, node_id=1)
+    e1 = ("e1", ((0, 1),), ((0, 1),))
+    e2 = ("e2", ((0, 2),), ())
+    return {
+        EwoMode.LWW: {
+            "items": [("a", ("x0", a0)), ("b", ("y0", b0))],
+            "sync": [("a", a0, "x0", 26), ("b", b0, "y0", 26)],
+            "local": {"a": "x0", "b": "y0"},
+            "merges": (2, 3),
+            "writer_items": [("a", ("x0", a0)), ("b", ("y0", b0))],
+            "s1_local": {"a": "x1", "b": "y0"},
+            "s1_items": [("a", ("x1", a1)), ("b", ("y0", b0))],
+        },
+        EwoMode.COUNTER: {
+            "items": [("a", (5, 0, 0)), ("b", (2, 0, 1)), ("z", (0, 0, 0))],
+            "sync": [("a", 0, 5, 20), ("b", 0, 2, 20), ("b", 2, 1, 20)],
+            "local": {"a": 5, "b": 3, "z": 0},
+            "merges": (2, 5),
+            "writer_items": [("a", (5, 0, 0)), ("b", (2, 0, 0))],
+            "s1_local": {"a": 8, "b": 3},
+            "s1_items": [("a", (5, 3, 0)), ("b", (2, 0, 1))],
+        },
+        EwoMode.ORSET: {
+            "items": [
+                ("a", (e1, e2)),
+                ("b", (("e4", ((2, 1),), ()),)),
+                ("z", (("e9", (), ()),)),
+            ],
+            "sync": [
+                ("a", ("state", frozenset({(0, 1)}), frozenset({(0, 1)})), "e1", 37),
+                ("a", ("state", frozenset({(0, 2)}), frozenset()), "e2", 27),
+                ("b", ("state", frozenset({(2, 1)}), frozenset()), "e4", 27),
+                ("z", ("state", frozenset(), frozenset()), "e9", 17),
+            ],
+            "local": {"a": frozenset({"e2"}), "b": frozenset({"e4"}), "z": frozenset()},
+            "merges": (3, 4),
+            "writer_items": [("a", (e1, e2))],
+            "s1_local": {
+                "a": frozenset({"e2", "e3"}),
+                "b": frozenset({"e4"}),
+                "z": frozenset(),
+            },
+            "s1_items": [
+                ("a", (e1, e2, ("e3", ((1, 1),), ()))),
+                ("b", (("e4", ((2, 1),), ()),)),
+                ("z", (("e9", (), ()),)),
+            ],
+        },
+    }
+
+
+class TestPinnedWireAndDigests:
+    """What must not move when the replica layout does: the scrubber's
+    canonical items, the full-state sync wire entries (order, versions,
+    sizes) and ``local_state()`` — including which keys exist at all —
+    against literals captured before the engine ran on ``repro.crdt``
+    cells."""
+
+    @pytest.mark.parametrize("mode", list(EwoMode), ids=lambda mode: mode.value)
+    def test_scenario_matches_captured_literals(self, make_deployment, mode):
+        assert pinned_scenario(make_deployment, mode) == _pinned_literals()[mode]
+
+
+class TestMergeTypeTable:
+    """EWO modes are rows of one table, not branches of the engine."""
+
+    CELL_METHODS = ("apply", "entries", "read", "canonical")
+
+    def test_every_mode_is_a_row_whose_cell_has_the_four_methods(self):
+        assert set(MERGE_TYPES) == set(EwoMode)
+        for mode, row in MERGE_TYPES.items():
+            spec = RegisterSpec("t", Consistency.EWO, ewo_mode=mode)
+            cell = row.new_cell(spec, 3, 1)
+            for name in self.CELL_METHODS:
+                assert callable(getattr(type(cell), name, None)), (mode, name)
+            assert not hasattr(cell, "__dict__"), f"{type(cell).__name__} needs __slots__"
+            assert cell.entries() == []  # an empty cell gossips nothing
+            assert row.bytes_per_key(spec, 3) > 0
+
+    def test_only_api_guards_read_the_mode(self):
+        """The engine may refuse an operation by mode; it may not pick a
+        representation by mode — that is the table's job."""
+        readers = {
+            node.name
+            for node in ast.walk(ast.parse(inspect.getsource(ewo)))
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "ewo_mode"
+                for sub in ast.walk(node)
+            )
+        }
+        assert readers == {"__init__", "seed_group", "_group"}

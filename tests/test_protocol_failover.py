@@ -184,6 +184,36 @@ class TestSroRecovery:
         assert transfer is not None and transfer.done
         assert transfer.total_entries == 5
 
+    def test_wipe_empties_everything_a_restart_loses(self, make_deployment):
+        """A restarted pipeline holds no registers and no recirculating
+        packets: store, pending table, dedup *and* the reorder stash."""
+        from repro.protocols.messages import WriteToken
+
+        dep, _, _ = make_deployment(3)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO))
+        state = dep.manager("s1").sro.groups[spec.group_id]  # mid-chain
+        slot = state.pending.slot_of("k")
+        dep.manager("s0").register_write(spec, "k", 1)
+        dep.sim.run(until=0.01)
+        # Open a gap: s1 loses one apply, so the next update to the
+        # slot arrives ahead of its predecessor and is stashed.
+        state.chaos_drop_applies = 1
+        dep.manager("s0").register_write(spec, "k", 2)
+        dep.manager("s0").register_write(spec, "k", 3)
+        dep.sim.run(until=0.0101)
+        # Dedup is head-side state; plant an entry as a past head holds.
+        state.remember_token(WriteToken.fresh("s0"), 1, slot, 1, dep.sim.now)
+        assert state.store and state.reorder and state.dedup
+        assert state.pending.applied_seq(slot) == 1
+        fail_and_note(dep, "s1")
+        dep.controller.recover_switch("s1", wipe_state=True)
+        assert not state.store and not state.dedup and not state.reorder
+        assert state.pending.applied_seq(slot) == 0
+        assert state.pending.pending_count() == 0
+        # ... and the wiped member still catches up from the snapshot.
+        dep.sim.run(until=0.5)
+        assert state.store == dep.manager("s0").sro.groups[spec.group_id].store
+
     def test_recover_unfailed_switch_rejected(self, make_deployment):
         dep, _, _ = make_deployment(2)
         with pytest.raises(ValueError):

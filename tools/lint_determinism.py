@@ -67,6 +67,15 @@ This lint walks the AST of every Python file and flags:
   device keeps for the registry to fold,
   ``from repro.obs.metrics import Histogram``.
 
+* inside ``src/repro/{core,protocols,chaos}`` only: any assignment
+  (plain, augmented or annotated) to an underscore attribute reached
+  through another object's attribute — ``a.b._c = ...``.  That is one
+  object rewriting the private layout of something a third object
+  owns (how a recovery wipe once reset ``state.pending._next_seq``);
+  the owner gets a method (``PendingTable.reset()``,
+  ``SroGroupState.wipe()``) so its layout can change in one place.
+  ``self._x = ...`` and ``a._x = ...`` are not flagged.
+
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
 must go through.
@@ -149,6 +158,17 @@ SINK_MESSAGE = (
     "`if TYPE_CHECKING:` for annotations only)"
 )
 
+#: Assigning ``a.b._c`` is forbidden under these path fragments: the
+#: packages whose replica state sits behind its owning engine.
+PRIVATE_POKE_SCOPES = _package_scopes("core", "protocols", "chaos")
+
+PRIVATE_POKE_MESSAGE = (
+    "assigns a private attribute of an object reached through another "
+    "object ('{target}'); give the owner a method that does it "
+    "(PendingTable.reset(), SroGroupState.wipe()) so its layout stays "
+    "in one place"
+)
+
 Violation = Tuple[str, int, str]
 
 
@@ -160,6 +180,7 @@ class _RandomUseVisitor(ast.NodeVisitor):
         check_deepcopy: bool = False,
         check_sinks: bool = False,
         histogram_ok: bool = False,
+        check_private_pokes: bool = False,
     ) -> None:
         self.path = path
         # One flag gates both obs-scope checks: wall-clock reads and
@@ -168,6 +189,7 @@ class _RandomUseVisitor(ast.NodeVisitor):
         self.check_deepcopy = check_deepcopy
         self.check_sinks = check_sinks
         self.histogram_ok = histogram_ok
+        self.check_private_pokes = check_private_pokes
         #: Depth of enclosing ``if TYPE_CHECKING:`` bodies.
         self.type_checking = 0
         self.copy_aliases: set = set()
@@ -191,6 +213,35 @@ class _RandomUseVisitor(ast.NodeVisitor):
         self.type_checking -= guard
         for child in node.orelse:
             self.visit(child)
+
+    def _check_private_poke(self, target: ast.expr) -> None:
+        """Flag ``a.b._c`` as an assignment target (``a.b.__dunder__``,
+        ``self._c`` and ``a._c`` pass)."""
+        if (
+            self.check_private_pokes
+            and isinstance(target, ast.Attribute)
+            and target.attr.startswith("_")
+            and not target.attr.endswith("__")
+            and isinstance(target.value, ast.Attribute)
+        ):
+            self.violations.append((
+                self.path,
+                target.lineno,
+                PRIVATE_POKE_MESSAGE.format(target=ast.unparse(target)),
+            ))
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_private_poke(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_private_poke(node.target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_private_poke(node.target)
+        self.generic_visit(node)
 
     def _sink_import(self, node: ast.AST) -> None:
         if self.check_sinks and not self.type_checking:
@@ -428,6 +479,7 @@ def lint_file(path: str) -> List[Violation]:
         check_deepcopy=any(scope in normalized for scope in DEEPCOPY_SCOPES),
         check_sinks=any(scope in normalized for scope in SINK_SCOPES),
         histogram_ok=any(scope in normalized for scope in VALUE_TYPE_SCOPES),
+        check_private_pokes=any(scope in normalized for scope in PRIVATE_POKE_SCOPES),
     )
     visitor.visit(tree)
     return visitor.violations
