@@ -80,8 +80,10 @@ perf:
 perf-selftest:
 	python3 perf/run.py --selftest
 
-# Report-only (several minutes): the functions of src/repro that no test,
-# benchmark, example or perf workload enters, and those only tests/ enter.
+# The dead-surface gate (~8 min): every function of src/repro is reached
+# by a driver (benchmark, `make gate`, example, full-scale perf/ workload)
+# or is a line of tools/dead_surface_allow.txt with its reason; fails on an
+# unlisted function and on a stale allow line.  CI's dead-surface job.
 dead-surface:
 	$(PYTHON) tools/dead_surface.py
 

@@ -147,12 +147,6 @@ class LinearizabilityReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def violation_rate(self) -> float:
-        if not self.checked_keys:
-            return 0.0
-        return len(self.violations) / self.checked_keys
-
     def explain(self) -> str:
         """Every violation's full story, ready for an assertion message."""
         if self.ok:

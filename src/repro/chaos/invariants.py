@@ -99,9 +99,6 @@ class InvariantReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def count(self, monitor: str) -> int:
-        return sum(1 for v in self.violations if v.monitor == monitor)
-
     def post_mortems(self) -> List[str]:
         """Human-readable explanation of every violation: the breach
         line plus — when the flight recorder was on — the causal

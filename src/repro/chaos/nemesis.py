@@ -14,8 +14,8 @@ of a cloned packet and/or push the original's arrival later.  All
 randomness comes from per-channel :class:`~repro.sim.random.SeededRng`
 streams, so a chaos run is a pure function of its seed.
 
-By default only SwiShmem replication packets are touched — NF traffic
-is the workload under test, not the adversary's target — and delays are
+Only SwiShmem replication packets are touched — NF traffic is the
+workload under test, not the adversary's target — and delays are
 capped at ``max_delay``.  Keep ``max_delay`` under ~half the heartbeat
 period if a run asserts the detection-latency bound: in-network delay
 eats into the detector's slack like any real network jitter would.
@@ -45,7 +45,6 @@ class Nemesis:
         duplicate_prob: float = 0.0,
         delay_prob: float = 0.0,
         max_delay: float = 100e-6,
-        swishmem_only: bool = True,
     ) -> None:
         if not 0.0 <= duplicate_prob <= 1.0:
             raise ValueError(f"duplicate_prob must be in [0, 1], got {duplicate_prob}")
@@ -57,7 +56,6 @@ class Nemesis:
         self.duplicate_prob = duplicate_prob
         self.delay_prob = delay_prob
         self.max_delay = max_delay
-        self.swishmem_only = swishmem_only
         self.enabled = True
         self.packets_inspected = 0
         self.packets_duplicated = 0
@@ -99,7 +97,7 @@ class Nemesis:
         """
         if not self.enabled:
             return 0.0, ()
-        if self.swishmem_only and packet.swishmem is None:
+        if packet.swishmem is None:
             return 0.0, ()
         self.packets_inspected += 1
         stream = self._stream(channel)

@@ -49,28 +49,11 @@ class ChainDescriptor:
         return self.members[0]
 
     @property
-    def ack_tail(self) -> str:
-        """The member that generates commit acknowledgements (the last)."""
-        return self.members[-1]
-
-    @property
     def read_tail(self) -> str:
         """The member that serves forwarded reads."""
         if self.read_tail_index is None:
             return self.members[-1]
         return self.members[self.read_tail_index]
-
-    def successor(self, node: str) -> Optional[str]:
-        index = self.members.index(node)
-        if index + 1 < len(self.members):
-            return self.members[index + 1]
-        return None
-
-    def predecessor(self, node: str) -> Optional[str]:
-        index = self.members.index(node)
-        if index > 0:
-            return self.members[index - 1]
-        return None
 
     def __contains__(self, node: str) -> bool:
         return node in self.members

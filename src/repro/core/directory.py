@@ -15,16 +15,17 @@ replicate which state, and migrating data as needed."
   through a subset of switches can be homed on just those replicas;
 * **migration** bookkeeping with generation numbers, so a key's replica
   set can move without ever serving from a switch that has not received
-  the state yet (add-then-remove ordering);
-* **savings accounting** — how much replication bandwidth and memory
-  partial replication saves versus full replication, which is the
-  quantitative question section 9 raises.
+  the state yet (add-then-remove ordering).
+
+How much replication bandwidth and memory partial replication saves
+versus full replication — the quantitative question section 9 raises —
+is measured on the wire by experiment A3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 __all__ = ["DirectoryService", "PlacementEntry", "MigrationRecord"]
 
@@ -70,12 +71,6 @@ class DirectoryService:
         if entry is None:
             return self.all_switches
         return entry.replicas
-
-    def is_replica(self, group_id: int, key: Hashable, switch: str) -> bool:
-        return switch in self.replicas_of(group_id, key)
-
-    def placement(self, group_id: int, key: Hashable) -> Optional[PlacementEntry]:
-        return self._placements.get(group_id, {}).get(key)
 
     # ------------------------------------------------------------------
     # Placement and migration
@@ -145,22 +140,3 @@ class DirectoryService:
                 replicas.add(name)
             entries.append(self.place(group_id, key, replicas))
         return entries
-
-    # ------------------------------------------------------------------
-    # Savings accounting (the section 9 question, quantified)
-    # ------------------------------------------------------------------
-    def memory_savings(self, group_id: int, value_bytes: int) -> Tuple[int, int]:
-        """(bytes under full replication, bytes under this placement).
-
-        Counts replica-copies of placed keys only; unplaced keys cost
-        the same either way.
-        """
-        group = self._placements.get(group_id, {})
-        full = len(group) * len(self.all_switches) * value_bytes
-        partial = sum(len(e.replicas) for e in group.values()) * value_bytes
-        return full, partial
-
-    def replication_fanout(self, group_id: int, key: Hashable, writer: str) -> int:
-        """How many update copies a write to ``key`` at ``writer`` sends."""
-        replicas = self.replicas_of(group_id, key)
-        return len(replicas - {writer})

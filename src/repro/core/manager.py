@@ -74,14 +74,10 @@ DEFAULT_SYNC_PERIOD = 1e-3
 class Decision:
     """What an NF wants done with the packet it just processed."""
 
-    kind: str  # "forward_ip" | "forward_node" | "drop" | "consume"
-    dst_node: Optional[str] = None
+    kind: str  # "forward_ip" | "drop"
 
     FORWARD_IP = "forward_ip"
-    FORWARD_NODE = "forward_node"
     DROP = "drop"
-    #: The NF already disposed of the packet itself (rare).
-    CONSUME = "consume"
 
     @classmethod
     def forward(cls) -> "Decision":
@@ -89,16 +85,8 @@ class Decision:
         return cls(kind=cls.FORWARD_IP)
 
     @classmethod
-    def forward_to(cls, node: str) -> "Decision":
-        return cls(kind=cls.FORWARD_NODE, dst_node=node)
-
-    @classmethod
     def drop(cls) -> "Decision":
         return cls(kind=cls.DROP)
-
-    @classmethod
-    def consume(cls) -> "Decision":
-        return cls(kind=cls.CONSUME)
 
 
 class PacketContext:
@@ -426,8 +414,8 @@ class SwiShmemManager:
         Multiple NFs on one switch *compose*: they run in installation
         order within a single pipeline pass (stages of one program), all
         sharing the packet's context — and therefore one write set Q and
-        one buffered-output barrier.  A DROP, CONSUME, or explicit
-        redirect from any NF ends the chain.
+        one buffered-output barrier.  A DROP from any NF ends the
+        chain.
         """
         self.nfs.append(nf)
         if len(self.nfs) == 1:
@@ -446,7 +434,7 @@ class SwiShmemManager:
                 result = nf.process(ctx)
                 if result is not None:
                     decision = result
-                if decision.kind in (Decision.DROP, Decision.CONSUME, Decision.FORWARD_NODE):
+                if decision.kind == Decision.DROP:
                     break
         except ReadForwarded:
             # The packet is already on its way to the tail.
@@ -470,10 +458,6 @@ class SwiShmemManager:
             return True
         if decision.kind == Decision.DROP:
             self.switch.drop(ctx.packet, reason="nf-drop")
-        elif decision.kind == Decision.FORWARD_NODE:
-            self.switch.forward_to_node(ctx.packet, decision.dst_node)
-        elif decision.kind == Decision.CONSUME:
-            pass
         else:
             self.switch.forward_by_ip(ctx.packet)
         return True
@@ -481,11 +465,7 @@ class SwiShmemManager:
     def _resolve_output(
         self, ctx: PacketContext, decision: Decision
     ) -> Tuple[Optional[Packet], Optional[str]]:
-        if decision.kind == Decision.DROP or decision.kind == Decision.CONSUME:
-            return None, None
-        if decision.kind == Decision.FORWARD_NODE:
-            return ctx.packet, decision.dst_node
-        if ctx.packet.ipv4 is None:
+        if decision.kind == Decision.DROP or ctx.packet.ipv4 is None:
             return None, None
         dst_node = self.deployment.address_book.lookup(ctx.packet.ipv4.dst)
         if dst_node is None:
@@ -692,9 +672,6 @@ class SwiShmemDeployment:
         sync_period: float = DEFAULT_SYNC_PERIOD,
         clock_skew: float = DEFAULT_CLOCK_SKEW,
         record_history: bool = False,
-        detection: str = "heartbeat",
-        heartbeat_period: Optional[float] = None,
-        heartbeat_timeout: Optional[float] = None,
         metrics: Optional["MetricsRegistry"] = None,
         controller_replicas: int = 1,
         lease_duration: Optional[float] = None,
@@ -747,11 +724,7 @@ class SwiShmemDeployment:
             switch.address_book = self.address_book
             switch.multicast = self.multicast
         # Late imports to avoid a protocols <-> core cycle at module load.
-        from repro.protocols.controller import (
-            DEFAULT_HEARTBEAT_PERIOD,
-            DEFAULT_HEARTBEAT_TIMEOUT,
-        )
-        from repro.protocols.election import ControllerCluster
+        from repro.protocols.election import DEFAULT_LEASE_DURATION, ControllerCluster
         from repro.protocols.failover import FailoverCoordinator
 
         self.managers: Dict[str, SwiShmemManager] = {
@@ -761,17 +734,8 @@ class SwiShmemDeployment:
         self.controller = ControllerCluster(
             self,
             replicas=controller_replicas,
-            lease=lease_duration,
-            detection=detection,
-            heartbeat_period=(
-                heartbeat_period
-                if heartbeat_period is not None
-                else DEFAULT_HEARTBEAT_PERIOD
-            ),
-            heartbeat_timeout=(
-                heartbeat_timeout
-                if heartbeat_timeout is not None
-                else DEFAULT_HEARTBEAT_TIMEOUT
+            lease_duration=(
+                lease_duration if lease_duration is not None else DEFAULT_LEASE_DURATION
             ),
         )
         # Runtime consistency re-leveling.  Deployment-scoped (not
@@ -919,7 +883,7 @@ class SwiShmemDeployment:
 
         ``kwargs`` pass through to
         :class:`~repro.protocols.antientropy.ScrubCoordinator`
-        (``buckets``, ``confirm_rounds``, ``heal_bound``).
+        (``buckets``, ``heal_bound``).
         """
         from repro.protocols.antientropy import DEFAULT_SCRUB_PERIOD, ScrubCoordinator
 

@@ -208,10 +208,6 @@ class DigestTree:
         return changed
 
     # ------------------------------------------------------------------
-    @property
-    def root(self) -> int:
-        return self._tree[1]
-
     def node(self, level: int, index: int) -> int:
         """Digest of node ``index`` at ``level`` (0 = root, depth = buckets)."""
         if not 0 <= level <= self.depth:

@@ -9,13 +9,12 @@ element."
 
 The representation matches the paper's in-switch layout: a dense vector
 indexed by replica slot (one register array per switch in the replica
-group, section 7), not a sparse map.  ``slot_width_bytes`` sizes each
-element for memory and message accounting.
+group, section 7), not a sparse map.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["GCounter"]
 
@@ -24,16 +23,15 @@ class GCounter:
     """State-based grow-only counter over a fixed replica group (an EWO
     cell: see ``repro.crdt`` for the four shared methods)."""
 
-    __slots__ = ("num_replicas", "my_slot", "slot_width_bytes", "_vector")
+    __slots__ = ("num_replicas", "my_slot", "_vector")
 
-    def __init__(self, num_replicas: int, my_slot: int, slot_width_bytes: int = 8) -> None:
+    def __init__(self, num_replicas: int, my_slot: int) -> None:
         if num_replicas <= 0:
             raise ValueError("replica group must be non-empty")
         if not 0 <= my_slot < num_replicas:
             raise ValueError(f"slot {my_slot} out of range for group of {num_replicas}")
         self.num_replicas = num_replicas
         self.my_slot = my_slot
-        self.slot_width_bytes = slot_width_bytes
         self._vector: List[int] = [0] * num_replicas
 
     # ------------------------------------------------------------------
@@ -62,13 +60,6 @@ class GCounter:
             return True
         return False
 
-    def merge(self, other_vector: Iterable[int]) -> bool:
-        """Element-wise max merge.  Returns True if any element advanced."""
-        changed = False
-        for slot, remote in enumerate(other_vector):
-            changed = self.apply(slot, remote) or changed
-        return changed
-
     def entries(self) -> List[Tuple[int, int]]:
         """Full state as wire entries: every non-zero slot, ascending."""
         return [(slot, value) for slot, value in enumerate(self._vector) if value]
@@ -82,10 +73,5 @@ class GCounter:
         return tuple(self._vector)
 
     # ------------------------------------------------------------------
-    @property
-    def state_bytes(self) -> int:
-        """In-switch footprint of the full vector."""
-        return self.num_replicas * self.slot_width_bytes
-
     def __repr__(self) -> str:
         return f"<GCounter slot={self.my_slot} value={self.value()} vec={self._vector}>"

@@ -21,7 +21,6 @@ from repro.net.packet import Packet, make_tcp_packet, make_udp_packet
 from repro.net.routing import RoutingTable, ecmp_hash, shortest_paths
 from repro.net.topology import (
     Topology,
-    build_chain,
     build_full_mesh,
     build_leaf_spine,
     build_nf_cluster,
@@ -56,7 +55,6 @@ __all__ = [
     "ecmp_hash",
     "shortest_paths",
     "Topology",
-    "build_chain",
     "build_full_mesh",
     "build_leaf_spine",
     "build_nf_cluster",

@@ -40,9 +40,6 @@ class AddressBook:
     def lookup(self, ip: str) -> Optional[str]:
         return self._ip_to_node.get(ip)
 
-    def ips(self) -> List[str]:
-        return sorted(self._ip_to_node)
-
 
 @dataclass
 class ReceivedPacket:
@@ -129,11 +126,3 @@ class EndHost(Node):
             flags=reply_flags,
         )
         self.inject(reply)
-
-    # ------------------------------------------------------------------
-    def packets_from(self, src_ip: str) -> List[ReceivedPacket]:
-        return [
-            r
-            for r in self.received
-            if r.packet.ipv4 is not None and r.packet.ipv4.src == src_ip
-        ]

@@ -230,18 +230,3 @@ class Link:
             self.ba.transmit(packet)
         else:
             raise ValueError(f"{from_node} is not an endpoint of link {self.a.name}<->{self.b.name}")
-
-    def channel_from(self, node_name: str) -> Channel:
-        """The unidirectional channel whose transmitter is ``node_name``."""
-        if node_name == self.a.name:
-            return self.ab
-        if node_name == self.b.name:
-            return self.ba
-        raise ValueError(f"{node_name} is not an endpoint of this link")
-
-    def other_end(self, node_name: str) -> Node:
-        if node_name == self.a.name:
-            return self.b
-        if node_name == self.b.name:
-            return self.a
-        raise ValueError(f"{node_name} is not an endpoint of this link")

@@ -100,6 +100,3 @@ class MulticastRegistry:
                 group.remove(node_name)
                 touched += 1
         return touched
-
-    def groups(self) -> List[MulticastGroup]:
-        return [self._groups[k] for k in sorted(self._groups)]

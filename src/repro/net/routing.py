@@ -85,9 +85,9 @@ class RoutingTable:
     a packet for a destination node name.
     """
 
-    def __init__(self, topo: Topology, ecmp_salt: int = 0) -> None:
+    def __init__(self, topo: Topology) -> None:
         self.topo = topo
-        self.ecmp_salt = ecmp_salt
+        self.ecmp_salt = 0
         #: node -> destination -> list of equal-cost first hops
         self._tables: Dict[str, Dict[str, List[str]]] = {}
         self.recompute()
@@ -115,20 +115,6 @@ class RoutingTable:
         if len(hops) == 1 or packet is None:
             return hops[0]
         return hops[ecmp_hash(packet, self.ecmp_salt) % len(hops)]
-
-    def path(self, source: str, destination: str, packet: Optional[Packet] = None) -> List[str]:
-        """Full hop-by-hop path a packet would take (for tests/analysis)."""
-        path = [source]
-        current = source
-        seen = {source}
-        while current != destination:
-            nxt = self.next_hop(current, destination, packet)
-            if nxt is None or nxt in seen:
-                return []
-            path.append(nxt)
-            seen.add(nxt)
-            current = nxt
-        return path
 
     def set_salt(self, salt: int) -> None:
         """Change the ECMP salt, re-assigning flows to paths."""

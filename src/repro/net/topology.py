@@ -3,8 +3,6 @@
 The paper's deployment scenarios (section 3.2) motivate the shapes we
 provide:
 
-* ``build_chain`` — the replication chain itself, and the simplest
-  multi-switch deployment;
 * ``build_leaf_spine`` — "NF processing placed in switches in the network
   fabric", where traffic crosses different switches via ECMP;
 * ``build_nf_cluster`` — "a dedicated cluster of switches near the
@@ -26,7 +24,6 @@ from repro.sim.random import SeededRng
 
 __all__ = [
     "Topology",
-    "build_chain",
     "build_full_mesh",
     "build_leaf_spine",
     "build_nf_cluster",
@@ -94,9 +91,6 @@ class Topology:
         """Fail-stop a node (paper section 6.3 failure model)."""
         self.nodes[name].fail()
 
-    def recover_node(self, name: str) -> None:
-        self.nodes[name].recover()
-
     def total_bytes_sent(self, category: Optional[Callable[[Link], bool]] = None) -> int:
         """Sum of bytes transmitted over all (or filtered) links."""
         total = 0
@@ -114,23 +108,6 @@ class Topology:
 # ----------------------------------------------------------------------
 
 NodeFactory = Callable[[str], Node]
-
-
-def build_chain(
-    topo: Topology,
-    switch_factory: NodeFactory,
-    length: int,
-    latency: float = 5e-6,
-    bandwidth_bps: float = 100e9,
-    loss_rate: float = 0.0,
-) -> List[Node]:
-    """A linear chain of ``length`` switches: s0 - s1 - ... - s{n-1}."""
-    if length < 1:
-        raise ValueError("chain length must be >= 1")
-    switches = [topo.add_node(switch_factory(f"s{i}")) for i in range(length)]
-    for left, right in zip(switches, switches[1:]):
-        topo.connect(left.name, right.name, latency, bandwidth_bps, loss_rate)
-    return switches
 
 
 def build_full_mesh(

@@ -2,12 +2,12 @@
 
 See docs/OBSERVABILITY.md for the full guide.  Quick start::
 
-    from repro.obs import MetricsRegistry, render_registry
+    from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
     deployment = SwiShmemDeployment(sim, topo, nodes, metrics=registry)
     sim.run(until=0.1)
-    print(render_registry(registry))
+    print(registry.snapshot()["counters"])
     registry.write_jsonl("metrics.jsonl")
 """
 
@@ -28,14 +28,7 @@ from repro.obs.critpath import (
     Segment,
     WriteAttribution,
 )
-from repro.obs.dashboard import (
-    render,
-    render_access_profile,
-    render_critpath,
-    render_dashboard,
-    render_registry,
-    render_slo,
-)
+from repro.obs.dashboard import render_access_profile, render_critpath, render_slo
 from repro.obs.events import EVENTS
 from repro.obs.flightrec import DEFAULT_MAX_SPANS, FlightRecorder, Span, TraceQuery
 from repro.obs.inttel import (
@@ -52,8 +45,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    load_jsonl,
-    registry_from_records,
 )
 from repro.obs.slo import SLOMonitor, SLOObjective, parse_objective
 from repro.obs.spine import ObsSpine
@@ -77,7 +68,6 @@ __all__ = [
     "parse_objective",
     "render_access_profile",
     "render_critpath",
-    "render_dashboard",
     "render_slo",
     "CausalClock",
     "TraceContext",
@@ -92,10 +82,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",
-    "load_jsonl",
-    "registry_from_records",
-    "render",
-    "render_registry",
     "IntHopRecord",
     "IntTelemetry",
     "IntSink",

@@ -329,44 +329,6 @@ class GroupProfile:
         self.keys[key] = profile
         return profile
 
-    def hot_keys(self, now: float, limit: int = 10) -> List[Dict[str, Any]]:
-        ranked = sorted(
-            self.keys.values(), key=lambda p: (-p.accesses, repr(p.key))
-        )
-        return [profile.as_dict(now) for profile in ranked[:limit]]
-
-    def as_dict(self, now: float, hot_keys: int = 10) -> Dict[str, Any]:
-        return {
-            "group": self.group_id,
-            "name": self.name,
-            "nf": self.nf,
-            "declared": self.declared,
-            "ewo_mode": self.ewo_mode,
-            "reads": self.reads,
-            "peeks": self.peeks,
-            "writes": self.writes,
-            "writes_dataplane": self.writes_dataplane,
-            "writes_control": self.writes_control,
-            "applies": self.applies,
-            "merges_applied": self.merges_applied,
-            "merges_stale": self.merges_stale,
-            "merge_conflict_rate": self.merge_conflict_rate,
-            "reads_by_node": dict(sorted(self.reads_by_node.items())),
-            "writes_by_node": dict(sorted(self.writes_by_node.items())),
-            "writer_nodes": self.writer_nodes,
-            "sharing_nodes": self.sharing_nodes,
-            "ops": dict(sorted(self.ops.items())),
-            "inter_write_p50": self.inter_write.p50,
-            "inter_write_p99": self.inter_write.p99,
-            "windowed_read_rate": self.read_activity.rate(now),
-            "windowed_write_rate": self.write_activity.rate(now),
-            "tracked_keys": len(self.keys),
-            "tail_items": self.sketch.items_added,
-            "promotions": self.promotions,
-            "evictions": self.evictions,
-            "hot_keys": self.hot_keys(now, limit=hot_keys),
-        }
-
 
 class AccessProfiler:
     """Deployment-wide streaming access profiler.
@@ -378,7 +340,7 @@ class AccessProfiler:
         profiler = AccessProfiler()
         deployment = SwiShmemDeployment(sim, topo, nodes, access_profiler=profiler)
         ...
-        print(profiler.snapshot()["groups"][0]["hot_keys"])
+        print(profiler.hot_keys(limit=5))
     """
 
     def __init__(
@@ -545,16 +507,3 @@ class AccessProfiler:
             dict(item[3].as_dict(at), group=item[1])
             for item in ranked[:limit]
         ]
-
-    def snapshot(self, now: Optional[float] = None, hot_keys: int = 10) -> Dict[str, Any]:
-        """JSON-ready, deterministically ordered profile export."""
-        at = self.last_event_at if now is None else now
-        return {
-            "window": self.window,
-            "top_k": self.top_k,
-            "events": self.events,
-            "groups": [
-                self.groups[group_id].as_dict(at, hot_keys=hot_keys)
-                for group_id in sorted(self.groups)
-            ],
-        }

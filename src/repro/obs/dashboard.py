@@ -1,16 +1,13 @@
-"""Text dashboard: render observability snapshots for terminals and logs.
+"""Text dashboard: render observability reports for terminals and logs.
 
-Benchmarks and the chaos soak call :func:`render` at the end of a run
-to show live counters alongside their usual tables.  Every renderer
-works from JSON-ready snapshots (not live instruments), so it can also
-replay a snapshot loaded from a ``BENCH_*.json`` sidecar or a JSONL
-export.
+The T2 and T3 benchmarks print these beside their tables.  Every
+renderer works from a JSON-ready report dict (not live objects), so it
+can also replay a report loaded from a ``BENCH_*.json`` sidecar, and
+its output is a pure function of that dict.
 
-The dashboard is built from *panels* — each a list of pre-indented
-lines — stitched under one rule by :func:`render_panels`:
+Each report kind has a *panel* — a list of pre-indented lines — and a
+``render_*`` function that frames the panel under a titled rule:
 
-* :func:`counters_panel`, :func:`gauges_panel`, :func:`histograms_panel`
-  render a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`;
 * :func:`access_profile_panel` renders a
   :meth:`~repro.obs.advisor.ConsistencyAdvisor.report` — per-group
   read/write mix, recommended vs declared consistency class, and the
@@ -20,28 +17,17 @@ lines — stitched under one rule by :func:`render_panels`:
   per-cause latency attribution and the tail breakdown;
 * :func:`slo_panel` renders an
   :meth:`~repro.obs.slo.SLOMonitor.as_dict` — per-objective burn state
-  plus recent breach events;
-* :func:`render_dashboard` combines every source into the full
-  multi-panel view.
+  plus recent breach events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.obs.metrics import MetricsRegistry
+from typing import Any, Dict, List
 
 __all__ = [
-    "render",
-    "render_registry",
-    "render_panels",
-    "render_dashboard",
     "render_access_profile",
     "render_critpath",
     "render_slo",
-    "counters_panel",
-    "gauges_panel",
-    "histograms_panel",
     "access_profile_panel",
     "critpath_panel",
     "slo_panel",
@@ -49,12 +35,6 @@ __all__ = [
 
 #: Dashboard line width, shared by every panel.
 WIDTH = 78
-
-
-def _fmt_value(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return f"{value:,.6g}"
-    return f"{int(value):,}"
 
 
 def _fmt_seconds(value: float) -> str:
@@ -71,56 +51,6 @@ def _fmt_rate(value: float) -> str:
     if value >= 1e3:
         return f"{value / 1e3:.1f}k/s"
     return f"{value:.1f}/s"
-
-
-# ----------------------------------------------------------------------
-# Metric panels (one per instrument kind)
-# ----------------------------------------------------------------------
-
-def counters_panel(counters: Sequence[Dict[str, Any]]) -> List[str]:
-    if not counters:
-        return []
-    lines = [f"  {'counter':<44} {'node':<16} {'value':>14}",
-             "  " + "-" * (WIDTH - 2)]
-    for record in counters:
-        lines.append(
-            f"  {record['name']:<44.44} {record['node']:<16.16} "
-            f"{_fmt_value(record['value']):>14}"
-        )
-    return lines
-
-
-def gauges_panel(gauges: Sequence[Dict[str, Any]]) -> List[str]:
-    if not gauges:
-        return []
-    lines = [f"  {'gauge':<44} {'node':<16} {'value':>7} {'max':>6}",
-             "  " + "-" * (WIDTH - 2)]
-    for record in gauges:
-        lines.append(
-            f"  {record['name']:<44.44} {record['node']:<16.16} "
-            f"{_fmt_value(record['value']):>7} {_fmt_value(record['max']):>6}"
-        )
-    return lines
-
-
-def histograms_panel(histograms: Sequence[Dict[str, Any]]) -> List[str]:
-    if not histograms:
-        return []
-    lines = [
-        f"  {'histogram':<34} {'node':<12} {'count':>7} "
-        f"{'p50':>9} {'p99':>9} {'p999':>9} {'max':>9}",
-        "  " + "-" * (WIDTH - 2),
-    ]
-    for record in histograms:
-        # Older snapshots may predate the p999 field; fall back to p99.
-        p999 = record.get("p999", record["p99"])
-        lines.append(
-            f"  {record['name']:<34.34} {record['node']:<12.12} "
-            f"{record['count']:>7} {_fmt_seconds(record['p50']):>9} "
-            f"{_fmt_seconds(record['p99']):>9} {_fmt_seconds(p999):>9} "
-            f"{_fmt_seconds(record['max']):>9}"
-        )
-    return lines
 
 
 # ----------------------------------------------------------------------
@@ -285,85 +215,24 @@ def slo_panel(state: Dict[str, Any], max_breaches: int = 5) -> List[str]:
 # Assembly
 # ----------------------------------------------------------------------
 
-def render_panels(title: str, panels: Sequence[Tuple[str, List[str]]]) -> str:
-    """Stitch named panels into one ruled dashboard.
-
-    ``panels`` is ``[(heading, lines)]``; empty panels are skipped, and
-    the first panel's heading is omitted when it matches the dashboard
-    title (the legacy single-snapshot layout).
-    """
-    lines = ["=" * WIDTH, f"  {title}", "=" * WIDTH]
-    rendered_any = False
-    for heading, panel_lines in panels:
-        if not panel_lines:
-            continue
-        if rendered_any:
-            lines.append("")
-        if heading and heading != title:
-            lines.append(f"  -- {heading} --")
-        lines.extend(panel_lines)
-        rendered_any = True
-    if not rendered_any:
-        lines.append("  (no instruments recorded)")
-    lines.append("=" * WIDTH)
-    return "\n".join(lines)
-
-
-def render(snapshot: Dict[str, List[Dict[str, Any]]], title: str = "metrics") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` dict as a text dashboard."""
-    return render_panels(
-        title,
-        [
-            (title, counters_panel(snapshot.get("counters", []))),
-            (title, gauges_panel(snapshot.get("gauges", []))),
-            (title, histograms_panel(snapshot.get("histograms", []))),
-        ],
-    )
-
-
-def render_registry(registry: MetricsRegistry, title: str = "metrics") -> str:
-    """Convenience wrapper: snapshot + render in one call."""
-    return render(registry.snapshot(), title=title)
+def _framed(title: str, panel_lines: List[str]) -> str:
+    """One panel under a titled rule."""
+    rule = "=" * WIDTH
+    return "\n".join([rule, f"  {title}", rule, *panel_lines, rule])
 
 
 def render_access_profile(
     report: Dict[str, Any], title: str = "access profile", top_keys: int = 8
 ) -> str:
     """Render an advisor report as a standalone dashboard section."""
-    return render_panels(title, [(title, access_profile_panel(report, top_keys))])
+    return _framed(title, access_profile_panel(report, top_keys))
 
 
 def render_critpath(report: Dict[str, Any], title: str = "critical paths") -> str:
     """Render a :meth:`CritPathReport.as_dict` as a standalone section."""
-    return render_panels(title, [(title, critpath_panel(report))])
+    return _framed(title, critpath_panel(report))
 
 
 def render_slo(state: Dict[str, Any], title: str = "slo") -> str:
     """Render an :meth:`SLOMonitor.as_dict` as a standalone section."""
-    return render_panels(title, [(title, slo_panel(state))])
-
-
-def render_dashboard(
-    snapshot: Optional[Dict[str, List[Dict[str, Any]]]] = None,
-    access_report: Optional[Dict[str, Any]] = None,
-    title: str = "swishmem dashboard",
-    top_keys: int = 8,
-    critpath_report: Optional[Dict[str, Any]] = None,
-    slo_state: Optional[Dict[str, Any]] = None,
-) -> str:
-    """The full multi-panel dashboard: metrics, access profile,
-    critical-path attribution, and SLO burn state."""
-    panels: List[Tuple[str, List[str]]] = []
-    if snapshot is not None:
-        panels.append(("counters", counters_panel(snapshot.get("counters", []))))
-        panels.append(("gauges", gauges_panel(snapshot.get("gauges", []))))
-        panels.append(("histograms", histograms_panel(snapshot.get("histograms", []))))
-    if access_report is not None:
-        panels.append(
-            ("access profile", access_profile_panel(access_report, top_keys))
-        )
-    if critpath_report is not None:
-        panels.append(("critical paths", critpath_panel(critpath_report)))
-    if slo_state is not None:
-        panels.append(("slo", slo_panel(slo_state)))
-    return render_panels(title, panels)
+    return _framed(title, slo_panel(state))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -49,8 +49,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",
-    "load_jsonl",
-    "registry_from_records",
 ]
 
 #: Default histogram bucket upper bounds, in seconds: 200 ns .. 200 ms,
@@ -178,14 +176,9 @@ class Histogram:
             )
         self.count += other.count
         self.sum += other.sum
-        # Fold min and the exact observed max (which the overflow
-        # bucket's percentile estimate reports) only when the other
-        # side actually saw samples: an empty histogram round-tripped
-        # through as_dict carries min=0.0 / max=0.0 placeholders that
-        # must not clobber real extremes.
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
+        # An empty histogram's extremes are the identities (inf, 0.0).
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
         self.overflow += other.overflow
         for i, bucket in enumerate(other.buckets):
             self.buckets[i] += bucket
@@ -356,70 +349,3 @@ class MetricsRegistry:
                 handle.write(json.dumps(instrument.as_dict(), sort_keys=True))
                 handle.write("\n")
         return len(instruments)
-
-    # -- aggregation ----------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (multi-run aggregation).
-
-        Counters add; gauges keep the maximum (their high-water
-        interpretation); histograms add bucket-wise and require
-        identical bounds.
-        """
-        for instrument in other.instruments():
-            if instrument.kind == "counter":
-                self.counter(instrument.name, instrument.node).inc(instrument.value)
-            elif instrument.kind == "gauge":
-                mine = self.gauge(instrument.name, instrument.node)
-                mine.set(max(mine.value, instrument.value))
-                mine.max_value = max(mine.max_value, instrument.max_value)
-            else:
-                self.histogram(
-                    instrument.name, instrument.node, bounds=instrument.bounds
-                ).add(instrument)
-        return self
-
-
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read back a :meth:`MetricsRegistry.write_jsonl` export."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def registry_from_records(records: Iterable[Dict[str, Any]]) -> MetricsRegistry:
-    """Rebuild a live registry from :func:`load_jsonl` records.
-
-    The inverse of :meth:`MetricsRegistry.write_jsonl` /
-    :meth:`~MetricsRegistry.snapshot` for every field the instruments
-    persist, so ``load_jsonl -> registry_from_records -> merge ->
-    snapshot`` round-trips multi-run aggregation.  Empty histograms get
-    their ``min`` restored to the live-instrument sentinel (``inf``)
-    rather than the serialized 0.0, so merging real samples into a
-    reconstructed registry keeps the true minimum.
-    """
-    registry = MetricsRegistry()
-    for record in records:
-        kind = record["kind"]
-        if kind == "counter":
-            registry.counter(record["name"], record["node"]).inc(record["value"])
-        elif kind == "gauge":
-            gauge = registry.gauge(record["name"], record["node"])
-            gauge.set(record["value"])
-            gauge.max_value = max(gauge.max_value, record["max"])
-        elif kind == "histogram":
-            histogram = registry.histogram(
-                record["name"], record["node"], bounds=tuple(record["bounds"])
-            )
-            histogram.count = record["count"]
-            histogram.sum = record["sum"]
-            histogram.min = record["min"] if record["count"] else float("inf")
-            histogram.max = record["max"]
-            histogram.buckets = list(record["buckets"])
-            histogram.overflow = record["overflow"]
-        else:
-            raise ValueError(f"unknown instrument kind {kind!r}")
-    return registry

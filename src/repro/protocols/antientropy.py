@@ -27,7 +27,7 @@ the SwiShmem split between management and data planes:
 * Divergence is *confirmed* across consecutive rounds before repair:
   a write in flight down the chain makes replicas differ legitimately
   for a few microseconds, and repairing those would thrash.  A (member,
-  key) pair must stay divergent for ``confirm_rounds`` rounds running.
+  key) pair must stay divergent for ``CONFIRM_ROUNDS`` rounds running.
 
 * **Repair is online.**  For SRO/ERO chains the per-key majority is
   authoritative (ties break toward the earliest chain member), and the
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.core.registers import Consistency, DigestTree, RegisterSpec
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
@@ -79,12 +79,35 @@ __all__ = ["DivergenceEvent", "ScrubAgent", "ScrubCoordinator", "ScrubStats"]
 DEFAULT_SCRUB_PERIOD = 2e-3
 #: Consecutive rounds a (member, key) must stay divergent before repair
 #: (filters replicas that merely had a write in flight).
-DEFAULT_CONFIRM_ROUNDS = 2
+CONFIRM_ROUNDS = 2
 #: Digest-tree levels descended per stage when bisecting.
 LEVEL_STRIDE = 4
 #: Scheduled just after the 2 x config_latency reply round-trip so a
 #: stage-finish callback always runs after every reply of its stage.
 _STAGE_SLACK = 1e-6
+
+
+def majority_vote(members: Sequence[str], votes: Mapping[str, Any]) -> Any:
+    """The most common value in ``votes`` (``{member: vote}``; a member
+    absent from it did not vote), ties to the earliest voter in
+    ``members`` order — for SRO that is chain order, so the head side of
+    a split wins.
+
+    None has two meanings and every caller skips both: nobody voted, or
+    the winning vote is itself None — in the key stage a member's vote
+    is its hash of the key or None for *key absent*, so a None majority
+    means most members lack the key: a write in flight, not divergence.
+    """
+    counts: Dict[Any, int] = {}
+    first_voter: Dict[Any, int] = {}
+    for position, member in enumerate(members):
+        if member in votes:
+            vote = votes[member]
+            counts[vote] = counts.get(vote, 0) + 1
+            first_voter.setdefault(vote, position)
+    if not counts:
+        return None
+    return max(counts, key=lambda vote: (counts[vote], -first_voter[vote]))
 
 
 @dataclass
@@ -309,13 +332,11 @@ class ScrubCoordinator:
         deployment: "SwiShmemDeployment",
         period: float = DEFAULT_SCRUB_PERIOD,
         buckets: int = 16,
-        confirm_rounds: int = DEFAULT_CONFIRM_ROUNDS,
         heal_bound: Optional[float] = None,
     ) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
         self.period = period
-        self.confirm_rounds = confirm_rounds
         #: Heal guarantee: a repairable divergence is gone within this
         #: much sim time, counted from when scrubbing was last unable to
         #: run for its group.  Default: enough for confirmation rounds
@@ -520,7 +541,10 @@ class ScrubCoordinator:
         divergent_indexes: Set[int] = set()
         divergent_members: Set[str] = set()
         for index in queried:
-            majority = self._majority_digest(round_, index)
+            majority = majority_vote(
+                round_.members,
+                {m: nodes[index] for m, nodes in round_.replies.items() if index in nodes},
+            )
             if majority is None:
                 continue
             for member in round_.members:
@@ -563,26 +587,6 @@ class ScrubCoordinator:
 
     def _depth(self, round_: _ScrubRound) -> int:
         return self._tree_depth
-
-    def _majority_digest(self, round_: _ScrubRound, index: int) -> Optional[int]:
-        """The digest most members report for ``index``.
-
-        Ties break toward the earliest member in round order — for SRO
-        that is chain order, so the head side of a split wins.  Returns
-        None when no member reported the node.
-        """
-        counts: Dict[int, int] = {}
-        first_holder: Dict[int, int] = {}
-        for position, member in enumerate(round_.members):
-            nodes = round_.replies.get(member)
-            if nodes is None or index not in nodes:
-                continue
-            digest = nodes[index]
-            counts[digest] = counts.get(digest, 0) + 1
-            first_holder.setdefault(digest, position)
-        if not counts:
-            return None
-        return max(counts, key=lambda d: (counts[d], -first_holder[d]))
 
     # ------------------------------------------------------------------
     # Key stage
@@ -639,6 +643,15 @@ class ScrubCoordinator:
             return
         round_.key_replies[reply.switch] = dict(reply.entries)
 
+    @staticmethod
+    def _key_votes(round_: _ScrubRound, key: Any) -> Dict[str, Any]:
+        """Each replying member's hash of ``key``, None where it lacks it."""
+        return {
+            member: round_.key_replies[member].get(key)
+            for member in round_.members
+            if member in round_.key_replies
+        }
+
     def _finish_key_stage(self, round_: _ScrubRound) -> None:
         if self._rounds.get(round_.group_id) is not round_ or round_.aborted:
             return
@@ -651,22 +664,8 @@ class ScrubCoordinator:
         )
         divergent: Dict[str, Set[Any]] = {}
         for key in all_keys:
-            # hash-or-None per member; a key the majority lacks is an
-            # in-flight write, not repairable divergence — skip it.
-            hashes = {
-                member: round_.key_replies[member].get(key)
-                for member in round_.members
-                if member in round_.key_replies
-            }
-            counts: Dict[Any, int] = {}
-            first_holder: Dict[Any, int] = {}
-            for position, member in enumerate(round_.members):
-                if member not in hashes:
-                    continue
-                h = hashes[member]
-                counts[h] = counts.get(h, 0) + 1
-                first_holder.setdefault(h, position)
-            majority = max(counts, key=lambda h: (counts[h], -first_holder[h]))
+            hashes = self._key_votes(round_, key)
+            majority = majority_vote(round_.members, hashes)
             if majority is None:
                 continue
             for member, h in hashes.items():
@@ -692,7 +691,7 @@ class ScrubCoordinator:
             for key in sorted(divergent[member], key=repr):
                 suspect = (group_id, member, key)
                 fresh[suspect] = self._suspects.get(suspect, 0) + 1
-                if fresh[suspect] >= self.confirm_rounds:
+                if fresh[suspect] >= CONFIRM_ROUNDS:
                     confirmed.setdefault(member, set()).add(key)
         for suspect in stale_suspects:
             del self._suspects[suspect]
@@ -837,22 +836,8 @@ class ScrubCoordinator:
         self, round_: _ScrubRound, key: Any, victim: str
     ) -> Optional[str]:
         """Earliest chain member holding the majority hash for ``key``."""
-        hashes = {
-            member: round_.key_replies[member].get(key)
-            for member in round_.members
-            if member in round_.key_replies
-        }
-        counts: Dict[Any, int] = {}
-        first_holder: Dict[Any, int] = {}
-        for position, member in enumerate(round_.members):
-            if member not in hashes:
-                continue
-            h = hashes[member]
-            counts[h] = counts.get(h, 0) + 1
-            first_holder.setdefault(h, position)
-        if not counts:
-            return None
-        majority = max(counts, key=lambda h: (counts[h], -first_holder[h]))
+        hashes = self._key_votes(round_, key)
+        majority = majority_vote(round_.members, hashes)
         if majority is None:
             return None
         for member in round_.members:

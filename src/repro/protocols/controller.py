@@ -23,15 +23,15 @@ switches have failed" and sketches the two phases we implement:
   snapshot from a live chain member, and finally promote the new member
   to read tail.
 
-**Failure detection** (``detection="heartbeat"``, the default) is real:
-every switch's packet generator emits a :class:`Heartbeat` packet each
-``heartbeat_period`` toward the *leader's host switch* — the switch
-whose management port the acting controller hangs off.  Heartbeats ride
+**Failure detection** is real: every switch's packet generator emits a
+:class:`Heartbeat` packet each ``heartbeat_period`` toward the *leader's
+host switch* — the switch whose management port the acting controller
+hangs off.  Heartbeats ride
 the data plane, so loss, partitions, and nemesis interference affect
 them like any other packet; a switch whose beacons stop for longer than
 ``heartbeat_timeout`` is declared failed.  Detection latency is bounded
 by ``heartbeat_period + heartbeat_timeout``.  Because the detector is
-no longer an oracle, it can be *wrong*: a partitioned-but-alive switch
+not an oracle, it can be *wrong*: a partitioned-but-alive switch
 is excised (split-brain), and its stale in-flight chain updates are
 rejected by epoch fencing (see ``ChainUpdate.epoch``).  When beacons
 from a suspected switch resume, the controller counts a false positive
@@ -63,9 +63,8 @@ and reconstruction queries reach live endpoints in ``config_latency``
 notices its *own* host switch dying via the management port (it then
 re-homes to the next live switch).
 
-``detection="oracle"`` restores the seed behaviour — periodic liveness
-polling of the fail-stop flag with period ``detect_period`` — for
-experiments that want detection latency out of the picture.
+The timing values below are constants of the model, not options: every
+benchmark, example and ``perf/`` workload runs with exactly these.
 """
 
 from __future__ import annotations
@@ -90,15 +89,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CentralController", "FailureEvent", "RecoveryEvent"]
 
-DEFAULT_DETECT_PERIOD = 500e-6
-#: Heartbeat emission period per switch (heartbeat detection mode).
-DEFAULT_HEARTBEAT_PERIOD = 200e-6
+#: Heartbeat emission period per switch.
+HEARTBEAT_PERIOD = 200e-6
 #: Declare a switch failed after this long without a beacon.
-DEFAULT_HEARTBEAT_TIMEOUT = 600e-6
+HEARTBEAT_TIMEOUT = 600e-6
 #: Latency for the controller to push one config update to one switch.
-DEFAULT_CONFIG_LATENCY = 100e-6
+CONFIG_LATENCY = 100e-6
 #: Wait for in-flight old-chain writes to settle before snapshotting.
-DEFAULT_DRAIN_DELAY = 5e-3
+DRAIN_DELAY = 5e-3
 #: Give up a recovery after this many snapshot-transfer attempts.
 MAX_TRANSFER_ATTEMPTS = 3
 
@@ -170,10 +168,8 @@ class CentralController:
         self.sim = cluster.sim
         self.replica_id = replica_id
         # Config mirrored from the cluster (uniform across replicas).
-        self.detect_period = cluster.detect_period
         self.config_latency = cluster.config_latency
         self.drain_delay = cluster.drain_delay
-        self.detection = cluster.detection
         self.heartbeat_period = cluster.heartbeat_period
         self.heartbeat_timeout = cluster.heartbeat_timeout
         # Leadership state.
@@ -219,14 +215,9 @@ class CentralController:
         self.node = f"ctl{replica_id}"
         self.causal = self.obs.clock(self.node)
         self.trace_ctx: Any = None
-        period = (
-            self.heartbeat_period / 4
-            if self.detection == "heartbeat"
-            else self.detect_period
-        )
         self._process = Process(
             self.sim,
-            period,
+            self.heartbeat_period / 4,
             self._tick,
             name=f"controller:replica-{replica_id}",
         ).start()
@@ -239,9 +230,7 @@ class CentralController:
         """Worst-case detection latency for a clean fail-stop (while a
         leader is continuously active; controller failover adds
         :attr:`ControllerCluster.failover_bound`)."""
-        if self.detection == "heartbeat":
-            return self.heartbeat_period + self.heartbeat_timeout
-        return self.detect_period
+        return self.heartbeat_period + self.heartbeat_timeout
 
     def _is_active(self) -> bool:
         """Whether this replica may act on the deployment *right now*:
@@ -266,10 +255,7 @@ class CentralController:
                 return
             if self.reconstructing or self.cluster.mgmt_blocked(self):
                 return
-            if self.detection == "heartbeat":
-                self._check_liveness()
-            else:
-                self._poll()
+            self._check_liveness()
         else:
             self._standby_tick()
 
@@ -292,8 +278,8 @@ class CentralController:
         A leader that cannot reach the fabric must *not* extend: its
         lease runs out, it self-fences, and a (hopefully connected)
         standby takes over.  Reachability evidence is the management
-        path being unblocked plus — in heartbeat mode — at least one
-        switch beacon within the detection bound.  A solo replica has
+        path being unblocked plus at least one switch beacon within the
+        detection bound.  A solo replica has
         no standby to defer to, so self-fencing buys nothing and its
         lease self-extends unconditionally (the seed behaviour).
         """
@@ -301,8 +287,6 @@ class CentralController:
             return True
         if self.cluster.mgmt_blocked(self):
             return False
-        if self.detection != "heartbeat":
-            return True
         reference = max(self._last_beacon, self._deadline_base)
         return self.sim.now - reference <= self.detection_bound
 
@@ -592,13 +576,6 @@ class CentralController:
     # ------------------------------------------------------------------
     # Failure detection
     # ------------------------------------------------------------------
-    def _poll(self) -> None:
-        """Oracle detection: read the fail-stop flag directly."""
-        for switch in self.deployment.switches:
-            if switch.failed and switch.name not in self._known_failed:
-                self._on_failure_detected(switch.name)
-        self._poll_links()
-
     def on_heartbeat(self, beacon: Heartbeat) -> None:
         """A beacon reached this replica's management port."""
         self.heartbeats_received += 1
@@ -709,7 +686,7 @@ class CentralController:
         # abandon them now so their on_failure callbacks pick a new
         # source (the dead CPU would otherwise swallow its own timers).
         self.deployment.failover.fail_transfers_from(name)
-        if name == self.host and self.detection == "heartbeat":
+        if name == self.host:
             self._rehome()
 
     # ------------------------------------------------------------------
@@ -802,16 +779,12 @@ class CentralController:
         self._known_failed.discard(name)
         self.cluster._fail_times.pop(name, None)
         self._last_heard[name] = self.sim.now
-        if (
-            self.detection == "heartbeat"
-            and self.deployment.manager(self.host).switch.failed
-        ):
+        if self.deployment.manager(self.host).switch.failed:
             self._rehome()
         self.deployment.routing.recompute()
         if wipe_state:
             self._wipe_state(manager)
-        if self.detection == "heartbeat":
-            self.cluster.restart_heartbeat_for(name)
+        self.cluster.restart_heartbeat_for(name)
         # EWO: rejoin multicast groups and restart the sync generators.
         # Groups whose multicast was deleted by a re-level promotion are
         # skipped here; reconciliation below re-levels the stale engine.

@@ -11,8 +11,8 @@ acts on the deployment.  The rest are warm standbys.
 :class:`~repro.protocols.messages.LeaseRenewal` carrying its own
 self-fencing time (``expires_at``) to every standby over the management
 network.  Extension requires evidence the leader can still reach the
-fabric (management path unblocked; in heartbeat mode, a switch beacon
-within the detection bound) — a leader cut off from every switch stops
+fabric (management path unblocked and a switch beacon within the
+detection bound) — a leader cut off from every switch stops
 extending, runs out its lease, and self-fences.  A standby's takeover
 deadline is computed from the *advertised* ``expires_at``, never from
 receipt time:
@@ -21,8 +21,8 @@ receipt time:
 
 with ``margin = renew_period + beacon_quiet + 2 * config_latency`` —
 the advertisement granularity, plus how long a cut-off leader may keep
-extending before its health check trips (``beacon_quiet`` = detection
-bound in heartbeat mode), plus management-network slack.  Since the
+extending before its health check trips (``beacon_quiet`` = the
+detection bound), plus management-network slack.  Since the
 incumbent stops acting at ``expires_at + beacon_quiet + renew_period``
 at the latest, the successor provably activates after the incumbent
 has self-fenced: at most one replica is ever *active* (leading, lease
@@ -54,17 +54,15 @@ cluster is behaviourally identical to the seed's ``CentralController``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
 from repro.protocols.controller import (
-    DEFAULT_CONFIG_LATENCY,
-    DEFAULT_DETECT_PERIOD,
-    DEFAULT_DRAIN_DELAY,
-    DEFAULT_HEARTBEAT_PERIOD,
-    DEFAULT_HEARTBEAT_TIMEOUT,
+    CONFIG_LATENCY,
+    DRAIN_DELAY,
+    HEARTBEAT_PERIOD,
+    HEARTBEAT_TIMEOUT,
     CentralController,
     FailureEvent,
     RecoveryEvent,
@@ -75,31 +73,12 @@ from repro.switch.pktgen import PacketGenerator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import SwiShmemDeployment
 
-__all__ = ["LeaseConfig", "ControllerCluster", "DEFAULT_LEASE_DURATION"]
+__all__ = ["ControllerCluster", "DEFAULT_LEASE_DURATION"]
 
 #: Default leadership lease duration.
 DEFAULT_LEASE_DURATION = 5e-3
-
-
-@dataclass(frozen=True)
-class LeaseConfig:
-    """Leadership lease timing knobs.
-
-    ``margin`` and ``stagger`` default to values derived from the
-    deployment's detection and management-latency parameters (see the
-    module docstring for the safety argument); override them only in
-    experiments probing the protocol's own failure modes.
-    """
-
-    duration: float = DEFAULT_LEASE_DURATION
-    #: The leader renews every ``duration / renew_divisor``.
-    renew_divisor: int = 3
-    margin: Optional[float] = None
-    stagger: Optional[float] = None
-
-    @property
-    def renew_period(self) -> float:
-        return self.duration / self.renew_divisor
+#: The leader renews every ``lease_duration / RENEW_DIVISOR``.
+RENEW_DIVISOR = 3
 
 
 class ControllerCluster:
@@ -109,50 +88,27 @@ class ControllerCluster:
         self,
         deployment: "SwiShmemDeployment",
         replicas: int = 1,
-        lease: Any = None,
-        detect_period: float = DEFAULT_DETECT_PERIOD,
-        config_latency: float = DEFAULT_CONFIG_LATENCY,
-        drain_delay: float = DEFAULT_DRAIN_DELAY,
-        detection: str = "heartbeat",
-        heartbeat_period: float = DEFAULT_HEARTBEAT_PERIOD,
-        heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
+        lease_duration: float = DEFAULT_LEASE_DURATION,
     ) -> None:
-        if detection not in ("heartbeat", "oracle"):
-            raise ValueError(f"unknown detection mode {detection!r}")
         if replicas < 1:
             raise ValueError("a controller cluster needs at least one replica")
-        # ``replicas`` must exist before anything that could trigger
-        # __getattr__ delegation.
         self.replicas: List[CentralController] = []
         self.deployment = deployment
         self.sim = deployment.sim
-        self.detect_period = detect_period
-        self.config_latency = config_latency
-        self.drain_delay = drain_delay
-        self.detection = detection
-        self.heartbeat_period = heartbeat_period
-        self.heartbeat_timeout = heartbeat_timeout
-        if lease is None:
-            lease = LeaseConfig()
-        elif not isinstance(lease, LeaseConfig):
-            lease = LeaseConfig(duration=float(lease))
-        self.lease_config = lease
-        self.lease_duration = lease.duration
-        self.renew_period = lease.renew_period
-        beacon_quiet = (
-            heartbeat_period + heartbeat_timeout if detection == "heartbeat" else 0.0
-        )
+        self.config_latency = CONFIG_LATENCY
+        self.drain_delay = DRAIN_DELAY
+        self.heartbeat_period = HEARTBEAT_PERIOD
+        self.heartbeat_timeout = HEARTBEAT_TIMEOUT
+        self.lease_duration = lease_duration
+        self.renew_period = lease_duration / RENEW_DIVISOR
+        beacon_quiet = self.heartbeat_period + self.heartbeat_timeout
         self.takeover_margin = (
-            lease.margin
-            if lease.margin is not None
-            else self.renew_period + beacon_quiet + 2 * config_latency
+            self.renew_period + beacon_quiet + 2 * self.config_latency
         )
         # Must exceed the reconstruction window (3 x config_latency) so
         # a candidate that promotes and abdicates is out of the way
         # before the next rank fires.
-        self.takeover_stagger = (
-            lease.stagger if lease.stagger is not None else 5 * config_latency
-        )
+        self.takeover_stagger = 5 * self.config_latency
         #: Monotonic epoch allocator (a generation counter in the
         #: management config store; activation = a CAS bump).
         self.max_epoch = 0
@@ -178,9 +134,8 @@ class ControllerCluster:
         self.obs.announce("controller")
         self._hb_seq = 0
         self._hb_generators: Dict[str, PacketGenerator] = {}
-        if detection == "heartbeat":
-            for switch in deployment.switches:
-                self.restart_heartbeat_for(switch.name)
+        for switch in deployment.switches:
+            self.restart_heartbeat_for(switch.name)
         for replica_id in range(replicas):
             self.replicas.append(CentralController(self, replica_id))
         self.activate(self.replicas[0], initial=True)
@@ -194,10 +149,6 @@ class ControllerCluster:
             if replica.is_active_leader:
                 return replica
         return None
-
-    @property
-    def leader(self) -> Optional[CentralController]:
-        return self.active_leader()
 
     def _delegate(self) -> CentralController:
         """Where single-controller API calls land: the active leader,
@@ -349,8 +300,6 @@ class ControllerCluster:
     # ------------------------------------------------------------------
     def restart_heartbeat_for(self, name: str) -> None:
         """(Re)start the heartbeat packet generator on one switch."""
-        if self.detection != "heartbeat":
-            return
         old = self._hb_generators.pop(name, None)
         if old is not None:
             old.stop()
@@ -444,14 +393,6 @@ class ControllerCluster:
         )
 
     @property
-    def host(self) -> str:
-        return self._delegate().host
-
-    @property
-    def epoch(self) -> int:
-        return self._delegate().epoch
-
-    @property
     def failures(self) -> List[FailureEvent]:
         if len(self.replicas) == 1:
             return self.replicas[0].failures
@@ -484,20 +425,8 @@ class ControllerCluster:
         return sum(replica.false_positives for replica in self.replicas)
 
     @property
-    def rehomes(self) -> int:
-        return sum(replica.rehomes for replica in self.replicas)
-
-    @property
-    def link_events(self) -> int:
-        return sum(replica.link_events for replica in self.replicas)
-
-    @property
     def _known_failed(self) -> set:
         return self._delegate()._known_failed
-
-    @property
-    def _recovery_gen(self) -> Dict[Tuple[int, str], int]:
-        return self._delegate()._recovery_gen
 
     def last_failure(self) -> Optional[FailureEvent]:
         failures = self.failures

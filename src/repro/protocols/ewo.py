@@ -303,15 +303,6 @@ class EwoEngine:
             )
         return state
 
-    def orset_footprint(self, group_id: int) -> int:
-        """Total tag bytes across this replica's OR-Sets — the metric
-        behind the paper's 'implementable in a data plane?' question."""
-        return sum(
-            cell.state_bytes
-            for cell in self.groups[group_id].cells.values()
-            if isinstance(cell, ORSet)
-        )
-
     def _local_write(
         self, state: EwoGroupState, op: str, key: Any, version: Any, value: Any
     ) -> None:

@@ -44,8 +44,6 @@ SNAPSHOT_RETRY_TIMEOUT = 2e-3
 #: Abandon a transfer after this many full retry rounds.
 MAX_SNAPSHOT_ROUNDS = 20
 
-_transfer_ids = itertools.count(1)
-
 
 @dataclass
 class SnapshotTransfer:
@@ -54,10 +52,11 @@ class SnapshotTransfer:
     group_id: int
     source: str
     target: str
-    #: Globally unique id echoed on every SnapshotWrite/SnapshotAck of
-    #: this transfer.  Transfers are keyed ``(group_id, target)``, so a
-    #: superseded transfer's stray acks carry a stale id and are dropped
-    #: instead of completing the replacement early.
+    #: Id, unique in the deployment, echoed on every SnapshotWrite /
+    #: SnapshotAck of this transfer.  Transfers are keyed
+    #: ``(group_id, target)``, so a superseded transfer's stray acks
+    #: carry a stale id and are dropped instead of completing the
+    #: replacement early.
     transfer_id: int = 0
     entries: Dict[Any, Tuple[Any, int, int]] = field(default_factory=dict)
     unacked: Set[Any] = field(default_factory=set)
@@ -86,6 +85,7 @@ class FailoverCoordinator:
         self.deployment = deployment
         self.obs = deployment.obs
         self._transfers: Dict[Tuple[int, str], SnapshotTransfer] = {}
+        self._transfer_seq = itertools.count(1)
         self.transfers_completed = 0
         self.transfers_failed = 0
 
@@ -106,7 +106,7 @@ class FailoverCoordinator:
             group_id=group_id,
             source=source,
             target=target,
-            transfer_id=next(_transfer_ids),
+            transfer_id=next(self._transfer_seq),
             on_complete=on_complete,
             on_failure=on_failure,
             trace=trace,

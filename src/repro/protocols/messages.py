@@ -31,8 +31,10 @@ Message flow summary (paper section 6):
 
 The management-plane messages (from ``Heartbeat`` down, except
 ``ScrubRepair``) ride the out-of-band management network (scheduled
-callbacks paying ``config_latency``), not the data plane; they still
-carry ``wire_size`` so management-plane overhead can be accounted.
+callbacks paying ``config_latency``), not the data plane.  The scrub
+messages still carry ``wire_size`` (the scrubber accounts its
+management-plane bytes); lease, command and reconstruction messages are
+not accounted anywhere and carry none.
 ``ScrubRepair`` is the one anti-entropy message on the data plane: the
 actual state re-propagation, subject to loss and chaos like any
 replication packet.
@@ -46,7 +48,6 @@ while keys, values, tokens, chain tuples and EWO entries are shared.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
@@ -76,8 +77,6 @@ __all__ = [
     "ScrubRepair",
 ]
 
-_token_counter = itertools.count(1)
-
 #: Fixed per-message framing bytes beyond key/value payload:
 #: message type (1) + group (2) + sequence (4) + token (4) + writer id (2).
 _BASE_MSG_BYTES = 13
@@ -104,10 +103,6 @@ class WriteToken:
 
     writer: str
     number: int
-
-    @classmethod
-    def fresh(cls, writer: str) -> "WriteToken":
-        return cls(writer, next(_token_counter))
 
     def __str__(self) -> str:
         return f"{self.writer}#{self.number}"
@@ -358,11 +353,6 @@ class LeaseRenewal:
     expires_at: float
     sent_at: float
 
-    @property
-    def wire_size(self) -> int:
-        # epoch (4) + replica id (2) + two timestamps (6 each)
-        return _BASE_MSG_BYTES + 18
-
 
 @dataclass(frozen=True)
 class ControllerCommand:
@@ -382,11 +372,6 @@ class ControllerCommand:
     #: Frozen, so the trace is supplied at construction time.
     trace: Any = _trace_field()
 
-    @property
-    def wire_size(self) -> int:
-        # epoch (4) + kind (1) + descriptor/flag payload estimate (16)
-        return _BASE_MSG_BYTES + 21
-
 
 @dataclass(frozen=True)
 class ReconstructQuery:
@@ -396,10 +381,6 @@ class ReconstructQuery:
     replica: int
     sent_at: float
     trace: Any = _trace_field()
-
-    @property
-    def wire_size(self) -> int:
-        return _BASE_MSG_BYTES + 12
 
 
 @dataclass(frozen=True)
@@ -526,9 +507,3 @@ class ReconstructReply:
     groups: Tuple[GroupView, ...]
     sent_at: float
     trace: Any = _trace_field()
-
-    @property
-    def wire_size(self) -> int:
-        # per group: id (2) + version (4) + members (4 each) + flag (1)
-        per_group = sum(7 + 4 * len(g.members) for g in self.groups)
-        return _BASE_MSG_BYTES + 8 + per_group

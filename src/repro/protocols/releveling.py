@@ -216,10 +216,6 @@ class RelevelingCoordinator:
     def active_handoff(self, group_id: int) -> Optional[Handoff]:
         return self._active.get(group_id)
 
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # Leader takeover
     # ------------------------------------------------------------------

@@ -1236,8 +1236,5 @@ class SroEngine:
         return False
 
     # ------------------------------------------------------------------
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)
-
     def stats_for(self, group_id: int) -> SroStats:
         return self.groups[group_id].stats

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel: clock, scheduler, RNG streams."""
 
-from repro.sim.engine import Event, Process, SimulationError, Simulator, format_time
+from repro.sim.engine import Event, Process, SimulationError, Simulator
 from repro.sim.random import SeededRng, derive_seed
 
 __all__ = [
@@ -8,7 +8,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Simulator",
-    "format_time",
     "SeededRng",
     "derive_seed",
 ]

@@ -126,8 +126,8 @@ class Simulator:
     SI units.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[_QueueTuple] = []
         self._seq = itertools.count()
         self._running = False
@@ -363,7 +363,6 @@ class Process:
         period: float,
         body: Callable[[], None],
         name: str = "process",
-        jitter: Callable[[], float] = None,
         start_after: float = None,
     ) -> None:
         if period <= 0:
@@ -372,21 +371,10 @@ class Process:
         self.period = period
         self.body = body
         self.name = name
-        self.jitter = jitter
         self._event: Optional[Event] = None
         self._alive = False
-        self._ticks = 0
         first_delay = period if start_after is None else start_after
         self._first_delay = first_delay
-
-    @property
-    def ticks(self) -> int:
-        """How many times the body has run."""
-        return self._ticks
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
 
     def start(self) -> "Process":
         if self._alive:
@@ -410,16 +398,8 @@ class Process:
     def _tick(self) -> None:
         if not self._alive:
             return
-        self._ticks += 1
         self.body()
         if not self._alive:  # body may have stopped us
             return
-        delay = self.period
-        if self.jitter is not None:
-            delay = max(0.0, delay + self.jitter())
-        self._event = self.sim.schedule(delay, self._tick, label=self.name)
+        self._event = self.sim.schedule(self.period, self._tick, label=self.name)
 
-
-def format_time(t: float) -> str:
-    """Human-readable simulation timestamp (microsecond precision)."""
-    return f"{t * 1e6:,.3f}us"

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Sequence, TypeVar
+from typing import Dict
 
 __all__ = ["SeededRng", "derive_seed"]
-
-T = TypeVar("T")
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -49,29 +47,3 @@ class SeededRng:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
         return self._streams[name]
-
-    # Convenience helpers over an implicit "default" stream -------------
-    def uniform(self, a: float, b: float, stream: str = "default") -> float:
-        return self.stream(stream).uniform(a, b)
-
-    def expovariate(self, rate: float, stream: str = "default") -> float:
-        return self.stream(stream).expovariate(rate)
-
-    def random(self, stream: str = "default") -> float:
-        return self.stream(stream).random()
-
-    def randint(self, a: int, b: int, stream: str = "default") -> int:
-        return self.stream(stream).randint(a, b)
-
-    def choice(self, seq: Sequence[T], stream: str = "default") -> T:
-        return self.stream(stream).choice(seq)
-
-    def sample(self, seq: Sequence[T], k: int, stream: str = "default") -> List[T]:
-        return self.stream(stream).sample(seq, k)
-
-    def shuffle(self, seq: list, stream: str = "default") -> None:
-        self.stream(stream).shuffle(seq)
-
-    def fork(self, name: str) -> "SeededRng":
-        """Create an independent child registry (e.g. one per switch)."""
-        return SeededRng(derive_seed(self.seed, f"fork:{name}"))

@@ -1,18 +1,11 @@
-"""Approximate data structures: count-min sketch, Bloom filter, heavy hitters."""
+"""Approximate data structures: count-min sketch and entropy estimators."""
 
-from repro.sketch.bloom import BloomFilter
 from repro.sketch.countmin import CountMinSketch, row_hash
-from repro.sketch.heavyhitter import (
-    HeavyHitterTracker,
-    empirical_entropy,
-    normalized_entropy,
-)
+from repro.sketch.heavyhitter import empirical_entropy, normalized_entropy
 
 __all__ = [
-    "BloomFilter",
     "CountMinSketch",
     "row_hash",
-    "HeavyHitterTracker",
     "empirical_entropy",
     "normalized_entropy",
 ]

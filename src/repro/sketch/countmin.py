@@ -5,15 +5,11 @@ destination IPs using approximate sketch data structures" updated and
 read on every packet.  A count-min sketch is the standard choice: a
 ``depth x width`` matrix of counters, one hash function per row.
 
-Two merge modes support the distributed experiments:
-
-* :meth:`merge_sum` — element-wise addition, correct when each sketch
-  summarizes a *disjoint* packet stream (each switch sees its own share
-  of traffic); the paper's replication-of-counters story maps each
-  switch's sketch to its own G-Counter-style slot and sums on read.
-* :meth:`merge_max` — element-wise max, the idempotent merge used when
-  re-synchronizing potentially duplicated state (EWO periodic sync may
-  deliver the same snapshot twice; max makes re-delivery harmless).
+The distributed detector does not merge sketch objects: it stores the
+sketch's *cells* in EWO counter registers addressed with
+:func:`row_hash` (``nf/ddos.py``), so each switch's share of a cell is a
+G-Counter slot and the sum is taken on read.  This class is the local,
+single-owner sketch (the access profiler's tail counts).
 
 Hashing is seeded and deterministic across runs.
 """
@@ -21,7 +17,7 @@ Hashing is seeded and deterministic across runs.
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, List, Sequence
+from typing import Hashable, List
 
 __all__ = ["CountMinSketch", "row_hash"]
 
@@ -36,20 +32,15 @@ def row_hash(seed: int, row: int, key: Hashable, width: int) -> int:
     return int.from_bytes(digest, "big") % width
 
 
-#: Backwards-compatible private alias.
-_row_hash = row_hash
-
-
 class CountMinSketch:
     """A depth x width count-min sketch with seeded hashing."""
 
-    def __init__(self, depth: int = 4, width: int = 1024, seed: int = 0, counter_bytes: int = 4) -> None:
+    def __init__(self, depth: int = 4, width: int = 1024, seed: int = 0) -> None:
         if depth <= 0 or width <= 0:
             raise ValueError("sketch dimensions must be positive")
         self.depth = depth
         self.width = width
         self.seed = seed
-        self.counter_bytes = counter_bytes
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
         self.items_added = 0
 
@@ -59,74 +50,11 @@ class CountMinSketch:
             raise ValueError("count-min cannot remove items")
         self.items_added += count
         for row in range(self.depth):
-            self._rows[row][_row_hash(self.seed, row, key, self.width)] += count
+            self._rows[row][row_hash(self.seed, row, key, self.width)] += count
 
     def estimate(self, key: Hashable) -> int:
         """Point query: an overestimate (never an underestimate)."""
         return min(
-            self._rows[row][_row_hash(self.seed, row, key, self.width)]
+            self._rows[row][row_hash(self.seed, row, key, self.width)]
             for row in range(self.depth)
-        )
-
-    # ------------------------------------------------------------------
-    def merge_sum(self, other: "CountMinSketch") -> None:
-        """Combine sketches of disjoint streams (addition)."""
-        self._check_compatible(other)
-        for mine, theirs in zip(self._rows, other._rows):
-            for i, v in enumerate(theirs):
-                mine[i] += v
-        self.items_added += other.items_added
-
-    def merge_max(self, other: "CountMinSketch") -> bool:
-        """Idempotent max-merge (safe under re-delivery).  True if changed."""
-        self._check_compatible(other)
-        changed = False
-        for mine, theirs in zip(self._rows, other._rows):
-            for i, v in enumerate(theirs):
-                if v > mine[i]:
-                    mine[i] = v
-                    changed = True
-        self.items_added = max(self.items_added, other.items_added)
-        return changed
-
-    def _check_compatible(self, other: "CountMinSketch") -> None:
-        if (self.depth, self.width, self.seed) != (other.depth, other.width, other.seed):
-            raise ValueError(
-                "cannot merge sketches with different dimensions or hash seeds"
-            )
-
-    # ------------------------------------------------------------------
-    def copy(self) -> "CountMinSketch":
-        duplicate = CountMinSketch(self.depth, self.width, self.seed, self.counter_bytes)
-        duplicate._rows = [list(row) for row in self._rows]
-        duplicate.items_added = self.items_added
-        return duplicate
-
-    def clear(self) -> None:
-        for row in self._rows:
-            for i in range(self.width):
-                row[i] = 0
-        self.items_added = 0
-
-    def rows(self) -> List[List[int]]:
-        """Raw counter matrix (what EWO puts into register arrays)."""
-        return [list(row) for row in self._rows]
-
-    def load_rows(self, rows: Sequence[Sequence[int]]) -> None:
-        if len(rows) != self.depth or any(len(r) != self.width for r in rows):
-            raise ValueError("row matrix shape mismatch")
-        self._rows = [list(r) for r in rows]
-
-    @property
-    def state_bytes(self) -> int:
-        return self.depth * self.width * self.counter_bytes
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountMinSketch):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.width == other.width
-            and self.seed == other.seed
-            and self._rows == other._rows
         )

@@ -1,4 +1,4 @@
-"""PISA switch substrate: pipeline, stateful objects, control plane, memory."""
+"""PISA switch substrate: the switch model, control plane, packet generator, memory."""
 
 from repro.switch.control import ControlPlaneAgent, DEFAULT_OP_LATENCY
 from repro.switch.memory import (
@@ -6,8 +6,6 @@ from repro.switch.memory import (
     MemoryBudget,
     OutOfSwitchMemory,
 )
-from repro.switch.objects import Counter, MatchTable, Meter, MeterColor, RegisterArray
-from repro.switch.pipeline import Pipeline, Stage, StageAction
 from repro.switch.pisa import PIPELINE_LATENCY, PisaSwitch, SwitchStats
 from repro.switch.pktgen import PacketGenerator
 
@@ -17,14 +15,6 @@ __all__ = [
     "DEFAULT_SWITCH_MEMORY_BYTES",
     "MemoryBudget",
     "OutOfSwitchMemory",
-    "Counter",
-    "MatchTable",
-    "Meter",
-    "MeterColor",
-    "RegisterArray",
-    "Pipeline",
-    "Stage",
-    "StageAction",
     "PIPELINE_LATENCY",
     "PisaSwitch",
     "SwitchStats",

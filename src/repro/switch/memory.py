@@ -12,7 +12,7 @@ pending-bit-sharing ablation (experiment A1) explores.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 __all__ = ["MemoryBudget", "OutOfSwitchMemory", "DEFAULT_SWITCH_MEMORY_BYTES"]
 
@@ -61,10 +61,6 @@ class MemoryBudget:
     def release(self, owner: str) -> int:
         """Release everything charged to ``owner``; returns bytes freed."""
         return self._allocations.pop(owner, 0)
-
-    def usage_by_owner(self) -> List[Tuple[str, int]]:
-        """(owner, bytes) pairs, largest first — the memory map."""
-        return sorted(self._allocations.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def utilization(self) -> float:
         """Fraction of the budget in use, in [0, 1]."""

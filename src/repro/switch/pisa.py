@@ -14,8 +14,9 @@ packets through a parser -> match-action pipeline -> deparser flow
 * **Pipeline service rate** — an optional packets-per-second capacity;
   when set, arrivals queue FIFO and the capacity benchmark (experiment
   C1) can compare switch and server service rates.
-* **Egress mirroring, multicast, recirculation, packet generator** —
-  the features paper section 7 uses to implement EWO.
+* **Multicast, recirculation, packet generator** — the features paper
+  section 7 uses to implement EWO (its egress mirror of a write is the
+  multicast copy here).
 * **A control plane** (:class:`~repro.switch.control.ControlPlaneAgent`)
   with DRAM buffering and timers, used by SRO.
 
@@ -117,7 +118,6 @@ class PisaSwitch(Node):
         #: install/remove so the per-packet pass never copies the list.
         self._handlers_snapshot: Tuple[PacketHandler, ...] = ()
         #: Mirror sessions: session id -> destination node name.
-        self._mirror_sessions: Dict[int, str] = {}
         # Optional finite-capacity service model (experiment C1).
         self.pipeline_rate_pps = pipeline_rate_pps
         self.queue_capacity = queue_capacity
@@ -148,10 +148,6 @@ class PisaSwitch(Node):
             self._handlers.insert(0, handler)
         else:
             self._handlers.append(handler)
-        self._handlers_snapshot = tuple(self._handlers)
-
-    def remove_handler(self, handler: PacketHandler) -> None:
-        self._handlers.remove(handler)
         self._handlers_snapshot = tuple(self._handlers)
 
     # ------------------------------------------------------------------
@@ -303,11 +299,6 @@ class PisaSwitch(Node):
         call site."""
         self.stats.dropped_packets += 1
 
-    def punt_to_cpu(self, packet: Packet, handler: Callable[[Packet], None]) -> None:
-        """Send a packet to the local control plane (paper section 2)."""
-        self.stats.punted_packets += 1
-        self.control.submit(handler, packet, label="punt")
-
     def recirculate(self, packet: Packet) -> None:
         """Send a packet back through the pipeline (paper section 2)."""
         self.stats.recirculated_packets += 1
@@ -336,19 +327,8 @@ class PisaSwitch(Node):
         self.forward_to_node(packet, dst_node)
 
     # ------------------------------------------------------------------
-    # Mirroring and multicast (paper section 7, EWO implementation)
+    # Multicast (paper section 7, EWO implementation)
     # ------------------------------------------------------------------
-    def configure_mirror_session(self, session_id: int, dst_node: str) -> None:
-        self._mirror_sessions[session_id] = dst_node
-
-    def mirror(self, packet: Packet, session_id: int) -> bool:
-        """Egress-mirror a copy of ``packet`` to the session destination."""
-        dst = self._mirror_sessions.get(session_id)
-        if dst is None:
-            return False
-        self.stats.mirrored_packets += 1
-        return self.forward_to_node(packet.clone(), dst)
-
     def multicast_to_group(self, packet: Packet, group_id: int) -> int:
         """Replicate ``packet`` to every other member of a multicast group.
 

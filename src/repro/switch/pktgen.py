@@ -65,7 +65,3 @@ class PacketGenerator:
 
     def stop(self) -> None:
         self._process.stop()
-
-    @property
-    def alive(self) -> bool:
-        return self._process.alive

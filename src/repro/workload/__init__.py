@@ -1,8 +1,7 @@
-"""Deterministic traffic generation: flows, Zipf skew, attacks, traces."""
+"""Deterministic traffic generation: flows, Zipf skew, attacks."""
 
 from repro.workload.attack import AttackScenario
 from repro.workload.flows import FlowGenerator, FlowSpec, inject_flow
-from repro.workload.trace import PacketTrace, TraceRecord, generate_trace
 from repro.workload.zipf import ZipfSampler
 
 __all__ = [
@@ -10,8 +9,5 @@ __all__ = [
     "FlowGenerator",
     "FlowSpec",
     "inject_flow",
-    "PacketTrace",
-    "TraceRecord",
-    "generate_trace",
     "ZipfSampler",
 ]

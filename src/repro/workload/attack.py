@@ -62,9 +62,6 @@ class AttackScenario:
     def attack_end(self) -> float:
         return self.attack_start + self.attack_duration
 
-    def in_attack(self, time: float) -> bool:
-        return self.attack_start <= time < self.attack_end
-
     # ------------------------------------------------------------------
     def start(self, duration: float) -> "AttackScenario":
         self._running = True

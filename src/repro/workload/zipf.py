@@ -59,18 +59,8 @@ class ZipfSampler:
         """Draw one rank (0 is the most popular)."""
         return bisect.bisect_left(self._cdf, self._rng.random())
 
-    def sample_many(self, count: int) -> List[int]:
-        return [self.sample() for _ in range(count)]
-
     def pick(self, items: Sequence[T]) -> T:
         """Draw from a sequence whose order defines popularity rank."""
         if len(items) != self.n:
             raise ValueError(f"expected {self.n} items, got {len(items)}")
         return items[self.sample()]
-
-    def probability(self, rank: int) -> float:
-        """The exact probability of a rank (for analytical baselines)."""
-        if not 0 <= rank < self.n:
-            raise IndexError("rank out of range")
-        previous = self._cdf[rank - 1] if rank > 0 else 0.0
-        return self._cdf[rank] - previous

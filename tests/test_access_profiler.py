@@ -18,9 +18,7 @@ from repro.nf.ratelimiter import RateLimiterNF
 from repro.obs import (
     AccessProfiler,
     ConsistencyAdvisor,
-    MetricsRegistry,
     render_access_profile,
-    render_dashboard,
 )
 from repro.obs.accessprof import DEFAULT_TOP_K, WindowedCount
 from repro.workload.flows import FlowGenerator
@@ -49,6 +47,12 @@ def _run_firewall(seed: int = 7, profiler: AccessProfiler = None, flows: int = 1
     generator.start(duration=flows / 4000)
     world.sim.run(until=0.12)
     return world
+
+
+def _export(prof: AccessProfiler) -> str:
+    """Everything the profiler hands a reader — group totals, windowed
+    rates and the hot-key ranking — as the advisor's JSON report."""
+    return json.dumps(ConsistencyAdvisor(prof, packets=1).report(), sort_keys=True)
 
 
 def _digest(world) -> str:
@@ -159,15 +163,6 @@ class TestHookIntegration:
         assert group.applies > 0
         assert group.keys  # per-flow records were tracked
 
-    def test_snapshot_is_json_ready_and_sorted(self):
-        prof = AccessProfiler()
-        _run_firewall(profiler=prof)
-        snap = prof.snapshot()
-        assert [g["group"] for g in snap["groups"]] == sorted(
-            g["group"] for g in snap["groups"]
-        )
-        json.dumps(snap)  # must not raise
-
     def test_control_plane_writes_are_attributed(self, make_deployment):
         prof = AccessProfiler()
         dep, _, _ = make_deployment(3, access_profiler=prof)
@@ -205,7 +200,7 @@ class TestObserverNeutrality:
         def snapshot():
             prof = AccessProfiler()
             world = _run_firewall(profiler=prof)
-            return _digest(world), json.dumps(prof.snapshot(), sort_keys=True)
+            return _digest(world), _export(prof)
 
         first_digest, first_snap = snapshot()
         second_digest, second_snap = snapshot()
@@ -216,9 +211,7 @@ class TestObserverNeutrality:
         prof_a, prof_b = AccessProfiler(), AccessProfiler()
         _run_firewall(seed=7, profiler=prof_a)
         _run_firewall(seed=8, profiler=prof_b)
-        assert json.dumps(prof_a.snapshot(), sort_keys=True) != json.dumps(
-            prof_b.snapshot(), sort_keys=True
-        )
+        assert _export(prof_a) != _export(prof_b)
 
 
 class TestNullProfiler:
@@ -324,12 +317,3 @@ class TestAdvisor:
 
         text = render_access_profile(report)
         assert "rl_usage" in text and "EWO" in text
-
-        registry = MetricsRegistry()
-        registry.counter("switch.rx_packets", "s0").inc(packets)
-        combined = render_dashboard(
-            snapshot=registry.snapshot(), access_report=report
-        )
-        assert "switch.rx_packets" in combined
-        assert "-- access profile --" in combined
-        assert "rl_usage" in combined

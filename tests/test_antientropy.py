@@ -20,6 +20,7 @@ from repro.crdt.lww import LwwRegister
 from repro.net.topology import Topology, build_full_mesh
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.protocols.antientropy import majority_vote
 from repro.protocols.messages import ScrubRepair, WriteRequest, WriteToken
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
@@ -32,7 +33,7 @@ class TestDigestTree:
         items = [(f"k{i}", i * 11) for i in range(20)]
         a.refresh(items)
         b.refresh(list(reversed(items)))
-        assert a.root == b.root
+        assert a.node(0, 0) == b.node(0, 0)
         for level in (1, 2, 3):
             for index in range(1 << level):
                 assert a.node(level, index) == b.node(level, index)
@@ -53,7 +54,7 @@ class TestDigestTree:
         a.refresh(items.items())
         items["k3"] = -1
         b.refresh(items.items())
-        assert a.root != b.root
+        assert a.node(0, 0) != b.node(0, 0)
         depth = 16 .bit_length() - 1
         divergent = [
             i for i in range(16) if a.node(depth, i) != b.node(depth, i)
@@ -63,16 +64,16 @@ class TestDigestTree:
     def test_removal_restores_digest(self):
         tree = DigestTree(buckets=4)
         tree.refresh([("a", 1)])
-        root_one = tree.root
+        root_one = tree.node(0, 0)
         tree.refresh([("a", 1), ("b", 2)])
         tree.refresh([("a", 1)])
-        assert tree.root == root_one
+        assert tree.node(0, 0) == root_one
         assert len(tree) == 1
 
     def test_single_bucket_tree(self):
         tree = DigestTree(buckets=1)
         tree.refresh([("a", 1), ("b", 2)])
-        assert tree.root == tree.node(0, 0)
+        assert tree.depth == 0 and tree.node(0, 0) != 0
         assert len(tree.bucket_entries(0)) == 2
 
     def test_rejects_non_power_of_two(self):
@@ -100,6 +101,30 @@ class TestLwwMergeTiebreak:
         assert not reg.apply(stamp, 7)
 
 
+class TestMajorityVote:
+    MEMBERS = ("s0", "s1", "s2", "s3")
+
+    def test_most_common_vote_wins(self):
+        votes = {"s0": 7, "s1": 9, "s2": 9, "s3": 9}
+        assert majority_vote(self.MEMBERS, votes) == 9
+
+    def test_tie_goes_to_the_earliest_member_in_round_order(self):
+        votes = {"s0": 7, "s1": 9, "s2": 9, "s3": 7}
+        assert majority_vote(self.MEMBERS, votes) == 7
+        # round order, not dict order, decides
+        assert majority_vote(("s1", "s0", "s2", "s3"), votes) == 9
+
+    def test_none_means_nobody_voted_or_the_majority_lacks_the_key(self):
+        assert majority_vote(self.MEMBERS, {}) is None
+        # a voter outside the round is not a vote
+        assert majority_vote(self.MEMBERS, {"s9": 7}) is None
+        # the key stage votes hash-or-None: most members lack the key
+        assert majority_vote(self.MEMBERS, {"s0": None, "s1": None, "s2": 5}) is None
+        # ... and a split on it ties to the earliest member, as any vote
+        assert majority_vote(self.MEMBERS, {"s0": 5, "s1": None}) == 5
+        assert majority_vote(self.MEMBERS, {"s0": None, "s1": 5}) is None
+
+
 def build(seed, n=3, sync_period=1e-3, **kwargs):
     sim = Simulator()
     topo = Topology(sim, SeededRng(seed))
@@ -115,6 +140,27 @@ class TestScrubRepair:
             dep.manager("s0").register_write(spec, f"k{i}", 100 + i)
         dep.sim.run(until=5e-3)
         return spec
+
+    @pytest.mark.parametrize("mid_round", [True, False])
+    def test_shutdown_stops_the_scrubber(self, mid_round):
+        """``ScrubCoordinator.stop``: after ``shutdown()`` no scrub tick,
+        query, reply or stage-finish reschedules anything — the queue
+        drains to empty, a round in flight at shutdown included."""
+        dep = build(seed=11)
+        self._seeded_sro(dep)
+        scrubber = dep.start_scrubbing()
+        # a round starts every period; its stages take 2 x config_latency
+        dep.sim.run(
+            until=dep.sim.now + 3 * scrubber.period + (50e-6 if mid_round else 1e-3)
+        )
+        assert bool(scrubber._rounds) is mid_round
+        rounds = scrubber.stats.rounds_started
+        assert rounds >= 1
+        dep.shutdown()
+        dep.sim.run(until=1.0)
+        assert dep.sim.pending() == 0
+        assert scrubber.stats.rounds_started == rounds
+        assert not scrubber._rounds
 
     def test_sro_corruption_detected_and_repaired(self):
         dep = build(seed=11)

@@ -382,7 +382,7 @@ class TestDeterminismAndDigestNeutrality:
         return hashlib.sha256(repr(history).encode("utf-8")).hexdigest()
 
     def test_sinks_are_independent_of_each_other_and_of_the_simulation(self):
-        from repro.obs import AccessProfiler, SLOMonitor
+        from repro.obs import AccessProfiler, ConsistencyAdvisor, SLOMonitor
 
         def fresh():
             monitor = SLOMonitor()
@@ -398,7 +398,7 @@ class TestDeterminismAndDigestNeutrality:
         output = {
             "metrics": lambda registry: registry.snapshot(),
             "flight_recorder": self._tree,
-            "access_profiler": lambda profiler: profiler.snapshot(),
+            "access_profiler": lambda profiler: ConsistencyAdvisor(profiler, packets=1).report(),
             "slo_monitor": lambda monitor: monitor.as_dict(),
         }
         together = fresh()
@@ -429,7 +429,7 @@ class TestPostMortem:
     def test_dropped_apply_violates_no_lost_write(self, make_deployment):
         report, injector = self._force_lost_apply(make_deployment, FlightRecorder())
         assert not report.ok
-        assert report.count("no_lost_write") >= 1
+        assert sum(v.monitor == "no_lost_write" for v in report.violations) >= 1
         assert any(r.kind == "drop-applies" for r in injector.log)
 
     def test_post_mortem_names_the_losing_hop(self, make_deployment):

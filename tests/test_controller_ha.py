@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import InvariantSuite
+from repro.chaos import FaultInjector, InvariantSuite
 from repro.core.registers import Consistency, RegisterSpec
-from repro.protocols.election import ControllerCluster, LeaseConfig
+from repro.protocols.election import ControllerCluster
 from repro.protocols.messages import ControllerCommand
 
 
@@ -37,7 +37,7 @@ class TestLeaseBasics:
         assert len(cluster.replicas) == 3
         leader = cluster.active_leader()
         assert leader is not None and leader.replica_id == 0
-        assert cluster.epoch == 1
+        assert leader.epoch == cluster.max_epoch == 1
         roles = [r.role for r in cluster.replicas]
         assert roles == ["leader", "standby", "standby"]
 
@@ -50,7 +50,8 @@ class TestLeaseBasics:
     def test_lease_config_validation(self, make_deployment):
         with pytest.raises(ValueError):
             make_deployment(2, controller_replicas=0)
-        assert LeaseConfig(duration=2e-3).renew_period == pytest.approx(2e-3 / 3)
+        dep, _, _ = make_deployment(2, lease_duration=2e-3)
+        assert dep.controller.renew_period == pytest.approx(2e-3 / 3)
 
     def test_stop_cancels_all_replica_timers(self, make_deployment):
         """Satellite 6: teardown leaves no stray controller events — the
@@ -74,7 +75,7 @@ class TestLeaderFailover:
         dep.sim.run(until=crash_at + cluster.failover_bound)
         leader = cluster.active_leader()
         assert leader is not None and leader.replica_id == 1
-        assert cluster.epoch == 2
+        assert leader.epoch == cluster.max_epoch == 2
         assert cluster.leader_changes == 2
         activations = [e for e in cluster.leader_log if e[1] == "activate"]
         assert [e[2] for e in activations] == [0, 1]
@@ -117,12 +118,26 @@ class TestLeaderFailover:
         dep, _, _ = make_deployment(3, controller_replicas=2)
         cluster = dep.controller
         suite = InvariantSuite(dep).start(period=0.2e-3)
-        dep.sim.run(until=0.01)
-        cluster.set_mgmt_partition(0, blocked=True)
-        dep.sim.run(until=0.05)
+        # the fault model's own entry point: partition whoever leads at
+        # t = 10 ms from switches and peers, heal 40 ms later
+        injector = FaultInjector(dep, seed=1)
+        injector.partition_controller(at=0.01, duration=0.04)
+        dep.sim.run(until=0.045)
+        assert cluster.mgmt_blocked(cluster.replicas[0])
         leader = cluster.active_leader()
         assert leader is not None and leader.replica_id == 1
         assert cluster.lease_expiries >= 1
+        dep.sim.run(until=0.1)
+        # healed: replica 0 rejoins under a fresh epoch (cut off, it saw
+        # no renewals and kept standing for election), still one leader
+        assert not cluster.mgmt_blocked(cluster.replicas[0])
+        assert [r.is_active_leader for r in cluster.replicas].count(True) == 1
+        assert [r.kind for r in injector.log] == [
+            "controller-partition", "controller-heal",
+        ]
+        assert [e[1:3] for e in cluster.leader_log if e[1] in ("partition", "heal")] == [
+            ("partition", 0), ("heal", 0),
+        ]
         report = suite.finalize()
         assert report.ok, report.summary()
         assert report.checks["single_leader"] > 0
@@ -191,7 +206,7 @@ class TestEpochFencing:
         dep, spec = self._failover(make_deployment)
         manager = dep.manager("s1")
         command = ControllerCommand(
-            epoch=dep.controller.epoch,
+            epoch=dep.controller.active_leader().epoch,
             kind="set_catching_up",
             group=spec.group_id,
             payload=True,

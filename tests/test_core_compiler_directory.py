@@ -47,13 +47,11 @@ class TestDirectory:
     def test_default_placement_is_everywhere(self):
         directory = self._directory()
         assert directory.replicas_of(1, "k") == frozenset({"s0", "s1", "s2", "s3"})
-        assert directory.is_replica(1, "k", "s2")
 
     def test_explicit_placement(self):
         directory = self._directory()
         directory.place(1, "k", ["s0", "s1"])
         assert directory.replicas_of(1, "k") == frozenset({"s0", "s1"})
-        assert not directory.is_replica(1, "k", "s3")
 
     def test_placement_validation(self):
         directory = self._directory()
@@ -71,7 +69,6 @@ class TestDirectory:
         assert record.before == frozenset({"s0", "s1"})
         assert record.after == frozenset({"s2", "s3"})
         assert record.generation == 1
-        assert directory.placement(1, "k").generation == 1
         assert len(directory.migrations) == 1
 
     def test_locality_placement(self):
@@ -89,18 +86,3 @@ class TestDirectory:
         directory = self._directory()
         with pytest.raises(ValueError):
             directory.place_by_locality(1, min_replicas=10)
-
-    def test_memory_savings(self):
-        directory = self._directory()
-        directory.place(1, "a", ["s0"])
-        directory.place(1, "b", ["s0", "s1"])
-        full, partial = directory.memory_savings(1, value_bytes=10)
-        assert full == 2 * 4 * 10
-        assert partial == 3 * 10
-
-    def test_replication_fanout(self):
-        directory = self._directory()
-        assert directory.replication_fanout(1, "k", "s0") == 3  # full replication
-        directory.place(1, "k", ["s0", "s2"])
-        assert directory.replication_fanout(1, "k", "s0") == 1
-        assert directory.replication_fanout(1, "k", "s1") == 2  # non-replica writer

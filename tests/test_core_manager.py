@@ -244,6 +244,4 @@ class TestHistoryRecording:
 class TestDecision:
     def test_factories(self):
         assert Decision.forward().kind == Decision.FORWARD_IP
-        assert Decision.forward_to("s1").dst_node == "s1"
         assert Decision.drop().kind == Decision.DROP
-        assert Decision.consume().kind == Decision.CONSUME

@@ -105,17 +105,9 @@ class TestChainDescriptor:
     def test_roles(self):
         chain = self._chain()
         assert chain.head == "s0"
-        assert chain.ack_tail == "s2"
         assert chain.read_tail == "s2"
         assert len(chain) == 3
         assert "s1" in chain and "zz" not in chain
-
-    def test_successor_predecessor(self):
-        chain = self._chain()
-        assert chain.successor("s0") == "s1"
-        assert chain.successor("s2") is None
-        assert chain.predecessor("s1") == "s0"
-        assert chain.predecessor("s0") is None
 
     def test_without_removes_and_bumps_version(self):
         chain = self._chain()
@@ -136,7 +128,7 @@ class TestChainDescriptor:
         chain = self._chain()
         appended = chain.with_appended("s9")
         assert appended.members == ("s0", "s1", "s2", "s9")
-        assert appended.ack_tail == "s9"  # acks from the new last member
+        assert appended.members[-1] == "s9"  # acks come from the new last member
         assert appended.read_tail == "s2"  # reads stay at the old tail
 
     def test_promoted_moves_read_tail(self):
@@ -159,4 +151,4 @@ class TestChainDescriptor:
 
     def test_single_member_chain(self):
         chain = ChainDescriptor(1, ("only",))
-        assert chain.head == chain.ack_tail == chain.read_tail == "only"
+        assert chain.head == chain.read_tail == "only"

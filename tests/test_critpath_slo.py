@@ -317,16 +317,3 @@ class TestDashboardPanels:
             {"writes_analyzed": 0, "writes_skipped": 0}
         )
         assert "no SLO objectives" in render_slo({"objectives": []})
-
-    def test_render_dashboard_includes_new_panels(self):
-        from repro.obs.dashboard import render_dashboard
-
-        report = self._report_dict()
-        monitor = SLOMonitor()
-        monitor.add_objective("m p99 < 1ms over 10ms windows")
-        monitor.finalize(1.0)
-        text = render_dashboard(
-            critpath_report=report, slo_state=monitor.as_dict()
-        )
-        assert "-- critical paths --" in text
-        assert "-- slo --" in text

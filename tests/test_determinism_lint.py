@@ -347,6 +347,51 @@ class TestViolationsCaught:
         assert self._lint_source(tmp_path, source) == []
         assert self._lint_packaged_source(tmp_path, "obs", source) == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import itertools\n_ids = itertools.count(1)\n",
+            "import itertools as it\n_ids: object = it.count()\n",
+            "from itertools import count\n_ids = count(30000)\n",
+        ],
+    )
+    def test_module_level_counter_in_the_library_flagged(self, tmp_path, source):
+        violations = self._lint_packaged_source(tmp_path, "protocols", source)
+        assert len(violations) == 1
+        assert violations[0][1] == 2
+        assert "'_ids'" in violations[0][2] and "owns the sequence" in violations[0][2]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # an object's own sequence, however it is spelled
+            "import itertools\nclass C:\n    def __init__(self):\n"
+            "        self._seq = itertools.count(1)\n",
+            "import itertools\ndef ids():\n    return itertools.count(1)\n",
+            # other itertools, other counts
+            "import itertools\nPAIRS = list(itertools.product('ab', repeat=2))\n",
+            "N = 'abca'.count('a')\n",
+        ],
+    )
+    def test_owned_sequences_and_other_counts_allowed(self, tmp_path, source):
+        assert self._lint_packaged_source(tmp_path, "protocols", source) == []
+
+    def test_module_level_counter_allowed_by_name_and_outside_the_library(self, tmp_path):
+        """The three that remain pass only under their own module and
+        name; benchmarks, tests and tools are out of scope."""
+        source = "import itertools\n_packet_ids = itertools.count(1)\n"
+        directory = tmp_path / "repro" / "net"
+        directory.mkdir(parents=True)
+        (directory / "packet.py").write_text(source)
+        assert lint.lint_file(str(directory / "packet.py")) == []
+        (directory / "link.py").write_text(source)
+        assert len(lint.lint_file(str(directory / "link.py"))) == 1
+        assert self._lint_source(tmp_path, source) == []
+        for suffix, name in lint.ALLOWED_GLOBAL_COUNTERS:
+            module = os.path.join(REPO_ROOT, "src", "repro", suffix)
+            with open(module, encoding="utf-8") as handle:
+                assert f"\n{name} = itertools.count(" in handle.read(), (suffix, name)
+
     def test_exempt_module_skipped(self):
         exempt = os.path.join(REPO_ROOT, "src", lint.EXEMPT_SUFFIX)
         assert os.path.exists(exempt)

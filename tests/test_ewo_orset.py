@@ -102,19 +102,17 @@ class TestFootprint:
     def test_footprint_grows_with_tags(self, deployment):
         spec = declare_set(deployment)
         m0 = deployment.manager("s0")
-        engine = m0.ewo
-        assert engine.orset_footprint(spec.group_id) == 0
+        cells = m0.ewo.groups[spec.group_id].cells
+
+        def footprint():
+            return sum(cell.state_bytes for cell in cells.values())
+
+        assert footprint() == 0
         m0.register_set_add(spec, "sigs", 1)
-        first = engine.orset_footprint(spec.group_id)
+        first = footprint()
         assert first > 0
         m0.register_set_remove(spec, "sigs", 1)  # tombstone retained
-        assert engine.orset_footprint(spec.group_id) > first
-
-    def test_footprint_zero_for_other_modes(self, deployment):
-        spec = deployment.declare(
-            RegisterSpec("c2", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
-        )
-        assert deployment.manager("s0").ewo.orset_footprint(spec.group_id) == 0
+        assert footprint() > first
 
     def test_wire_size_accounts_tags(self):
         from repro.protocols.messages import EwoEntry

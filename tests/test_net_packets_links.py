@@ -403,11 +403,3 @@ class TestLink:
         a3, b3 = Sink("a3"), Sink("b3")
         with pytest.raises(ValueError):
             Link(sim, a3, b3, loss_rate=1.0)
-
-    def test_other_end_and_channel_from(self):
-        sim = Simulator()
-        a, b, link = self._pair(sim)
-        assert link.other_end("a") is b
-        assert link.channel_from("b") is link.ba
-        with pytest.raises(ValueError):
-            link.other_end("zzz")

@@ -11,7 +11,6 @@ from repro.net.packet import make_tcp_packet
 from repro.net.routing import RoutingTable, ecmp_hash, shortest_paths
 from repro.net.topology import (
     Topology,
-    build_chain,
     build_full_mesh,
     build_leaf_spine,
     build_nf_cluster,
@@ -36,15 +35,6 @@ class TestTopology:
         topo.add_node(Dummy("x"))
         with pytest.raises(ValueError):
             topo.add_node(Dummy("x"))
-
-    def test_chain_builder(self):
-        _, topo = make_topo()
-        switches = build_chain(topo, Dummy, 4)
-        assert [s.name for s in switches] == ["s0", "s1", "s2", "s3"]
-        adj = topo.adjacency()
-        assert adj["s0"] == ["s1"]
-        assert adj["s1"] == ["s0", "s2"]
-        assert len(topo.links) == 3
 
     def test_mesh_builder_all_pairs(self):
         _, topo = make_topo()
@@ -75,11 +65,14 @@ class TestTopology:
 
     def test_adjacency_excludes_failed_and_down(self):
         _, topo = make_topo()
-        build_chain(topo, Dummy, 3)
+        for name in ("s0", "s1", "s2"):
+            topo.add_node(Dummy(name))
+        topo.connect("s0", "s1")
+        topo.connect("s1", "s2")
         topo.fail_node("s1")
         adj = topo.adjacency()
         assert adj["s0"] == [] and adj["s2"] == []
-        topo.recover_node("s1")
+        topo.nodes["s1"].recover()
         topo.link_between("s0", "s1").set_up(False)
         adj = topo.adjacency()
         assert adj["s0"] == []
@@ -87,8 +80,6 @@ class TestTopology:
 
     def test_builders_validate_sizes(self):
         _, topo = make_topo()
-        with pytest.raises(ValueError):
-            build_chain(topo, Dummy, 0)
         with pytest.raises(ValueError):
             build_full_mesh(topo, Dummy, 0)
 
@@ -168,12 +159,6 @@ class TestRoutingTable:
         routing.recompute()
         assert routing.next_hop("a", "d") is None
 
-    def test_full_path(self):
-        _, _, routing = self._diamond()
-        packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2)
-        path = routing.path("a", "d", packet)
-        assert path[0] == "a" and path[-1] == "d" and len(path) == 3
-
     def test_ecmp_hash_deterministic(self):
         packet = make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2)
         assert ecmp_hash(packet, 0) == ecmp_hash(packet, 0)
@@ -219,7 +204,7 @@ class TestMulticast:
         touched = registry.remove_member_everywhere("a")
         assert touched == 2
         assert registry.get(1).members == ["b"]
-        assert [g.group_id for g in registry.groups()] == [1, 2]
+        assert registry.has(1) and registry.has(2) and not registry.has(3)
 
 
 class TestEndHost:
@@ -235,7 +220,6 @@ class TestEndHost:
         _, _, _, book = self._host_pair()
         assert book.lookup("10.0.0.1") == "client"
         assert book.lookup("9.9.9.9") is None
-        assert book.ips() == ["10.0.0.1", "10.0.0.2"]
 
     def test_conflicting_registration_rejected(self):
         book = AddressBook()
@@ -276,10 +260,3 @@ class TestEndHost:
         host = topo.add_node(EndHost("h", sim, "1.1.1.1"))
         with pytest.raises(RuntimeError):
             host.uplink_neighbor()
-
-    def test_packets_from_filter(self):
-        sim, client, server, _ = self._host_pair()
-        client.inject(make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 80, payload_size=10))
-        sim.run()
-        assert len(server.packets_from("10.0.0.1")) == 1
-        assert server.packets_from("9.9.9.9") == []

@@ -76,7 +76,7 @@ class TestLinkFailureHandling:
         link = topo.link_between("s0", "s1")
         link.set_up(False)
         dep.sim.run(until=0.005)  # detector polls, recomputes routing
-        assert dep.controller.link_events >= 1
+        assert dep.controller.active_leader().link_events >= 1
         # s0 -> s1 now goes through a third switch
         hop = dep.routing.next_hop("s0", "s1")
         assert hop in ("s2", "s3")

@@ -11,7 +11,7 @@ from repro.net.headers import SwiShmemHeader
 from repro.net.multicast import MulticastRegistry
 from repro.net.packet import Packet, make_tcp_packet
 from repro.net.routing import RoutingTable
-from repro.net.topology import Topology, build_chain
+from repro.net.topology import Topology
 from repro.obs.inttel import (
     INT_HOP_BYTES,
     INT_SHIM_BYTES,
@@ -33,9 +33,9 @@ def make_chain_fabric(length=3, int_enabled=True, max_hops=16):
     sim = Simulator()
     topo = Topology(sim, SeededRng(3))
     book = AddressBook()
-    switches = build_chain(
-        topo, lambda name: PisaSwitch(name, sim), length, latency=LINK_LATENCY
-    )
+    switches = [topo.add_node(PisaSwitch(f"s{i}", sim)) for i in range(length)]
+    for left, right in zip(switches, switches[1:]):
+        topo.connect(left.name, right.name, LINK_LATENCY)
     src = topo.add_node(EndHost("h0", sim, "10.0.0.1", book))
     dst = topo.add_node(EndHost("h1", sim, "10.0.0.2", book))
     topo.connect("h0", switches[0].name, LINK_LATENCY)

@@ -1,9 +1,11 @@
 """Tests for the observability layer: metric instruments, the registry
-(snapshot / merge / JSONL export, pulled sources), the simulator's
+(snapshot / JSONL export, pulled sources), the simulator's
 profiler hook, and agreement between a live metrics snapshot and the
 chaos invariant suite's verdicts."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -14,10 +16,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    load_jsonl,
-    registry_from_records,
 )
-from repro.obs.dashboard import render_registry
 from repro.sim.engine import Simulator
 
 
@@ -108,97 +107,28 @@ class TestRegistry:
         reg.histogram("h", "s1", bounds=(1.0, 2.0)).observe(1.5)
         path = str(tmp_path / "metrics.jsonl")
         assert reg.write_jsonl(path) == 2
-        records = load_jsonl(path)
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
         by_name = {r["name"]: r for r in records}
         assert by_name["c"]["value"] == 3
         assert by_name["h"]["buckets"] == [0, 1]
 
     def test_merge_semantics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        a.gauge("g").set(5)
-        b.gauge("g").set(3)
-        a.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        b.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
-        a.merge(b)
-        assert a.value("counter", "c") == 3
-        assert a.value("gauge", "g") == 5
-        merged = a.get("histogram", "h")
+        """``Histogram.add`` folds bucket-wise (how the switch-owned
+        queue-wait histograms of several worlds land in one registry)."""
+        merged = Histogram("h", bounds=(1.0, 2.0))
+        other = Histogram("h", bounds=(1.0, 2.0))
+        merged.observe(0.5)
+        other.observe(1.5)
+        merged.add(other)
+        merged.add(Histogram("h", bounds=(1.0, 2.0)))  # empty: extremes kept
         assert merged.count == 2
         assert merged.buckets == [1, 1]
         assert (merged.min, merged.max) == (0.5, 1.5)
 
-    def test_jsonl_reload_merge_snapshot_round_trip(self, tmp_path):
-        """The multi-run aggregation pipeline: write_jsonl -> load_jsonl
-        -> registry_from_records -> merge -> snapshot reproduces what a
-        single registry holding both runs would report."""
-        run1, run2 = MetricsRegistry(), MetricsRegistry()
-        for run, factor in ((run1, 1), (run2, 10)):
-            run.counter("pkts", "s0").inc(3 * factor)
-            run.gauge("depth", "s0").set(2 * factor)
-            run.histogram("lat", "s0", bounds=(1.0, 2.0)).observe(0.5 * factor)
-        paths = []
-        for i, run in enumerate((run1, run2)):
-            path = str(tmp_path / f"run{i}.jsonl")
-            run.write_jsonl(path)
-            paths.append(path)
-
-        merged = registry_from_records(load_jsonl(paths[0]))
-        merged.merge(registry_from_records(load_jsonl(paths[1])))
-
-        assert merged.value("counter", "pkts", "s0") == 33
-        gauge = merged.get("gauge", "depth", "s0")
-        assert (gauge.value, gauge.max_value) == (20, 20)
-        hist = merged.get("histogram", "lat", "s0")
-        assert hist.count == 2
-        assert (hist.min, hist.max) == (0.5, 5.0)
-        assert hist.buckets == [1, 0]
-        assert hist.overflow == 1
-        # snapshots of the reconstruction and a directly merged registry
-        # are byte-identical
-        direct = run1.merge(run2)
-        assert merged.snapshot() == direct.snapshot()
-
-    def test_reloaded_empty_histogram_does_not_clobber_min(self, tmp_path):
-        """An empty histogram serializes min as 0.0; reloading must
-        restore the live sentinel so later merges keep the real
-        minimum."""
-        empty = MetricsRegistry()
-        empty.histogram("lat", "s0", bounds=(1.0,))
-        path = str(tmp_path / "empty.jsonl")
-        empty.write_jsonl(path)
-
-        restored = registry_from_records(load_jsonl(path))
-        real = MetricsRegistry()
-        real.histogram("lat", "s0", bounds=(1.0,)).observe(0.25)
-        restored.merge(real)
-        hist = restored.get("histogram", "lat", "s0")
-        assert (hist.min, hist.max) == (0.25, 0.25)
-        # and merging the empty side into the real side is also safe
-        real2 = MetricsRegistry()
-        real2.histogram("lat", "s0", bounds=(1.0,)).observe(0.25)
-        real2.merge(registry_from_records(load_jsonl(path)))
-        assert real2.get("histogram", "lat", "s0").min == 0.25
-
-    def test_registry_from_records_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            registry_from_records([{"kind": "sketch", "name": "x", "node": "s0"}])
-
     def test_merge_rejects_differing_bounds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,))
-        b.histogram("h", bounds=(1.0, 2.0))
         with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_dashboard_renders_names(self):
-        reg = MetricsRegistry()
-        reg.counter("switch.rx_packets", "s0").inc(9)
-        reg.histogram("sro.write_commit_latency_seconds", "s0").observe(30e-6)
-        text = render_registry(reg, title="t")
-        assert "switch.rx_packets" in text
-        assert "sro.write_commit_latency_seconds" in text
+            Histogram("h", bounds=(1.0,)).add(Histogram("h", bounds=(1.0, 2.0)))
 
 
 class TestSources:
@@ -217,8 +147,8 @@ class TestSources:
         assert reg.snapshot()["counters"][0]["value"] == 5
         path = str(tmp_path / "m.jsonl")
         assert reg.write_jsonl(path) == 2
-        assert load_jsonl(path)[0]["value"] == 5
-        assert MetricsRegistry().merge(reg).value("counter", "pulled", "s0") == 5
+        with open(path, encoding="utf-8") as handle:
+            assert json.loads(handle.readline())["value"] == 5
         assert reg.value("counter", "pushed", "s0") == 7
 
     def test_sources_reporting_one_instrument_add_into_it(self):
@@ -298,7 +228,7 @@ class TestChaosAgreement:
             ) == checks
             assert registry.value(
                 "counter", f"invariant.{monitor}.violations", "invariants"
-            ) == report.count(monitor)
+            ) == sum(v.monitor == monitor for v in report.violations)
         assert registry.value(
             "counter", "invariant.commits_observed", "invariants"
         ) == len(suite.commit_times) > 0

@@ -24,15 +24,6 @@ class TestFailureDetection:
         assert not event.false_positive
         assert event.detection_latency <= dep.controller.detection_bound + 1e-9
 
-    def test_oracle_mode_detects_within_one_period(self, make_deployment):
-        dep, _, _ = make_deployment(3, detection="oracle")
-        dep.sim.run(until=0.001)
-        fail_and_note(dep, "s1")
-        dep.sim.run(until=0.01)
-        event = dep.controller.last_failure()
-        assert event is not None and event.switch == "s1"
-        assert event.detection_latency <= dep.controller.detect_period + 1e-9
-
     def test_detection_repairs_all_chains(self, make_deployment):
         dep, _, _ = make_deployment(3)
         a = dep.declare(RegisterSpec("a", Consistency.SRO))
@@ -126,7 +117,7 @@ class TestSroFailover:
         fail_and_note(dep, "s2")
         dep.sim.run(until=0.02)
         chain = dep.chains[spec.group_id]
-        assert chain.read_tail == "s1" and chain.ack_tail == "s1"
+        assert chain.read_tail == "s1" and chain.members[-1] == "s1"
         assert dep.manager("s1").register_read(spec, "k", None) == 1
 
 
@@ -202,7 +193,7 @@ class TestSroRecovery:
         dep.manager("s0").register_write(spec, "k", 3)
         dep.sim.run(until=0.0101)
         # Dedup is head-side state; plant an entry as a past head holds.
-        state.remember_token(WriteToken.fresh("s0"), 1, slot, 1, dep.sim.now)
+        state.remember_token(WriteToken("past-head", 1), 1, slot, 1, dep.sim.now)
         assert state.store and state.reorder and state.dedup
         assert state.pending.applied_seq(slot) == 1
         fail_and_note(dep, "s1")

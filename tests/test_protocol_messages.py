@@ -61,10 +61,6 @@ def _wire_record_classes():
 
 
 class TestWriteToken:
-    def test_fresh_tokens_unique(self):
-        tokens = {WriteToken.fresh("s0") for _ in range(100)}
-        assert len(tokens) == 100
-
     def test_equality_and_hash(self):
         a = WriteToken("s0", 5)
         b = WriteToken("s0", 5)
@@ -77,18 +73,18 @@ class TestWriteToken:
 
 class TestWireSizes:
     def test_write_request_scales_with_widths(self):
-        small = WriteRequest(1, "k", "v", WriteToken.fresh("s0"), key_bytes=4, value_bytes=4)
-        large = WriteRequest(1, "k", "v", WriteToken.fresh("s0"), key_bytes=16, value_bytes=64)
+        small = WriteRequest(1, "k", "v", WriteToken("s0", 1), key_bytes=4, value_bytes=4)
+        large = WriteRequest(1, "k", "v", WriteToken("s0", 1), key_bytes=16, value_bytes=64)
         assert large.wire_size - small.wire_size == (16 - 4) + (64 - 4)
 
     def test_chain_update_includes_chain_list(self):
-        token = WriteToken.fresh("s0")
+        token = WriteToken("s0", 1)
         short = ChainUpdate(1, "k", "v", 1, 0, token, chain=("a", "b"))
         long = ChainUpdate(1, "k", "v", 1, 0, token, chain=("a", "b", "c", "d"))
         assert long.wire_size - short.wire_size == 8  # 4 bytes per member
 
     def test_ack_smaller_than_update(self):
-        token = WriteToken.fresh("s0")
+        token = WriteToken("s0", 1)
         update = ChainUpdate(1, "k", "v", 1, 0, token, chain=("a", "b"))
         ack = WriteAck(1, "k", 1, 0, token)
         assert ack.wire_size < update.wire_size
@@ -110,7 +106,7 @@ class TestWireSizes:
         assert write.wire_size > ack.wire_size
 
     def test_packet_accounts_payload(self):
-        message = WriteRequest(1, "k", "v", WriteToken.fresh("s0"))
+        message = WriteRequest(1, "k", "v", WriteToken("s0", 1))
         packet = Packet(
             swishmem=SwiShmemHeader(op=SwiShmemOp.WRITE_REQUEST, register_group=1),
             swishmem_payload=message,
@@ -158,7 +154,7 @@ class TestWireSizes:
 class TestChainHops:
     def test_next_hop_after(self):
         update = ChainUpdate(
-            1, "k", "v", 1, 0, WriteToken.fresh("s0"), chain=("a", "b", "c")
+            1, "k", "v", 1, 0, WriteToken("s0", 1), chain=("a", "b", "c")
         )
         assert update.next_hop_after("a") == "b"
         assert update.next_hop_after("b") == "c"

@@ -343,10 +343,10 @@ class TestChaos:
         world = _meter_world(controller_replicas=1)
         dep = world.deployment
         spec = dep.spec_by_name("meter_usage")
-        dep.controller.crash_replica(dep.controller.leader.replica_id)
+        dep.controller.crash_replica(dep.controller.active_leader().replica_id)
         started = dep.releveler.request(spec, Consistency.EWO, reason="wait")
         assert not started
-        assert dep.releveler.queued == 1
+        assert len(dep.releveler._queue) == 1
         assert dep.releveler.stats.deferred == 1
         world.sim.run(until=world.sim.now + 0.05)
         assert spec.consistency is Consistency.SRO  # still waiting
@@ -368,11 +368,11 @@ class TestFlapsAndReplay:
         # Demote; queue the promote while the demotion is mid-flight.
         assert dep.releveler.request(spec, Consistency.EWO, reason="flap-1")
         assert not dep.releveler.request(spec, Consistency.SRO, reason="flap-2")
-        assert dep.releveler.queued == 1
+        assert len(dep.releveler._queue) == 1
         world.sim.run(until=world.sim.now + 0.2)
 
         assert dep.releveler.stats.completed == 2
-        assert dep.releveler.queued == 0
+        assert len(dep.releveler._queue) == 0
         assert spec.consistency is Consistency.SRO
         for store in dep.sro_stores(spec):
             assert store == committed
@@ -467,7 +467,7 @@ class TestRebindObservability:
             violations = registry.get(
                 "counter", f"invariant.{monitor}.violations", "invariants"
             )
-            assert violations is not None and violations.value == report.count(monitor)
+            assert violations is not None and violations.value == sum(v.monitor == monitor for v in report.violations)
 
     def test_profiler_attached_after_install_nf_names_the_owners(self):
         world = build_nf_world(seed=2100, responder_servers=False)
@@ -477,15 +477,15 @@ class TestRebindObservability:
         profiler = AccessProfiler()
         dep.rebind_observability(access_profiler=profiler)
         _drive(world, flows=8)
-        groups = profiler.snapshot()["groups"]
-        assert {g["name"] for g in groups} == {spec.name for spec in dep.specs.values()}
-        owners = {g["name"]: g["nf"] for g in groups}
+        groups = list(profiler.groups.values())
+        assert {g.name for g in groups} == {spec.name for spec in dep.specs.values()}
+        owners = {g.name: g.nf for g in groups}
         assert owners["meter_usage"] == MeterSroNF.NAME
         assert all(
             nf == (MeterSroNF.NAME if name == "meter_usage" else HeavyHitterNF.NAME)
             for name, nf in owners.items()
         )
-        assert all(g["reads"] + g["writes"] > 0 for g in groups)
+        assert all(g.reads + g.writes > 0 for g in groups)
 
     def test_sinks_attached_late_reach_replicas_promoted_afterwards(self):
         world = build_nf_world(seed=2100, responder_servers=False, controller_replicas=3)

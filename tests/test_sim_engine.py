@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Process, SimulationError, Simulator, format_time
+from repro.sim.engine import Process, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -61,7 +61,8 @@ class TestScheduling:
             sim.schedule(float("nan"), lambda: None)
 
     def test_schedule_at_absolute_time(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         seen = []
         sim.schedule_at(12.0, lambda: seen.append(sim.now))
         sim.run()
@@ -210,13 +211,14 @@ class TestLazyDeletion:
 
     def test_process_stop_leaves_no_live_event(self):
         sim = Simulator()
-        process = Process(sim, 1.0, lambda: None).start()
+        ticks = []
+        process = Process(sim, 1.0, lambda: ticks.append(sim.now)).start()
         sim.run(until=2.5)
         process.stop()
         assert process._event is None
         assert sim.pending() == 0  # the cancelled tick is not live
         assert sim.run(until=50.0) == 50.0
-        assert process.ticks == 2
+        assert len(ticks) == 2
 
     def test_determinism_with_cancels_same_schedule_same_order(self):
         def run_once():
@@ -363,50 +365,39 @@ class TestProcess:
 
     def test_stop_halts_ticks(self):
         sim = Simulator()
-        process = Process(sim, 1.0, lambda: None).start()
+        ticks = []
+        process = Process(sim, 1.0, lambda: ticks.append(sim.now)).start()
         sim.run(until=2.5)
         process.stop()
-        before = process.ticks
         sim.run(until=10.0)
-        assert process.ticks == before
-        assert not process.alive
+        assert ticks == [1.0, 2.0]
 
     def test_body_can_stop_itself(self):
         sim = Simulator()
-        holder = {}
+        holder = {"ticks": 0}
 
         def body():
-            if holder["p"].ticks >= 3:
+            holder["ticks"] += 1
+            if holder["ticks"] >= 3:
                 holder["p"].stop()
 
         holder["p"] = Process(sim, 1.0, body).start()
         sim.run(until=100.0)
-        assert holder["p"].ticks == 3
+        assert holder["ticks"] == 3
+        assert sim.pending() == 0
 
     def test_invalid_period_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             Process(sim, 0.0, lambda: None)
 
-    def test_jitter_applied(self):
-        sim = Simulator()
-        ticks = []
-        Process(sim, 1.0, lambda: ticks.append(sim.now), jitter=lambda: 0.5).start()
-        sim.run(until=4.0)
-        # first at 1.0 (start_after default = period), then +1.5 each
-        assert ticks == pytest.approx([1.0, 2.5, 4.0])
-
     def test_double_start_is_noop(self):
         sim = Simulator()
-        process = Process(sim, 1.0, lambda: None).start()
+        ticks = []
+        process = Process(sim, 1.0, lambda: ticks.append(sim.now)).start()
         assert process.start() is process
         sim.run(until=1.5)
-        assert process.ticks == 1
-
-
-def test_format_time():
-    assert format_time(1e-6) == "1.000us"
-    assert "," in format_time(1.0)  # thousands separator for big values
+        assert ticks == [1.0]
 
 
 def test_determinism_same_schedule_same_order():

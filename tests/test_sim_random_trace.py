@@ -36,22 +36,3 @@ class TestSeededRng:
         assert derive_seed(1, "a") == derive_seed(1, "a")
         assert derive_seed(1, "a") != derive_seed(1, "b")
         assert derive_seed(1, "a") != derive_seed(2, "a")
-
-    def test_fork_is_independent(self):
-        root = SeededRng(9)
-        child = root.fork("switch0")
-        assert child.seed != root.seed
-        assert root.fork("switch0").seed == child.seed
-
-    def test_helpers(self):
-        rng = SeededRng(5)
-        assert 0.0 <= rng.random() < 1.0
-        assert 1 <= rng.randint(1, 3) <= 3
-        assert rng.choice([1, 2, 3]) in (1, 2, 3)
-        assert 2.0 <= rng.uniform(2.0, 4.0) <= 4.0
-        assert rng.expovariate(100.0) > 0.0
-        sample = rng.sample(list(range(10)), 3)
-        assert len(sample) == 3
-        items = list(range(10))
-        rng.shuffle(items)
-        assert sorted(items) == list(range(10))

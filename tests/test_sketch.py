@@ -1,4 +1,4 @@
-"""Tests for count-min sketch, Bloom filter, heavy hitters, entropy."""
+"""Tests for the count-min sketch and the entropy estimators."""
 
 from __future__ import annotations
 
@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.bloom import BloomFilter
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.heavyhitter import (
-    HeavyHitterTracker,
-    empirical_entropy,
-    normalized_entropy,
-)
+from repro.sketch.heavyhitter import empirical_entropy, normalized_entropy
 
 
 class TestCountMin:
@@ -36,60 +31,9 @@ class TestCountMin:
         assert sketch.estimate("b") == 3
         assert sketch.estimate("never") == 0
 
-    def test_merge_sum_combines_disjoint_streams(self):
-        a = CountMinSketch(seed=2)
-        b = CountMinSketch(seed=2)
-        a.add("x", 4)
-        b.add("x", 6)
-        a.merge_sum(b)
-        assert a.estimate("x") == 10
-        assert a.items_added == 10
-
-    def test_merge_max_idempotent(self):
-        a = CountMinSketch(seed=2)
-        b = CountMinSketch(seed=2)
-        b.add("x", 5)
-        assert a.merge_max(b) is True
-        assert a.merge_max(b) is False  # re-delivery harmless
-        assert a.estimate("x") == 5
-
-    def test_merge_incompatible_rejected(self):
-        a = CountMinSketch(seed=1)
-        b = CountMinSketch(seed=2)
-        with pytest.raises(ValueError):
-            a.merge_sum(b)
-        c = CountMinSketch(depth=2, seed=1)
-        with pytest.raises(ValueError):
-            a.merge_max(c)
-
-    def test_copy_independent(self):
-        a = CountMinSketch()
-        a.add("x")
-        b = a.copy()
-        b.add("x")
-        assert a.estimate("x") == 1 and b.estimate("x") == 2
-
-    def test_clear(self):
-        sketch = CountMinSketch()
-        sketch.add("x", 10)
-        sketch.clear()
-        assert sketch.estimate("x") == 0 and sketch.items_added == 0
-
-    def test_rows_roundtrip(self):
-        a = CountMinSketch(depth=2, width=8)
-        a.add("x", 3)
-        b = CountMinSketch(depth=2, width=8)
-        b.load_rows(a.rows())
-        assert a == b
-        with pytest.raises(ValueError):
-            b.load_rows([[0] * 4])
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             CountMinSketch().add("x", -1)
-
-    def test_state_bytes(self):
-        assert CountMinSketch(depth=4, width=100, counter_bytes=4).state_bytes == 1600
 
     @given(st.lists(st.sampled_from("abcdef"), max_size=200))
     @settings(max_examples=40, deadline=None)
@@ -100,62 +44,6 @@ class TestCountMin:
             sketch.add(key)
             truth[key] = truth.get(key, 0) + 1
         assert all(sketch.estimate(k) >= c for k, c in truth.items())
-
-
-class TestBloom:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(nbits=1024, num_hashes=3, seed=1)
-        keys = [f"sig{i}" for i in range(50)]
-        for key in keys:
-            bloom.add(key)
-        assert all(key in bloom for key in keys)
-
-    def test_false_positive_rate_reasonable(self):
-        bloom = BloomFilter.for_capacity(1000, fp_rate=0.01, seed=1)
-        for i in range(1000):
-            bloom.add(f"member{i}")
-        false_positives = sum(1 for i in range(10000) if f"other{i}" in bloom)
-        assert false_positives / 10000 < 0.05
-
-    def test_for_capacity_sizing(self):
-        bloom = BloomFilter.for_capacity(100, fp_rate=0.01)
-        assert bloom.nbits > 800  # ~9.6 bits/element at 1%
-        assert bloom.num_hashes >= 5
-
-    def test_merge_or(self):
-        a = BloomFilter(nbits=256, num_hashes=2, seed=3)
-        b = BloomFilter(nbits=256, num_hashes=2, seed=3)
-        a.add("x")
-        b.add("y")
-        assert a.merge_or(b) is True
-        assert "x" in a and "y" in a
-        assert a.merge_or(b) is False  # idempotent
-
-    def test_merge_incompatible_rejected(self):
-        with pytest.raises(ValueError):
-            BloomFilter(nbits=128, seed=1).merge_or(BloomFilter(nbits=256, seed=1))
-
-    def test_fill_ratio(self):
-        bloom = BloomFilter(nbits=100, num_hashes=1)
-        assert bloom.fill_ratio() == 0.0
-        bloom.add("x")
-        assert bloom.fill_ratio() == pytest.approx(0.01)
-
-    def test_copy_and_eq(self):
-        a = BloomFilter(seed=5)
-        a.add("x")
-        b = a.copy()
-        assert a == b
-        b.add("y")
-        assert a != b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BloomFilter(nbits=0)
-        with pytest.raises(ValueError):
-            BloomFilter.for_capacity(0)
-        with pytest.raises(ValueError):
-            BloomFilter.for_capacity(10, fp_rate=1.5)
 
 
 class TestEntropy:
@@ -179,35 +67,3 @@ class TestEntropy:
 
     def test_zero_counts_ignored(self):
         assert empirical_entropy({"a": 10, "b": 0}) == 0.0
-
-
-class TestHeavyHitter:
-    def test_tracks_top_keys(self):
-        tracker = HeavyHitterTracker(k=3, seed=1)
-        for _ in range(100):
-            tracker.add("elephant")
-        for i in range(50):
-            tracker.add(f"mouse{i}")
-        top = tracker.top(1)
-        assert top[0][0] == "elephant"
-        assert top[0][1] >= 100
-
-    def test_eviction_of_weakest(self):
-        tracker = HeavyHitterTracker(k=2, seed=1)
-        tracker.add("a", 1)
-        tracker.add("b", 2)
-        tracker.add("c", 50)
-        assert "c" in tracker
-        assert len(tracker.top()) == 2
-
-    def test_top_n_ordering(self):
-        tracker = HeavyHitterTracker(k=4, seed=1)
-        tracker.add("a", 5)
-        tracker.add("b", 10)
-        tracker.add("c", 1)
-        counts = [count for _, count in tracker.top()]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            HeavyHitterTracker(k=0)

@@ -1,11 +1,10 @@
-"""Tests for switch memory accounting and P4 stateful objects."""
+"""Tests for switch memory accounting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.switch.memory import DEFAULT_SWITCH_MEMORY_BYTES, MemoryBudget, OutOfSwitchMemory
-from repro.switch.objects import Counter, MatchTable, Meter, MeterColor, RegisterArray
 
 
 class TestMemoryBudget:
@@ -35,12 +34,6 @@ class TestMemoryBudget:
         assert budget.free_bytes == 100
         assert budget.release("a") == 0
 
-    def test_usage_map_sorted_largest_first(self):
-        budget = MemoryBudget(1000)
-        budget.allocate("small", 10)
-        budget.allocate("big", 500)
-        assert budget.usage_by_owner()[0] == ("big", 500)
-
     def test_repeat_owner_accumulates(self):
         budget = MemoryBudget(100)
         budget.allocate("a", 30)
@@ -53,160 +46,3 @@ class TestMemoryBudget:
         budget = MemoryBudget(10)
         with pytest.raises(ValueError):
             budget.allocate("a", -1)
-
-
-class TestRegisterArray:
-    def _array(self, size=8, width=4):
-        return RegisterArray("r", size, width, MemoryBudget(1 << 20))
-
-    def test_memory_charged(self):
-        budget = MemoryBudget(100)
-        RegisterArray("r", 10, 4, budget)
-        assert budget.used_bytes == 40
-
-    def test_read_write(self):
-        reg = self._array()
-        reg.write(3, 42)
-        assert reg.read(3) == 42
-        assert reg.read(0) == 0  # initial
-
-    def test_update_read_modify_write(self):
-        reg = self._array()
-        result = reg.update(1, lambda v: v + 5)
-        assert result == 5
-        assert reg.read(1) == 5
-
-    def test_bounds_checked(self):
-        reg = self._array(size=4)
-        with pytest.raises(IndexError):
-            reg.read(4)
-        with pytest.raises(IndexError):
-            reg.write(-1, 0)
-
-    def test_counters_track_accesses(self):
-        reg = self._array()
-        reg.read(0)
-        reg.write(0, 1)
-        reg.update(0, lambda v: v)
-        assert reg.read_count == 2  # read + update
-        assert reg.write_count == 2  # write + update
-
-    def test_snapshot_is_copy(self):
-        reg = self._array()
-        reg.write(0, 7)
-        snap = reg.snapshot()
-        reg.write(0, 8)
-        assert snap[0] == 7
-
-    def test_fill(self):
-        reg = self._array(size=3)
-        reg.fill(9)
-        assert [reg.read(i) for i in range(3)] == [9, 9, 9]
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            RegisterArray("r", 0, 4, MemoryBudget(100))
-        with pytest.raises(ValueError):
-            RegisterArray("r", 4, 0, MemoryBudget(100))
-
-
-class TestMatchTable:
-    def _table(self, max_entries=4):
-        return MatchTable("t", max_entries, 8, 8, MemoryBudget(1 << 20))
-
-    def test_lookup_hit_and_miss(self):
-        table = self._table()
-        table.insert("k", "v")
-        assert table.lookup("k") == "v"
-        assert table.lookup("nope") is None
-        assert table.lookup("nope", miss="default") == "default"
-        assert table.hit_count == 1 and table.lookup_count == 3
-
-    def test_capacity_enforced(self):
-        table = self._table(max_entries=2)
-        table.insert("a", 1)
-        table.insert("b", 2)
-        with pytest.raises(OverflowError):
-            table.insert("c", 3)
-        table.insert("a", 99)  # overwrite existing is fine when full
-        assert table.lookup("a") == 99
-
-    def test_remove(self):
-        table = self._table()
-        table.insert("a", 1)
-        assert table.remove("a") is True
-        assert table.remove("a") is False
-        assert "a" not in table
-
-    def test_occupancy(self):
-        table = self._table(max_entries=4)
-        table.insert("a", 1)
-        assert table.occupancy == pytest.approx(0.25)
-        assert len(table) == 1
-
-    def test_memory_charged(self):
-        budget = MemoryBudget(1000)
-        MatchTable("t", 10, 8, 8, budget)
-        assert budget.used_bytes == 160
-
-    def test_entries_iteration_sorted(self):
-        table = self._table()
-        table.insert("b", 2)
-        table.insert("a", 1)
-        assert [k for k, _ in table.entries()] == ["a", "b"]
-
-
-class TestMeter:
-    def test_green_within_rate(self):
-        meter = Meter("m", 1, MemoryBudget(1 << 20), rate_bps=8e6, burst_bytes=1000)
-        assert meter.execute(0, 500, now=0.0) == MeterColor.GREEN
-
-    def test_red_when_burst_exhausted(self):
-        meter = Meter("m", 1, MemoryBudget(1 << 20), rate_bps=8e6, burst_bytes=1000)
-        meter.execute(0, 1000, now=0.0)
-        assert meter.execute(0, 1000, now=0.0) == MeterColor.RED
-
-    def test_refills_over_time(self):
-        meter = Meter("m", 1, MemoryBudget(1 << 20), rate_bps=8e6, burst_bytes=1000)
-        meter.execute(0, 1000, now=0.0)
-        # 8e6 bps = 1e6 B/s -> 1 ms refills 1000 bytes (capped at burst)
-        assert meter.execute(0, 1000, now=1e-3) == MeterColor.GREEN
-
-    def test_tokens_capped_at_burst(self):
-        meter = Meter("m", 1, MemoryBudget(1 << 20), rate_bps=8e6, burst_bytes=1000)
-        meter.execute(0, 0, now=100.0)
-        assert meter.tokens(0) == 1000.0
-
-    def test_independent_indices(self):
-        meter = Meter("m", 2, MemoryBudget(1 << 20), rate_bps=8e6, burst_bytes=1000)
-        meter.execute(0, 1000, now=0.0)
-        assert meter.execute(1, 1000, now=0.0) == MeterColor.GREEN
-
-    def test_bounds(self):
-        meter = Meter("m", 1, MemoryBudget(1 << 20))
-        with pytest.raises(IndexError):
-            meter.execute(1, 10, now=0.0)
-
-
-class TestCounter:
-    def test_counts_packets_and_bytes(self):
-        counter = Counter("c", 2, MemoryBudget(1 << 20))
-        counter.count(0, 100)
-        counter.count(0, 50)
-        counter.count(1)
-        assert counter.packets(0) == 2 and counter.bytes(0) == 150
-        assert counter.packets(1) == 1 and counter.bytes(1) == 0
-
-    def test_reset_single_and_all(self):
-        counter = Counter("c", 2, MemoryBudget(1 << 20))
-        counter.count(0, 10)
-        counter.count(1, 10)
-        counter.reset(0)
-        assert counter.packets(0) == 0 and counter.packets(1) == 1
-        counter.reset()
-        assert counter.packets(1) == 0
-
-    def test_bounds(self):
-        counter = Counter("c", 1, MemoryBudget(1 << 20))
-        with pytest.raises(IndexError):
-            counter.count(5)

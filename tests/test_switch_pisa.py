@@ -86,15 +86,6 @@ class TestForwarding:
         assert seen == []
         assert len(hosts[1].received) == 0
 
-    def test_remove_handler(self):
-        sim, topo, switches, hosts, *_ = make_fabric()
-        handler = lambda p, f: True
-        switches[0].install_handler(handler)
-        switches[0].remove_handler(handler)
-        hosts[0].inject(make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2))
-        sim.run()
-        assert len(hosts[1].received) == 1
-
 
 class TestAtomicity:
     def test_reentrant_pipeline_pass_rejected(self):
@@ -149,31 +140,6 @@ class TestRecirculation:
 
 
 class TestMirrorAndMulticast:
-    def test_mirror_session(self):
-        sim, topo, switches, hosts, *_ = make_fabric()
-        switches[0].configure_mirror_session(1, "s1")
-        received = []
-        switches[1].install_handler(lambda p, f: (received.append(p), True)[1])
-        packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2)
-
-        def mirror_then_forward(p, f):
-            switches[0].mirror(p, 1)
-            return False
-
-        switches[0].install_handler(mirror_then_forward)
-        hosts[0].inject(packet)
-        sim.run()
-        # s1 sees both the mirror clone and the original in transit to h1.
-        assert len(received) == 2
-        uids = {p.uid for p in received}
-        assert packet.uid in uids  # the original passed through
-        assert len(uids) == 2  # plus a distinct clone
-        assert switches[0].stats.mirrored_packets == 1
-
-    def test_mirror_unknown_session(self):
-        sim, topo, switches, hosts, *_ = make_fabric()
-        assert switches[0].mirror(Packet(), 99) is False
-
     def test_multicast_to_group(self):
         sim, topo, switches, hosts, book, routing, registry = make_fabric()
         registry.create(7, ["s0", "s1", "s2"])
@@ -193,7 +159,7 @@ class TestControlPlane:
         switch = switches[0]
         seen = []
         switch.install_handler(
-            lambda p, f: (switch.punt_to_cpu(p, lambda pk: seen.append(sim.now)), True)[1]
+            lambda p, f: (switch.control.submit(lambda pk: seen.append(sim.now), p), True)[1]
         )
         hosts[0].inject(make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2))
         sim.run()
@@ -330,12 +296,12 @@ class TestPacketGenerator:
     def test_stops_on_switch_failure(self):
         sim, topo, switches, hosts, *_ = make_fabric()
         ticks = []
-        generator = PacketGenerator(switches[0], period=1e-3, body=lambda: ticks.append(1)).start()
+        PacketGenerator(switches[0], period=1e-3, body=lambda: ticks.append(1)).start()
         sim.run(until=2.5e-3)
         switches[0].fail()
         sim.run(until=10e-3)
         assert len(ticks) == 2
-        assert not generator.alive
+        assert sim.pending() == 0  # the generator's process stopped itself
 
     def test_phase_staggering(self):
         sim, topo, switches, hosts, *_ = make_fabric()

@@ -76,6 +76,18 @@ This lint walks the AST of every Python file and flags:
   ``SroGroupState.wipe()``) so its layout can change in one place.
   ``self._x = ...`` and ``a._x = ...`` are not flagged.
 
+* inside ``src/repro`` only: a module-level ``itertools.count(...)``
+  (under any import alias, or ``from itertools import count``).  A
+  counter the module owns is shared by every world the process builds,
+  so an id drawn from it depends on what ran earlier in the process —
+  and benchmarks and the schedule explorer build many worlds per
+  process.  Number from the object that owns the sequence
+  (``FailoverCoordinator._transfer_seq``, the per-switch token numbers
+  of ``SroEngine``).  Three remain, allowed by name until ROADMAP
+  item 1 retires them: ``net/packet._packet_ids``,
+  ``workload/flows._flow_ports``, ``analysis/history._op_ids`` — none
+  feeds a digest, a span or a ``wire_size``.
+
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
 must go through.
@@ -169,7 +181,56 @@ PRIVATE_POKE_MESSAGE = (
     "in one place"
 )
 
+#: Module-level ``itertools.count`` is forbidden under this path
+#: fragment: the library package.
+GLOBAL_COUNTER_SCOPE = os.sep + "repro" + os.sep
+
+#: ... except these, by module path suffix and name (ROADMAP item 1).
+ALLOWED_GLOBAL_COUNTERS = frozenset({
+    (os.path.join("net", "packet.py"), "_packet_ids"),
+    (os.path.join("workload", "flows.py"), "_flow_ports"),
+    (os.path.join("analysis", "history.py"), "_op_ids"),
+})
+
+GLOBAL_COUNTER_MESSAGE = (
+    "module-level itertools.count ('{name}') is shared by every world "
+    "in the process, so its ids depend on what ran earlier; number from "
+    "the object that owns the sequence instead"
+)
+
 Violation = Tuple[str, int, str]
+
+
+def _module_level_counters(tree: ast.Module, path: str) -> List[Violation]:
+    """Flag ``NAME = itertools.count(...)`` statements of the module body."""
+    modules, functions = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "itertools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            functions.update(a.asname or a.name for a in node.names if a.name == "count")
+    violations = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not isinstance(node.value, ast.Call):
+            continue
+        func = node.value.func
+        if not (
+            (isinstance(func, ast.Name) and func.id in functions)
+            or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "count"
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+            )
+        ):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            name = ast.unparse(target)
+            if not any(path.endswith(suffix) and name == allowed
+                       for suffix, allowed in ALLOWED_GLOBAL_COUNTERS):
+                violations.append((path, node.lineno, GLOBAL_COUNTER_MESSAGE.format(name=name)))
+    return violations
 
 
 class _RandomUseVisitor(ast.NodeVisitor):
@@ -482,6 +543,8 @@ def lint_file(path: str) -> List[Violation]:
         check_private_pokes=any(scope in normalized for scope in PRIVATE_POKE_SCOPES),
     )
     visitor.visit(tree)
+    if GLOBAL_COUNTER_SCOPE in normalized:
+        visitor.violations.extend(_module_level_counters(tree, path))
     return visitor.violations
 
 
