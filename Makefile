@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest dead-surface all clean
+.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest perf-pairs dead-surface all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -79,6 +79,18 @@ perf:
 # ~20 s: every workload at 1/20 scale with its invariants asserted.
 perf-selftest:
 	python3 perf/run.py --selftest
+
+# How a claimed gain is judged: alternating pairs of each checkout's own
+# perf/run.py, per-pair winners, medians, quartiles and the verdict
+# (>= 9/10 pairs and a median gap beyond the parent's IQR) per metric.
+#   make perf-pairs PARENT=/root/scratch/parent WORKLOAD=ewo_sketch
+PARENT ?=
+WORKLOAD ?= nf_mix
+PAIRS ?= 10
+SEED ?= 11
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<checkout of the parent commit> [WORKLOAD=nf_mix] [PAIRS=10] [SEED=11]"; exit 2; }
+	python3 tools/perf_pairs.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # The dead-surface gate (~8 min): every function of src/repro is reached
 # by a driver (benchmark, `make gate`, example, full-scale perf/ workload)

@@ -441,6 +441,9 @@ class SwiShmemManager:
             return True
         finally:
             self._ctx = None
+            # One egress mirror per pass, on every exit, ahead of the
+            # output packet.
+            self.ewo.end_pass()
         return self._finalize(ctx, decision)
 
     def _finalize(self, ctx: PacketContext, decision: Decision) -> bool:

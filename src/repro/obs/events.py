@@ -317,6 +317,9 @@ EVENTS: Dict[str, Event] = {
     ),
     "sro.pending.clear": Event(Level("dec", "sro.pending_bits", "cleared")),
     "sro.chain.reorder_stash": Event(Span("group", "key", "seq", "applied")),
+    # A full stash evicts its oldest update (span only: a counter would
+    # be announced at zero into every snapshot).
+    "sro.chain.reorder_overflow": Event(Span("group", "key", "seq", "capacity", child=True)),
     "sro.chain.forward": Event(Span("group", "key", "seq", "next_hop")),
     "sro.ack.emit": Event(Span("group", "key", "seq", "targets")),
     "sro.ack.deliver": Event(

@@ -3,12 +3,17 @@
 EWO registers have cheap reads *and* writes: everything is local, and
 replication is asynchronous.
 
-* **Writes** apply to the local replica immediately; the output packet
-  leaves at once.  The switch then broadcasts a small ``EwoUpdate`` —
-  "egress mirroring and the multicast engine" (section 7) — carrying
-  only this switch's new version numbers and values.  Updates may be
-  batched (``ewo_batch_size``), trading bandwidth for staleness
-  (experiment A2).
+* **Writes** apply to the local replica immediately and never hold the
+  output packet.  The broadcast is "egress mirroring and the multicast
+  engine" (section 7), and a switch mirrors a packet once, after the
+  whole pass: when a packet's pass ends (``end_pass``), each group it
+  wrote sends one small ``EwoUpdate`` carrying only this switch's new
+  version numbers and values, in write order.  On the wire the update
+  copies are enqueued first and the output packet after them, at the
+  same simulated instant.  A write outside a pass (window tasks,
+  operators) is broadcast at once.  ``ewo_batch_size`` is the number
+  of queued entries below which a group's broadcast is held back,
+  trading bandwidth for staleness (experiment A2).
 
 * **Merging** is per the group's mode and lives in ``repro.crdt``: a
   replica is a dict of cells — ``LwwRegister`` ((timestamp, switch-id)
@@ -190,6 +195,9 @@ class EwoEngine:
         self.sync_period = sync_period
         self.groups: Dict[int, EwoGroupState] = {}
         self._sync_rng = manager.rng.stream(f"ewo-sync:{self.switch.name}")
+        #: The groups the live packet pass has written, in first-write
+        #: order; ``end_pass`` mirrors each once and empties it.
+        self._pass_written: Dict[int, EwoGroupState] = {}
         #: The deployment's observability spine (repro.obs.spine).
         self.obs = manager.obs
         # Causal tracing: one trace per update broadcast / sync round,
@@ -307,23 +315,44 @@ class EwoEngine:
         self, state: EwoGroupState, op: str, key: Any, version: Any, value: Any
     ) -> None:
         """Account one applied local write and queue its wire entry for
-        the asynchronous broadcast."""
+        the asynchronous broadcast.
+
+        A switch mirrors a packet once, at egress, after the whole pass
+        has run: a data-plane write (made inside a packet pass — the
+        manager's context is live) leaves with its pass, in
+        ``end_pass``.  A control-plane write (window tasks, operators)
+        has no pass to end, so the batch threshold is checked here."""
         state.stats.local_writes += 1
+        in_pass = self.manager._ctx is not None
         if self.obs.on:
-            # Data-plane when made inside a packet pass (the manager's
-            # context is live), else control-plane (window tasks).
-            origin = "dataplane" if self.manager._ctx is not None else "control"
             self.obs.emit(
                 "ewo.write", self.switch.name,
-                group=state.spec.group_id, key=key, origin=origin, op=op,
+                group=state.spec.group_id, key=key,
+                origin="dataplane" if in_pass else "control", op=op,
             )
         state._pending_entries.append(EwoEntry(key=key, version=version, value=value))
-        if len(state._pending_entries) >= state.spec.ewo_batch_size:
+        if in_pass:
+            self._pass_written[state.spec.group_id] = state
+        elif len(state._pending_entries) >= state.spec.ewo_batch_size:
             self.flush(state.spec.group_id)
 
     # ------------------------------------------------------------------
     # Asynchronous broadcast
     # ------------------------------------------------------------------
+    def end_pass(self) -> None:
+        """The packet pass is over: one egress mirror per group it
+        wrote, in first-write order, carrying everything the group has
+        pending — the pass's own entries plus any that earlier passes
+        left under ``ewo_batch_size``.  The manager calls this before it
+        disposes of the output packet, so on a shared egress channel the
+        update copies precede the packet that caused them."""
+        if not self._pass_written:
+            return
+        written, self._pass_written = self._pass_written, {}
+        for group_id, state in written.items():
+            if len(state._pending_entries) >= state.spec.ewo_batch_size:
+                self.flush(group_id)
+
     def flush(self, group_id: int) -> int:
         """Broadcast queued entries to the replica group.  Returns copies sent."""
         state = self.groups[group_id]

@@ -1020,8 +1020,20 @@ class SroEngine:
             stash_key = (slot, update.seq)
             if stash_key not in state.reorder:
                 if len(state.reorder) >= state.reorder_capacity:
-                    state.reorder.popitem(last=False)
+                    _, evicted = state.reorder.popitem(last=False)
                     stats.out_of_order_drops += 1
+                    if obs.on:
+                        # Parents to the evicted update's stash span:
+                        # its write now waits for the writer's retry.
+                        obs.emit(
+                            "sro.chain.reorder_overflow",
+                            self.switch.name,
+                            evicted.trace,
+                            group=evicted.group,
+                            key=evicted.key,
+                            seq=evicted.seq,
+                            capacity=state.reorder_capacity,
+                        )
                 state.reorder[stash_key] = update
                 stats.reorder_stashed += 1
                 # Re-stamp the update onto the stash span: when the gap

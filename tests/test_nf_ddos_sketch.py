@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.nf.ddos import SKETCH_DEPTH, SKETCH_WIDTH, DdosDetectorNF
+from repro.nf.ddos import SKETCH_DEPTH, SKETCH_SEED, SKETCH_WIDTH, DdosDetectorNF
+from repro.nf.heavyhitter import HeavyHitterNF
+from repro.sketch.countmin import row_hash
 from repro.workload.attack import AttackScenario
 
 from repro.testing import build_nf_world
@@ -64,6 +66,55 @@ class TestSketchMode:
         # — a uniform scaling that leaves the entropy analysis untouched
         detector = detectors[0]
         assert detector._sketch_estimate(states[0], server.ip) == 60
+
+    def test_one_update_multicast_per_group_per_pass(self):
+        """The count-min pass writes 3 ``ddos_src`` cells, 3 ``ddos_dst``
+        cells and (at the first switch) 1 heavy-hitter counter: one
+        egress mirror per group, not one multicast per write."""
+        world, _ = sketch_world()
+        deployment = world.deployment
+        deployment.install_nf(HeavyHitterNF, threshold=10**9)
+        from repro.net.packet import make_udp_packet
+
+        client, server = world.clients[0], world.servers[0]
+        packets = 20
+        for i in range(packets):
+            world.sim.schedule(
+                i * 20e-6,
+                lambda: client.inject(make_udp_packet(client.ip, server.ip, 1, 2)),
+            )
+        world.sim.run(until=0.02)
+        assert len(server.received) == packets
+        specs = {
+            name: deployment.spec_by_name(name)
+            for name in ("ddos_src", "ddos_dst", "hh_counts")
+        }
+
+        def sent(switch, name):
+            stats = deployment.manager(switch).ewo.stats_for(specs[name].group_id)
+            return (stats.local_writes, stats.update_packets_sent)
+
+        # ingress: 7 writes per pass leave as 3 update multicasts
+        assert [sent("ingress", name) for name in specs] == [
+            (3 * packets, packets),
+            (3 * packets, packets),
+            (packets, packets),
+        ]
+        # fleet-wide: 19 writes and 7 updates per packet (the heavy-hitter
+        # count is claimed at the first switch only)
+        totals = [sent(sw, name) for sw in deployment.switch_names for name in specs]
+        assert sum(w for w, _ in totals) == 19 * packets
+        assert sum(u for _, u in totals) == 7 * packets
+        # ... and every replica holds exactly the packet counts: three
+        # observation points per packet for the sketches, one for the flow
+        for ip, name in ((client.ip, "ddos_src"), (server.ip, "ddos_dst")):
+            cells = {
+                (row, row_hash(SKETCH_SEED, row, ip, SKETCH_WIDTH)): 3 * packets
+                for row in range(SKETCH_DEPTH)
+            }
+            assert deployment.ewo_states(specs[name]) == [cells] * 5
+        flows = deployment.ewo_states(specs["hh_counts"])
+        assert flows == [flows[0]] * 5 and list(flows[0].values()) == [packets]
 
     def test_attack_detected_via_sketch(self):
         world, detectors = sketch_world(clients=6, servers=6)

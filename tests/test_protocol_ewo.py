@@ -7,9 +7,14 @@ import inspect
 
 import pytest
 
-from repro.core.registers import Consistency, EwoMode, RegisterSpec
+from repro.core.directory import DirectoryService
+from repro.core.manager import Decision
+from repro.core.registers import Consistency, EwoMode, ReadForwarded, RegisterSpec
 from repro.analysis.metrics import convergence_time, replica_divergence
 from repro.crdt.clock import Timestamp
+from repro.net.endhost import EndHost
+from repro.net.packet import make_udp_packet
+from repro.nf.base import NetworkFunction
 from repro.protocols import ewo
 from repro.protocols.ewo import MERGE_TYPES
 from repro.protocols.messages import EwoEntry, EwoUpdate
@@ -247,6 +252,198 @@ class TestBatching:
         m0.ewo.flush(spec.group_id)
         dep.sim.run(until=0.005)
         assert dep.manager("s1").ewo.local_state(spec.group_id)["k"] == 1
+
+
+class _ScriptedPassNF(NetworkFunction):
+    """Every packet entering at s0 runs ``script(handles)`` as its pass."""
+
+    @classmethod
+    def build_specs(cls, *, specs, script):
+        return specs
+
+    def __init__(self, manager, handles, *, specs, script):
+        super().__init__(manager, handles)
+        self.script = script
+
+    def process(self, ctx):
+        if self.manager.switch.name == "s0":
+            self.script(self.handles)
+        return Decision.forward()
+
+
+def counter_spec(name, **kwargs):
+    return RegisterSpec(name, Consistency.EWO, ewo_mode=EwoMode.COUNTER, **kwargs)
+
+
+class PassWorld:
+    """src - s0 =mesh= s(n-1) - dst, with the scripted NF on every switch
+    and a tap on each of s0's egress channels to a peer switch."""
+
+    def __init__(self, make_deployment, specs, script, n=3, directory=False):
+        self.dep, topo, _ = make_deployment(n, sync_period=10.0)
+        if directory:
+            self.directory = DirectoryService(self.dep.switch_names)
+            self.dep.attach_directory(self.directory)
+        book = self.dep.address_book
+        self.src = topo.add_node(EndHost("src", self.dep.sim, "10.0.0.1", book))
+        self.dst = topo.add_node(EndHost("dst", self.dep.sim, "10.0.0.2", book))
+        topo.connect("src", "s0")
+        topo.connect("dst", f"s{n - 1}")
+        self.dep.routing.recompute()
+        self.dep.install_nf(_ScriptedPassNF, specs=specs, script=script)
+        self.m0 = self.dep.manager("s0")
+        #: peer -> packets s0 put on its channel to that peer, in order.
+        self.wire = {f"s{i}": self._tap(topo, f"s{i}") for i in range(1, n)}
+
+    @staticmethod
+    def _tap(topo, peer):
+        link = topo.link_between("s0", peer)
+        channel = link.ab if link.a.name == "s0" else link.ba
+        sent, transmit = [], channel.transmit
+
+        def recording_transmit(packet):
+            sent.append(packet)
+            transmit(packet)
+
+        channel.transmit = recording_transmit
+        return sent
+
+    def send_packet(self, until):
+        """One packet src -> dst; run the simulation to ``until``."""
+        self.src.inject(make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2))
+        self.dep.sim.run(until=until)
+
+    def updates(self, peer):
+        """(group name, entry keys) of each EwoUpdate s0 sent ``peer``;
+        ``"output"`` stands for the data packet itself."""
+        return [
+            "output"
+            if packet.swishmem is None
+            else (
+                self.m0.ewo.groups[packet.swishmem_payload.group].spec.name,
+                [entry.key for entry in packet.swishmem_payload.entries],
+            )
+            for packet in self.wire[peer]
+        ]
+
+    def pending(self):
+        return {
+            state.spec.name: len(state._pending_entries)
+            for state in self.m0.ewo.groups.values()
+        }
+
+
+class TestOneMirrorPerPass:
+    """A switch mirrors a packet once, at egress: a pass's EWO writes
+    leave as one update per group when the pass ends (paper section 7)."""
+
+    def test_k_writes_to_one_group_leave_as_one_update_in_write_order(self, make_deployment):
+        def script(handles):
+            for key in ("x", "y", "x"):
+                handles["a"].increment(key)
+
+        world = PassWorld(make_deployment, [counter_spec("a")], script)
+        world.send_packet(until=1e-3)
+        assert world.updates("s1") == [("a", ["x", "y", "x"])]
+        assert world.updates("s2") == [("a", ["x", "y", "x"]), "output"]
+        stats = world.m0.ewo.stats_for(world.dep.spec_by_name("a").group_id)
+        assert (stats.local_writes, stats.updates_sent, stats.update_packets_sent) == (3, 3, 1)
+        assert world.dep.ewo_states(world.dep.spec_by_name("a")) == [{"x": 2, "y": 1}] * 3
+
+    def test_two_groups_one_update_each_in_first_write_order_ahead_of_the_output(
+        self, make_deployment
+    ):
+        def script(handles):
+            handles["b"].increment("k1")
+            handles["a"].increment("k2")
+            handles["b"].increment("k3")
+
+        world = PassWorld(make_deployment, [counter_spec("a"), counter_spec("b")], script)
+        world.send_packet(until=1e-3)
+        # s2 is both a replica and the output packet's next hop: the
+        # update copies are on the shared channel first.
+        assert world.updates("s2") == [("b", ["k1", "k3"]), ("a", ["k2"]), "output"]
+        assert world.updates("s1") == [("b", ["k1", "k3"]), ("a", ["k2"])]
+        assert len(world.dst.received) == 1
+
+    def test_broadcast_waits_for_the_pass_end_but_not_outside_a_pass(self, make_deployment):
+        seen_mid_pass = []
+
+        def script(handles):
+            handles["a"].increment("k")
+            seen_mid_pass.append((world.updates("s1"), world.pending()))
+
+        world = PassWorld(make_deployment, [counter_spec("a")], script)
+        world.send_packet(until=1e-3)
+        assert seen_mid_pass == [([], {"a": 1})]
+        assert world.updates("s1") == [("a", ["k"])]
+        # No pass live (a window task, an operator): nothing to wait for.
+        world.dep.handle("s0", world.dep.spec_by_name("a")).increment("ctl")
+        assert world.updates("s1") == [("a", ["k"]), ("a", ["ctl"])]
+        assert world.pending() == {"a": 0}
+
+    @pytest.mark.parametrize(
+        "exit_with", [ReadForwarded(0, "k", "s2"), RuntimeError("nf bug")],
+        ids=["read-forwarded", "nf-exception"],
+    )
+    def test_a_pass_that_ends_by_exception_still_flushes(self, make_deployment, exit_with):
+        exits = [exit_with]  # the first pass ends by it, later ones normally
+
+        def script(handles):
+            handles["a"].increment("k")
+            handles["a"].increment("k")
+            if exits:
+                raise exits.pop()
+
+        world = PassWorld(make_deployment, [counter_spec("a")], script)
+        if isinstance(exit_with, ReadForwarded):
+            world.send_packet(until=1e-3)
+            assert world.dst.received == []  # the manager consumed it
+        else:
+            with pytest.raises(RuntimeError, match="nf bug"):
+                world.send_packet(until=1e-3)
+        assert world.updates("s1") == [("a", ["k", "k"])]
+        assert world.pending() == {"a": 0}
+        assert world.m0._ctx is None and not world.m0.ewo._pass_written
+        # the next packet's pass starts clean: only its own entries leave
+        world.send_packet(until=2e-3)
+        assert world.updates("s1") == [("a", ["k", "k"])] * 2
+        assert world.updates("s2")[-1] == "output"
+
+    def test_batch_threshold_is_checked_when_a_pass_ends(self, make_deployment):
+        def script(handles):
+            for key in ("x", "y", "z"):
+                handles["a"].increment(key)
+
+        world = PassWorld(make_deployment, [counter_spec("a", ewo_batch_size=4)], script)
+        world.send_packet(until=1e-3)
+        assert world.updates("s1") == [] and world.pending() == {"a": 3}
+        world.send_packet(until=2e-3)
+        # not after the second pass's first write (the fourth entry):
+        # the mirror leaves at egress, with all six
+        assert world.updates("s1") == [("a", ["x", "y", "z"] * 2)]
+        assert world.pending() == {"a": 0}
+
+    def test_partial_replication_coalesces_per_target(self, make_deployment):
+        def script(handles):
+            for key in ("to_s1", "to_s2", "to_s1", "everywhere"):
+                handles["p"].increment(key)
+
+        world = PassWorld(
+            make_deployment,
+            [counter_spec("p", partial_replication=True)],
+            script,
+            n=4,
+            directory=True,
+        )
+        group_id = world.dep.spec_by_name("p").group_id
+        world.directory.place(group_id, "to_s1", ["s0", "s1"])
+        world.directory.place(group_id, "to_s2", ["s0", "s2"])
+        world.send_packet(until=1e-3)
+        assert world.updates("s1") == [("p", ["to_s1", "to_s1", "everywhere"])]
+        assert world.updates("s2") == [("p", ["to_s2", "everywhere"])]
+        assert world.updates("s3") == [("p", ["everywhere"]), "output"]
+        assert world.m0.ewo.stats_for(group_id).update_packets_sent == 3
 
 
 class TestStats:

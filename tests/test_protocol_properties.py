@@ -17,6 +17,8 @@ from repro.analysis.metrics import replica_divergence
 from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
+from repro.protocols.ewo import MERGE_TYPES
+from repro.protocols.messages import EwoUpdate
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -138,6 +140,60 @@ class TestEwoConvergenceProperties:
             for state in dep.ewo_states(spec)
         ]
         assert replica_divergence(states) == 0
+
+
+# one pass: the writes one packet makes — (key 0-3, small int, add?)
+pass_writes = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans()), min_size=1, max_size=8
+)
+
+
+class TestCoalescingProperty:
+    """Why one egress mirror per pass cannot change what converges: a
+    CRDT merge is applied entry by entry, so how a pass's entries are
+    cut into update packets is invisible to the replica."""
+
+    @given(
+        mode=st.sampled_from(sorted(MERGE_TYPES, key=lambda m: m.value)),
+        passes=st.lists(pass_writes, min_size=1, max_size=4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_update_per_pass_merges_like_one_update_per_entry(self, mode, passes, seed):
+        sim, dep = fresh_deployment(seed)
+        spec = dep.declare(
+            RegisterSpec(
+                "g", Consistency.EWO, ewo_mode=mode, capacity=16, ewo_batch_size=10**9
+            )
+        )
+        writer = dep.manager("s0")
+        pending = writer.ewo.groups[spec.group_id]
+        per_pass, per_entry = (dep.manager(n).ewo for n in ("s1", "s2"))
+
+        def update(entries):
+            return EwoUpdate(group=spec.group_id, origin="s0", entries=entries)
+
+        for writes in passes:
+            for key, n, add in writes:
+                if mode is EwoMode.COUNTER:
+                    writer.register_increment(spec, key, n + 1)
+                elif mode is EwoMode.LWW:
+                    writer.register_write(spec, key, n)
+                elif add:
+                    writer.register_set_add(spec, key, n)
+                else:
+                    writer.register_set_remove(spec, key, n)
+            entries, pending._pending_entries = pending._pending_entries, []
+            per_pass.handle_update(update(entries))
+            for entry in entries:
+                per_entry.handle_update(update([entry]))
+        coalesced = per_pass.groups[spec.group_id]
+        assert coalesced.canonical_items() == per_entry.groups[spec.group_id].canonical_items()
+        assert per_pass.local_state(spec.group_id) == {
+            key: value
+            for key, value in writer.ewo.local_state(spec.group_id).items()
+            if key in coalesced.cells
+        }
 
 
 class TestSroProperties:

@@ -295,3 +295,37 @@ class TestReorderStash:
             )
         assert len(state.reorder) == state.reorder_capacity
         assert state.stats.out_of_order_drops == 8
+
+    def test_overflow_is_a_spine_event_parented_to_the_evicted_stash(self, make_deployment):
+        """A full stash evicts its oldest update: a step of the protocol
+        (the evicted write now waits for its writer's retry), so it is a
+        span on the spine, not only a bare stat."""
+        from repro.obs.flightrec import FlightRecorder
+        from repro.protocols.messages import ChainUpdate
+
+        recorder = FlightRecorder()
+        dep, _, _ = make_deployment(3, flight_recorder=recorder)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO))
+        state = dep.manager("s1").sro.groups[spec.group_id]
+        state.reorder_capacity = 1
+        chain = tuple(dep.chains[spec.group_id].members)
+        for seq in (3, 4):  # seq 1 never arrived: both are gaps
+            dep.manager("s1").sro._process_chain_update(
+                ChainUpdate(
+                    group=spec.group_id,
+                    key=f"k{seq}",
+                    value=seq,
+                    seq=seq,
+                    slot=0,
+                    token=None,
+                    chain=chain,
+                )
+            )
+        assert list(state.reorder) == [(0, 4)]
+        assert state.stats.out_of_order_drops == 1
+        spans = {span.name: span for span in recorder.spans if span.attrs.get("seq") == 3}
+        overflow = spans["sro.chain.reorder_overflow"]
+        assert overflow.node == "s1" and overflow.key == "k3"
+        assert overflow.attrs == {"seq": 3, "capacity": 1}
+        assert overflow.parent_id == spans["sro.chain.reorder_stash"].context.span_id
+        assert [s.name for s in recorder.spans].count("sro.chain.reorder_overflow") == 1
