@@ -48,7 +48,7 @@ critpath:
 relevel:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_releveling.py
 
-# The sidecar gate: regenerate all nine gated sidecars (S1 P5 C2 F3 F4
+# The sidecar gate: regenerate all ten gated sidecars (S1 P5 P6 C2 F3 F4
 # F5 T2 T3 T4) into a scratch directory and diff them against the
 # committed baselines in bench_results/.  A refactor that claims
 # "nothing moves" proves it with this one command; CI's bench-json job
@@ -60,6 +60,7 @@ gate:
 	mkdir -p $(SWISHMEM_BENCH_DIR)
 	$(PYTHON) benchmarks/bench_simulator_performance.py
 	$(PYTHON) benchmarks/bench_sro_write_throughput.py
+	$(PYTHON) benchmarks/bench_dataplane_writes.py
 	$(PYTHON) benchmarks/bench_sync_bandwidth.py
 	$(PYTHON) benchmarks/bench_chaos_soak.py --quick --seeds 1 \
 		--metrics-jsonl $(SWISHMEM_BENCH_DIR)/chaos_metrics.jsonl

@@ -177,6 +177,8 @@ class SwiShmemManager:
         self.controller_epoch = 0
         self.fenced_commands = 0
         switch.install_handler(self._protocol_handler, front=True)
+        # Held output packets are pipeline contents: a crash takes them.
+        switch.on_crash(self.sro.pipeline_lost)
 
     # ------------------------------------------------------------------
     # Replication traffic dispatch

@@ -37,6 +37,13 @@ instead of double-sequencing.
 Failure handling (section 6.3) lives in ``repro.protocols.failover``;
 this engine exposes the hooks it needs: descriptor swaps, catch-up mode
 (gap-tolerant apply), and control-plane snapshots.
+
+Groups declared with ``dataplane_write_buffering`` take the section 9
+variant instead of the control-plane punt: the output packet is held by
+recirculation and the data plane itself retransmits.  Of that hold only
+the *retransmitting* passes are simulated (one kernel event each); the
+passes between them are counted by arithmetic when the hold is next
+touched — see :class:`_DataplaneHold`.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ import itertools
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.chain import ChainDescriptor
@@ -121,17 +130,51 @@ class _DataplaneHold:
 
     The packet never leaves the pipeline: every RECIRCULATION_LATENCY it
     takes another pass (costing a pipeline slot, which we account), and
-    periodically the data plane retransmits the write requests it is
-    waiting on — buffering and retransmission with no CPU involvement.
+    every ``DP_RESEND_EVERY``-th pass the data plane retransmits the
+    write requests it is waiting on — buffering and retransmission with
+    no CPU involvement.
+
+    **Simulated vs accounted.**  Only a retransmitting pass does
+    anything, so only it is a kernel event: ``armed`` is that one event,
+    re-armed from itself and cancelled when the hold ends.  The 63
+    passes in between touch nothing but counters, and are charged
+    (``recirculations``, ``SroEngine.dp_recirculations``,
+    ``SwitchStats.recirculated_packets``) when the hold is next touched:
+    by the armed event, or by whatever ends the hold — the ack, give-up,
+    ``remove_group``, a switch crash.  Until then the three counters lag
+    a live hold by at most ``DP_RESEND_EVERY - 1`` passes.
+
+    **Pass instants.**  Pass *k* is at the hold's start plus
+    RECIRCULATION_LATENCY added *k* times, one addition at a time
+    (:func:`_pass_instant`, :func:`_passes_before`): that is the float a
+    per-pass event chain would have reached, and ``start + k *
+    RECIRCULATION_LATENCY`` is not.  The armed event is scheduled *at*
+    that float (``Simulator.schedule_at`` lands on it exactly), so every
+    resend and give-up instant, and hence every simulated time, is the
+    one a pass-by-pass simulation produces.
+
+    **Ties.**  A pass counts when it is strictly before the touching
+    instant; the armed pass counts itself; a pass landing exactly on the
+    instant the hold ends does not.  That is the ``(time, seq)`` order
+    of a per-pass chain whenever the ending event was scheduled more
+    than one pass ahead — an ack (link latency), a control-plane command
+    (CPU op latency), a scheduled crash — since the pass it ties with
+    would have been scheduled only one pass ahead, with a higher seq.
+    The armed event itself was scheduled 64 passes ahead, so in an exact
+    float tie with an ack the retransmission goes first.
     """
 
     token: WriteToken
     packet: Optional[Any]
     dst_node: Optional[str]
     write_tokens: List[WriteToken]
-    started_at: float
+    #: Instant of the last pass already charged (the hold's start, then
+    #: each retransmitting pass).
+    counted_through: float
     recirculations: int = 0
     resends: int = 0
+    #: The kernel event of the next retransmitting pass.
+    armed: Any = None
 
 
 #: Recirculations between data-plane retransmissions of an unacked write
@@ -139,6 +182,22 @@ class _DataplaneHold:
 DP_RESEND_EVERY = 64
 #: Give up after this many data-plane retransmissions.
 DP_MAX_RESENDS = 200
+
+
+def _pass_instant(start: float, passes: int) -> float:
+    """The instant ``passes`` recirculations after ``start``, by repeated
+    addition (at C speed; ``reduce`` is a left fold)."""
+    return reduce(add, itertools.repeat(RECIRCULATION_LATENCY, passes), start)
+
+
+def _passes_before(start: float, instant: float) -> int:
+    """How many passes after ``start`` land strictly before ``instant``."""
+    passes = 0
+    at = start + RECIRCULATION_LATENCY
+    while at < instant:
+        at += RECIRCULATION_LATENCY
+        passes += 1
+    return passes
 
 
 class SroStats:
@@ -368,7 +427,9 @@ class SroEngine:
                 outstanding.timer.cancel()
             barrier = outstanding.barrier
             if barrier is not None and barrier.token is not None:
-                self._dp_holds.pop(barrier.token, None)
+                hold = self._dp_holds.pop(barrier.token, None)
+                if hold is not None:
+                    self._dp_end(hold)
                 self.switch.control.drop_buffered(barrier.token)
         obs = self.obs
         if obs.on:
@@ -608,6 +669,11 @@ class SroEngine:
         on_release=None,
         origin: str = "dataplane",
     ) -> None:
+        if self.switch.failed:
+            # A dead pipeline makes no pass: nothing to send, hold or
+            # count (no packet reaches it; only a driver's direct
+            # ``register_write`` can).
+            return
         barrier_token = WriteToken(self.switch.name, next(self._token_seq))
         barrier = _PacketBarrier(
             barrier_token, remaining=len(writes), on_release=on_release
@@ -635,18 +701,16 @@ class SroEngine:
             packet=output_packet,
             dst_node=output_dst if output_packet is not None else None,
             write_tokens=write_tokens,
-            started_at=self.sim.now,
+            counted_through=self.sim.now,
         )
         self._dp_holds[barrier_token] = hold
         self.dp_holds_created += 1
-        self.sim.schedule(
-            RECIRCULATION_LATENCY, self._dp_tick, barrier_token, label="sro-dp-hold"
-        )
+        self._dp_arm(hold)
 
     def _dp_send_request(self, request: WriteRequest) -> None:
         """Emit a write request from the data plane — no CPU involved."""
         state = self.groups.get(request.group)
-        if state is None or self.switch.failed:
+        if state is None:
             return
         head = state.chain.head
         self._stamp_send(request, head, dataplane=True)
@@ -662,35 +726,57 @@ class SroEngine:
         )
         self.switch.forward_to_node(packet, head)
 
-    def _dp_tick(self, token: WriteToken) -> None:
-        """One recirculation pass of a held output packet."""
-        hold = self._dp_holds.get(token)
-        if hold is None:
-            return  # released by the ack
-        if self.switch.failed:
-            self._dp_holds.pop(token, None)
+    def _dp_charge(self, hold: _DataplaneHold, passes: int) -> None:
+        """Account ``passes`` recirculations of a held packet."""
+        hold.recirculations += passes
+        self.dp_recirculations += passes
+        self.switch.stats.recirculated_packets += passes
+
+    def _dp_arm(self, hold: _DataplaneHold) -> None:
+        """Schedule the hold's next retransmitting pass, the only pass
+        that is a kernel event."""
+        hold.armed = self.sim.schedule_at(
+            _pass_instant(hold.counted_through, DP_RESEND_EVERY),
+            self._dp_resend,
+            hold,
+            label="sro-dp-hold",
+        )
+
+    def _dp_settle(self, hold: _DataplaneHold) -> None:
+        """Charge the passes made since the last charged one, strictly
+        before now."""
+        self._dp_charge(hold, _passes_before(hold.counted_through, self.sim.now))
+
+    def _dp_end(self, hold: _DataplaneHold) -> None:
+        """The held packet (already out of ``_dp_holds``) leaves the
+        pipeline: charge its last passes and disarm it."""
+        self._dp_settle(hold)
+        hold.armed.cancel()
+
+    def _dp_resend(self, hold: _DataplaneHold) -> None:
+        """The armed event: the ``DP_RESEND_EVERY``-th pass since the
+        last charged one.  Nothing touches a live hold in between, so
+        the whole stretch is charged here, this pass included."""
+        self._dp_charge(hold, DP_RESEND_EVERY)
+        hold.counted_through = self.sim.now
+        hold.resends += 1
+        self.dp_resends += 1
+        if hold.resends > DP_MAX_RESENDS:
+            self._dp_give_up(hold)
             return
-        hold.recirculations += 1
-        self.dp_recirculations += 1
-        self.switch.stats.recirculated_packets += 1
-        if hold.recirculations % DP_RESEND_EVERY == 0:
-            hold.resends += 1
-            self.dp_resends += 1
-            if hold.resends > DP_MAX_RESENDS:
-                self._dp_give_up(hold)
-                return
-            for write_token in hold.write_tokens:
-                outstanding = self._outstanding.get(write_token)
-                if outstanding is not None:
-                    state = self.groups[outstanding.request.group]
-                    state.stats.retries += 1
-                    if self.obs.on:
-                        self.obs.emit("sro.write.retry", self.switch.name)
-                    self._dp_send_request(outstanding.request)
-        self.sim.schedule(RECIRCULATION_LATENCY, self._dp_tick, token, label="sro-dp-hold")
+        for write_token in hold.write_tokens:
+            outstanding = self._outstanding.get(write_token)
+            if outstanding is not None:
+                state = self.groups[outstanding.request.group]
+                state.stats.retries += 1
+                if self.obs.on:
+                    self.obs.emit("sro.write.retry", self.switch.name)
+                self._dp_send_request(outstanding.request)
+        self._dp_arm(hold)
 
     def _dp_give_up(self, hold: _DataplaneHold) -> None:
-        self._dp_holds.pop(hold.token, None)
+        # Called from the armed event: every pass is charged, nothing is armed.
+        del self._dp_holds[hold.token]
         self.dp_drops += 1
         for write_token in hold.write_tokens:
             outstanding = self._outstanding.pop(write_token, None)
@@ -701,6 +787,21 @@ class SroEngine:
             self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
         if hold.packet is not None:
             self.switch.drop(hold.packet, reason="dp-write-giveup")
+
+    def pipeline_lost(self) -> None:
+        """The switch crashed: held packets are pipeline contents and go
+        with it, each charged the passes it made before this instant;
+        the writes they waited on are abandoned (nothing is left to
+        retransmit, give up on, or release them)."""
+        if not self._dp_holds:
+            return
+        for hold in self._dp_holds.values():
+            self._dp_end(hold)
+            for write_token in hold.write_tokens:
+                self._outstanding.pop(write_token, None)
+        self._dp_holds.clear()
+        if self.obs.on:
+            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
 
     def _send_write_request(self, token: WriteToken) -> None:
         outstanding = self._outstanding.get(token)
@@ -1194,6 +1295,7 @@ class SroEngine:
         if barrier.remaining == 0 and barrier.token is not None:
             hold = self._dp_holds.pop(barrier.token, None)
             if hold is not None:
+                self._dp_end(hold)
                 # data-plane release: the recirculating packet exits the
                 # pipeline toward its destination (marker packets for
                 # output-less writes simply vanish), no CPU touch

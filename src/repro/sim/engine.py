@@ -189,8 +189,29 @@ class Simulator:
         *args: Any,
         label: str = "",
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        return self.schedule(time - self._now, callback, *args, label=label)
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``.
+
+        The event lands on ``time`` itself, not on ``now + (time - now)``:
+        the rounded difference does not always add back (and some floats
+        cannot be reached from ``now`` by any one addition), and a caller
+        that computed an instant — a held packet's 64th recirculation
+        pass, 64 additions on — must meet it to the bit.  The push is
+        :meth:`schedule`'s, repeated here to keep both off each other's
+        call path.
+        """
+        if not self._now <= time < math.inf:
+            if time < self._now:
+                raise SimulationError(
+                    f"cannot schedule in the past (time={time}, now={self._now})"
+                )
+            raise SimulationError(f"time must be finite, got {time}")
+        event = Event(time, callback, args, label)
+        event._sim = self
+        queue = self._queue
+        heapq.heappush(queue, (time, next(self._seq), event))
+        if len(queue) > self.peak_queue_len:
+            self.peak_queue_len = len(queue)
+        return event
 
     def call_soon(self, callback: Callable[..., None], *args: Any, label: str = "") -> Event:
         """Schedule ``callback`` at the current time (after pending same-time events)."""

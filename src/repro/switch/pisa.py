@@ -131,6 +131,9 @@ class PisaSwitch(Node):
         self.queue_wait = Histogram("switch.queue_wait_seconds", name)
         # Atomicity guard (paper section 2).
         self._in_pipeline = False
+        #: What installed programs do when a crash empties the pipeline
+        #: (see :meth:`on_crash`).
+        self._crash_hooks: List[Callable[[], None]] = []
         # INT mode: stamp a per-hop telemetry record onto each packet.
         self.int_enabled = False
         self.int_max_hops = 16
@@ -149,6 +152,15 @@ class PisaSwitch(Node):
         else:
             self._handlers.append(handler)
         self._handlers_snapshot = tuple(self._handlers)
+
+    def on_crash(self, hook: Callable[[], None]) -> None:
+        """Have ``hook()`` run when the switch fails.
+
+        A program that keeps packets *inside* the pipeline — SRO's
+        recirculating write holds — loses them with it, at the crash
+        instant; nothing on a dead switch runs afterwards to notice.
+        """
+        self._crash_hooks.append(hook)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -365,6 +377,9 @@ class PisaSwitch(Node):
 
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Fail-stop: drop queued work too."""
+        """Fail-stop: drop queued work too — the service queue and,
+        through the crash hooks, packets held in the pipeline."""
         super().fail()
         self._queue.clear()
+        for hook in self._crash_hooks:
+            hook()

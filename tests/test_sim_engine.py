@@ -68,6 +68,29 @@ class TestScheduling:
         sim.run()
         assert seen == [12.0]
 
+    def test_schedule_at_lands_on_the_instant_exactly(self):
+        """``now + (t - now)`` is an ulp short of this ``t``, and no
+        delay added to ``now`` rounds to it; the event must still fire
+        at ``t``."""
+        now, t = 6.7703395520213144e-06, 5.797033955202126e-05
+        assert now + (t - now) != t
+        sim = Simulator()
+        seen = []
+        sim.schedule(now, lambda: sim.schedule_at(t, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [t]
+
+    def test_schedule_at_rejects_the_past_and_the_non_finite(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(0.5, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("inf"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.schedule_at(1.0, lambda: None).time == 1.0
+
     def test_call_soon_runs_at_current_time(self):
         sim = Simulator()
         seen = []
