@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest perf-pairs dead-surface all clean
+.PHONY: install test bench tables examples chaos scrub advisor critpath relevel gate perf perf-selftest perf-pairs perf-tax dead-surface all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -92,6 +92,15 @@ SEED ?= 11
 perf-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<checkout of the parent commit> [WORKLOAD=nf_mix] [PAIRS=10] [SEED=11]"; exit 2; }
 	python3 tools/perf_pairs.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
+
+# The observability tax (ROADMAP item 4a) as one judged row: nf_mix_obs
+# and nf_mix run back to back on each side of each pair, and
+# ops_per_host_s(nf_mix_obs) / ops_per_host_s(nf_mix) per checkout goes
+# through the same verdict.
+#   make perf-tax PARENT=/root/scratch/parent
+perf-tax:
+	@test -n "$(PARENT)" || { echo "usage: make perf-tax PARENT=<checkout of the parent commit> [PAIRS=10] [SEED=11]"; exit 2; }
+	python3 tools/perf_pairs.py $(PARENT) . --workload nf_mix_obs --relative-to nf_mix --pairs $(PAIRS) --seed $(SEED)
 
 # The dead-surface gate (~8 min): every function of src/repro is reached
 # by a driver (benchmark, `make gate`, example, full-scale perf/ workload)

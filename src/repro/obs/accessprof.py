@@ -27,6 +27,14 @@ estimate overtakes the weakest exact entry is promoted (the evicted
 entry's counts fold back into the sketch), so heavy hitters surface
 regardless of arrival order.
 
+Work per access is bounded too.  Finding the weakest resident is a scan
+of the table, and almost no tail access needs one: each group keeps a
+``floor``, a lower bound on every resident's ``accesses`` taken from the
+last scan, and a tail key whose estimate is at or under it cannot
+overtake anybody (:meth:`GroupProfile.key_profile` has the argument and
+the bound on the number of scans).  A resident key costs one dict
+lookup, a tail key one pass over the sketch rows.
+
 Like the rest of ``repro.obs``, profiling is **digest-neutral**: hooks
 only mutate profiler-internal state — no events are scheduled, no RNG
 streams are drawn, and windows roll lazily off the sim clock carried by
@@ -148,10 +156,9 @@ class KeyProfile:
         "inter_write",
         "activity",
         "prior",
-        "first_seen",
     )
 
-    def __init__(self, key: Any, window: float, now: float, prior: int = 0) -> None:
+    def __init__(self, key: Any, window: float, prior: int = 0) -> None:
         self.key = key
         self.reads = 0
         self.writes = 0
@@ -169,7 +176,6 @@ class KeyProfile:
         self.activity = WindowedCount(window)
         #: Sketch-estimated accesses from before promotion (tail life).
         self.prior = prior
-        self.first_seen = now
 
     @property
     def accesses(self) -> int:
@@ -224,6 +230,7 @@ class GroupProfile:
         "keys",
         "sketch",
         "top_k",
+        "floor",
         "promotions",
         "evictions",
     )
@@ -268,6 +275,9 @@ class GroupProfile:
             depth=sketch_depth, width=sketch_width, seed=group_id
         )
         self.top_k = top_k
+        #: A lower bound on every resident's ``accesses`` once the table
+        #: is full: the weakest resident's count at the last scan.
+        self.floor = 0
         self.promotions = 0
         self.evictions = 0
 
@@ -299,24 +309,39 @@ class GroupProfile:
         return commutative / self.writes
 
     # -- top-K maintenance ---------------------------------------------
-    def key_profile(self, key: Any, now: float) -> Optional[KeyProfile]:
+    def key_profile(self, key: Any) -> Optional[KeyProfile]:
         """The key's exact record, promoting from the tail if warranted.
 
         Returns None while the key stays in the sketch tail.  Eviction
         picks the weakest exact entry by (accesses, repr) so the choice
         never depends on dict iteration order.
+
+        Only an estimate above ``floor`` pays for the scan that finds
+        the weakest entry.  That skips nothing the scan would have
+        done: a resident's ``accesses`` only grows and a promoted key
+        enters at no less than the entry it replaces, so the weakest
+        count at the last scan stays a lower bound on the table, and an
+        estimate at or under it is at or under the weakest entry's count
+        now.  Nor can the scans pile up: the floor never falls, every
+        scan that evicts nothing raises it by at least one, and it never
+        passes the weakest resident's count, so a group scans at most
+        ``evictions + floor`` times over its life.  (A heap would make
+        the scan cheaper and every resident access dearer, an
+        increase-key each; residents are most of the traffic.)
         """
         profile = self.keys.get(key)
         if profile is not None:
             return profile
         if len(self.keys) < self.top_k:
-            profile = KeyProfile(key, self.read_activity.window, now)
+            profile = KeyProfile(key, self.read_activity.window)
             self.keys[key] = profile
             self.promotions += 1
             return profile
-        self.sketch.add(key)
-        estimate = self.sketch.estimate(key)
+        estimate = self.sketch.add(key)
+        if estimate <= self.floor:
+            return None
         weakest = min(self.keys.values(), key=lambda p: (p.accesses, repr(p.key)))
+        self.floor = weakest.accesses
         if estimate <= weakest.accesses:
             return None
         # Fold the evicted resident's exact counts back into the sketch
@@ -325,7 +350,9 @@ class GroupProfile:
         del self.keys[weakest.key]
         self.evictions += 1
         self.promotions += 1
-        profile = KeyProfile(key, self.read_activity.window, now, prior=estimate)
+        # The caller counts this access in reads/writes: the tail life
+        # is the estimate without it.
+        profile = KeyProfile(key, self.read_activity.window, prior=estimate - 1)
         self.keys[key] = profile
         return profile
 
@@ -410,7 +437,7 @@ class AccessProfiler:
             group.peeks += 1
         group.reads_by_node[node] = group.reads_by_node.get(node, 0) + 1
         group.read_activity.add(now)
-        profile = group.key_profile(key, now)
+        profile = group.key_profile(key)
         if profile is not None:
             profile.reads += 1
             profile.readers[node] = profile.readers.get(node, 0) + 1
@@ -441,7 +468,7 @@ class AccessProfiler:
         if group.last_write_at is not None:
             group.inter_write.observe(now - group.last_write_at)
         group.last_write_at = now
-        profile = group.key_profile(key, now)
+        profile = group.key_profile(key)
         if profile is not None:
             profile.writes += 1
             profile.writers[node] = profile.writers.get(node, 0) + 1

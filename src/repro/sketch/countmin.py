@@ -9,7 +9,9 @@ The distributed detector does not merge sketch objects: it stores the
 sketch's *cells* in EWO counter registers addressed with
 :func:`row_hash` (``nf/ddos.py``), so each switch's share of a cell is a
 G-Counter slot and the sum is taken on read.  This class is the local,
-single-owner sketch (the access profiler's tail counts).
+single-owner sketch (the access profiler's tail counts): ``add`` bumps a
+key and returns its estimate from the same pass over the rows, so
+counting and asking hash each row once; ``add(key, 0)`` only asks.
 
 Hashing is seeded and deterministic across runs.
 """
@@ -45,16 +47,18 @@ class CountMinSketch:
         self.items_added = 0
 
     # ------------------------------------------------------------------
-    def add(self, key: Hashable, count: int = 1) -> None:
+    def add(self, key: Hashable, count: int = 1) -> int:
+        """Add ``count`` to ``key`` and return its estimate afterwards —
+        an overestimate, never an underestimate — from the one pass over
+        the rows; ``add(key, 0)`` is the point query."""
         if count < 0:
             raise ValueError("count-min cannot remove items")
         self.items_added += count
-        for row in range(self.depth):
-            self._rows[row][row_hash(self.seed, row, key, self.width)] += count
-
-    def estimate(self, key: Hashable) -> int:
-        """Point query: an overestimate (never an underestimate)."""
-        return min(
-            self._rows[row][row_hash(self.seed, row, key, self.width)]
-            for row in range(self.depth)
-        )
+        seed, width = self.seed, self.width
+        estimate = -1
+        for row, cells in enumerate(self._rows):
+            column = row_hash(seed, row, key, width)
+            value = cells[column] = cells[column] + count
+            if value < estimate or estimate < 0:
+                estimate = value
+        return estimate

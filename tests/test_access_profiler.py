@@ -1,5 +1,6 @@
 """Tests for the streaming access profiler and the consistency advisor:
-windowed counters, top-K promotion/eviction over the count-min tail,
+windowed counters, top-K promotion/eviction over the count-min tail
+(and the scan-skipping floor against a scan-every-time reference),
 hot-path hook integration, observer neutrality (instrumented runs are
 byte-identical to uninstrumented ones), replay reproducibility of the
 windowed stats, the advisor's zero-hand-label classification, and the
@@ -11,6 +12,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.nf.firewall import FirewallNF
@@ -20,8 +23,11 @@ from repro.obs import (
     ConsistencyAdvisor,
     render_access_profile,
 )
-from repro.obs.accessprof import DEFAULT_TOP_K, WindowedCount
+from repro.obs import accessprof
+from repro.obs.accessprof import DEFAULT_TOP_K, GroupProfile, KeyProfile, WindowedCount
+from repro.sim.random import SeededRng
 from repro.workload.flows import FlowGenerator
+from repro.workload.zipf import ZipfSampler
 from repro.testing import build_nf_world
 
 
@@ -124,10 +130,23 @@ class TestTopKPromotion:
         prof.on_write(1, "c", "s0", 4e-3)
         assert "c" in group.keys and "a" not in group.keys
         assert group.evictions == 1
-        # the promoted record carries its tail estimate forward
-        assert group.keys["c"].prior >= 2
+        # the promoted record carries its tail life forward: the one
+        # access before the promoting one, which is counted in writes
+        promoted = group.keys["c"]
+        assert promoted.prior == 1 and promoted.writes == 1
+        assert promoted.accesses == 2
         # group-level totals were never lossy
         assert group.writes == 6
+
+    def test_promoting_access_is_counted_once(self):
+        prof = AccessProfiler(top_k=1)
+        group = prof.describe_group(_spec("g", Consistency.EWO, 1))
+        prof.on_read(1, "a", "s0", 1e-3)
+        prof.on_read(1, "b", "s0", 2e-3)
+        prof.on_read(1, "b", "s0", 3e-3)
+        promoted = group.keys["b"]
+        assert (promoted.prior, promoted.reads, promoted.accesses) == (1, 1, 2)
+        assert promoted.as_dict(3e-3)["tail_estimate"] == 1
 
     def test_hot_key_ranking_is_deterministic(self):
         prof = AccessProfiler(top_k=4)
@@ -145,6 +164,115 @@ class TestTopKPromotion:
             prof.on_write(1, f"k{i}", "s0", 1e-3)
         assert len(group.keys) <= DEFAULT_TOP_K
         assert group.writes == 4 * DEFAULT_TOP_K
+
+
+class _ScanEveryTime(GroupProfile):
+    """The top-K table before the floor: every tail access finds the
+    weakest resident by scanning.  The reference the real one must match
+    state for state."""
+
+    def key_profile(self, key):
+        profile = self.keys.get(key)
+        if profile is not None:
+            return profile
+        if len(self.keys) < self.top_k:
+            profile = self.keys[key] = KeyProfile(key, self.read_activity.window)
+            self.promotions += 1
+            return profile
+        estimate = self.sketch.add(key)
+        weakest = min(self.keys.values(), key=lambda p: (p.accesses, repr(p.key)))
+        if estimate <= weakest.accesses:
+            return None
+        self.sketch.add(weakest.key, weakest.reads + weakest.writes)
+        del self.keys[weakest.key]
+        self.evictions += 1
+        self.promotions += 1
+        profile = self.keys[key] = KeyProfile(
+            key, self.read_activity.window, prior=estimate - 1
+        )
+        return profile
+
+
+def _table(group: GroupProfile):
+    """What the top-K machinery decides, dict insertion order included."""
+    return (
+        [(p.key, p.prior, p.reads, p.writes) for p in group.keys.values()],
+        group.promotions,
+        group.evictions,
+        group.sketch._rows,
+    )
+
+
+def _profiled_group(top_k: int, sketch_width: int = 512):
+    prof = AccessProfiler(top_k=top_k, sketch_width=sketch_width)
+    return prof, prof.describe_group(_spec("g", Consistency.EWO, 1))
+
+
+def _count_scans(monkeypatch):
+    """Shadow the profiler module's ``min`` (the table scan is its one
+    use) with a wrapper that counts calls."""
+    scans = []
+
+    def counting_min(*args, **kwargs):
+        scans.append(1)
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(accessprof, "min", counting_min, raising=False)
+    return scans
+
+
+class TestResidencyFloor:
+    @given(
+        alphabet=st.integers(2, 40),
+        top_k=st.integers(1, 8),
+        sketch_width=st.integers(4, 64),
+        stream=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.booleans()),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scan_every_time_table(self, alphabet, top_k, sketch_width, stream):
+        real, group = _profiled_group(top_k, sketch_width)
+        ref = AccessProfiler(top_k=top_k, sketch_width=sketch_width)
+        reference = ref.groups[1] = _ScanEveryTime(
+            1, "g", "ewo", None, ref.window, top_k, ref.sketch_depth, sketch_width
+        )
+        for step, (u, is_write) in enumerate(stream):
+            key = f"k{int(u ** 3 * alphabet)}"  # cubed: low ranks are hot
+            for prof in (real, ref):
+                if is_write:
+                    prof.on_write(1, key, "s0", step * 1e-5)
+                else:
+                    prof.on_read(1, key, "s0", step * 1e-5)
+            assert _table(group) == _table(reference)
+            assert group.floor <= min(p.accesses for p in group.keys.values())
+
+    def test_scans_are_bounded_by_evictions_plus_floor(self, monkeypatch):
+        scans = _count_scans(monkeypatch)
+        prof, group = _profiled_group(DEFAULT_TOP_K)
+        keys = ZipfSampler(500, 1.2, rng=SeededRng(22).stream("keys"))
+        tail_accesses = 0
+        for step in range(20_000):
+            key = keys.sample()
+            if len(group.keys) == group.top_k and key not in group.keys:
+                tail_accesses += 1  # the parent scanned on each of these
+            prof.on_read(1, key, "s0", step * 1e-6)
+        assert group.evictions > 0 and tail_accesses > 2_000
+        assert 0 < len(scans) <= group.evictions + group.floor
+        assert 10 * len(scans) < tail_accesses
+
+    def test_equal_keys_round_robin_scans_once_a_round(self, monkeypatch):
+        # The worst case for the shortcut: the tail keeps level with the
+        # table, so every round lifts some estimate over the floor.
+        scans = _count_scans(monkeypatch)
+        prof, group = _profiled_group(top_k=8)
+        rounds = 50
+        for step in range(rounds):
+            for key in range(2 * group.top_k):
+                prof.on_write(1, key, "s0", step * 1e-4)
+        assert len(scans) == rounds
+        assert group.evictions == 0 and group.floor == rounds
 
 
 class TestHookIntegration:

@@ -1,4 +1,5 @@
-"""Tests for the paired-runs verdict (tools/perf_pairs.py)."""
+"""Tests for the paired-runs verdict and the ``--relative-to`` ratio row
+(tools/perf_pairs.py)."""
 
 import importlib.util
 from pathlib import Path
@@ -12,6 +13,7 @@ _spec = importlib.util.spec_from_file_location(
 perf_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perf_pairs)
 verdict = perf_pairs.verdict
+relative = perf_pairs.relative
 
 #: Ten parent runs of a throughput: median 100, quartiles 97.75 / 102.25.
 PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
@@ -61,3 +63,36 @@ class TestVerdict:
             verdict([1.0, 2.0], [1.0], "higher")
         with pytest.raises(ValueError):
             verdict([], [], "higher")
+
+
+def _reports(throughputs):
+    """Canned ``perf/run.py`` workload reports, one per pair."""
+    return [{"metrics": {"ops_per_host_s": {"median": value}}} for value in throughputs]
+
+
+class TestRelativeTo:
+    #: nf_mix per pair: the host drifts by a tenth over the session, and
+    #: both checkouts drift with it.
+    BASE = [9000.0 + 100.0 * pair for pair in range(10)]
+
+    def test_the_ratio_is_taken_pair_by_pair(self):
+        watched = [0.47 * b for b in self.BASE]
+        ratios = relative(_reports(watched), _reports(self.BASE))
+        assert ratios == pytest.approx([0.47] * 10)
+
+    def test_a_smaller_tax_is_a_gain_through_the_same_verdict(self):
+        parent = relative(_reports([0.47 * b for b in self.BASE]), _reports(self.BASE))
+        change = relative(_reports([0.56 * b for b in self.BASE]), _reports(self.BASE))
+        result = verdict(parent, change, "higher")
+        assert result["verdict"] == "gain" and result["wins"] == 10
+        assert result["parent"]["median"] == pytest.approx(0.47)
+        assert result["change"]["median"] == pytest.approx(0.56)
+        assert result["gap"] == pytest.approx(0.09)
+
+    def test_a_faster_base_workload_is_not_a_smaller_tax(self):
+        # the change speeds nf_mix and nf_mix_obs up alike: the
+        # throughput row gains, the ratio row must not
+        parent = relative(_reports([0.47 * b for b in self.BASE]), _reports(self.BASE))
+        faster = [1.2 * b for b in self.BASE]
+        change = relative(_reports([0.47 * b for b in faster]), _reports(faster))
+        assert verdict(parent, change, "higher")["verdict"] != "gain"

@@ -21,15 +21,16 @@ class TestCountMin:
             sketch.add(key)
             truth[key] = truth.get(key, 0) + 1
         for key, count in truth.items():
-            assert sketch.estimate(key) >= count
+            assert sketch.add(key, 0) >= count
 
     def test_exact_when_sparse(self):
         sketch = CountMinSketch(depth=4, width=4096, seed=1)
-        sketch.add("a", 5)
-        sketch.add("b", 3)
-        assert sketch.estimate("a") == 5
-        assert sketch.estimate("b") == 3
-        assert sketch.estimate("never") == 0
+        assert sketch.add("a", 5) == 5
+        assert sketch.add("b", 3) == 3
+        # add(key, 0) is the point query: it moves nothing
+        assert sketch.add("a", 0) == 5
+        assert sketch.add("b", 0) == 3
+        assert sketch.add("never", 0) == 0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -43,7 +44,7 @@ class TestCountMin:
         for key in keys:
             sketch.add(key)
             truth[key] = truth.get(key, 0) + 1
-        assert all(sketch.estimate(k) >= c for k, c in truth.items())
+        assert all(sketch.add(k, 0) >= c for k, c in truth.items())
 
 
 class TestEntropy:

@@ -3,6 +3,7 @@
 claimed gain is judged by.
 
     python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs 10] [--seed 11]
+                                [--relative-to W2]
 
 Each pair runs both checkouts' *own* ``perf/run.py --workload W --seed
 S`` one after the other — odd pairs the parent first, even pairs the
@@ -16,6 +17,12 @@ quartiles over the pairs, and the verdict of choosing-metrics section 8:
 a gain is the change winning at least nine tenths of all pairs run
 (ties counting for neither side) with the medians apart by more than
 the distance between the parent's own quartiles.
+
+``--relative-to W2`` runs ``W2`` right after ``W`` on each side of each
+pair and judges one more row the same way: ``ops_per_host_s(W) /
+ops_per_host_s(W2)`` per checkout — what ``W`` costs over ``W2``, host
+drift divided out (``nf_mix_obs`` over ``nf_mix`` is the observability
+tax; ``make perf-tax``).
 
 Exits 1 when any run is incorrect or the change fails more operations
 than the parent, 0 otherwise.
@@ -93,6 +100,17 @@ def run_once(checkout: str, workload: str, seed: int, out: str) -> Dict[str, Any
         return json.load(handle)["workloads"][workload]
 
 
+def medians(reports: List[Dict[str, Any]], name: str) -> List[float]:
+    """Metric ``name`` of each run: the median ``perf/run.py`` reported."""
+    return [report["metrics"][name]["median"] for report in reports]
+
+
+def relative(reports: List[Dict[str, Any]], base: List[Dict[str, Any]]) -> List[float]:
+    """Per pair, a workload's ``ops_per_host_s`` over the base workload's."""
+    return [w / b for w, b in zip(medians(reports, "ops_per_host_s"),
+                                  medians(base, "ops_per_host_s"))]
+
+
 def print_metric(metric: Dict[str, Any], result: Dict[str, Any],
                  parent: List[float], change: List[float]) -> None:
     print(f"\n{metric['name']} ({metric['unit']}, {metric['better']} is better)")
@@ -116,6 +134,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--relative-to", metavar="W2", help="also run W2 and judge "
+                        "ops_per_host_s(workload) / ops_per_host_s(W2) per checkout")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -125,20 +145,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         metrics = json.load(handle)["end_to_end"]
 
     runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
+    base: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as scratch:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
                 out = os.path.join(scratch, f"{side}_{pair}.json")
                 runs[side].append(run_once(sides[side], args.workload, args.seed, out))
+                if args.relative_to:
+                    base[side].append(run_once(sides[side], args.relative_to, args.seed, out))
             print(f"pair {pair}: {order[0]} ran first", flush=True)
 
     bad = 0
-    for side, reports in runs.items():
-        for pair, report in enumerate(reports, 1):
-            for problem in report["problems"]:
-                print(f"INCORRECT ({side}, pair {pair}): {problem}")
-                bad += 1
+    for side in sides:
+        for workload, reports in ((args.workload, runs[side]), (args.relative_to, base[side])):
+            for pair, report in enumerate(reports, 1):
+                for problem in report["problems"]:
+                    print(f"INCORRECT ({side}, {workload}, pair {pair}): {problem}")
+                    bad += 1
     failed = {side: sum(r["failed"] for r in reports) for side, reports in runs.items()}
     attempted = {side: sum(r["attempted"] for r in reports) for side, reports in runs.items()}
     digests = {side: sorted({r["sim_digest"] for r in reports}) for side, reports in runs.items()}
@@ -150,17 +174,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.pairs < 10:
         print("  fewer than ten pairs: the verdicts below cannot carry a claim")
 
+    rows = [(metric, medians(runs["parent"], metric["name"]), medians(runs["change"], metric["name"]))
+            for metric in metrics]
+    if args.relative_to:
+        rows.append(({"name": f"ops_per_host_s / {args.relative_to}", "unit": "ratio",
+                      "better": "higher"},
+                     relative(runs["parent"], base["parent"]),
+                     relative(runs["change"], base["change"])))
     summary = []
-    for metric in metrics:
-        name = metric["name"]
-        parent = [r["metrics"][name]["median"] for r in runs["parent"]]
-        change = [r["metrics"][name]["median"] for r in runs["change"]]
+    for metric, parent, change in rows:
         result = verdict(parent, change, metric["better"])
         print_metric(metric, result, parent, change)
-        summary.append((name, result))
+        summary.append((metric["name"], result))
     print("\nsummary")
+    width = max(len(name) for name, _ in summary)
     for name, result in summary:
-        print(f"  {name:<20} {result['verdict']:<10} wins {result['wins']}/{result['pairs']}  "
+        print(f"  {name:<{width}} {result['verdict']:<10} wins {result['wins']}/{result['pairs']}  "
               f"parent {result['parent']['median']:.6g}  change {result['change']['median']:.6g}")
     more_failed = failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
     if more_failed:
