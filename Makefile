@@ -85,11 +85,16 @@ perf-selftest:
 # thing?  Each checkout's own perf/worker.py once per workload at seeds 11
 # and 23 — sim_digest, sim metrics, ledger, attempted and delivered must be
 # bit-identical and every run correct — plus calls/op and events/op side by
-# side at seed 11.  Exits 1 on any difference.
-#   make perf-same PARENT=../parent-checkout
+# side at seed 11.  Exits 1 on any difference.  MOVED names workloads the
+# change moves by design (tools/perf_same.py --moved, space-separated):
+# their differences print as a table, and they fail only on an incorrect
+# run, a failed operation or an end-to-end sim metric worse than the
+# parent's by BENCHMARK.json's "better"; every other workload must match.
+#   make perf-same PARENT=../parent-checkout [MOVED=ewo_sketch]
+MOVED ?=
 perf-same:
-	@test -n "$(PARENT)" || { echo "usage: make perf-same PARENT=<checkout of the parent commit>"; exit 2; }
-	python3 tools/perf_same.py $(PARENT) .
+	@test -n "$(PARENT)" || { echo "usage: make perf-same PARENT=<checkout of the parent commit> [MOVED=<workload ...>]"; exit 2; }
+	python3 tools/perf_same.py $(PARENT) . $(foreach w,$(MOVED),--moved $(w))
 
 # How a claimed gain is judged: alternating pairs of each checkout's own
 # perf/run.py, per-pair winners, medians, quartiles and the verdict

@@ -6,6 +6,7 @@ from repro.protocols.failover import FailoverCoordinator, SnapshotTransfer
 from repro.protocols.messages import (
     ChainUpdate,
     EwoEntry,
+    EwoMirror,
     EwoSync,
     EwoUpdate,
     SnapshotAck,
@@ -27,6 +28,7 @@ __all__ = [
     "SnapshotTransfer",
     "ChainUpdate",
     "EwoEntry",
+    "EwoMirror",
     "EwoSync",
     "EwoUpdate",
     "SnapshotAck",

@@ -6,9 +6,11 @@ replication is asynchronous.
 * **Writes** apply to the local replica immediately and never hold the
   output packet.  The broadcast is "egress mirroring and the multicast
   engine" (section 7), and a switch mirrors a packet once, after the
-  whole pass: when a packet's pass ends (``end_pass``), each group it
-  wrote sends one small ``EwoUpdate`` carrying only this switch's new
-  version numbers and values, in write order.  On the wire the update
+  whole pass: when a packet's pass ends (``end_pass``), the groups it
+  wrote leave as one packet per replica set, carrying only this
+  switch's new version numbers and values, in write order — an
+  ``EwoUpdate`` for a group alone in its replica set, an ``EwoMirror``
+  with one section per group for several.  On the wire the update
   copies are enqueued first and the output packet after them, at the
   same simulated instant.  A write outside a pass (window tasks,
   operators) is broadcast at once.  ``ewo_batch_size`` is the number
@@ -44,7 +46,7 @@ from repro.crdt.lww import LwwRegister
 from repro.crdt.orset import ORSet
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
-from repro.protocols.messages import EwoEntry, EwoSync, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror, EwoSync, EwoUpdate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import SwiShmemManager
@@ -196,7 +198,7 @@ class EwoEngine:
         self.groups: Dict[int, EwoGroupState] = {}
         self._sync_rng = manager.rng.stream(f"ewo-sync:{self.switch.name}")
         #: The groups the live packet pass has written, in first-write
-        #: order; ``end_pass`` mirrors each once and empties it.
+        #: order; ``end_pass`` mirrors the pass and empties it.
         self._pass_written: Dict[int, EwoGroupState] = {}
         #: The deployment's observability spine (repro.obs.spine).
         self.obs = manager.obs
@@ -224,9 +226,9 @@ class EwoEngine:
         coordinator flushes and waits out the settle window before
         switching, so in the normal path there are none.  Frees the
         group's memory budget; removing an absent group is a no-op so a
-        resumed handoff can replay the command.  Straggler
-        ``EwoUpdate``/``EwoSync`` packets that arrive after removal are
-        already ignored by ``handle_update``.
+        resumed handoff can replay the command.  Straggler updates,
+        syncs and mirror sections that arrive after removal are already
+        ignored by ``_merge_section``.
         """
         state = self.groups.pop(group_id, None)
         if state is not None:
@@ -340,18 +342,83 @@ class EwoEngine:
     # Asynchronous broadcast
     # ------------------------------------------------------------------
     def end_pass(self) -> None:
-        """The packet pass is over: one egress mirror per group it
-        wrote, in first-write order, carrying everything the group has
-        pending — the pass's own entries plus any that earlier passes
-        left under ``ewo_batch_size``.  The manager calls this before it
-        disposes of the output packet, so on a shared egress channel the
-        update copies precede the packet that caused them."""
+        """The packet pass is over: mirror it once per replica set.
+
+        The groups it wrote that are due — pending at least
+        ``ewo_batch_size`` entries, the pass's own plus any that earlier
+        passes left below it — are partitioned by their fan-out
+        (``others(switch)`` of their multicast groups), partitions in
+        first-write order.  A partition of one group leaves as its
+        ``EwoUpdate`` (``flush``), one of several as one ``EwoMirror``
+        (``_mirror``); a partial-replication group is a partition of its
+        own, sent per target.  The manager calls this before it disposes
+        of the output packet, so on a shared egress channel the update
+        copies precede the packet that caused them."""
         if not self._pass_written:
             return
         written, self._pass_written = self._pass_written, {}
-        for group_id, state in written.items():
+        first = due = None  # a pass that wrote one group builds no list
+        for state in written.values():
             if len(state._pending_entries) >= state.spec.ewo_batch_size:
-                self.flush(group_id)
+                if first is None:
+                    first = state
+                elif due is None:
+                    due = [first, state]
+                else:
+                    due.append(state)
+        if due is not None:
+            self._partition(due)
+        elif first is not None:
+            self.flush(first.spec.group_id)
+
+    def _partition(self, due: List[EwoGroupState]) -> None:
+        """Send several due groups as one packet per fan-out."""
+        name = self.switch.name
+        registry = self.switch.multicast
+        directory = getattr(self.manager.deployment, "directory", None)
+        partitions: Dict[Any, List[EwoGroupState]] = {}
+        for state in due:
+            if directory is not None and state.spec.partial_replication:
+                fanout = state  # per-key targets: never mirrored with others
+            else:
+                fanout = registry.get(state.spec.group_id).others(name)
+            partitions.setdefault(fanout, []).append(state)
+        for states in partitions.values():
+            if len(states) == 1:
+                self.flush(states[0].spec.group_id)
+            else:
+                self._mirror(states)
+
+    def _mirror(self, states: List[EwoGroupState]) -> None:
+        """Broadcast the queued entries of groups that share a fan-out
+        as one ``EwoMirror``, to the first group's multicast group.  As a
+        packet it counts once, on the first group's
+        ``update_packets_sent``."""
+        sections, widths = [], []
+        for state in states:
+            entries, state._pending_entries = state._pending_entries, []
+            state.stats.updates_sent += len(entries)
+            sections.append((state.spec.group_id, entries))
+            widths.append((state.spec.key_bytes, state.spec.value_bytes))
+        states[0].stats.update_packets_sent += 1
+        group_id = sections[0][0]
+        mirror = EwoMirror(self.switch.name, sections, widths)
+        mirror.trace = self._causal.root()
+        packet = Packet(
+            swishmem=SwiShmemHeader(op=SwiShmemOp.EWO_UPDATE, register_group=group_id),
+            swishmem_payload=mirror,
+            trace=mirror.trace,
+        )
+        if self.obs.on:
+            self.obs.emit(
+                "ewo.update.broadcast",
+                self.switch.name,
+                mirror.trace,
+                group=group_id,
+                entries=sum(len(entries) for _, entries in mirror.sections),
+                bytes=packet.wire_size,
+            )
+        self.switch.multicast_to_group(packet, group_id)
 
     def flush(self, group_id: int) -> int:
         """Broadcast queued entries to the replica group.  Returns copies sent."""
@@ -437,23 +504,42 @@ class EwoEngine:
     # ------------------------------------------------------------------
     # Merge path (receiving side)
     # ------------------------------------------------------------------
-    def handle_update(self, update: EwoUpdate) -> None:
-        state = self.groups.get(update.group)
+    def handle_update(self, message: EwoUpdate | EwoMirror) -> None:
+        """Merge a received ``EwoMirror`` section by section, and an
+        ``EwoUpdate`` or ``EwoSync`` as its one section."""
+        if type(message) is EwoMirror:
+            for group_id, entries in message.sections:
+                self._merge_section(message, group_id, entries, False)
+        else:
+            self._merge_section(
+                message, message.group, message.entries, type(message) is EwoSync
+            )
+
+    def _merge_section(
+        self,
+        message: EwoUpdate | EwoMirror,
+        group_id: int,
+        entries: Tuple[EwoEntry, ...],
+        is_sync: bool,
+    ) -> None:
+        """Merge one group's entries from ``message`` into our replica:
+        the frozen-replica check, the group's stats and one ``ewo.merge``
+        per section."""
+        state = self.groups.get(group_id)
         if state is None:
             return
         if state.chaos_frozen_until > self.sim.now:
-            # Fault injection: the apply unit is frozen; the packet is
+            # Fault injection: the apply unit is frozen; the section is
             # consumed but nothing merges (silent staleness).
-            state.chaos_frozen_drops += len(update.entries)
+            state.chaos_frozen_drops += len(entries)
             return
-        is_sync = isinstance(update, EwoSync)
         if is_sync:
             state.stats.sync_packets_received += 1
         applied = stale = 0
         obs = self.obs
         #: (key, applied) per entry, in entry order, while watched.
         outcomes = []
-        for entry in update.entries:
+        for entry in entries:
             state.stats.updates_received += 1
             merged = self._merge_entry(state, entry)
             if merged:
@@ -465,15 +551,15 @@ class EwoEngine:
             if obs.on:
                 outcomes.append((entry.key, merged))
         if obs.on:
-            # One event per received packet: its fan-in span (merges from
-            # many origins parent into each origin's broadcast/sync
+            # One event per received section: its fan-in span (merges
+            # from many origins parent into each origin's broadcast/sync
             # span) and every entry's merge outcome.
             obs.emit(
                 "ewo.merge",
                 self.switch.name,
-                update.trace,
-                group=update.group,
-                origin=update.origin,
+                message.trace,
+                group=group_id,
+                origin=message.origin,
                 sync=is_sync,
                 applied=applied,
                 stale=stale,

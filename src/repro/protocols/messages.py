@@ -15,6 +15,7 @@ Message flow summary (paper section 6):
                           tail -> other members (clear pending bits)
 ``EwoUpdate``             asynchronous broadcast of fresh EWO writes
 ``EwoSync``               periodic packet-generator sync to a random member
+``EwoMirror``             one pass's EWO writes to groups sharing a replica set
 ``SnapshotWrite``         snapshot replay toward a recovering switch (6.3)
 ``SnapshotAck``           recovering switch -> snapshot source
 ``Heartbeat``             every switch -> controller host switch (liveness)
@@ -48,7 +49,7 @@ while keys, values, tokens, chain tuples and EWO entries are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.crdt.clock import Timestamp
@@ -62,6 +63,7 @@ __all__ = [
     "EwoEntry",
     "EwoUpdate",
     "EwoSync",
+    "EwoMirror",
     "SnapshotWrite",
     "SnapshotAck",
     "Heartbeat",
@@ -270,6 +272,50 @@ class EwoSync(EwoUpdate):
     self-healing: "any switch that did receive the update can then
     synchronize the other switches".
     """
+
+
+#: Per section after a mirror's first: group (2) + entry count (2).
+_SECTION_BYTES = 4
+
+
+@dataclass
+class EwoMirror(WireRecord):
+    """One packet pass's fresh writes to several groups with the same
+    replica set, as one packet (paper section 7).
+
+    A switch clones the *packet* once at egress and the multicast engine
+    copies that clone to the replica set, so the groups a pass wrote
+    leave together when they share a fan-out.  Each section is an
+    immutable ``(group, entries)`` tuple — sections in first-write
+    order, entries in write order.  On the wire it is one framing for
+    the packet plus a group id and an entry count for every section
+    after the first: one section costs exactly an :class:`EwoUpdate`.
+    """
+
+    origin: str
+    #: Any iterables are accepted; they are frozen into tuples, which
+    #: every copy of the message then shares.
+    sections: Tuple[Tuple[int, Tuple[EwoEntry, ...]], ...]
+    #: ``(key_bytes, value_bytes)`` per section, default 8 and 8: they
+    #: size the entries on the wire, and receivers never need them.
+    widths: InitVar[Optional[Tuple[Tuple[int, int], ...]]] = None
+    trace: Any = _trace_field()
+    #: Summed once here, as :class:`EwoUpdate`'s is.
+    wire_size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, widths) -> None:
+        self.sections = tuple((group, tuple(entries)) for group, entries in self.sections)
+        if widths is None:
+            widths = [(8, 8)] * len(self.sections)
+        self.wire_size = (
+            _BASE_MSG_BYTES
+            + _SECTION_BYTES * len(self.sections[1:])
+            + sum(
+                entry.wire_bytes(key_bytes, value_bytes)
+                for (_, entries), (key_bytes, value_bytes) in zip(self.sections, widths)
+                for entry in entries
+            )
+        )
 
 
 @dataclass

@@ -69,8 +69,9 @@ class TestSketchMode:
 
     def test_one_update_multicast_per_group_per_pass(self):
         """The count-min pass writes 3 ``ddos_src`` cells, 3 ``ddos_dst``
-        cells and (at the first switch) 1 heavy-hitter counter: one
-        egress mirror per group, not one multicast per write."""
+        cells and (at the first switch) 1 heavy-hitter counter — groups
+        with one replica set: one egress mirror per pass, not one
+        multicast per group or per write."""
         world, _ = sketch_world()
         deployment = world.deployment
         deployment.install_nf(HeavyHitterNF, threshold=10**9)
@@ -94,17 +95,18 @@ class TestSketchMode:
             stats = deployment.manager(switch).ewo.stats_for(specs[name].group_id)
             return (stats.local_writes, stats.update_packets_sent)
 
-        # ingress: 7 writes per pass leave as 3 update multicasts
+        # ingress: 7 writes per pass leave as 1 mirror, counted on its
+        # first section's group
         assert [sent("ingress", name) for name in specs] == [
             (3 * packets, packets),
-            (3 * packets, packets),
-            (packets, packets),
+            (3 * packets, 0),
+            (packets, 0),
         ]
-        # fleet-wide: 19 writes and 7 updates per packet (the heavy-hitter
-        # count is claimed at the first switch only)
+        # fleet-wide: 19 writes and 3 mirrors per packet, one per pass
+        # (the heavy-hitter count is claimed at the first switch only)
         totals = [sent(sw, name) for sw in deployment.switch_names for name in specs]
         assert sum(w for w, _ in totals) == 19 * packets
-        assert sum(u for _, u in totals) == 7 * packets
+        assert sum(u for _, u in totals) == 3 * packets
         # ... and every replica holds exactly the packet counts: three
         # observation points per packet for the sketches, one for the flow
         for ip, name in ((client.ip, "ddos_src"), (server.ip, "ddos_dst")):

@@ -11,13 +11,14 @@ from repro.core.directory import DirectoryService
 from repro.core.manager import Decision
 from repro.core.registers import Consistency, EwoMode, ReadForwarded, RegisterSpec
 from repro.analysis.metrics import convergence_time, replica_divergence
+from repro.chaos.faults import FaultInjector
 from repro.crdt.clock import Timestamp
 from repro.net.endhost import EndHost
 from repro.net.packet import make_udp_packet
 from repro.nf.base import NetworkFunction
 from repro.protocols import ewo
 from repro.protocols.ewo import MERGE_TYPES
-from repro.protocols.messages import EwoEntry, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror, EwoUpdate
 
 
 def declare_counter(deployment, name="ctr", **kwargs):
@@ -314,17 +315,21 @@ class PassWorld:
         self.dep.sim.run(until=until)
 
     def updates(self, peer):
-        """(group name, entry keys) of each EwoUpdate s0 sent ``peer``;
-        ``"output"`` stands for the data packet itself."""
-        return [
-            "output"
-            if packet.swishmem is None
-            else (
-                self.m0.ewo.groups[packet.swishmem_payload.group].spec.name,
-                [entry.key for entry in packet.swishmem_payload.entries],
-            )
-            for packet in self.wire[peer]
-        ]
+        """What s0 sent ``peer``, packet by packet: (group name, entry
+        keys) for an EwoUpdate, a list of those, one per section, for an
+        EwoMirror; ``"output"`` stands for the data packet itself."""
+        return [self._describe(packet) for packet in self.wire[peer]]
+
+    def _describe(self, packet):
+        message = packet.swishmem_payload
+        if packet.swishmem is None:
+            return "output"
+        if isinstance(message, EwoMirror):
+            return [self._section(group, entries) for group, entries in message.sections]
+        return self._section(message.group, message.entries)
+
+    def _section(self, group_id, entries):
+        return (self.m0.ewo.groups[group_id].spec.name, [entry.key for entry in entries])
 
     def pending(self):
         return {
@@ -335,7 +340,8 @@ class PassWorld:
 
 class TestOneMirrorPerPass:
     """A switch mirrors a packet once, at egress: a pass's EWO writes
-    leave as one update per group when the pass ends (paper section 7)."""
+    leave when the pass ends, as one packet per replica set (paper
+    section 7)."""
 
     def test_k_writes_to_one_group_leave_as_one_update_in_write_order(self, make_deployment):
         def script(handles):
@@ -350,21 +356,86 @@ class TestOneMirrorPerPass:
         assert (stats.local_writes, stats.updates_sent, stats.update_packets_sent) == (3, 3, 1)
         assert world.dep.ewo_states(world.dep.spec_by_name("a")) == [{"x": 2, "y": 1}] * 3
 
-    def test_two_groups_one_update_each_in_first_write_order_ahead_of_the_output(
+    @staticmethod
+    def b_a_b(handles):
+        handles["b"].increment("k1")
+        handles["a"].increment("k2")
+        handles["b"].increment("k3")
+
+    def test_two_groups_one_fanout_one_mirror_ahead_of_output(self, make_deployment):
+        world = PassWorld(make_deployment, [counter_spec("a"), counter_spec("b")], self.b_a_b)
+        world.send_packet(until=1e-3)
+        # s2 is both a replica and the output packet's next hop: the
+        # mirror is on the shared channel first.  Sections in first-write
+        # order, entries in write order.
+        mirror = [("b", ["k1", "k3"]), ("a", ["k2"])]
+        assert world.updates("s2") == [mirror, "output"]
+        assert world.updates("s1") == [mirror]
+        assert len(world.dst.received) == 1
+        stats = {name: world.m0.ewo.stats_for(world.dep.spec_by_name(name).group_id)
+                 for name in ("a", "b")}
+        # one packet, counted on its first section's group
+        assert [(s.updates_sent, s.update_packets_sent) for s in stats.values()] == [(1, 0), (2, 1)]
+        assert world.dep.ewo_states(world.dep.spec_by_name("a")) == [{"k2": 1}] * 3
+        assert world.dep.ewo_states(world.dep.spec_by_name("b")) == [{"k1": 1, "k3": 1}] * 3
+
+    def test_two_groups_with_different_fanouts_leave_as_two_packets_in_first_write_order(
+        self, make_deployment
+    ):
+        world = PassWorld(make_deployment, [counter_spec("a"), counter_spec("b")], self.b_a_b)
+        world.dep.multicast.get(world.dep.spec_by_name("a").group_id).remove("s1")
+        world.send_packet(until=1e-3)
+        assert world.updates("s2") == [("b", ["k1", "k3"]), ("a", ["k2"]), "output"]
+        assert world.updates("s1") == [("b", ["k1", "k3"])]
+
+    def test_a_group_below_its_batch_size_stays_pending_and_out_of_the_mirror(
         self, make_deployment
     ):
         def script(handles):
-            handles["b"].increment("k1")
-            handles["a"].increment("k2")
-            handles["b"].increment("k3")
+            for name in ("a", "held", "b"):
+                handles[name].increment("k")
 
-        world = PassWorld(make_deployment, [counter_spec("a"), counter_spec("b")], script)
+        specs = [counter_spec("a"), counter_spec("held", ewo_batch_size=2), counter_spec("b")]
+        world = PassWorld(make_deployment, specs, script)
         world.send_packet(until=1e-3)
-        # s2 is both a replica and the output packet's next hop: the
-        # update copies are on the shared channel first.
-        assert world.updates("s2") == [("b", ["k1", "k3"]), ("a", ["k2"]), "output"]
-        assert world.updates("s1") == [("b", ["k1", "k3"]), ("a", ["k2"])]
-        assert len(world.dst.received) == 1
+        assert world.updates("s1") == [[("a", ["k"]), ("b", ["k"])]]
+        assert world.pending() == {"a": 0, "held": 1, "b": 0}
+        world.send_packet(until=2e-3)
+        # the second pass brings it to its batch size: all three leave
+        assert world.updates("s1")[-1] == [("a", ["k"]), ("held", ["k", "k"]), ("b", ["k"])]
+        assert world.pending() == {"a": 0, "held": 0, "b": 0}
+
+    def test_a_partial_replication_group_in_the_pass_still_goes_per_target(
+        self, make_deployment
+    ):
+        def script(handles):
+            handles["a"].increment("k")
+            handles["p"].increment("to_s1")
+            handles["b"].increment("k")
+
+        specs = [counter_spec("a"), counter_spec("p", partial_replication=True), counter_spec("b")]
+        world = PassWorld(make_deployment, specs, script, n=4, directory=True)
+        group_id = world.dep.spec_by_name("p").group_id
+        world.directory.place(group_id, "to_s1", ["s0", "s1"])
+        world.send_packet(until=1e-3)
+        mirror = [("a", ["k"]), ("b", ["k"])]
+        assert world.updates("s1") == [mirror, ("p", ["to_s1"])]
+        assert world.updates("s2") == [mirror]
+        assert world.updates("s3") == [mirror, "output"]
+        assert world.m0.ewo.stats_for(group_id).update_packets_sent == 1
+
+    def test_a_frozen_replica_drops_only_its_own_section(self, make_deployment):
+        world = PassWorld(make_deployment, [counter_spec("a"), counter_spec("b")], self.b_a_b)
+        a, b = (world.dep.spec_by_name(name) for name in ("a", "b"))
+        FaultInjector(world.dep).stale_replica(0.0, "s1", a.group_id, duration=1.0)
+        world.send_packet(until=1e-3)
+        s1 = world.dep.manager("s1").ewo
+        assert world.updates("s1") == [[("b", ["k1", "k3"]), ("a", ["k2"])]]
+        assert s1.local_state(a.group_id) == {}
+        assert s1.groups[a.group_id].chaos_frozen_drops == 1
+        assert s1.local_state(b.group_id) == {"k1": 1, "k3": 1}
+        assert s1.stats_for(b.group_id).merges_applied == 2
+        assert world.dep.manager("s2").ewo.local_state(a.group_id) == {"k2": 1}
 
     def test_broadcast_waits_for_the_pass_end_but_not_outside_a_pass(self, make_deployment):
         seen_mid_pass = []
@@ -409,6 +480,30 @@ class TestOneMirrorPerPass:
         world.send_packet(until=2e-3)
         assert world.updates("s1") == [("a", ["k", "k"])] * 2
         assert world.updates("s2")[-1] == "output"
+
+    @pytest.mark.parametrize(
+        "exit_with", [ReadForwarded(0, "k", "s2"), RuntimeError("nf bug")],
+        ids=["read-forwarded", "nf-exception"],
+    )
+    def test_a_pass_that_ends_by_exception_still_mirrors_every_due_group(
+        self, make_deployment, exit_with
+    ):
+        def script(handles):
+            handles["b"].increment("k")
+            handles["held"].increment("k")
+            handles["a"].increment("k")
+            raise exit_with
+
+        specs = [counter_spec("a"), counter_spec("b"), counter_spec("held", ewo_batch_size=2)]
+        world = PassWorld(make_deployment, specs, script)
+        if isinstance(exit_with, ReadForwarded):
+            world.send_packet(until=1e-3)
+        else:
+            with pytest.raises(RuntimeError, match="nf bug"):
+                world.send_packet(until=1e-3)
+        assert world.updates("s1") == [[("b", ["k"]), ("a", ["k"])]]
+        assert world.pending() == {"a": 0, "b": 0, "held": 1}
+        assert world.m0._ctx is None and not world.m0.ewo._pass_written
 
     def test_batch_threshold_is_checked_when_a_pass_ends(self, make_deployment):
         def script(handles):

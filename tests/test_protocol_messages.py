@@ -14,6 +14,7 @@ from repro.protocols import messages
 from repro.protocols.messages import (
     ChainUpdate,
     EwoEntry,
+    EwoMirror,
     EwoSync,
     EwoUpdate,
     Heartbeat,
@@ -43,6 +44,7 @@ def payload_samples():
         WriteAck(1, "k", 12, 3, token, value=5, trace=ctx),
         EwoUpdate(2, "s1", entries, key_bytes=13, value_bytes=4, trace=ctx),
         EwoSync(2, "s1", entries[:2], trace=ctx),
+        EwoMirror("s1", [(2, entries[:1]), (3, entries[1:])], [(13, 4), (8, 8)], trace=ctx),
         SnapshotWrite(1, "k", "v", 12, 3, "s0", transfer_id=6, trace=ctx),
         SnapshotAck(1, "k", 12, "s0", transfer_id=6, trace=ctx),
         Heartbeat("s2", 17, 2.5e-3, trace=ctx),
@@ -141,6 +143,38 @@ class TestWireSizes:
         assert update.wire_size == 13 + sum(per_entry)
         assert "wire_size" in vars(update)  # a stored value, not a per-read sum
         assert update.copy().wire_size == update.wire_size
+
+    def test_a_one_section_mirror_costs_exactly_an_update(self):
+        entries = next(m for m in payload_samples() if type(m) is EwoUpdate).entries
+        for widths in ((8, 8), (13, 4)):
+            update = EwoUpdate(2, "s1", entries, key_bytes=widths[0], value_bytes=widths[1])
+            assert EwoMirror("s1", [(2, entries)], [widths]).wire_size == update.wire_size
+        assert EwoMirror("s1", [(2, entries)]).wire_size == EwoUpdate(2, "s1", entries).wire_size
+
+    def test_a_mirror_is_one_framing_plus_four_bytes_per_extra_section(self):
+        entries = next(m for m in payload_samples() if type(m) is EwoUpdate).entries
+        widths = [(13, 4), (8, 8), (4, 1)]
+        sections = [(g, entries[: g + 1]) for g in range(3)]
+        mirror = EwoMirror("s1", sections, widths)
+        entry_bytes = sum(
+            e.wire_bytes(*w) for (_, section), w in zip(sections, widths) for e in section
+        )
+        assert mirror.wire_size == 13 + 4 * (3 - 1) + entry_bytes
+        # against k separate updates: k - 1 framings saved, 4 bytes each spent
+        updates = [EwoUpdate(g, "s1", section, *w) for (g, section), w in zip(sections, widths)]
+        assert sum(u.wire_size for u in updates) - mirror.wire_size == (13 - 4) * (3 - 1)
+
+    def test_mirror_sections_are_immutable_and_shared_by_a_clone(self):
+        source = [EwoEntry("k", 0, 1)]
+        mirror = EwoMirror("s0", [(1, source), (2, [EwoEntry("j", 1, 2)])])
+        source.append(EwoEntry("late", 0, 2))  # the caller's lists are not aliased
+        assert mirror.sections == ((1, (EwoEntry("k", 0, 1),)), (2, (EwoEntry("j", 1, 2),)))
+        packet = Packet(swishmem=SwiShmemHeader(), swishmem_payload=mirror)
+        copy = packet.clone().swishmem_payload
+        assert copy is not mirror and copy.sections is mirror.sections
+        assert copy.wire_size == mirror.wire_size
+        with pytest.raises(TypeError):
+            mirror.sections[0][1][0] = EwoEntry("x", 0, 0)
 
     def test_ewo_entries_are_immutable(self):
         source = [EwoEntry("k", 0, 1)]

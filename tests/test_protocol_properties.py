@@ -18,7 +18,7 @@ from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
 from repro.protocols.ewo import MERGE_TYPES
-from repro.protocols.messages import EwoUpdate
+from repro.protocols.messages import EwoMirror, EwoUpdate
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -146,12 +146,32 @@ class TestEwoConvergenceProperties:
 pass_writes = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans()), min_size=1, max_size=8
 )
+# ... and to one of three groups — (group 0-2, key 0-3, small int, add?)
+multi_group_pass_writes = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 5), st.booleans()),
+    min_size=1,
+    max_size=8,
+)
+
+
+def write(manager, spec, key, n, add):
+    """One pass write in ``spec``'s mode: a counter adds n + 1, an LWW
+    register takes n, an OR-Set adds or removes n."""
+    if spec.ewo_mode is EwoMode.COUNTER:
+        manager.register_increment(spec, key, n + 1)
+    elif spec.ewo_mode is EwoMode.LWW:
+        manager.register_write(spec, key, n)
+    elif add:
+        manager.register_set_add(spec, key, n)
+    else:
+        manager.register_set_remove(spec, key, n)
 
 
 class TestCoalescingProperty:
     """Why one egress mirror per pass cannot change what converges: a
     CRDT merge is applied entry by entry, so how a pass's entries are
-    cut into update packets is invisible to the replica."""
+    cut into update packets, or its groups packed into one mirror, is
+    invisible to the replica."""
 
     @given(
         mode=st.sampled_from(sorted(MERGE_TYPES, key=lambda m: m.value)),
@@ -175,14 +195,7 @@ class TestCoalescingProperty:
 
         for writes in passes:
             for key, n, add in writes:
-                if mode is EwoMode.COUNTER:
-                    writer.register_increment(spec, key, n + 1)
-                elif mode is EwoMode.LWW:
-                    writer.register_write(spec, key, n)
-                elif add:
-                    writer.register_set_add(spec, key, n)
-                else:
-                    writer.register_set_remove(spec, key, n)
+                write(writer, spec, key, n, add)
             entries, pending._pending_entries = pending._pending_entries, []
             per_pass.handle_update(update(entries))
             for entry in entries:
@@ -194,6 +207,47 @@ class TestCoalescingProperty:
             for key, value in writer.ewo.local_state(spec.group_id).items()
             if key in coalesced.cells
         }
+
+    @given(
+        mode=st.sampled_from(sorted(MERGE_TYPES, key=lambda m: m.value)),
+        passes=st.lists(multi_group_pass_writes, min_size=1, max_size=4),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_mirror_per_pass_merges_like_one_update_per_group(self, mode, passes, seed):
+        """The pass's writes to three groups, as one mirror (sections in
+        first-write order) on s1 and as one update per group on s2."""
+        sim, dep = fresh_deployment(seed)
+        specs = [
+            dep.declare(RegisterSpec(
+                f"g{i}", Consistency.EWO, ewo_mode=mode, capacity=16, ewo_batch_size=10**9
+            ))
+            for i in range(3)
+        ]
+        writer = dep.manager("s0")
+        mirrored, per_group = (dep.manager(n).ewo for n in ("s1", "s2"))
+        for writes in passes:
+            for group, key, n, add in writes:
+                write(writer, specs[group], key, n, add)
+            sections = []
+            for group in dict.fromkeys(group for group, *_ in writes):
+                state = writer.ewo.groups[specs[group].group_id]
+                entries, state._pending_entries = state._pending_entries, []
+                sections.append((state.spec.group_id, entries))
+            mirrored.handle_update(EwoMirror("s0", sections))
+            for group_id, entries in sections:
+                per_group.handle_update(EwoUpdate(group=group_id, origin="s0", entries=entries))
+        for spec in specs:
+            merged = mirrored.groups[spec.group_id]
+            assert merged.canonical_items() == per_group.groups[spec.group_id].canonical_items()
+            assert mirrored.stats_for(spec.group_id).as_dict() == (
+                per_group.stats_for(spec.group_id).as_dict()
+            )
+            assert mirrored.local_state(spec.group_id) == {
+                key: value
+                for key, value in writer.ewo.local_state(spec.group_id).items()
+                if key in merged.cells
+            }
 
 
 class TestSroProperties:

@@ -3,7 +3,7 @@
 before ``tools/perf_pairs.py``.
 
     python3 tools/perf_same.py PARENT_DIR CHANGE_DIR [--seeds 11 23] [--calls-seed 11]
-                               [--workload W ...]
+                               [--workload W ...] [--moved W ...]
 
 A change that claims to make the simulator faster must leave what it
 simulates alone.  For every seed and workload this runs each checkout's
@@ -18,6 +18,13 @@ judged by its own checkout's ``perf/run.py`` ``problems()``.  At
 ``engine.events_per_op`` are printed side by side — reported, not
 judged.
 
+``--moved W`` (repeatable) names a workload whose simulation the change
+moves by design (a protocol that sends fewer packets).  Its differences
+are printed as a table instead of failing; it still fails on an
+incorrect run, on failed operations on either side, and on any
+``end_to_end`` sim metric worse than the parent's by ``BENCHMARK.json``'s
+``better``.  Every other workload must still match bit for bit.
+
 About four minutes for all six workloads at two seeds, against about
 twenty-five for ten ``perf_pairs`` pairs of one workload.  Exits 1 on
 any difference or incorrect run, 0 otherwise.
@@ -31,25 +38,68 @@ import json
 import os
 import subprocess
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: The parts of a worker result a speed-only change must leave identical.
 SAME_PARTS = ("digest", "end_to_end", "layers", "attempted", "delivered")
 
 
-def differences(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
-    """Every leaf of :data:`SAME_PARTS` on which two worker results differ,
-    as ``part.leaf: parent -> change`` lines (empty when identical)."""
+def changed_leaves(parent: Dict[str, Any], change: Dict[str, Any]) -> List[Tuple[str, Any, Any]]:
+    """Every leaf of :data:`SAME_PARTS` on which two worker results
+    differ, as ``(part.leaf, parent value, change value)``."""
     found = []
     for part in SAME_PARTS:
         p, c = parent[part], change[part]
         if isinstance(p, dict) and isinstance(c, dict):
             for leaf in sorted(set(p) | set(c)):
                 if p.get(leaf) != c.get(leaf):
-                    found.append(f"{part}.{leaf}: {p.get(leaf)!r} -> {c.get(leaf)!r}")
+                    found.append((f"{part}.{leaf}", p.get(leaf), c.get(leaf)))
         elif p != c:
-            found.append(f"{part}: {p!r} -> {c!r}")
+            found.append((part, p, c))
     return found
+
+
+def differences(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
+    """:func:`changed_leaves` as ``part.leaf: parent -> change`` lines
+    (empty when identical)."""
+    return [f"{leaf}: {p!r} -> {c!r}" for leaf, p, c in changed_leaves(parent, change)]
+
+
+def moved_problems(parent: Dict[str, Any], change: Dict[str, Any],
+                   better: Dict[str, str]) -> List[str]:
+    """What still fails a workload moved by design: failed operations on
+    either side, and every ``end_to_end`` metric that is worse on the
+    change than on the parent by ``better`` (metric -> ``"higher"`` or
+    ``"lower"``, ``BENCHMARK.json``'s ``end_to_end`` list)."""
+    found = [f"{side} failed {r['attempted'] - r['delivered']} operation(s)"
+             for side, r in (("parent", parent), ("change", change))
+             if r["attempted"] != r["delivered"]]
+    for name, p in sorted(parent["end_to_end"].items()):
+        c = change["end_to_end"].get(name)
+        direction = better.get(name)
+        if c is None or direction is None:
+            continue
+        if (c < p) if direction == "higher" else (c > p):
+            found.append(f"end_to_end.{name} worse: {p!r} -> {c!r} ({direction} is better)")
+    return found
+
+
+def moved_table(parent: Dict[str, Any], change: Dict[str, Any]) -> List[str]:
+    """The changed leaves of a workload moved by design, one table row
+    each (a digest shortened to 12 hex digits)."""
+    def cell(value: Any) -> str:
+        return value[:12] if isinstance(value, str) and len(value) == 64 else repr(value)
+
+    rows = [f"    {'moved by design':<36} {'parent':>22} {'change':>22}"]
+    rows += [f"    {leaf:<36} {cell(p):>22} {cell(c):>22}"
+             for leaf, p, c in changed_leaves(parent, change)]
+    return rows
+
+
+def load_better(checkout: str) -> Dict[str, str]:
+    """``BENCHMARK.json``'s ``end_to_end`` metrics: name -> ``better``."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as handle:
+        return {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
 
 
 def calls_row(parent: Dict[str, Any], change: Dict[str, Any]) -> Dict[str, float]:
@@ -91,6 +141,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--calls-seed", type=int, default=11)
     parser.add_argument("--workload", action="append",
                         help="one workload (repeatable); default: all of BENCHMARK.json")
+    parser.add_argument("--moved", action="append", default=[], metavar="W",
+                        help="a workload the change moves by design (repeatable): its "
+                             "differences are tabled, not failed")
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent_dir),
              "change": os.path.abspath(args.change_dir)}
@@ -98,20 +151,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not workloads:
         with open(os.path.join(sides["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
             workloads = [w["name"] for w in json.load(handle)["workloads"]]
+    unknown = sorted(set(args.moved) - set(workloads))
+    if unknown:
+        parser.error(f"--moved names a workload not run: {', '.join(unknown)}")
     problems = {side: load_problems(path, side) for side, path in sides.items()}
+    better = load_better(sides["parent"])
 
     bad = 0
     for seed in args.seeds:
         for workload in workloads:
             results = {side: run_worker(path, workload, seed, "plain")
                        for side, path in sides.items()}
-            found = differences(results["parent"], results["change"])
+            moved = workload in args.moved
+            if moved:
+                found = moved_problems(results["parent"], results["change"], better)
+            else:
+                found = differences(results["parent"], results["change"])
             for side, result in results.items():
                 found += [f"{side} incorrect: {p}" for p in problems[side](result)]
             failed = {side: r["attempted"] - r["delivered"] for side, r in results.items()}
-            verdict = "same" if not found else f"{len(found)} problem(s)"
+            verdict = f"{len(found)} problem(s)" if found else "moved" if moved else "same"
             print(f"seed {seed:>3}  {workload:<13} digest {results['change']['digest'][:12]}  "
                   f"failed {failed['parent']}/{failed['change']}  {verdict}", flush=True)
+            if moved:
+                print("\n".join(moved_table(results["parent"], results["change"])))
             for line in found:
                 print(f"    {line}")
             bad += len(found)
@@ -127,7 +190,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"  {row['parent_events_per_op']:>17.4f} {row['change_events_per_op']:>10.4f}",
               flush=True)
 
-    print("\nidentical outputs, every run correct" if not bad else f"\n{bad} problem(s)")
+    but = f" but for {', '.join(args.moved)} (moved, none worse)" if args.moved else ""
+    print(f"\nidentical outputs{but}, every run correct" if not bad else f"\n{bad} problem(s)")
     return 1 if bad else 0
 
 
