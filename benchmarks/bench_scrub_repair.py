@@ -138,6 +138,8 @@ def run_scrub_repair(
     sim.schedule(1e-3, workload)
     sim.run(until=duration)
     report_ = suite.finalize()
+    # The scripted drop really cost s1 its applies: F5 heals a real gap.
+    assert injector.lost_applies().get(("s1", sro.group_id), 0) >= 2
 
     events = dep.divergence_log
     detect = [e.detected_at - e.at for e in events if e.detected]

@@ -9,8 +9,9 @@ every chaos run is reproducible from its seed:
 * :mod:`repro.chaos.faults` — :class:`FaultInjector`: schedulable,
   seed-driven switch crashes/recoveries, link flaps, loss bursts
   (overlap-safe), network partitions, and silent-divergence faults —
-  register corruption (``corrupt_register``) and frozen replicas
-  (``stale_replica``) — each logging a
+  register corruption (``corrupt_register``), frozen replicas and lost
+  chain applies (``stale_replica``, ``drop_chain_applies``: a
+  ``SwitchFaults`` in the manager's receive slot) — each logging a
   :class:`~repro.protocols.antientropy.DivergenceEvent` for the
   anti-entropy scrubber to detect and heal.
 * :mod:`repro.chaos.nemesis` — :class:`Nemesis`: a channel wrapper that

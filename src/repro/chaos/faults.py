@@ -17,7 +17,12 @@ fail", section 5) into schedules riding the simulator's event queue:
 * ``partition_controller`` — sever one replica's management
   connectivity (to switches and to its peers) for a while: a
   partitioned leader stops hearing beacons and renewing its lease, so
-  it self-fences and a connected standby takes over.
+  it self-fences and a connected standby takes over;
+* ``corrupt_register`` — bit-flip one stored register value;
+* ``stale_replica`` / ``drop_chain_applies`` — freeze a replica's apply
+  unit for a while / make a chain member lose its next applies, both on
+  what the switch *receives* (:class:`SwitchFaults`, in the manager's
+  ``interpose`` slot: the engines hold no fault code).
 
 Every applied fault is appended to :attr:`FaultInjector.log`, which —
 together with the deployment's event counters and final state — forms
@@ -30,17 +35,21 @@ against the same deployment plan byte-identical schedules.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.registers import Consistency, EwoMode
+from repro.net.headers import SwiShmemOp
 from repro.protocols.antientropy import DivergenceEvent
+from repro.protocols.messages import EwoMirror
 from repro.sim.random import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.manager import SwiShmemDeployment
+    from repro.core.manager import SwiShmemDeployment, SwiShmemManager
+    from repro.net.packet import Packet
 
-__all__ = ["FaultInjector", "FaultRecord"]
+__all__ = ["FaultInjector", "FaultRecord", "SwitchFaults"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,61 @@ class FaultRecord:
 
     def __str__(self) -> str:
         return f"[{self.at * 1e3:8.3f} ms] {self.kind}: {self.detail}"
+
+
+class SwitchFaults:
+    """One switch's lost-apply faults, in its manager's ``interpose``
+    slot: per group a drop budget (``drop_chain_applies``), a freeze
+    deadline (``stale_replica``) and the applies lost.  A lost
+    ``ChainUpdate`` still cuts through (``SroEngine.relay``); a frozen
+    group also loses its EWO sections and its scrub repairs."""
+
+    def __init__(self, manager: "SwiShmemManager") -> None:
+        self.manager = manager
+        self.drop_budget: Counter = Counter()
+        self.frozen_until: Dict[int, float] = {}
+        self.lost: Counter = Counter()
+
+    def frozen(self, group_id: int) -> bool:
+        return self.frozen_until.get(group_id, 0.0) > self.manager.sim.now
+
+    def _loses(self, engine: Any, group_id: int, applies: int) -> bool:
+        lost = group_id in engine.groups and self.frozen(group_id)
+        if lost:
+            self.lost[group_id] += applies
+        return lost
+
+    def __call__(self, packet: "Packet") -> bool:
+        """True when the packet was consumed here."""
+        op, message, manager = packet.swishmem.op, packet.swishmem_payload, self.manager
+        if op is SwiShmemOp.EWO_UPDATE or op is SwiShmemOp.EWO_SYNC:
+            mirror = type(message) is EwoMirror
+            sections = message.sections if mirror else ((message.group, message.entries),)
+            kept = tuple(s for s in sections if not self._loses(manager.ewo, s[0], len(s[1])))
+            if kept and len(kept) < len(sections):  # the rest go on, same origin and trace
+                manager.ewo.handle_update(EwoMirror(message.origin, kept, trace=message.trace))
+            return len(kept) < len(sections)
+        if op is SwiShmemOp.SCRUB_REPAIR and self._loses(manager.sro, message.group, 1):
+            # Parsed like any repair, so its receive span is derived (span
+            # ids stay those of the apply path); then the apply unit loses it.
+            manager.causal.child(message.trace)
+            return True
+        if op is not SwiShmemOp.CHAIN_UPDATE:
+            return False
+        group_id = message.group
+        # A frozen window logs its one "stale" divergence at the thaw.
+        if not self._loses(manager.sro, group_id, 1):
+            if group_id not in manager.sro.groups or not self.drop_budget[group_id]:
+                return False
+            self.drop_budget[group_id] -= 1
+            self.lost[group_id] += 1
+            name = manager.switch.name
+            manager.deployment.divergence_log.append(DivergenceEvent(
+                group=group_id, switch=name, kind="apply-drop", key=message.key,
+                at=manager.sim.now, detail=f"{name} dropped seq {message.seq}",
+            ))
+        manager.sro.relay(message)
+        return True
 
 
 class FaultInjector:
@@ -102,31 +166,44 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Silent data-plane corruption
     # ------------------------------------------------------------------
-    def drop_chain_applies(
-        self, at: float, name: str, group_id: int, count: int = 1
-    ) -> None:
-        """Arm ``name`` to silently lose its next ``count`` chain applies
-        in ``group_id``: the member forwards each update downstream but
-        never applies it locally, so the tail still commits while the
-        victim's store develops a gap.  This is the canonical "lost
-        chain hop" fault the flight recorder's post-mortem is built to
-        explain — no crash, no detector signal, just a replica quietly
-        diverging from the committed history.
-        """
+    def drop_chain_applies(self, at: float, name: str, group_id: int, count: int = 1) -> None:
+        """Make ``name`` lose the next ``count`` chain updates it receives
+        in ``group_id``: each cuts through un-applied, so the tail still
+        commits while the victim's store develops a gap — the lost chain
+        hop the flight recorder's post-mortem is built to explain."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        faults = self._install(name, group_id, chain_only=True)
         self.sim.schedule_at(
-            at, self._drop_chain_applies, name, group_id, count,
-            label="chaos:drop-applies",
+            at, self._drop_chain_applies, faults, group_id, count, label="chaos:drop-applies"
         )
 
-    def _drop_chain_applies(self, name: str, group_id: int, count: int) -> None:
-        manager = self.deployment.manager(name)
-        state = manager.sro.groups.get(group_id)
-        if state is None:
-            raise ValueError(f"{name} does not replicate group {group_id}")
-        state.chaos_drop_applies += count
-        self._record("drop-applies", f"{name} group {group_id} x{count}")
+    def _install(self, name: str, group_id: int, chain_only: bool) -> SwitchFaults:
+        """``name``'s :class:`SwitchFaults`, installed on first use; a
+        ValueError unless it replicates ``group_id`` (as a chain group)."""
+        manager = self.deployment.managers.get(name)
+        engines = () if manager is None else (
+            (manager.sro,) if chain_only else (manager.sro, manager.ewo)
+        )
+        if not any(group_id in engine.groups for engine in engines):
+            raise ValueError(f"{name} does not replicate {'chain ' * chain_only}group {group_id}")
+        if manager.interpose is None:
+            manager.interpose = SwitchFaults(manager)
+        return manager.interpose
+
+    def lost_applies(self) -> Dict[Tuple[str, int], int]:
+        """Applies lost so far to ``drop_chain_applies`` and
+        ``stale_replica``, per (switch, group)."""
+        return {
+            (name, group_id): lost
+            for name, manager in sorted(self.deployment.managers.items())
+            if manager.interpose is not None
+            for group_id, lost in sorted(manager.interpose.lost.items())
+        }
+
+    def _drop_chain_applies(self, faults: SwitchFaults, group_id: int, count: int) -> None:
+        faults.drop_budget[group_id] += count
+        self._record("drop-applies", f"{faults.manager.switch.name} group {group_id} x{count}")
 
     def corrupt_register(
         self, at: float, name: str, group_id: int, key: Any = None
@@ -213,63 +290,41 @@ class FaultInjector:
         )
         self._record("corrupt", detail)
 
-    def stale_replica(
-        self, at: float, name: str, group_id: int, duration: float
-    ) -> None:
-        """Freeze ``name``'s apply unit for ``group_id`` for ``duration``.
-
-        While frozen the replica silently drops every incoming apply —
-        SRO chain updates cut through without applying, EWO merges are
-        consumed without merging — so it serves increasingly stale state
-        while looking perfectly healthy.  The :class:`DivergenceEvent`
-        is logged at *thaw* time: a frozen replica is not repairable
-        (it drops scrub repairs too), so the heal clock starts when the
-        freeze lifts.
-        """
+    def stale_replica(self, at: float, name: str, group_id: int, duration: float) -> None:
+        """Freeze ``name``'s apply unit for ``group_id`` for ``duration``:
+        it loses every apply it receives, scrub repairs included, so it
+        serves stale state while looking healthy.  The
+        :class:`DivergenceEvent` is logged at the thaw, when it becomes
+        repairable."""
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
+        faults = self._install(name, group_id, chain_only=False)
         self.sim.schedule_at(
-            at, self._stale_replica, name, group_id, duration, label="chaos:stale"
+            at, self._stale_replica, faults, group_id, duration, label="chaos:stale"
         )
 
-    def _stale_replica(self, name: str, group_id: int, duration: float) -> None:
-        manager = self.deployment.manager(name)
-        if manager.switch.failed:
+    def _stale_replica(self, faults: SwitchFaults, group_id: int, duration: float) -> None:
+        name = faults.manager.switch.name
+        if faults.manager.switch.failed:
             self._record("stale-noop", f"{name} group {group_id} (down)")
             return
-        spec = self.deployment.specs[group_id]
-        if spec.consistency is Consistency.EWO:
-            state = manager.ewo.groups[group_id]
-        else:
-            state = manager.sro.groups[group_id]
-        state.chaos_frozen_until = max(
-            state.chaos_frozen_until, self.sim.now + duration
-        )
-        self._record(
-            "stale-replica", f"{name} group {group_id} for {duration * 1e3:.1f} ms"
-        )
+        until = max(faults.frozen_until.get(group_id, 0.0), self.sim.now + duration)
+        faults.frozen_until[group_id] = until
+        self._record("stale-replica", f"{name} group {group_id} for {duration * 1e3:.1f} ms")
         self.sim.schedule(
-            duration, self._thaw_replica, name, group_id, label="chaos:stale-thaw"
+            duration, self._thaw_replica, faults, group_id, label="chaos:stale-thaw"
         )
 
-    def _thaw_replica(self, name: str, group_id: int) -> None:
-        manager = self.deployment.manager(name)
-        if manager.switch.failed:
+    def _thaw_replica(self, faults: SwitchFaults, group_id: int) -> None:
+        name = faults.manager.switch.name
+        if faults.manager.switch.failed:
             return  # crash recovery resets the replica anyway
-        spec = self.deployment.specs[group_id]
-        if spec.consistency is Consistency.EWO:
-            state = manager.ewo.groups[group_id]
-        else:
-            state = manager.sro.groups[group_id]
-        if state.chaos_frozen_until > self.sim.now:
+        if faults.frozen(group_id):
             return  # an overlapping freeze extended the window
-        self.deployment.divergence_log.append(
-            DivergenceEvent(
-                group=group_id, switch=name, kind="stale", key=None,
-                at=self.sim.now,
-                detail=f"{name} group {group_id} thawed",
-            )
-        )
+        self.deployment.divergence_log.append(DivergenceEvent(
+            group=group_id, switch=name, kind="stale", key=None,
+            at=self.sim.now, detail=f"{name} group {group_id} thawed",
+        ))
         self._record("stale-thaw", f"{name} group {group_id}")
 
     # ------------------------------------------------------------------
@@ -292,12 +347,14 @@ class FaultInjector:
             at, self._crash_controller, replica, label="chaos:controller-crash"
         )
 
-    def _crash_controller(self, replica: Optional[int]) -> None:
+    def _crash_controller(self, replica: Optional[int]) -> Optional[int]:
+        """Crash ``replica`` (None: the leader); the replica crashed, if any."""
         cluster, replica = self._pick_replica(replica)
         if replica is None or cluster.replicas[replica].failed:
-            return  # no active leader to kill / already down
+            return None  # no active leader to kill / already down
         cluster.crash_replica(replica)
         self._record("controller-crash", f"replica {replica}")
+        return replica
 
     def recover_controller(self, at: float, replica: int) -> None:
         self.sim.schedule_at(
@@ -321,17 +378,11 @@ class FaultInjector:
         )
 
     def _crash_leader_for(self, down_for: float) -> None:
-        cluster, replica = self._pick_replica(None)
-        if replica is None or cluster.replicas[replica].failed:
-            return
-        cluster.crash_replica(replica)
-        self._record("controller-crash", f"replica {replica}")
-        self.sim.schedule(
-            down_for,
-            self._recover_controller,
-            replica,
-            label="chaos:controller-recover",
-        )
+        replica = self._crash_controller(None)
+        if replica is not None:
+            self.sim.schedule(
+                down_for, self._recover_controller, replica, label="chaos:controller-recover"
+            )
 
     def partition_controller(
         self, at: float, duration: float, replica: Optional[int] = None
@@ -372,10 +423,14 @@ class FaultInjector:
             at + down_for, self._set_link, a, b, True, label="chaos:link-up"
         )
 
-    def _set_link(self, a: str, b: str, up: bool) -> None:
+    def _link(self, a: str, b: str):
         link = self.deployment.topo.link_between(a, b)
         if link is None:
             raise ValueError(f"no link between {a} and {b}")
+        return link
+
+    def _set_link(self, a: str, b: str, up: bool) -> None:
+        link = self._link(a, b)
         if link.up == up:
             return
         link.set_up(up)
@@ -400,13 +455,7 @@ class FaultInjector:
     def _burst_links(self, pair_list):
         if pair_list is None:
             return list(self.deployment.topo.links)
-        links = []
-        for a, b in pair_list:
-            link = self.deployment.topo.link_between(a, b)
-            if link is None:
-                raise ValueError(f"no link between {a} and {b}")
-            links.append(link)
-        return links
+        return [self._link(a, b) for a, b in pair_list]
 
     def _start_burst(self, pair_list, loss_rate: float, duration: float) -> None:
         """Push one burst onto each affected channel.
@@ -459,8 +508,7 @@ class FaultInjector:
         side_a = list(side_a)
         if side_b is None:
             side_b = [n for n in self.deployment.switch_names if n not in side_a]
-        else:
-            side_b = list(side_b)
+        side_b = list(side_b)
         overlap = set(side_a) & set(side_b)
         if overlap:
             raise ValueError(f"sides overlap: {sorted(overlap)}")

@@ -231,19 +231,20 @@ class InvariantSuite:
         # exactly a lost write and stays a violation here.
         scrubbing = self.deployment.scrubber is not None
         diverged = (
-            {
-                (e.group, e.switch)
-                for e in self.deployment.divergence_log
-                if not e.healed
+            {(e.group, e.switch) for e in self.deployment.divergence_log if not e.healed}
+            | {
+                (gid, name)
+                for name, manager in self.deployment.managers.items()
+                if manager.interpose is not None
+                for gid in manager.interpose.frozen_until
+                if manager.interpose.frozen(gid)
             }
             if scrubbing
             else set()
         )
         for (gid, slot), seq in self._slot_max.items():
             for name, state in self._full_members(gid):
-                if (gid, name) in diverged or (
-                    scrubbing and state.chaos_frozen_until > self.sim.now
-                ):
+                if (gid, name) in diverged:
                     continue
                 applied = state.pending.applied_seq(slot)
                 if applied < seq:

@@ -176,6 +176,9 @@ class SwiShmemManager:
         #: rejected (controller failover fencing, see protocols.election).
         self.controller_epoch = 0
         self.fenced_commands = 0
+        #: None, or a callable shown each replication packet addressed
+        #: here before the engines (True: consumed); FaultInjector sets it.
+        self.interpose: Optional[Any] = None
         switch.install_handler(self._protocol_handler, front=True)
         # Held output packets are pipeline contents: a crash takes them.
         switch.on_crash(self.sro.pipeline_lost)
@@ -191,6 +194,8 @@ class SwiShmemManager:
             # In transit: this replication packet is addressed to another
             # switch; forward it along without touching the protocol state.
             self.switch.forward_to_node(packet, header.dst_node)
+            return True
+        if self.interpose is not None and self.interpose(packet):
             return True
         op = header.op
         payload = packet.swishmem_payload

@@ -45,11 +45,10 @@ the SwiShmem split between management and data planes:
   scrub planned before a failover can therefore never resurrect
   pre-failover state.
 
-Chaos integration: ``FaultInjector.corrupt_register`` and
-``stale_replica`` log a :class:`DivergenceEvent` per injected fault in
+Every injected divergence is a :class:`DivergenceEvent` in
 ``deployment.divergence_log``; the coordinator stamps ``detected_at``
-and ``healed_at``, and the invariant suite asserts every event heals
-within ``heal_bound`` of becoming repairable.
+and ``healed_at``, and the invariant suite asserts each heals within
+``heal_bound`` of becoming repairable.
 """
 
 from __future__ import annotations
@@ -114,10 +113,10 @@ def majority_vote(members: Sequence[str], votes: Mapping[str, Any]) -> Any:
 class DivergenceEvent:
     """One injected (or observed) silent divergence, tracked to heal.
 
-    ``kind`` is ``"corrupt"`` (a register bit-flip at ``key``) or
-    ``"stale"`` (a thawed freeze window; ``key`` is None — the whole
-    replica may lag).  ``at`` is when the divergence became repairable:
-    injection time for corruption, thaw time for staleness.
+    ``kind`` is ``"corrupt"`` (a register bit-flip at ``key``),
+    ``"apply-drop"`` (a lost chain apply of ``key``) or ``"stale"`` (a
+    thawed freeze window; ``key`` is None — the whole replica may lag).
+    ``at`` is when it became repairable (for staleness: at the thaw).
 
     The scrubber stamps ``detected_at`` on the first confirming key
     stage and ``healed_at`` when a completed round shows the member
@@ -189,7 +188,6 @@ class ScrubAgent:
     def __init__(self, manager: "SwiShmemManager", buckets: int = 16) -> None:
         self.manager = manager
         self.switch = manager.switch
-        self.sim = manager.sim
         self.buckets = buckets
         self._trees: Dict[int, DigestTree] = {}
         self.repairs_applied = 0
@@ -275,11 +273,6 @@ class ScrubAgent:
                     repair_epoch=repair.epoch,
                     local_epoch=state.chain.version,
                 )
-            return
-        if state.chaos_frozen_until > self.sim.now:
-            # The frozen apply unit loses repairs like any other apply;
-            # the scrubber keeps retrying until the thaw.
-            state.chaos_frozen_drops += 1
             return
         applied = self.manager.sro.apply_snapshot_write(
             repair.key, repair.value, repair.slot, repair.seq, repair.group

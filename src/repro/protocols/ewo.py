@@ -135,12 +135,6 @@ class EwoGroupState:
         self.clock = clock
         self.stats = EwoStats()
         self._pending_entries: List[EwoEntry] = []
-        #: Chaos hook (``FaultInjector.stale_replica``): until this sim
-        #: time, incoming merges are silently dropped — the replica's
-        #: apply unit is "stuck", so it serves increasingly stale state
-        #: while looking perfectly healthy.
-        self.chaos_frozen_until = 0.0
-        self.chaos_frozen_drops = 0
         new_cell, bytes_per_key = MERGE_TYPES[spec.ewo_mode]
         replicas = len(self.members)
         budget.allocate(f"ewo-store:{spec.name}", spec.capacity * bytes_per_key(spec, replicas))
@@ -523,15 +517,9 @@ class EwoEngine:
         is_sync: bool,
     ) -> None:
         """Merge one group's entries from ``message`` into our replica:
-        the frozen-replica check, the group's stats and one ``ewo.merge``
-        per section."""
+        the group's stats and one ``ewo.merge`` per section."""
         state = self.groups.get(group_id)
         if state is None:
-            return
-        if state.chaos_frozen_until > self.sim.now:
-            # Fault injection: the apply unit is frozen; the section is
-            # consumed but nothing merges (silent staleness).
-            state.chaos_frozen_drops += len(entries)
             return
         if is_sync:
             state.stats.sync_packets_received += 1

@@ -11,8 +11,9 @@ SRO adapts chain replication to the in-switch setting:
   between keys, section 7), applies the write, sets the pending bit, and
   propagates a ``ChainUpdate`` down the chain.  Each member applies
   in-order updates, sets its pending bit, and forwards; duplicates are
-  forwarded without re-applying, gaps are dropped (the writer's retry
-  recovers them).
+  forwarded without re-applying, and an update past a gap waits in a
+  bounded reorder stash until its predecessor arrives (only an overflow
+  falls back to the writer's retry).
 
 * The **tail** (last member) applies and emits ``WriteAck`` packets to
   the writer — whose control plane releases the buffered output — and to
@@ -291,16 +292,6 @@ class SroGroupState:
         self.reorder: "OrderedDict[Tuple[int, int], Any]" = OrderedDict()
         self.reorder_capacity = 64
         self.stats = SroStats()
-        #: Chaos hook (``FaultInjector.drop_chain_applies``): while > 0,
-        #: this member's dataplane silently loses chain-update applies
-        #: (the update still cuts through to the successor).
-        self.chaos_drop_applies = 0
-        self.chaos_dropped_applies = 0
-        #: Chaos hook (``FaultInjector.stale_replica``): until this sim
-        #: time, chain applies are silently lost the same way — a frozen
-        #: apply unit serving increasingly stale state.
-        self.chaos_frozen_until = 0.0
-        self.chaos_frozen_drops = 0
 
     def wipe(self) -> None:
         """Lose everything a restarted pipeline loses — the reorder
@@ -976,52 +967,27 @@ class SroEngine:
         else:
             self._process_chain_update(update)
 
+    def relay(self, update: ChainUpdate) -> None:
+        """Pass ``update`` on un-applied: to the successor as received
+        (not re-stamped: no span here), or acknowledged at the tail."""
+        successor = update.next_hop_after(self.switch.name)
+        if successor is not None:
+            packet = Packet(
+                swishmem=SwiShmemHeader(
+                    op=SwiShmemOp.CHAIN_UPDATE,
+                    register_group=update.group,
+                    dst_node=successor,
+                ),
+                swishmem_payload=update,
+                trace=update.trace,
+            )
+            self.switch.forward_to_node(packet, successor)
+        elif update.chain and update.chain[-1] == self.switch.name:
+            self._emit_acks(update, None)
+
     def _process_chain_update(self, update: ChainUpdate) -> None:
         state = self.groups.get(update.group)
         if state is None or self.switch.failed:
-            return
-        frozen = state.chaos_frozen_until > self.sim.now
-        if state.chaos_drop_applies > 0 or frozen:
-            # Fault injection: this member's dataplane silently loses the
-            # apply (a register-write fault, section 6.3's motivating
-            # failure) — either a counted drop or a frozen apply unit
-            # (``stale_replica``).  The update still cuts through to the
-            # successor — un-restamped, so the flight recorder sees *no*
-            # span from this node and the post-mortem names it as the
-            # losing hop.
-            if frozen:
-                # One "stale" DivergenceEvent is logged at thaw time by
-                # the injector; per-drop events would double-count.
-                state.chaos_frozen_drops += 1
-            else:
-                from repro.protocols.antientropy import DivergenceEvent
-
-                state.chaos_drop_applies -= 1
-                state.chaos_dropped_applies += 1
-                self.manager.deployment.divergence_log.append(
-                    DivergenceEvent(
-                        group=update.group,
-                        switch=self.switch.name,
-                        kind="apply-drop",
-                        key=update.key,
-                        at=self.sim.now,
-                        detail=f"{self.switch.name} dropped seq {update.seq}",
-                    )
-                )
-            successor = update.next_hop_after(self.switch.name)
-            if successor is not None:
-                packet = Packet(
-                    swishmem=SwiShmemHeader(
-                        op=SwiShmemOp.CHAIN_UPDATE,
-                        register_group=update.group,
-                        dst_node=successor,
-                    ),
-                    swishmem_payload=update,
-                    trace=update.trace,
-                )
-                self.switch.forward_to_node(packet, successor)
-            elif update.chain and update.chain[-1] == self.switch.name:
-                self._emit_acks(state, update, None)
             return
         ctx = (
             self._causal.child(update.trace)
@@ -1181,7 +1147,7 @@ class SroEngine:
             )
             self.switch.forward_to_node(packet, successor)
         elif is_tail:
-            self._emit_acks(state, update, ctx)
+            self._emit_acks(update, ctx)
         if state.reorder:
             # The apply above may have filled the gap a stashed
             # successor was waiting on: purge entries made stale by the
@@ -1200,9 +1166,7 @@ class SroEngine:
                 stats.reorder_applied += 1
                 self._process_chain_update(follow)
 
-    def _emit_acks(
-        self, state: SroGroupState, update: ChainUpdate, ctx: Any = None
-    ) -> None:
+    def _emit_acks(self, update: ChainUpdate, ctx: Any = None) -> None:
         """Tail duty: acknowledge to the writer and the other members."""
         ack = WriteAck(
             group=update.group,

@@ -10,6 +10,8 @@ seeded run replays byte-identically with or without instrumentation.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.chaos import FaultInjector, InvariantSuite
@@ -265,9 +267,8 @@ class TestScrubRepair:
         dep.manager("s0").register_write(spec, "k", 5)
         dep.sim.run(until=4e-3)
         dep.start_scrubbing()
-        FaultInjector(dep, seed=3).stale_replica(
-            5e-3, "s1", spec.group_id, duration=3e-3
-        )
+        injector = FaultInjector(dep, seed=3)
+        injector.stale_replica(5e-3, "s1", spec.group_id, duration=3e-3)
         # Rewrite the same value while s1 is frozen: s1 drops seq 2 but
         # forwards it, so the write commits and every store still reads 5.
         dep.sim.schedule_at(
@@ -276,7 +277,7 @@ class TestScrubRepair:
         dep.sim.run(until=20e-3)
         state = dep.manager("s1").sro.groups[spec.group_id]
         slot = state.pending.slot_of("k")
-        assert state.chaos_frozen_drops > 0
+        assert injector.lost_applies()[("s1", spec.group_id)] > 0
         assert state.pending.applied_seq(slot) == 2  # hole healed by scrub
         # The slot is not wedged: a later write flows through s1 in
         # order, commits, and lands on every member.
@@ -291,9 +292,8 @@ class TestScrubRepair:
         dep = build(seed=11)
         spec = self._seeded_sro(dep)
         scrubber = dep.start_scrubbing()
-        FaultInjector(dep, seed=3).stale_replica(
-            6e-3, "s1", spec.group_id, duration=4e-3
-        )
+        injector = FaultInjector(dep, seed=3)
+        injector.stale_replica(6e-3, "s1", spec.group_id, duration=4e-3)
         counter = [0]
 
         def writes():
@@ -313,7 +313,7 @@ class TestScrubRepair:
         assert event.healed
         deadline = event.deadline or event.at + scrubber.heal_bound
         assert event.healed_at <= deadline
-        assert dep.manager("s1").sro.groups[spec.group_id].chaos_frozen_drops > 0
+        assert injector.lost_applies()[("s1", spec.group_id)] > 0
         stores = list(dep.sro_stores(spec))
         assert stores[0] == stores[1] == stores[2]
 
@@ -404,26 +404,195 @@ class TestScrubDeterminism:
             tuple(sorted(store.items()) for store in dep.sro_stores(sro)),
             dep.sim.events_processed,
         )
-        return report, digest, dep
+        return report, digest, dep, injector
 
     def test_chaos_with_scrubbing_ends_with_zero_divergence(self):
-        report, _digest, dep = self._chaos_run(seed=9)
+        report, _digest, dep, _ = self._chaos_run(seed=9)
         assert report.ok, report.summary()
         assert len(dep.divergence_log) >= 3
         assert all(e.detected and e.healed for e in dep.divergence_log)
         assert not any(e.violated for e in dep.divergence_log)
 
     def test_identical_seeds_identical_digests(self):
-        _r1, d1, _ = self._chaos_run(seed=14)
-        _r2, d2, _ = self._chaos_run(seed=14)
+        _r1, d1, _, _ = self._chaos_run(seed=14)
+        _r2, d2, _, _ = self._chaos_run(seed=14)
         assert d1 == d2
 
     def test_instrumentation_is_digest_neutral(self):
-        _r1, bare, _ = self._chaos_run(seed=14)
-        _r2, instrumented, _ = self._chaos_run(
+        _r1, bare, _, _ = self._chaos_run(seed=14)
+        _r2, instrumented, _, _ = self._chaos_run(
             seed=14, metrics=MetricsRegistry(), flightrec=FlightRecorder()
         )
         assert bare == instrumented
+
+
+def chaos_outcome(injector, recorder):
+    """What a silent-divergence chaos run leaves behind: the fault log,
+    the divergence log, every replica (hashed), the applies each
+    (switch, group) lost, and the flight-recorder span stream (count and
+    hash: ids, parents, Lamport stamps, names, times, attributes)."""
+    dep = injector.deployment
+    replicas = [
+        (name, group_id, sorted(engine.groups[group_id].canonical_items(), key=repr))
+        for name in dep.switch_names
+        for engine in (dep.manager(name).sro, dep.manager(name).ewo)
+        for group_id in sorted(engine.groups)
+    ]
+    spans = [
+        (s.trace_id, s.span_id, s.parent_id, s.lamport, s.name, s.node,
+         s.time.hex(), s.group, repr(s.key), repr(s.attrs))
+        for s in recorder.spans
+    ]
+    return dict(
+        log=injector.log_digest(),
+        divergence=tuple(
+            (e.kind, e.switch, e.group, repr(e.key), e.at, e.healed_at)
+            for e in dep.divergence_log
+        ),
+        stores=hashlib.sha256(repr(replicas).encode()).hexdigest(),
+        lost=injector.lost_applies(),
+        spans=(recorder.recorded, hashlib.sha256(repr(spans).encode()).hexdigest()),
+    )
+
+
+class TestPinnedChaosOutcomes:
+    """What must not move when the faults leave the protocol engines for
+    the manager's receive slot: literals captured while
+    ``drop_chain_applies`` and ``stale_replica`` still lived inside
+    ``SroEngine``, ``EwoEngine`` and ``ScrubAgent``.  Every world freezes
+    or drops on a non-head member of a register-array group, which both
+    placements treat alike."""
+
+    PINNED = {
+        ("chaos_run", 3): dict(
+            log=(
+                (0.0051398161501115015, "corrupt", "s3 group 2 key 'c' slot 2 (counter)"),
+                (0.006621059947358935, "corrupt", "s3 group 1 key 'k6' (sro store)"),
+                (0.011241719105946964, "loss-burst", "all links at 20% for 5.7 ms"),
+                (0.0169509725021122, "loss-burst-end", "6 links restored"),
+                (0.028717120323227957, "stale-replica", "s3 group 2 for 4.4 ms"),
+                (0.033087749491505454, "stale-thaw", "s3 group 2"),
+            ),
+            divergence=(
+                ("corrupt", "s3", 2, "'c'", 0.0051398161501115015, 0.006201),
+                ("corrupt", "s3", 1, "'k6'", 0.006621059947358935, 0.008201),
+                ("stale", "s3", 2, "None", 0.033087749491505454, 0.034201000000000016),
+            ),
+            stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
+            lost={("s3", 2): 36},
+            spans=(2811, "8986805db0714b79e043ca11bd1331bc118761cd3e00baa32f69b6c6278b527d"),
+        ),
+        ("chaos_run", 11): dict(
+            log=(
+                (0.005345406584193908, "corrupt", "s3 group 2 key 'c' slot 2 (counter)"),
+                (0.0080815277754102, "stale-replica", "s1 group 2 for 3.3 ms"),
+                (0.009917761132343949, "corrupt", "s3 group 2 key 'c' slot 1 (counter)"),
+                (0.011422858039087484, "stale-thaw", "s1 group 2"),
+                (0.030366109021703974, "loss-burst", "all links at 20% for 2.9 ms"),
+                (0.03323514327947843, "loss-burst-end", "6 links restored"),
+            ),
+            divergence=(
+                ("corrupt", "s3", 2, "'c'", 0.005345406584193908, 0.0066029999999999995),
+                ("corrupt", "s3", 2, "'c'", 0.009917761132343949, 0.010603),
+                ("stale", "s1", 2, "None", 0.011422858039087484, 0.012201),
+            ),
+            stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
+            lost={("s1", 2): 10},
+            spans=(2725, "3fa7176ba79b1add22dbc718cc3b06fd3cb066419975f82927844d3443d5f18c"),
+        ),
+        ("chaos_run", 23): dict(
+            log=(
+                (0.017701702302275687, "corrupt", "s1 group 2 key 'c' slot 2 (counter)"),
+                (0.02077266350244543, "loss-burst", "all links at 20% for 8.7 ms"),
+                (0.027504015154912274, "stale-replica", "s3 group 1 for 7.2 ms"),
+                (0.028721568390899625, "corrupt", "s3 group 1 key 'k3' (sro store)"),
+                (0.029427534306955563, "loss-burst-end", "6 links restored"),
+                (0.03469210975654692, "stale-thaw", "s3 group 1"),
+            ),
+            divergence=(
+                ("corrupt", "s1", 2, "'c'", 0.017701702302275687, 0.020201000000000004),
+                ("corrupt", "s3", 1, "'k3'", 0.028721568390899625, 0.03820100000000002),
+                ("stale", "s3", 1, "None", 0.03469210975654692, 0.03820100000000002),
+            ),
+            stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
+            lost={("s3", 1): 37},
+            spans=(2876, "ee2f2128aadb594e2cb2497522282c5e87d4857fcdbec45122becfb31e3042cd"),
+        ),
+        ("scrub_repair", 1): dict(
+            log=(
+                (0.008376617078819305, "corrupt", "s1 group 1 key 'k1' (sro store)"),
+                (0.009506085457148124, "loss-burst", "all links at 15% for 3.2 ms"),
+                (0.009820964468120448, "stale-replica", "s2 group 1 for 5.9 ms"),
+                (0.01, "drop-applies", "s1 group 1 x2"),
+                (0.01035784432275321, "corrupt", "s1 group 1 key 'k15' (sro store)"),
+                (0.012748575481094824, "loss-burst-end", "6 links restored"),
+                (0.014763974562893663, "corrupt", "s1 group 1 key 'k12' (sro store)"),
+                (0.01572789657754251, "stale-thaw", "s2 group 1"),
+            ),
+            divergence=(
+                ("corrupt", "s1", 1, "'k1'", 0.008376617078819305, 0.014603),
+                ("apply-drop", "s1", 1, "'k7'", 0.010225004719999998, 0.014603),
+                ("corrupt", "s1", 1, "'k15'", 0.01035784432275321, 0.014603),
+                ("apply-drop", "s1", 1, "'k8'", 0.010625004719999998, 0.012603),
+                ("corrupt", "s1", 1, "'k12'", 0.014763974562893663, 0.020201000000000004),
+                ("stale", "s2", 1, "None", 0.01572789657754251, 0.020201000000000004),
+            ),
+            stores="d0ae83ee3361fde76b628dff329356cfd4141a1d1f34668e26f138be0c851c9a",
+            lost={("s1", 1): 2, ("s2", 1): 23},
+            spans=(2359, "4de1fe2870342f158acd8b331994484291f61d48bf3ec2cacd87ad7deb474e50"),
+        ),
+        ("scrub_repair", 2): dict(
+            log=(
+                (0.008224338998476403, "corrupt", "s3 group 2 key 'c' slot 2 (counter)"),
+                (0.01, "drop-applies", "s1 group 1 x2"),
+                (0.01207463780200655, "corrupt", "s2 group 2 key 'c' slot 1 (counter)"),
+                (0.01227248653695031, "stale-replica", "s1 group 1 for 5.2 ms"),
+                (0.013849111813868366, "loss-burst", "all links at 15% for 2.7 ms"),
+                (0.01598743422378978, "corrupt", "s3 group 1 key 'k14' (sro store)"),
+                (0.01654945530261829, "loss-burst-end", "6 links restored"),
+                (0.01746999285147831, "stale-thaw", "s1 group 1"),
+            ),
+            divergence=(
+                ("corrupt", "s3", 2, "'c'", 0.008224338998476403, 0.010201),
+                ("apply-drop", "s1", 1, "'k7'", 0.010225004719999998, 0.020603000000000003),
+                ("apply-drop", "s1", 1, "'k8'", 0.010625004719999998, 0.020603000000000003),
+                ("corrupt", "s2", 2, "'c'", 0.01207463780200655, 0.014201),
+                ("corrupt", "s3", 1, "'k14'", 0.01598743422378978, 0.020603000000000003),
+                ("stale", "s1", 1, "None", 0.01746999285147831, 0.022201000000000005),
+            ),
+            stores="d0ae83ee3361fde76b628dff329356cfd4141a1d1f34668e26f138be0c851c9a",
+            lost={("s1", 1): 26},
+            spans=(2327, "0bc025b1c845c57ec75239ddf2799b2b05b1fa5a94e53e977b3443f5455d2d16"),
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", [3, 11, 23])
+    def test_scrub_chaos_run_matches_captured_literals(self, seed):
+        recorder = FlightRecorder()
+        _report, _digest, _dep, injector = TestScrubDeterminism()._chaos_run(
+            seed, flightrec=recorder
+        )
+        assert chaos_outcome(injector, recorder) == self.PINNED[("chaos_run", seed)]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scrub_repair_bench_matches_captured_literals(self, seed, monkeypatch):
+        """F5's world (``bench_scrub_repair.run_scrub_repair``) at 60 ms:
+        a scripted two-apply drop on top of the seeded corruptions and
+        freeze."""
+        from benchmarks import bench_scrub_repair
+
+        injectors = []
+
+        class Kept(FaultInjector):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                injectors.append(self)
+
+        monkeypatch.setattr(bench_scrub_repair, "FaultInjector", Kept)
+        recorder = FlightRecorder()
+        bench_scrub_repair.run_scrub_repair(seed, duration=0.06, flightrec=recorder)
+        (injector,) = injectors
+        assert chaos_outcome(injector, recorder) == self.PINNED[("scrub_repair", seed)]
 
 
 class TestRetryBackoffJitter:

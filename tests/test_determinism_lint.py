@@ -347,6 +347,65 @@ class TestViolationsCaught:
         assert self._lint_source(tmp_path, source) == []
         assert self._lint_packaged_source(tmp_path, "obs", source) == []
 
+    #: The fault preamble ``SroEngine._process_chain_update`` carried
+    #: before faults moved behind ``SwiShmemManager.interpose``, cut down.
+    OLD_SRO_PREAMBLE = (
+        "def _process_chain_update(self, update):\n"
+        "    state = self.groups.get(update.group)\n"
+        "    frozen = state.chaos_frozen_until > self.sim.now\n"
+        "    if state.chaos_drop_applies > 0 or frozen:\n"
+        "        if frozen:\n"
+        "            state.chaos_frozen_drops += 1\n"
+        "        else:\n"
+        "            from repro.protocols.antientropy import DivergenceEvent\n"
+        "            state.chaos_drop_applies -= 1\n"
+    )
+
+    @pytest.mark.parametrize("package", ["core", "protocols", "net", "switch", "nf"])
+    def test_fault_state_in_an_engine_flagged(self, tmp_path, package):
+        violations = self._lint_packaged_source(tmp_path, package, self.OLD_SRO_PREAMBLE)
+        assert [line for _, line, _ in violations] == [3, 4, 6, 9]
+        assert all("faults act from outside" in message for _, _, message in violations)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "chaos_hook = None\n",
+            "def f(state):\n    return state.chaos_frozen_until\n",
+            "import repro.chaos\n",
+            "import repro.chaos.faults as faults\n",
+            "from repro.chaos import FaultInjector\n",
+            "from repro.chaos.faults import SwitchFaults\n",
+            "from repro import chaos\n",
+            "def late():\n    from repro.chaos import Nemesis\n",
+        ],
+    )
+    def test_chaos_name_or_import_in_an_engine_flagged(self, tmp_path, source):
+        violations = self._lint_packaged_source(tmp_path, "protocols", source)
+        assert len(violations) == 1
+        assert "faults act from outside" in violations[0][2]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # annotations only
+            "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+            "    from repro.chaos.faults import SwitchFaults\n",
+            # the one slot, and words that merely contain "chaos"
+            "def f(manager):\n    manager.interpose = None\n",
+            "nf_mix_chaos = 1\nx = obj.chaos\n",
+        ],
+    )
+    def test_slot_and_annotation_imports_allowed(self, tmp_path, source):
+        assert self._lint_packaged_source(tmp_path, "core", source) == []
+
+    def test_fault_code_outside_the_engines_not_flagged(self, tmp_path):
+        """Scoped: repro.chaos itself, analysis, tests and tools."""
+        source = "from repro.chaos import FaultInjector\nstate.chaos_frozen_until = 0\n"
+        assert self._lint_source(tmp_path, source) == []
+        for package in ("chaos", "obs", "analysis", "testing"):
+            assert self._lint_packaged_source(tmp_path, package, source) == []
+
     @pytest.mark.parametrize(
         "source",
         [

@@ -427,12 +427,13 @@ class TestOneMirrorPerPass:
     def test_a_frozen_replica_drops_only_its_own_section(self, make_deployment):
         world = PassWorld(make_deployment, [counter_spec("a"), counter_spec("b")], self.b_a_b)
         a, b = (world.dep.spec_by_name(name) for name in ("a", "b"))
-        FaultInjector(world.dep).stale_replica(0.0, "s1", a.group_id, duration=1.0)
+        injector = FaultInjector(world.dep)
+        injector.stale_replica(0.0, "s1", a.group_id, duration=1.0)
         world.send_packet(until=1e-3)
         s1 = world.dep.manager("s1").ewo
         assert world.updates("s1") == [[("b", ["k1", "k3"]), ("a", ["k2"])]]
         assert s1.local_state(a.group_id) == {}
-        assert s1.groups[a.group_id].chaos_frozen_drops == 1
+        assert injector.lost_applies() == {("s1", a.group_id): 1}
         assert s1.local_state(b.group_id) == {"k1": 1, "k3": 1}
         assert s1.stats_for(b.group_id).merges_applied == 2
         assert world.dep.manager("s2").ewo.local_state(a.group_id) == {"k2": 1}

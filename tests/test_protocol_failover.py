@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import FaultInjector
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 
 
@@ -188,7 +189,7 @@ class TestSroRecovery:
         dep.sim.run(until=0.01)
         # Open a gap: s1 loses one apply, so the next update to the
         # slot arrives ahead of its predecessor and is stashed.
-        state.chaos_drop_applies = 1
+        FaultInjector(dep).drop_chain_applies(dep.sim.now, "s1", spec.group_id)
         dep.manager("s0").register_write(spec, "k", 2)
         dep.manager("s0").register_write(spec, "k", 3)
         dep.sim.run(until=0.0101)

@@ -76,6 +76,14 @@ This lint walks the AST of every Python file and flags:
   ``SroGroupState.wipe()``) so its layout can change in one place.
   ``self._x = ...`` and ``a._x = ...`` are not flagged.
 
+* inside ``src/repro/{core,protocols,net,switch,nf}`` only: any name or
+  attribute starting ``chaos_``, and any import of ``repro.chaos``
+  outside an ``if TYPE_CHECKING:`` block.  Faults act from outside:
+  link faults through a channel's ``nemesis`` wrapper, crashes through
+  ``PisaSwitch.on_crash``, lost applies through the one receive slot
+  ``SwiShmemManager.interpose``.  A fault branch inside an engine is a
+  second path a schedule explorer cannot see and a healthy run pays for.
+
 * inside ``src/repro`` only: a module-level ``itertools.count(...)``
   (under any import alias, or ``from itertools import count``).  A
   counter the module owns is shared by every world the process builds,
@@ -181,6 +189,16 @@ PRIVATE_POKE_MESSAGE = (
     "in one place"
 )
 
+#: Fault-injection code is forbidden under these path fragments: the
+#: engines and the dataplane, which faults reach only from outside.
+CHAOS_FREE_SCOPES = _package_scopes("core", "protocols", "net", "switch", "nf")
+
+CHAOS_MESSAGE = (
+    "{what} in an engine or dataplane package; faults act from outside "
+    "(SwiShmemManager.interpose, a channel's nemesis, "
+    "PisaSwitch.on_crash), so keep fault state in repro.chaos"
+)
+
 #: Module-level ``itertools.count`` is forbidden under this path
 #: fragment: the library package.
 GLOBAL_COUNTER_SCOPE = os.sep + "repro" + os.sep
@@ -242,8 +260,10 @@ class _RandomUseVisitor(ast.NodeVisitor):
         check_sinks: bool = False,
         histogram_ok: bool = False,
         check_private_pokes: bool = False,
+        check_chaos: bool = False,
     ) -> None:
         self.path = path
+        self.check_chaos = check_chaos
         # One flag gates both obs-scope checks: wall-clock reads and
         # float sums over unordered dict iteration.
         self.check_wallclock = check_wallclock
@@ -308,8 +328,28 @@ class _RandomUseVisitor(ast.NodeVisitor):
         if self.check_sinks and not self.type_checking:
             self.violations.append((self.path, node.lineno, SINK_MESSAGE))
 
+    def _chaos_name(self, node: ast.AST, name: str) -> None:
+        if self.check_chaos and name.startswith("chaos_"):
+            self.violations.append(
+                (self.path, node.lineno, CHAOS_MESSAGE.format(what=f"'{name}'"))
+            )
+
+    def _chaos_import(self, node: ast.AST, module: str) -> None:
+        if (
+            self.check_chaos
+            and not self.type_checking
+            and (module == "repro.chaos" or module.startswith("repro.chaos."))
+        ):
+            self.violations.append(
+                (self.path, node.lineno, CHAOS_MESSAGE.format(what=f"import of {module}"))
+            )
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._chaos_name(node, node.id)
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
+            self._chaos_import(node, alias.name)
             if alias.name in SINK_MODULES:
                 self._sink_import(node)
             if alias.name == "random":
@@ -437,6 +477,11 @@ class _RandomUseVisitor(ast.NodeVisitor):
             and [alias.name for alias in node.names] == ["Histogram"]
         ):
             self._sink_import(node)
+        if node.level == 0 and node.module:
+            self._chaos_import(node, node.module)
+            if node.module == "repro":
+                for alias in node.names:
+                    self._chaos_import(node, f"repro.{alias.name}")
         if node.module == "random" and node.level == 0:
             for alias in node.names:
                 if alias.name == ALLOWED_ATTR:
@@ -480,6 +525,7 @@ class _RandomUseVisitor(ast.NodeVisitor):
         )
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._chaos_name(node, node.attr)
         if (
             isinstance(node.value, ast.Name)
             and node.value.id in self.aliases
@@ -541,6 +587,7 @@ def lint_file(path: str) -> List[Violation]:
         check_sinks=any(scope in normalized for scope in SINK_SCOPES),
         histogram_ok=any(scope in normalized for scope in VALUE_TYPE_SCOPES),
         check_private_pokes=any(scope in normalized for scope in PRIVATE_POKE_SCOPES),
+        check_chaos=any(scope in normalized for scope in CHAOS_FREE_SCOPES),
     )
     visitor.visit(tree)
     if GLOBAL_COUNTER_SCOPE in normalized:
