@@ -50,9 +50,12 @@ relevel:
 
 # The sidecar gate: regenerate all ten gated sidecars (S1 P5 P6 C2 F3 F4
 # F5 T2 T3 T4) into a scratch directory and diff them against the
-# committed baselines in bench_results/.  A refactor that claims
-# "nothing moves" proves it with this one command; CI's bench-json job
-# runs exactly this target.
+# committed baselines in bench_results/, then the count gate: calls/op
+# and events/op of the six perf/ workloads against
+# bench_results/PERF_COUNTS.json (tools/check_counts.py; skipped on
+# another interpreter version).  A refactor that claims "nothing moves"
+# proves it with this one command; CI's bench-json job runs exactly this
+# target.
 SWISHMEM_BENCH_DIR ?= fresh_bench
 gate: export SWISHMEM_BENCH_DIR := $(SWISHMEM_BENCH_DIR)
 gate: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -70,6 +73,7 @@ gate:
 	$(PYTHON) benchmarks/bench_critpath_tails.py
 	$(PYTHON) benchmarks/bench_releveling.py
 	$(PYTHON) tools/check_bench.py --fresh $(SWISHMEM_BENCH_DIR)
+	$(PYTHON) tools/check_counts.py
 
 # The frozen two-clock benchmark (perf/README.md): all six workloads,
 # host throughput + sim-time latencies; compare two runs with

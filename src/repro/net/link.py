@@ -27,6 +27,7 @@ from repro.sim.random import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
+    from repro.net.topology import Topology
 
 __all__ = ["Node", "Channel", "Link", "LinkStats"]
 
@@ -140,11 +141,6 @@ class Channel:
         self.up = True
         self.stats = LinkStats()
         self._loss_stream = rng.stream(f"loss:{src.name}->{dst.name}")
-        # Hot-path precomputation: transmit() runs once per packet per
-        # hop, so the event labels are resolved here instead of
-        # rebuilding f-strings every call.
-        self._deliver_label = f"link:{src.name}->{dst.name}"
-        self._dup_label = f"nemesis-dup:{src.name}->{dst.name}"
         #: Time the transmitter is busy until (FIFO serialization).
         self._busy_until = 0.0
         #: Optional adversarial wrapper (``repro.chaos.nemesis``): consulted
@@ -157,7 +153,8 @@ class Channel:
         Serialization delay is ``wire_size * 8 / bandwidth`` and packets
         share the transmitter FIFO; propagation adds ``latency``.  Loss is
         decided at transmit time (the packet occupies the wire either way,
-        as a corrupted frame would).
+        as a corrupted frame would).  The delivery is posted
+        (``Simulator.post``): nothing cancels a packet in flight.
         """
         stats = self.stats
         # wire_size is a computed property walking the header stack;
@@ -182,14 +179,9 @@ class Channel:
         if self.nemesis is not None:
             extra, duplicate_offsets = self.nemesis.plan(packet, self)
             for offset in duplicate_offsets:
-                sim.schedule(
-                    arrival + offset - now,
-                    self._deliver,
-                    packet.clone(),
-                    label=self._dup_label,
-                )
+                sim.post(arrival + offset - now, self._deliver, packet.clone())
             arrival += extra
-        sim.schedule(arrival - now, self._deliver, packet, label=self._deliver_label)
+        sim.post(arrival - now, self._deliver, packet)
 
     def _deliver(self, packet: "Packet") -> None:
         if not self.up:
@@ -211,10 +203,14 @@ class Link:
         bandwidth_bps: float = 100e9,
         loss_rate: float = 0.0,
         rng: Optional[SeededRng] = None,
+        topology: Optional["Topology"] = None,
     ) -> None:
         rng = rng if rng is not None else SeededRng(0)
         self.a = a
         self.b = b
+        #: The topology whose ``link_version`` :meth:`set_up` bumps
+        #: (None for a link built outside one).
+        self.topology = topology
         self.ab = Channel(sim, a, b, latency, bandwidth_bps, loss_rate, rng)
         self.ba = Channel(sim, b, a, latency, bandwidth_bps, loss_rate, rng)
         a.attach_link(self, b.name)
@@ -225,9 +221,15 @@ class Link:
         return self.ab.up and self.ba.up
 
     def set_up(self, up: bool) -> None:
-        """Administratively raise/lower both directions (fault injection)."""
+        """Administratively raise/lower both directions (fault injection).
+
+        The one way a link's state changes: it bumps its topology's
+        ``link_version``, which is how the controller knows whether a
+        rescan of the links can find anything new."""
         self.ab.up = up
         self.ba.up = up
+        if self.topology is not None:
+            self.topology.link_version += 1
 
     def transmit(self, packet: "Packet", from_node: str) -> None:
         if from_node == self.a.name:

@@ -38,6 +38,9 @@ class Topology:
         self.rng = rng if rng is not None else SeededRng(0)
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
+        #: Bumped by every :meth:`Link.set_up` on a link of this topology:
+        #: while it stands still, no link has gone up or down.
+        self.link_version = 0
 
     def add_node(self, node: Node) -> Node:
         if node.name in self.nodes:
@@ -62,6 +65,7 @@ class Topology:
             bandwidth_bps=bandwidth_bps,
             loss_rate=loss_rate,
             rng=self.rng,
+            topology=self,
         )
         self.links.append(link)
         return link

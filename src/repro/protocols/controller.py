@@ -190,6 +190,9 @@ class CentralController:
         self.host: str = names[replica_id % len(names)]
         self._known_failed: Set[str] = set()
         self._known_down_links: Set[frozenset] = set()
+        #: ``topo.link_version`` at this replica's last link scan (None
+        #: until its first).
+        self._links_scanned: Optional[int] = None
         self.link_events = 0
         self.failures: List[FailureEvent] = []
         self.recoveries: List[RecoveryEvent] = []
@@ -630,10 +633,18 @@ class CentralController:
     def _poll_links(self) -> None:
         """Link failures only require re-routing (paper 6.3: 'links …
         may fail'; the replication protocols themselves retry/resync
-        over whatever paths remain)."""
+        over whatever paths remain).
+
+        A link changes state only through ``Link.set_up``, which bumps
+        ``topo.link_version``; while that stands where this replica last
+        scanned, the down set is the one it already knows."""
+        topo = self.deployment.topo
+        if topo.link_version == self._links_scanned:
+            return
+        self._links_scanned = topo.link_version
         down_now = {
             frozenset((link.a.name, link.b.name))
-            for link in self.deployment.topo.links
+            for link in topo.links
             if not link.up
         }
         if down_now != self._known_down_links:

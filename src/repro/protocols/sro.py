@@ -706,7 +706,7 @@ class SroEngine:
         head = state.chain.head
         self._stamp_send(request, head, dataplane=True)
         if head == self.switch.name:
-            self.sim.call_soon(self._receive_write_request, request, label="sro-dp-self-head")
+            self.sim.post(0.0, self._receive_write_request, request)
             return
         packet = Packet(
             swishmem=SwiShmemHeader(
@@ -816,7 +816,7 @@ class SroEngine:
         )
         if head == self.switch.name:
             # We are the head: hand the request to our own data plane.
-            self.sim.call_soon(self._receive_write_request, request, label="sro-self-head")
+            self.sim.post(0.0, self._receive_write_request, request)
         else:
             self.switch.inject_from_cpu(packet, head)
         timeout = min(

@@ -20,9 +20,19 @@ Two properties matter for faithfulness to the paper:
   begins — but switch code additionally asserts that it never yields
   mid-packet (see ``repro.switch.pisa``).
 
-The queue itself is allocation-lean: heap entries are plain
-``(time, seq, event)`` tuples (no per-entry wrapper object), and
-cancelled events are removed *lazily*.  :meth:`Event.cancel` only flags
+The queue itself is allocation-lean: heap entries are plain tuples (no
+per-entry wrapper object) of one of two shapes, and only this module
+builds or reads them:
+
+* ``(time, seq, event)`` — an :class:`Event` from :meth:`Simulator.schedule`
+  or :meth:`Simulator.schedule_at`, which its caller may cancel;
+* ``(time, seq, None, callback, arg)`` — a bare entry from
+  :meth:`Simulator.post`, ``callback(arg)`` fired and forgotten: nothing
+  holds it, so nothing can cancel it.  A packet hop is one of these.
+
+Both draw ``seq`` from the same counter, so ``(time, seq)`` is one total
+order over both and the shapes never compare beyond it.  Cancelled
+events are removed *lazily*.  :meth:`Event.cancel` only flags
 the event and tells its simulator; the entry stays in the heap until it
 reaches the top or until cancelled entries exceed roughly half the
 queue, at which point the heap is compacted in place.  This keeps the
@@ -61,6 +71,10 @@ class Event:
 
     Returned by :meth:`Simulator.schedule` so callers can cancel a pending
     event (e.g. a retransmission timer that is no longer needed).
+    :meth:`Simulator.post` builds none; a profiler still gets one per
+    posted callback, made when it fires: same time, callback and
+    one-element ``args``, no label, already out of the heap (cancelling
+    it does nothing).
     """
 
     __slots__ = ("time", "callback", "args", "cancelled", "label", "_sim")
@@ -101,10 +115,11 @@ class Event:
         return f"<Event t={self.time:.9f} {self.label or self.callback!r} {state}>"
 
 
-#: A heap entry: (time, seq, event).  Plain tuples compare element-wise,
-#: which reproduces exactly the (time, seq) ordering of the old
-#: dataclass entries, at a fraction of the allocation and comparison cost.
-_QueueTuple = Tuple[float, int, "Event"]
+#: A heap entry: ``(time, seq, event)``, or ``(time, seq, None, callback,
+#: arg)`` for a posted callback.  Plain tuples compare element-wise, and
+#: ``seq`` is unique, so the order is exactly ``(time, seq)`` at a
+#: fraction of the allocation and comparison cost of an entry object.
+_QueueTuple = Tuple[Any, ...]
 
 #: Don't bother compacting tiny heaps — the rebuild costs more than the
 #: stale entries ever will.
@@ -117,8 +132,13 @@ class Simulator:
     Usage::
 
         sim = Simulator()
-        sim.schedule(1.0, lambda: print("one second in"))
+        timer = sim.schedule(1.0, lambda: print("one second in"))
+        sim.post(2.0, print, "two seconds in")
         sim.run(until=10.0)
+
+    ``schedule`` / ``schedule_at`` return the :class:`Event`, which the
+    caller may cancel; ``post`` returns nothing and its callback always
+    fires (see docs/KERNEL.md, "Events nobody cancels").
 
     The clock unit is seconds.  All component delays in the reproduction
     (link latency, pipeline service time, control-plane processing) are
@@ -141,9 +161,10 @@ class Simulator:
         self.peak_queue_len = 0
         #: Optional dispatch interceptor (``perf/trace.py`` installs one).
         #: When set, events run through ``profiler.dispatch(event)`` so
-        #: wall-clock cost can be attributed per handler label.  The hook
-        #: is sampled when ``run()`` starts; install/uninstall between
-        #: runs, not from inside an event.
+        #: wall-clock cost can be attributed per handler label; a posted
+        #: entry reaches it as an unlabelled ``Event`` built at dispatch.
+        #: The hook is sampled when ``run()`` starts; install/uninstall
+        #: between runs, not from inside an event.
         self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -213,9 +234,25 @@ class Simulator:
             self.peak_queue_len = len(queue)
         return event
 
-    def call_soon(self, callback: Callable[..., None], *args: Any, label: str = "") -> Event:
-        """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule(0.0, callback, *args, label=label)
+    def post(self, delay: float, callback: Callable[[Any], None], arg: Any) -> None:
+        """Fire ``callback(arg)`` ``delay`` seconds from now; fire and forget.
+
+        The same time (``now + delay``), checks and ``seq`` as
+        :meth:`schedule`, so an event posted here runs exactly when and
+        in the order the scheduled one would — but no :class:`Event` is
+        built and none is returned, so it cannot be cancelled.  For the
+        per-packet events nobody keeps (a link delivery, a flow's next
+        packet); anything a caller may cancel, or whose ``Event`` it
+        keeps, goes through :meth:`schedule`.
+        """
+        if not 0.0 <= delay < math.inf:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            raise SimulationError(f"delay must be finite, got {delay}")
+        queue = self._queue
+        heapq.heappush(queue, (self._now + delay, next(self._seq), None, callback, arg))
+        if len(queue) > self.peak_queue_len:
+            self.peak_queue_len = len(queue)
 
     # ------------------------------------------------------------------
     # Lazy deletion
@@ -237,7 +274,7 @@ class Simulator:
         — and therefore any replay digest — is unaffected.
         """
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
+        queue[:] = [entry for entry in queue if entry[2] is None or not entry[2].cancelled]
         heapq.heapify(queue)
         self._cancelled = 0
         self.compactions += 1
@@ -258,13 +295,22 @@ class Simulator:
         deliberately **left at the time of the last processed event**:
         a stopped simulation is frozen mid-history (e.g. for inspection
         or early exit on an invariant violation), and jumping the clock
-        forward would misdate everything scheduled afterwards.
+        forward would misdate everything scheduled afterwards.  The same
+        holds when the run ends on ``max_events`` with an entry still due
+        inside the window.
+
+        ``max_events`` bounds the events dispatched by this call: ``0``
+        dispatches none, and a negative budget is a
+        :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be non-negative, got {max_events}")
         self._running = True
         self._stopped = False
         processed = 0
+        spent = False
         # Hot-loop locals: the queue list identity is stable (compaction
         # mutates it in place) and the profiler hook is sampled once.
         queue = self._queue
@@ -279,24 +325,33 @@ class Simulator:
                 entry = queue[0]
                 if entry[0] > limit:
                     break
+                if processed >= budget:
+                    spent = True
+                    break
                 heappop(queue)
                 event = entry[2]
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                event._sim = None
-                self._now = entry[0]
-                if profiler is None:
-                    event.callback(*event.args)
+                if event is None:
+                    # A posted entry: (time, seq, None, callback, arg).
+                    self._now = entry[0]
+                    if profiler is None:
+                        entry[3](entry[4])
+                    else:
+                        profiler.dispatch(Event(entry[0], entry[3], (entry[4],)))
                 else:
-                    profiler.dispatch(event)
+                    if event.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    event._sim = None
+                    self._now = entry[0]
+                    if profiler is None:
+                        event.callback(*event.args)
+                    else:
+                        profiler.dispatch(event)
                 processed += 1
-                if processed >= budget:
-                    break
         finally:
             self._running = False
             self.events_processed += processed
-        if until is not None and not self._stopped and self._now < until:
+        if until is not None and not self._stopped and not spent and self._now < until:
             self._now = until
         return self._now
 
@@ -314,7 +369,10 @@ class Simulator:
         while queue:
             entry = heapq.heappop(queue)
             event = entry[2]
-            if event.cancelled:
+            if event is None:
+                # a posted entry, run as the Event a profiler is handed
+                event = Event(entry[0], entry[3], (entry[4],))
+            elif event.cancelled:
                 self._cancelled -= 1
                 continue
             event._sim = None
@@ -352,7 +410,8 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            if queue[0][2].cancelled:
+            event = queue[0][2]
+            if event is not None and event.cancelled:
                 heapq.heappop(queue)
                 self._cancelled -= 1
                 continue

@@ -56,10 +56,11 @@ class FlowSpec:
 
 
 def inject_flow(sim: Simulator, flow: FlowSpec, on_done: Callable[[FlowSpec], None] = None) -> None:
-    """Schedule every packet of one flow onto its client host."""
+    """Schedule every packet of one flow onto its client host; each next
+    packet is posted by the one before (``Simulator.post``)."""
+    total = flow.total_packets
 
     def send(index: int) -> None:
-        total = flow.total_packets
         if index == 0:
             flags = _SYN_FLAGS
             size = 0
@@ -81,7 +82,7 @@ def inject_flow(sim: Simulator, flow: FlowSpec, on_done: Callable[[FlowSpec], No
         packet.payload_digest = flow.payload_digest
         flow.client.inject(packet)
         if index + 1 < total:
-            sim.schedule(flow.inter_packet_gap, send, index + 1, label="flow-pkt")
+            sim.post(flow.inter_packet_gap, send, index + 1)
         elif on_done is not None:
             on_done(flow)
 

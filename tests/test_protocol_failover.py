@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import FaultInjector
+from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
+from repro.net.topology import Topology, build_full_mesh
+from repro.protocols.controller import CentralController
+from repro.sim.engine import Simulator
+from repro.sim.random import SeededRng
+from repro.switch.pisa import PisaSwitch
 
 
 def fail_and_note(deployment, name):
@@ -282,3 +288,98 @@ class TestRoutingRepair:
         # full mesh: s0 still reaches s2 directly; routing table reflects it
         assert dep.routing.hops_for("s0", "s2") == ["s2"]
         assert dep.routing.hops_for("s0", "s1") == []
+
+
+class _ScanEveryTick(CentralController):
+    """The link poll as it was: every liveness tick reads every link."""
+
+    def _poll_links(self):
+        down_now = {
+            frozenset((link.a.name, link.b.name))
+            for link in self.deployment.topo.links
+            if not link.up
+        }
+        if down_now != self._known_down_links:
+            self._known_down_links = down_now
+            self.link_events += 1
+            self.deployment.routing.recompute()
+
+
+class TestLinkPoll:
+    """The controller rescans links only when ``Link.set_up`` moved
+    ``topo.link_version``; ``recompute()`` and ``link_events`` land on
+    the ticks a scan on every tick gives."""
+
+    @staticmethod
+    def _run(scan_every_tick, replicas=1):
+        sim = Simulator()
+        topo = Topology(sim, SeededRng(5))
+        switches = build_full_mesh(topo, lambda name: PisaSwitch(name, sim), 4)
+        dep = SwiShmemDeployment(sim, topo, switches, controller_replicas=replicas,
+                                 lease_duration=1e-3)
+        if scan_every_tick:
+            for replica in dep.controller.replicas:
+                replica.__class__ = _ScanEveryTick
+        period = dep.controller.replicas[0].heartbeat_period / 4
+        recomputes = []
+        recompute = dep.routing.recompute
+
+        def logged():
+            recomputes.append(sim.now)
+            recompute()
+
+        dep.routing.recompute = logged
+        link = topo.link_between("s0", "s1")
+        other = topo.link_between("s2", "s3")
+        # down and back up between two ticks: no scan may see it
+        sim.schedule_at(10.25 * period, link.set_up, False)
+        sim.schedule_at(10.75 * period, link.set_up, True)
+        # down across ticks, then up; a no-op set_up in between
+        sim.schedule_at(20.5 * period, link.set_up, False)
+        sim.schedule_at(24.5 * period, other.set_up, True)
+        sim.schedule_at(30.5 * period, link.set_up, True)
+        # two links down at once, one back up before the next tick
+        sim.schedule_at(40.1 * period, link.set_up, False)
+        sim.schedule_at(40.2 * period, other.set_up, False)
+        sim.schedule_at(40.3 * period, link.set_up, True)
+        sim.schedule_at(50.5 * period, other.set_up, True)
+        # down across ticks again, with the other link flapping meanwhile
+        sim.schedule_at(100.5 * period, link.set_up, False)
+        sim.schedule_at(110.25 * period, other.set_up, False)
+        sim.schedule_at(110.75 * period, other.set_up, True)
+        sim.schedule_at(120.5 * period, link.set_up, True)
+        if replicas > 1:
+            # the leader dies before the second flap; its successor
+            # has never scanned when it first polls
+            sim.schedule_at(15.5 * period, dep.controller.crash_replica, 0)
+        sim.run(until=160 * period)
+        events = [replica.link_events for replica in dep.controller.replicas]
+        return recomputes, events, topo.link_version
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_same_ticks_as_a_scan_on_every_tick(self, replicas):
+        versioned = self._run(scan_every_tick=False, replicas=replicas)
+        assert versioned == self._run(scan_every_tick=True, replicas=replicas)
+        assert versioned[2] == 13  # one per set_up
+
+    def test_a_flap_between_two_ticks_is_not_an_event(self):
+        recomputes, events, _ = self._run(scan_every_tick=False)
+        # down, a no-op, up; two down; one back up; down and up again
+        assert events == [6]
+        assert len(recomputes) == 6
+
+    def test_a_scan_reads_no_link_while_nothing_changed(self, monkeypatch):
+        scans = []
+        poll = CentralController._poll_links
+
+        def counted(replica):
+            before = replica._links_scanned
+            poll(replica)
+            if replica._links_scanned != before:
+                scans.append(replica.sim.now)
+
+        monkeypatch.setattr(CentralController, "_poll_links", counted)
+        self._run(scan_every_tick=False)
+        # the first tick, then the first tick after each of the nine
+        # tick intervals in which set_up ran — of 160 ticks
+        assert len(scans) == 10

@@ -91,10 +91,10 @@ class TestScheduling:
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.schedule_at(1.0, lambda: None).time == 1.0
 
-    def test_call_soon_runs_at_current_time(self):
+    def test_zero_delay_post_runs_at_current_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(1.0, lambda: sim.call_soon(lambda: seen.append(sim.now)))
+        sim.schedule(1.0, lambda: sim.post(0.0, lambda _: seen.append(sim.now), None))
         sim.run()
         assert seen == [1.0]
 
@@ -139,6 +139,101 @@ class TestCancellation:
         sim.schedule(2.0, lambda: None)
         first.cancel()
         assert sim.peek_time() == 2.0
+
+
+class _Recording:
+    """A ``Simulator.profiler`` stub: logs what it is handed, runs it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def dispatch(self, event):
+        self.seen.append((event.time, event.callback, event.args, event.label))
+        event.callback(*event.args)
+
+
+class TestPost:
+    """``post``: a bare heap entry that always fires."""
+
+    def test_post_fires_callback_with_its_arg_and_returns_nothing(self):
+        sim = Simulator()
+        seen = []
+        assert sim.post(1.5, seen.append, "x") is None
+        sim.run()
+        assert seen == ["x"] and sim.now == 1.5 and sim.events_processed == 1
+
+    def test_time_is_now_plus_delay_as_schedule_computes_it(self):
+        # 0.1 + 0.2 is not 0.3: post must land on the same rounded float
+        # schedule does, not on an instant computed some other way.
+        sim = Simulator()
+        sim.run(until=0.1)
+        seen = []
+        event = sim.schedule(0.2, lambda: seen.append(("schedule", sim.now)))
+        sim.post(0.2, lambda tag: seen.append((tag, sim.now)), "post")
+        sim.run()
+        assert event.time == 0.1 + 0.2 != 0.3
+        assert seen == [("schedule", 0.1 + 0.2), ("post", 0.1 + 0.2)]
+
+    def test_ties_with_scheduled_events_keep_insertion_order(self):
+        sim = Simulator()
+        order = []
+        for i in range(6):
+            if i % 2:
+                sim.post(1.0, order.append, i)
+            else:
+                sim.schedule(1.0, order.append, i)
+        sim.schedule(0.0, order.append, "now")
+        sim.post(0.0, order.append, "posted-now")
+        sim.run()
+        assert order == ["now", "posted-now", 0, 1, 2, 3, 4, 5]
+
+    def test_bad_delays_rejected_like_schedule(self):
+        sim = Simulator()
+        for delay in (-1e-9, float("inf"), float("nan")):
+            with pytest.raises(SimulationError):
+                sim.post(delay, print, None)
+        assert sim.queue_len() == 0
+
+    def test_posted_entries_are_pending_and_peeked(self):
+        sim = Simulator()
+        early = sim.schedule(1.0, lambda: None)
+        sim.post(2.0, print, None)
+        assert sim.pending() == 2 and sim.peek_time() == 1.0
+        early.cancel()
+        assert sim.pending() == 1 and sim.peek_time() == 2.0
+
+    def test_compaction_keeps_posted_entries_in_order(self):
+        sim = Simulator()
+        order = []
+        timers = [sim.schedule(1.0, order.append, -1) for _ in range(60)]
+        for i in range(10):
+            sim.post(float(i % 3), order.append, i)
+        for timer in timers:
+            timer.cancel()
+        assert sim.compactions == 1 and sim.pending() == 10
+        sim.run()
+        assert order == sorted(range(10), key=lambda i: (i % 3, i))
+
+    def test_step_fires_a_posted_entry(self):
+        sim = Simulator()
+        seen = []
+        sim.post(3.0, seen.append, "x")
+        assert sim.step() is True
+        assert seen == ["x"] and sim.now == 3.0 and sim.events_processed == 1
+        assert sim.step() is False
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_profiler_sees_a_posted_entry_as_an_event(self, stepped):
+        sim = Simulator()
+        profiler = sim.profiler = _Recording()
+        seen = []
+        sim.post(2.0, seen.append, "x")
+        if stepped:
+            sim.step()
+        else:
+            sim.run()
+        assert seen == ["x"]
+        assert profiler.seen == [(2.0, seen.append, ("x",), "")]
 
 
 class TestLazyDeletion:
@@ -289,6 +384,40 @@ class TestStopAndStep:
             sim.schedule(float(i + 1), fired.append, i)
         sim.run(max_events=4)
         assert fired == [0, 1, 2, 3]
+
+    def test_zero_budget_runs_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(1.0, fired.append, 2)
+        assert sim.run(max_events=0) == 0.0
+        assert fired == [] and sim.events_processed == 0 and sim.pending() == 2
+
+    def test_negative_budget_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=-1)
+        assert fired == [] and sim.events_processed == 0
+        sim.run()  # the rejected call left the simulator usable
+        assert fired == [1]
+
+    def test_spent_budget_leaves_the_clock_at_the_last_event(self):
+        # An event still due inside the window must not end up in the
+        # past: the clock only jumps to ``until`` when nothing is left
+        # before it.
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, fired.append, t)
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert sim.run(until=10.0, max_events=0) == 1.0
+        # the budget lasts to the window edge: the edge is reached
+        assert sim.run(until=2.5, max_events=1) == 2.5
+        # the budget lasts until the queue drains: so is the edge
+        assert sim.run(until=10.0, max_events=1) == 10.0
+        assert fired == [1.0, 2.0, 3.0]
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()
