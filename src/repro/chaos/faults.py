@@ -253,7 +253,7 @@ class FaultInjector:
         elif spec.ewo_mode is EwoMode.COUNTER:
             ewo = manager.ewo.groups[group_id]
             if key is None:
-                live = sorted(ewo.cells, key=repr)
+                live = ewo.sorted_keys()
                 key = stream.choice(live) if live else None
             cell = ewo.cells.get(key) if key is not None else None
             # A bit flip lands beneath the CRDT's API: reach for the
@@ -272,7 +272,7 @@ class FaultInjector:
         elif spec.ewo_mode is EwoMode.LWW:
             ewo = manager.ewo.groups[group_id]
             if key is None:
-                live = sorted((k for k, c in ewo.cells.items() if c.written), key=repr)
+                live = [k for k in ewo.sorted_keys() if ewo.cells[k].written]
                 key = stream.choice(live) if live else None
             cell = ewo.cells.get(key) if key is not None else None
             if cell is None or not cell.written:

@@ -141,21 +141,42 @@ class EwoGroupState:
         #: () -> an empty cell of the group's merge type, for this replica.
         self.new_cell = partial(new_cell, spec, replicas, my_slot)
         #: key -> cell.  A key gets a cell when a local write, a seed or
-        #: a remote merge (even a stale one) first names it; reads never
-        #: create one.
+        #: a remote merge (even a stale one) first names it (``add_cell``);
+        #: reads never create one.
         self.cells: Dict[Any, Any] = {}
+        #: ``sorted_keys()``'s cache: None until first asked for after a
+        #: key gets its first cell or the state is wiped.
+        self._sorted_keys: Optional[Tuple[Any, ...]] = None
         #: What a key with no cell reads as.
         self.absent = self.new_cell().read()
 
     def cell_for(self, key: Any) -> Any:
         cell = self.cells.get(key)
         if cell is None:
-            cell = self.cells[key] = self.new_cell()
+            cell = self.add_cell(key, self.new_cell())
         return cell
+
+    def add_cell(self, key: Any, cell: Any) -> Any:
+        """Give ``key`` (which has none) its first cell — the one way a
+        key enters ``cells``, so the sorted key order is dropped here."""
+        self.cells[key] = cell
+        self._sorted_keys = None
+        return cell
+
+    def sorted_keys(self) -> Tuple[Any, ...]:
+        """Every key with a cell, sorted by ``repr``: the sync order.
+        Built on first need and kept until a key gets its first cell or
+        the state is wiped, so a sync round with no new key sorts
+        nothing."""
+        keys = self._sorted_keys
+        if keys is None:
+            keys = self._sorted_keys = tuple(sorted(self.cells, key=repr))
+        return keys
 
     def wipe(self) -> None:
         """Lose everything a restarted pipeline loses."""
         self.cells.clear()
+        self._sorted_keys = None
         self._pending_entries.clear()
 
     def canonical_items(self) -> List[Tuple[Any, Any]]:
@@ -516,28 +537,52 @@ class EwoEngine:
         entries: Tuple[EwoEntry, ...],
         is_sync: bool,
     ) -> None:
-        """Merge one group's entries from ``message`` into our replica:
-        the group's stats and one ``ewo.merge`` per section."""
+        """Merge one group's entries from ``message`` into our replica,
+        each into its key's cell, then count the section once: the
+        group's stats and one ``ewo.merge``.
+
+        An unseen key gets its cell even if the merge is stale, but not
+        from a malformed entry (the cell's ValueError): that is stale
+        and names nothing."""
         state = self.groups.get(group_id)
         if state is None:
             return
+        stats = state.stats
         if is_sync:
-            state.stats.sync_packets_received += 1
-        applied = stale = 0
+            stats.sync_packets_received += 1
+        cells = state.cells
+        witness = state.clock.witness
+        applied = 0
         obs = self.obs
         #: (key, applied) per entry, in entry order, while watched.
-        outcomes = []
+        outcomes = [] if obs.on else None
         for entry in entries:
-            state.stats.updates_received += 1
-            merged = self._merge_entry(state, entry)
-            if merged:
-                state.stats.merges_applied += 1
-                applied += 1
+            key = entry.key
+            version = entry.version
+            if type(version) is Timestamp:
+                # The hybrid clock is per switch, not per cell: witness
+                # first, so the next local write beats what we just saw.
+                witness(version)
+            cell = cells.get(key)
+            unseen = cell is None
+            if unseen:
+                cell = state.new_cell()
+            try:
+                merged = cell.apply(version, entry.value)
+            except ValueError:
+                merged = False
             else:
-                state.stats.merges_stale += 1
-                stale += 1
-            if obs.on:
-                outcomes.append((entry.key, merged))
+                if unseen:
+                    state.add_cell(key, cell)
+                if merged:
+                    applied += 1
+            if outcomes is not None:
+                outcomes.append((key, merged))
+        received = len(entries)
+        stale = received - applied
+        stats.updates_received += received
+        stats.merges_applied += applied
+        stats.merges_stale += stale
         if obs.on:
             # One event per received section: its fan-in span (merges
             # from many origins parent into each origin's broadcast/sync
@@ -553,26 +598,6 @@ class EwoEngine:
                 stale=stale,
                 outcomes=outcomes,
             )
-
-    def _merge_entry(self, state: EwoGroupState, entry: EwoEntry) -> bool:
-        """Merge one wire entry into its key's cell; True if it advanced.
-        An unseen key gets its cell here even if the merge is stale, but
-        not from a malformed entry (the cell's ValueError): that is stale
-        and names nothing."""
-        stamp = entry.version
-        if isinstance(stamp, Timestamp):
-            # The hybrid clock is per switch, not per cell: witness
-            # first, so the next local write beats what we just saw.
-            state.clock.witness(stamp)
-        cell = state.cells.get(entry.key)
-        if cell is None:
-            cell = state.new_cell()
-        try:
-            merged = cell.apply(stamp, entry.value)
-        except ValueError:
-            return False
-        state.cells[entry.key] = cell
-        return merged
 
     # ------------------------------------------------------------------
     # Periodic synchronization (paper 6.2 / 7)
@@ -673,11 +698,13 @@ class EwoEngine:
 
     def _full_state_entries(self, state: EwoGroupState) -> List[EwoEntry]:
         """All state we know — every replica's slots, not just ours —
-        keys sorted by ``repr``, each cell's entries in its wire order."""
+        keys sorted by ``repr`` (``sorted_keys``), each cell's entries in
+        its wire order."""
+        cells = state.cells
         return [
             EwoEntry(key=key, version=version, value=value)
-            for key in sorted(state.cells, key=repr)
-            for version, value in state.cells[key].entries()
+            for key in state.sorted_keys()
+            for version, value in cells[key].entries()
         ]
 
     # ------------------------------------------------------------------

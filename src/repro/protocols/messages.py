@@ -221,13 +221,16 @@ class EwoEntry:
     ORSET_TAG_BYTES = 10
 
     def wire_bytes(self, key_bytes: int, value_bytes: int) -> int:
-        if isinstance(self.version, Timestamp):
+        version = self.version
+        if type(version) is int:  # a counter slot: the common entry
+            version_bytes = 4
+        elif isinstance(version, Timestamp):
             version_bytes = Timestamp.wire_size
-        elif isinstance(self.version, tuple):
+        elif isinstance(version, tuple):
             # OR-Set delta: kind byte + 10 bytes per tag carried
             tag_count = sum(
                 len(part) if isinstance(part, (tuple, frozenset, set)) else 1
-                for part in self.version[1:]
+                for part in version[1:]
             )
             version_bytes = 1 + self.ORSET_TAG_BYTES * tag_count
         else:

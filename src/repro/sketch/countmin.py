@@ -45,6 +45,9 @@ class CountMinSketch:
         self.seed = seed
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
         self.items_added = 0
+        # row_hash's key-independent blake2b parameters, encoded once.
+        self._salt = seed.to_bytes(8, "big")
+        self._persons = [row.to_bytes(8, "big") for row in range(depth)]
 
     # ------------------------------------------------------------------
     def add(self, key: Hashable, count: int = 1) -> int:
@@ -54,10 +57,13 @@ class CountMinSketch:
         if count < 0:
             raise ValueError("count-min cannot remove items")
         self.items_added += count
-        seed, width = self.seed, self.width
+        data = repr(key).encode("utf-8")
+        salt, width = self._salt, self.width
         estimate = -1
-        for row, cells in enumerate(self._rows):
-            column = row_hash(seed, row, key, width)
+        for person, cells in zip(self._persons, self._rows):
+            # row_hash(seed, row, key, width), with the key encoded once
+            digest = hashlib.blake2b(data, digest_size=8, salt=salt, person=person).digest()
+            column = int.from_bytes(digest, "big") % width
             value = cells[column] = cells[column] + count
             if value < estimate or estimate < 0:
                 estimate = value

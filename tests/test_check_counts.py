@@ -3,6 +3,7 @@ no worker subprocess."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,61 @@ class TestMain:
 
     def test_arguments_are_refused(self):
         assert check_counts.main(["--write"]) == 2
+
+
+def _ci_jobs(text):
+    """job name -> (python-version values, run commands) of a workflow
+    laid out as ``.github/workflows/ci.yml`` is: jobs two spaces in under
+    ``jobs:``, one-line ``python-version:`` and ``run:`` values."""
+    jobs, job, in_jobs = {}, None, False
+    for line in text.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if not line.startswith(" "):
+            in_jobs, job = line.rstrip() == "jobs:", None
+            continue
+        if in_jobs and re.fullmatch(r"  [\w-]+:\s*", line):
+            job = jobs.setdefault(line.strip()[:-1], ([], []))
+            continue
+        if job is None:
+            continue
+        field = re.fullmatch(r"\s*-?\s*(python-version|run):\s*(.+?)\s*", line)
+        if field:
+            name, value = field.groups()
+            job[0 if name == "python-version" else 1].append(value.strip("\"'"))
+    return jobs
+
+
+def test_ci_runs_the_count_gate_on_the_baselines_interpreter():
+    """CI's other jobs run an interpreter the count gate skips on, so one
+    job must run ``check_counts.py`` on exactly the baseline's Python."""
+    committed = json.loads((REPO_ROOT / "bench_results" / "PERF_COUNTS.json").read_text())
+    jobs = _ci_jobs((REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text())
+    assert jobs, "no jobs parsed from ci.yml"
+    gating = [
+        name for name, (pythons, runs) in jobs.items()
+        if pythons == [committed["python"]]
+        and any("tools/check_counts.py" in run for run in runs)
+    ]
+    assert gating, (
+        f"no CI job runs tools/check_counts.py on Python {committed['python']}: "
+        f"{ {name: pythons for name, (pythons, _) in jobs.items()} }"
+    )
+
+
+def test_the_ci_job_reader():
+    text = (
+        "name: CI\non:\n  push:\njobs:\n  a:\n    steps:\n"
+        "      - uses: actions/setup-python@v5\n        with:\n"
+        "          # a comment\n          python-version: \"3.11.7\"\n"
+        "      - name: gate\n        run: python tools/check_counts.py\n"
+        "  b:\n    strategy:\n      matrix:\n        python-version: [\"3.9\", \"3.12\"]\n"
+        "    steps:\n      - run: make gate\n"
+    )
+    assert _ci_jobs(text) == {
+        "a": (["3.11.7"], ["python tools/check_counts.py"]),
+        "b": (['["3.9", "3.12"]'], ["make gate"]),
+    }
 
 
 def test_the_committed_baseline_covers_every_workload():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.countmin import CountMinSketch
+from repro.sketch.countmin import CountMinSketch, row_hash
 from repro.sketch.heavyhitter import empirical_entropy, normalized_entropy
 
 
@@ -45,6 +45,25 @@ class TestCountMin:
             sketch.add(key)
             truth[key] = truth.get(key, 0) + 1
         assert all(sketch.add(k, 0) >= c for k, c in truth.items())
+
+    KEYS = ["a", "", "ü-key", 0, 12345, -7, 2**70, ("10.0.0.1", 80), (1, ("x", None)), None, 3.5]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40, 2**64 - 1])
+    @pytest.mark.parametrize("depth,width", [(1, 1), (1, 16), (3, 1000), (4, 1024), (6, 4099)])
+    def test_columns_are_row_hash(self, seed, depth, width):
+        """``add`` encodes the key once, yet lands in exactly the
+        columns ``row_hash`` names — the cells the DDoS NF addresses."""
+        for key in self.KEYS:
+            sketch = CountMinSketch(depth=depth, width=width, seed=seed)
+            assert sketch.add(key, 3) == 3
+            columns = [row.index(3) for row in sketch._rows]
+            assert columns == [row_hash(seed, row, key, width) for row in range(depth)]
+            assert all(sum(row) == 3 for row in sketch._rows)
+
+    def test_row_hash_values_are_pinned(self):
+        assert row_hash(0, 0, "a", 1024) == 1001
+        assert row_hash(7, 3, ("10.0.0.1", 80), 4096) == 3940
+        assert row_hash(2**40, 1, 12345, 1000) == 501
 
 
 class TestEntropy:

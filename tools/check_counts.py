@@ -29,7 +29,8 @@ judged exactly:
 
 cProfile's counts move across interpreter versions (3.12 inlines
 comprehensions), so on an interpreter other than the baseline's the
-check is skipped with a message and exits 0.  When
+check is skipped with a message and exits 0 (CI's ``counts`` job runs
+it on the baseline's interpreter, so the skip never hides it).  When
 ``$SWISHMEM_BENCH_DIR`` is set (``make gate`` sets it) the fresh counts
 are written there as ``PERF_COUNTS.json``, in the baseline's format.
 
