@@ -48,8 +48,8 @@ critpath:
 relevel:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_releveling.py
 
-# The sidecar gate: regenerate all ten gated sidecars (S1 P5 P6 C2 F3 F4
-# F5 T2 T3 T4) into a scratch directory and diff them against the
+# The sidecar gate: regenerate all eleven gated sidecars (S1 P3 P5 P6 C2
+# F3 F4 F5 T2 T3 T4) into a scratch directory and diff them against the
 # committed baselines in bench_results/, then the count gate: calls/op
 # and events/op of the six perf/ workloads against
 # bench_results/PERF_COUNTS.json (tools/check_counts.py; skipped on
@@ -62,6 +62,7 @@ gate: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 gate:
 	mkdir -p $(SWISHMEM_BENCH_DIR)
 	$(PYTHON) benchmarks/bench_simulator_performance.py
+	$(PYTHON) benchmarks/bench_ewo_convergence.py
 	$(PYTHON) benchmarks/bench_sro_write_throughput.py
 	$(PYTHON) benchmarks/bench_dataplane_writes.py
 	$(PYTHON) benchmarks/bench_sync_bandwidth.py

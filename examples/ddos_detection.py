@@ -77,7 +77,8 @@ def main() -> None:
     print(f"\nreplication work on {world.cluster[0].name} (dst counters): "
           f"{stats.updates_sent} updates broadcast, "
           f"{stats.updates_received} received, "
-          f"{stats.sync_packets_sent} periodic sync packets")
+          f"{stats.sync_probes_sent} periodic sync probes, "
+          f"{stats.sync_packets_sent} full-state sync packets")
 
 
 if __name__ == "__main__":

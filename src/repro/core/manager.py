@@ -213,6 +213,9 @@ class SwiShmemManager:
         if op in (SwiShmemOp.EWO_UPDATE, SwiShmemOp.EWO_SYNC):
             self.ewo.handle_update(payload)
             return True
+        if op is SwiShmemOp.EWO_SYNC_PROBE:
+            self.ewo.handle_probe(payload)
+            return True
         if op is SwiShmemOp.SCRUB_REPAIR:
             self.scrub.handle_repair(payload)
             return True

@@ -136,7 +136,10 @@ class SwiShmemOp(enum.Enum):
 
     EWO protocol:
       EWO_UPDATE     — asynchronous multicast of (version, value) pairs
-      EWO_SYNC       — periodic packet-generator sync of a register range
+      EWO_SYNC_PROBE — periodic packet-generator digest of a member's
+                       group state, sent to a random member
+      EWO_SYNC       — that member's full state, sent back only when
+                       its digest differs (also the scrubber's repair)
 
     Recovery (section 6.3):
       SNAPSHOT_WRITE — snapshot replay toward a recovering switch
@@ -159,6 +162,7 @@ class SwiShmemOp(enum.Enum):
     READ_FORWARD = "read_forward"
     EWO_UPDATE = "ewo_update"
     EWO_SYNC = "ewo_sync"
+    EWO_SYNC_PROBE = "ewo_sync_probe"
     SNAPSHOT_WRITE = "snapshot_write"
     SNAPSHOT_ACK = "snapshot_ack"
     HEARTBEAT = "heartbeat"

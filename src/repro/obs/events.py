@@ -341,7 +341,14 @@ EVENTS: Dict[str, Event] = {
         Count("ewo.merges_stale", "stale"),
         Profile("merge"),
     ),
-    "ewo.sync.round": Event(Span("group", "target", "entries")),
+    "ewo.sync.probe": Event(Span("group", "target")),
+    # The probed member's outcome: it agrees (the round ends, no span:
+    # most rounds agree) or answers the prober with its full state, the
+    # round's span opening there.
+    "ewo.sync.agree": Event(Outcome("ewo.sync_agreed", True)),
+    "ewo.sync.round": Event(
+        Span("group", "target", "entries"), Outcome("ewo.sync_agreed", False)
+    ),
     "ewo.sync.force": Event(Span("group", "target", "entries")),
     "ewo.sync.sent": Event(Count("ewo.sync_packets"), Count("ewo.sync_bytes", "bytes")),
     # -- protocols/election.py, controller.py

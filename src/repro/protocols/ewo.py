@@ -22,21 +22,28 @@ replication is asynchronous.
   versions), ``GCounter`` (per-switch slot vector, element-wise max) or
   ``ORSet`` — picked by ``MERGE_TYPES``; the engine moves wire entries.
 
-* **Periodic synchronization** replaces retransmission: the switch's
-  packet generator iterates the register state every ``sync_period`` and
-  ships the *full* known state (all replicas' slots, not just our own)
-  to a randomly selected group member.  Full-state gossip is what makes
-  the protocol self-healing under loss and failure: "any switch that did
-  receive the update can then synchronize the other switches" (6.3).
+* **Periodic synchronization** replaces retransmission: every
+  ``sync_period`` the switch's packet generator sends a randomly
+  selected group member an ``EwoSyncProbe``, a 64-bit digest of the
+  *full* known state (all replicas' slots, not just our own).  The
+  member answers with its own full state only if its digest differs
+  (a pull, gated on a checksum as in Demers et al.'s anti-entropy), so
+  a round between converged replicas ships one small packet.  Full-
+  state gossip is what makes the protocol self-healing under loss and
+  failure: "any switch that did receive the update can then
+  synchronize the other switches" (6.3).  The digest is recomputed
+  from the cells at every use, so a replica damaged beneath the CRDT
+  API still disagrees and is repaired.
 
 No failover protocol exists because none is needed: the controller just
 drops failed switches from the multicast group; recovery adds the switch
-back and waits one sync round.
+back, and its first sync round pulls the group's state from a peer.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import itemgetter, methodcaller
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.registers import EwoMode, RegisterSpec
@@ -46,7 +53,7 @@ from repro.crdt.lww import LwwRegister
 from repro.crdt.orset import ORSet
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
-from repro.protocols.messages import EwoEntry, EwoMirror, EwoSync, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror, EwoSync, EwoSyncProbe, EwoUpdate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import SwiShmemManager
@@ -55,6 +62,10 @@ __all__ = ["EwoEngine", "EwoGroupState", "EwoStats", "MERGE_TYPES", "merge_repli
 
 #: Entries per sync packet, keeping sync packets around an MTU.
 SYNC_ENTRIES_PER_PACKET = 48
+
+#: ``cell.entries()``, and the entries of a ``(key, entries)`` pair.
+_CELL_ENTRIES = methodcaller("entries")
+_ENTRIES = itemgetter(1)
 
 
 class MergeType(NamedTuple):
@@ -104,6 +115,9 @@ class EwoStats:
         "sync_packets_sent",
         "sync_entries_sent",
         "sync_packets_received",
+        "sync_probes_sent",
+        "sync_probes_received",
+        "sync_rounds_agreed",
     )
 
     def __init__(self) -> None:
@@ -172,6 +186,21 @@ class EwoGroupState:
         if keys is None:
             keys = self._sorted_keys = tuple(sorted(self.cells, key=repr))
         return keys
+
+    def digest(self) -> Tuple[Tuple[Any, Tuple[Any, ...]], ...]:
+        """The state digest a sync probe carries: exactly what a full
+        sync round ships — each key with entries, in ``sorted_keys()``
+        order, with its cell's entries.  On the wire it is a 64-bit hash
+        (``EwoSyncProbe``); the simulator keeps the hashed value itself
+        and compares it whole, a collision-free stand-in that costs less
+        to compute than serialising the state for a hash.  Recomputed at
+        every call: a cached digest would not see a cell damaged beneath
+        the CRDT API, and sync would stop healing it."""
+        keys = self.sorted_keys()
+        # iterated in C: a digest is computed at both ends of every round
+        return tuple(filter(_ENTRIES, zip(
+            keys, map(tuple, map(_CELL_ENTRIES, map(self.cells.__getitem__, keys)))
+        )))
 
     def wipe(self) -> None:
         """Lose everything a restarted pipeline loses."""
@@ -603,9 +632,10 @@ class EwoEngine:
     # Periodic synchronization (paper 6.2 / 7)
     # ------------------------------------------------------------------
     def sync_tick(self, group_id: int) -> int:
-        """One packet-generator round: gossip full state to a random member.
+        """One packet-generator round: probe a random member with our
+        state's digest; it answers with its full state if they differ.
 
-        Returns the number of sync packets emitted.
+        Returns the number of probes emitted (0 or 1).
         """
         state = self.groups.get(group_id)
         if state is None or self.switch.failed:
@@ -613,8 +643,38 @@ class EwoEngine:
         target = self._pick_sync_target(group_id)
         if target is None:
             return 0
-        packets, _ = self._sync_to(state, group_id, target, forced=False)
-        return packets
+        probe = EwoSyncProbe(group=group_id, origin=self.switch.name, digest=state.digest())
+        probe.trace = self._causal.root()
+        if self.obs.on:
+            self.obs.emit(
+                "ewo.sync.probe", self.switch.name, probe.trace, group=group_id, target=target
+            )
+        packet = Packet(
+            swishmem=SwiShmemHeader(
+                op=SwiShmemOp.EWO_SYNC_PROBE, register_group=group_id, dst_node=target
+            ),
+            swishmem_payload=probe,
+            trace=probe.trace,
+        )
+        if not self.switch.generate_packet(packet, target):
+            return 0
+        state.stats.sync_probes_sent += 1
+        return 1
+
+    def handle_probe(self, probe: EwoSyncProbe) -> None:
+        """Answer a sync probe: our full state back to the prober if our
+        digest differs from its, nothing if they agree."""
+        state = self.groups.get(probe.group)
+        if state is None:
+            return
+        stats = state.stats
+        stats.sync_probes_received += 1
+        if state.digest() == probe.digest:
+            stats.sync_rounds_agreed += 1
+            if self.obs.on:
+                self.obs.emit("ewo.sync.agree", self.switch.name, probe.trace)
+            return
+        self._sync_to(state, probe.group, probe.origin, parent=probe.trace)
 
     def force_sync(self, group_id: int, target: str) -> Tuple[int, int]:
         """Targeted full-state sync toward ``target`` (anti-entropy repair).
@@ -628,12 +688,14 @@ class EwoEngine:
         state = self.groups.get(group_id)
         if state is None or self.switch.failed or target == self.switch.name:
             return (0, 0)
-        return self._sync_to(state, group_id, target, forced=True)
+        return self._sync_to(state, group_id, target)
 
     def _sync_to(
-        self, state: EwoGroupState, group_id: int, target: str, forced: bool
+        self, state: EwoGroupState, group_id: int, target: str, parent: Any = None
     ) -> Tuple[int, int]:
-        """Ship full known state to ``target`` in MTU-sized sync packets."""
+        """Ship full known state to ``target`` in MTU-sized sync packets:
+        the answer to the probe stamped ``parent``, or (``parent`` None)
+        a forced repair round."""
         entries = self._full_state_entries(state)
         directory = getattr(self.manager.deployment, "directory", None)
         if directory is not None and state.spec.partial_replication:
@@ -645,7 +707,10 @@ class EwoEngine:
             ]
         packets = 0
         sync_bytes = 0
-        round_ctx = self._causal.root() if entries else None
+        forced = parent is None
+        round_ctx = None
+        if entries:
+            round_ctx = self._causal.root() if forced else self._causal.child(parent)
         obs = self.obs
         if obs.on:
             name = self.switch.name

@@ -14,7 +14,8 @@ Message flow summary (paper section 6):
 ``WriteAck``              tail -> writer (release buffered output packet) and
                           tail -> other members (clear pending bits)
 ``EwoUpdate``             asynchronous broadcast of fresh EWO writes
-``EwoSync``               periodic packet-generator sync to a random member
+``EwoSyncProbe``          periodic packet-generator digest to a random member
+``EwoSync``               full-state answer to a probe whose digest differs
 ``EwoMirror``             one pass's EWO writes to groups sharing a replica set
 ``SnapshotWrite``         snapshot replay toward a recovering switch (6.3)
 ``SnapshotAck``           recovering switch -> snapshot source
@@ -63,6 +64,7 @@ __all__ = [
     "EwoEntry",
     "EwoUpdate",
     "EwoSync",
+    "EwoSyncProbe",
     "EwoMirror",
     "SnapshotWrite",
     "SnapshotAck",
@@ -268,13 +270,37 @@ class EwoUpdate(WireRecord):
 
 @dataclass
 class EwoSync(EwoUpdate):
-    """Periodic packet-generator sync (paper sections 6.2 and 7).
+    """Full-state sync (paper sections 6.2 and 7): the answer to an
+    :class:`EwoSyncProbe` whose digest differs from the receiver's, or
+    the scrubber's directed repair.
 
     Unlike :class:`EwoUpdate`, a sync carries *all* state the sender
     knows — every replica's slots — which is what makes the protocol
     self-healing: "any switch that did receive the update can then
     synchronize the other switches".
     """
+
+
+#: A state digest on the wire: 64 bits.
+_DIGEST_BYTES = 8
+
+
+@dataclass
+class EwoSyncProbe(WireRecord):
+    """One periodic sync round's opening (paper section 6.2): the
+    prober's 64-bit digest of the state a full sync would ship.  The
+    member it reaches answers with its own full state (an
+    :class:`EwoSync`) only if its digest differs.
+
+    ``digest`` holds what the hash is taken over
+    (``EwoGroupState.digest``), compared whole: a collision-free
+    64-bit hash, charged 8 bytes on the wire."""
+
+    group: int
+    origin: str
+    digest: Any = field(repr=False)
+    trace: Any = _trace_field()
+    wire_size: int = field(default=_BASE_MSG_BYTES + _DIGEST_BYTES, init=False, repr=False)
 
 
 #: Per section after a mirror's first: group (2) + entry count (2).

@@ -461,7 +461,9 @@ class TestPinnedChaosOutcomes:
     ``drop_chain_applies`` and ``stale_replica`` still lived inside
     ``SroEngine``, ``EwoEngine`` and ``ScrubAgent``.  Every world freezes
     or drops on a non-head member of a register-array group, which both
-    placements treat alike."""
+    placements treat alike.  Re-captured when regular EWO sync rounds
+    became digest-gated pulls: ``spans``, ``lost`` and chaos_run 11's
+    EWO heal times moved; every fault log and store hash did not."""
 
     PINNED = {
         ("chaos_run", 3): dict(
@@ -479,8 +481,8 @@ class TestPinnedChaosOutcomes:
                 ("stale", "s3", 2, "None", 0.033087749491505454, 0.034201000000000016),
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
-            lost={("s3", 2): 36},
-            spans=(2811, "8986805db0714b79e043ca11bd1331bc118761cd3e00baa32f69b6c6278b527d"),
+            lost={("s3", 2): 30},
+            spans=(2503, "fd682c4cdedc6553661b853c504c10c95da0d666d96474d9c8652349efec0c78"),
         ),
         ("chaos_run", 11): dict(
             log=(
@@ -492,13 +494,13 @@ class TestPinnedChaosOutcomes:
                 (0.03323514327947843, "loss-burst-end", "6 links restored"),
             ),
             divergence=(
-                ("corrupt", "s3", 2, "'c'", 0.005345406584193908, 0.0066029999999999995),
-                ("corrupt", "s3", 2, "'c'", 0.009917761132343949, 0.010603),
-                ("stale", "s1", 2, "None", 0.011422858039087484, 0.012201),
+                ("corrupt", "s3", 2, "'c'", 0.005345406584193908, 0.006201),
+                ("corrupt", "s3", 2, "'c'", 0.009917761132343949, 0.012402),
+                ("stale", "s1", 2, "None", 0.011422858039087484, 0.012402),
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
-            lost={("s1", 2): 10},
-            spans=(2725, "3fa7176ba79b1add22dbc718cc3b06fd3cb066419975f82927844d3443d5f18c"),
+            lost={("s1", 2): 13},
+            spans=(2399, "67c5ec6d4900dad74ac37b361935629d2b3029bc710658502fd7a95e5f44f5fe"),
         ),
         ("chaos_run", 23): dict(
             log=(
@@ -516,7 +518,7 @@ class TestPinnedChaosOutcomes:
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
             lost={("s3", 1): 37},
-            spans=(2876, "ee2f2128aadb594e2cb2497522282c5e87d4857fcdbec45122becfb31e3042cd"),
+            spans=(2530, "1e92c7097bc903644898de5df10b9db196556c20ed9dad672eddd7eea7016012"),
         ),
         ("scrub_repair", 1): dict(
             log=(
@@ -538,8 +540,8 @@ class TestPinnedChaosOutcomes:
                 ("stale", "s2", 1, "None", 0.01572789657754251, 0.020201000000000004),
             ),
             stores="d0ae83ee3361fde76b628dff329356cfd4141a1d1f34668e26f138be0c851c9a",
-            lost={("s1", 1): 2, ("s2", 1): 23},
-            spans=(2359, "4de1fe2870342f158acd8b331994484291f61d48bf3ec2cacd87ad7deb474e50"),
+            lost={("s1", 1): 2, ("s2", 1): 21},
+            spans=(2120, "fd4d642b95fa1e9522d7de71a3e60f824b739f9343c8b0552ae8ab6aae2281e2"),
         ),
         ("scrub_repair", 2): dict(
             log=(
@@ -561,8 +563,8 @@ class TestPinnedChaosOutcomes:
                 ("stale", "s1", 1, "None", 0.01746999285147831, 0.022201000000000005),
             ),
             stores="d0ae83ee3361fde76b628dff329356cfd4141a1d1f34668e26f138be0c851c9a",
-            lost={("s1", 1): 26},
-            spans=(2327, "0bc025b1c845c57ec75239ddf2799b2b05b1fa5a94e53e977b3443f5455d2d16"),
+            lost={("s1", 1): 24},
+            spans=(2098, "dee3b473ac0fbf435337571c643a1e9e8ba08e40564ab353c48b850326000617"),
         ),
     }
 

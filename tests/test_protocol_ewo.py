@@ -170,19 +170,27 @@ class TestPeriodicSync:
         assert elapsed is not None, "replicas never converged despite sync"
 
     def test_sync_packets_flow(self, make_deployment):
+        """Full state flows while the replicas differ (the write is held
+        back by the batch threshold, so only sync can carry it); once
+        they agree, a round is one probe and no full state."""
         dep, _, _ = make_deployment(3, sync_period=1e-3)
         spec = dep.declare(
-            RegisterSpec("ctr", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
+            RegisterSpec("ctr", Consistency.EWO, ewo_mode=EwoMode.COUNTER, ewo_batch_size=100)
         )
         dep.manager("s0").register_increment(spec, "k", 1)
         dep.sim.run(until=0.02)
-        stats = dep.manager("s0").ewo.stats_for(spec.group_id)
-        assert stats.sync_packets_sent > 0
-        received = sum(
-            dep.manager(name).ewo.stats_for(spec.group_id).sync_packets_received
-            for name in dep.switch_names
-        )
-        assert received > 0
+        stats = {name: dep.manager(name).ewo.stats_for(spec.group_id) for name in dep.switch_names}
+        assert stats["s0"].sync_packets_sent > 0
+        assert sum(s.sync_packets_received for s in stats.values()) > 0
+        assert all(state["k"] == 1 for state in dep.ewo_states(spec))
+
+        before = {name: (s.sync_packets_sent, s.sync_probes_sent) for name, s in stats.items()}
+        dep.sim.run(until=0.04)
+        for name, s in stats.items():
+            sent, probes = before[name]
+            assert s.sync_packets_sent == sent, name
+            assert s.sync_probes_sent > probes, name
+        assert sum(s.sync_rounds_agreed for s in stats.values()) > 0
 
     def test_sync_carries_full_state_not_just_own(self, make_deployment):
         """Gossip robustness: a switch relays state it learned from others."""
@@ -551,15 +559,26 @@ class TestStats:
         assert s1.updates_received >= 1
         assert s1.merges_applied >= 1
 
-    def test_stale_merges_counted(self, deployment):
-        spec = declare_counter(deployment)
-        deployment.manager("s0").register_increment(spec, "k", 1)
-        deployment.sim.run(until=0.05)  # several sync rounds re-deliver
-        totals = sum(
-            deployment.manager(n).ewo.stats_for(spec.group_id).merges_stale
-            for n in deployment.switch_names
+    def test_stale_merges_counted(self, make_deployment):
+        """A prober strictly ahead of the member it asks gets that
+        member's full state back (the digests differ), and every entry
+        of it is stale on arrival."""
+        deployment, _, _ = make_deployment(3, sync_period=10.0)  # only the round below
+        spec = declare_counter(deployment, ewo_batch_size=100)
+        gid = spec.group_id
+        m0, m1 = deployment.manager("s0"), deployment.manager("s1")
+        m1.register_increment(spec, "k", 1)
+        m0.ewo.handle_update(
+            EwoUpdate(gid, "s1", [EwoEntry("k", 1, 1)], trace=m0.causal.root())
         )
-        assert totals > 0
+        m0.register_increment(spec, "k", 4)  # s0 now holds all s1 holds, and more
+        before = m0.ewo.stats_for(gid).merges_stale
+        m0.ewo._sync_rng.choice = lambda others: "s1"
+        assert m0.ewo.sync_tick(gid) == 1
+        deployment.sim.run(until=deployment.sim.now + 1e-3)
+        stats = m0.ewo.stats_for(gid)
+        assert stats.sync_packets_received == 1
+        assert stats.merges_stale - before == 1 and m1.ewo.stats_for(gid).sync_packets_sent == 1
 
     def test_memory_charged_per_replica_slot(self, make_deployment):
         dep, _, switches = make_deployment(4)

@@ -271,10 +271,13 @@ class TestEwoFailover:
         dep.sim.run(until=0.01)
         dep.controller.recover_switch("s1")
         dep.sim.run(until=0.05)
-        dep.manager("s1").register_increment(spec, "k", 1)
-        dep.sim.run(until=0.1)
         stats = dep.manager("s1").ewo.stats_for(spec.group_id)
-        assert stats.sync_packets_sent > 0
+        # the recovered switch's generator runs again: its probes flow,
+        # and the first one (its digest is the empty state's) pulls
+        # s0's state back
+        assert stats.sync_probes_sent > 0
+        assert stats.sync_packets_received > 0
+        assert dep.manager("s1").ewo.local_state(spec.group_id) == {"k": 1}
 
 
 class TestRoutingRepair:

@@ -16,6 +16,7 @@ from repro.protocols.messages import (
     EwoEntry,
     EwoMirror,
     EwoSync,
+    EwoSyncProbe,
     EwoUpdate,
     Heartbeat,
     ScrubRepair,
@@ -44,6 +45,7 @@ def payload_samples():
         WriteAck(1, "k", 12, 3, token, value=5, trace=ctx),
         EwoUpdate(2, "s1", entries, key_bytes=13, value_bytes=4, trace=ctx),
         EwoSync(2, "s1", entries[:2], trace=ctx),
+        EwoSyncProbe(2, "s1", (("flow", ((2, 41),)),), trace=ctx),
         EwoMirror("s1", [(2, entries[:1]), (3, entries[1:])], [(13, 4), (8, 8)], trace=ctx),
         SnapshotWrite(1, "k", "v", 12, 3, "s0", transfer_id=6, trace=ctx),
         SnapshotAck(1, "k", 12, "s0", transfer_id=6, trace=ctx),
@@ -101,6 +103,11 @@ class TestWireSizes:
         slot_entry = EwoEntry("k", 2, 10)
         stamp_entry = EwoEntry("k", Timestamp(1.0, 0, 1), 10)
         assert stamp_entry.wire_bytes(8, 8) > slot_entry.wire_bytes(8, 8)
+
+    def test_sync_probe_is_framing_plus_a_digest(self):
+        """8 bytes of digest, whatever the size of the state it hashes."""
+        probe = EwoSyncProbe(1, "s0", (("k", ((0, 1),)),) * 100)
+        assert probe.wire_size == EwoUpdate(1, "s0").wire_size + 8
 
     def test_snapshot_messages(self):
         write = SnapshotWrite(1, "k", "v", 3, 0, "s0")
