@@ -31,12 +31,25 @@ class TraceContext:
     fold it into their own clock (``CausalClock.observe``) so causally
     later spans always carry strictly larger Lamport values, even
     across nodes with skewed simulated wall clocks.
+
+    Slotted: one is stamped on every protocol message and held by every
+    recorded span, so it carries no per-instance ``__dict__``.  The
+    slots are declared by hand (no field has a default) rather than with
+    ``dataclass(slots=True)``, which needs Python 3.10.
     """
+
+    __slots__ = ("trace_id", "span_id", "parent_id", "lamport")
 
     trace_id: str
     span_id: str
     parent_id: Optional[str]
     lamport: int
+
+    def __reduce__(self) -> tuple:
+        # ``copy`` and ``pickle`` would restore slot state by assignment,
+        # which the frozen ``__setattr__`` refuses; rebuild through
+        # ``__init__`` instead.
+        return (TraceContext, (self.trace_id, self.span_id, self.parent_id, self.lamport))
 
     def __str__(self) -> str:
         parent = self.parent_id if self.parent_id is not None else "-"

@@ -7,7 +7,8 @@ does with the step:
 
 * :class:`Span` — ``FlightRecorder.record`` with the listed attrs, in
   the listed order (``group`` / ``key`` are the recorder's own
-  parameters and are listed like any other attr);
+  parameters and are listed like any other attr; the rest become the
+  span's ``names`` / ``values`` tuples);
 * :func:`Count` / :func:`Level` / :func:`Observe` — ``inc`` / ``set`` /
   ``dec`` / ``observe`` on a named instrument.  The instrument's node
   label is the emitting node (scope :data:`SWITCH`) or a fixed label
@@ -33,6 +34,7 @@ sink calls that kind needs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
@@ -79,6 +81,10 @@ class Span:
         self.fields = attrs
         self.name = name
         self.child = child
+        # The span's attrs beyond group and key: one names tuple per
+        # rule, shared by every span of the kind, and its value picker.
+        self.names = tuple(a for a in attrs if a not in ("group", "key"))
+        self.pick = _picker(self.names)
 
     def bind(self, spine: Any, kind: str, event: "Event") -> Optional[Handler]:
         recorder = spine.flight_recorder
@@ -88,18 +94,34 @@ class Span:
         name = self.name or kind
         child = self.child
         clocks = spine.clocks
-        # A step that feeds only its span passes its keywords straight
-        # through; otherwise the span's attrs are picked out of them.
-        pick = None if set(event.fields) == set(self.fields) else self.fields
+        has_group, has_key = "group" in self.fields, "key" in self.fields
+        names, pick = self.names, self.pick
 
         def handle(node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
             if ctx is None:
                 return
             if child:
                 ctx = clocks[node].child(ctx)
-            record(ctx, name, node, now, **(f if pick is None else {a: f[a] for a in pick}))
+            record(
+                ctx, name, node, now,
+                f["group"] if has_group else None,
+                f["key"] if has_key else None,
+                names, pick(f),
+            )
 
         return handle
+
+
+def _picker(names: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
+    """``fields -> tuple(fields[n] for n in names)``: one
+    ``operator.itemgetter`` for two or more names (for a single name an
+    itemgetter returns the bare value, so it is wrapped)."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        one = itemgetter(names[0])
+        return lambda f: (one(f),)
+    return lambda f: ()
 
 
 class Metric:

