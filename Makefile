@@ -122,9 +122,11 @@ perf-tax:
 	@test -n "$(PARENT)" || { echo "usage: make perf-tax PARENT=<checkout of the parent commit> [PAIRS=10] [SEED=11]"; exit 2; }
 	python3 tools/perf_pairs.py $(PARENT) . --workload nf_mix_obs --relative-to nf_mix --pairs $(PAIRS) --seed $(SEED)
 
-# The observability tax split by sink (~30 s): nf_mix_obs with no sink,
+# The observability tax split by sink (~2 min): nf_mix_obs with no sink,
 # each of the four sinks alone and all four, one fresh process per run;
-# calls/op, peak_rss_mb and bytes per recorded span (tools/obs_split.py).
+# calls/op, calibrated run seconds and peak_rss_mb (medians of 3 runs),
+# each sink's share of the watched run's seconds and bytes per recorded
+# span (tools/obs_split.py).
 obs-split:
 	python3 tools/obs_split.py --seed $(SEED)
 

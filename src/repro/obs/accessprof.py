@@ -27,13 +27,21 @@ estimate overtakes the weakest exact entry is promoted (the evicted
 entry's counts fold back into the sketch), so heavy hitters surface
 regardless of arrival order.
 
-Work per access is bounded too.  Finding the weakest resident is a scan
-of the table, and almost no tail access needs one: each group keeps a
-``floor``, a lower bound on every resident's ``accesses`` taken from the
-last scan, and a tail key whose estimate is at or under it cannot
-overtake anybody (:meth:`GroupProfile.key_profile` has the argument and
-the bound on the number of scans).  A resident key costs one dict
-lookup, a tail key one pass over the sketch rows.
+Work per access is bounded too.  Each hook is the spine's handler
+itself, so a profiled step is one call into the profiler (a merged EWO
+section one call for all its entries).  A resident key costs two dict
+lookups and no call, its counters bumped in place, and a window rolls
+inside :meth:`WindowedCount.add` only when the clock has left it.
+Finding the weakest resident is a scan of the table, and almost no tail
+access needs one: each group keeps a ``floor``, a lower bound on every
+resident's ``accesses`` taken from the last scan, and a tail key whose
+estimate is at or under it cannot overtake anybody
+(:meth:`GroupProfile.admit` has the argument and the bound on the number
+of scans).  A tail key costs one pass over the sketch rows, and its
+hashing is paid once: the sketch remembers each key's columns, by its
+``repr``, for at most :data:`~repro.sketch.countmin.MEMO_LIMIT` keys per
+group (a few hundred bytes each; a full memo starts over), so the memory
+stays bounded however long the tail.
 
 Like the rest of ``repro.obs``, profiling is **digest-neutral**: hooks
 only mutate profiler-internal state — no events are scheduled, no RNG
@@ -109,15 +117,15 @@ class WindowedCount:
         self.previous = 0
         self.total = 0
 
-    def _roll(self, now: float) -> None:
-        index = int(now / self.window)
-        if index != self.index:
-            self.previous = self.current if index == self.index + 1 else 0
-            self.current = 0
-            self.index = index
+    def _roll(self, index: int) -> None:
+        self.previous = self.current if index == self.index + 1 else 0
+        self.current = 0
+        self.index = index
 
     def add(self, now: float, amount: int = 1) -> None:
-        self._roll(now)
+        index = int(now / self.window)
+        if index != self.index:
+            self._roll(index)
         self.current += amount
         self.total += amount
 
@@ -210,7 +218,6 @@ class GroupProfile:
         "group_id",
         "name",
         "declared",
-        "ewo_mode",
         "nf",
         "reads",
         "peeks",
@@ -240,7 +247,6 @@ class GroupProfile:
         group_id: int,
         name: str,
         declared: str,
-        ewo_mode: Optional[str],
         window: float,
         top_k: int,
         sketch_depth: int,
@@ -249,7 +255,6 @@ class GroupProfile:
         self.group_id = group_id
         self.name = name
         self.declared = declared
-        self.ewo_mode = ewo_mode
         self.nf: Optional[str] = None
         self.reads = 0
         self.peeks = 0
@@ -309,8 +314,10 @@ class GroupProfile:
         return commutative / self.writes
 
     # -- top-K maintenance ---------------------------------------------
-    def key_profile(self, key: Any) -> Optional[KeyProfile]:
-        """The key's exact record, promoting from the tail if warranted.
+    def admit(self, key: Any) -> Optional[KeyProfile]:
+        """The exact record of a key that is not resident, promoting it
+        from the tail if warranted (the hooks look residents up
+        themselves).
 
         Returns None while the key stays in the sketch tail.  Eviction
         picks the weakest exact entry by (accesses, repr) so the choice
@@ -329,9 +336,6 @@ class GroupProfile:
         the scan cheaper and every resident access dearer, an
         increase-key each; residents are most of the traffic.)
         """
-        profile = self.keys.get(key)
-        if profile is not None:
-            return profile
         if len(self.keys) < self.top_k:
             profile = KeyProfile(key, self.read_activity.window)
             self.keys[key] = profile
@@ -395,12 +399,10 @@ class AccessProfiler:
         """Register a group's identity (called from ``declare``)."""
         profile = self.groups.get(spec.group_id)
         if profile is None:
-            ewo_mode = getattr(spec, "ewo_mode", None)
             profile = GroupProfile(
                 spec.group_id,
                 spec.name,
                 spec.consistency.value,
-                ewo_mode.value if ewo_mode is not None else None,
                 self.window,
                 self.top_k,
                 self.sketch_depth,
@@ -422,99 +424,142 @@ class AccessProfiler:
             profile.nf = nf_name
 
     # ------------------------------------------------------------------
-    # Hot-path hooks (all passive: mutate profiler state only)
+    # Hot-path hooks: the spine's handlers (``Profile`` rules bind them),
+    # ``(node, ctx, now, fields)``; all passive, they mutate profiler
+    # state only.  A resident is found with ``in`` (no ``.get`` call, and
+    # no raised KeyError for the tail keys, a quarter of the accesses);
+    # a node or op already counted is bumped in place.
     # ------------------------------------------------------------------
-    def on_read(
-        self, group_id: int, key: Any, node: str, now: float, peek: bool = False
-    ) -> None:
-        group = self.groups.get(group_id)
-        if group is None:
+    def on_read(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
+        """A mediated register read (keywords ``group``, ``key``)."""
+        group_id = f["group"]
+        try:
+            group = self.groups[group_id]
+        except KeyError:
             return
         self.events += 1
         self.last_event_at = now
         group.reads += 1
-        if peek:
-            group.peeks += 1
-        group.reads_by_node[node] = group.reads_by_node.get(node, 0) + 1
+        by_node = group.reads_by_node
+        try:
+            by_node[node] += 1
+        except KeyError:
+            by_node[node] = 1
         group.read_activity.add(now)
-        profile = group.key_profile(key)
-        if profile is not None:
-            profile.reads += 1
-            profile.readers[node] = profile.readers.get(node, 0) + 1
-            profile.activity.add(now)
+        key = f["key"]
+        keys = group.keys
+        if key in keys:
+            profile = keys[key]
+        else:
+            profile = group.admit(key)
+            if profile is None:
+                return
+        profile.reads += 1
+        readers = profile.readers
+        try:
+            readers[node] += 1
+        except KeyError:
+            readers[node] = 1
+        profile.activity.add(now)
 
-    def on_write(
-        self,
-        group_id: int,
-        key: Any,
-        node: str,
-        now: float,
-        origin: str = "dataplane",
-        op: str = "overwrite",
-    ) -> None:
-        group = self.groups.get(group_id)
-        if group is None:
+    def on_peek(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
+        """A control-plane peek: a read, also counted in ``peeks``."""
+        self.on_read(node, ctx, now, f)
+        group = self.groups.get(f["group"])
+        if group is not None:
+            group.peeks += 1
+
+    def on_write(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
+        """A write initiated at ``node`` (keywords ``group``, ``key``,
+        ``origin``: ``dataplane`` or ``control``, ``op``)."""
+        group_id = f["group"]
+        try:
+            group = self.groups[group_id]
+        except KeyError:
             return
         self.events += 1
         self.last_event_at = now
         group.writes += 1
-        if origin == "dataplane":
+        if f["origin"] == "dataplane":
             group.writes_dataplane += 1
         else:
             group.writes_control += 1
-        group.writes_by_node[node] = group.writes_by_node.get(node, 0) + 1
-        group.ops[op] = group.ops.get(op, 0) + 1
+        op = f["op"]
+        by_node, ops = group.writes_by_node, group.ops
+        try:
+            by_node[node] += 1
+        except KeyError:
+            by_node[node] = 1
+        try:
+            ops[op] += 1
+        except KeyError:
+            ops[op] = 1
         group.write_activity.add(now)
         if group.last_write_at is not None:
             group.inter_write.observe(now - group.last_write_at)
         group.last_write_at = now
-        profile = group.key_profile(key)
-        if profile is not None:
-            profile.writes += 1
-            profile.writers[node] = profile.writers.get(node, 0) + 1
-            profile.ops[op] = profile.ops.get(op, 0) + 1
-            profile.activity.add(now)
-            if profile.last_write_at is not None:
-                profile.inter_write.observe(now - profile.last_write_at)
-            profile.last_write_at = now
+        key = f["key"]
+        keys = group.keys
+        if key in keys:
+            profile = keys[key]
+        else:
+            profile = group.admit(key)
+            if profile is None:
+                return
+        profile.writes += 1
+        writers, ops = profile.writers, profile.ops
+        try:
+            writers[node] += 1
+        except KeyError:
+            writers[node] = 1
+        try:
+            ops[op] += 1
+        except KeyError:
+            ops[op] = 1
+        profile.activity.add(now)
+        if profile.last_write_at is not None:
+            profile.inter_write.observe(now - profile.last_write_at)
+        profile.last_write_at = now
 
-    def on_apply(self, group_id: int, key: Any, node: str, now: float) -> None:
+    def on_apply(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
         """A chain update applied at a (non-initiating) SRO/ERO member."""
-        group = self.groups.get(group_id)
-        if group is None:
+        group_id = f["group"]
+        try:
+            group = self.groups[group_id]
+        except KeyError:
             return
         self.events += 1
         self.last_event_at = now
         group.applies += 1
-        profile = group.keys.get(key)
-        if profile is not None:
-            profile.applies += 1
+        key = f["key"]
+        keys = group.keys
+        if key in keys:
+            keys[key].applies += 1
 
-    def on_merge(
-        self,
-        group_id: int,
-        key: Any,
-        node: str,
-        origin: str,
-        applied: bool,
-        now: float,
-    ) -> None:
-        """One EWO entry merged (or found stale) at a receiver."""
-        group = self.groups.get(group_id)
-        if group is None:
+    def on_merge(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
+        """One received EWO section merged at ``node``: ``outcomes`` holds
+        one ``(key, applied)`` pair per entry, and each entry is one
+        event."""
+        outcomes = f["outcomes"]
+        if not outcomes:
             return
-        self.events += 1
+        group_id = f["group"]
+        try:
+            group = self.groups[group_id]
+        except KeyError:
+            return
+        self.events += len(outcomes)
         self.last_event_at = now
-        if applied:
-            group.merges_applied += 1
-        else:
-            group.merges_stale += 1
-        profile = group.keys.get(key)
-        if profile is not None:
+        keys = group.keys
+        for key, applied in outcomes:
             if applied:
-                profile.merges_applied += 1
+                group.merges_applied += 1
+                if key in keys:
+                    keys[key].merges_applied += 1
             else:
-                profile.merges_stale += 1
+                group.merges_stale += 1
+                if key in keys:
+                    keys[key].merges_stale += 1
 
     # ------------------------------------------------------------------
     # Introspection / export

@@ -13,7 +13,9 @@ does with the step:
   ``dec`` / ``observe`` on a named instrument.  The instrument's node
   label is the emitting node (scope :data:`SWITCH`) or a fixed label
   (``controller``, ``scrub``, ``invariants``);
-* :class:`Profile` — ``AccessProfiler.on_read/on_write/on_apply/on_merge``;
+* :class:`Profile` — ``AccessProfiler.on_read`` / ``on_peek`` /
+  ``on_write`` / ``on_apply`` / ``on_merge``, which are handlers
+  themselves: the spine calls the profiler's bound method directly;
 * :class:`Sample` / :class:`Outcome` — ``SLOMonitor.observe`` /
   ``observe_event``.
 
@@ -24,7 +26,8 @@ call site whose kind or keywords are not in the table, and a
 non-literal kind.
 
 Each rule's ``bind(spine, kind, event)`` returns a handler
-``(node, ctx, now, fields) -> None`` closed over the attached sink, or
+``(node, ctx, now, fields) -> None`` — a closure over the attached
+sink, or for :class:`Profile` the profiler's bound method — or
 ``None`` when that sink is absent.  The spine compiles each kind, per
 emitting node, into the instrument methods its metric rules call
 (``Metric.resolve``: called directly, no handler in between) plus the
@@ -191,14 +194,20 @@ def Observe(name: str, field: str, **where: Any) -> Metric:
 class Profile:
     """Feed the access profiler: ``hook`` is ``read`` (``peek``: it is
     a control-plane peek), ``write`` (keywords ``origin`` and ``op``),
-    ``apply``, or ``merge`` (keywords ``origin`` and ``outcomes``, one
-    ``(key, applied)`` pair per merged entry, in entry order)."""
+    ``apply``, or ``merge`` (keyword ``outcomes``, one ``(key,
+    applied)`` pair per merged entry, in entry order).
+
+    The handler is the profiler's own bound method (``on_read``,
+    ``on_peek``, ``on_write``, ``on_apply``, ``on_merge``), which takes
+    the spine's handler shape ``(node, ctx, now, fields)``: a profiled
+    step is one call from the spine into the profiler, and a merged
+    section is one call however many entries it carries."""
 
     FIELDS = {
         "read": ("group", "key"),
         "write": ("group", "key", "origin", "op"),
         "apply": ("group", "key"),
-        "merge": ("group", "origin", "outcomes"),
+        "merge": ("group", "outcomes"),
     }
 
     def __init__(self, hook: str, peek: bool = False) -> None:
@@ -210,25 +219,7 @@ class Profile:
         profiler = spine.access_profiler
         if profiler is None:
             return None
-        if self.hook == "read":
-            on_read, peek = profiler.on_read, self.peek
-            return lambda node, ctx, now, f: on_read(f["group"], f["key"], node, now, peek)
-        if self.hook == "write":
-            on_write = profiler.on_write
-            return lambda node, ctx, now, f: on_write(
-                f["group"], f["key"], node, now, f["origin"], f["op"]
-            )
-        if self.hook == "apply":
-            on_apply = profiler.on_apply
-            return lambda node, ctx, now, f: on_apply(f["group"], f["key"], node, now)
-        on_merge = profiler.on_merge
-
-        def merges(node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
-            group, origin = f["group"], f["origin"]
-            for key, applied in f["outcomes"]:
-                on_merge(group, key, node, origin, applied, now)
-
-        return merges
+        return getattr(profiler, "on_peek" if self.peek else "on_" + self.hook)
 
 
 class Sample:

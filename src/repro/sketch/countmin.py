@@ -12,6 +12,9 @@ G-Counter slot and the sum is taken on read.  This class is the local,
 single-owner sketch (the access profiler's tail counts): ``add`` bumps a
 key and returns its estimate from the same pass over the rows, so
 counting and asking hash each row once; ``add(key, 0)`` only asks.
+A tail is a few hundred keys seen over and over, so ``add`` remembers
+each key's columns, by the key's ``repr`` (the text ``row_hash``
+hashes), for up to :data:`MEMO_LIMIT` keys; a full memo starts over.
 
 Hashing is seeded and deterministic across runs.
 """
@@ -19,9 +22,13 @@ Hashing is seeded and deterministic across runs.
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, List
+from typing import Dict, Hashable, List, Tuple
 
-__all__ = ["CountMinSketch", "row_hash"]
+__all__ = ["CountMinSketch", "MEMO_LIMIT", "row_hash"]
+
+#: Keys whose columns one sketch remembers at most (a few hundred bytes
+#: each).
+MEMO_LIMIT = 1024
 
 
 def row_hash(seed: int, row: int, key: Hashable, width: int) -> int:
@@ -45,9 +52,8 @@ class CountMinSketch:
         self.seed = seed
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
         self.items_added = 0
-        # row_hash's key-independent blake2b parameters, encoded once.
-        self._salt = seed.to_bytes(8, "big")
-        self._persons = [row.to_bytes(8, "big") for row in range(depth)]
+        #: repr(key) -> the key's column in each row.
+        self._columns: Dict[str, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     def add(self, key: Hashable, count: int = 1) -> int:
@@ -57,13 +63,17 @@ class CountMinSketch:
         if count < 0:
             raise ValueError("count-min cannot remove items")
         self.items_added += count
-        data = repr(key).encode("utf-8")
-        salt, width = self._salt, self.width
+        text = repr(key)
+        memo = self._columns
+        columns = memo.get(text)
+        if columns is None:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            columns = memo[text] = tuple(
+                row_hash(self.seed, row, key, self.width) for row in range(self.depth)
+            )
         estimate = -1
-        for person, cells in zip(self._persons, self._rows):
-            # row_hash(seed, row, key, width), with the key encoded once
-            digest = hashlib.blake2b(data, digest_size=8, salt=salt, person=person).digest()
-            column = int.from_bytes(digest, "big") % width
+        for column, cells in zip(columns, self._rows):
             value = cells[column] = cells[column] + count
             if value < estimate or estimate < 0:
                 estimate = value

@@ -1,15 +1,19 @@
 """Tests for the streaming access profiler and the consistency advisor:
 windowed counters, top-K promotion/eviction over the count-min tail
 (and the scan-skipping floor against a scan-every-time reference),
-hot-path hook integration, observer neutrality (instrumented runs are
-byte-identical to uninstrumented ones), replay reproducibility of the
-windowed stats, the advisor's zero-hand-label classification, and the
-dashboard's access-profile panel."""
+hot-path hook integration, the profiler's whole state pinned by digest,
+observer neutrality (instrumented runs are byte-identical to
+uninstrumented ones), replay reproducibility of the windowed stats, the
+advisor's zero-hand-label classification, and the dashboard's
+access-profile panel."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,8 @@ from repro.obs import (
 )
 from repro.obs import accessprof
 from repro.obs.accessprof import DEFAULT_TOP_K, GroupProfile, KeyProfile, WindowedCount
+from repro.obs.metrics import Histogram
+from repro.sketch.countmin import CountMinSketch
 from repro.sim.random import SeededRng
 from repro.workload.flows import FlowGenerator
 from repro.workload.zipf import ZipfSampler
@@ -35,6 +41,24 @@ def _spec(name: str, consistency: Consistency, group_id: int, **kwargs) -> Regis
     spec = RegisterSpec(name, consistency, **kwargs)
     spec.group_id = group_id
     return spec
+
+
+def _read(prof: AccessProfiler, group: int, key, node: str, now: float) -> None:
+    """One mediated read, as the spine hands it to the profiler."""
+    prof.on_read(node, None, now, {"group": group, "key": key})
+
+
+def _write(
+    prof: AccessProfiler,
+    group: int,
+    key,
+    node: str,
+    now: float,
+    origin: str = "dataplane",
+    op: str = "overwrite",
+) -> None:
+    """One initiated write, as the spine hands it to the profiler."""
+    prof.on_write(node, None, now, {"group": group, "key": key, "origin": origin, "op": op})
 
 
 def _run_firewall(seed: int = 7, profiler: AccessProfiler = None, flows: int = 10):
@@ -112,22 +136,22 @@ class TestTopKPromotion:
     def test_first_k_keys_are_exact(self):
         prof = AccessProfiler(top_k=2)
         group = prof.describe_group(_spec("g", Consistency.EWO, 1))
-        prof.on_write(1, "a", "s0", 1e-3)
-        prof.on_write(1, "b", "s0", 2e-3)
+        _write(prof, 1, "a", "s0", 1e-3)
+        _write(prof, 1, "b", "s0", 2e-3)
         assert set(group.keys) == {"a", "b"}
         assert group.promotions == 2 and group.evictions == 0
 
     def test_tail_key_promotes_past_weakest(self):
         prof = AccessProfiler(top_k=2)
         group = prof.describe_group(_spec("g", Consistency.EWO, 1))
-        prof.on_write(1, "a", "s0", 1e-3)
+        _write(prof, 1, "a", "s0", 1e-3)
         for _ in range(3):
-            prof.on_write(1, "b", "s0", 2e-3)
+            _write(prof, 1, "b", "s0", 2e-3)
         # "c" lands in the sketch tail until its estimate beats the
         # weakest exact resident ("a", 1 access)
-        prof.on_write(1, "c", "s0", 3e-3)
+        _write(prof, 1, "c", "s0", 3e-3)
         assert "c" not in group.keys
-        prof.on_write(1, "c", "s0", 4e-3)
+        _write(prof, 1, "c", "s0", 4e-3)
         assert "c" in group.keys and "a" not in group.keys
         assert group.evictions == 1
         # the promoted record carries its tail life forward: the one
@@ -141,9 +165,9 @@ class TestTopKPromotion:
     def test_promoting_access_is_counted_once(self):
         prof = AccessProfiler(top_k=1)
         group = prof.describe_group(_spec("g", Consistency.EWO, 1))
-        prof.on_read(1, "a", "s0", 1e-3)
-        prof.on_read(1, "b", "s0", 2e-3)
-        prof.on_read(1, "b", "s0", 3e-3)
+        _read(prof, 1, "a", "s0", 1e-3)
+        _read(prof, 1, "b", "s0", 2e-3)
+        _read(prof, 1, "b", "s0", 3e-3)
         promoted = group.keys["b"]
         assert (promoted.prior, promoted.reads, promoted.accesses) == (1, 1, 2)
         assert promoted.as_dict(3e-3)["tail_estimate"] == 1
@@ -153,7 +177,7 @@ class TestTopKPromotion:
         prof.describe_group(_spec("g", Consistency.EWO, 1))
         for count, key in ((5, "x"), (3, "y"), (1, "z")):
             for _ in range(count):
-                prof.on_write(1, key, "s0", 1e-3)
+                _write(prof, 1, key, "s0", 1e-3)
         ranked = prof.hot_keys(limit=3)
         assert [k["key"] for k in ranked] == ["'x'", "'y'", "'z'"]
 
@@ -161,7 +185,7 @@ class TestTopKPromotion:
         prof = AccessProfiler()
         group = prof.describe_group(_spec("g", Consistency.EWO, 1))
         for i in range(4 * DEFAULT_TOP_K):
-            prof.on_write(1, f"k{i}", "s0", 1e-3)
+            _write(prof, 1, f"k{i}", "s0", 1e-3)
         assert len(group.keys) <= DEFAULT_TOP_K
         assert group.writes == 4 * DEFAULT_TOP_K
 
@@ -171,10 +195,7 @@ class _ScanEveryTime(GroupProfile):
     weakest resident by scanning.  The reference the real one must match
     state for state."""
 
-    def key_profile(self, key):
-        profile = self.keys.get(key)
-        if profile is not None:
-            return profile
+    def admit(self, key):
         if len(self.keys) < self.top_k:
             profile = self.keys[key] = KeyProfile(key, self.read_activity.window)
             self.promotions += 1
@@ -236,15 +257,15 @@ class TestResidencyFloor:
         real, group = _profiled_group(top_k, sketch_width)
         ref = AccessProfiler(top_k=top_k, sketch_width=sketch_width)
         reference = ref.groups[1] = _ScanEveryTime(
-            1, "g", "ewo", None, ref.window, top_k, ref.sketch_depth, sketch_width
+            1, "g", "ewo", ref.window, top_k, ref.sketch_depth, sketch_width
         )
         for step, (u, is_write) in enumerate(stream):
             key = f"k{int(u ** 3 * alphabet)}"  # cubed: low ranks are hot
             for prof in (real, ref):
                 if is_write:
-                    prof.on_write(1, key, "s0", step * 1e-5)
+                    _write(prof, 1, key, "s0", step * 1e-5)
                 else:
-                    prof.on_read(1, key, "s0", step * 1e-5)
+                    _read(prof, 1, key, "s0", step * 1e-5)
             assert _table(group) == _table(reference)
             assert group.floor <= min(p.accesses for p in group.keys.values())
 
@@ -257,7 +278,7 @@ class TestResidencyFloor:
             key = keys.sample()
             if len(group.keys) == group.top_k and key not in group.keys:
                 tail_accesses += 1  # the parent scanned on each of these
-            prof.on_read(1, key, "s0", step * 1e-6)
+            _read(prof, 1, key, "s0", step * 1e-6)
         assert group.evictions > 0 and tail_accesses > 2_000
         assert 0 < len(scans) <= group.evictions + group.floor
         assert 10 * len(scans) < tail_accesses
@@ -270,7 +291,7 @@ class TestResidencyFloor:
         rounds = 50
         for step in range(rounds):
             for key in range(2 * group.top_k):
-                prof.on_write(1, key, "s0", step * 1e-4)
+                _write(prof, 1, key, "s0", step * 1e-4)
         assert len(scans) == rounds
         assert group.evictions == 0 and group.floor == rounds
 
@@ -316,6 +337,29 @@ class TestHookIntegration:
         assert group.merges_applied > 0
 
 
+    def test_peek_is_a_read_counted_in_peeks(self):
+        prof = AccessProfiler()
+        group = prof.describe_group(_spec("g", Consistency.EWO, 1))
+        prof.on_peek("s0", None, 1e-3, {"group": 1, "key": "a"})
+        _read(prof, 1, "a", "s1", 2e-3)
+        assert (group.reads, group.peeks, prof.events) == (2, 1, 2)
+        assert group.keys["a"].readers == {"s0": 1, "s1": 1}
+
+    def test_a_merged_section_counts_each_entry(self):
+        prof = AccessProfiler(top_k=1)
+        group = prof.describe_group(_spec("g", Consistency.EWO, 1))
+        _write(prof, 1, "a", "s0", 1e-3)
+        outcomes = [("a", True), ("tail", True), ("a", False)]
+        prof.on_merge("s1", None, 2e-3, {"group": 1, "outcomes": outcomes})
+        prof.on_merge("s1", None, 3e-3, {"group": 1, "outcomes": []})
+        prof.on_merge("s1", None, 4e-3, {"group": 9, "outcomes": outcomes})
+        assert (prof.events, prof.last_event_at) == (4, 2e-3)
+        assert (group.merges_applied, group.merges_stale) == (2, 1)
+        resident = group.keys["a"]
+        assert (resident.merges_applied, resident.merges_stale) == (1, 1)
+        assert "tail" not in group.keys
+
+
 class TestObserverNeutrality:
     def test_instrumented_run_is_byte_identical(self):
         baseline = _digest(_run_firewall())
@@ -342,6 +386,69 @@ class TestObserverNeutrality:
         assert _export(prof_a) != _export(prof_b)
 
 
+def _canonical(value):
+    """A profiler value as nested tuples of reprs: every ``__slots__``
+    slot of a profile, window or histogram, a sketch's dimensions, count
+    and rows (not its column memo, a cache), a dict's items in insertion
+    order."""
+    if isinstance(value, (GroupProfile, KeyProfile, WindowedCount, Histogram)):
+        return (
+            type(value).__name__,
+            tuple((slot, _canonical(getattr(value, slot))) for slot in type(value).__slots__),
+        )
+    if isinstance(value, CountMinSketch):
+        rows = tuple(tuple(row) for row in value._rows)
+        return ("CountMinSketch", value.depth, value.width, value.seed, value.items_added, rows)
+    if isinstance(value, dict):
+        return tuple((_canonical(k), _canonical(v)) for k, v in value.items())
+    return repr(value)
+
+
+def _state_digest(prof: AccessProfiler) -> str:
+    state = (
+        prof.events,
+        repr(prof.last_event_at),
+        tuple((gid, _canonical(group)) for gid, group in prof.groups.items()),
+    )
+    return hashlib.sha256(repr(state).encode("utf-8")).hexdigest()
+
+
+def _load_perf_worker():
+    spec = importlib.util.spec_from_file_location(
+        "perf_worker", Path(__file__).resolve().parents[1] / "perf" / "worker.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # registered before it runs: its dataclasses look their module up
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPinnedState:
+    """The profiler's whole state after a quarter-scale ``nf_mix_obs``
+    world (``perf/worker.py``'s build: NAT, IPS and heavy-hitter NFs
+    under Zipf load, all four sinks), hashed slot by slot.  Both tables
+    evict at these seeds, so promotion, the floor and the sketch tail
+    are all in the hash.  The digests were taken before the hooks became
+    the spine's handlers, with the since-deleted ``GroupProfile.ewo_mode``
+    left out: a change to the hot path must leave them as they are."""
+
+    DIGESTS = {
+        11: "14b019d9a4531656615e4838009e4f656e5ffadce4fd82186856b4c80e7308de",
+        23: "dcc08267c6c882f24accced85359bd10aeb77c1785d3b654169c3ebc67945d32",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_state_digest_is_pinned(self, seed):
+        worker = _load_perf_worker()
+        scenario = worker.build(worker.WORKLOADS["nf_mix_obs"], seed, 0.25)
+        scenario.world.sim.run(until=scenario.t_end)
+        prof = scenario.sinks["access_profiler"]
+        evicting = [g.name for g in prof.groups.values() if g.evictions]
+        assert evicting == ["nat_table", "ips_signatures"]
+        assert _state_digest(prof) == self.DIGESTS[seed]
+
+
 class TestNullProfiler:
     def test_deployment_defaults_to_null(self, make_deployment):
         dep, _, _ = make_deployment(3)
@@ -366,14 +473,14 @@ class TestAdvisor:
         for i in range(packets):
             now = i * 1e-5
             # meter: commutative write on every packet
-            prof.on_write(1, "src", "s0", now, op="increment")
+            _write(prof, 1, "src", "s0", now, op="increment")
             # flows: read every packet, data-plane write per ~10 packets
-            prof.on_read(2, f"f{i % 4}", "s0", now)
+            _read(prof, 2, f"f{i % 4}", "s0", now)
             if i % 10 == 0:
-                prof.on_write(2, f"f{i % 4}", "s1", now)
+                _write(prof, 2, f"f{i % 4}", "s1", now)
             # rules: read every packet, one control-plane write total
-            prof.on_read(3, "sig", "s0", now)
-        prof.on_write(3, "sig", "s0", 1e-3, origin="control")
+            _read(prof, 3, "sig", "s0", now)
+        _write(prof, 3, "sig", "s0", 1e-3, origin="control")
 
         advisor = ConsistencyAdvisor(prof, packets=packets)
         advice = {a.name: a for a in advisor.advise()}
@@ -395,7 +502,7 @@ class TestAdvisor:
         prof = AccessProfiler()
         prof.describe_group(_spec("sets", Consistency.EWO, 1, ewo_mode=EwoMode.ORSET))
         for i in range(3):
-            prof.on_write(1, "members", "s0", i * 1e-3, op="set_add")
+            _write(prof, 1, "members", "s0", i * 1e-3, op="set_add")
         advice = ConsistencyAdvisor(prof, packets=1000).advice_for("sets")
         assert advice.pattern == "mergeable"
         assert advice.recommended == "ewo" and not advice.mismatch
@@ -404,7 +511,7 @@ class TestAdvisor:
         prof = AccessProfiler()
         prof.describe_group(_spec("meter", Consistency.SRO, 1))
         for i in range(50):
-            prof.on_write(1, "src", "s0", i * 1e-5)
+            _write(prof, 1, "src", "s0", i * 1e-5)
         advisor = ConsistencyAdvisor(prof, packets=50)
         (mismatch,) = advisor.mismatches()
         assert mismatch.name == "meter"
@@ -414,7 +521,7 @@ class TestAdvisor:
     def test_low_confidence_is_excluded_from_mismatch_report(self):
         prof = AccessProfiler()
         prof.describe_group(_spec("ghost", Consistency.EWO, 1))
-        prof.on_read(1, "k", "s0", 1e-3)  # read-only: advice is a guess
+        _read(prof, 1, "k", "s0", 1e-3)  # read-only: advice is a guess
         advisor = ConsistencyAdvisor(prof, packets=100)
         advice = advisor.advice_for("ghost")
         assert advice.mismatch and advice.confidence == "low"

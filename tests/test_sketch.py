@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.countmin import CountMinSketch, row_hash
+from repro.sketch.countmin import MEMO_LIMIT, CountMinSketch, row_hash
 from repro.sketch.heavyhitter import empirical_entropy, normalized_entropy
 
 
@@ -51,14 +51,50 @@ class TestCountMin:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40, 2**64 - 1])
     @pytest.mark.parametrize("depth,width", [(1, 1), (1, 16), (3, 1000), (4, 1024), (6, 4099)])
     def test_columns_are_row_hash(self, seed, depth, width):
-        """``add`` encodes the key once, yet lands in exactly the
-        columns ``row_hash`` names — the cells the DDoS NF addresses."""
+        """``add`` lands in exactly the columns ``row_hash`` names — the
+        cells the DDoS NF addresses."""
         for key in self.KEYS:
             sketch = CountMinSketch(depth=depth, width=width, seed=seed)
             assert sketch.add(key, 3) == 3
             columns = [row.index(3) for row in sketch._rows]
             assert columns == [row_hash(seed, row, key, width) for row in range(depth)]
             assert all(sum(row) == 3 for row in sketch._rows)
+
+    MIXED = [1, 1.0, True, (1, "a"), (1.0, "a"), "1", None]
+
+    @given(
+        keys=st.lists(
+            st.one_of(st.sampled_from(MIXED), st.integers(0, 3 * MEMO_LIMIT)), max_size=400
+        ),
+        counts=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_columns_are_row_hash(self, keys, counts):
+        """Keys that compare equal but print differently (``1``, ``1.0``,
+        ``True``) keep their own ``row_hash`` columns through the memo:
+        the sketch matches one that hashes every key afresh, cell for
+        cell and estimate for estimate."""
+        seed, depth, width = 5, 4, 64
+        sketch = CountMinSketch(depth=depth, width=width, seed=seed)
+        rows = [[0] * width for _ in range(depth)]
+        for step, key in enumerate(keys):
+            count = counts[step % len(counts)]
+            columns = [row_hash(seed, row, key, width) for row in range(depth)]
+            for row, column in enumerate(columns):
+                rows[row][column] += count
+            assert sketch.add(key, count) == min(rows[r][c] for r, c in enumerate(columns))
+            assert sketch._rows == rows
+            assert len(sketch._columns) <= MEMO_LIMIT
+
+    def test_memo_is_bounded(self):
+        sketch = CountMinSketch(depth=2, width=128, seed=3)
+        for key in range(3 * MEMO_LIMIT + 7):
+            sketch.add(key)
+            assert len(sketch._columns) <= MEMO_LIMIT
+        # past the bound the memo started over, and still hashes right
+        assert 0 < len(sketch._columns) < MEMO_LIMIT
+        columns = sketch._columns[repr(3 * MEMO_LIMIT + 6)]
+        assert columns == tuple(row_hash(3, row, 3 * MEMO_LIMIT + 6, 128) for row in range(2))
 
     def test_row_hash_values_are_pinned(self):
         assert row_hash(0, 0, "a", 1024) == 1001

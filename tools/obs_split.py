@@ -8,13 +8,16 @@ no sink, each of the four sinks alone, and all four.
 Every run is a fresh process of this checkout that builds the world with
 ``perf/worker.py``'s own ``build`` — the ``nf_mix_obs`` load, NFs and
 sinks — keeps only the chosen sinks attached, and runs the worker's timed
-phase (``run_timed``).  Each configuration runs twice: once plain, for
-``peak_rss_mb`` (the process's ``ru_maxrss``, as ``perf/`` reports it),
-and once under cProfile with ``PYTHONHASHSEED=0``, for the exact Python
-calls per delivered packet.  The table shows both, each sink's addition
-over the no-sink run, and, for the runs with a flight recorder, the
-bytes each recorded span adds (RSS over the no-sink run ÷ spans
-recorded).  Nothing under ``perf/`` is changed.
+phase (``run_timed``).  Each configuration runs four times: three times
+plain, for the timed phase's calibrated CPU-seconds (``run_timed``'s,
+the seconds ``perf/`` turns into ``ops_per_host_s``) and ``peak_rss_mb``
+(the process's ``ru_maxrss``, as ``perf/`` reports it), the median of
+the three of each; and once under cProfile with ``PYTHONHASHSEED=0``,
+for the exact Python calls per delivered packet.  The table shows all
+three, each sink's addition over the no-sink run, its share of the
+watched run's seconds (all four sinks), and, for the runs with a flight
+recorder, the bytes each recorded span adds (RSS over the no-sink run ÷
+spans recorded).  Nothing under ``perf/`` is changed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import gc
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 from typing import Any, Dict, List, Optional
@@ -42,6 +46,8 @@ CONFIGS = (
     ("SLOMonitor", ("slo_monitor",)),
     ("all four", SINKS),
 )
+#: Plain runs per configuration; the table shows their medians.
+TIMED_RUNS = 3
 
 
 def run_one(sinks: List[str], seed: int, calls: bool) -> Dict[str, Any]:
@@ -66,10 +72,10 @@ def run_one(sinks: List[str], seed: int, calls: bool) -> Dict[str, Any]:
 
         profile = cProfile.Profile()
     gc.collect()
-    worker.run_timed(scenario.world.sim, scenario.t_end, None, profile)
+    _, _, run_s = worker.run_timed(scenario.world.sim, scenario.t_end, None, profile)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     delivered = worker.read_counters(scenario)[2]["delivered"]
-    result = {"delivered": delivered, "peak_rss_mb": peak_rss_mb,
+    result = {"delivered": delivered, "peak_rss_mb": peak_rss_mb, "run_s": run_s,
               "spans": scenario.sinks["flight_recorder"].recorded}
     if profile is not None:
         import pstats
@@ -90,28 +96,54 @@ def spawn(sinks: tuple, seed: int, calls: bool) -> Dict[str, Any]:
     return json.loads(done.stdout.decode("utf-8").splitlines()[-1])
 
 
-def table(seed: int) -> str:
+def measure(seed: int) -> List[Dict[str, Any]]:
+    """One row per configuration: its runs' medians and exact calls/op."""
     rows = []
     for label, sinks in CONFIGS:
-        plain = spawn(sinks, seed, calls=False)
+        plain = [spawn(sinks, seed, calls=False) for _ in range(TIMED_RUNS)]
         counted = spawn(sinks, seed, calls=True)
-        rows.append((label, sinks, plain["peak_rss_mb"], counted["calls_per_op"], plain["spans"]))
+        rows.append({
+            "label": label,
+            "sinks": sinks,
+            "calls_per_op": counted["calls_per_op"],
+            "run_s": statistics.median(run["run_s"] for run in plain),
+            "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in plain),
+            "spans": plain[0]["spans"],
+        })
         print(f"  ran {label}", file=sys.stderr)
-    _, _, base_rss, base_calls, _ = rows[0]
+    return rows
+
+
+def render(seed: int, rows: List[Dict[str, Any]]) -> str:
+    """The markdown table of ``measure``'s rows: the first is the no-sink
+    run each addition is taken over, the last the run with all four, whose
+    seconds each sink's share is of."""
+    base, watched = rows[0], rows[-1]
     lines = [
-        f"{WORKLOAD}, seed {seed}, scale 1.0: each sink alone, then all four",
+        f"{WORKLOAD}, seed {seed}, scale 1.0: each sink alone, then all four; "
+        f"run_s and peak_rss_mb are medians of {TIMED_RUNS} processes",
         "",
-        "| sink | calls/op | added | peak_rss_mb | added MB | spans | B/span |",
-        "|---|---|---|---|---|---|---|",
+        "| sink | calls/op | added | run_s | added s | share of all four "
+        "| peak_rss_mb | added MB | spans | B/span |",
+        "|---|---|---|---|---|---|---|---|---|---|",
     ]
-    for label, sinks, rss, calls, spans in rows:
-        added = "" if not sinks else f"{calls - base_calls:+.1f}"
-        added_mb = "" if not sinks else f"{rss - base_rss:+.1f}"
+    for row in rows:
+        sinks, calls, run_s, rss, spans = (
+            row["sinks"], row["calls_per_op"], row["run_s"], row["peak_rss_mb"], row["spans"]
+        )
+        added = added_s = share = added_mb = ""
+        if sinks:
+            added = f"{calls - base['calls_per_op']:+.1f}"
+            added_s = f"{run_s - base['run_s']:+.3f}"
+            share = f"{(run_s - base['run_s']) / watched['run_s']:.0%}"
+            added_mb = f"{rss - base['peak_rss_mb']:+.1f}"
         recorded = "flight_recorder" in sinks
-        per_span = f"{(rss - base_rss) * 1024 * 1024 / spans:.0f}" if recorded and spans else ""
+        per_span = ""
+        if recorded and spans:
+            per_span = f"{(rss - base['peak_rss_mb']) * 1024 * 1024 / spans:.0f}"
         lines.append(
-            f"| {label} | {calls:.2f} | {added} | {rss:.1f} | {added_mb} "
-            f"| {spans if recorded else ''} | {per_span} |"
+            f"| {row['label']} | {calls:.2f} | {added} | {run_s:.3f} | {added_s} | {share} "
+            f"| {rss:.1f} | {added_mb} | {spans if recorded else ''} | {per_span} |"
         )
     return "\n".join(lines)
 
@@ -126,7 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sinks = [] if args.one == "-" else args.one.split(",")
         print(json.dumps(run_one(sinks, args.seed, args.calls)))
         return 0
-    print(table(args.seed))
+    print(render(args.seed, measure(args.seed)))
     return 0
 
 
