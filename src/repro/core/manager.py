@@ -250,9 +250,7 @@ class SwiShmemManager:
         epoch is below the highest this switch has obeyed: it was issued
         by a since-deposed leader and must not land."""
         obs = self.obs
-        ctx = (
-            self.causal.child(command.trace) if command.trace is not None else None
-        )
+        ctx = self.causal.child(command.trace)
         if command.epoch < self.controller_epoch:
             self.fenced_commands += 1
             if obs.on:

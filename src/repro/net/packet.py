@@ -91,10 +91,11 @@ class Packet:
     #: ``meta`` this survives hops — it is an on-wire header stack that
     #: INT-enabled switches append to and the sink strips.
     int_data: Any = None
-    #: Causal trace context (``repro.obs.causal.TraceContext``).  Rides
-    #: alongside ``int_data`` but — unlike it — contributes zero wire
-    #: bytes: it is simulator bookkeeping, so stamping it can never
-    #: change serialization delay, timing, or chaos-replay digests.
+    #: Causal trace context (``repro.obs.causal.TraceContext``), or
+    #: ``None`` while no flight recorder is attached.  Rides alongside
+    #: ``int_data`` but — unlike it — contributes zero wire bytes: it is
+    #: simulator bookkeeping, so stamping it can never change
+    #: serialization delay, timing, or chaos-replay digests.
     trace: Any = None
 
     @property

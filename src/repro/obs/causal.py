@@ -13,6 +13,14 @@ per-node counter, and whose Lamport value advances only on local
 ``tick`` / message ``observe``.  Two runs of the same seeded scenario
 therefore produce byte-identical span trees — which is what lets the
 flight recorder's output be asserted in tests rather than eyeballed.
+
+Stamping happens only while someone records: a deployment's clocks
+record exactly while its ``ObsSpine`` has a flight recorder.  A clock
+that is not recording derives ``None`` and counts nothing, and
+``child(None)`` is ``None`` on any clock, so with no recorder every
+message carries ``trace=None`` and no context is allocated.  The
+decision is made where a trace is rooted and travels with it (Dapper's
+sampling rule); a standalone ``CausalClock(node)`` records.
 """
 
 from __future__ import annotations
@@ -64,10 +72,15 @@ class CausalClock:
     allocation is pure counter arithmetic — no RNG, no wall clock — so
     trace identity is a deterministic function of the event order the
     simulator already guarantees.
+
+    ``recording`` is set by the spine (on while a flight recorder is
+    attached); a clock that is not recording returns ``None`` from
+    :meth:`root` and :meth:`child` and leaves its counters alone.
     """
 
     def __init__(self, node: str) -> None:
         self.node = node
+        self.recording = True
         self.lamport = 0
         self._spans = 0
         self._traces = 0
@@ -90,14 +103,20 @@ class CausalClock:
         self._spans += 1
         return f"{self.node}:{self._spans}"
 
-    def root(self, trace_id: Optional[str] = None) -> TraceContext:
-        """Start a brand-new trace (e.g. one SRO write, one election)."""
+    def root(self, trace_id: Optional[str] = None) -> Optional[TraceContext]:
+        """Start a brand-new trace (e.g. one SRO write, one election);
+        ``None`` while not recording."""
+        if not self.recording:
+            return None
         if trace_id is None:
             self._traces += 1
             trace_id = f"T:{self.node}:{self._traces}"
         return TraceContext(trace_id, self._next_span_id(), None, self.tick())
 
-    def child(self, parent: TraceContext) -> TraceContext:
-        """Derive the receiving-side span for a message stamped ``parent``."""
+    def child(self, parent: Optional[TraceContext]) -> Optional[TraceContext]:
+        """Derive the receiving-side span for a message stamped ``parent``;
+        ``None`` for an unstamped message or while not recording."""
+        if parent is None or not self.recording:
+            return None
         lamport = self.observe(parent.lamport)
         return TraceContext(parent.trace_id, self._next_span_id(), parent.span_id, lamport)

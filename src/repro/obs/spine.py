@@ -27,8 +27,11 @@ keep their own ``stats`` whether or not anyone watches, and the
 deployment registers one source (``MetricsRegistry.add_source``) that
 reports them as ``switch.*`` / ``link.*`` whenever the registry is
 read, so the per-packet path holds no instrument and tests no flag.
-INT (rides the packets) and ``CausalClock`` stamping (unconditional,
-digest-neutral) are likewise not sinks.
+INT (rides the packets) is likewise not a sink.  ``CausalClock``
+stamping is not one either, but it is paid for only while watched: the
+spine sets every clock recording exactly while a flight recorder is
+attached (:meth:`attach`, :meth:`clock`), and an unwatched clock stamps
+``None`` and allocates nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class ObsSpine:
         self.access_profiler: Any = None
         self.slo_monitor: Any = None
         #: Causal clock per node (switch, ``ctl<n>``, ``releveler``,
-        #: ``scrub``); ``child=True`` spans allocate from them.
+        #: ``scrub``); ``child=True`` spans allocate from them.  Each
+        #: records only while a flight recorder is attached.
         self.clocks: Dict[str, CausalClock] = {}
         self._scopes: List[Tuple[str, str]] = []
         self._groups: Dict[int, Any] = {}
@@ -100,6 +104,7 @@ class ObsSpine:
         clock = self.clocks.get(node)
         if clock is None:
             clock = self.clocks[node] = CausalClock(node)
+            clock.recording = self.flight_recorder is not None
         return clock
 
     # -- static facts, replayed to sinks that attach late -----------------
@@ -146,6 +151,8 @@ class ObsSpine:
                 self._declare(scope, label)
         if flight_recorder is not None:
             self.flight_recorder = flight_recorder
+            for clock in self.clocks.values():
+                clock.recording = True
         if access_profiler is not None:
             self.access_profiler = access_profiler
             for spec in self._groups.values():

@@ -362,9 +362,7 @@ class CentralController:
         self._known_failed = set()
         self._last_heard = {}
         self._last_beacon = float("-inf")
-        rc_ctx = (
-            self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
-        )
+        rc_ctx = self.causal.child(self.trace_ctx)
         if self.obs.on:
             self.obs.emit("controller.reconstruct.begin", self.node, rc_ctx, epoch=self.epoch)
         query = ReconstructQuery(
@@ -398,9 +396,7 @@ class CentralController:
         if manager.switch.failed:
             return
         manager.observe_controller_epoch(query.epoch)
-        answer_ctx = (
-            manager.causal.child(query.trace) if query.trace is not None else None
-        )
+        answer_ctx = manager.causal.child(query.trace)
         if self.obs.on:
             self.obs.emit("controller.reconstruct.answer", name, answer_ctx, epoch=query.epoch)
         views = tuple(
@@ -527,11 +523,7 @@ class CentralController:
                 event = RecoveryEvent(
                     switch=name, started_at=now, redriven=True, epoch=self.epoch
                 )
-                event.trace = (
-                    self.causal.child(self.trace_ctx)
-                    if self.trace_ctx is not None
-                    else None
-                )
+                event.trace = self.causal.child(self.trace_ctx)
                 if self.obs.on:
                     self.obs.emit(
                         "controller.recovery.redrive",
@@ -664,9 +656,7 @@ class CentralController:
             epoch=self.epoch,
         )
         self.failures.append(event)
-        fail_ctx = (
-            self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
-        )
+        fail_ctx = self.causal.child(self.trace_ctx)
         if self.obs.on:
             self.obs.emit(
                 "controller.failure.detect",
@@ -773,9 +763,7 @@ class CentralController:
         if not switch.failed:
             raise ValueError(f"{name} has not failed; nothing to recover")
         event = RecoveryEvent(switch=name, started_at=self.sim.now, epoch=self.epoch)
-        event.trace = (
-            self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
-        )
+        event.trace = self.causal.child(self.trace_ctx)
         if self.obs.on:
             self.obs.emit(
                 "controller.recovery.begin",
@@ -827,9 +815,7 @@ class CentralController:
         event = RecoveryEvent(
             switch=name, started_at=self.sim.now, readmission=True, epoch=self.epoch
         )
-        event.trace = (
-            self.causal.child(self.trace_ctx) if self.trace_ctx is not None else None
-        )
+        event.trace = self.causal.child(self.trace_ctx)
         if self.obs.on:
             self.obs.emit(
                 "controller.recovery.readmit",
@@ -992,9 +978,7 @@ class CentralController:
         # every committed value.
         source = chain.read_tail if chain.read_tail in full else full[0]
         event.transfer_attempts[group_id] = attempt
-        snap_ctx = (
-            self.causal.child(event.trace) if event.trace is not None else None
-        )
+        snap_ctx = self.causal.child(event.trace)
         if self.obs.on:
             self.obs.emit(
                 "controller.snapshot.start",
@@ -1067,9 +1051,7 @@ class CentralController:
             and gen != self._recovery_gen.get((group_id, target))
         ):
             return  # transfer belonged to a superseded recovery
-        promote_ctx = (
-            self.causal.child(event.trace) if event.trace is not None else None
-        )
+        promote_ctx = self.causal.child(event.trace)
         if self.obs.on:
             self.obs.emit(
                 "controller.promote",

@@ -674,7 +674,7 @@ class EwoEngine:
             if self.obs.on:
                 self.obs.emit("ewo.sync.agree", self.switch.name, probe.trace)
             return
-        self._sync_to(state, probe.group, probe.origin, parent=probe.trace)
+        self._sync_to(state, probe.group, probe.origin, False, probe.trace)
 
     def force_sync(self, group_id: int, target: str) -> Tuple[int, int]:
         """Targeted full-state sync toward ``target`` (anti-entropy repair).
@@ -688,14 +688,14 @@ class EwoEngine:
         state = self.groups.get(group_id)
         if state is None or self.switch.failed or target == self.switch.name:
             return (0, 0)
-        return self._sync_to(state, group_id, target)
+        return self._sync_to(state, group_id, target, True)
 
     def _sync_to(
-        self, state: EwoGroupState, group_id: int, target: str, parent: Any = None
+        self, state: EwoGroupState, group_id: int, target: str, forced: bool, parent: Any = None
     ) -> Tuple[int, int]:
         """Ship full known state to ``target`` in MTU-sized sync packets:
-        the answer to the probe stamped ``parent``, or (``parent`` None)
-        a forced repair round."""
+        a forced repair round, or the answer to the probe stamped
+        ``parent`` (which may be ``None``: the trace is never the flag)."""
         entries = self._full_state_entries(state)
         directory = getattr(self.manager.deployment, "directory", None)
         if directory is not None and state.spec.partial_replication:
@@ -707,7 +707,6 @@ class EwoEngine:
             ]
         packets = 0
         sync_bytes = 0
-        forced = parent is None
         round_ctx = None
         if entries:
             round_ctx = self._causal.root() if forced else self._causal.child(parent)

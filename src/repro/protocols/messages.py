@@ -87,7 +87,8 @@ _BASE_MSG_BYTES = 13
 
 
 def _trace_field() -> Any:
-    """Causal trace context slot (:class:`repro.obs.causal.TraceContext`).
+    """Causal trace context slot (:class:`repro.obs.causal.TraceContext`),
+    ``None`` unless a flight recorder is attached.
 
     Simulator-side bookkeeping, like ``Packet.meta``: excluded from
     ``wire_size`` (stamping must never perturb serialization delay or

@@ -1217,7 +1217,7 @@ class SroEngine:
         cleared = False
         if state.track_pending:
             cleared = state.pending.clear_pending(ack.slot, ack.seq)
-        ctx = self._causal.child(ack.trace) if ack.trace is not None else None
+        ctx = self._causal.child(ack.trace)
         outstanding = self._outstanding.pop(ack.token, None)
         obs = self.obs
         if obs.on:

@@ -4,10 +4,11 @@ and recovery — plus the post-mortem engine that explains violations.
 
 The two properties everything else leans on:
 
-* stamping is digest-neutral (trace fields carry zero wire bytes and
-  tick pure counters), so instrumented and uninstrumented replays stay
-  byte-identical — asserted here by running the same seeded scenario
-  with the recorder on and off;
+* stamping is digest-neutral (trace fields carry zero wire bytes and,
+  while a recorder is attached, tick pure counters; with none attached
+  nothing is stamped at all), so instrumented and uninstrumented
+  replays stay byte-identical — asserted here by running the same
+  seeded scenario with the recorder on and off;
 * span ids are per-node counters, so the same seed reproduces the
   *identical* span tree, not just an isomorphic one.
 """
