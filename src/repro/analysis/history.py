@@ -30,8 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Operation", "HistoryRecorder"]
 
-_op_ids = itertools.count(1)
-
 
 @dataclass
 class Operation:
@@ -64,6 +62,9 @@ class HistoryRecorder:
     def __init__(self) -> None:
         self._operations: List[Operation] = []
         self._open: Dict[Any, Operation] = {}
+        #: Operation ids, numbered from 1 by each recorder: a history
+        #: never depends on what else ran in the process.
+        self._op_seq = itertools.count(1)
 
     # ------------------------------------------------------------------
     def record_instant(
@@ -71,7 +72,7 @@ class HistoryRecorder:
     ) -> Operation:
         """Record a zero-width operation (reads, EWO writes)."""
         op = Operation(
-            op_id=next(_op_ids),
+            op_id=next(self._op_seq),
             kind=kind,
             group=group,
             key=key,
@@ -88,7 +89,7 @@ class HistoryRecorder:
     ) -> Operation:
         """Open an interval operation, matched later by ``token``."""
         op = Operation(
-            op_id=next(_op_ids),
+            op_id=next(self._op_seq),
             kind=kind,
             group=group,
             key=key,

@@ -486,21 +486,11 @@ class SwiShmemManager:
     # ------------------------------------------------------------------
     # Register access mediation (called by RegisterHandle)
     # ------------------------------------------------------------------
-    def _note_state_op(self) -> None:
-        """In INT mode, account one register operation in the
-        ``int_state_ops`` metadata the switch stamps into this hop's
-        telemetry record."""
-        if self.switch.int_enabled and self._ctx is not None:
-            meta = self._ctx.packet.meta
-            meta["int_state_ops"] = meta.get("int_state_ops", 0) + 1
-
     def _note_write(self) -> None:
-        self._note_state_op()
         if self.obs.on:
             self.obs.emit("state.write", self.switch.name)
 
     def register_read(self, spec: RegisterSpec, key: Any, default: Any) -> Any:
-        self._note_state_op()
         if self.obs.on:
             self.obs.emit("state.read", self.switch.name, group=spec.group_id, key=key)
         fence = self._relevel_fences.get(spec.group_id)

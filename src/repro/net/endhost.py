@@ -20,10 +20,9 @@ per packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.net.headers import TcpFlags
+from repro.net.headers import TcpFlags, fixed_record
 from repro.net.link import Link, Node
 from repro.net.packet import Packet, make_tcp_packet
 from repro.sim.engine import Simulator
@@ -71,7 +70,7 @@ _REPLY_FLAGS: Tuple[Tuple[Optional[TcpFlags], Optional[TcpFlags]], ...] = tuple(
 )
 
 
-@dataclass
+@fixed_record
 class ReceivedPacket:
     """A delivery record kept by an end host."""
 

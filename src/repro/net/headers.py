@@ -5,24 +5,28 @@ has something to parse, (b) bandwidth accounting uses true on-wire sizes,
 and (c) the SwiShmem replication messages ride in a header of their own,
 exactly as an in-switch implementation would encapsulate them.
 
-Headers are lightweight dataclasses rather than byte buffers: the
+Headers are lightweight records rather than byte buffers: the
 simulator never needs to serialize to real bytes, only to know sizes and
 field values.  Each header class reports its wire size via ``wire_size``.
 
-Every header — and every protocol message of
+Every header — and every packet-borne protocol message of
 ``repro.protocols.messages`` — is a :class:`WireRecord`: a flat record
 of immutable values, which is what lets ``Packet.clone()`` copy it one
-level deep.
+level deep.  Each is declared with :func:`fixed_record`, as are
+``Packet`` itself and an end host's ``ReceivedPacket``: a dataclass
+with fixed slots and no per-instance ``__dict__``, like the
+fixed-layout header vector a PISA parser fills.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
 
 __all__ = [
     "WireRecord",
+    "fixed_record",
     "EthernetHeader",
     "IPv4Header",
     "TcpHeader",
@@ -46,25 +50,60 @@ class WireRecord:
     """Base of everything a packet carries by reference: the headers
     here and the messages in ``repro.protocols.messages``.
 
-    A wire record is a *flat* dataclass.  Its fields may be reassigned
-    (``ipv4.ttl -= 1``, ``update.trace = ctx``), but every value they
-    hold — strings, numbers, enums, tuples, frozen dataclasses, register
-    keys and values — is immutable and only ever replaced, never
-    mutated in place.  One level of copying therefore yields a record
-    that is fully independent of the original while sharing every leaf,
-    and ``Packet.clone()`` relies on exactly that.
+    A wire record is a *flat* :func:`fixed_record`.  Its fields may be
+    reassigned (``ipv4.ttl -= 1``, ``update.trace = ctx``), but every
+    value they hold — strings, numbers, enums, tuples, frozen
+    dataclasses, register keys and values — is immutable and only ever
+    replaced, never mutated in place.  One level of copying therefore
+    yields a record that is fully independent of the original while
+    sharing every leaf, and ``Packet.clone()`` relies on exactly that.
+
+    ``copy()`` is that one level: :func:`fixed_record` generates it for
+    each class as straight-line code that assigns every slot, so it
+    costs one Python call and no detour through ``copy.copy``'s pickle
+    protocol (it runs for every header of every fan-out copy).
     """
 
-    def copy(self):
-        """An independent record with the same field values — what
-        ``copy.copy`` returns, without its detour through the pickle
-        protocol (this runs for every header of every fan-out copy)."""
-        duplicate = object.__new__(type(self))
-        duplicate.__dict__.update(self.__dict__)
-        return duplicate
+    __slots__ = ()
 
 
-@dataclass
+def fixed_record(cls):
+    """Declare ``cls`` a dataclass whose instances have fixed slots.
+
+    Applies ``@dataclass``, then rebuilds the class with ``__slots__``
+    taken from its fields — what ``dataclass(slots=True)`` does on
+    Python 3.10+, written out so it runs on 3.9.  An ``init=False``
+    field with a default (a header's ``wire_size``) is a per-class
+    constant and stays a class attribute; every other field is a slot.
+    A subclass declares only the slots its bases lack.  A
+    :class:`WireRecord` also gets its generated ``copy()``.
+    """
+    cls = dataclass(cls)
+    names = tuple(f.name for f in fields(cls) if f.init or f.default is MISSING)
+    inherited = set()
+    for base in cls.__mro__[1:]:
+        inherited.update(getattr(base, "__slots__", ()))
+    namespace = dict(cls.__dict__)
+    for name in names:
+        namespace.pop(name, None)
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    namespace["__slots__"] = tuple(name for name in names if name not in inherited)
+    slotted = type(cls)(cls.__name__, cls.__bases__, namespace)
+    slotted.__qualname__ = cls.__qualname__
+    if issubclass(slotted, WireRecord):
+        # Compiled under a code filename of its own, so a profile counts
+        # each class's copy apart (pstats keys by file, line and name).
+        body = "".join(f"    duplicate.{name} = self.{name}\n" for name in names)
+        source = f"def copy(self):\n    duplicate = _new(_cls)\n{body}    return duplicate\n"
+        scope = {"_new": object.__new__, "_cls": slotted}
+        exec(compile(source, f"<fixed_record {cls.__qualname__}.copy>", "exec"), scope)
+        slotted.copy = scope["copy"]
+        slotted.copy.__qualname__ = f"{cls.__qualname__}.copy"
+    return slotted
+
+
+@fixed_record
 class EthernetHeader(WireRecord):
     """Simplified Ethernet II header."""
 
@@ -75,7 +114,7 @@ class EthernetHeader(WireRecord):
     wire_size: int = field(default=14, init=False, repr=False)
 
 
-@dataclass
+@fixed_record
 class IPv4Header(WireRecord):
     """IPv4 header (options not modeled)."""
 
@@ -100,7 +139,7 @@ class TcpFlags(enum.IntFlag):
     ACK = 0x10
 
 
-@dataclass
+@fixed_record
 class TcpHeader(WireRecord):
     """TCP header (no options)."""
 
@@ -113,7 +152,7 @@ class TcpHeader(WireRecord):
     wire_size: int = field(default=20, init=False, repr=False)
 
 
-@dataclass
+@fixed_record
 class UdpHeader(WireRecord):
     """UDP header."""
 
@@ -169,7 +208,7 @@ class SwiShmemOp(enum.Enum):
     SCRUB_REPAIR = "scrub_repair"
 
 
-@dataclass
+@fixed_record
 class SwiShmemHeader(WireRecord):
     """SwiShmem replication header.
 

@@ -19,29 +19,35 @@ assigns to in flight and shares everything below them:
   engine stamps ``swishmem.dst_node`` per copy); the
   ``swishmem_payload`` message (``request.attempt`` and
   ``update.trace`` are reassigned by retries and by each chain hop);
-  the ``meta`` dict; the INT hop list (``int_data.push``).
+  the ``meta`` dict.
 * **Shared** — every value *inside* those records: strings, numbers,
   enums, the frozen ``TraceContext`` and ``WriteToken``, chain member
   tuples, the ``EwoUpdate.entries`` tuple and its frozen ``EwoEntry``
-  objects, frozen INT hop records, ``meta`` values, and register keys
-  and values.
+  objects, ``meta`` values, and register keys and values.
 
 Sharing is safe because none of those is ever mutated in place.
 Every header and message is a ``WireRecord`` (``repro.net.headers``):
 a flat record whose fields are reassigned but whose values are
-immutable.  Register values in particular are treated as immutable
+immutable, so its generated ``copy()`` assigns each slot once.
+Register values in particular are treated as immutable
 *values* everywhere in the system — SRO already hands the one
 ``ChainUpdate.value`` object to the store of every chain member — so a
 program that wants to change a register writes a new value rather than
 mutating the old one.  Likewise a ``meta`` entry is replaced, not
 updated in place.  Anything new that a packet carries by reference
 must either be such a value or be given its own copy in ``clone()``.
+
+The packet, its headers and its message are all fixed records
+(``repro.net.headers.fixed_record``), with no ``__dict__``: nothing
+can hang an undeclared attribute on a packet in flight.  A new
+per-packet field is declared, copied in ``clone()`` and classified
+above, or it does not exist.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Dict, Optional
 
 from repro.net.headers import (
@@ -54,6 +60,7 @@ from repro.net.headers import (
     TcpFlags,
     TcpHeader,
     UdpHeader,
+    fixed_record,
 )
 
 __all__ = ["Packet", "make_tcp_packet", "make_udp_packet"]
@@ -61,7 +68,7 @@ __all__ = ["Packet", "make_tcp_packet", "make_udp_packet"]
 _packet_ids = itertools.count(1)
 
 
-@dataclass
+@fixed_record
 class Packet:
     """A packet in flight.
 
@@ -87,15 +94,11 @@ class Packet:
     meta: Dict[str, Any] = field(default_factory=dict)
     #: Time the packet was first created (set by the injector).
     created_at: float = 0.0
-    #: INT telemetry stack (``repro.obs.inttel.IntTelemetry``).  Unlike
-    #: ``meta`` this survives hops — it is an on-wire header stack that
-    #: INT-enabled switches append to and the sink strips.
-    int_data: Any = None
     #: Causal trace context (``repro.obs.causal.TraceContext``), or
-    #: ``None`` while no flight recorder is attached.  Rides alongside
-    #: ``int_data`` but — unlike it — contributes zero wire bytes: it is
-    #: simulator bookkeeping, so stamping it can never change
-    #: serialization delay, timing, or chaos-replay digests.
+    #: ``None`` while no flight recorder is attached.  Unlike the
+    #: headers it contributes zero wire bytes: it is simulator
+    #: bookkeeping, so stamping it can never change serialization
+    #: delay, timing, or chaos-replay digests.
     trace: Any = None
 
     @property
@@ -107,8 +110,6 @@ class Packet:
                 size += header.wire_size
         if self.swishmem_payload is not None:
             size += self.swishmem_payload.wire_size
-        if self.int_data is not None:
-            size += self.int_data.wire_size
         return size
 
     def five_tuple(self) -> Optional[FiveTuple]:
@@ -130,7 +131,7 @@ class Packet:
         mirror and nemesis-duplicate copies) — see the module docstring
         for what is copied and what is shared."""
         eth, ipv4, tcp, udp = self.eth, self.ipv4, self.tcp, self.udp
-        swishmem, payload, int_data = self.swishmem, self.swishmem_payload, self.int_data
+        swishmem, payload = self.swishmem, self.swishmem_payload
         return Packet(
             eth=None if eth is None else eth.copy(),
             ipv4=None if ipv4 is None else ipv4.copy(),
@@ -143,7 +144,6 @@ class Packet:
             uid=next(_packet_ids),
             meta=dict(self.meta),
             created_at=self.created_at,
-            int_data=None if int_data is None else int_data.copy(),
             trace=self.trace,
         )
 

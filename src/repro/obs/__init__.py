@@ -1,4 +1,4 @@
-"""Live observability: the spine and its sinks, and INT telemetry.
+"""Live observability: the spine and its sinks.
 
 See docs/OBSERVABILITY.md for the full guide.  Quick start::
 
@@ -31,14 +31,6 @@ from repro.obs.critpath import (
 from repro.obs.dashboard import render_access_profile, render_critpath, render_slo
 from repro.obs.events import EVENTS
 from repro.obs.flightrec import DEFAULT_MAX_SPANS, FlightRecorder, Span, TraceQuery
-from repro.obs.inttel import (
-    INT_HOP_BYTES,
-    INT_SHIM_BYTES,
-    IntHopRecord,
-    IntSink,
-    IntTelemetry,
-    decode_path,
-)
 from repro.obs.metrics import (
     Counter,
     DEFAULT_LATENCY_BOUNDS,
@@ -82,10 +74,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",
-    "IntHopRecord",
-    "IntTelemetry",
-    "IntSink",
-    "decode_path",
-    "INT_SHIM_BYTES",
-    "INT_HOP_BYTES",
 ]

@@ -220,7 +220,6 @@ class GroupProfile:
         "declared",
         "nf",
         "reads",
-        "peeks",
         "writes",
         "writes_dataplane",
         "writes_control",
@@ -257,7 +256,6 @@ class GroupProfile:
         self.declared = declared
         self.nf: Optional[str] = None
         self.reads = 0
-        self.peeks = 0
         self.writes = 0
         self.writes_dataplane = 0
         self.writes_control = 0
@@ -461,13 +459,6 @@ class AccessProfiler:
         except KeyError:
             readers[node] = 1
         profile.activity.add(now)
-
-    def on_peek(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
-        """A control-plane peek: a read, also counted in ``peeks``."""
-        self.on_read(node, ctx, now, f)
-        group = self.groups.get(f["group"])
-        if group is not None:
-            group.peeks += 1
 
     def on_write(self, node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
         """A write initiated at ``node`` (keywords ``group``, ``key``,

@@ -13,7 +13,7 @@ does with the step:
   ``dec`` / ``observe`` on a named instrument.  The instrument's node
   label is the emitting node (scope :data:`SWITCH`) or a fixed label
   (``controller``, ``scrub``, ``invariants``);
-* :class:`Profile` — ``AccessProfiler.on_read`` / ``on_peek`` /
+* :class:`Profile` — ``AccessProfiler.on_read`` /
   ``on_write`` / ``on_apply`` / ``on_merge``, which are handlers
   themselves: the spine calls the profiler's bound method directly;
 * :class:`Sample` / :class:`Outcome` — ``SLOMonitor.observe`` /
@@ -192,13 +192,13 @@ def Observe(name: str, field: str, **where: Any) -> Metric:
 
 
 class Profile:
-    """Feed the access profiler: ``hook`` is ``read`` (``peek``: it is
-    a control-plane peek), ``write`` (keywords ``origin`` and ``op``),
+    """Feed the access profiler: ``hook`` is ``read`` (a control-plane
+    peek is one too), ``write`` (keywords ``origin`` and ``op``),
     ``apply``, or ``merge`` (keyword ``outcomes``, one ``(key,
     applied)`` pair per merged entry, in entry order).
 
     The handler is the profiler's own bound method (``on_read``,
-    ``on_peek``, ``on_write``, ``on_apply``, ``on_merge``), which takes
+    ``on_write``, ``on_apply``, ``on_merge``), which takes
     the spine's handler shape ``(node, ctx, now, fields)``: a profiled
     step is one call from the spine into the profiler, and a merged
     section is one call however many entries it carries."""
@@ -210,16 +210,15 @@ class Profile:
         "merge": ("group", "outcomes"),
     }
 
-    def __init__(self, hook: str, peek: bool = False) -> None:
+    def __init__(self, hook: str) -> None:
         self.hook = hook
-        self.peek = peek
         self.fields = self.FIELDS[hook]
 
     def bind(self, spine: Any, kind: str, event: "Event") -> Optional[Handler]:
         profiler = spine.access_profiler
         if profiler is None:
             return None
-        return getattr(profiler, "on_peek" if self.peek else "on_" + self.hook)
+        return getattr(profiler, "on_" + self.hook)
 
 
 class Sample:
@@ -281,7 +280,7 @@ EVENTS: Dict[str, Event] = {
     # -- core/manager.py: mediated register accesses, controller commands
     "state.read": Event(Count("state.reads"), Profile("read")),
     "state.contains": Event(Profile("read")),
-    "state.peek": Event(Profile("read", True)),
+    "state.peek": Event(Profile("read")),
     "state.write": Event(Count("state.writes")),
     "controller.command.fenced": Event(
         Span("group", "kind", "command_epoch", "fencing_epoch")

@@ -18,9 +18,8 @@ is filled two ways:
   read.  To add a pulled instrument, count on the device and report the
   field from the source (``SwiShmemDeployment._read_dataplane``).
 
-There is no "off" registry: a component without one holds ``None`` (or,
-for the INT sink, a private registry) and the spine's ``on`` flag is
-the only guard on the protocol path.
+There is no "off" registry: a component without one holds ``None`` and
+the spine's ``on`` flag is the only guard on the protocol path.
 
 Metric naming scheme (see docs/OBSERVABILITY.md):
 
@@ -34,7 +33,7 @@ Metric naming scheme (see docs/OBSERVABILITY.md):
 Histograms use fixed upper-bound buckets (log-spaced over the
 simulation's latency range by default) so that p50/p99 are computable
 in O(buckets) with zero per-sample allocation, exactly like a hardware
-INT sink or a Prometheus client would.
+telemetry collector or a Prometheus client would.
 """
 
 from __future__ import annotations

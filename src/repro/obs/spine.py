@@ -27,8 +27,7 @@ keep their own ``stats`` whether or not anyone watches, and the
 deployment registers one source (``MetricsRegistry.add_source``) that
 reports them as ``switch.*`` / ``link.*`` whenever the registry is
 read, so the per-packet path holds no instrument and tests no flag.
-INT (rides the packets) is likewise not a sink.  ``CausalClock``
-stamping is not one either, but it is paid for only while watched: the
+``CausalClock`` stamping is not a sink either, but it is paid for only while watched: the
 spine sets every clock recording exactly while a flight recorder is
 attached (:meth:`attach`, :meth:`clock`), and an unwatched clock stamps
 ``None`` and allocates nothing.

@@ -42,10 +42,12 @@ actual state re-propagation, subject to loss and chaos like any
 replication packet.
 
 Every data-plane message is a :class:`~repro.net.headers.WireRecord` —
-a flat record whose field values are immutable — so ``Packet.clone()``
-gives each multicast, mirror or duplicate copy its own message object
-(``request.attempt`` and ``update.trace`` are reassigned in flight)
-while keys, values, tokens, chain tuples and EWO entries are shared.
+a flat record whose field values are immutable, declared with
+:func:`~repro.net.headers.fixed_record` (fixed slots, no ``__dict__``) —
+so ``Packet.clone()`` gives each multicast, mirror or duplicate copy
+its own message object (``request.attempt`` and ``update.trace`` are
+reassigned in flight) while keys, values, tokens, chain tuples and EWO
+entries are shared.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.crdt.clock import Timestamp
-from repro.net.headers import WireRecord
+from repro.net.headers import WireRecord, fixed_record
 
 __all__ = [
     "WriteToken",
@@ -113,7 +115,7 @@ class WriteToken:
         return f"{self.writer}#{self.number}"
 
 
-@dataclass
+@fixed_record
 class WriteRequest(WireRecord):
     """SRO write submitted by the writer's control plane to the chain head."""
 
@@ -137,7 +139,7 @@ class WriteRequest(WireRecord):
         return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes
 
 
-@dataclass
+@fixed_record
 class ChainUpdate(WireRecord):
     """A sequenced write propagating down the chain.
 
@@ -179,7 +181,7 @@ class ChainUpdate(WireRecord):
         return None
 
 
-@dataclass
+@fixed_record
 class WriteAck(WireRecord):
     """Commit acknowledgement generated by the chain tail.
 
@@ -241,7 +243,7 @@ class EwoEntry:
         return key_bytes + value_bytes + version_bytes
 
 
-@dataclass
+@fixed_record
 class EwoUpdate(WireRecord):
     """Asynchronous broadcast of fresh local writes (paper section 6.2).
 
@@ -269,7 +271,7 @@ class EwoUpdate(WireRecord):
         )
 
 
-@dataclass
+@fixed_record
 class EwoSync(EwoUpdate):
     """Full-state sync (paper sections 6.2 and 7): the answer to an
     :class:`EwoSyncProbe` whose digest differs from the receiver's, or
@@ -286,7 +288,7 @@ class EwoSync(EwoUpdate):
 _DIGEST_BYTES = 8
 
 
-@dataclass
+@fixed_record
 class EwoSyncProbe(WireRecord):
     """One periodic sync round's opening (paper section 6.2): the
     prober's 64-bit digest of the state a full sync would ship.  The
@@ -308,7 +310,7 @@ class EwoSyncProbe(WireRecord):
 _SECTION_BYTES = 4
 
 
-@dataclass
+@fixed_record
 class EwoMirror(WireRecord):
     """One packet pass's fresh writes to several groups with the same
     replica set, as one packet (paper section 7).
@@ -348,7 +350,7 @@ class EwoMirror(WireRecord):
         )
 
 
-@dataclass
+@fixed_record
 class SnapshotWrite(WireRecord):
     """Recovery replay of one key from a control-plane snapshot (6.3).
 
@@ -377,7 +379,7 @@ class SnapshotWrite(WireRecord):
         return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes + 4
 
 
-@dataclass
+@fixed_record
 class SnapshotAck(WireRecord):
     """Recovering switch confirms application of one snapshot write."""
 
@@ -394,7 +396,7 @@ class SnapshotAck(WireRecord):
         return _BASE_MSG_BYTES + self.key_bytes + 4
 
 
-@dataclass
+@fixed_record
 class Heartbeat(WireRecord):
     """Periodic liveness beacon (controller failure detection).
 
@@ -539,7 +541,7 @@ class ScrubKeyReply:
         return _BASE_MSG_BYTES + 8 + (self.key_bytes + 8) * len(self.entries)
 
 
-@dataclass
+@fixed_record
 class ScrubRepair(WireRecord):
     """Authoritative state re-propagated to a diverged chain member.
 

@@ -47,7 +47,6 @@ from repro.net.link import Channel, Link, Node
 from repro.net.multicast import MulticastRegistry
 from repro.net.packet import Packet
 from repro.net.routing import RoutingTable
-from repro.obs.inttel import IntHopRecord, IntTelemetry
 from repro.obs.metrics import Histogram
 from repro.sim.engine import Simulator
 from repro.switch.control import ControlPlaneAgent, DEFAULT_OP_LATENCY
@@ -134,7 +133,7 @@ class PisaSwitch(Node):
         # Optional finite-capacity service model (experiment C1).
         self.pipeline_rate_pps = pipeline_rate_pps
         self.queue_capacity = queue_capacity
-        self._queue: Deque[Tuple[Packet, str, float, int]] = deque()
+        self._queue: Deque[Tuple[Packet, str, float]] = deque()
         self._serving = False
         #: Deepest the service queue has been, and how long packets
         #: waited in it.  Kept here, not in ``stats``, whose fields are
@@ -147,9 +146,6 @@ class PisaSwitch(Node):
         #: What installed programs do when a crash empties the pipeline
         #: (see :meth:`on_crash`).
         self._crash_hooks: List[Callable[[], None]] = []
-        # INT mode: stamp a per-hop telemetry record onto each packet.
-        self.int_enabled = False
-        self.int_max_hops = 16
         #: Egress table: destination node -> the channels of its
         #: equal-cost first hops in routing order (``None`` for a hop
         #: that is not a neighbor), filled per destination on first use
@@ -210,7 +206,7 @@ class PisaSwitch(Node):
             self.stats.queue_drops += 1
             self.stats.dropped_packets += 1
             return
-        self._queue.append((packet, from_node, self.sim.now, depth))
+        self._queue.append((packet, from_node, self.sim.now))
         if depth >= self.queue_high_water:
             self.queue_high_water = depth + 1
         if not self._serving:
@@ -227,9 +223,9 @@ class PisaSwitch(Node):
         if not self._queue:
             self._serving = False
             return
-        packet, from_node, enqueued_at, depth = self._queue.popleft()
+        packet, from_node, enqueued_at = self._queue.popleft()
         self.queue_wait.observe(self.sim.now - enqueued_at)
-        self._pipeline_pass(packet, from_node, arrived_at=enqueued_at, queue_depth=depth)
+        self._pipeline_pass(packet, from_node)
         if self._queue:
             self.sim.schedule(
                 1.0 / self.pipeline_rate_pps, self._serve_next, label=self._serve_label
@@ -237,13 +233,7 @@ class PisaSwitch(Node):
         else:
             self._serving = False
 
-    def _pipeline_pass(
-        self,
-        packet: Packet,
-        from_node: str,
-        arrived_at: Optional[float] = None,
-        queue_depth: int = 0,
-    ) -> None:
+    def _pipeline_pass(self, packet: Packet, from_node: str) -> None:
         """One atomic parser -> pipeline -> deparser pass."""
         if self._in_pipeline:
             raise RuntimeError(
@@ -273,30 +263,6 @@ class PisaSwitch(Node):
             self.forward_by_ip(packet)
         finally:
             self._in_pipeline = False
-            if self.int_enabled:
-                # The pass is one event, so the clock still reads its start.
-                ingress = arrived_at if arrived_at is not None else self.sim.now
-                self._stamp_int_hop(packet, ingress, queue_depth)
-
-    def _stamp_int_hop(self, packet: Packet, ingress: float, queue_depth: int) -> None:
-        """Push this hop's INT record (INT-MD: metadata rides the packet).
-
-        Hop latency covers queue wait plus the service slot; the
-        ``int_state_ops`` metadata key is incremented by the SwiShmem
-        manager for every register operation the pass executed.
-        """
-        telemetry = packet.int_data
-        if telemetry is None:
-            telemetry = packet.int_data = IntTelemetry(max_hops=self.int_max_hops)
-        telemetry.push(
-            IntHopRecord(
-                node=self.name,
-                ingress_time=ingress,
-                egress_time=self.sim.now,
-                queue_depth=queue_depth,
-                state_ops=packet.meta.get("int_state_ops", 0),
-            )
-        )
 
     # ------------------------------------------------------------------
     # Egress actions (the API programs use)

@@ -27,9 +27,10 @@ from repro.obs import (
     ConsistencyAdvisor,
     render_access_profile,
 )
-from repro.obs import accessprof
+from repro.obs import ObsSpine, accessprof
 from repro.obs.accessprof import DEFAULT_TOP_K, GroupProfile, KeyProfile, WindowedCount
 from repro.obs.metrics import Histogram
+from repro.sim.engine import Simulator
 from repro.sketch.countmin import CountMinSketch
 from repro.sim.random import SeededRng
 from repro.workload.flows import FlowGenerator
@@ -340,9 +341,9 @@ class TestHookIntegration:
     def test_peek_is_a_read_counted_in_peeks(self):
         prof = AccessProfiler()
         group = prof.describe_group(_spec("g", Consistency.EWO, 1))
-        prof.on_peek("s0", None, 1e-3, {"group": 1, "key": "a"})
+        ObsSpine(Simulator(), access_profiler=prof).emit("state.peek", "s0", group=1, key="a")
         _read(prof, 1, "a", "s1", 2e-3)
-        assert (group.reads, group.peeks, prof.events) == (2, 1, 2)
+        assert (group.reads, prof.events) == (2, 2)
         assert group.keys["a"].readers == {"s0": 1, "s1": 1}
 
     def test_a_merged_section_counts_each_entry(self):
@@ -431,11 +432,12 @@ class TestPinnedState:
     evict at these seeds, so promotion, the floor and the sketch tail
     are all in the hash.  The digests were taken before the hooks became
     the spine's handlers, with the since-deleted ``GroupProfile.ewo_mode``
-    left out: a change to the hot path must leave them as they are."""
+    and ``GroupProfile.peeks`` left out: a change to the hot path must
+    leave them as they are."""
 
     DIGESTS = {
-        11: "14b019d9a4531656615e4838009e4f656e5ffadce4fd82186856b4c80e7308de",
-        23: "dcc08267c6c882f24accced85359bd10aeb77c1785d3b654169c3ebc67945d32",
+        11: "760ac583db83a1c3c537441b2afde41f6768359b7385feb98fcf29fb4ab3fadb",
+        23: "959434bc7ec9ffc3dc3b11807bbaec62cd1c39ca3be4e271667d17395dd38a7c",
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))

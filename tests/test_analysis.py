@@ -133,6 +133,15 @@ class TestHistoryRecorder:
         recorder.record_instant("read", 1, "b", 0, "s0", 1.0)
         assert len(recorder.for_key(1, "a")) == 1
 
+    def test_two_recorders_in_one_process_both_number_from_one(self):
+        first, second = HistoryRecorder(), HistoryRecorder()
+        for recorder in (first, second):
+            recorder.record_instant("read", 1, "a", 0, "s0", 0.0)
+            recorder.begin("tok", "write", 1, "a", 1, "s0", 1.0)
+        first.record_instant("read", 1, "a", 1, "s0", 2.0)
+        assert [op.op_id for op in first.operations()] == [1, 2, 3]
+        assert [op.op_id for op in second.operations()] == [1, 2]
+
     def test_check_history_aggregates(self):
         recorder = HistoryRecorder()
         recorder.record_instant("write", 1, "good", 1, "s0", 0.0)

@@ -66,7 +66,7 @@ class _ParentHop(PisaSwitch):
             self.stats.queue_drops += 1
             self.stats.dropped_packets += 1
             return
-        self._queue.append((packet, from_node, self.sim.now, depth))
+        self._queue.append((packet, from_node, self.sim.now))
         if depth >= self.queue_high_water:
             self.queue_high_water = depth + 1
         if not self._serving:
@@ -304,12 +304,6 @@ def _second_link_same_pair(world):
     world.sim.run(until=world.until)
 
 
-def _int_on(world):
-    for switch in world.switches:
-        switch.int_enabled = True
-    world.sim.run(until=world.until)
-
-
 def _finite_rate(world):
     for switch in world.switches:
         switch.pipeline_rate_pps = 3e6
@@ -339,7 +333,6 @@ _SCENARIOS = {
     "routing-replaced": (_two_spines, _routing_replaced),
     "late-connect": (_two_spines, _late_connect),
     "second-link-same-pair": (_two_spines, _second_link_same_pair),
-    "int-on": (_two_spines, _int_on),
     "finite-rate": (_two_spines, _finite_rate),
     "replication": (_nf_world, _plain),
     "nemesis": (_nf_world, _nemesis),
@@ -375,8 +368,6 @@ class TestSameAsTheParentHop:
         assert second.ab.stats.packets_sent > 0
         world, _ = _drive(_two_spines, _late_connect, False)
         assert world.topo.links[-1].ab.stats.packets_sent > 0
-        world, _ = _drive(_two_spines, _int_on, False)
-        assert all(r.packet.int_data is not None for h in world.hosts for r in h.received)
         world, _ = _drive(_nf_world, _nemesis, False)
         nemesis = world.topo.links[0].ab.nemesis
         assert nemesis.packets_duplicated > 0 and nemesis.packets_delayed > 0

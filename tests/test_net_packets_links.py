@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.net.headers import (
 from repro.net.link import Link, Node
 from repro.net.packet import Packet, make_tcp_packet, make_udp_packet
 from repro.obs.causal import TraceContext
-from repro.obs.inttel import IntHopRecord, IntTelemetry
 from repro.protocols.messages import ChainUpdate, WriteRequest, WriteToken
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
@@ -98,8 +98,10 @@ OTHER_CTX = TraceContext("T:s9:1", "s9:2", "s9:1", 99)
 
 #: What ``Packet.clone()`` does with each field.  A field added to
 #: ``Packet`` must be copied in ``clone()`` and classified here.
-CLONE_FRESH = {"eth", "ipv4", "tcp", "udp", "swishmem", "swishmem_payload", "meta", "int_data"}
+CLONE_FRESH = {"eth", "ipv4", "tcp", "udp", "swishmem", "swishmem_payload", "meta"}
 CLONE_SHARED = {"payload_size", "payload_digest", "created_at", "trace"}
+#: The fields that hold a wire record: the headers and the message.
+RECORD_FIELDS = ("eth", "ipv4", "tcp", "udp", "swishmem", "swishmem_payload")
 
 STACKS = {
     "tcp": lambda: make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2, TcpFlags.SYN, 100, seq=7),
@@ -114,8 +116,6 @@ def build_packet(stack, payload, extras):
         packet.swishmem = SwiShmemHeader(SwiShmemOp.CHAIN_UPDATE, 3, "s1")
         packet.swishmem_payload = payload
     if extras:
-        packet.int_data = IntTelemetry(max_hops=4, truncated=1)
-        packet.int_data.push(IntHopRecord("s0", 1e-6, 2e-6, queue_depth=1, state_ops=2))
         packet.trace = TraceContext("T:s0:1", "s0:1", None, 1)
         packet.meta.update(ingress_node="h0", at_tail_groups=frozenset({3}))
         packet.payload_digest = 0xBEEF
@@ -160,10 +160,7 @@ def mutate_like_the_code_does(packet):
             message.attempt += 1  # _send_write_request retry
     packet.meta.clear()  # _pipeline_pass
     packet.meta["ingress_node"] = "s7"
-    packet.meta["int_state_ops"] = 5
-    if packet.int_data is not None:
-        packet.int_data.push(IntHopRecord("s7", 3e-6, 4e-6))  # _stamp_int_hop
-        packet.int_data.truncated += 1
+    packet.meta["at_tail_groups"] = frozenset({7})  # read forward
     packet.trace = OTHER_CTX  # read forward
     packet.created_at = 9.0  # generate_packet
 
@@ -197,9 +194,17 @@ class TestCloneContract:
             part = getattr(original, name)
             if part is not None:
                 assert getattr(clone, name) is not part, name
-        if original.int_data is not None:
-            assert clone.int_data.hops is not original.int_data.hops
         assert clone.wire_size == original.wire_size
+        # fixed records: no per-instance dict on the packet, a header or
+        # the message, nor on any of their copies
+        for packet in (original, clone):
+            assert not hasattr(packet, "__dict__")
+            for name in RECORD_FIELDS:
+                part = getattr(packet, name)
+                assert part is None or not hasattr(part, "__dict__"), name
+        revived = pickle.loads(pickle.dumps(original))
+        assert_same(revived, original)
+        assert revived.uid == original.uid
 
     @pytest.mark.parametrize("stack,index,extras", CLONE_CASES)
     def test_copies_mutate_independently(self, stack, index, extras):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.net.endhost import AddressBook, EndHost
@@ -244,6 +246,10 @@ class TestEndHost:
         assert len(client.received) == 1
         reply = client.received[0].packet
         assert reply.tcp.flags & TcpFlags.SYN and reply.tcp.flags & TcpFlags.ACK
+        # a delivery record is a fixed record, as is the packet it holds
+        record = server.received[0]
+        assert not hasattr(record, "__dict__") and not hasattr(record.packet, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
 
     def test_latency_measured(self):
         sim, client, server, _ = self._host_pair()

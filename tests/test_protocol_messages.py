@@ -64,6 +64,28 @@ def _wire_record_classes():
     return found
 
 
+class TestFixedRecords:
+    def test_each_slot_is_declared_once_and_each_copy_is_its_own_code(self):
+        """Every header and message is slotted by ``fixed_record``: a
+        subclass (``EwoSync``) adds no slot its base has, a per-class
+        constant (``wire_size`` of a header or a probe) is no slot, and
+        each class's generated ``copy()`` has a code filename of its
+        own, so a profile counts each class's copies apart."""
+        classes, todo = set(), list(WireRecord.__subclasses__())
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            classes.add(cls)
+        for cls in classes:
+            declared = [name for base in cls.__mro__ for name in getattr(base, "__slots__", ())]
+            assert len(declared) == len(set(declared)), cls.__name__
+            assert set(declared) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        assert EwoSync.__slots__ == ()
+        assert "wire_size" not in SwiShmemHeader.__slots__ + EwoSyncProbe.__slots__
+        filenames = {cls.copy.__code__.co_filename for cls in classes}
+        assert len(filenames) == len(classes)
+
+
 class TestWriteToken:
     def test_equality_and_hash(self):
         a = WriteToken("s0", 5)
@@ -143,13 +165,16 @@ class TestWireSizes:
         with pytest.raises(AttributeError):
             packet.wire_size
 
-    def test_ewo_wire_size_is_computed_once_and_carried_by_copies(self):
+    def test_ewo_wire_size_is_computed_once_and_carried_by_copies(self, monkeypatch):
         update = next(m for m in payload_samples() if type(m) is EwoUpdate)
         per_entry = [e.wire_bytes(13, 4) for e in update.entries]
         assert per_entry == [13 + 4 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 1 + 3 * 10]
         assert update.wire_size == 13 + sum(per_entry)
-        assert "wire_size" in vars(update)  # a stored value, not a per-read sum
-        assert update.copy().wire_size == update.wire_size
+        # a stored value, not a per-read sum: with the per-entry sizing
+        # gone, the size still reads, on the message and on its copy
+        assert "wire_size" in EwoUpdate.__slots__
+        monkeypatch.setattr(EwoEntry, "wire_bytes", None)
+        assert update.wire_size == update.copy().wire_size == 13 + sum(per_entry)
 
     def test_a_one_section_mirror_costs_exactly_an_update(self):
         entries = next(m for m in payload_samples() if type(m) is EwoUpdate).entries

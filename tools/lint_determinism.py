@@ -203,11 +203,10 @@ CHAOS_MESSAGE = (
 #: fragment: the library package.
 GLOBAL_COUNTER_SCOPE = os.sep + "repro" + os.sep
 
-#: ... except these, by module path suffix and name (ROADMAP item 1).
+#: ... except these, by module path suffix and name (ROADMAP item 3, PR B).
 ALLOWED_GLOBAL_COUNTERS = frozenset({
     (os.path.join("net", "packet.py"), "_packet_ids"),
     (os.path.join("workload", "flows.py"), "_flow_ports"),
-    (os.path.join("analysis", "history.py"), "_op_ids"),
 })
 
 GLOBAL_COUNTER_MESSAGE = (
