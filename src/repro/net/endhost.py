@@ -20,6 +20,7 @@ per packet.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.headers import TcpFlags, fixed_record
@@ -110,6 +111,8 @@ class EndHost(Node):
         self.on_receive: Optional[Callable[[Packet, str], None]] = None
         #: The uplink's neighbor name, once resolved for this link set.
         self._uplink: Optional[str] = None
+        #: Ephemeral source ports, a per-host sequence: 30000 in every world.
+        self.ephemeral_ports = itertools.count(30000)
         if address_book is not None:
             address_book.register(ip, name)
 

@@ -1,9 +1,7 @@
 """The packet model.
 
-A :class:`Packet` is a parsed header stack plus a payload size and a
-mutable metadata dict.  The metadata dict plays the role of PISA
-per-packet metadata: the parser and pipeline stages communicate through
-it, and it is discarded when the packet leaves the switch.
+A :class:`Packet` is a parsed header stack, a payload size, and two
+declared PISA metadata fields that every switch pass sets afresh.
 
 Copy contract
 -------------
@@ -18,12 +16,12 @@ assigns to in flight and shares everything below them:
   present header (``ipv4.ttl`` is decremented per hop, the multicast
   engine stamps ``swishmem.dst_node`` per copy); the
   ``swishmem_payload`` message (``request.attempt`` and
-  ``update.trace`` are reassigned by retries and by each chain hop);
-  the ``meta`` dict.
+  ``update.trace`` are reassigned by retries and by each chain hop).
 * **Shared** — every value *inside* those records: strings, numbers,
   enums, the frozen ``TraceContext`` and ``WriteToken``, chain member
   tuples, the ``EwoUpdate.entries`` tuple and its frozen ``EwoEntry``
-  objects, ``meta`` values, and register keys and values.
+  objects, register keys and values, and the metadata values
+  ``ingress_node`` and ``at_tail_groups`` (a frozenset).
 
 Sharing is safe because none of those is ever mutated in place.
 Every header and message is a ``WireRecord`` (``repro.net.headers``):
@@ -33,7 +31,7 @@ Register values in particular are treated as immutable
 *values* everywhere in the system — SRO already hands the one
 ``ChainUpdate.value`` object to the store of every chain member — so a
 program that wants to change a register writes a new value rather than
-mutating the old one.  Likewise a ``meta`` entry is replaced, not
+mutating the old one.  Likewise ``at_tail_groups`` is replaced, not
 updated in place.  Anything new that a packet carries by reference
 must either be such a value or be given its own copy in ``clone()``.
 
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import field
-from typing import Any, Dict, Optional
+from typing import Any, FrozenSet, Optional
 
 from repro.net.headers import (
     EthernetHeader,
@@ -66,6 +64,8 @@ from repro.net.headers import (
 __all__ = ["Packet", "make_tcp_packet", "make_udp_packet"]
 
 _packet_ids = itertools.count(1)
+#: The one empty ``at_tail_groups`` (``frozenset()`` is a new object per call).
+NO_GROUPS: FrozenSet[int] = frozenset()
 
 
 @fixed_record
@@ -90,8 +90,10 @@ class Packet:
     #: (e.g. the IPS) hash as if they had read the payload bytes.
     payload_digest: Optional[int] = None
     uid: int = field(default_factory=lambda: next(_packet_ids))
-    #: Per-packet metadata, reset at each switch (PISA metadata).
-    meta: Dict[str, Any] = field(default_factory=dict)
+    #: PISA metadata, set afresh by every switch pass: the neighbour the
+    #: packet came from, and the SRO groups whose tail it has reached.
+    ingress_node: Optional[str] = None
+    at_tail_groups: FrozenSet[int] = NO_GROUPS
     #: Time the packet was first created (set by the injector).
     created_at: float = 0.0
     #: Causal trace context (``repro.obs.causal.TraceContext``), or
@@ -142,7 +144,8 @@ class Packet:
             payload_size=self.payload_size,
             payload_digest=self.payload_digest,
             uid=next(_packet_ids),
-            meta=dict(self.meta),
+            ingress_node=self.ingress_node,
+            at_tail_groups=self.at_tail_groups,
             created_at=self.created_at,
             trace=self.trace,
         )

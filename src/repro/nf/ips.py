@@ -16,7 +16,7 @@ Shared state:
     switches share the "too many matches" view.
 
 The packet *signature* is computed from header fields plus a payload
-digest the workload attaches (``packet.meta`` would not survive
+digest the workload attaches (per-packet metadata would not survive
 re-parsing, so workloads stamp ``payload_digest`` into the TCP/UDP
 payload model via :func:`packet_signature`'s inputs).
 

@@ -3,7 +3,7 @@
 A :class:`TraceContext` is a Dapper-style span identity plus a Lamport
 timestamp.  Every protocol message (``WriteRequest``, ``ChainUpdate``,
 ``ControllerCommand``, ...) carries one in a zero-wire-cost ``trace``
-field — like ``Packet.meta`` it is simulator-side bookkeeping, not
+field — like ``Packet.trace`` it is simulator-side bookkeeping, not
 on-wire bytes, so stamping it never perturbs serialization delay,
 event timing, or chaos-replay digests.
 

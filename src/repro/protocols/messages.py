@@ -92,7 +92,7 @@ def _trace_field() -> Any:
     """Causal trace context slot (:class:`repro.obs.causal.TraceContext`),
     ``None`` unless a flight recorder is attached.
 
-    Simulator-side bookkeeping, like ``Packet.meta``: excluded from
+    Simulator-side bookkeeping, like ``Packet.trace``: excluded from
     ``wire_size`` (stamping must never perturb serialization delay or
     chaos digests), from equality, and from repr.
     """

@@ -487,10 +487,7 @@ class SroEngine:
     # ------------------------------------------------------------------
     def read(self, spec: RegisterSpec, key: Any, default: Any, packet: Optional[Packet]) -> Any:
         state = self.groups[spec.group_id]
-        at_tail = (
-            packet is not None
-            and spec.group_id in packet.meta.get("at_tail_groups", ())
-        )
+        at_tail = packet is not None and spec.group_id in packet.at_tail_groups
         if self.switch.name == state.chain.read_tail or at_tail:
             state.stats.tail_reads += 1
             if self.obs.on:
@@ -561,11 +558,8 @@ class SroEngine:
         if self.obs.on:
             self.obs.emit("sro.read.arrive", self.switch.name, packet.trace, group=group_id)
         packet.swishmem = None
-        # Replaced, not updated in place: meta values are shared by
-        # packet copies (see the copy contract in repro.net.packet).
-        packet.meta["at_tail_groups"] = packet.meta.get(
-            "at_tail_groups", frozenset()
-        ) | {group_id}
+        # Replaced, not updated in place: packet copies share the set.
+        packet.at_tail_groups = packet.at_tail_groups | {group_id}
         return False
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.net.endhost import AddressBook
 from repro.net.link import Channel, Link, Node
 from repro.net.multicast import MulticastRegistry
-from repro.net.packet import Packet
+from repro.net.packet import NO_GROUPS, Packet
 from repro.net.routing import RoutingTable
 from repro.obs.metrics import Histogram
 from repro.sim.engine import Simulator
@@ -242,8 +242,8 @@ class PisaSwitch(Node):
             )
         self._in_pipeline = True
         try:
-            packet.meta.clear()  # fresh PISA metadata at each switch
-            packet.meta["ingress_node"] = from_node
+            packet.ingress_node = from_node  # fresh PISA metadata each pass
+            packet.at_tail_groups = NO_GROUPS
             # The snapshot tuple makes handler add/remove during a pass
             # safe without copying the list for every packet.
             for handler in self._handlers_snapshot:
@@ -339,7 +339,7 @@ class PisaSwitch(Node):
     def recirculate(self, packet: Packet) -> None:
         """Send a packet back through the pipeline (paper section 2)."""
         self.stats.recirculated_packets += 1
-        ingress = packet.meta.get("ingress_node", self.name)
+        ingress = packet.ingress_node or self.name
         self.sim.schedule(
             RECIRCULATION_LATENCY,
             self._pipeline_pass,

@@ -14,8 +14,7 @@ a packet capture at their ingress would see.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.net.endhost import EndHost
@@ -25,8 +24,6 @@ from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 
 __all__ = ["FlowSpec", "FlowGenerator", "inject_flow"]
-
-_flow_ports = itertools.count(30000)
 
 #: Flags of a flow's opening, data and closing segments, combined once
 #: here rather than per packet.
@@ -42,7 +39,8 @@ class FlowSpec:
     client: EndHost
     dst_ip: str
     dst_port: int = 80
-    src_port: int = field(default_factory=lambda: next(_flow_ports))
+    #: ``None``: the client's next ephemeral port (see :func:`inject_flow`).
+    src_port: Optional[int] = None
     data_packets: int = 8
     payload_size: int = 512
     inter_packet_gap: float = 20e-6
@@ -57,7 +55,10 @@ class FlowSpec:
 
 def inject_flow(sim: Simulator, flow: FlowSpec, on_done: Callable[[FlowSpec], None] = None) -> None:
     """Schedule every packet of one flow onto its client host; each next
-    packet is posted by the one before (``Simulator.post``)."""
+    packet is posted by the one before (``Simulator.post``).  A flow
+    without a source port takes its client's next ephemeral port now."""
+    if flow.src_port is None:
+        flow.src_port = next(flow.client.ephemeral_ports)
     total = flow.total_packets
 
     def send(index: int) -> None:
@@ -119,9 +120,7 @@ class FlowGenerator:
         self.inter_packet_gap = inter_packet_gap
         self.dst_port = dst_port
         self._rng = rng.stream(stream)
-        #: Generator-local port counter: keeps runs reproducible even
-        #: when other generators ran earlier in the same process (the
-        #: module-global counter in :class:`FlowSpec` is only a default).
+        #: Generator-local port counter, one sequence over all clients.
         self._next_port = port_base
         self.flows_started: List[FlowSpec] = []
         self.flows_completed = 0

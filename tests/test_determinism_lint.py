@@ -436,8 +436,9 @@ class TestViolationsCaught:
         assert self._lint_packaged_source(tmp_path, "protocols", source) == []
 
     def test_module_level_counter_allowed_by_name_and_outside_the_library(self, tmp_path):
-        """The three that remain pass only under their own module and
-        name; benchmarks, tests and tools are out of scope."""
+        """The one that remains, ``net/packet._packet_ids``, passes only
+        under its own module and name; benchmarks, tests and tools are
+        out of scope."""
         source = "import itertools\n_packet_ids = itertools.count(1)\n"
         directory = tmp_path / "repro" / "net"
         directory.mkdir(parents=True)
@@ -450,6 +451,20 @@ class TestViolationsCaught:
             module = os.path.join(REPO_ROOT, "src", "repro", suffix)
             with open(module, encoding="utf-8") as handle:
                 assert f"\n{name} = itertools.count(" in handle.read(), (suffix, name)
+
+    def test_retired_flow_port_counter_is_reported(self, tmp_path):
+        """``workload/flows._flow_ports`` is no longer allowed: flows
+        take their ports from the client's own sequence."""
+        assert lint.ALLOWED_GLOBAL_COUNTERS == {
+            (os.path.join("net", "packet.py"), "_packet_ids")
+        }
+        directory = tmp_path / "repro" / "workload"
+        directory.mkdir(parents=True)
+        path = directory / "flows.py"
+        path.write_text("import itertools\n_flow_ports = itertools.count(30000)\n")
+        violations = lint.lint_file(str(path))
+        assert len(violations) == 1
+        assert "'_flow_ports'" in violations[0][2]
 
     def test_exempt_module_skipped(self):
         exempt = os.path.join(REPO_ROOT, "src", lint.EXEMPT_SUFFIX)

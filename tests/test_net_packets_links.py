@@ -98,8 +98,10 @@ OTHER_CTX = TraceContext("T:s9:1", "s9:2", "s9:1", 99)
 
 #: What ``Packet.clone()`` does with each field.  A field added to
 #: ``Packet`` must be copied in ``clone()`` and classified here.
-CLONE_FRESH = {"eth", "ipv4", "tcp", "udp", "swishmem", "swishmem_payload", "meta"}
-CLONE_SHARED = {"payload_size", "payload_digest", "created_at", "trace"}
+CLONE_FRESH = {"eth", "ipv4", "tcp", "udp", "swishmem", "swishmem_payload"}
+CLONE_SHARED = {
+    "payload_size", "payload_digest", "ingress_node", "at_tail_groups", "created_at", "trace",
+}
 #: The fields that hold a wire record: the headers and the message.
 RECORD_FIELDS = ("eth", "ipv4", "tcp", "udp", "swishmem", "swishmem_payload")
 
@@ -117,7 +119,8 @@ def build_packet(stack, payload, extras):
         packet.swishmem_payload = payload
     if extras:
         packet.trace = TraceContext("T:s0:1", "s0:1", None, 1)
-        packet.meta.update(ingress_node="h0", at_tail_groups=frozenset({3}))
+        packet.ingress_node = "h0"
+        packet.at_tail_groups = frozenset({3})
         packet.payload_digest = 0xBEEF
         packet.created_at = 1.5e-3
     return packet
@@ -158,9 +161,8 @@ def mutate_like_the_code_does(packet):
         message.trace = OTHER_CTX  # _stamp_send, chain forward, reorder stash
         if hasattr(message, "attempt"):
             message.attempt += 1  # _send_write_request retry
-    packet.meta.clear()  # _pipeline_pass
-    packet.meta["ingress_node"] = "s7"
-    packet.meta["at_tail_groups"] = frozenset({7})  # read forward
+    packet.ingress_node = "s7"  # _pipeline_pass
+    packet.at_tail_groups = packet.at_tail_groups | {7}  # read forward
     packet.trace = OTHER_CTX  # read forward
     packet.created_at = 9.0  # generate_packet
 
@@ -223,6 +225,19 @@ class TestCloneContract:
         first, second = original.clone(), original.clone()
         assert (first.uid, second.uid) == (original.uid + 1, original.uid + 2)
         assert Packet().uid == original.uid + 3
+
+    def test_metadata_is_declared_not_a_dict(self):
+        """PISA metadata is two declared slots; there is no open
+        ``meta`` dict, and an undeclared attribute raises."""
+        names = {f.name for f in dataclasses.fields(Packet)}
+        assert {"ingress_node", "at_tail_groups"} <= names
+        assert "meta" not in names and "meta" not in Packet.__slots__
+        packet = Packet()
+        assert packet.ingress_node is None
+        assert packet.at_tail_groups == frozenset()
+        assert not hasattr(packet, "meta")
+        with pytest.raises(AttributeError):
+            packet.meta = {}
 
     def test_every_packet_field_is_copied_or_declared_shared(self):
         names = {f.name for f in dataclasses.fields(Packet)}

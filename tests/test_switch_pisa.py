@@ -103,18 +103,26 @@ class TestAtomicity:
             sim.run()
 
     def test_meta_reset_per_switch(self):
+        """Every switch pass starts the PISA metadata afresh: a stale
+        ``at_tail_groups`` and ``ingress_node`` never reach a handler."""
         sim, topo, switches, hosts, *_ = make_fabric()
-        metas = []
+        seen = []
         for switch in switches:
             switch.install_handler(
-                lambda p, f, s=switch: (metas.append((s.name, dict(p.meta))), False)[1]
+                lambda p, f, s=switch: seen.append(
+                    (s.name, f, p.ingress_node, p.at_tail_groups)
+                )
             )
         packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2)
-        packet.meta["junk"] = True
+        packet.ingress_node = "stale"
+        packet.at_tail_groups = frozenset({1, 2})
         hosts[0].inject(packet)
         sim.run()
-        assert all("junk" not in meta for _, meta in metas)
-        assert all("ingress_node" in meta for _, meta in metas)
+        assert [name for name, *_ in seen] == ["s0", "s1"]
+        for _, from_node, ingress_node, at_tail_groups in seen:
+            assert ingress_node == from_node  # the previous hop
+            assert at_tail_groups == frozenset()
+        assert seen[0][1] == "h0" and seen[1][1] == "s0"
 
 
 class TestRecirculation:

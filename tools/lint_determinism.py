@@ -91,10 +91,9 @@ This lint walks the AST of every Python file and flags:
   and benchmarks and the schedule explorer build many worlds per
   process.  Number from the object that owns the sequence
   (``FailoverCoordinator._transfer_seq``, the per-switch token numbers
-  of ``SroEngine``).  Three remain, allowed by name until ROADMAP
-  item 1 retires them: ``net/packet._packet_ids``,
-  ``workload/flows._flow_ports``, ``analysis/history._op_ids`` — none
-  feeds a digest, a span or a ``wire_size``.
+  of ``SroEngine``, an end host's ``ephemeral_ports``).  One remains,
+  allowed by name under ROADMAP item 3 PR B: ``net/packet._packet_ids``
+  — a packet uid feeds no digest, span or ``wire_size``.
 
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
@@ -206,7 +205,6 @@ GLOBAL_COUNTER_SCOPE = os.sep + "repro" + os.sep
 #: ... except these, by module path suffix and name (ROADMAP item 3, PR B).
 ALLOWED_GLOBAL_COUNTERS = frozenset({
     (os.path.join("net", "packet.py"), "_packet_ids"),
-    (os.path.join("workload", "flows.py"), "_flow_ports"),
 })
 
 GLOBAL_COUNTER_MESSAGE = (
