@@ -195,6 +195,11 @@ class SwiShmemManager:
             # switch; forward it along without touching the protocol state.
             self.switch.forward_to_node(packet, header.dst_node)
             return True
+        if header.relay:
+            # Members riding in this multicast copy go on from here, at
+            # the point a transit copy would be forwarded: before any
+            # fault below and before this switch's own merge.
+            self.switch.relay(packet)
         if self.interpose is not None and self.interpose(packet):
             return True
         op = header.op

@@ -133,7 +133,9 @@ class EndHost(Node):
         return self._uplink
 
     def inject(self, packet: Packet) -> bool:
-        """Send a locally generated packet into the fabric."""
+        """Send a locally generated packet into the fabric; it takes
+        the world's next packet uid."""
+        packet.uid = next(self.sim.packet_ids)
         packet.created_at = self.sim.now
         self.sent_count += 1
         uplink = self._uplink

@@ -221,11 +221,22 @@ class SwiShmemHeader(WireRecord):
     successor is not always a direct neighbor), and a transit switch
     must *forward* rather than consume them.  On the wire this is the
     destination switch's loopback IP.
+
+    ``relay`` names the group members a multicast copy must still reach
+    through ``dst_node``: the multicast engine sends one copy per
+    first-hop link, so a member whose path runs through another member
+    rides in that member's copy, and the member sends it on
+    (``PisaSwitch.relay``).  On the wire it is a bitstring with one bit
+    per group member, in the shape of BIER's (RFC 8279):
+    ``relay_bytes`` = ceil(members / 8) on a copy that carries one, 0
+    on every other packet, counted by ``Packet.wire_size``.
     """
 
     op: SwiShmemOp = SwiShmemOp.EWO_UPDATE
     register_group: int = 0
     dst_node: Optional[str] = None
+    relay: Tuple[str, ...] = ()
+    relay_bytes: int = 0
 
     #: op(1) + group(2) + length(2) + checksum(2) + flags(1) + dst IP(4)
     wire_size: int = field(default=12, init=False, repr=False)

@@ -179,7 +179,9 @@ class Channel:
         if self.nemesis is not None:
             extra, duplicate_offsets = self.nemesis.plan(packet, self)
             for offset in duplicate_offsets:
-                sim.post(arrival + offset - now, self._deliver, packet.clone())
+                sim.post(
+                    arrival + offset - now, self._deliver, packet.clone(next(sim.packet_ids))
+                )
             arrival += extra
         sim.post(arrival - now, self._deliver, packet)
 

@@ -7,9 +7,11 @@ multicast group".  This module models that engine: a named group of
 member node names, managed centrally (by the controller) and consulted
 by switches when they replicate.
 
-Delivery itself is unicast per member over the normal links — which is
-what a switch multicast engine does internally (packet replication at
-egress) — so loss and bandwidth are accounted per copy.
+Delivery rides the normal links, one copy per first-hop link rather
+than per member (``PisaSwitch.multicast_to_group``): a member whose
+path runs through another member travels in that member's copy as a
+relay target and is sent on from there, so a link carries each update
+once, and loss and bandwidth are accounted per copy on each link.
 """
 
 from __future__ import annotations

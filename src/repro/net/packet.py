@@ -12,16 +12,18 @@ hardware would re-serialize and re-parse it.  :meth:`Packet.clone` is a
 structural copy, not a deep one.  It copies exactly the levels the code
 assigns to in flight and shares everything below them:
 
-* **Fresh per copy** — the :class:`Packet` itself (new ``uid``); every
-  present header (``ipv4.ttl`` is decremented per hop, the multicast
-  engine stamps ``swishmem.dst_node`` per copy); the
+* **Fresh per copy** — the :class:`Packet` itself (a new ``uid`` from
+  its world's ``Simulator.packet_ids``); every present header
+  (``ipv4.ttl`` is decremented per hop, the multicast engine stamps
+  ``swishmem.dst_node`` and the relay targets per copy); the
   ``swishmem_payload`` message (``request.attempt`` and
   ``update.trace`` are reassigned by retries and by each chain hop).
 * **Shared** — every value *inside* those records: strings, numbers,
   enums, the frozen ``TraceContext`` and ``WriteToken``, chain member
-  tuples, the ``EwoUpdate.entries`` tuple and its frozen ``EwoEntry``
-  objects, register keys and values, and the metadata values
-  ``ingress_node`` and ``at_tail_groups`` (a frozenset).
+  tuples, a header's ``relay`` tuple, the ``EwoUpdate.entries`` tuple
+  and its frozen ``EwoEntry`` objects, register keys and values, and
+  the metadata values ``ingress_node`` and ``at_tail_groups`` (a
+  frozenset).
 
 Sharing is safe because none of those is ever mutated in place.
 Every header and message is a ``WireRecord`` (``repro.net.headers``):
@@ -44,8 +46,6 @@ above, or it does not exist.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import field
 from typing import Any, FrozenSet, Optional
 
 from repro.net.headers import (
@@ -63,7 +63,6 @@ from repro.net.headers import (
 
 __all__ = ["Packet", "make_tcp_packet", "make_udp_packet"]
 
-_packet_ids = itertools.count(1)
 #: The one empty ``at_tail_groups`` (``frozenset()`` is a new object per call).
 NO_GROUPS: FrozenSet[int] = frozenset()
 
@@ -89,7 +88,10 @@ class Packet:
     #: Stand-in for payload content: a workload-chosen digest that NFs
     #: (e.g. the IPS) hash as if they had read the payload bytes.
     payload_digest: Optional[int] = None
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    #: Taken from the world's sequence (``Simulator.packet_ids``) by
+    #: whoever makes the packet in a world; a packet built outside one
+    #: keeps 0 until ``EndHost.inject`` admits it.
+    uid: int = 0
     #: PISA metadata, set afresh by every switch pass: the neighbour the
     #: packet came from, and the SRO groups whose tail it has reached.
     ingress_node: Optional[str] = None
@@ -107,9 +109,12 @@ class Packet:
     def wire_size(self) -> int:
         """Total on-wire bytes, used for serialization-delay accounting."""
         size = self.payload_size
-        for header in (self.eth, self.ipv4, self.tcp, self.udp, self.swishmem):
+        for header in (self.eth, self.ipv4, self.tcp, self.udp):
             if header is not None:
                 size += header.wire_size
+        swishmem = self.swishmem
+        if swishmem is not None:
+            size += swishmem.wire_size + swishmem.relay_bytes
         if self.swishmem_payload is not None:
             size += self.swishmem_payload.wire_size
         return size
@@ -128,10 +133,11 @@ class Packet:
             )
         return None
 
-    def clone(self) -> "Packet":
-        """An independently mutable copy with a fresh uid (multicast,
-        mirror and nemesis-duplicate copies) — see the module docstring
-        for what is copied and what is shared."""
+    def clone(self, uid: int) -> "Packet":
+        """An independently mutable copy with the fresh ``uid`` its
+        world drew for it (multicast, mirror and nemesis-duplicate
+        copies) — see the module docstring for what is copied and what
+        is shared."""
         eth, ipv4, tcp, udp = self.eth, self.ipv4, self.tcp, self.udp
         swishmem, payload = self.swishmem, self.swishmem_payload
         return Packet(
@@ -143,7 +149,7 @@ class Packet:
             swishmem_payload=None if payload is None else payload.copy(),
             payload_size=self.payload_size,
             payload_digest=self.payload_digest,
-            uid=next(_packet_ids),
+            uid=uid,
             ingress_node=self.ingress_node,
             at_tail_groups=self.at_tail_groups,
             created_at=self.created_at,

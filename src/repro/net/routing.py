@@ -75,9 +75,9 @@ def ecmp_hash(packet: Packet, salt: int = 0) -> int:
     elif packet.swishmem is not None:
         # Protocol packets have no five-tuple; hash the replication
         # "flow" (op, group, destination) instead.  Never hash the uid:
-        # it is a module-global counter, so two otherwise identical runs
-        # in one process would pick different ECMP paths — breaking the
-        # guarantee that a chaos run is a pure function of its seed.
+        # it numbers packets, not flows, so the packets of one flow
+        # would spread over paths, and a path would hang on how many
+        # packets the world made before this one.
         sw = packet.swishmem
         key = f"{salt}:sw:{sw.op.value}:{sw.register_group}:{sw.dst_node}"
     else:

@@ -872,6 +872,7 @@ class ScrubCoordinator:
             ),
             swishmem_payload=repair,
             trace=repair.trace,
+            uid=next(manager.sim.packet_ids),
         )
         self.stats.repairs_sent += 1
         self.stats.repair_bytes += packet.wire_size

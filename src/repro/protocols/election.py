@@ -331,6 +331,7 @@ class ControllerCluster:
         packet = Packet(
             swishmem=SwiShmemHeader(op=SwiShmemOp.HEARTBEAT, dst_node=leader.host),
             swishmem_payload=beacon,
+            uid=next(self.sim.packet_ids),
         )
         switch.generate_packet(packet, leader.host)
 

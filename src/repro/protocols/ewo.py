@@ -13,9 +13,12 @@ replication is asynchronous.
   with one section per group for several.  On the wire the update
   copies are enqueued first and the output packet after them, at the
   same simulated instant.  A write outside a pass (window tasks,
-  operators) is broadcast at once.  ``ewo_batch_size`` is the number
-  of queued entries below which a group's broadcast is held back,
-  trading bandwidth for staleness (experiment A2).
+  operators) is broadcast at once.  The multicast engine sends one copy
+  per first-hop link: a member beyond another member rides in that
+  member's copy and is sent on from there (``PisaSwitch.relay``).
+  ``ewo_batch_size`` is the number of queued entries below which a
+  group's broadcast is held back, trading bandwidth for staleness
+  (experiment A2).
 
 * **Merging** is per the group's mode and lives in ``repro.crdt``: a
   replica is a dict of cells — ``LwwRegister`` ((timestamp, switch-id)
@@ -452,6 +455,7 @@ class EwoEngine:
             swishmem=SwiShmemHeader(op=SwiShmemOp.EWO_UPDATE, register_group=group_id),
             swishmem_payload=mirror,
             trace=mirror.trace,
+            uid=next(self.sim.packet_ids),
         )
         if self.obs.on:
             self.obs.emit(
@@ -465,7 +469,9 @@ class EwoEngine:
         self.switch.multicast_to_group(packet, group_id)
 
     def flush(self, group_id: int) -> int:
-        """Broadcast queued entries to the replica group.  Returns copies sent."""
+        """Broadcast queued entries to the replica group.  Returns the
+        copies this switch sent (a member beyond another rides in its
+        copy)."""
         state = self.groups[group_id]
         if not state._pending_entries:
             return 0
@@ -488,6 +494,7 @@ class EwoEngine:
             swishmem=SwiShmemHeader(op=SwiShmemOp.EWO_UPDATE, register_group=group_id),
             swishmem_payload=update,
             trace=update.trace,
+            uid=next(self.sim.packet_ids),
         )
         if self.obs.on:
             self.obs.emit(
@@ -536,6 +543,7 @@ class EwoEngine:
                 ),
                 swishmem_payload=update,
                 trace=update.trace,
+                uid=next(self.sim.packet_ids),
             )
             if self.switch.forward_to_node(packet, target):
                 copies += 1
@@ -655,6 +663,7 @@ class EwoEngine:
             ),
             swishmem_payload=probe,
             trace=probe.trace,
+            uid=next(self.sim.packet_ids),
         )
         if not self.switch.generate_packet(packet, target):
             return 0
@@ -739,6 +748,7 @@ class EwoEngine:
                 ),
                 swishmem_payload=sync,
                 trace=sync.trace,
+                uid=next(self.sim.packet_ids),
             )
             if self.switch.generate_packet(packet, target):
                 packets += 1

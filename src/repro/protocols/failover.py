@@ -184,6 +184,7 @@ class FailoverCoordinator:
                 ),
                 swishmem_payload=message,
                 trace=round_ctx,
+                uid=next(switch.sim.packet_ids),
             )
             switch.forward_to_node(packet, transfer.target)
         switch.control.set_timer(
@@ -241,6 +242,7 @@ class FailoverCoordinator:
             ),
             swishmem_payload=ack,
             trace=ack_ctx,
+            uid=next(manager.sim.packet_ids),
         )
         manager.switch.forward_to_node(packet, message.source)
 

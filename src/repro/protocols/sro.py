@@ -708,6 +708,7 @@ class SroEngine:
             ),
             swishmem_payload=request,
             trace=request.trace,
+            uid=next(self.sim.packet_ids),
         )
         self.switch.forward_to_node(packet, head)
 
@@ -807,6 +808,7 @@ class SroEngine:
             ),
             swishmem_payload=request,
             trace=request.trace,
+            uid=next(self.sim.packet_ids),
         )
         if head == self.switch.name:
             # We are the head: hand the request to our own data plane.
@@ -974,6 +976,7 @@ class SroEngine:
                 ),
                 swishmem_payload=update,
                 trace=update.trace,
+                uid=next(self.sim.packet_ids),
             )
             self.switch.forward_to_node(packet, successor)
         elif update.chain and update.chain[-1] == self.switch.name:
@@ -1138,6 +1141,7 @@ class SroEngine:
                 ),
                 swishmem_payload=update,
                 trace=update.trace,
+                uid=next(self.sim.packet_ids),
             )
             self.switch.forward_to_node(packet, successor)
         elif is_tail:
@@ -1197,6 +1201,7 @@ class SroEngine:
                 ),
                 swishmem_payload=ack,
                 trace=ack.trace,
+                uid=next(self.sim.packet_ids),
             )
             self.switch.forward_to_node(packet, target)
         # The tail itself may also be the writer.

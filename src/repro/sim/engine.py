@@ -166,6 +166,10 @@ class Simulator:
         #: The hook is sampled when ``run()`` starts; install/uninstall
         #: between runs, not from inside an event.
         self.profiler: Optional[Any] = None
+        #: Packet uids, a per-world sequence: every packet this world
+        #: makes, copies or admits from a host takes the next one, so a
+        #: world's uids do not depend on what else ran in the process.
+        self.packet_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Clock

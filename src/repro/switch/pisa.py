@@ -16,7 +16,9 @@ packets through a parser -> match-action pipeline -> deparser flow
   C1) can compare switch and server service rates.
 * **Multicast, recirculation, packet generator** — the features paper
   section 7 uses to implement EWO (its egress mirror of a write is the
-  multicast copy here).
+  multicast copy here).  The multicast engine sends one copy per
+  first-hop link: a member whose path runs through another member
+  rides in that member's copy and is sent on from there.
 * **A control plane** (:class:`~repro.switch.control.ControlPlaneAgent`)
   with DRAM buffering and timers, used by SRO.
 
@@ -56,6 +58,9 @@ __all__ = ["PisaSwitch", "SwitchStats", "PacketHandler"]
 
 PacketHandler = Callable[[Packet, str], bool]
 
+#: A multicast fan-out: ``(target, riders)`` per copy sent.
+FanOutPlan = Tuple[Tuple[str, Tuple[str, ...]], ...]
+
 #: Per-packet pipeline latency: parser + stages + deparser.  Constant and
 #: tiny, as in hardware (the pipeline is a fixed-depth conveyor belt).
 PIPELINE_LATENCY = 400e-9
@@ -76,7 +81,6 @@ class SwitchStats:
         "dropped_packets",
         "punted_packets",
         "recirculated_packets",
-        "mirrored_packets",
         "multicast_copies",
         "generated_packets",
         "queue_drops",
@@ -88,7 +92,6 @@ class SwitchStats:
         self.dropped_packets = 0
         self.punted_packets = 0
         self.recirculated_packets = 0
-        self.mirrored_packets = 0
         self.multicast_copies = 0
         self.generated_packets = 0
         self.queue_drops = 0
@@ -129,7 +132,6 @@ class PisaSwitch(Node):
         #: Immutable snapshot iterated by the pipeline, refreshed on
         #: install/remove so the per-packet pass never copies the list.
         self._handlers_snapshot: Tuple[PacketHandler, ...] = ()
-        #: Mirror sessions: session id -> destination node name.
         # Optional finite-capacity service model (experiment C1).
         self.pipeline_rate_pps = pipeline_rate_pps
         self.queue_capacity = queue_capacity
@@ -153,6 +155,10 @@ class PisaSwitch(Node):
         self._egress: Dict[str, Tuple[Optional[Channel], ...]] = {}
         self._egress_routing: Optional[RoutingTable] = None
         self._egress_version = 0
+        #: Fan-out plans (see :meth:`_plan`), keyed by the targets and
+        #: the copy's flow key, built on first use and dropped with the
+        #: egress table they were read from.
+        self._plans: Dict[Tuple, FanOutPlan] = {}
 
     def attach_link(self, link: Link, neighbor: str) -> None:
         super().attach_link(link, neighbor)
@@ -277,9 +283,7 @@ class PisaSwitch(Node):
         if routing is None:
             raise RuntimeError(f"{self.name} has no routing table")
         if routing is not self._egress_routing or routing.version != self._egress_version:
-            self._egress = {}
-            self._egress_routing = routing
-            self._egress_version = routing.version
+            self._reset_egress(routing)
         channels = self._egress.get(dst_node)
         if channels is None:
             channels = self._resolve_egress(dst_node)
@@ -300,6 +304,14 @@ class PisaSwitch(Node):
         channel.transmit(packet)
         self.stats.tx_packets += 1
         return True
+
+    def _reset_egress(self, routing: RoutingTable) -> None:
+        """Start the egress table, and the fan-out plans read from it,
+        afresh for ``routing`` at its current version."""
+        self._egress = {}
+        self._plans = {}
+        self._egress_routing = routing
+        self._egress_version = routing.version
 
     def _resolve_egress(self, dst_node: str) -> Tuple[Optional[Channel], ...]:
         """Resolve and remember the egress channels toward ``dst_node``:
@@ -367,27 +379,96 @@ class PisaSwitch(Node):
     # Multicast (paper section 7, EWO implementation)
     # ------------------------------------------------------------------
     def multicast_to_group(self, packet: Packet, group_id: int) -> int:
-        """Replicate ``packet`` to every other member of a multicast group.
+        """Replicate ``packet`` to every other member of a multicast
+        group, one copy per first-hop link.
 
-        Returns the number of copies sent.  The packet itself is not
-        consumed — EWO sends copies while the original proceeds to its
-        destination.
+        A member whose first hop is another member gets no copy of its
+        own: it rides in that member's copy as a relay target, and that
+        member sends it on (:meth:`relay`).  Returns the number of copies
+        this switch sent.  The packet itself is not consumed — EWO sends
+        copies while the original proceeds to its destination.
         """
         if self.multicast is None:
             raise RuntimeError(f"{self.name} has no multicast registry")
         group = self.multicast.get(group_id)
+        return self._fan_out(packet, group.others(self.name), (len(group) + 7) // 8)
+
+    def relay(self, packet: Packet) -> int:
+        """Send on the relay targets of a multicast copy addressed here,
+        planned as the sender planned them; returns the copies sent.
+        The packet itself is left to the caller, which consumes it."""
+        header = packet.swishmem
+        return self._fan_out(packet, header.relay, header.relay_bytes)
+
+    def _fan_out(self, packet: Packet, targets: Tuple[str, ...], relay_bytes: int) -> int:
+        """Send one copy of ``packet`` per planned target, each stamped
+        with its destination and the targets riding in it (their
+        bitstring costs ``relay_bytes`` on the wire)."""
+        routing = self.routing
+        if routing is None:
+            raise RuntimeError(f"{self.name} has no routing table")
+        if routing is not self._egress_routing or routing.version != self._egress_version:
+            self._reset_egress(routing)
+        header = packet.swishmem
+        key = (targets,) if header is None else (targets, header.op, header.register_group)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(packet, targets)
+        ids = self.sim.packet_ids
         copies = 0
-        for member in group.others(self.name):
-            copy = packet.clone()
-            if copy.swishmem is not None:
+        for target, riders in plan:
+            copy = packet.clone(next(ids))
+            stamp = copy.swishmem
+            if stamp is not None:
                 # The multicast engine stamps each copy's egress
                 # destination, so transit switches forward rather than
                 # consume copies addressed to someone else.
-                copy.swishmem.dst_node = member
-            if self.forward_to_node(copy, member):
+                stamp.dst_node = target
+                stamp.relay = riders
+                stamp.relay_bytes = relay_bytes if riders else 0
+            if self.forward_to_node(copy, target):
                 copies += 1
                 self.stats.multicast_copies += 1
         return copies
+
+    def _plan(self, packet: Packet, targets: Tuple[str, ...]) -> FanOutPlan:
+        """Plan a fan-out: ``(target, riders)`` per copy, in target order.
+
+        A target's first hop is the one :meth:`forward_to_node` would
+        pick for its copy — the same egress table and the same flow hash
+        of ``(op, group, target)`` — so every path stays the one a copy
+        of its own would take.  A target whose first hop is another
+        target rides in that target's copy; every other target, reached
+        directly or through a switch outside the set, gets a copy of its
+        own.  A packet without a replication header cannot carry riders.
+        """
+        if packet.swishmem is None:
+            return tuple((target, ()) for target in targets)
+        probe = packet.clone(0)
+        riders: Dict[str, List[str]] = {}
+        carried = set()
+        for target in targets:
+            channels = self._egress.get(target)
+            if channels is None:
+                channels = self._resolve_egress(target)
+            if not channels:
+                continue
+            if len(channels) == 1:
+                channel = channels[0]
+            else:
+                probe.swishmem.dst_node = target
+                channel = channels[self.routing.flow_hash(probe) % len(channels)]
+            if channel is None:
+                continue
+            hop = channel.dst.name
+            if hop != target and hop in targets:
+                riders.setdefault(hop, []).append(target)
+                carried.add(target)
+        return tuple(
+            (target, tuple(riders.get(target, ())))
+            for target in targets
+            if target not in carried
+        )
 
     # ------------------------------------------------------------------
     # Packet generator (paper section 7: periodic EWO sync)

@@ -430,14 +430,16 @@ class TestPinnedState:
     world (``perf/worker.py``'s build: NAT, IPS and heavy-hitter NFs
     under Zipf load, all four sinks), hashed slot by slot.  Both tables
     evict at these seeds, so promotion, the floor and the sketch tail
-    are all in the hash.  The digests were taken before the hooks became
-    the spine's handlers, with the since-deleted ``GroupProfile.ewo_mode``
-    and ``GroupProfile.peeks`` left out: a change to the hot path must
-    leave them as they are."""
+    are all in the hash: a change to the hot path must leave them as
+    they are.  Re-pinned when EWO multicast went to one copy per link:
+    every count stayed equal, and only ``hh_counts``' write-time leaves
+    (``last_write_at`` and inter-write ``sum`` / ``min`` / ``max``) moved,
+    each by one 36-byte serialization slot (2.88 ns), because a member
+    no longer waits behind a transit copy on the writer's link."""
 
     DIGESTS = {
-        11: "760ac583db83a1c3c537441b2afde41f6768359b7385feb98fcf29fb4ab3fadb",
-        23: "959434bc7ec9ffc3dc3b11807bbaec62cd1c39ca3be4e271667d17395dd38a7c",
+        11: "7523814bf2766dc0872d89cc552f1d1e8f7156985f592d2644adce2e7fd78291",
+        23: "158f33ecae4b874dbaf2b2884c47ac106776c6c41d3c59a5355ae2f6f0ae800f",
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))

@@ -435,29 +435,27 @@ class TestViolationsCaught:
     def test_owned_sequences_and_other_counts_allowed(self, tmp_path, source):
         assert self._lint_packaged_source(tmp_path, "protocols", source) == []
 
-    def test_module_level_counter_allowed_by_name_and_outside_the_library(self, tmp_path):
-        """The one that remains, ``net/packet._packet_ids``, passes only
-        under its own module and name; benchmarks, tests and tools are
-        out of scope."""
+    def test_retired_packet_id_counter_is_reported(self, tmp_path):
+        """``net/packet._packet_ids`` is no longer allowed: packets take
+        their uids from the world's ``Simulator.packet_ids``, and no
+        module-level counter has an exemption.  Benchmarks, tests and
+        tools stay out of scope."""
+        assert not hasattr(lint, "ALLOWED_GLOBAL_COUNTERS")
         source = "import itertools\n_packet_ids = itertools.count(1)\n"
         directory = tmp_path / "repro" / "net"
         directory.mkdir(parents=True)
         (directory / "packet.py").write_text(source)
-        assert lint.lint_file(str(directory / "packet.py")) == []
-        (directory / "link.py").write_text(source)
-        assert len(lint.lint_file(str(directory / "link.py"))) == 1
+        violations = lint.lint_file(str(directory / "packet.py"))
+        assert len(violations) == 1
+        assert "'_packet_ids'" in violations[0][2]
         assert self._lint_source(tmp_path, source) == []
-        for suffix, name in lint.ALLOWED_GLOBAL_COUNTERS:
-            module = os.path.join(REPO_ROOT, "src", "repro", suffix)
-            with open(module, encoding="utf-8") as handle:
-                assert f"\n{name} = itertools.count(" in handle.read(), (suffix, name)
+        module = os.path.join(REPO_ROOT, "src", "repro", "net", "packet.py")
+        with open(module, encoding="utf-8") as handle:
+            assert "itertools.count(" not in handle.read()
 
     def test_retired_flow_port_counter_is_reported(self, tmp_path):
         """``workload/flows._flow_ports`` is no longer allowed: flows
         take their ports from the client's own sequence."""
-        assert lint.ALLOWED_GLOBAL_COUNTERS == {
-            (os.path.join("net", "packet.py"), "_packet_ids")
-        }
         directory = tmp_path / "repro" / "workload"
         directory.mkdir(parents=True)
         path = directory / "flows.py"

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -18,12 +22,17 @@ from repro.net.headers import (
     TcpFlags,
 )
 from repro.net.link import Link, Node
+from repro.nf.heavyhitter import HeavyHitterNF
+from repro.nf.nat import NatNF
 from repro.net.packet import Packet, make_tcp_packet, make_udp_packet
 from repro.obs.causal import TraceContext
 from repro.protocols.messages import ChainUpdate, WriteRequest, WriteToken
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
+from repro.testing import build_nf_world
+from repro.workload.flows import FlowSpec, inject_flow
 from tests.test_protocol_messages import payload_samples
+from tests.test_switch_pisa import make_fabric
 
 
 class Sink(Node):
@@ -74,15 +83,21 @@ class TestPacket:
         assert Packet().five_tuple() is None
 
     def test_clone_is_independent(self):
+        ids = Simulator().packet_ids
         original = make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2)
-        copy = original.clone()
+        original.uid = next(ids)
+        copy = original.clone(next(ids))
         assert copy.uid != original.uid
         copy.ipv4.dst = "9.9.9.9"
         assert original.ipv4.dst == "2.2.2.2"
 
     def test_uids_unique(self):
-        packets = [Packet() for _ in range(100)]
-        assert len({p.uid for p in packets}) == 100
+        """Uids come from the world's sequence: unique within a world,
+        and every world numbers from 1 whatever ran before it."""
+        assert Packet().uid == 0  # built outside a world: not numbered yet
+        for ids in (Simulator().packet_ids, Simulator().packet_ids):
+            packets = [Packet(uid=next(ids)) for _ in range(100)]
+            assert [p.uid for p in packets] == list(range(1, 101))
 
     def test_swishmem_header_adds_size(self):
         bare = Packet()
@@ -156,6 +171,8 @@ def mutate_like_the_code_does(packet):
         packet.eth.dst_mac = "aa:aa:aa:aa:aa:aa"
     if packet.swishmem is not None:
         packet.swishmem.dst_node = "s7"  # multicast_to_group, read chase
+        packet.swishmem.relay = ("s8",)  # multicast_to_group, relay
+        packet.swishmem.relay_bytes = 1
     message = packet.swishmem_payload
     if message is not None:
         message.trace = OTHER_CTX  # _stamp_send, chain forward, reorder stash
@@ -187,8 +204,10 @@ class TestCloneContract:
 
     @pytest.mark.parametrize("stack,index,extras", CLONE_CASES)
     def test_equals_deepcopy_and_shares_no_container(self, stack, index, extras):
+        ids = Simulator().packet_ids
         original = self._case(stack, index, extras)
-        clone = original.clone()
+        original.uid = next(ids)
+        clone = original.clone(next(ids))
         assert_same(clone, copy.deepcopy(original))
         assert clone.uid != original.uid
         assert clone is not original
@@ -212,19 +231,30 @@ class TestCloneContract:
     def test_copies_mutate_independently(self, stack, index, extras):
         original = self._case(stack, index, extras)
         before = copy.deepcopy(original)
-        clone = original.clone()
+        clone = original.clone(1)
         mutate_like_the_code_does(clone)
         assert_same(original, before)
         # and the other way round
-        clone = original.clone()
+        clone = original.clone(2)
         mutate_like_the_code_does(original)
         assert_same(clone, before)
 
     def test_uids_are_allocated_one_per_copy_in_order(self):
+        """A copy's uid is the one its world draws for it, in order: a
+        host admits a packet, the multicast engine copies it twice, and
+        the next packet the world makes takes the next uid."""
+        sim, _, switches, hosts, _, _, registry = make_fabric()
+        registry.create(7, ["s0", "s1", "s2"])
         original = make_tcp_packet("1.1.1.1", "2.2.2.2", 1, 2)
-        first, second = original.clone(), original.clone()
-        assert (first.uid, second.uid) == (original.uid + 1, original.uid + 2)
-        assert Packet().uid == original.uid + 3
+        hosts[0].inject(original)
+        copies = []
+        for switch in switches[1:]:
+            switch.install_handler(lambda p, f: (copies.append(p.uid), True)[1], front=True)
+        switches[0].multicast_to_group(original, 7)
+        sim.run()
+        assert original.uid == 1
+        assert sorted(copies) == [original.uid + 1, original.uid + 2]
+        assert next(sim.packet_ids) == original.uid + 3
 
     def test_metadata_is_declared_not_a_dict(self):
         """PISA metadata is two declared slots; there is no open
@@ -247,7 +277,7 @@ class TestCloneContract:
         )
         original = build_packet("tcp", payload_samples()[0], extras=True)
         original.udp = make_udp_packet("1.1.1.1", "2.2.2.2", 1, 2).udp
-        clone = original.clone()
+        clone = original.clone(1)
         for name in CLONE_FRESH:
             assert getattr(original, name) is not None
             assert getattr(clone, name) is not getattr(original, name), name
@@ -423,3 +453,55 @@ class TestLink:
         a3, b3 = Sink("a3"), Sink("b3")
         with pytest.raises(ValueError):
             Link(sim, a3, b3, loss_rate=1.0)
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def uid_world(seed: int, flows: int):
+    """The uid of every packet a switch of an NF world sees, in order:
+    host packets, SRO traffic (NAT), EWO multicast copies and relayed
+    copies (heavy hitters), sync probes and heartbeats."""
+    world = build_nf_world(seed=seed)
+    world.deployment.install_nf(NatNF)
+    world.deployment.install_nf(HeavyHitterNF)
+    seen = []
+    for switch in world.deployment.switches:
+        switch.install_handler(lambda packet, _: seen.append(packet.uid), front=True)
+    servers = world.server_ips()
+    for index in range(flows):
+        inject_flow(
+            world.sim,
+            FlowSpec(
+                client=world.clients[index % len(world.clients)],
+                dst_ip=servers[index % len(servers)],
+                src_port=40000 + index,
+                data_packets=2,
+                start_at=index * 50e-6,
+            ),
+        )
+    world.sim.run(until=5e-3)
+    return seen
+
+
+class TestWorldScopedUids:
+    def test_a_world_numbers_its_packets_alike_after_another_ran(self):
+        """World X, then Y, then X again in one process: the second X's
+        packet uids are those of X in a fresh process.  Every packet a
+        switch sees was numbered by its world."""
+        first = uid_world(seed=5, flows=12)
+        assert first and 0 not in first
+        uid_world(seed=6, flows=7)
+        again = uid_world(seed=5, flows=12)
+        script = (
+            "import json\nfrom tests.test_net_packets_links import uid_world\n"
+            "print(json.dumps(uid_world(seed=5, flows=12)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+        ))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], cwd=REPO_ROOT, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert again == json.loads(fresh.stdout) == first

@@ -202,7 +202,7 @@ class TestWireSizes:
         source.append(EwoEntry("late", 0, 2))  # the caller's lists are not aliased
         assert mirror.sections == ((1, (EwoEntry("k", 0, 1),)), (2, (EwoEntry("j", 1, 2),)))
         packet = Packet(swishmem=SwiShmemHeader(), swishmem_payload=mirror)
-        copy = packet.clone().swishmem_payload
+        copy = packet.clone(1).swishmem_payload
         assert copy is not mirror and copy.sections is mirror.sections
         assert copy.wire_size == mirror.wire_size
         with pytest.raises(TypeError):

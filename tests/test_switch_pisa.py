@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.manager import SwiShmemDeployment
 from repro.net.endhost import AddressBook, EndHost
+from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.multicast import MulticastRegistry
 from repro.net.packet import Packet, make_tcp_packet
 from repro.net.routing import RoutingTable
@@ -159,6 +160,61 @@ class TestMirrorAndMulticast:
         assert copies == 2
         assert sorted(hits) == ["s1", "s2"]
         assert switches[0].stats.multicast_copies == 2
+
+    @staticmethod
+    def _line(members):
+        """s0 - s1 - s2 in a line, multicast group 7 of ``members``; each
+        member records the replication copies addressed to it and, as a
+        SwiShmem manager does, sends on the targets riding in them."""
+        sim = Simulator()
+        topo = Topology(sim, SeededRng(11))
+        switches = [topo.add_node(PisaSwitch(f"s{i}", sim)) for i in range(3)]
+        topo.connect("s0", "s1")
+        topo.connect("s1", "s2")
+        routing, registry = RoutingTable(topo), MulticastRegistry()
+        registry.create(7, members)
+        got = []
+
+        def member(switch):
+            def handler(packet, from_node):
+                header = packet.swishmem
+                if header.dst_node != switch.name:
+                    return False
+                got.append((switch.name, header.relay))
+                if header.relay:
+                    switch.relay(packet)
+                return True
+
+            return handler
+
+        for switch in switches:
+            switch.routing, switch.multicast = routing, registry
+            if switch.name in members:
+                switch.install_handler(member(switch))
+        return sim, switches, got
+
+    def test_a_two_hop_member_rides_in_the_copy_of_the_member_on_its_path(self):
+        sim, (s0, s1, s2), got = self._line(["s0", "s1", "s2"])
+        packet = Packet(swishmem=SwiShmemHeader(SwiShmemOp.EWO_UPDATE, 7))
+        assert s0.multicast_to_group(packet, 7) == 1
+        sim.run()
+        assert got == [("s1", ("s2",)), ("s2", ())]
+        assert (s0.stats.multicast_copies, s1.stats.multicast_copies) == (1, 1)
+        first, onward = s0.links["s1"].ab, s1.links["s2"].ab
+        assert (first.stats.packets_sent, onward.stats.packets_sent) == (1, 1)
+        # the carrying copy pays ceil(3 members / 8) = 1 bitstring byte
+        assert first.stats.bytes_sent == packet.wire_size + 1
+        assert onward.stats.bytes_sent == packet.wire_size
+        assert packet.swishmem.relay == () and packet.swishmem.dst_node is None
+
+    def test_a_member_past_a_non_member_gets_its_own_copy(self):
+        sim, (s0, s1, s2), got = self._line(["s0", "s2"])
+        packet = Packet(swishmem=SwiShmemHeader(SwiShmemOp.EWO_UPDATE, 7))
+        assert s0.multicast_to_group(packet, 7) == 1
+        sim.run()
+        assert got == [("s2", ())]
+        assert s1.stats.multicast_copies == 0
+        assert s0.links["s1"].ab.stats.bytes_sent == packet.wire_size
 
 
 class TestControlPlane:

@@ -91,9 +91,8 @@ This lint walks the AST of every Python file and flags:
   and benchmarks and the schedule explorer build many worlds per
   process.  Number from the object that owns the sequence
   (``FailoverCoordinator._transfer_seq``, the per-switch token numbers
-  of ``SroEngine``, an end host's ``ephemeral_ports``).  One remains,
-  allowed by name under ROADMAP item 3 PR B: ``net/packet._packet_ids``
-  — a packet uid feeds no digest, span or ``wire_size``.
+  of ``SroEngine``, an end host's ``ephemeral_ports``, the simulator's
+  ``packet_ids``).  There are no exceptions.
 
 ``src/repro/sim/random.py`` is exempt: it is the module that wraps the
 stdlib generator behind :class:`SeededRng`, the seam everything else
@@ -202,11 +201,6 @@ CHAOS_MESSAGE = (
 #: fragment: the library package.
 GLOBAL_COUNTER_SCOPE = os.sep + "repro" + os.sep
 
-#: ... except these, by module path suffix and name (ROADMAP item 3, PR B).
-ALLOWED_GLOBAL_COUNTERS = frozenset({
-    (os.path.join("net", "packet.py"), "_packet_ids"),
-})
-
 GLOBAL_COUNTER_MESSAGE = (
     "module-level itertools.count ('{name}') is shared by every world "
     "in the process, so its ids depend on what ran earlier; number from "
@@ -242,9 +236,7 @@ def _module_level_counters(tree: ast.Module, path: str) -> List[Violation]:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
             name = ast.unparse(target)
-            if not any(path.endswith(suffix) and name == allowed
-                       for suffix, allowed in ALLOWED_GLOBAL_COUNTERS):
-                violations.append((path, node.lineno, GLOBAL_COUNTER_MESSAGE.format(name=name)))
+            violations.append((path, node.lineno, GLOBAL_COUNTER_MESSAGE.format(name=name)))
     return violations
 
 
