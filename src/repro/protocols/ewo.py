@@ -10,12 +10,15 @@ replication is asynchronous.
   wrote leave as one packet per replica set, carrying only this
   switch's new version numbers and values, in write order — an
   ``EwoUpdate`` for a group alone in its replica set, an ``EwoMirror``
-  with one section per group for several.  On the wire the update
-  copies are enqueued first and the output packet after them, at the
-  same simulated instant.  A write outside a pass (window tasks,
-  operators) is broadcast at once.  The multicast engine sends one copy
-  per first-hop link: a member beyond another member rides in that
-  member's copy and is sent on from there (``PisaSwitch.relay``).
+  with one section per group for several.  A counter entry there names
+  no slot: the slot is the writer's, and the receiver looks the
+  message's ``origin`` up in the group's member list once per section
+  (a sync, which ships every replica's slots, names each).  On the wire
+  the update copies are enqueued first and the output packet after
+  them, at the same simulated instant.  A write outside a pass (window
+  tasks, operators) is broadcast at once.  The multicast engine sends
+  one copy per first-hop link: a member beyond another member rides in
+  that member's copy and is sent on from there (``PisaSwitch.relay``).
   ``ewo_batch_size`` is the number of queued entries below which a
   group's broadcast is held back, trading bandwidth for staleness
   (experiment A2).
@@ -149,6 +152,10 @@ class EwoGroupState:
         self.spec = spec
         self.members = list(group_members)
         self.my_slot = my_slot
+        #: member -> replica slot, by position in ``members`` (as
+        #: ``EwoEngine.add_group`` assigns ``my_slot``): the slot of a
+        #: counter update's writer.
+        self.slots = {member: slot for slot, member in enumerate(self.members)}
         self.clock = clock
         self.stats = EwoStats()
         self._pending_entries: List[EwoEntry] = []
@@ -320,10 +327,12 @@ class EwoEngine:
         self._local_write(state, "overwrite", key, stamp, value)
 
     def increment(self, spec: RegisterSpec, key: Any, amount: int) -> int:
-        """CRDT counter increment on our own slot; returns the global sum."""
+        """CRDT counter increment on our own slot; returns the global sum.
+        The queued entry names no slot (``version=None``): receivers
+        apply it at the writer's."""
         state = self._group(spec, EwoMode.COUNTER)
         cell = state.cell_for(key)
-        self._local_write(state, "increment", key, state.my_slot, cell.increment(amount))
+        self._local_write(state, "increment", key, None, cell.increment(amount))
         return cell.read()
 
     def set_add(self, spec: RegisterSpec, key: Any, element: Any) -> None:
@@ -578,12 +587,19 @@ class EwoEngine:
         each into its key's cell, then count the section once: the
         group's stats and one ``ewo.merge``.
 
-        An unseen key gets its cell even if the merge is stale, but not
-        from a malformed entry (the cell's ValueError): that is stale
-        and names nothing."""
+        A counter update's entry names no slot (``version`` is None): it
+        is applied at the slot of the message's ``origin``, looked up
+        once for the section.  An origin outside the group has no slot,
+        so each such entry is malformed.  An unseen key gets its cell
+        even if the merge is stale, but not from a malformed entry (the
+        cell's ValueError): that is stale and names nothing."""
         state = self.groups.get(group_id)
         if state is None:
             return
+        try:
+            origin_slot = state.slots[message.origin]
+        except KeyError:  # not a member: its slotless entries are malformed
+            origin_slot = None
         stats = state.stats
         if is_sync:
             stats.sync_packets_received += 1
@@ -596,7 +612,9 @@ class EwoEngine:
         for entry in entries:
             key = entry.key
             version = entry.version
-            if type(version) is Timestamp:
+            if version is None:
+                version = origin_slot
+            elif type(version) is Timestamp:
                 # The hybrid clock is per switch, not per cell: witness
                 # first, so the next local write beats what we just saw.
                 witness(version)

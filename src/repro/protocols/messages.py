@@ -13,10 +13,13 @@ Message flow summary (paper section 6):
 ``ChainUpdate``           hop-by-hop down the chain, per-slot sequence numbers
 ``WriteAck``              tail -> writer (release buffered output packet) and
                           tail -> other members (clear pending bits)
-``EwoUpdate``             asynchronous broadcast of fresh EWO writes
+``EwoUpdate``             asynchronous broadcast of fresh EWO writes (a
+                          counter entry: no slot — the writer's own)
 ``EwoSyncProbe``          periodic packet-generator digest to a random member
 ``EwoSync``               full-state answer to a probe whose digest differs
-``EwoMirror``             one pass's EWO writes to groups sharing a replica set
+                          (a counter entry: every replica's slots, 4 B each)
+``EwoMirror``             one pass's EWO writes to groups sharing a replica
+                          set (entries as ``EwoUpdate``'s)
 ``SnapshotWrite``         snapshot replay toward a recovering switch (6.3)
 ``SnapshotAck``           recovering switch -> snapshot source
 ``Heartbeat``             every switch -> controller host switch (liveness)
@@ -209,10 +212,15 @@ class WriteAck(WireRecord):
 class EwoEntry:
     """One register's worth of EWO state.
 
-    For counter-mode groups, ``version`` is the replica slot index and
-    ``value`` that slot's count (element-wise-max merge).  For LWW-mode
-    groups, ``version`` is a :class:`Timestamp` and ``value`` the
-    register value.
+    For counter-mode groups, ``value`` is one replica slot's count
+    (element-wise-max merge) and ``version`` names the slot: ``None`` in
+    an update or mirror, where the slot is the writer's own (paper
+    section 6.2: "only this switch's new version numbers and values"),
+    and the receiver takes it from the message's ``origin`` — the
+    writer id the framing already carries — so it costs 0 bytes; the
+    replica slot index in a sync, which ships every replica's slots, at
+    4 bytes.  For LWW-mode groups, ``version`` is a :class:`Timestamp`
+    and ``value`` the register value.
 
     Immutable: one entry object is shared by every multicast copy of
     the update that carries it.
@@ -227,7 +235,9 @@ class EwoEntry:
 
     def wire_bytes(self, key_bytes: int, value_bytes: int) -> int:
         version = self.version
-        if type(version) is int:  # a counter slot: the common entry
+        if version is None:  # a counter update's: the writer's slot, named once
+            version_bytes = 0
+        elif type(version) is int:  # a sync's counter slot
             version_bytes = 4
         elif isinstance(version, Timestamp):
             version_bytes = Timestamp.wire_size
@@ -249,7 +259,9 @@ class EwoUpdate(WireRecord):
 
     "small write update packets containing only this switch's new
     version numbers and values" — entries hold only the writer's own
-    slots / newly stamped values.
+    slots / newly stamped values.  A counter entry names no slot
+    (``version`` is ``None``): it is ``origin``'s, so the writer is
+    named once per message, in the framing.
     """
 
     group: int
@@ -322,6 +334,8 @@ class EwoMirror(WireRecord):
     order, entries in write order.  On the wire it is one framing for
     the packet plus a group id and an entry count for every section
     after the first: one section costs exactly an :class:`EwoUpdate`.
+    As in an update, a counter entry names no slot: every section's
+    writer is ``origin``, whichever member relays the copy.
     """
 
     origin: str

@@ -142,6 +142,39 @@ class TestOneCopyPerLink:
         # a member reached directly is not moved
         assert times[other] == pytest.approx(t0 + _serialize(size) + LATENCY, rel=0, abs=1e-15)
 
+    def test_a_relayed_mirror_merges_at_the_writers_slot_on_the_rider(self):
+        """A counter entry names no slot: the rider (egress) takes it
+        from the mirror's origin, the writer, not from the member that
+        sent it the copy."""
+        world = build_nf_world(seed=5, sync_period=1.0)
+        spec, other = (
+            world.deployment.declare(RegisterSpec(
+                name, Consistency.EWO, ewo_mode=EwoMode.COUNTER, ewo_batch_size=100
+            ))
+            for name in ("hits", "misses")
+        )
+        ingress, egress = world.ingress, world.egress
+        carrier = _carrier(world, spec)
+        writer = world.deployment.manager(ingress.name).ewo
+        for group in (spec, other):
+            world.deployment.manager(ingress.name).register_increment(group, "k", 4)
+        received = []
+        rider = world.deployment.manager(egress.name).ewo
+        merge = rider.handle_update
+        rider.handle_update = lambda message: (received.append(message), merge(message))
+        relayed = world.deployment.manager(carrier).switch.stats.multicast_copies
+        writer._mirror([writer.groups[spec.group_id], writer.groups[other.group_id]])
+        world.sim.run(until=1e-3)
+        # egress's copy came through the carrier, still naming the writer
+        assert world.deployment.manager(carrier).switch.stats.multicast_copies == relayed + 1
+        assert [(m.origin, len(m.sections)) for m in received] == [(ingress.name, 2)]
+        members = writer.groups[spec.group_id].members
+        expected = [4 if name == ingress.name else 0 for name in members]
+        for group in (spec, other):
+            assert rider.groups[group.group_id].cells["k"].vector() == expected
+            carried = world.deployment.manager(carrier).ewo.groups[group.group_id]
+            assert carried.cells["k"].vector() == expected
+
     def test_a_dropped_carrying_copy_is_healed_by_sync(self):
         """Losing the carrying copy loses the write at the carrier and at
         egress; each pulls it on its next sync round, within two sync

@@ -446,6 +446,44 @@ class TestOneMirrorPerPass:
         assert s1.stats_for(b.group_id).merges_applied == 2
         assert world.dep.manager("s2").ewo.local_state(a.group_id) == {"k2": 1}
 
+    def test_a_frozen_section_is_lost_and_the_rest_merge_at_the_writers_slot(
+        self, make_deployment
+    ):
+        """The fault filter rebuilds the rest of a mirror with a frozen
+        section cut out; the writer (here slot 2, not the receiver's
+        slot 1 nor slot 0) must survive the rebuild, since the kept
+        counter entries name no slot of their own."""
+        dep, _, _ = make_deployment(3, sync_period=10.0)
+        a, b, c = (declare_counter(dep, name, ewo_batch_size=100) for name in "abc")
+        injector = FaultInjector(dep)
+        injector.stale_replica(0.0, "s1", b.group_id, duration=1.0)
+        dep.sim.run(until=1e-6)  # the freeze begins
+        writer = dep.manager("s2")
+        for spec, key in ((a, "ka"), (b, "kb"), (c, "kc")):
+            writer.register_increment(spec, key, 3)
+        states = [writer.ewo.groups[spec.group_id] for spec in (a, b, c)]
+        assert {e.version for state in states for e in state._pending_entries} == {None}
+        received = []
+        s1 = dep.manager("s1").ewo
+        merge = s1.handle_update
+        s1.handle_update = lambda message: (received.append(message), merge(message))
+        writer.ewo._mirror(states)
+        dep.sim.run(until=1e-3)
+        # the rebuilt mirror: same writer, the frozen group's section gone
+        assert [(m.origin, [g for g, _ in m.sections]) for m in received] == [
+            ("s2", [a.group_id, c.group_id])
+        ]
+        assert injector.lost_applies() == {("s1", b.group_id): 1}
+        assert s1.local_state(b.group_id) == {}
+        assert s1.groups[a.group_id].cells["ka"].vector() == [0, 0, 3]
+        assert s1.groups[c.group_id].cells["kc"].vector() == [0, 0, 3]
+        assert s1.stats_for(a.group_id).merges_applied == 1
+        assert s1.stats_for(c.group_id).merges_applied == 1
+        # s0 is not frozen: all three sections, at the writer's slot
+        s0 = dep.manager("s0").ewo
+        assert [s0.groups[spec.group_id].cells[key].vector() for spec, key in
+                ((a, "ka"), (b, "kb"), (c, "kc"))] == [[0, 0, 3]] * 3
+
     def test_broadcast_waits_for_the_pass_end_but_not_outside_a_pass(self, make_deployment):
         seen_mid_pass = []
 
@@ -579,6 +617,32 @@ class TestStats:
         stats = m0.ewo.stats_for(gid)
         assert stats.sync_packets_received == 1
         assert stats.merges_stale - before == 1 and m1.ewo.stats_for(gid).sync_packets_sent == 1
+
+    def test_an_update_from_outside_the_group_is_stale_and_names_nothing(
+        self, make_deployment
+    ):
+        """A counter update's entries name no slot: the slot is the
+        origin's place in the group's member list.  An origin outside
+        the group has none, so every entry of its section is stale and
+        no key gets a cell; the same entries from a member merge at
+        that member's slot."""
+        deployment, _, _ = make_deployment(3, sync_period=10.0)
+        spec = declare_counter(deployment, ewo_batch_size=100)
+        gid = spec.group_id
+        s1, s2 = deployment.manager("s1"), deployment.manager("s2")
+        s1.register_increment(spec, "a", 2)
+        s1.register_increment(spec, "b", 5)
+        entries = tuple(s1.ewo.groups[gid]._pending_entries)
+        assert [e.version for e in entries] == [None, None]
+        s2.ewo.handle_update(EwoUpdate(gid, "outsider", entries))
+        s2.ewo.handle_update(EwoMirror("outsider", [(gid, entries)]))
+        stats = s2.ewo.stats_for(gid)
+        assert (stats.updates_received, stats.merges_applied, stats.merges_stale) == (4, 0, 4)
+        assert s2.ewo.groups[gid].cells == {}
+        s2.ewo.handle_update(EwoUpdate(gid, "s1", entries))
+        assert (stats.merges_applied, stats.merges_stale) == (2, 4)
+        cells = s2.ewo.groups[gid].cells
+        assert (cells["a"].vector(), cells["b"].vector()) == ([0, 2, 0], [0, 5, 0])
 
     def test_memory_charged_per_replica_slot(self, make_deployment):
         dep, _, switches = make_deployment(4)

@@ -35,7 +35,7 @@ def payload_samples():
     token = WriteToken("s0", 7)
     ctx = TraceContext("T:s0:1", "s0:4", "s0:3", 9)
     entries = [
-        EwoEntry("flow", 2, 41),
+        EwoEntry("flow", None, 41),
         EwoEntry(("10.0.0.1", 80), Timestamp(1e-3, 4, 1), "blocked"),
         EwoEntry("sig", ("state", frozenset({(0, 1), (1, 1)}), frozenset({(0, 1)})), "x"),
     ]
@@ -44,7 +44,7 @@ def payload_samples():
         ChainUpdate(1, ("r", 9), 5, 12, 3, token, ("s0", "s1", "s2"), epoch=4, trace=ctx),
         WriteAck(1, "k", 12, 3, token, value=5, trace=ctx),
         EwoUpdate(2, "s1", entries, key_bytes=13, value_bytes=4, trace=ctx),
-        EwoSync(2, "s1", entries[:2], trace=ctx),
+        EwoSync(2, "s1", [EwoEntry("flow", 2, 41), entries[1]], trace=ctx),
         EwoSyncProbe(2, "s1", (("flow", ((2, 41),)),), trace=ctx),
         EwoMirror("s1", [(2, entries[:1]), (3, entries[1:])], [(13, 4), (8, 8)], trace=ctx),
         SnapshotWrite(1, "k", "v", 12, 3, "s0", transfer_id=6, trace=ctx),
@@ -116,15 +116,27 @@ class TestWireSizes:
         assert ack.wire_size < update.wire_size
 
     def test_ewo_update_sums_entries(self):
-        one = EwoUpdate(1, "s0", [EwoEntry("k", 0, 1)])
-        three = EwoUpdate(1, "s0", [EwoEntry(f"k{i}", 0, 1) for i in range(3)])
-        per_entry = EwoEntry("k", 0, 1).wire_bytes(8, 8)
-        assert three.wire_size - one.wire_size == 2 * per_entry
+        """A counter update's entry is its key and value: the slot is
+        the writer's, named once in the framing."""
+        one = EwoUpdate(1, "s0", [EwoEntry("k", None, 1)])
+        three = EwoUpdate(1, "s0", [EwoEntry(f"k{i}", None, 1) for i in range(3)])
+        assert EwoEntry("k", None, 1).wire_bytes(8, 8) == 8 + 8
+        assert one.wire_size == 13 + 8 + 8
+        assert three.wire_size - one.wire_size == 2 * (8 + 8)
 
     def test_entry_version_encodings(self):
+        """Counter update or mirror entry: key + value.  Sync entry: a
+        4-byte slot on top, since a sync ships every replica's slots.
+        LWW entry: the 10-byte Timestamp on top."""
+        update_entry = EwoEntry("k", None, 10)
         slot_entry = EwoEntry("k", 2, 10)
         stamp_entry = EwoEntry("k", Timestamp(1.0, 0, 1), 10)
-        assert stamp_entry.wire_bytes(8, 8) > slot_entry.wire_bytes(8, 8)
+        assert update_entry.wire_bytes(13, 4) == 13 + 4
+        assert slot_entry.wire_bytes(13, 4) == 13 + 4 + 4
+        assert stamp_entry.wire_bytes(13, 4) == 13 + 4 + Timestamp.wire_size == 13 + 4 + 10
+        mirror = EwoMirror("s0", [(1, [update_entry]), (2, [update_entry])], [(13, 4), (8, 8)])
+        assert mirror.wire_size == 13 + 4 + (13 + 4) + (8 + 8)
+        assert EwoSync(1, "s0", [slot_entry], 13, 4).wire_size == 13 + 13 + 4 + 4
 
     def test_sync_probe_is_framing_plus_a_digest(self):
         """8 bytes of digest, whatever the size of the state it hashes."""
@@ -168,7 +180,7 @@ class TestWireSizes:
     def test_ewo_wire_size_is_computed_once_and_carried_by_copies(self, monkeypatch):
         update = next(m for m in payload_samples() if type(m) is EwoUpdate)
         per_entry = [e.wire_bytes(13, 4) for e in update.entries]
-        assert per_entry == [13 + 4 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 1 + 3 * 10]
+        assert per_entry == [13 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 1 + 3 * 10]
         assert update.wire_size == 13 + sum(per_entry)
         # a stored value, not a per-read sum: with the per-entry sizing
         # gone, the size still reads, on the message and on its copy
