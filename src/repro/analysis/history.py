@@ -107,12 +107,6 @@ class HistoryRecorder:
             op.completed_at = time
         return op
 
-    def abort(self, token: Any) -> Optional[Operation]:
-        """Mark an open operation as never completed (kept in the history
-        as a potentially-applied pending op, which checkers must treat as
-        optional)."""
-        return self._open.pop(token, None)
-
     # ------------------------------------------------------------------
     def operations(self) -> List[Operation]:
         return list(self._operations)

@@ -3,9 +3,24 @@
 SRO adapts chain replication to the in-switch setting:
 
 * **Writes** never apply immediately at the writer.  The output packet
-  P' and the write set Q are punted to the writer's control plane, which
-  buffers P' in DRAM, sends a ``WriteRequest`` to the chain head, and
-  retries on timeout (the data plane cannot buffer or run timers).
+  P' is held while the writes of the packet's write set Q go to the
+  chain head as ``WriteRequest``s and are retransmitted until acked; P'
+  is released when the last one commits.  One write-set record
+  (``_WriteSet``) carries that lifecycle — start, send, retransmit,
+  give up, release, abandon — on either of two hold media, fixed when
+  the set starts:
+
+  - the **control plane** (section 6.1, the default): P' is punted to
+    the CPU, buffered in DRAM and re-injected at release; every send
+    is a CPU op and every write has its own backoff timer
+    (``MAX_WRITE_ATTEMPTS`` sends);
+  - the **data plane** (section 9, when every group in Q is declared
+    with ``dataplane_write_buffering``): P' recirculates in the
+    pipeline, and one armed pass per set retransmits every unacked
+    write with no CPU involved (``DP_MAX_RESENDS`` resends).  Of that
+    hold only the *retransmitting* passes are simulated (one kernel
+    event each); the passes between are counted by arithmetic when the
+    hold is next touched — see :class:`_WriteSet`.
 
 * The **head** assigns a per-slot sequence number (slots may be shared
   between keys, section 7), applies the write, sets the pending bit, and
@@ -16,9 +31,9 @@ SRO adapts chain replication to the in-switch setting:
   falls back to the writer's retry).
 
 * The **tail** (last member) applies and emits ``WriteAck`` packets to
-  the writer — whose control plane releases the buffered output — and to
-  every other member, which clear their pending bits.  Ack processing is
-  pure data plane (paper section 3.3's atomic multi-location write).
+  the writer — which releases the held output — and to every other
+  member, which clear their pending bits.  Ack processing is pure data
+  plane (paper section 3.3's atomic multi-location write).
 
 * **Reads** are local when the key's pending bit is clear.  Otherwise
   the input packet is forwarded to the read tail and re-processed there
@@ -38,13 +53,6 @@ instead of double-sequencing.
 Failure handling (section 6.3) lives in ``repro.protocols.failover``;
 this engine exposes the hooks it needs: descriptor swaps, catch-up mode
 (gap-tolerant apply), and control-plane snapshots.
-
-Groups declared with ``dataplane_write_buffering`` take the section 9
-variant instead of the control-plane punt: the output packet is held by
-recirculation and the data plane itself retransmits.  Of that hold only
-the *retransmitting* passes are simulated (one kernel event each); the
-passes between them are counted by arithmetic when the hold is next
-touched — see :class:`_DataplaneHold`.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.chain import ChainDescriptor
 from repro.core.pending import PendingTable
@@ -101,44 +109,39 @@ RETRY_HORIZON = _retry_horizon()
 
 @dataclass
 class _OutstandingWrite:
-    """Writer-side control-plane state for one in-flight write."""
+    """Writer-side state for one in-flight write of a write set."""
 
     request: WriteRequest
+    write_set: "_WriteSet"
+    #: The backoff timer (control-plane medium only).
     timer: Any = None
     started_at: float = 0.0
+    #: Sends so far (control-plane medium only: a data-plane hold counts
+    #: its resends per set instead).
     attempts: int = 0
-    #: Number of writes from the same packet still unacked (the output
-    #: packet releases when the *last* one commits).
-    barrier: Optional["_PacketBarrier"] = None
+    #: False once the write committed, failed or was abandoned (left
+    #: ``SroEngine._outstanding``): a send still queued on the CPU is
+    #: void.
+    live: bool = True
 
 
 @dataclass
-class _PacketBarrier:
-    """Joins the multiple writes of one packet's write set Q."""
+class _WriteSet:
+    """One packet's write set Q and its output P' on the writer, from
+    the punt to the last ack.  The output is released when the *last*
+    write commits.
 
-    token: Optional[WriteToken]
-    remaining: int
-    #: committed values by key (fetch-add results ride the acks)
-    results: Dict[Any, Any] = field(default_factory=dict)
-    #: called with (output_packet, results) just before the output is
-    #: released — the hook sequencer-style NFs use to stamp the packet
-    on_release: Optional[Any] = None
+    ``dataplane`` is the hold medium, fixed when the set starts: the
+    control plane (section 6.1) parks the output in DRAM and gives each
+    write a CPU backoff timer; the data plane (section 9) keeps the
+    output in the pipeline by recirculation, and one armed pass per set
+    retransmits every write still unacked — buffering and retransmission
+    with no CPU involvement.
 
-
-@dataclass
-class _DataplaneHold:
-    """An output packet 'buffered' by recirculation (section 9 variant).
-
-    The packet never leaves the pipeline: every RECIRCULATION_LATENCY it
-    takes another pass (costing a pipeline slot, which we account), and
-    every ``DP_RESEND_EVERY``-th pass the data plane retransmits the
-    write requests it is waiting on — buffering and retransmission with
-    no CPU involvement.
-
-    **Simulated vs accounted.**  Only a retransmitting pass does
-    anything, so only it is a kernel event: ``armed`` is that one event,
-    re-armed from itself and cancelled when the hold ends.  The 63
-    passes in between touch nothing but counters, and are charged
+    **Simulated vs accounted** (data plane).  Only a retransmitting pass
+    does anything, so only it is a kernel event: ``armed`` is that one
+    event, re-armed from itself and cancelled when the hold ends.  The
+    63 passes in between touch nothing but counters, and are charged
     (``recirculations``, ``SroEngine.dp_recirculations``,
     ``SwitchStats.recirculated_packets``) when the hold is next touched:
     by the armed event, or by whatever ends the hold — the ack, give-up,
@@ -166,15 +169,28 @@ class _DataplaneHold:
     """
 
     token: WriteToken
-    packet: Optional[Any]
-    dst_node: Optional[str]
-    write_tokens: List[WriteToken]
-    #: Instant of the last pass already charged (the hold's start, then
-    #: each retransmitting pass).
-    counted_through: float
+    dataplane: bool
+    #: Writes still unacked.
+    remaining: int
+    #: called with (output_packet, results) just before the output is
+    #: released — the hook sequencer-style NFs use to stamp the packet
+    on_release: Optional[Any] = None
+    #: The output and where it goes (None: nothing to release; a
+    #: data-plane hold then recirculates a marker packet, discarded at
+    #: release).  The control-plane medium also parks it in DRAM.
+    packet: Optional[Any] = None
+    dst_node: Optional[str] = None
+    #: The set's writes, by token: a record that referred back to its
+    #: set would make a cycle, left for the garbage collector to free.
+    writes: List[WriteToken] = field(default_factory=list)
+    #: committed values by key (fetch-add results ride the acks)
+    results: Dict[Any, Any] = field(default_factory=dict)
+    #: Data plane: the instant of the last pass already charged (the
+    #: hold's start, then each retransmitting pass).
+    counted_through: float = 0.0
     recirculations: int = 0
     resends: int = 0
-    #: The kernel event of the next retransmitting pass.
+    #: Data plane: the kernel event of the next retransmitting pass.
     armed: Any = None
 
 
@@ -378,8 +394,9 @@ class SroEngine:
         # digest-neutral); only the emits below are gated.
         self._causal = manager.causal
         self._dedup_evictions_reported = 0
-        # Data-plane write-buffering state and accounting (section 9).
-        self._dp_holds: Dict[WriteToken, _DataplaneHold] = {}
+        # Live data-plane holds (section 9; a crash takes them) and
+        # their accounting.
+        self._dp_holds: Dict[WriteToken, _WriteSet] = {}
         self.dp_holds_created = 0
         self.dp_recirculations = 0
         self.dp_resends = 0
@@ -398,9 +415,8 @@ class SroEngine:
 
         The re-leveling coordinator only switches a drained group, so in
         the normal path nothing is in flight; if a write *is* still
-        outstanding (a crashed writer's abandoned retry), its timer is
-        cancelled and any buffered packet dropped, mirroring
-        ``_give_up``.  Frees the group's memory budget.  Removing an
+        outstanding (a crashed writer's abandoned retry), it is abandoned
+        (``_abandon``).  Frees the group's memory budget.  Removing an
         absent group is a no-op so a resumed handoff can replay the
         command.  Returns the number of abandoned writes.
         """
@@ -412,19 +428,9 @@ class SroEngine:
             for token, outstanding in self._outstanding.items()
             if outstanding.request.group == group_id
         ]
-        for token in doomed:
-            outstanding = self._outstanding.pop(token)
-            if outstanding.timer is not None:
-                outstanding.timer.cancel()
-            barrier = outstanding.barrier
-            if barrier is not None and barrier.token is not None:
-                hold = self._dp_holds.pop(barrier.token, None)
-                if hold is not None:
-                    self._dp_end(hold)
-                self.switch.control.drop_buffered(barrier.token)
+        self._abandon(doomed)
         obs = self.obs
         if obs.on:
-            obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
             still_pending = state.pending.pending_count()
             if state.track_pending and still_pending:
                 obs.emit("sro.pending.clear", self.switch.name, cleared=still_pending)
@@ -602,219 +608,94 @@ class SroEngine:
         on_release=None,
         origin: str = "dataplane",
     ) -> None:
-        """Punt P' and the write set Q to the control plane.
+        """Start a write set: hold P' until every write in Q commits.
 
-        ``writes`` is [(spec, key, value)].  The output packet (if any)
-        is buffered until every write in the set commits.  ``origin``
-        records who initiated the set — ``"dataplane"`` for packet
-        passes, ``"control"`` for management-API writes — purely for the
-        access profiler (the protocol treats both identically).
+        ``writes`` is [(spec, key, value)]; the output packet may be
+        None (nothing to release).  ``origin`` records who initiated the
+        set — ``"dataplane"`` for packet passes, ``"control"`` for
+        management-API writes — purely for the access profiler (the
+        protocol treats both identically).
 
-        Groups declared with ``dataplane_write_buffering`` take the
-        recirculation path instead (no CPU); a mixed write set falls
-        back to the conservative control-plane path for everything.
+        The hold medium is the data plane when every group is declared
+        with ``dataplane_write_buffering`` (no CPU); any other set,
+        mixed ones included, takes the conservative control-plane punt.
         """
         if not writes:
             return
-        if all(spec.dataplane_write_buffering for spec, _, _ in writes):
-            self._initiate_dataplane(writes, output_packet, output_dst, on_release, origin)
-            return
-        barrier_token = WriteToken(self.switch.name, next(self._token_seq))
-        barrier = _PacketBarrier(
-            barrier_token, remaining=len(writes), on_release=on_release
-        )
-        if output_packet is not None and output_dst is not None:
-            self.switch.control.buffer_packet(barrier_token, output_packet, output_dst)
-        else:
-            barrier.token = None  # nothing to release
-        for spec, key, value in writes:
-            state = self.groups[spec.group_id]
-            state.stats.writes_initiated += 1
-            request = self._build_request(spec, key, value, origin)
-            outstanding = _OutstandingWrite(
-                request=request, started_at=self.sim.now, barrier=barrier
-            )
-            self._outstanding[request.token] = outstanding
-            self.manager.on_write_initiated(spec, key, value, request.token)
-            # The punt itself costs one control-plane op.
-            self.switch.control.submit(
-                self._send_write_request, request.token, label="sro-write-send"
-            )
-        if self.obs.on:
-            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
-
-    # ------------------------------------------------------------------
-    # Data-plane write buffering (section 9 open question, realized)
-    # ------------------------------------------------------------------
-    def _initiate_dataplane(
-        self,
-        writes: List[Tuple[RegisterSpec, Any, Any]],
-        output_packet: Optional[Packet],
-        output_dst: Optional[str],
-        on_release=None,
-        origin: str = "dataplane",
-    ) -> None:
-        if self.switch.failed:
+        dataplane = all(spec.dataplane_write_buffering for spec, _, _ in writes)
+        if dataplane and self.switch.failed:
             # A dead pipeline makes no pass: nothing to send, hold or
             # count (no packet reaches it; only a driver's direct
             # ``register_write`` can).
             return
-        barrier_token = WriteToken(self.switch.name, next(self._token_seq))
-        barrier = _PacketBarrier(
-            barrier_token, remaining=len(writes), on_release=on_release
+        now = self.sim.now
+        write_set = _WriteSet(
+            WriteToken(self.switch.name, next(self._token_seq)),
+            dataplane,
+            len(writes),
+            on_release,
+            counted_through=now,
         )
-        write_tokens: List[WriteToken] = []
+        if output_packet is not None and output_dst is not None:
+            write_set.packet, write_set.dst_node = output_packet, output_dst
+            if not dataplane:
+                self.switch.control.buffer_packet(write_set.token, output_packet, output_dst)
         for spec, key, value in writes:
             state = self.groups[spec.group_id]
             state.stats.writes_initiated += 1
             request = self._build_request(spec, key, value, origin)
-            outstanding = _OutstandingWrite(
-                request=request, started_at=self.sim.now, barrier=barrier
-            )
+            outstanding = _OutstandingWrite(request, write_set, started_at=now)
             self._outstanding[request.token] = outstanding
-            write_tokens.append(request.token)
+            write_set.writes.append(request.token)
             self.manager.on_write_initiated(spec, key, value, request.token)
-            self._dp_send_request(request)
+            if dataplane:
+                self._send(outstanding)
+            else:
+                # The punt itself costs one control-plane op.
+                self.switch.control.submit(self._send, outstanding, label="sro-write-send")
         if self.obs.on:
             self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
-        # A hold always exists: it is both the output buffer *and* the
-        # data-plane retransmission timer.  Writes with no output packet
-        # (control-plane-originated) recirculate a generated marker
-        # packet instead, discarded at release.
-        hold = _DataplaneHold(
-            token=barrier_token,
-            packet=output_packet,
-            dst_node=output_dst if output_packet is not None else None,
-            write_tokens=write_tokens,
-            counted_through=self.sim.now,
-        )
-        self._dp_holds[barrier_token] = hold
-        self.dp_holds_created += 1
-        self._dp_arm(hold)
+        if dataplane:
+            # The hold is both the output buffer *and* the set's
+            # retransmission timer, so it exists even with no output.
+            self._dp_holds[write_set.token] = write_set
+            self.dp_holds_created += 1
+            self._dp_arm(write_set)
 
-    def _dp_send_request(self, request: WriteRequest) -> None:
-        """Emit a write request from the data plane — no CPU involved."""
-        state = self.groups.get(request.group)
-        if state is None:
-            return
-        head = state.chain.head
-        self._stamp_send(request, head, dataplane=True)
-        if head == self.switch.name:
-            self.sim.post(0.0, self._receive_write_request, request)
-            return
-        packet = Packet(
-            swishmem=SwiShmemHeader(
-                op=SwiShmemOp.WRITE_REQUEST, register_group=request.group, dst_node=head
-            ),
-            swishmem_payload=request,
-            trace=request.trace,
-            uid=next(self.sim.packet_ids),
-        )
-        self.switch.forward_to_node(packet, head)
-
-    def _dp_charge(self, hold: _DataplaneHold, passes: int) -> None:
-        """Account ``passes`` recirculations of a held packet."""
-        hold.recirculations += passes
-        self.dp_recirculations += passes
-        self.switch.stats.recirculated_packets += passes
-
-    def _dp_arm(self, hold: _DataplaneHold) -> None:
-        """Schedule the hold's next retransmitting pass, the only pass
-        that is a kernel event."""
-        hold.armed = self.sim.schedule_at(
-            _pass_instant(hold.counted_through, DP_RESEND_EVERY),
-            self._dp_resend,
-            hold,
-            label="sro-dp-hold",
-        )
-
-    def _dp_settle(self, hold: _DataplaneHold) -> None:
-        """Charge the passes made since the last charged one, strictly
-        before now."""
-        self._dp_charge(hold, _passes_before(hold.counted_through, self.sim.now))
-
-    def _dp_end(self, hold: _DataplaneHold) -> None:
-        """The held packet (already out of ``_dp_holds``) leaves the
-        pipeline: charge its last passes and disarm it."""
-        self._dp_settle(hold)
-        hold.armed.cancel()
-
-    def _dp_resend(self, hold: _DataplaneHold) -> None:
-        """The armed event: the ``DP_RESEND_EVERY``-th pass since the
-        last charged one.  Nothing touches a live hold in between, so
-        the whole stretch is charged here, this pass included."""
-        self._dp_charge(hold, DP_RESEND_EVERY)
-        hold.counted_through = self.sim.now
-        hold.resends += 1
-        self.dp_resends += 1
-        if hold.resends > DP_MAX_RESENDS:
-            self._dp_give_up(hold)
-            return
-        for write_token in hold.write_tokens:
-            outstanding = self._outstanding.get(write_token)
-            if outstanding is not None:
-                state = self.groups[outstanding.request.group]
-                state.stats.retries += 1
-                if self.obs.on:
-                    self.obs.emit("sro.write.retry", self.switch.name)
-                self._dp_send_request(outstanding.request)
-        self._dp_arm(hold)
-
-    def _dp_give_up(self, hold: _DataplaneHold) -> None:
-        # Called from the armed event: every pass is charged, nothing is armed.
-        del self._dp_holds[hold.token]
-        self.dp_drops += 1
-        for write_token in hold.write_tokens:
-            outstanding = self._outstanding.pop(write_token, None)
-            if outstanding is not None:
-                state = self.groups[outstanding.request.group]
-                state.stats.writes_failed += 1
-        if self.obs.on:
-            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
-        if hold.packet is not None:
-            self.switch.drop(hold.packet, reason="dp-write-giveup")
-
-    def pipeline_lost(self) -> None:
-        """The switch crashed: held packets are pipeline contents and go
-        with it, each charged the passes it made before this instant;
-        the writes they waited on are abandoned (nothing is left to
-        retransmit, give up on, or release them)."""
-        if not self._dp_holds:
-            return
-        for hold in self._dp_holds.values():
-            self._dp_end(hold)
-            for write_token in hold.write_tokens:
-                self._outstanding.pop(write_token, None)
-        self._dp_holds.clear()
-        if self.obs.on:
-            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
-
-    def _send_write_request(self, token: WriteToken) -> None:
-        outstanding = self._outstanding.get(token)
-        if outstanding is None:
-            return  # already committed
+    def _send(self, outstanding: _OutstandingWrite) -> None:
+        """Send one attempt of a write to its chain head: from the CPU,
+        arming the write's backoff timer (control plane), or straight
+        from the pipeline, whose hold is the timer (data plane)."""
+        if not outstanding.live:
+            return  # already committed, failed or abandoned
         request = outstanding.request
-        state = self.groups[request.group]
-        outstanding.attempts += 1
-        request.attempt = outstanding.attempts - 1
-        if outstanding.attempts > MAX_WRITE_ATTEMPTS:
-            self._give_up(outstanding)
-            return
-        head = state.chain.head
-        self._stamp_send(request, head, dataplane=False)
-        packet = Packet(
-            swishmem=SwiShmemHeader(
-                op=SwiShmemOp.WRITE_REQUEST, register_group=request.group, dst_node=head
-            ),
-            swishmem_payload=request,
-            trace=request.trace,
-            uid=next(self.sim.packet_ids),
-        )
+        dataplane = outstanding.write_set.dataplane
+        if not dataplane:
+            outstanding.attempts += 1
+            request.attempt = outstanding.attempts - 1
+            if outstanding.attempts > MAX_WRITE_ATTEMPTS:
+                self._give_up(outstanding.write_set, (request.token,))
+                return
+        head = self.groups[request.group].chain.head
+        self._stamp_send(request, head, dataplane)
         if head == self.switch.name:
             # We are the head: hand the request to our own data plane.
             self.sim.post(0.0, self._receive_write_request, request)
         else:
-            self.switch.inject_from_cpu(packet, head)
+            packet = Packet(
+                swishmem=SwiShmemHeader(
+                    op=SwiShmemOp.WRITE_REQUEST, register_group=request.group, dst_node=head
+                ),
+                swishmem_payload=request,
+                trace=request.trace,
+                uid=next(self.sim.packet_ids),
+            )
+            if dataplane:
+                self.switch.forward_to_node(packet, head)
+            else:
+                self.switch.inject_from_cpu(packet, head)
+        if dataplane:
+            return
         timeout = min(
             MAX_WRITE_TIMEOUT, self.write_timeout * (2 ** (outstanding.attempts - 1))
         )
@@ -827,33 +708,116 @@ class SroEngine:
                 MAX_WRITE_TIMEOUT, timeout * self._backoff_rng.uniform(0.5, 1.5)
             )
         outstanding.timer = self.switch.control.set_timer(
-            timeout, self._retry, token, label="sro-retry"
+            timeout, self._retransmit, request.token, label="sro-retry"
         )
 
-    def _retry(self, token: WriteToken) -> None:
+    def _retransmit(self, token: WriteToken) -> None:
+        """Send an unacked write again: its backoff timer expired
+        (control plane) or its hold's retransmitting pass came round
+        (data plane)."""
         outstanding = self._outstanding.get(token)
         if outstanding is None:
             return
-        state = self.groups[outstanding.request.group]
-        state.stats.retries += 1
+        self.groups[outstanding.request.group].stats.retries += 1
         if self.obs.on:
             self.obs.emit("sro.write.retry", self.switch.name)
-        self._send_write_request(token)
+        self._send(outstanding)
 
-    def _give_up(self, outstanding: _OutstandingWrite) -> None:
-        request = outstanding.request
-        state = self.groups[request.group]
-        state.stats.writes_failed += 1
-        self._outstanding.pop(request.token, None)
+    def _give_up(self, write_set: _WriteSet, failed: Iterable[WriteToken]) -> None:
+        """Fail the ``failed`` writes still outstanding for good and drop
+        the set's output: one write out of attempts (control plane), or
+        every write still unacked when the hold runs out of resends
+        (data plane)."""
+        for token in failed:
+            outstanding = self._outstanding.pop(token, None)
+            if outstanding is None:
+                continue
+            outstanding.live = False
+            self.groups[outstanding.request.group].stats.writes_failed += 1
+            if self.obs.on:
+                self.obs.emit(
+                    "sro.write.give_up", self.switch.name, outstanding=len(self._outstanding)
+                )
+            if outstanding.timer is not None:
+                outstanding.timer.cancel()
+        self._unhold(write_set)
+        if write_set.dataplane:
+            self.dp_drops += 1
+            if write_set.packet is not None:
+                self.switch.drop(write_set.packet, reason="dp-write-giveup")
+
+    def _unhold(self, write_set: _WriteSet) -> None:
+        """Take the output out of its hold unsent: a live data-plane hold
+        is charged its last passes and disarmed; the control plane drops
+        its DRAM copy."""
+        if write_set.dataplane:
+            if self._dp_holds.pop(write_set.token, None) is not None:
+                self._dp_settle(write_set)
+                write_set.armed.cancel()
+        elif write_set.packet is not None:
+            self.switch.control.drop_buffered(write_set.token)
+
+    def _abandon(self, writes: Iterable[WriteToken]) -> None:
+        """Forget the ``writes`` still outstanding without failing them —
+        their group was removed, or a crash took the hold they waited
+        in — leaving no timer, hold or buffered output behind."""
+        for token in writes:
+            outstanding = self._outstanding.pop(token, None)
+            if outstanding is None:
+                continue
+            outstanding.live = False
+            if outstanding.timer is not None:
+                outstanding.timer.cancel()
+            self._unhold(outstanding.write_set)
         if self.obs.on:
-            self.obs.emit(
-                "sro.write.give_up", self.switch.name, outstanding=len(self._outstanding)
-            )
-        if outstanding.timer is not None:
-            outstanding.timer.cancel()
-        barrier = outstanding.barrier
-        if barrier is not None and barrier.token is not None:
-            self.switch.control.drop_buffered(barrier.token)
+            self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
+
+    def pipeline_lost(self) -> None:
+        """The switch crashed: held packets are pipeline contents and go
+        with it, each charged the passes it made before this instant;
+        the writes they waited on are abandoned (nothing is left to
+        retransmit, give up on, or release them)."""
+        if self._dp_holds:
+            self._abandon([token for held in self._dp_holds.values() for token in held.writes])
+
+    # ------------------------------------------------------------------
+    # The data-plane hold's passes (section 9)
+    # ------------------------------------------------------------------
+    def _dp_charge(self, write_set: _WriteSet, passes: int) -> None:
+        """Account ``passes`` recirculations of a held packet."""
+        write_set.recirculations += passes
+        self.dp_recirculations += passes
+        self.switch.stats.recirculated_packets += passes
+
+    def _dp_arm(self, write_set: _WriteSet) -> None:
+        """Schedule the hold's next retransmitting pass, the only pass
+        that is a kernel event."""
+        write_set.armed = self.sim.schedule_at(
+            _pass_instant(write_set.counted_through, DP_RESEND_EVERY),
+            self._dp_resend,
+            write_set,
+            label="sro-dp-hold",
+        )
+
+    def _dp_settle(self, write_set: _WriteSet) -> None:
+        """Charge the passes made since the last charged one, strictly
+        before now."""
+        self._dp_charge(write_set, _passes_before(write_set.counted_through, self.sim.now))
+
+    def _dp_resend(self, write_set: _WriteSet) -> None:
+        """The armed event: the ``DP_RESEND_EVERY``-th pass since the
+        last charged one.  Nothing touches a live hold in between, so
+        the whole stretch is charged here, this pass included."""
+        self._dp_charge(write_set, DP_RESEND_EVERY)
+        write_set.counted_through = self.sim.now
+        write_set.resends += 1
+        self.dp_resends += 1
+        if write_set.resends > DP_MAX_RESENDS:
+            self._give_up(write_set, write_set.writes)
+            return
+        for token in write_set.writes:
+            self._retransmit(token)
+        self._dp_arm(write_set)
 
     def _stamp_send(self, request: WriteRequest, head: str, dataplane: bool) -> None:
         """Derive a per-attempt send span; the head parents to the attempt
@@ -1232,6 +1196,7 @@ class SroEngine:
             )
         if outstanding is None:
             return
+        outstanding.live = False
         if outstanding.timer is not None:
             outstanding.timer.cancel()
         state.stats.writes_committed += 1
@@ -1250,28 +1215,24 @@ class SroEngine:
                 outstanding=len(self._outstanding),
             )
         self.manager.on_write_committed(state.spec, outstanding.request.key, ack)
-        barrier = outstanding.barrier
-        if barrier is None:
+        write_set = outstanding.write_set
+        write_set.results[ack.key] = ack.value
+        write_set.remaining -= 1
+        if write_set.remaining:
             return
-        barrier.results[ack.key] = ack.value
-        barrier.remaining -= 1
-        if barrier.remaining == 0 and barrier.token is not None:
-            hold = self._dp_holds.pop(barrier.token, None)
-            if hold is not None:
-                self._dp_end(hold)
-                # data-plane release: the recirculating packet exits the
-                # pipeline toward its destination (marker packets for
-                # output-less writes simply vanish), no CPU touch
-                if hold.packet is not None and hold.dst_node is not None:
-                    if barrier.on_release is not None:
-                        barrier.on_release(hold.packet, barrier.results)
-                    self.switch.forward_to_node(hold.packet, hold.dst_node)
-            else:
-                if barrier.on_release is not None:
-                    buffered = self.switch.control.peek_buffered(barrier.token)
-                    if buffered is not None:
-                        barrier.on_release(buffered, barrier.results)
-                self.switch.control.release_packet(barrier.token)
+        # The last ack: the output leaves its hold toward its destination
+        # (a data-plane marker packet simply vanishes).
+        if write_set.dataplane:
+            self._unhold(write_set)
+        packet = write_set.packet
+        if packet is None:
+            return
+        if write_set.on_release is not None:
+            write_set.on_release(packet, write_set.results)
+        if write_set.dataplane:
+            self.switch.forward_to_node(packet, write_set.dst_node)
+        else:
+            self.switch.control.release_packet(write_set.token)
 
     # ------------------------------------------------------------------
     # Recovery hooks (used by repro.protocols.failover)

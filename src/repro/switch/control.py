@@ -137,11 +137,6 @@ class ControlPlaneAgent:
         self.switch.inject_from_cpu(entry.packet, entry.dst_node)
         return held_for
 
-    def peek_buffered(self, token: Any) -> Optional["Packet"]:
-        """The buffered packet for ``token``, without releasing it."""
-        entry = self._buffer.get(token)
-        return entry.packet if entry is not None else None
-
     def drop_buffered(self, token: Any) -> bool:
         """Discard a buffered packet (write permanently failed)."""
         return self._buffer.pop(token, None) is not None

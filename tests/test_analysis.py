@@ -113,13 +113,6 @@ class TestHistoryRecorder:
         recorder.complete("tok", 3.0)
         assert all(o.complete for o in recorder.operations())
 
-    def test_abort_leaves_op_incomplete(self):
-        recorder = HistoryRecorder()
-        recorder.begin("tok", "write", 1, "k", 1, "s0", 0.0)
-        recorder.abort("tok")
-        assert not recorder.operations()[0].complete
-        assert recorder.complete("tok", 5.0) is None
-
     def test_keys_enumerated_once(self):
         recorder = HistoryRecorder()
         recorder.record_instant("read", 1, "a", 0, "s0", 0.0)

@@ -14,6 +14,7 @@ from repro.net.endhost import AddressBook, EndHost
 from repro.net.packet import make_tcp_packet
 from repro.net.topology import Topology, build_full_mesh
 from repro.nf.base import NetworkFunction
+from repro.obs.slo import SLOMonitor
 from repro.protocols.sro import (
     DP_MAX_RESENDS,
     DP_RESEND_EVERY,
@@ -86,13 +87,14 @@ class TestDataplaneWritePath:
 
 
 class _DpWriterNF(NetworkFunction):
-    """Installs a flow record via the data-plane write path."""
+    """Installs a flow record via the data-plane write path (or the
+    control-plane punt, with ``dataplane=False``)."""
 
     @classmethod
-    def build_specs(cls, **kwargs):
+    def build_specs(cls, dataplane=True, **kwargs):
         return [
             RegisterSpec(
-                "flows", Consistency.SRO, capacity=128, dataplane_write_buffering=True
+                "flows", Consistency.SRO, capacity=128, dataplane_write_buffering=dataplane
             )
         ]
 
@@ -105,15 +107,16 @@ class _DpWriterNF(NetworkFunction):
 
 
 class TestRecirculationHold:
-    def _world(self, make_deployment):
-        dep, topo, switches = make_deployment(3)
+    @staticmethod
+    def _world(make_deployment, dataplane=True, **kwargs):
+        dep, topo, switches = make_deployment(3, **kwargs)
         book = dep.address_book
         src = topo.add_node(EndHost("src", dep.sim, "10.0.0.1", book))
         dst = topo.add_node(EndHost("dst", dep.sim, "10.0.0.2", book))
         topo.connect("src", "s0")
         topo.connect("dst", "s2")
         dep.routing.recompute()
-        dep.install_nf(_DpWriterNF)
+        dep.install_nf(_DpWriterNF, dataplane=dataplane)
         return dep, src, dst
 
     def test_output_held_by_recirculation_then_released(self, make_deployment):
@@ -225,6 +228,72 @@ class TestRecirculationHold:
 
 
 # ----------------------------------------------------------------------
+# One write lifecycle, two hold media: what the writer owes on either.
+# ----------------------------------------------------------------------
+_MEDIA = {"control-plane": False, "data-plane": True}
+
+
+class TestOneLifecycleTwoMedia:
+    @pytest.mark.parametrize("medium", sorted(_MEDIA))
+    def test_give_up_reaches_the_availability_slo(self, make_deployment, medium):
+        """A give-up on either medium is one failed ``sro.write``
+        outcome per failed write."""
+        monitor = SLOMonitor()
+        monitor.add_objective("sro.write availability >= 0.999 over 100s windows")
+        dep, _, _ = make_deployment(3, slo_monitor=monitor)
+        spec = dep.declare(
+            RegisterSpec("reg", Consistency.SRO, dataplane_write_buffering=_MEDIA[medium])
+        )
+        dep.controller.stop()  # never repair the chain
+        for name in ("s1", "s2"):
+            dep.fail_switch(name)
+        writer = dep.manager("s0")
+        writer.register_write(spec, "k", "v")
+        dep.sim.run(until=3.0)  # past the control plane's retry horizon
+        stats = writer.sro.stats_for(spec.group_id)
+        assert (stats.writes_committed, stats.writes_failed) == (0, 1)
+        (window,) = monitor._windows.values()
+        assert (window.ok, window.failed) == (0, stats.writes_failed)
+        monitor.finalize(dep.sim.now)
+        assert len(monitor.breaches) == 1
+
+    @pytest.mark.parametrize("medium", sorted(_MEDIA))
+    @pytest.mark.parametrize("loss", [0.0, 0.3, 0.6])
+    def test_every_write_commits_or_fails(self, make_deployment, medium, loss):
+        """Through a loss sweep to quiescence, every write a writer
+        started ends committed or failed, and nothing stays held."""
+        dep, src, dst = TestRecirculationHold._world(
+            make_deployment, dataplane=_MEDIA[medium], loss_rate=loss
+        )
+        (state,) = dep.manager("s0").sro.groups.values()
+        spec = state.spec
+        for i in range(8):
+            dep.sim.schedule(
+                i * 50e-6,
+                src.inject,
+                make_tcp_packet("10.0.0.1", "10.0.0.2", 1000 + i, 80),
+            )
+            dep.sim.schedule(
+                25e-6 + i * 50e-6,
+                lambda i=i: dep.manager(f"s{i % 3}").register_write(spec, ("ctl", i % 3), i),
+            )
+        dep.sim.run(until=3.0)  # past the control plane's retry horizon
+        started = ended = 0
+        for manager in dep.managers.values():
+            engine = manager.sro
+            stats = engine.stats_for(spec.group_id)
+            assert stats.writes_initiated == stats.writes_committed + stats.writes_failed
+            started += stats.writes_initiated
+            ended += stats.writes_committed
+            assert not engine._outstanding
+            assert not engine._dp_holds
+            assert manager.switch.control.buffered_count == 0
+        assert started >= 8
+        if loss == 0.0:
+            assert ended == started and len(dst.received) == 8
+
+
+# ----------------------------------------------------------------------
 # Hold by arithmetic: the passes between two retransmitting passes are
 # counted when the hold is next touched, not simulated.
 # ----------------------------------------------------------------------
@@ -233,30 +302,27 @@ class _PerPassEngine(SroEngine):
     reference: every recirculation pass is a kernel event that charges
     itself and schedules the next (``_dp_tick`` at df95024)."""
 
-    def _dp_arm(self, hold):
-        hold.armed = self.sim.schedule(
-            RECIRCULATION_LATENCY, self._tick, hold, label="per-pass"
+    def _dp_arm(self, write_set):
+        write_set.armed = self.sim.schedule(
+            RECIRCULATION_LATENCY, self._tick, write_set, label="per-pass"
         )
 
-    def _dp_settle(self, hold):
+    def _dp_settle(self, write_set):
         pass  # nothing to catch up on: every pass was an event
 
-    def _tick(self, hold):
-        hold.recirculations += 1
+    def _tick(self, write_set):
+        write_set.recirculations += 1
         self.dp_recirculations += 1
         self.switch.stats.recirculated_packets += 1
-        if hold.recirculations % DP_RESEND_EVERY == 0:
-            hold.resends += 1
+        if write_set.recirculations % DP_RESEND_EVERY == 0:
+            write_set.resends += 1
             self.dp_resends += 1
-            if hold.resends > DP_MAX_RESENDS:
-                self._dp_give_up(hold)
+            if write_set.resends > DP_MAX_RESENDS:
+                self._give_up(write_set, write_set.writes)
                 return
-            for write_token in hold.write_tokens:
-                outstanding = self._outstanding.get(write_token)
-                if outstanding is not None:
-                    self.groups[outstanding.request.group].stats.retries += 1
-                    self._dp_send_request(outstanding.request)
-        self._dp_arm(hold)
+            for token in write_set.writes:
+                self._retransmit(token)
+        self._dp_arm(write_set)
 
 
 class _LabelCount:
@@ -287,19 +353,27 @@ def _dp_world(per_pass, loss_rate=0.0, seed=7):
         if per_pass:
             engine.__class__ = _PerPassEngine
 
-        def send(request, inner=engine._dp_send_request):
-            log.append(("send", sim.now, str(request.token)))
-            inner(request)
+        def send(outstanding, inner=engine._send):
+            log.append(("send", sim.now, str(outstanding.request.token)))
+            inner(outstanding)
 
-        def end(hold, inner=engine._dp_end):
-            inner(hold)
-            log.append(("end", sim.now, str(hold.token), hold.recirculations, hold.resends))
+        def unhold(write_set, inner=engine._unhold, holds=engine._dp_holds):
+            live = write_set.token in holds
+            inner(write_set)
+            if live:
+                log.append(
+                    ("end", sim.now, str(write_set.token), write_set.recirculations,
+                     write_set.resends)
+                )
 
-        def give_up(hold, inner=engine._dp_give_up):
-            log.append(("give-up", sim.now, str(hold.token), hold.recirculations, hold.resends))
-            inner(hold)
+        def give_up(write_set, failed, inner=engine._give_up):
+            log.append(
+                ("give-up", sim.now, str(write_set.token), write_set.recirculations,
+                 write_set.resends)
+            )
+            inner(write_set, failed)
 
-        engine._dp_send_request, engine._dp_end, engine._dp_give_up = send, end, give_up
+        engine._send, engine._unhold, engine._give_up = send, unhold, give_up
     return dep, spec, log
 
 
