@@ -18,7 +18,7 @@ for Programmable Switches* (Zeno, Ports, Nelson, Silberstein — HotNets
   with pending bits and control-plane write buffering, CRAQ-style read
   forwarding, EWO broadcast + periodic sync, failover and recovery;
 * ``repro.crdt`` / ``repro.sketch`` — the CRDT cells the EWO engine
-  stores (G-Counter, LWW register, OR-Set) and the count-min sketch
+  stores (G-Counter, LWW register) and the count-min sketch
   with its entropy estimators;
 * ``repro.nf`` — the six Table 1 network functions;
 * ``repro.workload`` — deterministic traffic generation;

@@ -269,7 +269,7 @@ class FaultInjector:
             slot = stream.choice(slots)
             vector[slot] &= ~(1 << (vector[slot].bit_length() - 1))
             detail = f"{name} group {group_id} key {key!r} slot {slot} (counter)"
-        elif spec.ewo_mode is EwoMode.LWW:
+        else:  # an LWW group
             ewo = manager.ewo.groups[group_id]
             if key is None:
                 live = [k for k in ewo.sorted_keys() if ewo.cells[k].written]
@@ -280,8 +280,6 @@ class FaultInjector:
                 return
             cell._value = self._flip_value(cell._value, stream)
             detail = f"{name} group {group_id} key {key!r} (lww)"
-        else:
-            raise ValueError("corrupt_register does not support OR-Set groups")
         self.deployment.divergence_log.append(
             DivergenceEvent(
                 group=group_id, switch=name, kind="corrupt", key=key,
@@ -635,31 +633,22 @@ class FaultInjector:
             )
         # Silent-divergence faults draw after the controller draws, so
         # schedules planned before these knobs existed stay byte-identical.
-        specs = self.deployment.specs
-        corruptible = [
-            gid
-            for gid, spec in sorted(specs.items())
-            if not (
-                spec.consistency is Consistency.EWO
-                and spec.ewo_mode is EwoMode.ORSET
-            )
-        ]
+        group_ids = sorted(self.deployment.specs)
         for _ in range(corruptions):
-            if not names or not corruptible:
+            if not names or not group_ids:
                 break
             victim = stream.choice(names)
-            gid = stream.choice(corruptible)
+            gid = stream.choice(group_ids)
             at = when(0.0)
             self.corrupt_register(at, victim, gid)
             planned.append(
                 f"corrupt {victim} group {gid} at {at * 1e3:.2f} ms"
             )
-        freezable = sorted(specs)
         for _ in range(stale_replicas):
-            if not names or not freezable:
+            if not names or not group_ids:
                 break
             victim = stream.choice(names)
-            gid = stream.choice(freezable)
+            gid = stream.choice(group_ids)
             duration = stream.uniform(*stale_duration)
             at = when(duration)
             self.stale_replica(at, victim, gid, duration=duration)

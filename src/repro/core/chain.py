@@ -76,21 +76,23 @@ class ChainDescriptor:
             read_tail_index=None,
         )
 
-    def with_appended(self, node: str, promote_read_tail: bool = False) -> "ChainDescriptor":
+    def with_appended(self, node: str) -> "ChainDescriptor":
         """Append a recovering switch at the end of the chain.
 
-        While it catches up, the previous tail keeps serving reads
-        (``read_tail_index`` pins it); pass ``promote_read_tail=True``
-        (or call :meth:`promoted`) once catch-up completes.
+        While it catches up, the read tail stays where it is: the
+        previous tail, or, if a read tail is already pinned (an earlier
+        append still catching up), that member.  Call :meth:`promoted`
+        once catch-up completes.
         """
         if node in self.members:
             raise ValueError(f"{node} is already a chain member")
         members = self.members + (node,)
+        pinned = self.read_tail_index
         return ChainDescriptor(
             chain_id=self.chain_id,
             members=members,
             version=self.version + 1,
-            read_tail_index=None if promote_read_tail else len(self.members) - 1,
+            read_tail_index=len(self.members) - 1 if pinned is None else pinned,
         )
 
     def promoted(self) -> "ChainDescriptor":

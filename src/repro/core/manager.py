@@ -584,30 +584,6 @@ class SwiShmemManager:
             )
         return value
 
-    def register_set_add(self, spec: RegisterSpec, key: Any, element: Any) -> None:
-        self._note_write()
-        self.ewo.set_add(spec, key, element)
-        history = self.deployment.history
-        if history is not None:
-            history.record_instant(
-                "write", spec.group_id, key, ("add", element), self.switch.name, self.sim.now
-            )
-
-    def register_set_remove(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        self._note_write()
-        removed = self.ewo.set_remove(spec, key, element)
-        history = self.deployment.history
-        if history is not None and removed:
-            history.record_instant(
-                "write", spec.group_id, key, ("rm", element), self.switch.name, self.sim.now
-            )
-        return removed
-
-    def register_set_contains(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        if self.obs.on:
-            self.obs.emit("state.contains", self.switch.name, group=spec.group_id, key=key)
-        return self.ewo.set_contains(spec, key, element)
-
     def register_peek(self, spec: RegisterSpec, key: Any, default: Any) -> Any:
         if self.obs.on:
             self.obs.emit("state.peek", self.switch.name, group=spec.group_id, key=key)

@@ -60,11 +60,6 @@ class EwoMode(enum.Enum):
     LWW = "lww"
     #: CRDT counter: per-switch slot vector, element-wise max merge.
     COUNTER = "counter"
-    #: Observed-remove set — the paper's open question ("whether [set
-    #: CRDTs] are useful for in-switch NF applications or implementable
-    #: in a switch data plane"), made concrete: per-key OR-Sets with
-    #: delta replication and explicit footprint accounting.
-    ORSET = "orset"
 
 
 @dataclass(frozen=True)
@@ -341,18 +336,6 @@ class RegisterHandle:
         commits (the data plane cannot block for it).
         """
         self._manager.register_fetch_add(self.spec, key, amount)
-
-    def add(self, key: Any, element: Any) -> None:
-        """Add an element to an OR-Set register (EWO ORSET mode)."""
-        self._manager.register_set_add(self.spec, key, element)
-
-    def discard(self, key: Any, element: Any) -> bool:
-        """Remove an element from an OR-Set register (observed-remove)."""
-        return self._manager.register_set_remove(self.spec, key, element)
-
-    def contains(self, key: Any, element: Any) -> bool:
-        """Membership test on an OR-Set register (local, per-packet cheap)."""
-        return self._manager.register_set_contains(self.spec, key, element)
 
     def peek(self, key: Any, default: Any = None) -> Any:
         """Control-plane read of the local replica, bypassing the protocol.

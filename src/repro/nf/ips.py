@@ -63,47 +63,27 @@ class IpsNF(NetworkFunction):
     NAME = "ips"
 
     def __init__(self, manager, handles, *, block_threshold: int = 10,
-                 capacity: int = 4096, signature_store: str = "ero") -> None:
+                 capacity: int = 4096) -> None:
         super().__init__(manager, handles)
         self.block_threshold = block_threshold
-        self.signature_store = signature_store
         self.signatures = handles["ips_signatures"]
         self.matches = handles["ips_matches"]
         self.signature_hits = 0
         self.blocked_packets = 0
 
     @classmethod
-    def build_specs(cls, *, block_threshold: int = 10, capacity: int = 4096,
-                    signature_store: str = "ero") -> List[RegisterSpec]:
-        """``signature_store`` selects the signature set's backing:
-
-        * ``"ero"`` — per-signature boolean registers on the chain
-          (the Table 1 mapping: rare operator writes, weak reads);
-        * ``"orset"`` — a replicated OR-Set (the section 6.2 open
-          question): adds/removes converge without the chain, and
-          concurrent re-adds survive concurrent removes.
-        """
-        if signature_store == "orset":
-            signature_spec = RegisterSpec(
-                name="ips_signatures",
-                consistency=Consistency.EWO,
-                ewo_mode=EwoMode.ORSET,
-                capacity=16,
-                key_bytes=4,
-                value_bytes=capacity // 8,  # elements budgeted per set
-            )
-        elif signature_store == "ero":
-            signature_spec = RegisterSpec(
+    def build_specs(cls, *, block_threshold: int = 10,
+                    capacity: int = 4096) -> List[RegisterSpec]:
+        """The signature set is per-signature boolean registers on the
+        chain (the Table 1 mapping: rare operator writes, weak reads)."""
+        return [
+            RegisterSpec(
                 name="ips_signatures",
                 consistency=Consistency.ERO,
                 capacity=capacity,
                 key_bytes=4,
                 value_bytes=1,
-            )
-        else:
-            raise ValueError(f"unknown signature store {signature_store!r}")
-        return [
-            signature_spec,
+            ),
             RegisterSpec(
                 name="ips_matches",
                 consistency=Consistency.EWO,
@@ -119,20 +99,12 @@ class IpsNF(NetworkFunction):
     # ------------------------------------------------------------------
     def add_signature(self, signature: int) -> None:
         """Install a suspicious signature (control-plane operation)."""
-        if self.signature_store == "orset":
-            self.signatures.add("active", signature)
-        else:
-            self.signatures.write(signature, True)
+        self.signatures.write(signature, True)
 
     def remove_signature(self, signature: int) -> None:
-        if self.signature_store == "orset":
-            self.signatures.discard("active", signature)
-        else:
-            self.signatures.write(signature, False)
+        self.signatures.write(signature, False)
 
     def _signature_matches(self, signature: int) -> bool:
-        if self.signature_store == "orset":
-            return self.signatures.contains("active", signature)
         return bool(self.signatures.read(signature))
 
     # ------------------------------------------------------------------

@@ -94,7 +94,7 @@ INTER_WRITE_BOUNDS: Tuple[float, ...] = (
 
 #: Write-op kinds that commute under EWO merge (CRDT deltas).  Observing
 #: only these for a group means its writes are mergeable by construction.
-COMMUTATIVE_OPS = frozenset({"increment", "set_add", "set_remove"})
+COMMUTATIVE_OPS = frozenset({"increment"})
 
 
 class WindowedCount:

@@ -279,7 +279,6 @@ def _invariant(name: str) -> Metric:
 EVENTS: Dict[str, Event] = {
     # -- core/manager.py: mediated register accesses, controller commands
     "state.read": Event(Count("state.reads"), Profile("read")),
-    "state.contains": Event(Profile("read")),
     "state.peek": Event(Profile("read")),
     "state.write": Event(Count("state.writes")),
     "controller.command.fenced": Event(

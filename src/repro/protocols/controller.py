@@ -1062,7 +1062,10 @@ class CentralController:
                 epoch=self.epoch,
             )
         chain = self.deployment.chains[group_id]
-        if target in chain and chain.read_tail != target:
+        # Only the last member is promoted: one appended behind the
+        # target may still be catching up, and the read tail stays
+        # pinned until that one has caught up too.
+        if chain.members[-1] == target and chain.read_tail != target:
             self._push_chain(chain.promoted(), parent=promote_ctx)
         manager = self.deployment.manager(target)
         if not manager.switch.failed:

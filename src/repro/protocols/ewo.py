@@ -25,8 +25,8 @@ replication is asynchronous.
 
 * **Merging** is per the group's mode and lives in ``repro.crdt``: a
   replica is a dict of cells — ``LwwRegister`` ((timestamp, switch-id)
-  versions), ``GCounter`` (per-switch slot vector, element-wise max) or
-  ``ORSet`` — picked by ``MERGE_TYPES``; the engine moves wire entries.
+  versions) or ``GCounter`` (per-switch slot vector, element-wise max)
+  — picked by ``MERGE_TYPES``; the engine moves wire entries.
 
 * **Periodic synchronization** replaces retransmission: every
   ``sync_period`` the switch's packet generator sends a randomly
@@ -56,7 +56,6 @@ from repro.core.registers import EwoMode, RegisterSpec
 from repro.crdt.clock import HybridClock, Timestamp
 from repro.crdt.gcounter import GCounter
 from repro.crdt.lww import LwwRegister
-from repro.crdt.orset import ORSet
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
 from repro.protocols.messages import EwoEntry, EwoMirror, EwoSync, EwoSyncProbe, EwoUpdate
@@ -96,13 +95,6 @@ MERGE_TYPES: Dict[EwoMode, MergeType] = {
     EwoMode.COUNTER: MergeType(
         lambda spec, replicas, my_slot: GCounter(replicas, my_slot),
         lambda spec, replicas: replicas * (4 + spec.value_bytes),
-    ),
-    # The open-question accounting: each element costs add tags (and,
-    # after removal, tombstones).  Budget for value_bytes elements per
-    # key, two tags each (live + tombstone).
-    EwoMode.ORSET: MergeType(
-        lambda spec, replicas, my_slot: ORSet(node_id=my_slot),
-        lambda spec, replicas: spec.value_bytes * 2 * ORSet.TAG_BYTES,
     ),
 }
 
@@ -335,28 +327,6 @@ class EwoEngine:
         self._local_write(state, "increment", key, None, cell.increment(amount))
         return cell.read()
 
-    def set_add(self, spec: RegisterSpec, key: Any, element: Any) -> None:
-        """OR-Set add: tag locally, ship the (element, tag) delta."""
-        state = self._group(spec, EwoMode.ORSET)
-        tag = state.cell_for(key).add(element)
-        self._local_write(state, "set_add", key, ("add", tag), element)
-
-    def set_remove(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        """OR-Set remove: tombstone the observed tags and ship them."""
-        state = self._group(spec, EwoMode.ORSET)
-        orset = state.cell_for(key)
-        observed = tuple(sorted(orset.element_state(element)[0]))
-        if not orset.remove(element):
-            return False
-        self._local_write(state, "set_remove", key, ("rm", observed), element)
-        return True
-
-    def set_contains(self, spec: RegisterSpec, key: Any, element: Any) -> bool:
-        state = self._group(spec, EwoMode.ORSET)
-        state.stats.local_reads += 1
-        orset = state.cells.get(key)
-        return orset is not None and element in orset
-
     def _group(self, spec: RegisterSpec, mode: EwoMode) -> EwoGroupState:
         """The state of ``spec``'s group, for an operation only ``mode``
         groups take; on any other kind of group it is a TypeError."""
@@ -364,8 +334,8 @@ class EwoEngine:
         if state is None or spec.ewo_mode is not mode:
             raise TypeError(
                 f"group {spec.name!r} is not an EWO {mode.value} group (LWW groups "
-                f"take write(), counters increment(), OR-Sets add()/discard()/"
-                f"contains(), SRO/ERO registers write()/fetch_add())"
+                f"take write(), counters increment(), SRO/ERO registers "
+                f"write()/fetch_add())"
             )
         return state
 

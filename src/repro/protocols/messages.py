@@ -230,25 +230,13 @@ class EwoEntry:
     version: Any
     value: Any
 
-    #: Bytes per OR-Set tag on the wire (matches ORSet.TAG_BYTES).
-    ORSET_TAG_BYTES = 10
-
     def wire_bytes(self, key_bytes: int, value_bytes: int) -> int:
         version = self.version
         if version is None:  # a counter update's: the writer's slot, named once
             version_bytes = 0
-        elif type(version) is int:  # a sync's counter slot
-            version_bytes = 4
-        elif isinstance(version, Timestamp):
+        elif type(version) is Timestamp:
             version_bytes = Timestamp.wire_size
-        elif isinstance(version, tuple):
-            # OR-Set delta: kind byte + 10 bytes per tag carried
-            tag_count = sum(
-                len(part) if isinstance(part, (tuple, frozenset, set)) else 1
-                for part in version[1:]
-            )
-            version_bytes = 1 + self.ORSET_TAG_BYTES * tag_count
-        else:
+        else:  # a sync's counter slot
             version_bytes = 4
         return key_bytes + value_bytes + version_bytes
 

@@ -38,7 +38,7 @@ so a takeover leader can blindly re-drive the current phase:
 
 If a chain member dies mid-drain, or the drain times out, the handoff
 **rolls back**: the fences are released without switching, and the
-group keeps its original level.  Counter/OR-set EWO groups are refused
+group keeps its original level.  Counter EWO groups are refused
 outright — their merge state has no overwrite-faithful representation
 in a chain store.
 

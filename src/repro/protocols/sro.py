@@ -622,12 +622,12 @@ class SroEngine:
         """
         if not writes:
             return
-        dataplane = all(spec.dataplane_write_buffering for spec, _, _ in writes)
-        if dataplane and self.switch.failed:
-            # A dead pipeline makes no pass: nothing to send, hold or
-            # count (no packet reaches it; only a driver's direct
-            # ``register_write`` can).
+        if self.switch.failed:
+            # A dead switch has no pipeline pass and no CPU on either
+            # medium: nothing to send, hold or count (no packet reaches
+            # it; only a driver's direct ``register_write`` can).
             return
+        dataplane = all(spec.dataplane_write_buffering for spec, _, _ in writes)
         now = self.sim.now
         write_set = _WriteSet(
             WriteToken(self.switch.name, next(self._token_seq)),
@@ -759,8 +759,8 @@ class SroEngine:
 
     def _abandon(self, writes: Iterable[WriteToken]) -> None:
         """Forget the ``writes`` still outstanding without failing them —
-        their group was removed, or a crash took the hold they waited
-        in — leaving no timer, hold or buffered output behind."""
+        their group was removed, or a crash took their writer — leaving
+        no timer, hold or buffered output behind."""
         for token in writes:
             outstanding = self._outstanding.pop(token, None)
             if outstanding is None:
@@ -773,12 +773,12 @@ class SroEngine:
             self.obs.emit("sro.outstanding", self.switch.name, outstanding=len(self._outstanding))
 
     def pipeline_lost(self) -> None:
-        """The switch crashed: held packets are pipeline contents and go
-        with it, each charged the passes it made before this instant;
-        the writes they waited on are abandoned (nothing is left to
-        retransmit, give up on, or release them)."""
-        if self._dp_holds:
-            self._abandon([token for held in self._dp_holds.values() for token in held.writes])
+        """The switch crashed, CPU included: every outstanding write is
+        abandoned (nothing is left to retransmit, give up on, or release
+        it); a held packet goes with the pipeline, charged the passes it
+        made before this instant."""
+        if self._outstanding:
+            self._abandon(list(self._outstanding))
 
     # ------------------------------------------------------------------
     # The data-plane hold's passes (section 9)

@@ -509,10 +509,10 @@ class TestAdvisor:
 
     def test_mergeable_low_rate_writes_go_to_ewo(self):
         prof = AccessProfiler()
-        prof.describe_group(_spec("sets", Consistency.EWO, 1, ewo_mode=EwoMode.ORSET))
+        prof.describe_group(_spec("tallies", Consistency.EWO, 1, ewo_mode=EwoMode.COUNTER))
         for i in range(3):
-            _write(prof, 1, "members", "s0", i * 1e-3, op="set_add")
-        advice = ConsistencyAdvisor(prof, packets=1000).advice_for("sets")
+            _write(prof, 1, "members", "s0", i * 1e-3, op="increment")
+        advice = ConsistencyAdvisor(prof, packets=1000).advice_for("tallies")
         assert advice.pattern == "mergeable"
         assert advice.recommended == "ewo" and not advice.mismatch
 

@@ -317,15 +317,6 @@ class TestScrubRepair:
         stores = list(dep.sro_stores(spec))
         assert stores[0] == stores[1] == stores[2]
 
-    def test_orset_corruption_is_rejected(self):
-        dep = build(seed=11)
-        spec = dep.declare(
-            RegisterSpec("s", Consistency.EWO, ewo_mode=EwoMode.ORSET)
-        )
-        injector = FaultInjector(dep, seed=3)
-        with pytest.raises(ValueError):
-            injector._corrupt_register("s0", spec.group_id, None)
-
     def test_stale_repair_epoch_is_fenced(self):
         dep = build(seed=11)
         spec = self._seeded_sro(dep)

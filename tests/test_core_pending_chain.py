@@ -131,6 +131,14 @@ class TestChainDescriptor:
         assert appended.members[-1] == "s9"  # acks come from the new last member
         assert appended.read_tail == "s2"  # reads stay at the old tail
 
+    def test_second_append_keeps_the_pinned_read_tail(self):
+        """A second re-admission before the first is promoted leaves the
+        read tail on the original full member, not on the first
+        appended one, which is still catching up."""
+        twice = self._chain().with_appended("s8").with_appended("s9")
+        assert twice.members == ("s0", "s1", "s2", "s8", "s9")
+        assert twice.read_tail == "s2"
+
     def test_promoted_moves_read_tail(self):
         chain = self._chain().with_appended("s9")
         promoted = chain.promoted()

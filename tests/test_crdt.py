@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.crdt.clock import HybridClock, Timestamp
 from repro.crdt.gcounter import GCounter
 from repro.crdt.lww import LwwRegister
-from repro.crdt.orset import ORSet
 
 
 class TestTimestamp:
@@ -174,69 +173,3 @@ class TestLwwRegister:
         for value, stamp in reversed(stamps):
             backward.apply(stamp, value)
         assert forward.read() == backward.read()
-
-
-class TestORSet:
-    def test_add_and_contains(self):
-        s = ORSet(0)
-        s.add("sig1")
-        assert "sig1" in s
-        assert "sig2" not in s
-        assert s.elements() == {"sig1"}
-
-    def test_remove_observed(self):
-        s = ORSet(0)
-        s.add("x")
-        assert s.remove("x") is True
-        assert "x" not in s
-        assert s.remove("x") is False
-
-    def test_re_add_after_remove(self):
-        s = ORSet(0)
-        s.add("x")
-        s.remove("x")
-        s.add("x")
-        assert "x" in s
-
-    def test_concurrent_add_survives_remove(self):
-        """The defining OR-Set property: add wins over concurrent remove."""
-        a, b = ORSet(0), ORSet(1)
-        a.add("x")
-        b.merge(a.state())
-        # concurrently: b removes x, a re-adds x (a's new tag unseen by b)
-        b.remove("x")
-        a.add("x")
-        a.merge(b.state())
-        b.merge(a.state())
-        assert "x" in a and "x" in b
-
-    def test_merge_converges(self):
-        a, b = ORSet(0), ORSet(1)
-        a.add("one")
-        b.add("two")
-        a.merge(b.state())
-        b.merge(a.state())
-        assert a.elements() == b.elements() == {"one", "two"}
-        assert a.canonical() == b.canonical()
-
-    def test_state_bytes_grows_with_tags(self):
-        s = ORSet(0)
-        assert s.state_bytes == 0
-        s.add("x")
-        assert s.state_bytes == ORSet.TAG_BYTES
-        s.remove("x")
-        assert s.state_bytes == 2 * ORSet.TAG_BYTES  # tombstone retained
-
-    @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from("abc")), max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_commutative_property(self, ops):
-        a, b = ORSet(0), ORSet(1)
-        for who, element in ops:
-            (a if who == 0 else b).add(element)
-        merged_ab = ORSet(2)
-        merged_ab.merge(a.state())
-        merged_ab.merge(b.state())
-        merged_ba = ORSet(3)
-        merged_ba.merge(b.state())
-        merged_ba.merge(a.state())
-        assert merged_ab.elements() == merged_ba.elements()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import FaultInjector
 from repro.core.manager import Decision, SwiShmemDeployment
 from repro.core.registers import Consistency, RegisterSpec
 from repro.net.endhost import AddressBook, EndHost
@@ -25,6 +26,7 @@ from repro.protocols.sro import (
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import RECIRCULATION_LATENCY, PisaSwitch
+from tests.test_antientropy import build
 
 
 def declare_dp(deployment, **kwargs):
@@ -291,6 +293,41 @@ class TestOneLifecycleTwoMedia:
         assert started >= 8
         if loss == 0.0:
             assert ended == started and len(dst.received) == 8
+
+    @pytest.mark.parametrize("medium", sorted(_MEDIA))
+    def test_a_crash_ends_the_writes_in_flight(self, medium):
+        """A crash takes the whole switch, CPU included: a write in
+        flight on its writer is abandoned on either medium, so the
+        recovered writer holds nothing and the group quiesces."""
+        dep = build(seed=11)
+        spec = dep.declare(
+            RegisterSpec("reg", Consistency.SRO, dataplane_write_buffering=_MEDIA[medium])
+        )
+        writer = dep.manager("s1")
+        dep.sim.schedule_at(1e-3, writer.register_write, spec, "k", "v")
+        FaultInjector(dep).crash_recover(1e-3 + 5e-6, "s1", 5e-3)
+        dep.sim.run(until=3.0)
+        stats = writer.sro.stats_for(spec.group_id)
+        assert (stats.writes_initiated, stats.writes_committed) == (1, 0)
+        assert not writer.sro._outstanding
+        assert writer.sro.quiesced(spec.group_id)
+        assert writer.switch.control.buffered_count == 0
+
+    @pytest.mark.parametrize("medium", sorted(_MEDIA))
+    def test_a_dead_switch_starts_no_write(self, medium):
+        """A driver's ``register_write`` on a crashed switch starts
+        nothing on either medium: no token, no outstanding write."""
+        dep = build(seed=11)
+        spec = dep.declare(
+            RegisterSpec("reg", Consistency.SRO, dataplane_write_buffering=_MEDIA[medium])
+        )
+        writer = dep.manager("s1")
+        dep.fail_switch("s1")
+        writer.register_write(spec, "k", "v")
+        assert not writer.sro._outstanding
+        dep.sim.run(until=50e-3)
+        assert writer.sro.stats_for(spec.group_id).writes_initiated == 0
+        assert writer.sro.quiesced(spec.group_id)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
 
-MODES = (EwoMode.LWW, EwoMode.COUNTER, EwoMode.ORSET)
+MODES = (EwoMode.LWW, EwoMode.COUNTER)
 #: A group id no switch has: its sections are ignored.
 UNKNOWN_GROUP = 999
 
@@ -148,7 +148,6 @@ stamps = st.builds(
     st.integers(0, 2),
     st.integers(0, 2),
 )
-tags = st.tuples(st.integers(0, 2), st.integers(1, 3))
 ENTRIES = {
     EwoMode.LWW: st.builds(EwoEntry, keys, stamps, st.sampled_from(["x", "y", 3, None])),
     EwoMode.COUNTER: st.builds(
@@ -159,25 +158,13 @@ ENTRIES = {
         st.one_of(st.integers(-1, 4), st.sampled_from(["1", 1.0])),
         st.integers(0, 20),
     ),
-    EwoMode.ORSET: st.builds(
-        EwoEntry,
-        keys,
-        st.one_of(
-            st.tuples(st.just("add"), tags),
-            st.tuples(st.just("rm"), st.lists(tags, max_size=3).map(tuple)),
-            st.tuples(st.just("state"), st.frozensets(tags, max_size=3),
-                      st.frozensets(tags, max_size=3)),
-            st.just(("noop",)),
-        ),
-        st.sampled_from(["e1", "e2", "e3"]),
-    ),
 }
 
 
 @st.composite
 def sections(draw):
     """``(group index or None for an unknown group, entries)``."""
-    index = draw(st.sampled_from([0, 1, 2, None]))
+    index = draw(st.sampled_from([0, 1, None]))
     mode = MODES[index] if index is not None else EwoMode.COUNTER
     return index, draw(st.lists(ENTRIES[mode], max_size=8))
 
@@ -302,12 +289,6 @@ class TestKeyOrder:
             EwoUpdate(group=spec.group_id, origin="s1", entries=[EwoEntry("c", 1, 0)]))
         assert engine.stats_for(spec.group_id).merges_stale == 1
         assert engine.groups[spec.group_id].sorted_keys() == ("c", "m")
-        # An ORSet cell that carries nothing yet is still in the order.
-        ospec = specs[2]
-        engine.handle_update(EwoUpdate(
-            group=ospec.group_id, origin="s1", entries=[EwoEntry("b", ("rm", ()), "e")]))
-        assert engine.groups[ospec.group_id].sorted_keys() == ("b",)
-        assert _sync_keys(engine, ospec.group_id) == ["b"]
 
     def test_a_malformed_entry_never_enters_the_order(self):
         deployment, specs = _world()

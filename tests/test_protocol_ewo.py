@@ -79,13 +79,12 @@ class TestCounterMode:
         assert deployment.ewo_states(spec) == before
 
 
-#: The five kinds of register group, by the RegisterSpec that declares one.
+#: The four kinds of register group, by the RegisterSpec that declares one.
 GROUP_KINDS = {
     "sro": dict(consistency=Consistency.SRO),
     "ero": dict(consistency=Consistency.ERO),
     "lww": dict(consistency=Consistency.EWO, ewo_mode=EwoMode.LWW),
     "counter": dict(consistency=Consistency.EWO, ewo_mode=EwoMode.COUNTER),
-    "orset": dict(consistency=Consistency.EWO, ewo_mode=EwoMode.ORSET),
 }
 
 #: Every RegisterHandle operation that only some kinds support, and which.
@@ -93,9 +92,6 @@ HANDLE_OPS = {
     "write": (lambda h: h.write("k", 1), {"sro", "ero", "lww"}),
     "increment": (lambda h: h.increment("k", 1), {"counter"}),
     "fetch_add": (lambda h: h.fetch_add("k", 1), {"sro", "ero"}),
-    "add": (lambda h: h.add("k", "e"), {"orset"}),
-    "discard": (lambda h: h.discard("k", "e"), {"orset"}),
-    "contains": (lambda h: h.contains("k", "e"), {"orset"}),
 }
 
 
@@ -681,19 +677,12 @@ def pinned_scenario(make_deployment, mode):
             EwoEntry("bad", 7, 9),  # slot out of range: names nothing
             EwoEntry("bad", "1", 9),  # slot not an int: names nothing
         ]
-    elif mode is EwoMode.LWW:
+    else:
         s0.register_write(spec, "a", "x0")
         s0.register_write(spec, "b", "y0")
         s1.register_write(spec, "a", "x1")
         s2.register_write(spec, "b", "y2")
         extra = [EwoEntry("b", Timestamp(-1.0, 0, 0), "old")]  # stale
-    else:
-        s0.register_set_add(spec, "a", "e1")
-        s0.register_set_add(spec, "a", "e2")
-        s0.register_set_remove(spec, "a", "e1")
-        s1.register_set_add(spec, "a", "e3")
-        s2.register_set_add(spec, "b", "e4")
-        extra = [EwoEntry("z", ("rm", ()), "e9")]  # changes nothing: still names the key
     sent = tuple(s0.ewo.groups[gid]._pending_entries)
     for entries in (sent, sent + tuple(extra)):
         s2.ewo.handle_update(EwoUpdate(group=gid, origin="s0", entries=entries))
@@ -720,8 +709,6 @@ def _pinned_literals():
     a0 = Timestamp(time=0.0, logical=1, node_id=0)
     b0 = Timestamp(time=0.0, logical=2, node_id=0)
     a1 = Timestamp(time=3.812533852398976e-08, logical=0, node_id=1)
-    e1 = ("e1", ((0, 1),), ((0, 1),))
-    e2 = ("e2", ((0, 2),), ())
     return {
         EwoMode.LWW: {
             "items": [("a", ("x0", a0)), ("b", ("y0", b0))],
@@ -740,32 +727,6 @@ def _pinned_literals():
             "writer_items": [("a", (5, 0, 0)), ("b", (2, 0, 0))],
             "s1_local": {"a": 8, "b": 3},
             "s1_items": [("a", (5, 3, 0)), ("b", (2, 0, 1))],
-        },
-        EwoMode.ORSET: {
-            "items": [
-                ("a", (e1, e2)),
-                ("b", (("e4", ((2, 1),), ()),)),
-                ("z", (("e9", (), ()),)),
-            ],
-            "sync": [
-                ("a", ("state", frozenset({(0, 1)}), frozenset({(0, 1)})), "e1", 37),
-                ("a", ("state", frozenset({(0, 2)}), frozenset()), "e2", 27),
-                ("b", ("state", frozenset({(2, 1)}), frozenset()), "e4", 27),
-                ("z", ("state", frozenset(), frozenset()), "e9", 17),
-            ],
-            "local": {"a": frozenset({"e2"}), "b": frozenset({"e4"}), "z": frozenset()},
-            "merges": (3, 4),
-            "writer_items": [("a", (e1, e2))],
-            "s1_local": {
-                "a": frozenset({"e2", "e3"}),
-                "b": frozenset({"e4"}),
-                "z": frozenset(),
-            },
-            "s1_items": [
-                ("a", (e1, e2, ("e3", ((1, 1),), ()))),
-                ("b", (("e4", ((2, 1),), ()),)),
-                ("z", (("e9", (), ()),)),
-            ],
         },
     }
 

@@ -212,6 +212,42 @@ class TestSroRecovery:
         dep.sim.run(until=0.5)
         assert state.store == dep.manager("s0").sro.groups[spec.group_id].store
 
+    def test_read_tail_never_on_a_member_catching_up(self, make_deployment):
+        """Two excised switches re-admitted 60 us apart: the read tail
+        stays on a member holding every committed write until each
+        re-admitted one has caught up — neither the second append nor
+        the first promotion moves it onto a member still catching up."""
+        dep, _, _ = make_deployment(4)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO, capacity=256))
+        for i in range(10):
+            dep.manager("s0").register_write(spec, f"k{i}", i)
+        dep.sim.run(until=0.01)
+        for name in ("s2", "s3"):
+            fail_and_note(dep, name)
+        dep.sim.run(until=0.02)
+        assert dep.chains[spec.group_id].members == ("s0", "s1")
+        events = {"s2": dep.controller.recover_switch("s2")}
+        dep.sim.schedule(
+            60e-6, lambda: events.update(s3=dep.controller.recover_switch("s3"))
+        )
+        on_catching_up = []
+
+        def sample():
+            tail = dep.chains[spec.group_id].read_tail
+            if tail in events and spec.group_id not in events[tail].promoted_at:
+                on_catching_up.append((dep.sim.now, tail))
+            if len(events) < 2 or any(
+                spec.group_id not in event.promoted_at for event in events.values()
+            ):
+                dep.sim.schedule(1e-6, sample)
+
+        sample()
+        dep.sim.run(until=0.5)
+        assert not on_catching_up
+        assert all(spec.group_id in event.promoted_at for event in events.values())
+        chain = dep.chains[spec.group_id]
+        assert chain.members == ("s0", "s1", "s2", "s3") and chain.read_tail == "s3"
+
     def test_recover_unfailed_switch_rejected(self, make_deployment):
         dep, _, _ = make_deployment(2)
         with pytest.raises(ValueError):
@@ -291,6 +327,38 @@ class TestRoutingRepair:
         # full mesh: s0 still reaches s2 directly; routing table reflects it
         assert dep.routing.hops_for("s0", "s2") == ["s2"]
         assert dep.routing.hops_for("s0", "s1") == []
+
+
+class TestLinkFailureHandling:
+    def test_controller_reroutes_around_down_link(self, make_deployment):
+        dep, topo, _ = make_deployment(4)
+        dep.sim.run(until=0.001)
+        link = topo.link_between("s0", "s1")
+        link.set_up(False)
+        dep.sim.run(until=0.005)  # detector polls, recomputes routing
+        assert dep.controller.active_leader().link_events >= 1
+        # s0 -> s1 now goes through a third switch
+        assert dep.routing.hops_for("s0", "s1") == ["s2", "s3"]
+
+    def test_link_recovery_restores_direct_path(self, make_deployment):
+        dep, topo, _ = make_deployment(3)
+        link = topo.link_between("s0", "s1")
+        link.set_up(False)
+        dep.sim.run(until=0.005)
+        link.set_up(True)
+        dep.sim.run(until=0.01)
+        assert dep.routing.hops_for("s0", "s1") == ["s1"]
+
+    def test_sro_survives_chain_link_failure(self, make_deployment):
+        """A down link between chain members only lengthens the path:
+        updates route around it and writes still commit."""
+        dep, topo, _ = make_deployment(3)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO))
+        topo.link_between("s0", "s1").set_up(False)
+        dep.sim.run(until=0.005)
+        dep.manager("s0").register_write(spec, "k", "v")
+        dep.sim.run(until=0.1)
+        assert all(s.get("k") == "v" for s in dep.sro_stores(spec))
 
 
 class _ScanEveryTick(CentralController):

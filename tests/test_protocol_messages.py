@@ -37,7 +37,7 @@ def payload_samples():
     entries = [
         EwoEntry("flow", None, 41),
         EwoEntry(("10.0.0.1", 80), Timestamp(1e-3, 4, 1), "blocked"),
-        EwoEntry("sig", ("state", frozenset({(0, 1), (1, 1)}), frozenset({(0, 1)})), "x"),
+        EwoEntry("sig", 1, 7),
     ]
     return [
         WriteRequest(1, "k", ("10.0.0.9", 4242), token, attempt=2, rmw_delta=1, trace=ctx),
@@ -180,7 +180,7 @@ class TestWireSizes:
     def test_ewo_wire_size_is_computed_once_and_carried_by_copies(self, monkeypatch):
         update = next(m for m in payload_samples() if type(m) is EwoUpdate)
         per_entry = [e.wire_bytes(13, 4) for e in update.entries]
-        assert per_entry == [13 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 1 + 3 * 10]
+        assert per_entry == [13 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 4]
         assert update.wire_size == 13 + sum(per_entry)
         # a stored value, not a per-read sum: with the per-entry sizing
         # gone, the size still reads, on the message and on its copy

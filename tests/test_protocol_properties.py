@@ -44,11 +44,6 @@ lww_ops = st.lists(
     min_size=1,
     max_size=25,
 )
-set_ops = st.lists(
-    st.tuples(st.integers(0, 2), st.booleans(), st.sampled_from("abcde")),
-    min_size=1,
-    max_size=25,
-)
 
 
 class TestEwoConvergenceProperties:
@@ -116,55 +111,24 @@ class TestEwoConvergenceProperties:
         for key, value in states[0].items():
             assert value in written[key]  # winner was actually written
 
-    @given(ops=set_ops, seed=st.integers(0, 10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_orset_replicas_converge(self, ops, seed):
-        sim, dep = fresh_deployment(seed)
-        spec = dep.declare(
-            RegisterSpec("s", Consistency.EWO, ewo_mode=EwoMode.ORSET, capacity=16)
-        )
-        for i, (switch, is_add, element) in enumerate(ops):
-            def op(s=switch, add=is_add, e=element):
-                manager = dep.manager(f"s{s}")
-                if add:
-                    manager.register_set_add(spec, "set", e)
-                else:
-                    manager.register_set_remove(spec, "set", e)
 
-            sim.schedule(i * 17e-6, op)
-        sim.run(until=len(ops) * 17e-6 + 10e-3)
-        # an empty set and an absent key are the same logical state (a
-        # remove of a never-seen element materializes an empty ORSet)
-        states = [
-            {key: value for key, value in state.items() if value}
-            for state in dep.ewo_states(spec)
-        ]
-        assert replica_divergence(states) == 0
-
-
-# one pass: the writes one packet makes — (key 0-3, small int, add?)
-pass_writes = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans()), min_size=1, max_size=8
-)
-# ... and to one of three groups — (group 0-2, key 0-3, small int, add?)
+# one pass: the writes one packet makes — (key 0-3, small int)
+pass_writes = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), min_size=1, max_size=8)
+# ... and to one of three groups — (group 0-2, key 0-3, small int)
 multi_group_pass_writes = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 5), st.booleans()),
+    st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 5)),
     min_size=1,
     max_size=8,
 )
 
 
-def write(manager, spec, key, n, add):
+def write(manager, spec, key, n):
     """One pass write in ``spec``'s mode: a counter adds n + 1, an LWW
-    register takes n, an OR-Set adds or removes n."""
+    register takes n."""
     if spec.ewo_mode is EwoMode.COUNTER:
         manager.register_increment(spec, key, n + 1)
-    elif spec.ewo_mode is EwoMode.LWW:
-        manager.register_write(spec, key, n)
-    elif add:
-        manager.register_set_add(spec, key, n)
     else:
-        manager.register_set_remove(spec, key, n)
+        manager.register_write(spec, key, n)
 
 
 class TestCoalescingProperty:
@@ -194,8 +158,8 @@ class TestCoalescingProperty:
             return EwoUpdate(group=spec.group_id, origin="s0", entries=entries)
 
         for writes in passes:
-            for key, n, add in writes:
-                write(writer, spec, key, n, add)
+            for key, n in writes:
+                write(writer, spec, key, n)
             entries, pending._pending_entries = pending._pending_entries, []
             per_pass.handle_update(update(entries))
             for entry in entries:
@@ -227,8 +191,8 @@ class TestCoalescingProperty:
         writer = dep.manager("s0")
         mirrored, per_group = (dep.manager(n).ewo for n in ("s1", "s2"))
         for writes in passes:
-            for group, key, n, add in writes:
-                write(writer, specs[group], key, n, add)
+            for group, key, n in writes:
+                write(writer, specs[group], key, n)
             sections = []
             for group in dict.fromkeys(group for group, *_ in writes):
                 state = writer.ewo.groups[specs[group].group_id]
