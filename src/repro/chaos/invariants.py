@@ -209,12 +209,13 @@ class InvariantSuite:
             state = manager.sro.groups.get(group_id)
             if state is None or state.catching_up:
                 continue
-            if state.chain.version < chain.version:
+            if state.chain is not chain and state.chain != chain:
                 # The controller re-configured but the epoch-fenced
-                # command is still in flight (config_latency): until it
-                # lands — and with it the catching-up flag, which rides
-                # the same FIFO management path — the switch is not yet
-                # obligated to the new configuration.
+                # command is still in flight (config_latency): until the
+                # descriptor lands — and with it the member's catch-up
+                # status — the switch is not yet obligated to it.  (The
+                # installed descriptor is normally the controller's own
+                # object; identity spares the equality call.)
                 continue
             members.append((name, state))
         return members

@@ -272,8 +272,6 @@ class SwiShmemManager:
         self.controller_epoch = command.epoch
         if command.kind == "set_chain":
             self.sro.set_chain(command.group, command.payload)
-        elif command.kind == "set_catching_up":
-            self.sro.set_catching_up(command.group, bool(command.payload))
         elif command.kind == "relevel_fence":
             self._apply_relevel_fence(command)
         elif command.kind == "relevel_switch":

@@ -18,10 +18,11 @@ switches have failed" and sketches the two phases we implement:
 * EWO — re-join the multicast groups and wait for periodic sync; CRDT
   state (including the rejoining switch's own counter slots) flows back
   from the other replicas.
-* SRO — append to the chain in *catch-up* mode (gap-tolerant apply),
-  wait a drain delay so in-flight old-chain writes settle, transfer a
-  snapshot from a live chain member, and finally promote the new member
-  to read tail.
+* SRO — append to the chain, listed in the descriptor as catching up
+  (gap-tolerant apply), wait a drain delay so in-flight old-chain writes
+  settle, transfer a snapshot from a live chain member, and finally
+  push the same-version descriptor that no longer lists it, which makes
+  it the read tail.
 
 **Failure detection** is real: every switch's packet generator emits a
 :class:`Heartbeat` packet each ``heartbeat_period`` toward the *leader's
@@ -75,7 +76,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 from repro.core.chain import ChainDescriptor
 from repro.protocols.messages import (
     ControllerCommand,
-    GroupView,
     Heartbeat,
     LeaseRenewal,
     ReconstructQuery,
@@ -399,19 +399,12 @@ class CentralController:
         answer_ctx = manager.causal.child(query.trace)
         if self.obs.on:
             self.obs.emit("controller.reconstruct.answer", name, answer_ctx, epoch=query.epoch)
-        views = tuple(
-            GroupView(
-                group=gid,
-                chain_version=state.chain.version,
-                members=state.chain.members,
-                catching_up=state.catching_up,
-            )
-            for gid, state in sorted(manager.sro.groups.items())
-        )
         reply = ReconstructReply(
             switch=name,
             epoch=query.epoch,
-            groups=views,
+            groups=tuple(
+                state.chain for _, state in sorted(manager.sro.groups.items())
+            ),
             sent_at=self.sim.now,
             trace=answer_ctx,
         )
@@ -465,17 +458,13 @@ class CentralController:
             return
         now = self.sim.now
         deployment = self.deployment
-        # 1. Adopt any chain descriptor newer than our stale local copy
-        #    (the previous leader reconfigured after our last update).
+        # 1. Adopt any chain descriptor that supersedes our stale local
+        #    copy (the previous leader reconfigured after our last update).
         for name in sorted(replies):
             for view in replies[name].groups:
-                chain = deployment.chains.get(view.group)
-                if chain is not None and view.chain_version > chain.version:
-                    deployment.chains[view.group] = ChainDescriptor(
-                        chain_id=view.group,
-                        members=view.members,
-                        version=view.chain_version,
-                    )
+                chain = deployment.chains.get(view.chain_id)
+                if chain is not None and view.supersedes(chain):
+                    deployment.chains[view.chain_id] = view
         # 2. Non-repliers are unreachable: excise them.  No FailureEvent
         #    — failed_at is unknowable here; the detector re-reports if
         #    they come back and fail again.
@@ -492,15 +481,16 @@ class CentralController:
         if deployment.manager(self.host).switch.failed:
             self._rehome()
         # 3. Repliers: re-admit any the old leader had excised (they are
-        #    demonstrably alive), and re-drive recoveries stranded in
-        #    catch-up when the old leader died mid-snapshot-transfer.
+        #    demonstrably alive), and re-drive the catch-up of each member
+        #    the adopted descriptor still lists (the old leader died
+        #    mid-snapshot-transfer).
         for name in sorted(replies):
             reply = replies[name]
             manager = deployment.manager(name)
             excised = any(
-                name not in deployment.chains[v.group].members
+                name not in deployment.chains[v.chain_id].members
                 for v in reply.groups
-                if v.group in deployment.chains
+                if v.chain_id in deployment.chains
             ) or any(
                 name not in deployment.multicast.get(gid).members
                 for gid in manager.ewo.groups
@@ -513,11 +503,10 @@ class CentralController:
                 self._readmit(name)
                 continue
             redrive = [
-                v.group
+                v.chain_id
                 for v in reply.groups
-                if v.group in deployment.chains
-                and v.catching_up
-                and name in deployment.chains[v.group].members
+                if v.chain_id in deployment.chains
+                and name in deployment.chains[v.chain_id].catching_up
             ]
             if redrive:
                 event = RecoveryEvent(
@@ -548,16 +537,16 @@ class CentralController:
                         gen,
                         label="controller:snapshot-start",
                     )
-            # Refresh switches holding descriptors older than ours.
+            # Refresh switches holding descriptors ours supersedes.
             for view in reply.groups:
-                chain = deployment.chains.get(view.group)
-                if chain is not None and view.chain_version < chain.version:
+                chain = deployment.chains.get(view.chain_id)
+                if chain is not None and chain.supersedes(view):
                     self._send_command(
                         manager,
                         ControllerCommand(
                             epoch=self.epoch,
                             kind="set_chain",
-                            group=view.group,
+                            group=view.chain_id,
                             payload=chain,
                         ),
                     )
@@ -862,16 +851,6 @@ class CentralController:
                 appended = chain.without(name).with_appended(name)
             else:
                 appended = chain.with_appended(name)
-            self._send_command(
-                manager,
-                ControllerCommand(
-                    epoch=self.epoch,
-                    kind="set_catching_up",
-                    group=group_id,
-                    payload=True,
-                ),
-                parent=event.trace,
-            )
             self._push_chain(appended, parent=event.trace)
             gen = self._recovery_gen.get((group_id, name), 0) + 1
             self._recovery_gen[(group_id, name)] = gen
@@ -1037,7 +1016,10 @@ class CentralController:
         event: RecoveryEvent,
         gen: Optional[int] = None,
     ) -> None:
-        """Catch-up finished: the new member replaces the read tail.
+        """Catch-up finished: push the descriptor that no longer lists
+        the target as catching up (same version, so nothing is fenced).
+        It becomes the read tail unless a member appended after it is
+        already full.
 
         If the leader that started the transfer has since been deposed,
         this is a no-op: the target stays in catch-up and the successor
@@ -1062,23 +1044,9 @@ class CentralController:
                 epoch=self.epoch,
             )
         chain = self.deployment.chains[group_id]
-        # Only the last member is promoted: one appended behind the
-        # target may still be catching up, and the read tail stays
-        # pinned until that one has caught up too.
-        if chain.members[-1] == target and chain.read_tail != target:
-            self._push_chain(chain.promoted(), parent=promote_ctx)
-        manager = self.deployment.manager(target)
-        if not manager.switch.failed:
-            self._send_command(
-                manager,
-                ControllerCommand(
-                    epoch=self.epoch,
-                    kind="set_catching_up",
-                    group=group_id,
-                    payload=False,
-                ),
-                parent=promote_ctx,
-            )
+        caught_up = chain.caught_up(target)
+        if caught_up is not chain:
+            self._push_chain(caught_up, parent=promote_ctx)
         event.promoted_at[group_id] = self.sim.now
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ Message flow summary (paper section 6):
 ``LeaseRenewal``          leader replica -> standby replicas (management net)
 ``ControllerCommand``     leader replica -> switch control plane (epoch-fenced)
 ``ReconstructQuery``      new leader -> every switch (state reconstruction)
-``ReconstructReply``      switch -> new leader (per-group chain view)
+``ReconstructReply``      switch -> new leader (installed chain descriptors)
 ``ScrubDigestQuery``      scrub coordinator -> member (digest-tree nodes)
 ``ScrubDigestReply``      member -> coordinator (requested node digests)
 ``ScrubKeyQuery``         coordinator -> member (per-key hashes of buckets)
@@ -56,10 +56,13 @@ entries are shared.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.crdt.clock import Timestamp
 from repro.net.headers import WireRecord, fixed_record
+
+if TYPE_CHECKING:
+    from repro.core.chain import ChainDescriptor
 
 __all__ = [
     "WriteToken",
@@ -77,7 +80,6 @@ __all__ = [
     "LeaseRenewal",
     "ControllerCommand",
     "ReconstructQuery",
-    "GroupView",
     "ReconstructReply",
     "ScrubDigestQuery",
     "ScrubDigestReply",
@@ -446,7 +448,10 @@ class ControllerCommand:
     """
 
     epoch: int
-    kind: str  # "set_chain" | "set_catching_up" | "relevel_fence" | "relevel_switch" | "relevel_unfence"
+    #: "set_chain" | "relevel_fence" | "relevel_switch" | "relevel_unfence".
+    #: A member's catch-up status rides the descriptor ``set_chain``
+    #: installs; no command of its own sets it.
+    kind: str
     group: int
     payload: Any = None
     #: Frozen, so the trace is supplied at construction time.
@@ -461,16 +466,6 @@ class ReconstructQuery:
     replica: int
     sent_at: float
     trace: Any = _trace_field()
-
-
-@dataclass(frozen=True)
-class GroupView:
-    """One SRO group's state as reported by a switch."""
-
-    group: int
-    chain_version: int
-    members: Tuple[str, ...]
-    catching_up: bool
 
 
 @dataclass(frozen=True)
@@ -576,14 +571,16 @@ class ScrubRepair(WireRecord):
 class ReconstructReply:
     """A switch's answer to a :class:`ReconstructQuery`.
 
-    ``groups`` carries one :class:`GroupView` per SRO group the switch
-    replicates — enough for a fresh leader to rebuild chain membership,
-    spot members stranded mid-catch-up, and adopt any descriptor newer
-    than its stale local copy.
+    ``groups`` carries the :class:`~repro.core.chain.ChainDescriptor`
+    the switch has installed for each SRO group it replicates (its
+    ``chain_id`` is the group), in group order — enough for a fresh
+    leader to adopt any descriptor that supersedes its stale local copy
+    whole, spot members it lists as catching up, and re-drive their
+    catch-up.
     """
 
     switch: str
     epoch: int
-    groups: Tuple[GroupView, ...]
+    groups: Tuple[ChainDescriptor, ...]
     sent_at: float
     trace: Any = _trace_field()

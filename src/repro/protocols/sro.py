@@ -293,6 +293,7 @@ class SroGroupState:
             f"sro-dedup:{spec.name}", self.dedup_capacity * (12 + spec.value_bytes)
         )
         #: Catch-up mode: gap-tolerant apply during recovery (section 6.3).
+        #: Read off the installed descriptor by ``SroEngine.set_chain``.
         self.catching_up = False
         #: Bounded reorder stash: (slot, seq) -> ChainUpdate held until
         #: its gap fills.  A delayed/reordered update used to be dropped
@@ -471,9 +472,10 @@ class SroEngine:
     def set_chain(self, group_id: int, chain: ChainDescriptor) -> None:
         """Install a new chain descriptor (controller reconfiguration)."""
         state = self.groups[group_id]
-        if chain.version >= state.chain.version:
+        if chain.supersedes(state.chain):
             advanced = chain.version > state.chain.version
             state.chain = chain
+            state.catching_up = self.switch.name in chain.catching_up
             if advanced and state.dedup:
                 evicted = state.evict_dedup_epochs(chain.version, self.sim.now)
                 if evicted and self.obs.on:
@@ -484,9 +486,6 @@ class SroEngine:
                         occupancy=sum(len(g.dedup) for g in self.groups.values()),
                         evicted=evicted,
                     )
-
-    def set_catching_up(self, group_id: int, value: bool) -> None:
-        self.groups[group_id].catching_up = value
 
     # ------------------------------------------------------------------
     # Read path (paper 6.1 "Reads")

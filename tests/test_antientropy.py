@@ -351,6 +351,22 @@ class TestScrubRepair:
         assert scrubber.stats.rounds_started > 5
         assert scrubber.stats.rounds_diverged == 0
 
+    def test_an_aborted_round_gives_outstanding_divergence_a_fresh_heal_window(self):
+        """A round that aborts through no fault of the divergence (here a
+        member fails mid-round) restarts the heal bound of every event
+        still outstanding in its group, and the next round heals it."""
+        dep = build(seed=11)
+        spec = self._seeded_sro(dep)
+        scrubber = dep.start_scrubbing()
+        FaultInjector(dep, seed=11).corrupt_register(6.0e-3, "s1", spec.group_id, "k3")
+        dep.sim.schedule(6.05e-3, lambda: dep.fail_switch("s2"))
+        dep.sim.schedule(6.05e-3, lambda: dep.controller.note_failure_time("s2"))
+        dep.sim.run(until=0.05)
+        assert scrubber.stats.rounds_aborted == 1
+        (event,) = dep.divergence_log
+        assert event.deadline > event.at + scrubber.heal_bound
+        assert event.healed and event.healed_at <= event.deadline
+
 
 class TestScrubDeterminism:
     def _chaos_run(self, seed, metrics=None, flightrec=None):
@@ -457,7 +473,12 @@ class TestPinnedChaosOutcomes:
     EWO heal times moved; every fault log and store hash did not.  The
     ``spans`` hashes alone were re-captured again when a counter update
     entry stopped carrying its slot: smaller EWO packets shift span
-    times and byte counts, not the span count or anything else here."""
+    times and byte counts, not the span count or anything else here.
+    Seed 3's ``spans`` were re-captured when a member's catch-up status
+    moved onto the chain descriptor: the two commands that flagged it
+    (a send and an apply each) are gone, and a completed catch-up no
+    longer bumps the chain version, so later spans carry an epoch one
+    lower."""
 
     PINNED = {
         ("chaos_run", 3): dict(
@@ -476,7 +497,7 @@ class TestPinnedChaosOutcomes:
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
             lost={("s3", 2): 30},
-            spans=(2503, "57e1e0f255d76752ae214fa3a5095b4d393680fe0eb65d87005523751ce47bdd"),
+            spans=(2499, "21ec1b9181c9ffab02b3d7a6f08c3553e5c3e73a7a943d0580daf9c241379feb"),
         ),
         ("chaos_run", 11): dict(
             log=(

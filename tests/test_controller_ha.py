@@ -205,14 +205,17 @@ class TestEpochFencing:
     def test_current_epoch_command_applies(self, make_deployment):
         dep, spec = self._failover(make_deployment)
         manager = dep.manager("s1")
+        state = manager.sro.groups[spec.group_id]
         command = ControllerCommand(
             epoch=dep.controller.active_leader().epoch,
-            kind="set_catching_up",
+            kind="set_chain",
             group=spec.group_id,
-            payload=True,
+            payload=state.chain.without("s1").with_appended("s1"),
         )
         assert manager.apply_controller_command(command) is True
-        assert manager.sro.groups[spec.group_id].catching_up is True
+        assert state.chain == command.payload
+        # the catch-up status is read off the installed descriptor
+        assert state.catching_up is True
 
     def test_unknown_command_kind_rejected(self, make_deployment):
         dep, spec = self._failover(make_deployment)

@@ -129,21 +129,48 @@ class TestChainDescriptor:
         appended = chain.with_appended("s9")
         assert appended.members == ("s0", "s1", "s2", "s9")
         assert appended.members[-1] == "s9"  # acks come from the new last member
+        assert appended.catching_up == ("s9",)
         assert appended.read_tail == "s2"  # reads stay at the old tail
 
     def test_second_append_keeps_the_pinned_read_tail(self):
-        """A second re-admission before the first is promoted leaves the
-        read tail on the original full member, not on the first
+        """A second re-admission before the first has caught up leaves
+        the read tail on the original full member, not on the first
         appended one, which is still catching up."""
         twice = self._chain().with_appended("s8").with_appended("s9")
         assert twice.members == ("s0", "s1", "s2", "s8", "s9")
+        assert twice.catching_up == ("s8", "s9")
         assert twice.read_tail == "s2"
 
-    def test_promoted_moves_read_tail(self):
+    def test_caught_up_moves_read_tail(self):
         chain = self._chain().with_appended("s9")
-        promoted = chain.promoted()
-        assert promoted.read_tail == "s9"
-        assert promoted.version == chain.version + 1
+        caught_up = chain.caught_up("s9")
+        assert caught_up.read_tail == "s9"
+        assert caught_up.members == chain.members
+        assert caught_up.version == chain.version  # fences nothing
+        assert caught_up.supersedes(chain) and not chain.supersedes(caught_up)
+
+    def test_earlier_append_catching_up_first_becomes_read_tail(self):
+        """With two members catching up, the one appended first may
+        finish first: it serves reads while the later one still
+        catches up behind it, and the chain order stays."""
+        twice = self._chain().with_appended("s8").with_appended("s9")
+        first = twice.caught_up("s8")
+        assert first.members == twice.members
+        assert first.catching_up == ("s9",) and first.read_tail == "s8"
+        assert first.caught_up("s9").read_tail == "s9"
+
+    def test_without_does_not_hand_the_read_tail_to_a_catching_up_member(self):
+        """Excising a full member keeps the read tail on a full one."""
+        appended = self._chain().with_appended("s9")
+        repaired = appended.without("s0")
+        assert repaired.catching_up == ("s9",) and repaired.read_tail == "s2"
+
+    def test_without_clears_catching_up_when_no_full_member_remains(self):
+        """Members left catching up alone hold the chain's only copy."""
+        appended = ChainDescriptor(1, ("s0",)).with_appended("s9")
+        repaired = appended.without("s0")
+        assert repaired.members == ("s9",)
+        assert repaired.catching_up == () and repaired.read_tail == "s9"
 
     def test_append_duplicate_rejected(self):
         with pytest.raises(ValueError):
@@ -155,8 +182,46 @@ class TestChainDescriptor:
         with pytest.raises(ValueError):
             ChainDescriptor(1, ("a", "a"))
         with pytest.raises(ValueError):
-            ChainDescriptor(1, ("a",), read_tail_index=5)
+            ChainDescriptor(1, ("a", "b"), catching_up=("z",))
+        with pytest.raises(ValueError):
+            ChainDescriptor(1, ("a", "b"), catching_up=("a", "b"))
 
     def test_single_member_chain(self):
         chain = ChainDescriptor(1, ("only",))
         assert chain.head == chain.read_tail == "only"
+
+
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["append", "without", "caught_up"]), st.integers(0, 5)),
+    max_size=40,
+)
+
+
+class TestChainDescriptorProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(2, 6), steps=_STEPS)
+    def test_reconfigurations_keep_the_catching_up_record_sound(self, size, steps):
+        """Random ``with_appended`` / ``without`` / ``caught_up``
+        sequences on 2-6 members: the read tail is never a member
+        catching up, the catching-up set names members only, the
+        version moves exactly when the members change, and each result
+        supersedes or equals its input."""
+        names = [f"s{i}" for i in range(size)]
+        chain = ChainDescriptor(1, tuple(names))
+        for op, pick in steps:
+            name = names[pick % size]
+            if op == "append":
+                if name in chain:
+                    continue
+                after = chain.with_appended(name)
+            elif op == "without":
+                if len(chain) == 1:
+                    continue
+                after = chain.without(name)
+            else:
+                after = chain.caught_up(name)
+            assert after.read_tail not in after.catching_up
+            assert set(after.catching_up) <= set(after.members)
+            assert (after.version != chain.version) == (after.members != chain.members)
+            assert after.supersedes(chain) or after == chain
+            chain = after

@@ -212,6 +212,26 @@ class TestSroRecovery:
         dep.sim.run(until=0.5)
         assert state.store == dep.manager("s0").sro.groups[spec.group_id].store
 
+    @staticmethod
+    def _read_tail_samples(dep, group_id, events, recoveries):
+        """Sample the controller's read tail every 1 us until all
+        ``recoveries`` in ``events`` (switch -> RecoveryEvent, filled as
+        the recoveries start) have caught up; collect each sample that
+        sits on a member still catching up."""
+        on_catching_up = []
+
+        def sample():
+            tail = dep.chains[group_id].read_tail
+            if tail in events and group_id not in events[tail].promoted_at:
+                on_catching_up.append((dep.sim.now, tail))
+            if len(events) < recoveries or any(
+                group_id not in event.promoted_at for event in events.values()
+            ):
+                dep.sim.schedule(1e-6, sample)
+
+        sample()
+        return on_catching_up
+
     def test_read_tail_never_on_a_member_catching_up(self, make_deployment):
         """Two excised switches re-admitted 60 us apart: the read tail
         stays on a member holding every committed write until each
@@ -230,28 +250,150 @@ class TestSroRecovery:
         dep.sim.schedule(
             60e-6, lambda: events.update(s3=dep.controller.recover_switch("s3"))
         )
-        on_catching_up = []
-
-        def sample():
-            tail = dep.chains[spec.group_id].read_tail
-            if tail in events and spec.group_id not in events[tail].promoted_at:
-                on_catching_up.append((dep.sim.now, tail))
-            if len(events) < 2 or any(
-                spec.group_id not in event.promoted_at for event in events.values()
-            ):
-                dep.sim.schedule(1e-6, sample)
-
-        sample()
+        on_catching_up = self._read_tail_samples(dep, spec.group_id, events, 2)
         dep.sim.run(until=0.5)
         assert not on_catching_up
         assert all(spec.group_id in event.promoted_at for event in events.values())
         chain = dep.chains[spec.group_id]
         assert chain.members == ("s0", "s1", "s2", "s3") and chain.read_tail == "s3"
+        assert chain.catching_up == ()
+
+    def test_read_tail_stays_off_a_catching_up_member_across_a_crash(
+        self, make_deployment
+    ):
+        """One switch re-admitted at 20 ms and the head crashed 100 us
+        later: the repair that excises the head must not hand the read
+        tail to the re-admitted member, which is still catching up."""
+        dep, _, _ = make_deployment(4)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO, capacity=256))
+        for i in range(10):
+            dep.manager("s0").register_write(spec, f"k{i}", i)
+        dep.sim.run(until=0.01)
+        fail_and_note(dep, "s3")
+        dep.sim.run(until=0.02)
+        assert dep.chains[spec.group_id].members == ("s0", "s1", "s2")
+        events = {"s3": dep.controller.recover_switch("s3")}
+        dep.sim.schedule(100e-6, fail_and_note, dep, "s0")
+        on_catching_up = self._read_tail_samples(dep, spec.group_id, events, 1)
+        dep.sim.run(until=0.5)
+        assert not on_catching_up, (len(on_catching_up), on_catching_up[:1])
+        assert spec.group_id in events["s3"].promoted_at
+        chain = dep.chains[spec.group_id]
+        assert chain.members == ("s1", "s2", "s3") and chain.read_tail == "s3"
+        assert chain.catching_up == ()
 
     def test_recover_unfailed_switch_rejected(self, make_deployment):
         dep, _, _ = make_deployment(2)
         with pytest.raises(ValueError):
             dep.controller.recover_switch("s0")
+
+
+class TestCatchUpCompletionFencesNothing:
+    """Completing a catch-up changes no member and no order: the
+    descriptor that records it keeps its version, so a chain update in
+    flight when it lands is applied, not fenced."""
+
+    LINK = 5e-6
+    CPU = 20e-6
+
+    def _on_promote(self, dep, hook):
+        """Call ``hook(target)`` right after the leader records each
+        completed catch-up."""
+        leader = dep.controller.active_leader()
+        promote = leader._promote
+
+        def wrapped(group_id, target, event, gen=None):
+            promote(group_id, target, event, gen)
+            hook(target)
+
+        leader._promote = wrapped
+
+    @staticmethod
+    def _fenced(dep, group_id):
+        return sum(
+            dep.manager(name).sro.stats_for(group_id).fenced_updates
+            for name in dep.switch_names
+        )
+
+    def test_update_in_flight_across_the_promotion_commits_first_try(
+        self, make_deployment
+    ):
+        dep, _, _ = make_deployment(3, latency=self.LINK, control_op_latency=self.CPU)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO, capacity=256))
+        gid = spec.group_id
+        for i in range(10):
+            dep.manager("s0").register_write(spec, f"k{i}", i)
+        dep.sim.run(until=0.01)
+        fail_and_note(dep, "s2")
+        dep.sim.run(until=0.02)
+        dep.controller.recover_switch("s2")
+        head, middle = dep.manager("s0").sro, dep.manager("s1").sro
+        seen = {}
+
+        def at_head(request, receive=head._receive_write_request):
+            if request.key == "inflight":
+                promoted = head.groups[gid].chain.read_tail == "s2"
+                seen.setdefault("sequenced_before_landing", not promoted)
+            receive(request)
+
+        def at_middle(update, handle=middle.handle_chain_update):
+            if update.key == "inflight":
+                promoted = middle.groups[gid].chain.read_tail == "s2"
+                seen.setdefault("arrived_after_landing", promoted)
+            handle(update)
+
+        head._receive_write_request = at_head
+        middle.handle_chain_update = at_middle
+        # The head sequences the write half a link before the promoting
+        # descriptor lands everywhere, so its update reaches s1 after.
+        lead = self.CPU + self.LINK / 2
+        config_latency = dep.controller.active_leader().config_latency
+        self._on_promote(
+            dep,
+            lambda target: dep.sim.schedule(
+                config_latency - lead,
+                dep.manager("s0").register_write,
+                spec,
+                "inflight",
+                99,
+            ),
+        )
+        dep.sim.run(until=0.5)
+        assert seen == {"sequenced_before_landing": True, "arrived_after_landing": True}
+        stats = head.stats_for(gid)
+        assert stats.writes_committed == 11 and stats.retries == 0
+        assert self._fenced(dep, gid) == 0
+        assert all(store.get("inflight") == 99 for store in dep.sro_stores(spec))
+
+    def test_earlier_append_finishing_first_takes_the_read_tail(self, make_deployment):
+        """Two members catch up and the one appended first finishes
+        first: the read tail moves to it at once (the later one still
+        catches up behind it), and neither completion fences a write."""
+        dep, _, _ = make_deployment(4, latency=self.LINK, control_op_latency=self.CPU)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO, capacity=256))
+        gid = spec.group_id
+        for i in range(10):
+            dep.manager("s0").register_write(spec, f"k{i}", i)
+        dep.sim.run(until=0.01)
+        for name in ("s2", "s3"):
+            fail_and_note(dep, name)
+        dep.sim.run(until=0.02)
+        dep.controller.recover_switch("s2")
+        dep.sim.schedule(60e-6, dep.controller.recover_switch, "s3")
+        read_tails = []
+        self._on_promote(
+            dep, lambda target: read_tails.append((target, dep.chains[gid].read_tail))
+        )
+        dep.sim.run(until=0.021)  # both appends have landed
+        fenced_at_appends = self._fenced(dep, gid)
+        # a write every 20 us from here until both catch-ups are done
+        for i in range(600):
+            dep.sim.schedule(20e-6 * i, dep.manager("s0").register_write, spec, "w", i)
+        dep.sim.run(until=0.5)
+        assert read_tails == [("s2", "s2"), ("s3", "s3")]
+        assert self._fenced(dep, gid) == fenced_at_appends
+        assert dep.manager("s0").sro.stats_for(gid).retries == 0
+        assert all(store.get("w") == 599 for store in dep.sro_stores(spec))
 
 
 class TestEwoFailover:
