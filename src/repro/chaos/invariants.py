@@ -39,6 +39,15 @@ checking one of the claims the paper makes about failure handling:
   value check is not relaxed: divergence surviving finalization is a
   violation no matter what.
 
+* **writes accounted** (SRO writer side): on every switch and group,
+  each write initiated has committed, failed, been abandoned (its group
+  removed or its writer crashed) or is still outstanding —
+  ``initiated == committed + failed + abandoned + outstanding``.  At
+  finalization no live switch may still hold a write older than the
+  retry horizon (``RETRY_HORIZON``: every retry it could make has
+  fired), so a run that started its last write longer ago than that
+  must end with nothing outstanding.
+
 Monitors are asserted live on a periodic simulator process
 (:meth:`InvariantSuite.start`) and summarized by
 :meth:`InvariantSuite.finalize`, which runs the strict end-of-run
@@ -52,6 +61,7 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.registers import Consistency, EwoMode
 from repro.obs.events import MONITORS
+from repro.protocols.sro import RETRY_HORIZON
 from repro.sim.engine import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -161,6 +171,7 @@ class InvariantSuite:
         self._check_config()
         self._check_single_leader()
         self._check_divergence()
+        self._check_writes_accounted()
 
     def finalize(self) -> InvariantReport:
         """Stop live checking, run the strict end-of-run checks."""
@@ -170,6 +181,7 @@ class InvariantSuite:
         self._check_config()
         self._check_single_leader()
         self._check_divergence()
+        self._check_writes_accounted(final=True)
         return self.report
 
     # ------------------------------------------------------------------
@@ -436,3 +448,42 @@ class InvariantSuite:
                     group=event.group,
                     key=event.key,
                 )
+
+    # ------------------------------------------------------------------
+    # Monitor 6: every SRO write is accounted for
+    # ------------------------------------------------------------------
+    def _check_writes_accounted(self, final: bool = False) -> None:
+        self._checked("writes_accounted")
+        now = self.sim.now
+        for name, manager in self.deployment.managers.items():
+            engine = manager.sro
+            outstanding: Dict[int, int] = {}
+            overdue: Dict[int, int] = {}
+            if engine._outstanding:
+                for write in engine._outstanding.values():
+                    gid = write.request.group
+                    outstanding[gid] = outstanding.get(gid, 0) + 1
+                    if now - write.started_at > RETRY_HORIZON:
+                        overdue[gid] = overdue.get(gid, 0) + 1
+            groups = engine.groups
+            for gid in groups:
+                stats = groups[gid].stats
+                held = outstanding.get(gid, 0) if outstanding else 0
+                if stats.writes_initiated != (
+                    stats.writes_committed + stats.writes_failed + stats.writes_abandoned + held
+                ):
+                    self._violate(
+                        "writes_accounted",
+                        f"group {gid}: {name} initiated {stats.writes_initiated} writes,"
+                        f" committed {stats.writes_committed} + failed {stats.writes_failed}"
+                        f" + abandoned {stats.writes_abandoned} + outstanding {held}",
+                        group=gid,
+                    )
+            if final and not manager.switch.failed:
+                for gid, late in sorted(overdue.items()):
+                    self._violate(
+                        "writes_accounted",
+                        f"group {gid}: {name} still holds {late} write(s) outstanding"
+                        f" past the {RETRY_HORIZON * 1e3:.0f} ms retry horizon",
+                        group=gid,
+                    )

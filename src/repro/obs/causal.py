@@ -10,9 +10,10 @@ event timing, or chaos-replay digests.
 Identity allocation is deterministic: each node owns a
 :class:`CausalClock` whose span ids are ``"<node>:<n>"`` with a
 per-node counter, and whose Lamport value advances only on local
-``tick`` / message ``observe``.  Two runs of the same seeded scenario
-therefore produce byte-identical span trees — which is what lets the
-flight recorder's output be asserted in tests rather than eyeballed.
+``tick`` / message receipt (``stamp``).  Two runs of the same seeded
+scenario therefore produce byte-identical span trees — which is what
+lets the flight recorder's output be asserted in tests rather than
+eyeballed.
 
 Stamping happens only while someone records: a deployment's clocks
 record exactly while its ``ObsSpine`` has a flight recorder.  A clock
@@ -36,14 +37,15 @@ class TraceContext:
     """Identity of one causal span: which trace, which span, whose child.
 
     ``lamport`` is the sender's logical clock at stamp time; receivers
-    fold it into their own clock (``CausalClock.observe``) so causally
+    fold it into their own clock (``CausalClock.stamp``) so causally
     later spans always carry strictly larger Lamport values, even
     across nodes with skewed simulated wall clocks.
 
-    Slotted: one is stamped on every protocol message and held by every
-    recorded span, so it carries no per-instance ``__dict__``.  The
-    slots are declared by hand (no field has a default) rather than with
-    ``dataclass(slots=True)``, which needs Python 3.10.
+    Slotted: one is stamped on every protocol message, so it carries no
+    per-instance ``__dict__``.  The slots are declared by hand (no field
+    has a default) rather than with ``dataclass(slots=True)``, which
+    needs Python 3.10.  A recorded span keeps the four fields, not the
+    context (:class:`repro.obs.flightrec.FlightRecorder`).
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "lamport")
@@ -92,16 +94,21 @@ class CausalClock:
         self.lamport += 1
         return self.lamport
 
-    def observe(self, remote_lamport: int) -> int:
-        """Fold a received message's Lamport value into the local clock."""
-        self.lamport = max(self.lamport, remote_lamport) + 1
-        return self.lamport
+    def stamp(self, parent_lamport: int) -> int:
+        """Allocate a receiving-side span under a parent stamped
+        ``parent_lamport``: fold that value into the clock (the new
+        :attr:`lamport` is the span's) and return the span's number; its
+        id is ``f"{node}:{number}"``.
+
+        :meth:`child`'s arithmetic without building a context or an id
+        string — the flight recorder keeps the number of a ``child=True``
+        span (:class:`repro.obs.events.Span`) and spells the id on read."""
+        lamport = self.lamport
+        self.lamport = (lamport if lamport > parent_lamport else parent_lamport) + 1
+        self._spans += 1
+        return self._spans
 
     # -- context derivation -------------------------------------------
-
-    def _next_span_id(self) -> str:
-        self._spans += 1
-        return f"{self.node}:{self._spans}"
 
     def root(self, trace_id: Optional[str] = None) -> Optional[TraceContext]:
         """Start a brand-new trace (e.g. one SRO write, one election);
@@ -111,12 +118,13 @@ class CausalClock:
         if trace_id is None:
             self._traces += 1
             trace_id = f"T:{self.node}:{self._traces}"
-        return TraceContext(trace_id, self._next_span_id(), None, self.tick())
+        self._spans += 1
+        return TraceContext(trace_id, f"{self.node}:{self._spans}", None, self.tick())
 
     def child(self, parent: Optional[TraceContext]) -> Optional[TraceContext]:
         """Derive the receiving-side span for a message stamped ``parent``;
         ``None`` for an unstamped message or while not recording."""
         if parent is None or not self.recording:
             return None
-        lamport = self.observe(parent.lamport)
-        return TraceContext(parent.trace_id, self._next_span_id(), parent.span_id, lamport)
+        span_id = f"{self.node}:{self.stamp(parent.lamport)}"
+        return TraceContext(parent.trace_id, span_id, parent.span_id, self.lamport)

@@ -281,9 +281,10 @@ class CriticalPathAnalyzer:
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
-    def _spans_by_trace(self) -> Dict[str, List[Span]]:
+    @staticmethod
+    def _spans_by_trace(spans: List[Span]) -> Dict[str, List[Span]]:
         by_trace: Dict[str, List[Span]] = {}
-        for span in self.recorder.spans:  # ring order: deterministic
+        for span in spans:  # ring order: deterministic
             by_trace.setdefault(span.trace_id, []).append(span)
         return by_trace
 
@@ -298,10 +299,11 @@ class CriticalPathAnalyzer:
         is not the ``sro.write.initiate`` span, so a sum-to-latency
         attribution would lie).
         """
-        by_trace = self._spans_by_trace()
+        spans = self.recorder.spans  # the views, built once per analysis
+        by_trace = self._spans_by_trace(spans)
         out: List[WriteAttribution] = []
         skipped = 0
-        for span in self.recorder.spans:
+        for span in spans:
             if span.name != "sro.write.commit":
                 continue
             attribution = self.analyze_write(span, by_trace.get(span.trace_id, []))
@@ -427,9 +429,10 @@ class CriticalPathAnalyzer:
     def analyze_merges(self) -> List[HopAttribution]:
         """Per-hop attribution for every ``ewo.merge`` span: the gap from
         its broadcast/sync parent splits into link + pipeline."""
-        by_id = {s.span_id: s for s in self.recorder.spans}
+        spans = self.recorder.spans
+        by_id = {s.span_id: s for s in spans}
         out: List[HopAttribution] = []
-        for span in self.recorder.spans:
+        for span in spans:
             if span.name != "ewo.merge" or span.parent_id not in by_id:
                 continue
             parent = by_id[span.parent_id]
@@ -460,9 +463,10 @@ class CriticalPathAnalyzer:
         forward -> tail transit exists only because a pending bit held
         the local copy unreadable, so it is charged to ``pending_wait``
         in full."""
-        by_trace = self._spans_by_trace()
+        spans = self.recorder.spans
+        by_trace = self._spans_by_trace(spans)
         out: List[HopAttribution] = []
-        for span in self.recorder.spans:
+        for span in spans:
             if span.name != "sro.read.forward":
                 continue
             trace = by_trace.get(span.trace_id, [])

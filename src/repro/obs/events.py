@@ -69,15 +69,18 @@ MONITORS = (
     "config_consistent",
     "single_leader",
     "divergence_healed",
+    "writes_accounted",
 )
 
 
 class Span:
     """Record one flight-recorder span.
 
-    ``name`` defaults to the event kind.  ``child=True`` derives the
-    span's own context from the emitting node's causal clock, so the
-    allocation happens only while a recorder is attached.
+    ``name`` defaults to the event kind.  ``child=True`` records the span
+    as a child of the step's context, its span id and Lamport value
+    allocated from the emitting node's causal clock (``CausalClock.stamp``),
+    so the allocation happens only while a recorder is attached and no
+    ``TraceContext`` is built for it.
     """
 
     def __init__(self, *attrs: str, name: Optional[str] = None, child: bool = False) -> None:
@@ -103,13 +106,12 @@ class Span:
         def handle(node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
             if ctx is None:
                 return
-            if child:
-                ctx = clocks[node].child(ctx)
             record(
                 ctx, name, node, now,
                 f["group"] if has_group else None,
                 f["key"] if has_key else None,
                 names, pick(f),
+                clocks[node] if child else None,
             )
 
         return handle

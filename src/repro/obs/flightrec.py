@@ -1,10 +1,11 @@
 """Flight recorder: a bounded ring of causal spans + post-mortem engine.
 
 Protocol code stamps :class:`~repro.obs.causal.TraceContext` objects on
-messages unconditionally (pure counter arithmetic, digest-neutral); the
-*recording* of spans happens only while a recorder is attached to the
-deployment's observability spine (:mod:`repro.obs.spine`), which is the
-recorder's one caller on the protocol path.
+messages while a recorder is attached (pure counter arithmetic,
+digest-neutral; an unwatched clock stamps ``None``), and the recording
+of spans goes through the deployment's observability spine
+(:mod:`repro.obs.spine`), which is the recorder's one caller on the
+protocol path.
 
 The recorder answers two questions the aggregate telemetry of PR 2
 cannot:
@@ -23,22 +24,25 @@ span lost); ``bind_metrics`` has a registry read the eviction count as
 a gauge so truncation shows up in bench sidecars instead of silently
 eating the start of a post-mortem.
 
-A span is a slotted record of values: the attr names are one tuple per
-event kind (built once by the spine's ``Span`` rule), the values one
-tuple per span, and :attr:`Span.attrs` zips them into a dict only when
-read.  With the slotted :class:`~repro.obs.causal.TraceContext` and its
-span-id string, a recorded span costs about 340 B under ``tracemalloc``
-and about 370 B of peak RSS in ``nf_mix_obs`` (a dict per span cost
-about 550-590 B), so the default 65 536-span ring costs about 24 MB
-when full.
+The recorder keeps rows, not objects (see :class:`FlightRecorder`): a
+span's object references and its unboxed time and Lamport value, the
+attr names one tuple per event kind (built once by the spine's ``Span``
+rule) and the values one tuple per span; :attr:`FlightRecorder.spans`
+builds :class:`Span` views on read and :attr:`Span.attrs` zips the two
+tuples into a dict only when read.  A recorded span costs about 242 B
+under ``tracemalloc`` and about 204 B of peak RSS in ``nf_mix_obs``
+(as a ``Span`` object holding its ``TraceContext`` it cost about 340 B
+and 365 B), so the default 65 536-span ring costs about 13 MB when
+full.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from array import array
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.causal import TraceContext
+from repro.obs.causal import CausalClock, TraceContext
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["Span", "FlightRecorder", "TraceQuery"]
@@ -46,9 +50,20 @@ __all__ = ["Span", "FlightRecorder", "TraceQuery"]
 #: Default ring capacity — comfortably holds a chaos-soak's hot keys.
 DEFAULT_MAX_SPANS = 65536
 
+#: Object references per ring row: trace id, span id, parent id, name,
+#: node, group, key, attr names, attr values.
+ROW_REFS = 9
+#: Numbers per ring row: time, Lamport value and — for a span whose id
+#: the ring does not hold as a string — the span's number on its node.
+ROW_NUMS = 3
+#: The ring is allocated in blocks of ``1 << BLOCK_BITS`` rows, so that
+#: growing it never copies what it holds.
+BLOCK_BITS = 10
+BLOCK_ROWS = 1 << BLOCK_BITS
+
 
 class Span:
-    """One recorded causal event.
+    """One recorded causal event, as read back from the recorder's ring.
 
     ``name`` is a dotted event identifier (``sro.chain.apply``,
     ``controller.command.fenced``, ...); ``attrs`` carries the
@@ -114,6 +129,18 @@ class Span:
 class FlightRecorder:
     """Bounded ring of spans with causal-tree reconstruction.
 
+    The ring is rows, not objects.  Row ``r`` lives in block
+    ``b = r >> BLOCK_BITS`` at ``i = r & (BLOCK_ROWS - 1)``: its object
+    references (:data:`ROW_REFS`) are
+    ``_refs[b][i * ROW_REFS:(i + 1) * ROW_REFS]`` and its numbers
+    (time, Lamport value, span number) ``_nums[b][i * ROW_NUMS:(i + 1)
+    * ROW_NUMS]``, unboxed.  A ``child=True`` span's id is no string
+    until read: its slot holds ``None`` and the row its number on the
+    emitting node (``CausalClock.stamp``).  Blocks are allocated as the
+    ring fills, up to ``max_records`` rows; from then on the oldest row
+    is overwritten in place.  :attr:`spans` builds the :class:`Span`
+    views, in ring order, on read and keeps them until the next record.
+
     Queries scan the ring (they run at post-mortem time, not on the hot
     path), so there are no secondary indexes to keep consistent under
     eviction.
@@ -121,13 +148,42 @@ class FlightRecorder:
 
     def __init__(self, max_records: int = DEFAULT_MAX_SPANS) -> None:
         self.max_records = max_records
-        self.spans: Deque[Span] = deque(maxlen=max_records)
         self.recorded = 0
+        self._refs: List[List[Any]] = []
+        self._nums: List[array] = []
+        #: Rows allocated, rows holding a span, and once every row
+        #: holds one, the oldest (the row the next span overwrites).
+        self._rows = 0
+        self._held = 0
+        self._next = 0
+        self._views: Optional[List[Span]] = None
 
     @property
     def evictions(self) -> int:
         """Spans recorded but no longer in the ring."""
-        return self.recorded - len(self.spans)
+        return self.recorded - self._held
+
+    @property
+    def spans(self) -> List[Span]:
+        """The held spans, oldest first."""
+        views = self._views
+        if views is None:
+            views = self._views = [
+                self._view(row)
+                for row in chain(range(self._next, self._held), range(self._next))
+            ]
+        return views
+
+    def _view(self, row: int) -> Span:
+        block, i = row >> BLOCK_BITS, row & (BLOCK_ROWS - 1)
+        trace_id, span_id, parent_id, name, node, group, key, names, values = (
+            self._refs[block][i * ROW_REFS:(i + 1) * ROW_REFS]
+        )
+        time, lamport, number = self._nums[block][i * ROW_NUMS:(i + 1) * ROW_NUMS]
+        if span_id is None:
+            span_id = f"{node}:{int(number)}"
+        context = TraceContext(trace_id, span_id, parent_id, int(lamport))
+        return Span(context, name, node, time, group, key, names, values)
 
     # -- recording ------------------------------------------------------
 
@@ -141,19 +197,57 @@ class FlightRecorder:
         key: Any,
         names: Tuple[str, ...],
         values: Tuple[Any, ...],
+        clock: Optional[CausalClock] = None,
         /,
-    ) -> Optional[Span]:
-        """Append one span; silently drops untraced (None-context) events.
+    ) -> None:
+        """Write one span into the ring; silently drops untraced
+        (None-context) events.
 
-        ``values`` are the span's attrs in the order of ``names``; the
-        spine passes one ``names`` tuple per kind
-        (:class:`repro.obs.events.Span`)."""
+        The span is ``context`` itself, or with a ``clock`` (``node``'s),
+        a child of ``context`` that ``clock`` numbers
+        (``CausalClock.stamp``).  ``values`` are the span's attrs in the
+        order of ``names``; the spine passes one ``names`` tuple per kind
+        (:class:`repro.obs.events.Span`).  Read spans back through
+        :attr:`spans`."""
         if context is None:
-            return None
-        span = Span(context, name, node, time, group, key, names, values)
-        self.spans.append(span)
+            return
+        if clock is None:
+            span_id, parent_id, lamport = context.span_id, context.parent_id, context.lamport
+            number = 0
+        else:
+            span_id, parent_id = None, context.span_id
+            number = clock.stamp(context.lamport)
+            lamport = clock.lamport
         self.recorded += 1
-        return span
+        self._views = None
+        held = self._held
+        if held < self.max_records:
+            row = held
+            self._held = held + 1
+            if row == self._rows:
+                self._grow()
+        elif held:
+            row = self._next
+            self._next = 0 if row + 1 == held else row + 1
+        else:
+            return  # a zero-capacity ring keeps nothing
+        block, i = row >> BLOCK_BITS, row & (BLOCK_ROWS - 1)
+        at = i * ROW_REFS
+        self._refs[block][at:at + ROW_REFS] = (
+            context.trace_id, span_id, parent_id, name, node, group, key, names, values
+        )
+        nums = self._nums[block]
+        at = i * ROW_NUMS
+        nums[at] = time
+        nums[at + 1] = lamport
+        nums[at + 2] = number
+
+    def _grow(self) -> None:
+        """Allocate the next block of rows, up to ``max_records``."""
+        rows = min(BLOCK_ROWS, self.max_records - self._rows)
+        self._refs.append([None] * (rows * ROW_REFS))
+        self._nums.append(array("d", bytes(rows * ROW_NUMS * 8)))
+        self._rows += rows
 
     def bind_metrics(self, metrics: MetricsRegistry, node: str = "obs") -> None:
         """Have ``metrics`` read the eviction/occupancy gauges whenever
@@ -161,7 +255,7 @@ class FlightRecorder:
 
         def read(into: MetricsRegistry) -> None:
             into.gauge("flightrec.evictions", node).set(self.evictions)
-            into.gauge("flightrec.spans", node).set(len(self.spans))
+            into.gauge("flightrec.spans", node).set(self._held)
             into.gauge("flightrec.recorded", node).set(self.recorded)
 
         metrics.add_source(read)
@@ -208,15 +302,11 @@ class FlightRecorder:
         die" question a post-mortem needs answered.
         """
         spans = list(spans)
+        received = {(span.parent_id, span.node) for span in spans}
         lost = []
         for span in spans:
             hop = span.attrs.get("next_hop")
-            if hop is None:
-                continue
-            delivered = any(
-                other.parent_id == span.span_id and other.node == hop for other in spans
-            )
-            if not delivered:
+            if hop is not None and (span.span_id, hop) not in received:
                 lost.append(span)
         return lost
 

@@ -224,6 +224,7 @@ class SroStats:
         "writes_initiated",
         "writes_committed",
         "writes_failed",
+        "writes_abandoned",
         "retries",
         "local_reads",
         "forwarded_reads",
@@ -421,7 +422,7 @@ class SroEngine:
         absent group is a no-op so a resumed handoff can replay the
         command.  Returns the number of abandoned writes.
         """
-        state = self.groups.pop(group_id, None)
+        state = self.groups.get(group_id)
         if state is None:
             return 0
         doomed = [
@@ -430,6 +431,7 @@ class SroEngine:
             if outstanding.request.group == group_id
         ]
         self._abandon(doomed)
+        del self.groups[group_id]
         obs = self.obs
         if obs.on:
             still_pending = state.pending.pending_count()
@@ -765,6 +767,7 @@ class SroEngine:
             if outstanding is None:
                 continue
             outstanding.live = False
+            self.groups[outstanding.request.group].stats.writes_abandoned += 1
             if outstanding.timer is not None:
                 outstanding.timer.cancel()
             self._unhold(outstanding.write_set)

@@ -11,6 +11,8 @@ from repro.chaos import FaultInjector, InvariantSuite, Nemesis
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.protocols.controller import MAX_TRANSFER_ATTEMPTS
 from repro.protocols.messages import ChainUpdate, SnapshotAck, SnapshotWrite, WriteToken
+from repro.protocols.sro import SroEngine
+from tests.test_antientropy import build
 
 
 def _breaches(report, monitor: str) -> int:
@@ -512,6 +514,56 @@ class TestInvariantSuite:
         dep.controller._known_failed.add("s1")
         suite.check_now()
         assert _breaches(suite.report, "config_consistent") >= 1
+
+
+def _dataplane_only_pipeline_lost(self):
+    """``SroEngine.pipeline_lost`` as it was before a crash ended every
+    write: only the data-plane holds were abandoned."""
+    if self._dp_holds:
+        self._abandon([token for held in self._dp_holds.values() for token in held.writes])
+
+
+class TestWritesAccounted:
+    """``writes_accounted``: initiated == committed + failed + abandoned
+    + outstanding on every switch and group, and at finalization no live
+    switch holds a write past the retry horizon."""
+
+    def _crash_mid_write(self, tamper=None):
+        """One control-plane SRO write from s1 at 1 ms; s1 crashes 5 us
+        later and recovers 5 ms after that; the run goes on to 3 s."""
+        dep = build(seed=11)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO))
+        writer = dep.manager("s1")
+        suite = InvariantSuite(dep).start(period=10e-3)
+        dep.sim.schedule_at(1e-3, writer.register_write, spec, "k", "v")
+        FaultInjector(dep).crash_recover(1e-3 + 5e-6, "s1", 5e-3)
+        if tamper is not None:
+            dep.sim.schedule_at(1e-3 + 1e-6, tamper, writer.sro)
+        dep.sim.run(until=3.0)
+        return suite.finalize(), writer.sro.stats_for(spec.group_id)
+
+    def test_silent_when_the_crash_abandons_the_write(self):
+        report, stats = self._crash_mid_write()
+        assert _breaches(report, "writes_accounted") == 0, report.violations
+        assert report.checks["writes_accounted"] > 0
+        assert (stats.writes_initiated, stats.writes_committed, stats.writes_abandoned) == (1, 0, 1)
+
+    def test_reports_a_write_the_crash_left_outstanding(self, monkeypatch):
+        # The crash leak: a control-plane write in flight at the crash
+        # keeps its outstanding entry for good (its CPU op and timer died
+        # with the switch).
+        monkeypatch.setattr(SroEngine, "pipeline_lost", _dataplane_only_pipeline_lost)
+        report, stats = self._crash_mid_write()
+        (breach,) = [v for v in report.violations if v.monitor == "writes_accounted"]
+        assert "s1 still holds 1 write(s) outstanding past" in breach.detail
+        assert (stats.writes_initiated, stats.writes_abandoned) == (1, 0)
+
+    def test_reports_a_write_that_vanished_uncounted(self):
+        # A write dropped from the writer's table without being counted
+        # committed, failed or abandoned breaks the identity at once.
+        report, _ = self._crash_mid_write(tamper=lambda engine: engine._outstanding.clear())
+        breaches = [v for v in report.violations if v.monitor == "writes_accounted"]
+        assert breaches and all("initiated 1 writes" in v.detail for v in breaches)
 
 
 class TestCombinedAdversities:

@@ -1,11 +1,14 @@
-"""The flight recorder's span layout: a slotted record of values.
+"""The flight recorder's span layout: a ring of rows, read as slotted views.
 
-A recorded span holds its attrs as two tuples — ``names``, one per
-kind, and ``values`` — instead of a per-span dict, and its
-``TraceContext`` is slotted too.  These tests pin what that layout must
-keep (every kind's ``attrs``, in the order the dict-per-span recorder
-produced them) and what it is for (no per-span ``__dict__``, a bounded
-number of bytes per span).
+The recorder keeps each span as one row of a fixed-stride ring — object
+references in a list, time and Lamport value in an ``array`` — and
+builds :class:`~repro.obs.flightrec.Span` views on read.  A span's attrs
+are two tuples — ``names``, one per kind, and ``values`` — instead of a
+per-span dict.  These tests pin what that layout must keep (every
+kind's ``attrs``, in the order the dict-per-span recorder produced
+them; the spans a ``deque(maxlen=N)`` of recorded spans would hold, in
+the same order; the lost hops the quadratic scan found) and what it is
+for (no per-span ``__dict__``, a bounded number of bytes per span).
 """
 
 from __future__ import annotations
@@ -13,13 +16,16 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
 from repro.obs import EVENTS, FlightRecorder, ObsSpine
 from repro.obs.causal import CausalClock, TraceContext
 from repro.obs.events import Span as SpanRule
+from repro.obs.flightrec import BLOCK_ROWS
 from repro.sim.engine import Simulator
 
 SPAN_KINDS = [
@@ -111,10 +117,14 @@ class TestSlottedTraceContext:
 
 class TestSpanFootprint:
     SPANS = 10_000
-    BUDGET = 400  # bytes per recorded span: ~340 slotted, ~550 with a dict per span
+    # Bytes per recorded span: ~242 as a ring row (Python 3.11; ~239 on
+    # 3.9, ~234 on 3.12) plus 15 %; ~340 as a Span object holding its
+    # TraceContext, ~550 with a dict per span.
+    BUDGET = 278
 
     def test_bytes_per_recorded_span(self):
-        # Mutation caught: any per-span dict (attrs or __dict__) returning.
+        # Mutation caught: any per-span dict (attrs or __dict__), or a
+        # per-span object holding the context and boxed numbers, returning.
         recorder, spine, _ = _recording_spine()
         clock = CausalClock("s0")
         keys = [f"k{i}" for i in range(64)]
@@ -136,3 +146,99 @@ class TestSpanFootprint:
         assert recorder.recorded == len(recorder.spans) == self.SPANS
         per_span = (after - before) / self.SPANS
         assert per_span <= self.BUDGET, f"{per_span:.0f} B per span"
+
+
+def _reference_fields(ctx):
+    return (ctx.trace_id, ctx.span_id, ctx.parent_id, ctx.lamport)
+
+
+def _view_fields(span):
+    return (
+        span.trace_id, span.span_id, span.parent_id, span.lamport, span.name, span.node,
+        span.time, span.group, span.key, span.names, span.values,
+    )
+
+
+class TestRowRing:
+    """The ring against a ``deque(maxlen=N)`` of the same spans."""
+
+    @pytest.mark.parametrize("max_records", [0, 1, 3, BLOCK_ROWS + 3])
+    def test_ring_holds_what_a_bounded_deque_holds(self, max_records):
+        # Mutation caught: an off-by-one in the wrap, the oldest row not
+        # the one overwritten, a child span's id or Lamport value not
+        # child()'s, the views not rebuilt after a record.
+        recorder = FlightRecorder(max_records=max_records)
+        clock, mirror = CausalClock("s1"), CausalClock("s1")
+        reference = deque(maxlen=max_records)
+        rng = random.Random(max_records)
+        names = ("seq", "next_hop")
+        ctx = CausalClock("s0").root()
+        recorded = 2 * max_records + 5
+        for i in range(recorded):
+            values = (i, f"s{i % 3}")
+            time = i * 1e-6 + 0.1
+            group, key = (i % 2 or None), (f"k{i % 5}" if i % 3 else None)
+            if rng.random() < 0.5:
+                recorder.record(ctx, f"e{i}", "s1", time, group, key, names, values, clock)
+                fields = _reference_fields(mirror.child(ctx))
+            else:
+                ctx = clock.root()
+                mirror.root()
+                recorder.record(ctx, f"e{i}", "s1", time, group, key, names, values)
+                fields = _reference_fields(ctx)
+            reference.append(fields + (f"e{i}", "s1", time, group, key, names, values))
+            if i == max_records:
+                before = recorder.spans
+                assert recorder.spans is before  # cached until the next record
+        assert recorder.recorded == recorded
+        assert recorder.evictions == recorded - len(reference)
+        assert len(recorder.spans) == len(reference)
+        assert [_view_fields(span) for span in recorder.spans] == list(reference)
+        if max_records:
+            assert _view_fields(recorder.spans[0]) == reference[0]
+            assert recorder.spans[0].context == TraceContext(*reference[0][:4])
+            assert type(recorder.spans[-1].lamport) is int
+
+
+def _quadratic_lost_hops(spans):
+    """``FlightRecorder.lost_hops`` as it was: each forward span scans
+    the whole selection for its receive-side child."""
+    spans = list(spans)
+    lost = []
+    for span in spans:
+        hop = span.attrs.get("next_hop")
+        if hop is None:
+            continue
+        delivered = any(
+            other.parent_id == span.span_id and other.node == hop for other in spans
+        )
+        if not delivered:
+            lost.append(span)
+    return lost
+
+
+class TestLostHops:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_quadratic_scan(self, seed):
+        # Mutation caught: a hop counted delivered by a child on another
+        # node, by a grandchild, or by a span that is not a child at all.
+        rng = random.Random(seed)
+        recorder = FlightRecorder()
+        nodes = [f"s{i}" for i in range(4)]
+        clocks = {node: CausalClock(node) for node in nodes}
+        live = [clocks["s0"].root()]
+        for i in range(400):
+            node = rng.choice(nodes)
+            parent = rng.choice(live)
+            ctx = clocks[node].child(parent)
+            if rng.random() < 0.5:
+                hop = rng.choice(nodes)
+                recorder.record(ctx, "sro.chain.forward", node, i * 1e-6, 1, "k",
+                                ("seq", "next_hop"), (i, hop))
+            else:
+                recorder.record(ctx, "sro.chain.apply", node, i * 1e-6, 1, "k", ("seq",), (i,))
+            live.append(ctx)
+        spans = recorder.spans_for_key(1, None)
+        expected = _quadratic_lost_hops(spans)
+        assert 0 < len(expected) < sum("next_hop" in s.names for s in spans)
+        assert [s.span_id for s in recorder.lost_hops(spans)] == [s.span_id for s in expected]

@@ -17,20 +17,24 @@ for the exact Python calls per delivered packet.  The table shows all
 three, each sink's addition over the no-sink run, its share of the
 watched run's seconds (all four sinks), and, for the runs with a flight
 recorder, the bytes each recorded span adds (RSS over the no-sink run ÷
-spans recorded).  Nothing under ``perf/`` is changed.
+spans recorded) and one sha256 over the spans it recorded
+(:func:`span_digest`, taken after the counted run), so two checkouts'
+tables show at a glance whether they record the same spans.  Nothing
+under ``perf/`` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import resource
 import statistics
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOAD = "nf_mix_obs"
@@ -48,6 +52,18 @@ CONFIGS = (
 )
 #: Plain runs per configuration; the table shows their medians.
 TIMED_RUNS = 3
+
+
+def span_digest(spans: Iterable[Any]) -> str:
+    """sha256 over the materialized spans, one line per span: trace, span
+    and parent ids, Lamport value, name, node, time (``float.hex``),
+    group, key and attrs."""
+    digest = hashlib.sha256()
+    for s in spans:
+        line = (s.trace_id, s.span_id, s.parent_id, s.lamport, s.name, s.node,
+                s.time.hex(), s.group, repr(s.key), repr(s.attrs))
+        digest.update(repr(line).encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 def run_one(sinks: List[str], seed: int, calls: bool) -> Dict[str, Any]:
@@ -81,6 +97,8 @@ def run_one(sinks: List[str], seed: int, calls: bool) -> Dict[str, Any]:
         import pstats
 
         result["calls_per_op"] = pstats.Stats(profile).total_calls / delivered
+        if "flight_recorder" in sinks:
+            result["span_digest"] = span_digest(scenario.sinks["flight_recorder"].spans)
     return result
 
 
@@ -109,6 +127,7 @@ def measure(seed: int) -> List[Dict[str, Any]]:
             "run_s": statistics.median(run["run_s"] for run in plain),
             "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in plain),
             "spans": plain[0]["spans"],
+            "span_digest": counted.get("span_digest"),
         })
         print(f"  ran {label}", file=sys.stderr)
     return rows
@@ -124,8 +143,8 @@ def render(seed: int, rows: List[Dict[str, Any]]) -> str:
         f"run_s and peak_rss_mb are medians of {TIMED_RUNS} processes",
         "",
         "| sink | calls/op | added | run_s | added s | share of all four "
-        "| peak_rss_mb | added MB | spans | B/span |",
-        "|---|---|---|---|---|---|---|---|---|---|",
+        "| peak_rss_mb | added MB | spans | B/span | span sha256 |",
+        "|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for row in rows:
         sinks, calls, run_s, rss, spans = (
@@ -143,7 +162,8 @@ def render(seed: int, rows: List[Dict[str, Any]]) -> str:
             per_span = f"{(rss - base['peak_rss_mb']) * 1024 * 1024 / spans:.0f}"
         lines.append(
             f"| {row['label']} | {calls:.2f} | {added} | {run_s:.3f} | {added_s} | {share} "
-            f"| {rss:.1f} | {added_mb} | {spans if recorded else ''} | {per_span} |"
+            f"| {rss:.1f} | {added_mb} | {spans if recorded else ''} | {per_span} "
+            f"| {row.get('span_digest') or ''} |"
         )
     return "\n".join(lines)
 
