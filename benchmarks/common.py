@@ -14,8 +14,10 @@ paper).  Conventions:
   the repo reports in EXPERIMENTS.md;
 * benchmarks additionally call :func:`emit_json` so every run leaves a
   machine-readable ``BENCH_<id>.json`` sidecar (results + an optional
-  metrics-registry snapshot) in ``bench_results/`` — the artifacts CI
-  uploads to track the perf trajectory.
+  metrics-registry snapshot) in ``fresh_bench/`` — the artifacts CI
+  uploads to track the perf trajectory.  The committed, gated baselines
+  in ``bench_results/`` are never written by a run: re-baselining is an
+  explicit copy (see ``tools/check_bench.py``).
 """
 
 from __future__ import annotations
@@ -93,9 +95,11 @@ def fmt_pct(fraction: float) -> str:
 
 
 def bench_output_dir() -> str:
-    """Where sidecars go: $SWISHMEM_BENCH_DIR or <repo>/bench_results."""
+    """Where sidecars go: $SWISHMEM_BENCH_DIR or <repo>/fresh_bench
+    (gitignored, and ``make gate``'s default), never over the committed
+    baselines in <repo>/bench_results."""
     return os.environ.get(
-        "SWISHMEM_BENCH_DIR", os.path.join(_REPO_ROOT, "bench_results")
+        "SWISHMEM_BENCH_DIR", os.path.join(_REPO_ROOT, "fresh_bench")
     )
 
 

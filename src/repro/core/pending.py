@@ -71,38 +71,37 @@ class PendingTable:
         self._next_seq[slot] += 1
         return self._next_seq[slot]
 
-    def advance_next_seq(self, slot: int, seq: int) -> None:
-        """A non-head that becomes head must sequence past what it saw."""
-        if seq > self._next_seq[slot]:
-            self._next_seq[slot] = seq
-
     # --- in-order application -----------------------------------------
     def applied_seq(self, slot: int) -> int:
         return self._applied_seq[slot]
 
-    def is_next_in_order(self, slot: int, seq: int) -> bool:
-        return seq == self._applied_seq[slot] + 1
-
     def mark_applied(self, slot: int, seq: int) -> None:
+        """Apply the next seq in order.  Here as in :meth:`force_applied`,
+        the sequencer passes it: a member promoted to head must not reuse it."""
         if seq != self._applied_seq[slot] + 1:
             raise ValueError(
                 f"{self.name}: applying seq {seq} out of order "
                 f"(applied={self._applied_seq[slot]})"
             )
         self._applied_seq[slot] = seq
-        self.advance_next_seq(slot, seq)
+        if seq > self._next_seq[slot]:
+            self._next_seq[slot] = seq
 
     def force_applied(self, slot: int, seq: int) -> None:
         """Snapshot recovery: jump the applied counter forward."""
         if seq > self._applied_seq[slot]:
             self._applied_seq[slot] = seq
-            self.advance_next_seq(slot, seq)
+            if seq > self._next_seq[slot]:
+                self._next_seq[slot] = seq
 
     # --- pending bits ----------------------------------------------------
-    def set_pending(self, slot: int, seq: int) -> None:
+    def set_pending(self, slot: int, seq: int) -> bool:
+        """Set the bit for write ``seq``; True when it was clear (raised)."""
+        raised = not self._pending[slot]
         self._pending[slot] = True
         if seq > self._pending_seq[slot]:
             self._pending_seq[slot] = seq
+        return raised
 
     def clear_pending(self, slot: int, seq: int) -> bool:
         """Clear the bit only if no newer write re-armed it.

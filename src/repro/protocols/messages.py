@@ -68,6 +68,7 @@ __all__ = [
     "WriteToken",
     "WriteRequest",
     "ChainUpdate",
+    "TAIL",
     "WriteAck",
     "EwoEntry",
     "EwoUpdate",
@@ -91,6 +92,9 @@ __all__ = [
 #: Fixed per-message framing bytes beyond key/value payload:
 #: message type (1) + group (2) + sequence (4) + token (4) + writer id (2).
 _BASE_MSG_BYTES = 13
+
+#: :meth:`ChainUpdate.role_at` of the last member (no node name equals it).
+TAIL: Any = object()
 
 
 def _trace_field() -> Any:
@@ -175,15 +179,16 @@ class ChainUpdate(WireRecord):
         # chain IP list: 4 bytes per member; epoch: 2 bytes
         return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes + 4 * len(self.chain) + 2
 
-    def next_hop_after(self, node: str) -> Optional[str]:
-        """The chain member after ``node``, or None if ``node`` is last."""
+    def role_at(self, node: str) -> Any:
+        """``TAIL`` if ``node`` is the chain's last member (it acks), else
+        the member after it (it forwards), or None if not a member."""
+        chain = self.chain
+        if chain and chain[-1] == node:
+            return TAIL
         try:
-            index = self.chain.index(node)
+            return chain[chain.index(node) + 1]
         except ValueError:
             return None
-        if index + 1 < len(self.chain):
-            return self.chain[index + 1]
-        return None
 
 
 @fixed_record

@@ -22,22 +22,23 @@ SRO adapts chain replication to the in-switch setting:
     event each); the passes between are counted by arithmetic when the
     hold is next touched — see :class:`_WriteSet`.
 
-* The **head** assigns a per-slot sequence number (slots may be shared
-  between keys, section 7), applies the write, sets the pending bit, and
-  propagates a ``ChainUpdate`` down the chain.  Each member applies
-  in-order updates, sets its pending bit, and forwards; duplicates are
-  forwarded without re-applying, and an update past a gap waits in a
-  bounded reorder stash until its predecessor arrives (only an overflow
-  falls back to the writer's retry).
+* The **chain side** is one case table (``Row``), each case one
+  transaction over a group's registers on one switch:
 
-* The **tail** (last member) applies and emits ``WriteAck`` packets to
-  the writer — which releases the held output — and to every other
-  member, which clear their pending bits.  Ack processing is pure data
-  plane (paper section 3.3's atomic multi-location write).
+  - the **head** sequences a write per slot (slots may be shared between
+    keys, section 7), re-sends a retried token's original sequence, or
+    drops a request that reached a former head;
+  - a **member**, the head included, fences an update from an older
+    epoch, passes a duplicate on, applies the next sequence number (its
+    pending bit set) and forwards it, applies past a gap while catching
+    up, and otherwise holds it in a bounded stash until the gap fills;
+  - the **tail** applies without a pending bit and acks to the writer,
+    which releases the held output, and to the other members, which
+    clear their bits (pure data plane: section 3.3).
 
-* **Reads** are local when the key's pending bit is clear.  Otherwise
-  the input packet is forwarded to the read tail and re-processed there
-  against the latest committed state (the CRAQ-derived optimization).
+* **Reads** are local when the key's pending bit is clear.  Otherwise a
+  data-plane read forwards its input packet to the read tail, which
+  re-processes it against the latest committed state (CRAQ-derived).
 
 **ERO** shares the entire write path but always reads locally: no
 pending bits are kept (saving their memory), reads have bounded latency,
@@ -63,14 +64,16 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Any, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING,
+)
 
 from repro.core.chain import ChainDescriptor
 from repro.core.pending import PendingTable
 from repro.core.registers import Consistency, FetchAdd, ReadForwarded, RegisterSpec
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
-from repro.protocols.messages import ChainUpdate, WriteAck, WriteRequest, WriteToken
+from repro.protocols.messages import TAIL, ChainUpdate, WriteAck, WriteRequest, WriteToken
 from repro.switch.pisa import RECIRCULATION_LATENCY
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -277,10 +280,8 @@ class SroGroupState:
         )
         self.track_pending = track_pending
         # Head-side dedup: token -> (seq, slot, assigned value, epoch,
-        # remembered-at).  The assigned value matters for fetch-add
-        # retries: re-sequencing a duplicate must re-propagate the
-        # original result, not add again.  The epoch (the chain version
-        # at remember time) bounds the table's lifetime: entries from
+        # remembered-at); see the dedup-hit row.  The epoch (the chain
+        # version at remember time) bounds the table's lifetime: entries from
         # configurations two or more reconfigurations old are eagerly
         # evicted on descriptor install — but only once they are also
         # past the writer retry horizon, because under churn (lossy
@@ -297,16 +298,11 @@ class SroGroupState:
         #: Read off the installed descriptor by ``SroEngine.set_chain``.
         self.catching_up = False
         #: Bounded reorder stash: (slot, seq) -> ChainUpdate held until
-        #: its gap fills.  A delayed/reordered update used to be dropped
-        #: on arrival, leaving every later sequence number to heal one
-        #: writer-retry round at a time — under bursty write-per-packet
-        #: load a single reordered packet convoyed the whole slot behind
-        #: exponential backoffs until writers exhausted their attempts
-        #: and wedged the chain permanently.  Holding the update for the
-        #: one missing predecessor instead heals in transit.  Modeled as
-        #: recirculation (the update keeps a pipeline pass, like the
-        #: section 9 buffering variant), so it costs no register budget;
-        #: FIFO-bounded, stale entries are evicted first.
+        #: its gap fills (the stash rows below): dropping it instead can
+        #: wedge the slot for good once its writers run out of retries.
+        #: Modeled as recirculation (the update keeps a
+        #: pipeline pass, like the section 9 buffering variant), so it
+        #: costs no register budget; FIFO-bounded.
         self.reorder: "OrderedDict[Tuple[int, int], Any]" = OrderedDict()
         self.reorder_capacity = 64
         self.stats = SroStats()
@@ -365,6 +361,229 @@ class SroGroupState:
             del self.dedup[token]
         self.dedup_evictions += len(stale)
         return len(stale)
+
+    def next_stashed(self, slot: int) -> Optional[ChainUpdate]:
+        """Drop the stashed updates of ``slot`` that its applied seq has
+        passed and take out the next in-order one, if it waits here."""
+        applied = self.pending.applied_seq(slot)
+        reorder = self.reorder
+        for stash_key in [k for k in reorder if k[0] == slot and k[1] <= applied]:
+            del reorder[stash_key]
+        follow = reorder.pop((slot, applied + 1), None)
+        if follow is not None:
+            self.stats.reorder_applied += 1
+        return follow
+
+
+# ----------------------------------------------------------------------
+# The chain side as one case table (paper 6.1)
+# ----------------------------------------------------------------------
+#: What happens after a row (``Row.then``): nothing more; the head hands
+#: its sequenced update to this switch's member rows; a member passes the
+#: update on by role (forward or ack) and then drains the stash.
+STOP, PASS, DRAIN = range(3)
+
+
+class Row(NamedTuple):
+    """One case of the chain side.  ``run`` is its transaction over one
+    group's ``SroGroupState`` — it sees that and the message, never the
+    simulator, a packet or the spine — and returns a note; ``report``
+    emits the case's event kinds from the note, in order, and runs only
+    while the spine is on.  A member row runs on ``(state, update,
+    applied, role, ctx)``: the slot's applied seq, the update's
+    ``role_at`` this switch and this step's span.  A head row runs on
+    ``(state, request, now)`` and notes ``(seq, slot, value, dedup_hit)``."""
+
+    name: str
+    then: int
+    run: Callable[..., Any]
+    report: Callable[..., None]
+
+
+def _fenced(state, update, applied, role, ctx):
+    """From a replaced configuration's head: rejected (the writer retries)."""
+    state.stats.fenced_updates += 1
+
+
+def _report_fenced(engine, ctx, state, update, applied, role, note):
+    engine.obs.emit(
+        "sro.chain.fenced", engine.switch.name, ctx, group=update.group, key=update.key,
+        seq=update.seq, update_epoch=update.epoch, local_epoch=state.chain.version,
+    )
+
+
+def _duplicate(state, update, applied, role, ctx):
+    """Applied here already: passed on, not re-applied, for downstream."""
+    state.stats.duplicate_updates += 1
+
+
+def _report_duplicate(engine, ctx, state, update, applied, role, note):
+    engine.obs.emit(
+        "sro.chain.duplicate", engine.switch.name, ctx, group=update.group, key=update.key,
+        seq=update.seq, applied=applied,
+    )
+
+
+def _in_order(state, update, applied, role, ctx):
+    """Apply, and set the slot's pending bit unless this member is the
+    tail or the group is ERO; notes whether the bit rose (None: unset)."""
+    state.store[update.key] = update.value
+    state.pending.mark_applied(update.slot, update.seq)
+    if state.track_pending and role is not TAIL:
+        return state.pending.set_pending(update.slot, update.seq)
+    return None
+
+
+def _report_in_order(engine, ctx, state, update, applied, role, note):
+    engine.obs.emit(
+        "sro.chain.apply", engine.switch.name, ctx, group=update.group, key=update.key,
+        seq=update.seq, slot=update.slot, tail=role is TAIL,
+    )
+    if note is not None:
+        engine.obs.emit(
+            "sro.pending.set", engine.switch.name, ctx, group=update.group, key=update.key,
+            seq=update.seq, slot=update.slot, raised=note,
+        )
+
+
+def _catch_up(state, update, applied, role, ctx):
+    """A gap while catching up: the snapshot replay covers it (6.3)."""
+    state.store[update.key] = update.value
+    state.pending.force_applied(update.slot, update.seq)
+
+
+def _report_catch_up(engine, ctx, state, update, applied, role, note):
+    engine.obs.emit(
+        "sro.chain.catchup", engine.switch.name, ctx, group=update.group, key=update.key,
+        seq=update.seq, slot=update.slot, catchup=True,
+    )
+
+
+def _stashed(state, update, applied, role, ctx):
+    """A copy of an update already in the stash: nothing to do."""
+
+
+def _stash(state, update, applied, role, ctx):
+    """A gap: held until the predecessor's late packet or retry fills it.
+    Re-stamped with the stash span, so its apply parents to the stash
+    (the critical path reads the stay as a wait, not a slow hop)."""
+    state.reorder[(update.slot, update.seq)] = update
+    state.stats.reorder_stashed += 1
+    update.trace = ctx
+
+
+def _report_stash(engine, ctx, state, update, applied, role, note):
+    engine.obs.emit(
+        "sro.chain.reorder_stash", engine.switch.name, ctx, group=update.group,
+        key=update.key, seq=update.seq, applied=applied,
+    )
+
+
+def _stash_full(state, update, applied, role, ctx):
+    """Evict the stash's oldest update (its write now waits for its
+    writer's retry), then stash; notes the evicted update."""
+    _, evicted = state.reorder.popitem(last=False)
+    state.stats.out_of_order_drops += 1
+    _stash(state, update, applied, role, ctx)
+    return evicted
+
+
+def _report_stash_full(engine, ctx, state, update, applied, role, note):
+    engine.obs.emit(  # parented to the evicted update's stash span
+        "sro.chain.reorder_overflow", engine.switch.name, note.trace, group=note.group,
+        key=note.key, seq=note.seq, capacity=state.reorder_capacity,
+    )
+    _report_stash(engine, ctx, state, update, applied, role, note)
+
+
+FENCED = Row("fenced", STOP, _fenced, _report_fenced)
+DUPLICATE = Row("duplicate", DRAIN, _duplicate, _report_duplicate)
+IN_ORDER = Row("in_order", DRAIN, _in_order, _report_in_order)
+CATCH_UP = Row("catch_up", DRAIN, _catch_up, _report_catch_up)
+STASHED = Row("stashed", STOP, _stashed, lambda *_: None)  # no event
+STASH_FULL = Row("stash_full", STOP, _stash_full, _report_stash_full)
+STASH = Row("stash", STOP, _stash, _report_stash)
+
+
+def chain_row(state: SroGroupState, update: ChainUpdate, applied: int) -> Row:
+    """The member row of ``update`` where ``state``'s slot has applied
+    ``applied``: by epoch, then seq, then (past a gap) catch-up and the
+    stash."""
+    if update.epoch < state.chain.version:
+        return FENCED
+    seq = update.seq
+    if seq <= applied:
+        return DUPLICATE
+    if seq == applied + 1:
+        return IN_ORDER
+    if state.catching_up:
+        return CATCH_UP
+    if (update.slot, seq) in state.reorder:
+        return STASHED
+    if len(state.reorder) >= state.reorder_capacity:
+        return STASH_FULL
+    return STASH
+
+
+def _stale_head(state, request, now):
+    """Not head any more (a reconfiguration raced the request): dropped."""
+
+
+def _report_stale_head(engine, ctx, state, request, note):
+    engine.obs.emit(
+        "sro.head.stale_drop", engine.switch.name, ctx, group=request.group, key=request.key,
+        current_head=state.chain.head,
+    )
+
+
+def _dedup_hit(state, request, now):
+    """A retry of a sequenced token: its seq, slot and value again (a
+    fetch-add must not add twice)."""
+    seq, slot, value = state.dedup[request.token][:3]
+    return seq, slot, value, True
+
+
+def _sequence(state, request, now):
+    """Assign the slot's next seq and remember the token.  A fetch-add
+    adds to the head's own copy: the head is the serialization point."""
+    slot = state.pending.slot_of(request.key)
+    seq = state.pending.assign_seq(slot)
+    value = request.value
+    if request.rmw_delta is not None:
+        current = state.store.get(request.key)
+        value = (current if current is not None else 0) + request.rmw_delta
+    state.remember_token(request.token, seq, slot, value, now)
+    return seq, slot, value, False
+
+
+def _report_sequenced(engine, ctx, state, request, note):
+    seq, slot, _, dedup_hit = note
+    if not dedup_hit:
+        evictions = occupancy = 0
+        for group in engine.groups.values():
+            evictions += group.dedup_evictions
+            occupancy += len(group.dedup)
+        evicted = max(0, evictions - engine._dedup_evictions_reported)
+        engine._dedup_evictions_reported += evicted
+        engine.obs.emit("sro.dedup", engine.switch.name, occupancy=occupancy, evicted=evicted)
+    engine.obs.emit(
+        "sro.head.sequence", engine.switch.name, ctx, group=request.group, key=request.key,
+        seq=seq, slot=slot, epoch=state.chain.version, dedup_hit=dedup_hit,
+    )
+
+
+STALE_HEAD = Row("stale_head", STOP, _stale_head, _report_stale_head)
+DEDUP_HIT = Row("dedup_hit", PASS, _dedup_hit, _report_sequenced)
+SEQUENCE = Row("sequence", PASS, _sequence, _report_sequenced)
+
+
+def head_row(state: SroGroupState, request: WriteRequest, node: str) -> Row:
+    """The head row of ``request`` at ``node``."""
+    if state.chain.head != node:
+        return STALE_HEAD
+    if request.token in state.dedup:
+        return DEDUP_HIT
+    return SEQUENCE
 
 
 class SroEngine:
@@ -483,8 +702,7 @@ class SroEngine:
                 if evicted and self.obs.on:
                     self._dedup_evictions_reported += evicted
                     self.obs.emit(
-                        "sro.dedup",
-                        self.switch.name,
+                        "sro.dedup", self.switch.name,
                         occupancy=sum(len(g.dedup) for g in self.groups.values()),
                         evicted=evicted,
                     )
@@ -493,50 +711,46 @@ class SroEngine:
     # Read path (paper 6.1 "Reads")
     # ------------------------------------------------------------------
     def read(self, spec: RegisterSpec, key: Any, default: Any, packet: Optional[Packet]) -> Any:
+        """The read rows.  *Tail*: at the read tail, or for a packet the
+        read tail marked at-tail.  *Forward*: a data-plane read of a key
+        whose pending bit is set re-runs at the read tail (CRAQ).
+        *Local*: any other read — a control-plane read with a write in
+        flight included (peek semantics)."""
         state = self.groups[spec.group_id]
-        at_tail = packet is not None and spec.group_id in packet.at_tail_groups
-        if self.switch.name == state.chain.read_tail or at_tail:
+        if self.switch.name == state.chain.read_tail or (
+            packet is not None and spec.group_id in packet.at_tail_groups
+        ):
             state.stats.tail_reads += 1
             if self.obs.on:
                 self.obs.emit("sro.read.tail", self.switch.name)
-            return state.store.get(key, default if default is not None else spec.default)
-        if state.track_pending:
-            slot = state.pending.slot_of(key)
-            if state.pending.is_pending(slot):
-                if packet is None:
-                    # Control-plane read with a write in flight: serve the
-                    # local copy (peek semantics); only data-plane reads
-                    # forward packets.
-                    state.stats.local_reads += 1
-                    if self.obs.on:
-                        self.obs.emit("sro.read.local", self.switch.name)
-                    return state.store.get(key, default if default is not None else spec.default)
-                state.stats.forwarded_reads += 1
-                self._forward_read(state, packet)
-                raise ReadForwarded(spec.group_id, key, state.chain.read_tail)
-        state.stats.local_reads += 1
-        if self.obs.on:
-            self.obs.emit("sro.read.local", self.switch.name)
+        elif (
+            packet is not None
+            and state.track_pending
+            and state.pending.is_pending(state.pending.slot_of(key))
+        ):
+            state.stats.forwarded_reads += 1
+            self._forward_read(state, packet)
+            raise ReadForwarded(spec.group_id, key, state.chain.read_tail)
+        else:
+            state.stats.local_reads += 1
+            if self.obs.on:
+                self.obs.emit("sro.read.local", self.switch.name)
         return state.store.get(key, default if default is not None else spec.default)
 
     def _forward_read(self, state: SroGroupState, packet: Packet) -> None:
         """Encapsulate the input packet toward the read tail (CRAQ read)."""
+        group, read_tail = state.spec.group_id, state.chain.read_tail
         packet.swishmem = SwiShmemHeader(
-            op=SwiShmemOp.READ_FORWARD,
-            register_group=state.spec.group_id,
-            dst_node=state.chain.read_tail,
+            op=SwiShmemOp.READ_FORWARD, register_group=group, dst_node=read_tail
         )
         packet.swishmem_payload = None
         packet.trace = self._causal.root()
         if self.obs.on:
             self.obs.emit(
-                "sro.read.forward",
-                self.switch.name,
-                packet.trace,
-                group=state.spec.group_id,
-                next_hop=state.chain.read_tail,
+                "sro.read.forward", self.switch.name, packet.trace, group=group,
+                next_hop=read_tail,
             )
-        self.switch.forward_to_node(packet, state.chain.read_tail)
+        self.switch.forward_to_node(packet, read_tail)
 
     def handle_read_forward(self, packet: Packet, group_id: int) -> bool:
         """At the read tail: decapsulate and let the NF re-process locally.
@@ -553,10 +767,7 @@ class SroEngine:
                 packet.trace = self._causal.child(packet.trace)
                 if self.obs.on:
                     self.obs.emit(
-                        "sro.read.chase",
-                        self.switch.name,
-                        packet.trace,
-                        group=group_id,
+                        "sro.read.chase", self.switch.name, packet.trace, group=group_id,
                         next_hop=state.chain.read_tail,
                     )
             packet.swishmem.dst_node = state.chain.read_tail
@@ -839,311 +1050,106 @@ class SroEngine:
             )
 
     # ------------------------------------------------------------------
-    # Write path, chain side
+    # Write path, chain side: the dispatchers of the case table
     # ------------------------------------------------------------------
     def _receive_write_request(self, request: WriteRequest) -> None:
-        """Head duty: sequence (or re-propagate) and start propagation."""
+        """The head dispatcher: run and report ``request``'s head row,
+        and hand a sequenced write to this switch's member rows."""
         state = self.groups.get(request.group)
         if state is None:
             return
-        ctx = (
-            self._causal.child(request.trace)
-            if request.trace is not None
-            else self._causal.root()
-        )
-        if state.chain.head != self.switch.name:
-            # We are no longer head (reconfiguration raced the request);
-            # drop it — the writer's retry will target the new head.
-            if self.obs.on:
-                self.obs.emit(
-                    "sro.head.stale_drop",
-                    self.switch.name,
-                    ctx,
-                    group=request.group,
-                    key=request.key,
-                    current_head=state.chain.head,
-                )
-            return
-        remembered = state.dedup.get(request.token)
-        if remembered is not None:
-            seq, slot, value = remembered[:3]
-        else:
-            slot = state.pending.slot_of(request.key)
-            seq = state.pending.assign_seq(slot)
-            if request.rmw_delta is not None:
-                # linearizable fetch-add: the head is the serialization
-                # point, so reading its local copy here is correct
-                current = state.store.get(request.key)
-                value = (current if current is not None else 0) + request.rmw_delta
-            else:
-                value = request.value
-            state.remember_token(request.token, seq, slot, value, self.sim.now)
-            if self.obs.on:
-                evictions = sum(g.dedup_evictions for g in self.groups.values())
-                evicted = max(0, evictions - self._dedup_evictions_reported)
-                self._dedup_evictions_reported += evicted
-                self.obs.emit(
-                    "sro.dedup",
-                    self.switch.name,
-                    occupancy=sum(len(g.dedup) for g in self.groups.values()),
-                    evicted=evicted,
-                )
+        causal = self._causal
+        ctx = causal.child(request.trace) if request.trace is not None else causal.root()
+        row = head_row(state, request, self.switch.name)
+        note = row.run(state, request, self.sim.now)
         if self.obs.on:
-            self.obs.emit(
-                "sro.head.sequence",
-                self.switch.name,
-                ctx,
-                group=request.group,
-                key=request.key,
-                seq=seq,
-                slot=slot,
-                epoch=state.chain.version,
-                dedup_hit=remembered is not None,
-            )
-        update = ChainUpdate(
-            group=request.group,
-            key=request.key,
-            value=value,
-            seq=seq,
-            slot=slot,
-            token=request.token,
-            chain=tuple(state.chain.members),
-            key_bytes=request.key_bytes,
-            value_bytes=request.value_bytes,
-            epoch=state.chain.version,
-            trace=ctx,
-        )
-        self._process_chain_update(update)
+            row.report(self, ctx, state, request, note)
+        if row.then == STOP:
+            return
+        seq, slot, value, _ = note
+        self._process_chain_update(ChainUpdate(
+            group=request.group, key=request.key, value=value, seq=seq, slot=slot,
+            token=request.token, chain=tuple(state.chain.members),
+            key_bytes=request.key_bytes, value_bytes=request.value_bytes,
+            epoch=state.chain.version, trace=ctx,
+        ))
 
     def handle_chain_update(self, update: ChainUpdate) -> None:
         """A ChainUpdate packet arrived from the network."""
         state = self.groups.get(update.group)
-        if state is None:
-            return
-        if state.spec.control_plane_state:
+        if state is not None and state.spec.control_plane_state:
             # P4 tables are control-plane-writable only: the apply and
             # forward pass through this switch's CPU (paper 6.1).
-            self.switch.control.submit(
-                self._process_chain_update, update, label="sro-cp-apply"
-            )
+            self.switch.control.submit(self._process_chain_update, update, label="sro-cp-apply")
         else:
             self._process_chain_update(update)
 
-    def relay(self, update: ChainUpdate) -> None:
-        """Pass ``update`` on un-applied: to the successor as received
-        (not re-stamped: no span here), or acknowledged at the tail."""
-        successor = update.next_hop_after(self.switch.name)
-        if successor is not None:
-            packet = Packet(
-                swishmem=SwiShmemHeader(
-                    op=SwiShmemOp.CHAIN_UPDATE,
-                    register_group=update.group,
-                    dst_node=successor,
-                ),
-                swishmem_payload=update,
-                trace=update.trace,
-                uid=next(self.sim.packet_ids),
-            )
-            self.switch.forward_to_node(packet, successor)
-        elif update.chain and update.chain[-1] == self.switch.name:
-            self._emit_acks(update, None)
-
     def _process_chain_update(self, update: ChainUpdate) -> None:
+        """The member dispatcher: classify ``update`` from one read of
+        its slot's applied seq, run and report the row, then, unless the
+        row stops, forward or ack by role and drain the stash."""
         state = self.groups.get(update.group)
         if state is None or self.switch.failed:
             return
-        ctx = (
-            self._causal.child(update.trace)
-            if update.trace is not None
-            else self._causal.root()
-        )
+        causal = self._causal
+        ctx = causal.child(update.trace) if update.trace is not None else causal.root()
+        state.stats.chain_updates_seen += 1
+        applied = state.pending.applied_seq(update.slot)
+        role = update.role_at(self.switch.name)
+        row = chain_row(state, update, applied)
+        note = row.run(state, update, applied, role, ctx)
         obs = self.obs
-        stats = state.stats
-        stats.chain_updates_seen += 1
-        if update.epoch < state.chain.version:
-            # Fencing: this update was sequenced by a head operating on a
-            # configuration the controller has since replaced (e.g. a
-            # suspected-but-alive head after a false positive).  Reject it
-            # outright — the writer's retry will go through the current
-            # head under the current epoch.
-            stats.fenced_updates += 1
-            if obs.on:
-                obs.emit(
-                    "sro.chain.fenced",
-                    self.switch.name,
-                    ctx,
-                    group=update.group,
-                    key=update.key,
-                    seq=update.seq,
-                    update_epoch=update.epoch,
-                    local_epoch=state.chain.version,
-                )
+        if obs.on:
+            row.report(self, ctx, state, update, applied, role, note)
+        if row.then == STOP:
             return
-        slot = update.slot
-        applied = state.pending.applied_seq(slot)
-        is_tail = update.chain and update.chain[-1] == self.switch.name
-        if update.seq <= applied:
-            # Duplicate of something we already applied: do not re-apply,
-            # but keep it flowing so downstream members converge.
-            stats.duplicate_updates += 1
-            if obs.on:
-                obs.emit(
-                    "sro.chain.duplicate",
-                    self.switch.name,
-                    ctx,
-                    group=update.group,
-                    key=update.key,
-                    seq=update.seq,
-                    applied=applied,
-                )
-        elif state.pending.is_next_in_order(slot, update.seq):
-            state.store[update.key] = update.value
-            state.pending.mark_applied(slot, update.seq)
-            pending_set = state.track_pending and not is_tail
-            if pending_set:
-                raised = not state.pending.is_pending(slot)
-                state.pending.set_pending(slot, update.seq)
-            if obs.on:
-                obs.emit(
-                    "sro.chain.apply",
-                    self.switch.name,
-                    ctx,
-                    group=update.group,
-                    key=update.key,
-                    seq=update.seq,
-                    slot=slot,
-                    tail=bool(is_tail),
-                )
-                if pending_set:
-                    obs.emit(
-                        "sro.pending.set",
-                        self.switch.name,
-                        ctx,
-                        group=update.group,
-                        key=update.key,
-                        seq=update.seq,
-                        slot=slot,
-                        raised=raised,
-                    )
-        elif state.catching_up:
-            # Recovery: gaps are covered by the snapshot replay, so the
-            # catching-up switch applies out-of-order (paper 6.3).
-            state.store[update.key] = update.value
-            state.pending.force_applied(slot, update.seq)
-            if obs.on:
-                obs.emit(
-                    "sro.chain.catchup",
-                    self.switch.name,
-                    ctx,
-                    group=update.group,
-                    key=update.key,
-                    seq=update.seq,
-                    slot=slot,
-                    catchup=True,
-                )
-        else:
-            # A gap: a predecessor's update is missing.  Stash this one
-            # (bounded) and apply it the moment the gap fills — either
-            # the predecessor's delayed packet or its writer's retry.
-            # Only a full stash degrades to the old drop-and-wait-for-
-            # retry behavior.
-            stash_key = (slot, update.seq)
-            if stash_key not in state.reorder:
-                if len(state.reorder) >= state.reorder_capacity:
-                    _, evicted = state.reorder.popitem(last=False)
-                    stats.out_of_order_drops += 1
-                    if obs.on:
-                        # Parents to the evicted update's stash span:
-                        # its write now waits for the writer's retry.
-                        obs.emit(
-                            "sro.chain.reorder_overflow",
-                            self.switch.name,
-                            evicted.trace,
-                            group=evicted.group,
-                            key=evicted.key,
-                            seq=evicted.seq,
-                            capacity=state.reorder_capacity,
-                        )
-                state.reorder[stash_key] = update
-                stats.reorder_stashed += 1
-                # Re-stamp the update onto the stash span: when the gap
-                # fills, its apply parents to the stash on this node, so
-                # the critical-path analyzer sees the residency as a
-                # wait (split against leaderless windows) instead of an
-                # impossibly slow network hop.
-                if obs.on:
-                    obs.emit(
-                        "sro.chain.reorder_stash",
-                        self.switch.name,
-                        ctx,
-                        group=update.group,
-                        key=update.key,
-                        seq=update.seq,
-                        applied=applied,
-                    )
-                update.trace = ctx
-            return
-        successor = update.next_hop_after(self.switch.name)
-        if successor is not None:
+        if role is TAIL:
+            self._emit_acks(update, ctx)
+        elif role is not None:
             # Re-stamp the update with this hop's forward span so the
             # next member parents to it — a forward span with no child
             # from ``next_hop`` is a lost hop in the post-mortem.
-            update.trace = self._causal.child(ctx)
+            update.trace = causal.child(ctx)
             if obs.on:
                 obs.emit(
-                    "sro.chain.forward",
-                    self.switch.name,
-                    update.trace,
-                    group=update.group,
-                    key=update.key,
-                    seq=update.seq,
-                    next_hop=successor,
+                    "sro.chain.forward", self.switch.name, update.trace, group=update.group,
+                    key=update.key, seq=update.seq, next_hop=role,
                 )
-            packet = Packet(
-                swishmem=SwiShmemHeader(
-                    op=SwiShmemOp.CHAIN_UPDATE,
-                    register_group=update.group,
-                    dst_node=successor,
-                ),
-                swishmem_payload=update,
-                trace=update.trace,
-                uid=next(self.sim.packet_ids),
-            )
-            self.switch.forward_to_node(packet, successor)
-        elif is_tail:
-            self._emit_acks(update, ctx)
-        if state.reorder:
-            # The apply above may have filled the gap a stashed
-            # successor was waiting on: purge entries made stale by the
-            # advance, then re-process the next in-order update as if
-            # its packet just arrived (it applies and keeps draining).
-            now_applied = state.pending.applied_seq(slot)
-            stale_keys = [
-                stash_key
-                for stash_key in state.reorder
-                if stash_key[0] == slot and stash_key[1] <= now_applied
-            ]
-            for stash_key in stale_keys:
-                del state.reorder[stash_key]
-            follow = state.reorder.pop((slot, now_applied + 1), None)
+            self._forward_update(update, role)
+        if row.then == DRAIN and state.reorder:
+            # The row may have filled the gap a stashed update waits on:
+            # it is processed as if its packet just arrived.
+            follow = state.next_stashed(update.slot)
             if follow is not None:
-                stats.reorder_applied += 1
                 self._process_chain_update(follow)
+
+    def relay(self, update: ChainUpdate) -> None:
+        """Pass ``update`` on un-applied: to the successor as received
+        (not re-stamped: no span), or acknowledged at the tail."""
+        role = update.role_at(self.switch.name)
+        if role is TAIL:
+            self._emit_acks(update, None)
+        elif role is not None:
+            self._forward_update(update, role)
+
+    def _forward_update(self, update: ChainUpdate, successor: str) -> None:
+        """Send ``update`` to ``successor`` as it stands."""
+        packet = Packet(
+            swishmem=SwiShmemHeader(
+                op=SwiShmemOp.CHAIN_UPDATE, register_group=update.group, dst_node=successor
+            ),
+            swishmem_payload=update, trace=update.trace, uid=next(self.sim.packet_ids),
+        )
+        self.switch.forward_to_node(packet, successor)
 
     def _emit_acks(self, update: ChainUpdate, ctx: Any = None) -> None:
         """Tail duty: acknowledge to the writer and the other members."""
         ack = WriteAck(
-            group=update.group,
-            key=update.key,
-            seq=update.seq,
-            slot=update.slot,
-            token=update.token,
-            key_bytes=update.key_bytes,
-            value=update.value,
+            group=update.group, key=update.key, seq=update.seq, slot=update.slot,
+            token=update.token, key_bytes=update.key_bytes, value=update.value,
             value_bytes=update.value_bytes,
         )
-        targets = set(update.chain) | {update.token.writer}
-        targets.discard(self.switch.name)
+        targets = sorted({*update.chain, update.token.writer} - {self.switch.name})
         parent = ctx if ctx is not None else update.trace
         if parent is not None:
             # One commit span at the tail; every ack receiver parents to
@@ -1152,15 +1158,10 @@ class SroEngine:
             ack.trace = self._causal.child(parent)
             if self.obs.on:
                 self.obs.emit(
-                    "sro.ack.emit",
-                    self.switch.name,
-                    ack.trace,
-                    group=update.group,
-                    key=update.key,
-                    seq=update.seq,
-                    targets=",".join(sorted(targets)),
+                    "sro.ack.emit", self.switch.name, ack.trace, group=update.group,
+                    key=update.key, seq=update.seq, targets=",".join(targets),
                 )
-        for target in sorted(targets):
+        for target in targets:
             packet = Packet(
                 swishmem=SwiShmemHeader(
                     op=SwiShmemOp.WRITE_ACK, register_group=update.group, dst_node=target
@@ -1187,14 +1188,8 @@ class SroEngine:
         obs = self.obs
         if obs.on:
             obs.emit(
-                "sro.ack.deliver",
-                self.switch.name,
-                ctx,
-                group=ack.group,
-                key=ack.key,
-                seq=ack.seq,
-                pending_cleared=cleared,
-                writer=outstanding is not None,
+                "sro.ack.deliver", self.switch.name, ctx, group=ack.group, key=ack.key,
+                seq=ack.seq, pending_cleared=cleared, writer=outstanding is not None,
             )
         if outstanding is None:
             return

@@ -77,7 +77,14 @@ def rng() -> SeededRng:
 
 @pytest.fixture
 def make_deployment(sim: Simulator, rng: SeededRng) -> Callable:
-    """Factory: build an n-switch full-mesh deployment.
+    """Factory: build an n-switch full-mesh deployment (see
+    :func:`deployment_factory`)."""
+    return deployment_factory(sim, rng)
+
+
+def deployment_factory(sim: Simulator, rng: SeededRng) -> Callable:
+    """The ``make_deployment`` factory over ``sim`` and ``rng``: build an
+    n-switch full-mesh deployment.
 
     Returns ``(deployment, topology, switches)``.  Keyword arguments are
     forwarded to :class:`SwiShmemDeployment`, plus ``loss_rate`` and

@@ -129,3 +129,25 @@ class TestMain:
         )
         assert rc == 0
         assert "X1" not in capsys.readouterr().out
+
+
+class TestDefaultSidecarDirectory:
+    def test_a_run_leaves_the_committed_baselines_alone(self, tmp_path, monkeypatch):
+        """With ``$SWISHMEM_BENCH_DIR`` unset a sidecar lands in
+        ``<repo>/fresh_bench``: a benchmark run (CI's soak) must not
+        replace a gated baseline in ``<repo>/bench_results``."""
+        spec = importlib.util.spec_from_file_location(
+            "bench_common", REPO_ROOT / "benchmarks" / "common.py"
+        )
+        common = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(common)
+        monkeypatch.delenv("SWISHMEM_BENCH_DIR", raising=False)
+        monkeypatch.setattr(common, "_REPO_ROOT", str(tmp_path))
+        baselines = tmp_path / "bench_results"
+        baselines.mkdir()
+        (baselines / "BENCH_X1.json").write_text('{"committed": true}\n')
+        path = Path(common.emit_json("X1", "a run", {"n": 1}))
+        assert path == tmp_path / "fresh_bench" / "BENCH_X1.json"
+        assert json.loads(path.read_text())["results"] == {"n": 1}
+        assert sorted(p.name for p in baselines.iterdir()) == ["BENCH_X1.json"]
+        assert (baselines / "BENCH_X1.json").read_text() == '{"committed": true}\n'

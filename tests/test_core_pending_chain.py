@@ -41,10 +41,8 @@ class TestPendingTable:
 
     def test_in_order_application(self):
         table = self._table()
-        assert table.is_next_in_order(0, 1)
         table.mark_applied(0, 1)
         assert table.applied_seq(0) == 1
-        assert not table.is_next_in_order(0, 3)
         with pytest.raises(ValueError):
             table.mark_applied(0, 3)
 
@@ -69,8 +67,8 @@ class TestPendingTable:
 
     def test_old_ack_does_not_clear_newer_pending(self):
         table = self._table()
-        table.set_pending(0, 1)
-        table.set_pending(0, 2)  # a second write in flight
+        assert table.set_pending(0, 1) is True  # raised
+        assert table.set_pending(0, 2) is False  # a second write in flight
         assert table.clear_pending(0, 1) is False  # ack for the first
         assert table.is_pending(0)
         assert table.clear_pending(0, 2) is True

@@ -12,6 +12,7 @@ from repro.net.packet import Packet
 from repro.obs.causal import TraceContext
 from repro.protocols import messages
 from repro.protocols.messages import (
+    TAIL,
     ChainUpdate,
     EwoEntry,
     EwoMirror,
@@ -230,14 +231,15 @@ class TestWireSizes:
 
 
 class TestChainHops:
-    def test_next_hop_after(self):
+    def test_role_at(self):
         update = ChainUpdate(
             1, "k", "v", 1, 0, WriteToken("s0", 1), chain=("a", "b", "c")
         )
-        assert update.next_hop_after("a") == "b"
-        assert update.next_hop_after("b") == "c"
-        assert update.next_hop_after("c") is None
-        assert update.next_hop_after("zz") is None
+        assert update.role_at("a") == "b"
+        assert update.role_at("b") == "c"
+        assert update.role_at("c") is TAIL
+        assert update.role_at("zz") is None
+        assert ChainUpdate(1, "k", "v", 1, 0, None, chain=()).role_at("a") is None
 
     def test_sync_is_update_subtype(self):
         sync = EwoSync(1, "s0", [EwoEntry("k", 0, 1)])
