@@ -17,7 +17,7 @@ keeps committing.  Measured quantities:
 * **heal time CDF** — injection/thaw to the first scrub round that
   confirms the replica digest-clean again;
 * **repair bandwidth overhead** — scrub management bytes (digest and
-  key queries) plus repair/forced-sync bytes, as a fraction of all
+  key queries) plus repair bytes, as a fraction of all
   protocol traffic;
 * **zero surviving divergence** — every logged ``DivergenceEvent`` ends
   the run detected and healed inside its deadline, and the invariant
@@ -75,7 +75,6 @@ class ScrubResult:
     rounds_diverged: int
     rounds_aborted: int
     repairs_sent: int
-    forced_syncs: int
     repairs_fenced: int
     scrub_mgmt_bytes: int
     scrub_repair_bytes: int
@@ -183,7 +182,6 @@ def run_scrub_repair(
         rounds_diverged=stats.rounds_diverged,
         rounds_aborted=stats.rounds_aborted,
         repairs_sent=stats.repairs_sent,
-        forced_syncs=stats.forced_syncs,
         repairs_fenced=fenced,
         scrub_mgmt_bytes=stats.mgmt_bytes,
         scrub_repair_bytes=stats.repair_bytes,
@@ -240,7 +238,6 @@ def report(results: List[ScrubResult]) -> None:
                 fmt_us(r.heal_bound),
                 r.rounds_started,
                 r.repairs_sent,
-                r.forced_syncs,
                 fmt_pct(r.overhead),
                 "OK" if r.invariant_ok else f"{len(r.invariant_violations)} VIOLATIONS",
                 r.digest[:12],
@@ -248,7 +245,7 @@ def report(results: List[ScrubResult]) -> None:
         )
     print_table(
         ["seed", "commits", "healed", "worst detect", "p50 heal",
-         "worst heal", "bound", "rounds", "repairs", "syncs",
+         "worst heal", "bound", "rounds", "repairs",
          "overhead", "invariants", "digest"],
         rows,
     )
@@ -279,7 +276,7 @@ def check_result(r: ScrubResult) -> None:
         f"{r.healed} healed"
     )
     assert r.violated == 0, f"seed {r.seed}: {r.violated} heal-bound violations"
-    assert r.repairs_sent + r.forced_syncs > 0, (
+    assert r.repairs_sent > 0, (
         f"seed {r.seed}: nothing was actually repaired"
     )
     # scrubbing must stay cheap relative to protocol traffic
@@ -294,8 +291,7 @@ def test_scrub_repair_heals_all_divergence(benchmark):
     report(results)
     for r in results:
         check_result(r)
-    # at least one seed must exercise the SRO repair path AND the EWO
-    # forced-sync path across the experiment
+    # at least one seed must exercise the repair path
     assert any(r.repairs_sent > 0 for r in results)
 
 

@@ -69,7 +69,8 @@ class SwitchFaults:
     slot: per group a drop budget (``drop_chain_applies``), a freeze
     deadline (``stale_replica``) and the applies lost.  A lost
     ``ChainUpdate`` still cuts through (``SroEngine.relay``); a frozen
-    group also loses its EWO sections and its scrub repairs."""
+    group also loses its EWO sections and its scrub repairs (an EWO
+    repair's entries count as applies, like a section's)."""
 
     def __init__(self, manager: "SwiShmemManager") -> None:
         self.manager = manager
@@ -96,11 +97,13 @@ class SwitchFaults:
             if kept and len(kept) < len(sections):  # the rest go on, same origin and trace
                 manager.ewo.handle_update(EwoMirror(message.origin, kept, trace=message.trace))
             return len(kept) < len(sections)
-        if op is SwiShmemOp.SCRUB_REPAIR and self._loses(manager.sro, message.group, 1):
-            # Parsed like any repair, so its receive span is derived (span
-            # ids stay those of the apply path); then the apply unit loses it.
-            manager.causal.child(message.trace)
-            return True
+        if op is SwiShmemOp.SCRUB_REPAIR:
+            engine = manager.ewo if message.entries else manager.sro
+            if self._loses(engine, message.group, len(message.entries) or 1):
+                # Parsed like any repair, so its receive span is derived (span
+                # ids stay those of the apply path); then the apply unit loses it.
+                manager.causal.child(message.trace)
+                return True
         if op is not SwiShmemOp.CHAIN_UPDATE:
             return False
         group_id = message.group
@@ -217,10 +220,10 @@ class FaultInjector:
         bit (sequence numbers stay intact, so only the scrubber can
         notice); EWO counters lose the top bit of a peer slot (the true,
         higher value wins the eventual max-merge); LWW cells flip the
-        value under an unchanged version stamp — the case plain gossip
-        can only resolve through the merge tiebreak.  Every applied
-        corruption logs a :class:`DivergenceEvent` for the invariant
-        suite to track to detection and heal.
+        value under an unchanged version stamp — a conflict gossip leaves
+        alone, for the scrubber's vote.  Every applied corruption logs a
+        :class:`DivergenceEvent`, with the entry the flip left, for the
+        invariant suite to track to detection and a heal that is right.
         """
         self.sim.schedule_at(
             at, self._corrupt_register, name, group_id, key, label="chaos:corrupt"
@@ -249,6 +252,7 @@ class FaultInjector:
                 self._record("corrupt-noop", f"{name} group {group_id} (empty)")
                 return
             state.store[key] = self._flip_value(state.store[key], stream)
+            entry = (state.pending.applied_seq(state.pending.slot_of(key)), state.store[key])
             detail = f"{name} group {group_id} key {key!r} (sro store)"
         elif spec.ewo_mode is EwoMode.COUNTER:
             ewo = manager.ewo.groups[group_id]
@@ -268,6 +272,7 @@ class FaultInjector:
                 return
             slot = stream.choice(slots)
             vector[slot] &= ~(1 << (vector[slot].bit_length() - 1))
+            entry = (slot, vector[slot])
             detail = f"{name} group {group_id} key {key!r} slot {slot} (counter)"
         else:  # an LWW group
             ewo = manager.ewo.groups[group_id]
@@ -279,11 +284,12 @@ class FaultInjector:
                 self._record("corrupt-noop", f"{name} group {group_id} (empty)")
                 return
             cell._value = self._flip_value(cell._value, stream)
+            (entry,) = cell.entries()
             detail = f"{name} group {group_id} key {key!r} (lww)"
         self.deployment.divergence_log.append(
             DivergenceEvent(
                 group=group_id, switch=name, kind="corrupt", key=key,
-                at=self.sim.now, detail=detail,
+                at=self.sim.now, detail=detail, entry=entry,
             )
         )
         self._record("corrupt", detail)

@@ -33,11 +33,12 @@ checking one of the claims the paper makes about failure handling:
   ``stale_replica``, ``drop_chain_applies``) logs a ``DivergenceEvent``;
   when a scrubber is running, each event must be healed within its heal
   bound (the scrubber pushes deadlines out while scrubbing is
-  impossible — no leader, aborted rounds, victim down).  Replicas with
-  an outstanding event are exempt from the *live* lost-write check (the
-  divergence is known and being healed), but the strict end-of-run
-  value check is not relaxed: divergence surviving finalization is a
-  violation no matter what.
+  impossible — no leader, aborted rounds, victim down), and healed
+  right: no live member may still hold the entry a corruption left
+  (``DivergenceEvent.entry``).  Replicas with an outstanding event are
+  exempt from the *live* lost-write check (the divergence is known and
+  being healed), but the strict end-of-run value check is not relaxed:
+  divergence surviving finalization is a violation no matter what.
 
 * **writes accounted** (SRO writer side): on every switch and group,
   each write initiated has committed, failed, been abandoned (its group
@@ -57,7 +58,7 @@ checks and returns an :class:`InvariantReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.registers import Consistency, EwoMode
 from repro.obs.events import MONITORS
@@ -132,6 +133,8 @@ class InvariantSuite:
         #: (group, key) -> highest merged counter value observed.
         self._counter_floor: Dict[Tuple[int, Any], Any] = {}
         self._fault_picture: Optional[Tuple] = None
+        #: divergence_log indexes of the heals already checked right.
+        self._heals_checked: Set[int] = set()
         self._process: Optional[Process] = None
         deployment.commit_listeners.append(self._on_commit)
         # Live telemetry mirror of report.checks / violations, so a
@@ -180,7 +183,7 @@ class InvariantSuite:
         self._check_counters()
         self._check_config()
         self._check_single_leader()
-        self._check_divergence()
+        self._check_divergence(final=True)
         self._check_writes_accounted(final=True)
         return self.report
 
@@ -423,14 +426,32 @@ class InvariantSuite:
     # ------------------------------------------------------------------
     # Monitor 5: injected divergence detected and healed within bound
     # ------------------------------------------------------------------
-    def _check_divergence(self) -> None:
+    def _check_divergence(self, final: bool = False) -> None:
         self._checked("divergence_healed")
         scrubber = self.deployment.scrubber
         if scrubber is None:
             return  # nothing promises healing without the scrub loop
         now = self.sim.now
-        for event in self.deployment.divergence_log:
-            if event.healed or event.violated:
+        for index, event in enumerate(self.deployment.divergence_log):
+            if event.violated:
+                continue
+            if event.healed:
+                # Healed means right: checked at the first tick after the
+                # heal, and again at finalization.
+                if final or index not in self._heals_checked:
+                    self._heals_checked.add(index)
+                    holders = self._holders(event)
+                    if holders:
+                        event.violated = True
+                        self._violate(
+                            "divergence_healed",
+                            f"group {event.group}: {event.kind} divergence on"
+                            f" {event.switch} (key {event.key!r}) healed, yet"
+                            f" {','.join(holders)} still hold(s) the corrupted"
+                            f" entry {event.entry!r}",
+                            group=event.group,
+                            key=event.key,
+                        )
                 continue
             deadline = (
                 event.deadline
@@ -448,6 +469,27 @@ class InvariantSuite:
                     group=event.group,
                     key=event.key,
                 )
+
+    def _holders(self, event: Any) -> List[str]:
+        """The live switches whose digested form of the corrupted key
+        still shows the entry the flip left (a counter's entry is one
+        slot of the vector)."""
+        if event.entry is None:
+            return []
+        version, value = event.entry
+        spec = self.deployment.specs[event.group]
+        counter = spec.consistency is Consistency.EWO and spec.ewo_mode is EwoMode.COUNTER
+        holders = []
+        for name in self.deployment.switch_names:
+            manager = self.deployment.manager(name)
+            if manager.switch.failed:
+                continue
+            form = dict(manager.scrub._items(event.group)).get(event.key)
+            if form is not None and (
+                form[version] == value if counter else form == (value, version)
+            ):
+                holders.append(name)
+        return holders
 
     # ------------------------------------------------------------------
     # Monitor 6: every SRO write is accounted for

@@ -2,7 +2,7 @@
 
 The CRDT substrate of the EWO engine (``repro.protocols.ewo``), which
 stores one *cell* per key — a :class:`GCounter` or a
-:class:`LwwRegister` — and calls the same four methods on each:
+:class:`LwwRegister` — and calls the same methods on each:
 
 * ``apply(version, value) -> bool`` — merge one wire entry; True if the
   cell advanced, ValueError if this cell type cannot carry the entry;
@@ -10,7 +10,9 @@ stores one *cell* per key — a :class:`GCounter` or a
   wire order (what a sync round ships);
 * ``read()`` — the readable value;
 * ``canonical()`` — the immutable form the scrubber digests, identical
-  on converged replicas; None when there is nothing to digest.
+  on converged replicas; None when there is nothing to digest;
+* ``repair(version, value) -> bool`` — a decided scrub repair: as
+  ``apply``, except that an LWW cell also takes an equal stamp.
 
 Local updates are each type's own (``increment``, ``write``): that
 pair — a local update plus a merge — is all the paper gives a register

@@ -21,7 +21,7 @@ __all__ = ["GCounter"]
 
 class GCounter:
     """State-based grow-only counter over a fixed replica group (an EWO
-    cell: see ``repro.crdt`` for the four shared methods)."""
+    cell: see ``repro.crdt`` for the shared methods)."""
 
     __slots__ = ("num_replicas", "my_slot", "_vector")
 
@@ -59,6 +59,9 @@ class GCounter:
             self._vector[slot] = value
             return True
         return False
+
+    #: A decided scrub repair max-merges too: a downward flip never wins it.
+    repair = apply
 
     def entries(self) -> List[Tuple[int, int]]:
         """Full state as wire entries: every non-zero slot, ascending."""

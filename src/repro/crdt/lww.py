@@ -25,7 +25,7 @@ _ZERO = Timestamp(float("-inf"), 0, -1)
 
 class LwwRegister:
     """A single last-writer-wins cell: (value, version) — an EWO cell
-    (see ``repro.crdt`` for the four shared methods)."""
+    (see ``repro.crdt`` for the shared methods)."""
 
     __slots__ = ("_value", "_version")
 
@@ -53,29 +53,33 @@ class LwwRegister:
         self._version = version
 
     def apply(self, version: Timestamp, value: Any) -> bool:
-        """Merge one wire entry ``(version, value)``: accept newer
-        versions; break value ties on equal versions deterministically.
+        """Merge one wire entry ``(version, value)``: accept strictly
+        newer versions.  Returns True when the remote write won.
 
-        Returns True when the remote write won.  Equal versions are
-        impossible across distinct switches under correct operation
-        (node id is part of the order), so idempotent re-delivery of our
-        own write is a no-op — but a *corrupted* replica can hold a
-        different value under the same stamp (a register bit-flip leaves
-        the version intact).  Convergence must still be guaranteed, so
-        an equal-version value conflict resolves to the larger
-        ``repr``: every replica picks the same winner, and the
-        anti-entropy scrubber's forced sync round heals the divergence
-        instead of gossiping it forever.
+        Equal versions are impossible across distinct switches under
+        correct operation (node id is part of the order), so an equal
+        stamp is re-delivery of our own write — or a *corrupted* replica
+        holding another value under it (a bit-flip leaves the version
+        intact).  The local value stays: gossip cannot tell which side
+        is corrupt, so it spreads neither; the scrubber's vote decides
+        (:meth:`repair`).
         """
         if version > self._version:
             self._value = value
             self._version = version
             return True
-        if version == self._version and value != self._value:
-            if repr(value) > repr(self._value):
-                self._value = value
-                return True
         return False
+
+    def repair(self, version: Timestamp, value: Any) -> bool:
+        """Apply a scrub repair the vote decided: overwrite at a version
+        at least our own, so an equal-stamp corruption is replaced and a
+        newer local write is kept.  True when the cell changed."""
+        if version < self._version:
+            return False
+        changed = version > self._version or value != self._value
+        self._value = value
+        self._version = version
+        return changed
 
     def entries(self) -> List[Tuple[Timestamp, Any]]:
         """Full state as wire entries: the one write, once written."""

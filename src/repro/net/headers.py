@@ -191,8 +191,8 @@ class SwiShmemOp(enum.Enum):
                        any other packet)
 
     Anti-entropy (repro.protocols.antientropy):
-      SCRUB_REPAIR   — authoritative (key, value, seq) re-propagated to
-                       a diverged chain member located by digest scrub
+      SCRUB_REPAIR   — authoritative state of one key re-propagated to
+                       a diverged replica located by digest scrub
     """
 
     WRITE_REQUEST = "write_request"

@@ -362,7 +362,6 @@ EVENTS: Dict[str, Event] = {
     "ewo.sync.round": Event(
         Span("group", "target", "entries"), Outcome("ewo.sync_agreed", False)
     ),
-    "ewo.sync.force": Event(Span("group", "target", "entries")),
     "ewo.sync.sent": Event(Count("ewo.sync_packets"), Count("ewo.sync_bytes", "bytes")),
     # -- protocols/election.py, controller.py
     "controller.activate": Event(
@@ -452,13 +451,11 @@ EVENTS: Dict[str, Event] = {
         Span("group", "switch", "kind", "key", "latency_us", child=True),
         _scrub(Observe, "scrub.heal_latency_seconds", "latency"),
     ),
-    "scrub.repair.sync": Event(Span("group", "victim", "keys", child=True)),
     "scrub.repair.send": Event(
         Span("group", "key", "victim", "seq", "epoch"),
         _scrub(Count, "scrub.repairs_sent"),
         _scrub(Count, "scrub.repair_bytes", "bytes"),
     ),
-    "scrub.repair.synced": Event(_scrub(Count, "scrub.repair_bytes", "bytes")),
     # -- chaos/invariants.py
     "invariant.commit": Event(Count("invariant.commits_observed", scope="invariants")),
     "invariant.check": Event(_invariant("invariant.{}.checks")),

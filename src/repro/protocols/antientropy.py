@@ -29,14 +29,16 @@ the SwiShmem split between management and data planes:
   for a few microseconds, and repairing those would thrash.  A (member,
   key) pair must stay divergent for ``CONFIRM_ROUNDS`` rounds running.
 
-* **Repair is online.**  For SRO/ERO chains the per-key majority is
-  authoritative (ties break toward the earliest chain member), and the
-  authority's control plane re-propagates the value to the victim in a
-  :class:`~repro.protocols.messages.ScrubRepair` dataplane packet,
-  applied under the same monotone sequence guard as snapshot replay.
-  For EWO groups the coordinator forces a directed merge-sync round in
-  both directions between the victim and every live peer — CRDT merge
-  does the rest.
+* **Repair is online, one path for every register kind.**  The
+  per-key majority's earliest member re-propagates its state of the key
+  to the victim in a :class:`~repro.protocols.messages.ScrubRepair`
+  dataplane packet: an SRO/ERO value under the same monotone sequence
+  guard as snapshot replay, an EWO cell's entries (an LWW cell is
+  overwritten at a version at least its own, a counter max-merged).
+  **A tie decides nothing**: every tied member stays divergent, and a
+  repair planned from it applies only over a strictly older seq or
+  stamp — a lagging replica heals, while an equal-version conflict
+  between two replicas is left for ``divergence_healed`` to report.
 
 * **Repairs are fenced.**  A round captures the controller leader's
   epoch and the chain descriptor version (or the multicast membership)
@@ -58,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.core.registers import Consistency, DigestTree, RegisterSpec
+from repro.crdt.clock import Timestamp
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
 from repro.protocols.messages import (
@@ -86,16 +89,18 @@ LEVEL_STRIDE = 4
 _STAGE_SLACK = 1e-6
 
 
-def majority_vote(members: Sequence[str], votes: Mapping[str, Any]) -> Any:
-    """The most common value in ``votes`` (``{member: vote}``; a member
-    absent from it did not vote), ties to the earliest voter in
-    ``members`` order — for SRO that is chain order, so the head side of
-    a split wins.
+def majority_vote(members: Sequence[str], votes: Mapping[str, Any]) -> Tuple[Any, bool]:
+    """``(winner, strict)``: the most common value in ``votes``
+    (``{member: vote}``; a member absent from it did not vote), ties to
+    the earliest voter in ``members`` order — for SRO that is chain
+    order, the head side — and whether it won outright: a tie names the
+    repair source's side, not who is right.
 
-    None has two meanings and every caller skips both: nobody voted, or
-    the winning vote is itself None — in the key stage a member's vote
-    is its hash of the key or None for *key absent*, so a None majority
-    means most members lack the key: a write in flight, not divergence.
+    A None winner has two meanings and every caller skips both: nobody
+    voted, or the winning vote is itself None — in the key stage a
+    member's vote is its hash of the key or None for *key absent*, so a
+    None majority means most members lack the key: a write in flight,
+    not divergence.
     """
     counts: Dict[Any, int] = {}
     first_voter: Dict[Any, int] = {}
@@ -105,8 +110,18 @@ def majority_vote(members: Sequence[str], votes: Mapping[str, Any]) -> Any:
             counts[vote] = counts.get(vote, 0) + 1
             first_voter.setdefault(vote, position)
     if not counts:
-        return None
-    return max(counts, key=lambda vote: (counts[vote], -first_voter[vote]))
+        return None, False
+    winner = max(counts, key=lambda vote: (counts[vote], -first_voter[vote]))
+    return winner, list(counts.values()).count(counts[winner]) == 1
+
+
+def _dissenters(members: Sequence[str], votes: Mapping[str, Any]) -> List[str]:
+    """The voters a vote leaves divergent: those against the majority,
+    and at a tie every voter — nobody is proven clean by a tie."""
+    majority, strict = majority_vote(members, votes)
+    if majority is None:
+        return []
+    return [m for m in members if m in votes and (not strict or votes[m] != majority)]
 
 
 @dataclass
@@ -135,6 +150,9 @@ class DivergenceEvent:
     detected_at: Optional[float] = None
     healed_at: Optional[float] = None
     detail: str = ""
+    #: A corruption's ``(version, value)`` after the flip — SRO (slot seq,
+    #: value), LWW (stamp, value), counter (slot, value): no heal may keep it.
+    entry: Any = None
     #: Set by the invariant monitor after reporting a violation so one
     #: unhealed event is reported once, not once per check tick.
     violated: bool = False
@@ -162,7 +180,6 @@ class ScrubStats:
         "mgmt_bytes",
         "repairs_sent",
         "repair_bytes",
-        "forced_syncs",
         "detections",
         "heals",
     )
@@ -181,8 +198,8 @@ class ScrubAgent:
     Owns one :class:`DigestTree` per register group, canonicalizes the
     live store into immutable entries on demand, answers the
     coordinator's digest/key queries, and applies incoming
-    :class:`ScrubRepair` packets under the epoch fence and the monotone
-    sequence guard.
+    :class:`ScrubRepair` packets: SRO ones under the epoch fence and the
+    monotone sequence guard, EWO ones only while the group is EWO here.
     """
 
     def __init__(self, manager: "SwiShmemManager", buckets: int = 16) -> None:
@@ -191,7 +208,6 @@ class ScrubAgent:
         self.buckets = buckets
         self._trees: Dict[int, DigestTree] = {}
         self.repairs_applied = 0
-        self.repairs_stale = 0
         self.repairs_fenced = 0
         self.obs = manager.obs
         self._causal = manager.causal
@@ -249,16 +265,29 @@ class ScrubAgent:
     # Dataplane repair application
     # ------------------------------------------------------------------
     def handle_repair(self, repair: ScrubRepair) -> None:
-        """Apply one authoritative re-propagation (SRO/ERO groups)."""
-        state = self.manager.sro.groups.get(repair.group)
-        if state is None or self.switch.failed:
+        """Apply one authoritative re-propagation."""
+        if self.switch.failed:
             return
+        engine = self.manager.ewo if repair.entries else self.manager.sro
+        state = engine.groups.get(repair.group)
+        if state is None:
+            return  # not at the repair's level here (an EWO repair's fence)
         ctx = (
             self._causal.child(repair.trace)
             if repair.trace is not None
             else self._causal.root()
         )
-        if repair.epoch < state.chain.version:
+        if repair.entries:
+            # EWO: ``repair`` the key's cell when the vote was decided,
+            # ``apply`` (strictly newer only) when it tied.
+            cell = state.cell_for(repair.key)
+            merge = cell.repair if repair.decided else cell.apply
+            applied = False
+            for version, value in repair.entries:
+                if type(version) is Timestamp:
+                    state.clock.witness(version)
+                applied = merge(version, value) or applied
+        elif repair.epoch < state.chain.version:
             # The scrub round was fenced on an older chain configuration
             # than this member now runs: the repair might resurrect
             # pre-failover state, so it must not land.
@@ -274,13 +303,15 @@ class ScrubAgent:
                     local_epoch=state.chain.version,
                 )
             return
-        applied = self.manager.sro.apply_snapshot_write(
-            repair.key, repair.value, repair.slot, repair.seq, repair.group
-        )
+        else:
+            # An undecided repair never overwrites an equal seq.
+            applied = (
+                repair.decided or repair.seq > state.pending.applied_seq(repair.slot)
+            ) and self.manager.sro.apply_snapshot_write(
+                repair.key, repair.value, repair.slot, repair.seq, repair.group
+            )
         if applied:
             self.repairs_applied += 1
-        else:
-            self.repairs_stale += 1
         if self.obs.on:
             self.obs.emit(
                 "scrub.repair.apply",
@@ -313,7 +344,6 @@ class _ScrubRound:
     reply_versions: Dict[str, int] = field(default_factory=dict)
     #: member -> {key: entry hash} for the key stage.
     key_replies: Dict[str, Dict[Any, int]] = field(default_factory=dict)
-    queried_buckets: Tuple[int, ...] = ()
     aborted: bool = False
 
 
@@ -342,7 +372,6 @@ class ScrubCoordinator:
         #: (group, member, key) -> consecutive divergent rounds.
         self._suspects: Dict[Tuple[int, str, Any], int] = {}
         self._process: Optional[Process] = None
-        self.buckets = buckets
         self._tree_depth = buckets.bit_length() - 1
         # Every agent shares the coordinator's bucket count; trees are
         # created lazily at first query, so re-pointing the size here is
@@ -403,22 +432,14 @@ class ScrubCoordinator:
             if chain is None:
                 self.stats.rounds_skipped += 1
                 return  # chain retired by a re-level between checks
-            chain_version = chain.version
-            members = tuple(
-                m for m in chain.members if not managers[m].switch.failed
-            )
+            chain_version, candidates = chain.version, chain.members
         else:
             if not self.deployment.multicast.has(group_id):
                 self.stats.rounds_skipped += 1
                 return  # fan-out deleted by a re-level between checks
             chain_version = 0
-            members = tuple(
-                sorted(
-                    m
-                    for m in self.deployment.multicast.get(group_id).members
-                    if not managers[m].switch.failed
-                )
-            )
+            candidates = sorted(self.deployment.multicast.get(group_id).members)
+        members = tuple(m for m in candidates if not managers[m].switch.failed)
         if len(members) < 2:
             self.stats.rounds_skipped += 1
             self._extend_deadlines(group_id)
@@ -528,25 +549,17 @@ class ScrubCoordinator:
             self._abort_round(round_, reason="chain-version")
             return
         # Majority digest per queried node; members disagreeing with the
-        # majority carry the divergence down to the next stage.
-        depth = self._depth(round_)
+        # majority (every voter, at a tie) carry the divergence down to
+        # the next stage.
+        depth = self._tree_depth
         queried = sorted({i for nodes in round_.replies.values() for i in nodes})
         divergent_indexes: Set[int] = set()
         divergent_members: Set[str] = set()
         for index in queried:
-            majority = majority_vote(
-                round_.members,
-                {m: nodes[index] for m, nodes in round_.replies.items() if index in nodes},
-            )
-            if majority is None:
-                continue
-            for member in round_.members:
-                nodes = round_.replies.get(member)
-                if nodes is None:
-                    continue
-                if nodes.get(index) != majority:
-                    divergent_indexes.add(index)
-                    divergent_members.add(member)
+            votes = {m: nodes.get(index) for m, nodes in round_.replies.items()}
+            for member in _dissenters(round_.members, votes):
+                divergent_indexes.add(index)
+                divergent_members.add(member)
         if not divergent_indexes:
             self._complete_round(round_, divergent={})
             return
@@ -578,14 +591,10 @@ class ScrubCoordinator:
             )
         self._query_digests(round_, next_level, children)
 
-    def _depth(self, round_: _ScrubRound) -> int:
-        return self._tree_depth
-
     # ------------------------------------------------------------------
     # Key stage
     # ------------------------------------------------------------------
     def _query_keys(self, round_: _ScrubRound, buckets: Tuple[int, ...]) -> None:
-        round_.queried_buckets = buckets
         round_.key_replies = {}
         query = ScrubKeyQuery(
             group=round_.group_id,
@@ -657,13 +666,8 @@ class ScrubCoordinator:
         )
         divergent: Dict[str, Set[Any]] = {}
         for key in all_keys:
-            hashes = self._key_votes(round_, key)
-            majority = majority_vote(round_.members, hashes)
-            if majority is None:
-                continue
-            for member, h in hashes.items():
-                if h != majority:
-                    divergent.setdefault(member, set()).add(key)
+            for member in _dissenters(round_.members, self._key_votes(round_, key)):
+                divergent.setdefault(member, set()).add(key)
         self._complete_round(round_, divergent)
 
     # ------------------------------------------------------------------
@@ -781,87 +785,53 @@ class ScrubCoordinator:
     # ------------------------------------------------------------------
     def _repair(self, round_: _ScrubRound, confirmed: Dict[str, Set[Any]]) -> None:
         managers = self.deployment.managers
-        if not round_.sro:
-            # EWO: force a directed merge-sync round both ways between
-            # the victim and every live peer; CRDT merge converges the
-            # replicas no matter which side held the fresher state.
-            for victim in sorted(confirmed):
-                if managers[victim].switch.failed:
-                    continue
-                for peer in round_.members:
-                    if peer == victim or managers[peer].switch.failed:
-                        continue
-                    managers[peer].switch.control.submit(
-                        self._force_sync, peer, round_.group_id, victim,
-                        label="scrub-force-sync",
-                    )
-                    managers[victim].switch.control.submit(
-                        self._force_sync, victim, round_.group_id, peer,
-                        label="scrub-force-sync",
-                    )
-                if self.obs.on:
-                    self.obs.emit(
-                        "scrub.repair.sync",
-                        "scrub",
-                        round_.trace,
-                        group=round_.group_id,
-                        victim=victim,
-                        keys=len(confirmed[victim]),
-                    )
-            return
         for victim in sorted(confirmed):
             if managers[victim].switch.failed:
                 continue
             for key in sorted(confirmed[victim], key=repr):
-                source = self._authority_for(round_, key, victim)
-                if source is None:
-                    continue
+                hashes = self._key_votes(round_, key)
+                majority, decided = majority_vote(round_.members, hashes)
+                if majority is None or hashes.get(victim) == majority:
+                    continue  # nothing to repair it to, or it holds the source's vote
+                source = next(m for m in round_.members if hashes.get(m) == majority)
                 managers[source].switch.control.submit(
-                    self._send_repair,
-                    round_,
-                    source,
-                    victim,
-                    key,
+                    self._send_repair, round_, source, victim, key, decided,
                     label="scrub-repair",
                 )
 
-    def _authority_for(
-        self, round_: _ScrubRound, key: Any, victim: str
-    ) -> Optional[str]:
-        """Earliest chain member holding the majority hash for ``key``."""
-        hashes = self._key_votes(round_, key)
-        majority = majority_vote(round_.members, hashes)
-        if majority is None:
-            return None
-        for member in round_.members:
-            if member != victim and hashes.get(member) == majority:
-                return member
-        return None
-
     def _send_repair(
-        self, round_: _ScrubRound, source: str, victim: str, key: Any
+        self, round_: _ScrubRound, source: str, victim: str, key: Any, decided: bool
     ) -> None:
-        """Authority-side: re-propagate (key, value, seq) to the victim."""
+        """Authority-side: re-propagate its state of ``key`` to the victim."""
         manager = self.deployment.managers[source]
         if manager.switch.failed:
             return
-        state = manager.sro.groups.get(round_.group_id)
-        if state is None or key not in state.store:
-            return
-        if state.chain.version != round_.chain_version:
-            return  # reconfigured since the round was fenced; drop
-        slot = state.pending.slot_of(key)
+        if round_.sro:
+            state = manager.sro.groups.get(round_.group_id)
+            if state is None or key not in state.store:
+                return
+            if state.chain.version != round_.chain_version:
+                return  # reconfigured since the round was fenced; drop
+            slot = state.pending.slot_of(key)
+            payload = dict(
+                value=state.store[key], seq=state.pending.applied_seq(slot), slot=slot,
+                epoch=state.chain.version,
+            )
+        else:
+            state = manager.ewo.groups.get(round_.group_id)
+            cell = state.cells.get(key) if state is not None else None
+            if cell is None or not cell.entries():
+                return
+            payload = dict(entries=tuple(cell.entries()))
         repair = ScrubRepair(
             group=round_.group_id,
             key=key,
-            value=state.store[key],
-            seq=state.pending.applied_seq(slot),
-            slot=slot,
             source=source,
-            epoch=state.chain.version,
             round_id=round_.round_id,
             key_bytes=round_.spec.key_bytes,
             value_bytes=round_.spec.value_bytes,
+            decided=decided,
+            **payload,
         )
         repair.trace = manager.causal.root()
         packet = Packet(
@@ -889,15 +859,6 @@ class ScrubCoordinator:
                 bytes=packet.wire_size,
             )
         manager.switch.forward_to_node(packet, victim)
-
-    def _force_sync(self, member: str, group_id: int, target: str) -> None:
-        manager = self.deployment.managers[member]
-        packets, sync_bytes = manager.ewo.force_sync(group_id, target)
-        if packets:
-            self.stats.forced_syncs += 1
-            self.stats.repair_bytes += sync_bytes
-            if self.obs.on:
-                self.obs.emit("scrub.repair.synced", "scrub", bytes=sync_bytes)
 
     # ------------------------------------------------------------------
     # Fencing and deadline bookkeeping

@@ -39,7 +39,9 @@ replication is asynchronous.
   failure: "any switch that did receive the update can then
   synchronize the other switches" (6.3).  The digest is recomputed
   from the cells at every use, so a replica damaged beneath the CRDT
-  API still disagrees and is repaired.
+  API still disagrees: a lowered counter slot is repaired by the max-
+  merge, while an LWW value flipped under its stamp is left to the
+  scrubber (merge keeps the local value at an equal stamp).
 
 No failover protocol exists because none is needed: the controller just
 drops failed switches from the multicast group; recovery adds the switch
@@ -197,7 +199,7 @@ class EwoGroupState:
         and compares it whole, a collision-free stand-in that costs less
         to compute than serialising the state for a hash.  Recomputed at
         every call: a cached digest would not see a cell damaged beneath
-        the CRDT API, and sync would stop healing it."""
+        the CRDT API, and sync would stop answering for it."""
         keys = self.sorted_keys()
         # iterated in C: a digest is computed at both ends of every round
         return tuple(filter(_ENTRIES, zip(
@@ -671,28 +673,13 @@ class EwoEngine:
             if self.obs.on:
                 self.obs.emit("ewo.sync.agree", self.switch.name, probe.trace)
             return
-        self._sync_to(state, probe.group, probe.origin, False, probe.trace)
-
-    def force_sync(self, group_id: int, target: str) -> Tuple[int, int]:
-        """Targeted full-state sync toward ``target`` (anti-entropy repair).
-
-        The scrubber calls this on every live member when a replica is
-        found diverged: an immediate, directed merge-sync round instead
-        of waiting for the random gossip walk to reach the victim.
-        Returns ``(packets, bytes)`` so the coordinator can account
-        repair bandwidth.
-        """
-        state = self.groups.get(group_id)
-        if state is None or self.switch.failed or target == self.switch.name:
-            return (0, 0)
-        return self._sync_to(state, group_id, target, True)
+        self._sync_to(state, probe.group, probe.origin, probe.trace)
 
     def _sync_to(
-        self, state: EwoGroupState, group_id: int, target: str, forced: bool, parent: Any = None
-    ) -> Tuple[int, int]:
-        """Ship full known state to ``target`` in MTU-sized sync packets:
-        a forced repair round, or the answer to the probe stamped
-        ``parent`` (which may be ``None``: the trace is never the flag)."""
+        self, state: EwoGroupState, group_id: int, target: str, parent: Any = None
+    ) -> None:
+        """Answer the probe stamped ``parent`` (which may be ``None``):
+        ship full known state to ``target`` in MTU-sized sync packets."""
         entries = self._full_state_entries(state)
         directory = getattr(self.manager.deployment, "directory", None)
         if directory is not None and state.spec.partial_replication:
@@ -702,24 +689,13 @@ class EwoEngine:
                 e for e in entries
                 if target in directory.replicas_of(group_id, e.key)
             ]
-        packets = 0
-        sync_bytes = 0
-        round_ctx = None
-        if entries:
-            round_ctx = self._causal.root() if forced else self._causal.child(parent)
+        round_ctx = self._causal.child(parent) if entries else None
         obs = self.obs
         if obs.on:
-            name = self.switch.name
-            if forced:
-                obs.emit(
-                    "ewo.sync.force", name, round_ctx, group=group_id, target=target,
-                    entries=len(entries),
-                )
-            else:
-                obs.emit(
-                    "ewo.sync.round", name, round_ctx, group=group_id, target=target,
-                    entries=len(entries),
-                )
+            obs.emit(
+                "ewo.sync.round", self.switch.name, round_ctx, group=group_id,
+                target=target, entries=len(entries),
+            )
         for start in range(0, len(entries), SYNC_ENTRIES_PER_PACKET):
             chunk = entries[start : start + SYNC_ENTRIES_PER_PACKET]
             sync = EwoSync(
@@ -739,13 +715,10 @@ class EwoEngine:
                 uid=next(self.sim.packet_ids),
             )
             if self.switch.generate_packet(packet, target):
-                packets += 1
-                sync_bytes += packet.wire_size
                 state.stats.sync_packets_sent += 1
                 state.stats.sync_entries_sent += len(chunk)
                 if obs.on:
                     obs.emit("ewo.sync.sent", self.switch.name, bytes=packet.wire_size)
-        return packets, sync_bytes
 
     def _pick_sync_target(self, group_id: int) -> Optional[str]:
         registry = self.switch.multicast

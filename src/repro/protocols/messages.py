@@ -281,8 +281,7 @@ class EwoUpdate(WireRecord):
 @fixed_record
 class EwoSync(EwoUpdate):
     """Full-state sync (paper sections 6.2 and 7): the answer to an
-    :class:`EwoSyncProbe` whose digest differs from the receiver's, or
-    the scrubber's directed repair.
+    :class:`EwoSyncProbe` whose digest differs from the receiver's.
 
     Unlike :class:`EwoUpdate`, a sync carries *all* state the sender
     knows — every replica's slots — which is what makes the protocol
@@ -545,31 +544,42 @@ class ScrubKeyReply:
 
 @fixed_record
 class ScrubRepair(WireRecord):
-    """Authoritative state re-propagated to a diverged chain member.
+    """Authoritative state of one key re-propagated to a diverged replica.
 
-    Shaped like a :class:`SnapshotWrite`: carries the authority's
-    current applied ``seq`` for the key's slot so the victim applies
-    under the same monotone guard ("never overwrite newer with older"),
-    plus the chain ``epoch`` the scrub round was fenced on — a repair
-    planned before a failover must not resurrect pre-failover state.
+    An SRO/ERO repair is shaped like a :class:`SnapshotWrite` (``value``
+    at the authority's applied ``seq`` for the key's ``slot``, under the
+    same monotone guard) plus the chain ``epoch`` the scrub round was
+    fenced on; an EWO repair carries the authority's cell ``entries``.
+    ``decided`` is False when the scrub vote tied: the victim then
+    applies only over a strictly older seq or stamp.
     """
 
     group: int
     key: Any
-    value: Any
-    seq: int
-    slot: int
     source: str
+    value: Any = None
+    seq: int = 0
+    slot: int = 0
     epoch: int = 0
     round_id: int = 0
     key_bytes: int = 8
     value_bytes: int = 8
+    #: An EWO repair's ``(version, value)`` cell entries; empty for SRO.
+    entries: Tuple[Tuple[Any, Any], ...] = ()
+    decided: bool = True
     trace: Any = _trace_field()
 
     @property
     def wire_size(self) -> int:
-        # slot/seq ride _BASE_MSG_BYTES framing; epoch (2) + round id (4)
-        return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes + 6
+        # slot/seq and the decided bit ride _BASE_MSG_BYTES framing;
+        # epoch (2) + round id (4); an EWO entry's version is a stamp or a
+        # counter slot (4)
+        if not self.entries:
+            return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes + 6
+        return _BASE_MSG_BYTES + self.key_bytes + 6 + sum(
+            (Timestamp.wire_size if type(version) is Timestamp else 4) + self.value_bytes
+            for version, _ in self.entries
+        )
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,12 @@ from repro.chaos import FaultInjector, InvariantSuite
 from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, DigestTree, EwoMode, RegisterSpec
 from repro.crdt.clock import Timestamp
+from repro.crdt.gcounter import GCounter
 from repro.crdt.lww import LwwRegister
 from repro.net.topology import Topology, build_full_mesh
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.protocols import antientropy
 from repro.protocols.antientropy import majority_vote
 from repro.protocols.messages import ScrubRepair, WriteRequest, WriteToken
 from repro.sim.engine import Simulator
@@ -85,16 +87,31 @@ class TestDigestTree:
 
 class TestLwwMergeTiebreak:
     """A corrupted replica holds a different value under the same
-    version stamp; every replica must still converge to one winner."""
+    version stamp.  Gossip cannot tell which side is corrupt, so a merge
+    keeps the local value and spreads neither; only a decided scrub
+    repair (``repair``) overwrites an equal stamp."""
 
-    def test_equal_version_conflict_resolves_to_larger_repr(self):
+    def test_equal_version_conflict_keeps_the_local_value(self):
         stamp = Timestamp(1.0, 0, 0)
         a, b = LwwRegister(), LwwRegister()
         a.write(200, stamp)
-        b.write(150, stamp)  # corrupt twin: same stamp, smaller repr
-        assert not a.apply(stamp, 150)  # smaller repr loses
-        assert b.apply(stamp, 200)
-        assert a.read() == b.read() == 200
+        b.write(150, stamp)  # corrupt twin: same stamp
+        assert not a.apply(stamp, 150)
+        assert not b.apply(stamp, 200)
+        assert (a.read(), b.read()) == (200, 150)
+
+    def test_a_decided_repair_overwrites_an_equal_stamp_not_a_newer_one(self):
+        old, stamp, new = Timestamp(0.5, 0, 1), Timestamp(1.0, 0, 0), Timestamp(2.0, 0, 2)
+        reg = LwwRegister()
+        reg.write(150, stamp)
+        assert reg.repair(stamp, 200) and reg.read() == 200
+        assert not reg.repair(stamp, 200)  # already right: no change
+        assert not reg.repair(old, 7) and reg.read() == 200
+        assert reg.repair(new, 9) and reg.read() == 9
+        counter = GCounter(3, 0)
+        counter.apply(1, 5)
+        assert not counter.repair(1, 4) and counter.repair(1, 6)  # a max-merge
+        assert counter.vector() == [0, 6, 0]
 
     def test_equal_version_equal_value_is_noop(self):
         stamp = Timestamp(1.0, 0, 0)
@@ -108,23 +125,26 @@ class TestMajorityVote:
 
     def test_most_common_vote_wins(self):
         votes = {"s0": 7, "s1": 9, "s2": 9, "s3": 9}
-        assert majority_vote(self.MEMBERS, votes) == 9
+        assert majority_vote(self.MEMBERS, votes) == (9, True)
+        assert majority_vote(self.MEMBERS, {"s0": 7}) == (7, True)
 
-    def test_tie_goes_to_the_earliest_member_in_round_order(self):
+    def test_a_tie_names_the_earliest_member_and_decides_nothing(self):
         votes = {"s0": 7, "s1": 9, "s2": 9, "s3": 7}
-        assert majority_vote(self.MEMBERS, votes) == 7
-        # round order, not dict order, decides
-        assert majority_vote(("s1", "s0", "s2", "s3"), votes) == 9
+        assert majority_vote(self.MEMBERS, votes) == (7, False)
+        # round order, not dict order, names the source's side
+        assert majority_vote(("s1", "s0", "s2", "s3"), votes) == (9, False)
+        # a 2-member split is a tie too: the head side is not proven right
+        assert majority_vote(("s0", "s1"), {"s0": 103, "s1": 102}) == (103, False)
 
     def test_none_means_nobody_voted_or_the_majority_lacks_the_key(self):
-        assert majority_vote(self.MEMBERS, {}) is None
+        assert majority_vote(self.MEMBERS, {}) == (None, False)
         # a voter outside the round is not a vote
-        assert majority_vote(self.MEMBERS, {"s9": 7}) is None
+        assert majority_vote(self.MEMBERS, {"s9": 7}) == (None, False)
         # the key stage votes hash-or-None: most members lack the key
-        assert majority_vote(self.MEMBERS, {"s0": None, "s1": None, "s2": 5}) is None
+        assert majority_vote(self.MEMBERS, {"s0": None, "s1": None, "s2": 5}) == (None, True)
         # ... and a split on it ties to the earliest member, as any vote
-        assert majority_vote(self.MEMBERS, {"s0": 5, "s1": None}) == 5
-        assert majority_vote(self.MEMBERS, {"s0": None, "s1": 5}) is None
+        assert majority_vote(self.MEMBERS, {"s0": 5, "s1": None}) == (5, False)
+        assert majority_vote(self.MEMBERS, {"s0": None, "s1": 5}) == (None, False)
 
 
 def build(seed, n=3, sync_period=1e-3, **kwargs):
@@ -172,7 +192,7 @@ class TestScrubRepair:
         suite = InvariantSuite(dep).start(period=1e-3)
         dep.sim.run(until=0.05)
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         (event,) = dep.divergence_log
         assert event.kind == "corrupt" and event.key == "k2"
         assert event.detected and event.healed
@@ -202,29 +222,25 @@ class TestScrubRepair:
         assert not report.ok
         assert any(v.monitor == "no_lost_write" for v in report.violations)
 
-    def test_ewo_counter_corruption_heals_through_forced_sync(self):
-        # gossip effectively off: only the scrubber's forced syncs heal
+    def test_ewo_counter_corruption_heals_through_scrub_repair(self):
+        # gossip effectively off: only the scrubber's repair heals (the
+        # increments' own broadcasts converge the replicas beforehand)
         dep = build(seed=11, sync_period=10.0)
         spec = dep.declare(
             RegisterSpec("ctr", Consistency.EWO, ewo_mode=EwoMode.COUNTER)
         )
         for name in dep.switch_names:
             dep.manager(name).register_increment(spec, "c", 7)
-        dep.sim.run(until=3e-3)
-        for a in dep.switch_names:  # replicas agree before the fault
-            for b in dep.switch_names:
-                if a != b:
-                    dep.manager(a).ewo.force_sync(spec.group_id, b)
         dep.sim.run(until=6e-3)
         scrubber = dep.start_scrubbing()
         FaultInjector(dep, seed=3).corrupt_register(7e-3, "s1", spec.group_id, key="c")
         suite = InvariantSuite(dep).start(period=1e-3)
         dep.sim.run(until=0.05)
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         (event,) = dep.divergence_log
         assert event.healed
-        assert scrubber.stats.forced_syncs > 0
+        assert scrubber.stats.repairs_sent > 0
         values = [
             dep.manager(n).ewo.local_state(spec.group_id)["c"]
             for n in dep.switch_names
@@ -235,24 +251,19 @@ class TestScrubRepair:
         dep = build(seed=11, sync_period=10.0)
         spec = dep.declare(RegisterSpec("lww", Consistency.EWO, ewo_mode=EwoMode.LWW))
         dep.manager("s0").register_write(spec, "c", 42)
-        dep.sim.run(until=3e-3)
-        for a in dep.switch_names:
-            for b in dep.switch_names:
-                if a != b:
-                    dep.manager(a).ewo.force_sync(spec.group_id, b)
         dep.sim.run(until=6e-3)
         dep.start_scrubbing()
         FaultInjector(dep, seed=3).corrupt_register(7e-3, "s1", spec.group_id, key="c")
         suite = InvariantSuite(dep).start(period=1e-3)
         dep.sim.run(until=0.05)
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         assert dep.divergence_log[0].healed
-        values = {
-            repr(dep.manager(n).ewo.local_state(spec.group_id)["c"])
+        values = [
+            dep.manager(n).ewo.local_state(spec.group_id)["c"]
             for n in dep.switch_names
-        }
-        assert len(values) == 1  # converged (tiebreak picks one winner)
+        ]
+        assert values == [42, 42, 42]
 
     def test_equal_value_seq_hole_is_detected_and_unwedges_chain(self):
         # Regression: a frozen member that drops the apply of a
@@ -306,7 +317,7 @@ class TestScrubRepair:
         suite = InvariantSuite(dep).start(period=1e-3)
         dep.sim.run(until=0.06)
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         (event,) = dep.divergence_log
         assert event.kind == "stale"
         assert event.at >= 10e-3  # heal clock starts at thaw
@@ -368,6 +379,95 @@ class TestScrubRepair:
         assert event.healed and event.healed_at <= event.deadline
 
 
+class TestHealedMeansRight:
+    """A heal must leave every replica on the truth, not merely in
+    agreement: a vote names the victim only while the corruption is in
+    the minority, gossip never spreads an equal-stamp conflict, and a
+    tie decides nothing."""
+
+    # The fault seeds whose flip of 42 out-ranks it by ``repr`` — the
+    # value an equal-stamp ``repr`` tiebreak spread to every replica.
+    LWW_SEEDS = (1, 4, 9, 10, 12, 14, 15, 18)
+
+    @pytest.mark.parametrize("sync_period", [1e-3, 10.0], ids=["gossip", "no-gossip"])
+    @pytest.mark.parametrize("fault_seed", LWW_SEEDS)
+    def test_lww_corruption_heals_to_the_written_value(self, fault_seed, sync_period):
+        dep = build(seed=11, sync_period=sync_period)
+        spec = dep.declare(RegisterSpec("lww", Consistency.EWO, ewo_mode=EwoMode.LWW))
+        dep.manager("s0").register_write(spec, "c", 42)
+        dep.sim.run(until=6e-3)
+        dep.start_scrubbing()
+        FaultInjector(dep, seed=fault_seed).corrupt_register(
+            7e-3, "s1", spec.group_id, key="c"
+        )
+        suite = InvariantSuite(dep).start(period=1e-3)
+        dep.sim.run(until=0.05)
+        report = suite.finalize()
+        assert report.ok, report.post_mortems()
+        cells = [dep.manager(n).ewo.groups[spec.group_id].cells["c"] for n in dep.switch_names]
+        assert [cell.read() for cell in cells] == [42, 42, 42]
+        (event,) = dep.divergence_log
+        assert event.healed and event.entry[1] != 42
+        assert all(cell.entries() != [event.entry] for cell in cells)
+
+    def _two_member_chain(self, victim):
+        dep = build(seed=11, n=2)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO, capacity=256))
+        for i in range(8):
+            dep.manager("s0").register_write(spec, f"k{i}", 100 + i)
+        dep.sim.run(until=5e-3)
+        assert dep.chains[spec.group_id].members == ("s0", "s1")
+        dep.start_scrubbing()
+        FaultInjector(dep, seed=3).corrupt_register(6e-3, victim, spec.group_id, key="k2")
+        suite = InvariantSuite(dep).start(period=1e-3)
+        return dep, spec, suite
+
+    @pytest.mark.parametrize("victim", ["s0", "s1"], ids=["head", "tail"])
+    def test_a_two_member_tie_is_reported_not_guessed(self, victim):
+        """Head and tail disagree at one seq: nothing says which is
+        corrupt.  The other member never takes the corrupted value, and
+        the event is reported unhealed instead of healed wrong."""
+        dep, spec, suite = self._two_member_chain(victim)
+        (other,) = {"s0", "s1"} - {victim}
+        seen = []
+
+        def sample():
+            seen.append(dep.manager(other).sro.groups[spec.group_id].store["k2"])
+            if dep.sim.now < 0.049:
+                dep.sim.schedule(250e-6, sample)
+
+        dep.sim.schedule_at(6.1e-3, sample)
+        dep.sim.run(until=0.05)
+        report = suite.finalize()
+        (event,) = dep.divergence_log
+        assert event.detected and not event.healed and event.violated
+        assert [v.monitor for v in report.violations] == ["divergence_healed"]
+        assert "unhealed" in report.violations[0].detail
+        assert seen and set(seen) == {102}
+        assert dep.manager(other).scrub.repairs_applied == 0
+
+    def test_a_heal_onto_the_corrupted_value_is_a_violation(self, monkeypatch):
+        """Restore the old head-wins tie (every vote decided): the
+        corrupted head wins its first round and counts as healed, then
+        the tail is 'repaired' to the flip — the healed-right check must
+        refuse that heal."""
+        real_vote = antientropy.majority_vote
+        monkeypatch.setattr(
+            antientropy, "majority_vote",
+            lambda members, votes: (real_vote(members, votes)[0], True),
+        )
+        dep, spec, suite = self._two_member_chain("s0")
+        dep.sim.run(until=0.05)
+        report = suite.finalize()
+        (event,) = dep.divergence_log
+        assert event.healed  # agreed...
+        stores = list(dep.sro_stores(spec))
+        assert stores[0]["k2"] == stores[1]["k2"] == event.entry[1] != 102  # ...on the flip
+        (violation,) = report.violations
+        assert violation.monitor == "divergence_healed"
+        assert "healed, yet s0 still hold(s) the corrupted entry" in violation.detail
+
+
 class TestScrubDeterminism:
     def _chaos_run(self, seed, metrics=None, flightrec=None):
         kwargs = {}
@@ -415,7 +515,7 @@ class TestScrubDeterminism:
 
     def test_chaos_with_scrubbing_ends_with_zero_divergence(self):
         report, _digest, dep, _ = self._chaos_run(seed=9)
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         assert len(dep.divergence_log) >= 3
         assert all(e.detected and e.healed for e in dep.divergence_log)
         assert not any(e.violated for e in dep.divergence_log)
@@ -478,7 +578,12 @@ class TestPinnedChaosOutcomes:
     moved onto the chain descriptor: the two commands that flagged it
     (a send and an apply each) are gone, and a completed catch-up no
     longer bumps the chain version, so later spans carry an epoch one
-    lower."""
+    lower.  Every ``spans`` hash and chaos_run 3's ``lost`` were
+    re-captured when EWO repair became a ``ScrubRepair`` and a tied vote
+    stopped deciding: seed 3's forced merge-syncs (which the frozen
+    replica lost entry by entry) became per-key repairs, and in the
+    other worlds a 2-2 digest or key vote now lists every tied member as
+    divergent.  No fault log, divergence heal time or store hash moved."""
 
     PINNED = {
         ("chaos_run", 3): dict(
@@ -496,8 +601,8 @@ class TestPinnedChaosOutcomes:
                 ("stale", "s3", 2, "None", 0.033087749491505454, 0.034201000000000016),
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
-            lost={("s3", 2): 30},
-            spans=(2499, "21ec1b9181c9ffab02b3d7a6f08c3553e5c3e73a7a943d0580daf9c241379feb"),
+            lost={("s3", 2): 24},
+            spans=(2484, "87378bfbd3a4f630f7b7db931f286b616fc111d582ccb3ec4f5f5767c40a15f3"),
         ),
         ("chaos_run", 11): dict(
             log=(
@@ -515,7 +620,7 @@ class TestPinnedChaosOutcomes:
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
             lost={("s1", 2): 13},
-            spans=(2399, "8e961a7c5fc46b340b1adf1d4cbbe335f9154d87a9bb9815c901f319f4f43387"),
+            spans=(2399, "b304fe126f04297f1d5bedd272bda546b9b2b604ae803e9a35aee9d75a6ed966"),
         ),
         ("chaos_run", 23): dict(
             log=(
@@ -533,7 +638,7 @@ class TestPinnedChaosOutcomes:
             ),
             stores="3accc3dc4e1d1b3f26608b6fc2a0f17b85242dd6b711230e3ccc8ff0f191c9a4",
             lost={("s3", 1): 37},
-            spans=(2530, "0c34c2c40059d0fffb555e894b5120232a99b6cd2387238d27574dbf7c52853a"),
+            spans=(2530, "a92cc831815c33507995c6e3f6dad795aa25dd9c1b7e953fca08427e6d468475"),
         ),
         ("scrub_repair", 1): dict(
             log=(
@@ -556,7 +661,7 @@ class TestPinnedChaosOutcomes:
             ),
             stores="d0ae83ee3361fde76b628dff329356cfd4141a1d1f34668e26f138be0c851c9a",
             lost={("s1", 1): 2, ("s2", 1): 21},
-            spans=(2120, "f2c6089aab84682f0aceecf90b01aedf617cadd4b7250a03a6127d6387a83233"),
+            spans=(2120, "80e61365552186fd2cf208bda3c6dd6dbca0057b955d4d59db9947a856e31735"),
         ),
         ("scrub_repair", 2): dict(
             log=(
@@ -579,7 +684,7 @@ class TestPinnedChaosOutcomes:
             ),
             stores="d0ae83ee3361fde76b628dff329356cfd4141a1d1f34668e26f138be0c851c9a",
             lost={("s1", 1): 24},
-            spans=(2098, "1bd52276ce32386a7f3d5ecb2e74be4afbab635778c3e648f4959a4deaf5e5b1"),
+            spans=(2098, "161450a78929a30193448a2a85c9d93364687f328164c9728785948bca5bcf63"),
         ),
     }
 

@@ -139,7 +139,7 @@ class TestLeaderFailover:
             ("partition", 0), ("heal", 0),
         ]
         report = suite.finalize()
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         assert report.checks["single_leader"] > 0
 
     def test_switch_failures_handled_by_successor(self, make_deployment):
@@ -245,7 +245,7 @@ class TestReconstruction:
         # no switch holds a descriptor the successor does not know about
         suite = InvariantSuite(dep)
         suite.check_now()
-        assert suite.report.ok, suite.report.summary()
+        assert suite.report.ok, suite.report.post_mortems()
 
     def test_reconstruction_latency_logged(self, make_deployment):
         from repro.obs.metrics import MetricsRegistry
@@ -359,7 +359,7 @@ class TestFailoverMidRecovery:
         assert dep.chains[spec.group_id].read_tail == "s1"
         # zero committed-write loss, including writes during failover
         assert all(state.store.get(f"k{i}") == i for i in range(125))
-        assert report.ok, report.summary()
+        assert report.ok, report.post_mortems()
         assert report.checks["single_leader"] > 0
 
     def test_same_seed_identical_histories(self):

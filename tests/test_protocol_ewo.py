@@ -660,7 +660,8 @@ def pinned_scenario(make_deployment, mode):
     """Three replicas, no gossip: writes on s0 and s1 (and one on s2),
     s0's broadcast hand-delivered to s2 twice (the second all stale,
     with a few entries that must or must not name a new key), s1's
-    lost; then one real targeted sync s2 -> s1 over the wire."""
+    lost; then one real sync s2 -> s1 over the wire (the answer a probe
+    from s1 would get)."""
     dep, _, _ = make_deployment(3, sync_period=10.0)
     spec = dep.declare(
         RegisterSpec("pin", Consistency.EWO, ewo_mode=mode, ewo_batch_size=100)
@@ -692,7 +693,7 @@ def pinned_scenario(make_deployment, mode):
     ]
     stats = s2.ewo.stats_for(gid)
     merges = (stats.merges_applied, stats.merges_stale)
-    s2.ewo.force_sync(gid, "s1")
+    s2.ewo._sync_to(s2.ewo.groups[gid], gid, "s1")
     dep.sim.run(until=1e-3)
     return {
         "items": sorted(s2.scrub._items(gid), key=repr),
