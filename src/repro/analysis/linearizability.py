@@ -18,8 +18,9 @@ skip them entirely).
 
 Complexity is exponential in the worst case but fine for per-key
 histories of the sizes our experiments record (hundreds of ops per key);
-``max_steps`` bounds runaway searches and raises rather than returning a
-wrong verdict.
+``max_steps`` bounds runaway searches: ``check_key_linearizable`` raises
+rather than return a wrong verdict, and ``check_history`` files such a key
+as undecided and goes on with the rest.
 """
 
 from __future__ import annotations
@@ -138,6 +139,9 @@ class LinearizabilityReport:
         self.checked_keys = 0
         self.linearizable_keys = 0
         self.violations: List[Tuple[int, Any]] = []
+        #: ``(group, key)`` of each key whose search went over
+        #: ``max_steps``: neither linearizable nor a violation.
+        self.undecided: List[Tuple[int, Any]] = []
         #: Per-violation human-readable explanations (operation history
         #: plus causal timeline when a flight recorder was supplied),
         #: parallel to :attr:`violations`.
@@ -145,18 +149,26 @@ class LinearizabilityReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No violation, and every key decided."""
+        return not self.violations and not self.undecided
 
     def explain(self) -> str:
-        """Every violation's full story, ready for an assertion message."""
+        """Every violation's full story, then the undecided keys, ready
+        for an assertion message."""
         if self.ok:
             return "linearizable: no violations"
-        return "\n\n".join(self.explanations)
+        parts = list(self.explanations)
+        if self.undecided:
+            parts.append(
+                "undecided (search over its step budget): "
+                + ", ".join(f"group={group} key={key!r}" for group, key in self.undecided)
+            )
+        return "\n\n".join(parts)
 
     def __repr__(self) -> str:
         return (
             f"<LinearizabilityReport {self.linearizable_keys}/{self.checked_keys} keys ok, "
-            f"{len(self.violations)} violations>"
+            f"{len(self.violations)} violations, {len(self.undecided)} undecided>"
         )
 
 
@@ -203,6 +215,10 @@ def check_history(
 
     Pass the deployment's ``flight_recorder`` to get each violation's
     causal timeline bundled into :attr:`LinearizabilityReport.explanations`.
+
+    Never raises on the search budget: a key whose search goes over
+    ``max_steps`` is listed in :attr:`LinearizabilityReport.undecided`
+    (so the report is not ``ok``), and every other key keeps its verdict.
     """
     report = LinearizabilityReport()
     for key_group, key in recorder.keys():
@@ -210,7 +226,14 @@ def check_history(
             continue
         operations = recorder.for_key(key_group, key)
         report.checked_keys += 1
-        if check_key_linearizable(operations, initial=initial, max_steps=max_steps):
+        try:
+            linearizable = check_key_linearizable(
+                operations, initial=initial, max_steps=max_steps
+            )
+        except _SearchBudgetExceeded:
+            report.undecided.append((key_group, key))
+            continue
+        if linearizable:
             report.linearizable_keys += 1
         else:
             report.violations.append((key_group, key))

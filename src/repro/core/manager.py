@@ -573,7 +573,8 @@ class SwiShmemManager:
         self._ctx.write_set.append((spec, key, FetchAdd(amount)))
 
     def register_increment(self, spec: RegisterSpec, key: Any, amount: int) -> int:
-        self._note_write()
+        if self.obs.on:  # ``_note_write``, without its frame: a sketch NF's hot path
+            self.obs.emit("state.write", self.switch.name)
         value = self.ewo.increment(spec, key, amount)
         history = self.deployment.history
         if history is not None:

@@ -14,6 +14,23 @@ stores one *cell* per key — a :class:`GCounter` or a
 * ``repair(version, value) -> bool`` — a decided scrub repair: as
   ``apply``, except that an LWW cell also takes an equal stamp.
 
+Two more are static, on the cell class, and work on a whole replica (an
+object with ``cells``, ``new_cell()``, ``add_cell(key, cell)`` and
+``clock``), so the engine moves sections rather than entries:
+
+* ``merge_section(replica, entries, origin_slot, outcomes) -> int`` —
+  merge one received section of wire entries (``key``, ``version``,
+  ``value``) and return how many advanced their cell; a slotless
+  entry (``version`` None) is at ``origin_slot``.  It is ``apply``
+  entry by entry — an unseen key gets a cell unless the entry is one
+  ``apply`` refuses — and appends ``(key, advanced)`` per entry to
+  ``outcomes`` when that is a list.  A ``GCounter`` section is a max
+  into each key's vector with ``apply``'s slot check and no frame per
+  entry;
+* ``digest(cells, keys) -> tuple`` — the sync-probe digest of those
+  keys, built in C: equal on two replicas of a group exactly when the
+  keys' ``entries()`` are.
+
 Local updates are each type's own (``increment``, ``write``): that
 pair — a local update plus a merge — is all the paper gives a register
 (section 6.2).

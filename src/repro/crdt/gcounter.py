@@ -14,9 +14,15 @@ group, section 7), not a sparse map.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from itertools import compress
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.crdt.clock import Timestamp
 
 __all__ = ["GCounter"]
+
+_VECTOR = attrgetter("_vector")
 
 
 class GCounter:
@@ -62,6 +68,66 @@ class GCounter:
 
     #: A decided scrub repair max-merges too: a downward flip never wins it.
     repair = apply
+
+    @staticmethod
+    def merge_section(
+        replica: Any,
+        entries: Sequence[Any],
+        origin_slot: Optional[int],
+        outcomes: Optional[List[Tuple[Any, bool]]],
+    ) -> int:
+        """Merge one received section into ``replica.cells``: each
+        entry's value is maxed into its key's vector at its slot, with
+        exactly :meth:`apply`'s slot check, and no frame per entry.
+        Returns the entries that advanced a slot.
+
+        An entry naming no slot (``version`` None) is at
+        ``origin_slot``.  A malformed entry — a slot that is no int index
+        into the group (``origin_slot`` None: the origin is not a
+        member) — is stale and names nothing; an unseen key gets its cell
+        from any other entry, stale or not.  ``outcomes``, when a list,
+        gets ``(key, advanced)`` per entry, in entry order."""
+        cells = replica.cells
+        applied = 0
+        for entry in entries:
+            key = entry.key
+            slot = entry.version
+            if slot is None:
+                slot = origin_slot
+            try:
+                cell = cells[key]
+                unseen = False
+            except KeyError:
+                cell = replica.new_cell()
+                unseen = True
+            # apply's check; the type test spares a plain int the call
+            if (type(slot) is int or isinstance(slot, int)) and 0 <= slot < cell.num_replicas:
+                vector = cell._vector
+                value = entry.value
+                if value > vector[slot]:
+                    vector[slot] = value
+                    applied += 1
+                    merged = True
+                else:
+                    merged = False
+                if unseen:
+                    replica.add_cell(key, cell)
+            else:
+                if type(slot) is Timestamp:  # any stamp that arrives is seen
+                    replica.clock.witness(slot)
+                merged = False
+            if outcomes is not None:
+                outcomes.append((key, merged))
+        return applied
+
+    @staticmethod
+    def digest(cells: Dict[Any, "GCounter"], keys: Sequence[Any]) -> Tuple[Tuple[Any, Tuple[int, ...]], ...]:
+        """``(key, frozen vector)`` for each of ``keys`` (in that order)
+        with a non-zero slot, built in C.  A group's replicas share its
+        member list, so their vectors have one length, and two of these
+        are equal exactly when the ``entries()`` of those keys are."""
+        vectors = tuple(map(tuple, map(_VECTOR, map(cells.__getitem__, keys))))
+        return tuple(compress(zip(keys, vectors), map(any, vectors)))
 
     def entries(self) -> List[Tuple[int, int]]:
         """Full state as wire entries: every non-zero slot, ascending."""

@@ -13,7 +13,8 @@ experiments measure exactly that window.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from operator import itemgetter, methodcaller
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Timestamp
 
@@ -21,6 +22,10 @@ __all__ = ["LwwRegister"]
 
 #: Below every real stamp, under a node id no switch has (``written``).
 _ZERO = Timestamp(float("-inf"), 0, -1)
+
+#: ``cell.entries()``, and the entries of a ``(key, entries)`` pair.
+_CELL_ENTRIES = methodcaller("entries")
+_ENTRIES = itemgetter(1)
 
 
 class LwwRegister:
@@ -80,6 +85,46 @@ class LwwRegister:
         self._value = value
         self._version = version
         return changed
+
+    @staticmethod
+    def merge_section(
+        replica: Any,
+        entries: Sequence[Any],
+        origin_slot: Optional[int],
+        outcomes: Optional[List[Tuple[Any, bool]]],
+    ) -> int:
+        """Merge one received section into ``replica.cells``, entry by
+        entry through :meth:`apply`; returns the entries that won.  The
+        hybrid clock is per switch, not per cell: each stamp is witnessed
+        first, so the next local write beats what was just seen.  An
+        unseen key gets its cell even if the merge is stale.
+        ``outcomes``, when a list, gets ``(key, won)`` per entry, in
+        entry order."""
+        cells = replica.cells
+        witness = replica.clock.witness
+        applied = 0
+        for entry in entries:
+            key = entry.key
+            version = entry.version
+            if type(version) is Timestamp:
+                witness(version)
+            cell = cells.get(key)
+            if cell is None:
+                cell = replica.add_cell(key, replica.new_cell())
+            merged = cell.apply(version, entry.value)
+            if merged:
+                applied += 1
+            if outcomes is not None:
+                outcomes.append((key, merged))
+        return applied
+
+    @staticmethod
+    def digest(cells: Dict[Any, "LwwRegister"], keys: Sequence[Any]) -> Tuple[Tuple[Any, Tuple[Any, ...]], ...]:
+        """``(key, entries)`` for each of ``keys`` (in that order) that
+        was ever written, built in C."""
+        return tuple(filter(_ENTRIES, zip(
+            keys, map(tuple, map(_CELL_ENTRIES, map(cells.__getitem__, keys)))
+        )))
 
     def entries(self) -> List[Tuple[Timestamp, Any]]:
         """Full state as wire entries: the one write, once written."""

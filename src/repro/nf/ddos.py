@@ -29,13 +29,13 @@ counts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.manager import Decision, PacketContext
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.nf.base import NetworkFunction
 from repro.sim.engine import Process
-from repro.sketch.countmin import row_hash
+from repro.sketch.countmin import ColumnMemo, row_hash
 from repro.sketch.heavyhitter import normalized_entropy
 
 __all__ = ["DdosDetectorNF"]
@@ -45,6 +45,14 @@ __all__ = ["DdosDetectorNF"]
 SKETCH_DEPTH = 3
 SKETCH_WIDTH = 512
 SKETCH_SEED = 0xD05
+#: One 0 per row: the default of each cell an estimate reads.
+_ABSENT = (0,) * SKETCH_DEPTH
+
+
+def _sketch_cells(ip: Any) -> Tuple[Tuple[int, int], ...]:
+    """``ip``'s count-min cell in each row: the ``(row, column)`` keys
+    of the shared counter registers."""
+    return tuple((row, row_hash(SKETCH_SEED, row, ip, SKETCH_WIDTH)) for row in range(SKETCH_DEPTH))
 
 
 class DdosDetectorNF(NetworkFunction):
@@ -65,6 +73,9 @@ class DdosDetectorNF(NetworkFunction):
         #: sets whose counts are estimated from the shared sketch cells
         self._window_src_ips: set = set()
         self._window_dst_ips: set = set()
+        #: sketch mode: repr(ip) -> ``_sketch_cells(ip)``, so an IP seen
+        #: again is not hashed again (bounded like any ``ColumnMemo``)
+        self._cells = ColumnMemo(_sketch_cells)
         self.src_counts = handles["ddos_src"]
         self.dst_counts = handles["ddos_dst"]
         #: Baseline for windowed diffs: key -> count at window start.
@@ -144,23 +155,28 @@ class DdosDetectorNF(NetworkFunction):
         src, dst = packet.ipv4.src, packet.ipv4.dst
         self._window_src_ips.add(src)
         self._window_dst_ips.add(dst)
+        memo = self._cells
+        text = repr(src)
+        src_cells = memo.get(text) or memo.fill(text, src)
+        text = repr(dst)
+        dst_cells = memo.get(text) or memo.fill(text, dst)
         estimate = None
-        for row in range(SKETCH_DEPTH):
-            self.src_counts.increment((row, row_hash(SKETCH_SEED, row, src, SKETCH_WIDTH)))
-            cell = (row, row_hash(SKETCH_SEED, row, dst, SKETCH_WIDTH))
-            self.dst_counts.increment(cell)
-            count = self.dst_counts.read(cell, 0)
-            estimate = count if estimate is None else min(estimate, count)
+        for src_cell, dst_cell in zip(src_cells, dst_cells):
+            self.src_counts.increment(src_cell)
+            self.dst_counts.increment(dst_cell)
+            count = self.dst_counts.read(dst_cell, 0)
+            if estimate is None or count < estimate:
+                estimate = count
         if estimate is not None and estimate > self._peak_dst_count:
             self._peak_dst_count = estimate
             self.suspected_victim = dst
         return self.forward()
 
     def _sketch_estimate(self, cells: Dict[Any, int], ip: str) -> int:
-        return min(
-            cells.get((row, row_hash(SKETCH_SEED, row, ip, SKETCH_WIDTH)), 0)
-            for row in range(SKETCH_DEPTH)
-        )
+        """``ip``'s count-min estimate over ``cells``: its smallest cell."""
+        text = repr(ip)
+        ip_cells = self._cells.get(text) or self._cells.fill(text, ip)
+        return min(map(cells.get, ip_cells, _ABSENT))
 
     # ------------------------------------------------------------------
     # Windowed entropy analysis (control-plane periodic task)

@@ -88,9 +88,8 @@ class Span:
         self.name = name
         self.child = child
         # The span's attrs beyond group and key: one names tuple per
-        # rule, shared by every span of the kind, and its value picker.
+        # rule, shared by every span of the kind.
         self.names = tuple(a for a in attrs if a not in ("group", "key"))
-        self.pick = _picker(self.names)
 
     def bind(self, spine: Any, kind: str, event: "Event") -> Optional[Handler]:
         recorder = spine.flight_recorder
@@ -101,7 +100,26 @@ class Span:
         child = self.child
         clocks = spine.clocks
         has_group, has_key = "group" in self.fields, "key" in self.fields
-        names, pick = self.names, self.pick
+        names = self.names
+
+        if len(names) == 1:
+            # One attr: its one-value tuple is built here, not by a
+            # picker call per span.
+            (one,) = names
+
+            def handle(node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
+                if ctx is None:
+                    return
+                record(
+                    ctx, name, node, now,
+                    f["group"] if has_group else None,
+                    f["key"] if has_key else None,
+                    names, (f[one],),
+                    clocks[node] if child else None,
+                )
+
+            return handle
+        pick = itemgetter(*names) if names else (lambda f: ())
 
         def handle(node: str, ctx: Any, now: float, f: Dict[str, Any]) -> None:
             if ctx is None:
@@ -115,18 +133,6 @@ class Span:
             )
 
         return handle
-
-
-def _picker(names: Tuple[str, ...]) -> Callable[[Dict[str, Any]], Tuple[Any, ...]]:
-    """``fields -> tuple(fields[n] for n in names)``: one
-    ``operator.itemgetter`` for two or more names (for a single name an
-    itemgetter returns the bare value, so it is wrapped)."""
-    if len(names) > 1:
-        return itemgetter(*names)
-    if names:
-        one = itemgetter(names[0])
-        return lambda f: (one(f),)
-    return lambda f: ()
 
 
 class Metric:

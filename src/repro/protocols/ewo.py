@@ -26,7 +26,9 @@ replication is asynchronous.
 * **Merging** is per the group's mode and lives in ``repro.crdt``: a
   replica is a dict of cells — ``LwwRegister`` ((timestamp, switch-id)
   versions) or ``GCounter`` (per-switch slot vector, element-wise max)
-  — picked by ``MERGE_TYPES``; the engine moves wire entries.
+  — picked by ``MERGE_TYPES``.  The cell type merges a received
+  section whole (``merge_section``) and builds the sync digest; the
+  engine moves sections.
 
 * **Periodic synchronization** replaces retransmission: every
   ``sync_period`` the switch's packet generator sends a randomly
@@ -51,7 +53,6 @@ back, and its first sync round pulls the group's state from a peer.
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter, methodcaller
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.registers import EwoMode, RegisterSpec
@@ -70,15 +71,14 @@ __all__ = ["EwoEngine", "EwoGroupState", "EwoStats", "MERGE_TYPES", "merge_repli
 #: Entries per sync packet, keeping sync packets around an MTU.
 SYNC_ENTRIES_PER_PACKET = 48
 
-#: ``cell.entries()``, and the entries of a ``(key, entries)`` pair.
-_CELL_ENTRIES = methodcaller("entries")
-_ENTRIES = itemgetter(1)
-
 
 class MergeType(NamedTuple):
     """What one EWO mode needs: a ``repro.crdt`` cell and its memory
     cost.  (An absent key reads as an empty cell does.)"""
 
+    #: The cell class: its ``merge_section`` and ``digest`` work on a
+    #: whole replica.
+    cell_type: type
     #: (spec, replicas, my_slot) -> an empty cell for this replica.
     new_cell: Callable[[RegisterSpec, int, int], Any]
     #: (spec, replicas) -> bytes budgeted per key.
@@ -86,15 +86,17 @@ class MergeType(NamedTuple):
 
 
 #: The single per-mode dispatch: adding a mode is a cell class with the
-#: four cell methods plus one row here.
+#: cell methods ``repro.crdt`` lists plus one row here.
 MERGE_TYPES: Dict[EwoMode, MergeType] = {
     EwoMode.LWW: MergeType(
+        LwwRegister,
         lambda spec, replicas, my_slot: LwwRegister(spec.default),
         lambda spec, replicas: Timestamp.wire_size + spec.value_bytes,
     ),
     # "One register array for each switch in the replica group" (paper
     # section 7): version + value per slot.
     EwoMode.COUNTER: MergeType(
+        GCounter,
         lambda spec, replicas, my_slot: GCounter(replicas, my_slot),
         lambda spec, replicas: replicas * (4 + spec.value_bytes),
     ),
@@ -153,7 +155,10 @@ class EwoGroupState:
         self.clock = clock
         self.stats = EwoStats()
         self._pending_entries: List[EwoEntry] = []
-        new_cell, bytes_per_key = MERGE_TYPES[spec.ewo_mode]
+        cell_type, new_cell, bytes_per_key = MERGE_TYPES[spec.ewo_mode]
+        #: The cell class, whose ``merge_section`` and ``digest`` take
+        #: this replica (or its cells) whole.
+        self.cell_type = cell_type
         replicas = len(self.members)
         budget.allocate(f"ewo-store:{spec.name}", spec.capacity * bytes_per_key(spec, replicas))
         #: () -> an empty cell of the group's merge type, for this replica.
@@ -192,19 +197,17 @@ class EwoGroupState:
         return keys
 
     def digest(self) -> Tuple[Tuple[Any, Tuple[Any, ...]], ...]:
-        """The state digest a sync probe carries: exactly what a full
-        sync round ships — each key with entries, in ``sorted_keys()``
-        order, with its cell's entries.  On the wire it is a 64-bit hash
-        (``EwoSyncProbe``); the simulator keeps the hashed value itself
-        and compares it whole, a collision-free stand-in that costs less
-        to compute than serialising the state for a hash.  Recomputed at
-        every call: a cached digest would not see a cell damaged beneath
-        the CRDT API, and sync would stop answering for it."""
-        keys = self.sorted_keys()
-        # iterated in C: a digest is computed at both ends of every round
-        return tuple(filter(_ENTRIES, zip(
-            keys, map(tuple, map(_CELL_ENTRIES, map(self.cells.__getitem__, keys)))
-        )))
+        """The state digest a sync probe carries: a form of exactly what
+        a full sync round ships — each key with entries, in
+        ``sorted_keys()`` order, with its cell's state (the cell type's
+        ``digest``: an LWW cell's entries, a counter's frozen vector).
+        On the wire it is a 64-bit hash (``EwoSyncProbe``); the simulator
+        keeps the hashed value itself and compares it whole, a
+        collision-free stand-in that costs less to compute than
+        serialising the state for a hash.  Recomputed at every call: a
+        cached digest would not see a cell damaged beneath the CRDT API,
+        and sync would stop answering for it."""
+        return self.cell_type.digest(self.cells, self.sorted_keys())
 
     def wipe(self) -> None:
         """Lose everything a restarted pipeline loses."""
@@ -323,11 +326,18 @@ class EwoEngine:
     def increment(self, spec: RegisterSpec, key: Any, amount: int) -> int:
         """CRDT counter increment on our own slot; returns the global sum.
         The queued entry names no slot (``version=None``): receivers
-        apply it at the writer's."""
-        state = self._group(spec, EwoMode.COUNTER)
-        cell = state.cell_for(key)
+        apply it at the writer's.  (Every packet of a sketch NF takes
+        this path several times: it reaches the cell without the
+        ``_group`` and ``cell_for`` frames, and sums the vector itself.)"""
+        state = self.groups.get(spec.group_id)
+        if state is None or spec.ewo_mode is not EwoMode.COUNTER:
+            state = self._group(spec, EwoMode.COUNTER)  # raises
+        try:
+            cell = state.cells[key]
+        except KeyError:
+            cell = state.add_cell(key, state.new_cell())
         self._local_write(state, "increment", key, None, cell.increment(amount))
-        return cell.read()
+        return sum(cell._vector)
 
     def _group(self, spec: RegisterSpec, mode: EwoMode) -> EwoGroupState:
         """The state of ``spec``'s group, for an operation only ``mode``
@@ -555,16 +565,16 @@ class EwoEngine:
         entries: Tuple[EwoEntry, ...],
         is_sync: bool,
     ) -> None:
-        """Merge one group's entries from ``message`` into our replica,
-        each into its key's cell, then count the section once: the
-        group's stats and one ``ewo.merge``.
+        """Merge one group's entries from ``message`` into our replica —
+        one call into the group's cell type (``merge_section``) — then
+        count the section once: the group's stats and one ``ewo.merge``.
 
         A counter update's entry names no slot (``version`` is None): it
         is applied at the slot of the message's ``origin``, looked up
         once for the section.  An origin outside the group has no slot,
         so each such entry is malformed.  An unseen key gets its cell
-        even if the merge is stale, but not from a malformed entry (the
-        cell's ValueError): that is stale and names nothing."""
+        even if the merge is stale, but not from a malformed entry: that
+        is stale and names nothing."""
         state = self.groups.get(group_id)
         if state is None:
             return
@@ -575,36 +585,10 @@ class EwoEngine:
         stats = state.stats
         if is_sync:
             stats.sync_packets_received += 1
-        cells = state.cells
-        witness = state.clock.witness
-        applied = 0
         obs = self.obs
         #: (key, applied) per entry, in entry order, while watched.
         outcomes = [] if obs.on else None
-        for entry in entries:
-            key = entry.key
-            version = entry.version
-            if version is None:
-                version = origin_slot
-            elif type(version) is Timestamp:
-                # The hybrid clock is per switch, not per cell: witness
-                # first, so the next local write beats what we just saw.
-                witness(version)
-            cell = cells.get(key)
-            unseen = cell is None
-            if unseen:
-                cell = state.new_cell()
-            try:
-                merged = cell.apply(version, entry.value)
-            except ValueError:
-                merged = False
-            else:
-                if unseen:
-                    state.add_cell(key, cell)
-                if merged:
-                    applied += 1
-            if outcomes is not None:
-                outcomes.append((key, merged))
+        applied = state.cell_type.merge_section(state, entries, origin_slot, outcomes)
         received = len(entries)
         stale = received - applied
         stats.updates_received += received

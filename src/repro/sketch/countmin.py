@@ -13,8 +13,10 @@ single-owner sketch (the access profiler's tail counts): ``add`` bumps a
 key and returns its estimate from the same pass over the rows, so
 counting and asking hash each row once; ``add(key, 0)`` only asks.
 A tail is a few hundred keys seen over and over, so ``add`` remembers
-each key's columns, by the key's ``repr`` (the text ``row_hash``
-hashes), for up to :data:`MEMO_LIMIT` keys; a full memo starts over.
+each key's columns in a :class:`ColumnMemo` — by the key's ``repr``
+(the text ``row_hash`` hashes), for up to :data:`MEMO_LIMIT` keys; a
+full memo starts over.  The DDoS detector addresses its shared cells
+through the same memo.
 
 Hashing is seeded and deterministic across runs.
 """
@@ -22,9 +24,10 @@ Hashing is seeded and deterministic across runs.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Hashable, List, Tuple
+from functools import partial
+from typing import Any, Callable, Hashable, List, Tuple
 
-__all__ = ["CountMinSketch", "MEMO_LIMIT", "row_hash"]
+__all__ = ["ColumnMemo", "CountMinSketch", "MEMO_LIMIT", "row_hash"]
 
 #: Keys whose columns one sketch remembers at most (a few hundred bytes
 #: each).
@@ -41,6 +44,33 @@ def row_hash(seed: int, row: int, key: Hashable, width: int) -> int:
     return int.from_bytes(digest, "big") % width
 
 
+class ColumnMemo(dict):
+    """``repr(key)`` -> ``build(key)``, what a sketch user makes of one
+    key's ``row_hash`` columns, kept for at most :data:`MEMO_LIMIT`
+    keys: a full memo starts over.  Keyed by ``repr`` because that is
+    what ``row_hash`` hashes (``1``, ``1.0`` and ``True`` are equal keys
+    with different columns).  A hit is a lookup, ``memo.get(text)``; a
+    miss is ``memo.fill(text, key)``.  A cache, not state."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[Hashable], Any]) -> None:
+        super().__init__()
+        self.build = build
+
+    def fill(self, text: str, key: Hashable) -> Any:
+        """Build and remember ``key``'s value (``text`` is its ``repr``)."""
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        value = self[text] = self.build(key)
+        return value
+
+
+def _columns(seed: int, depth: int, width: int, key: Hashable) -> Tuple[int, ...]:
+    """``key``'s column in each of ``depth`` rows."""
+    return tuple(row_hash(seed, row, key, width) for row in range(depth))
+
+
 class CountMinSketch:
     """A depth x width count-min sketch with seeded hashing."""
 
@@ -53,7 +83,7 @@ class CountMinSketch:
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
         self.items_added = 0
         #: repr(key) -> the key's column in each row.
-        self._columns: Dict[str, Tuple[int, ...]] = {}
+        self._columns = ColumnMemo(partial(_columns, seed, depth, width))
 
     # ------------------------------------------------------------------
     def add(self, key: Hashable, count: int = 1) -> int:
@@ -64,14 +94,7 @@ class CountMinSketch:
             raise ValueError("count-min cannot remove items")
         self.items_added += count
         text = repr(key)
-        memo = self._columns
-        columns = memo.get(text)
-        if columns is None:
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            columns = memo[text] = tuple(
-                row_hash(self.seed, row, key, self.width) for row in range(self.depth)
-            )
+        columns = self._columns.get(text) or self._columns.fill(text, key)
         estimate = -1
         for column, cells in zip(columns, self._rows):
             value = cells[column] = cells[column] + count

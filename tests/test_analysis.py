@@ -146,6 +146,42 @@ class TestHistoryRecorder:
         assert report.violations == [(1, "bad")]
         assert not report.ok
 
+    def test_a_key_over_the_step_budget_is_undecided_and_the_rest_keep_their_verdicts(self):
+        """Six overlapping writes and a read of a value none wrote: the
+        search over ``hard`` cannot end in five steps.  It is listed as
+        undecided; ``easy`` (checked after it) and ``bad`` still get
+        their verdicts, and no exception leaves ``check_history``."""
+        recorder = HistoryRecorder()
+        for i in range(6):
+            recorder.begin(i, "write", 1, "hard", i, "s0", 0.0)
+        for i in range(6):
+            recorder.complete(i, 1.0)
+        recorder.record_instant("read", 1, "hard", "never", "s1", 2.0)
+        recorder.record_instant("write", 1, "easy", 1, "s0", 0.0)
+        recorder.record_instant("read", 1, "easy", 1, "s0", 1.0)
+        recorder.record_instant("read", 1, "bad", "phantom", "s0", 0.0)
+        report = check_history(recorder, max_steps=5)
+        assert report.undecided == [(1, "hard")]
+        assert report.checked_keys == 3
+        assert report.linearizable_keys == 1
+        assert report.violations == [(1, "bad")]
+        assert not report.ok
+        assert "1 undecided" in repr(report)
+        assert "key='hard'" in report.explain()
+        # only the budget made it undecided: with room, it is a violation
+        roomy = check_history(recorder, group=1)
+        assert roomy.undecided == [] and (1, "hard") in roomy.violations
+
+    def test_an_undecided_key_alone_is_not_ok(self):
+        recorder = HistoryRecorder()
+        for i in range(6):
+            recorder.begin(i, "write", 1, "hard", i, "s0", 0.0)
+            recorder.complete(i, 1.0)
+        recorder.record_instant("read", 1, "hard", "never", "s1", 2.0)
+        report = check_history(recorder, max_steps=5)
+        assert report.violations == [] and report.undecided == [(1, "hard")]
+        assert not report.ok and "undecided" in report.explain()
+
     def test_check_history_group_filter(self):
         recorder = HistoryRecorder()
         recorder.record_instant("read", 1, "a", "phantom", "s0", 0.0)

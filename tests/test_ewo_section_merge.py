@@ -2,13 +2,16 @@
 once, and a sync round reuses its key order.
 
 ``_ParentMerge`` restores, as a test-local subclass, the receive path the
-section loop replaced — one ``_merge_entry`` frame per entry, the stats
-counted entry by entry.  It is swapped in through ``__class__``; the same
-random messages (all three modes, stale, duplicate, out-of-range-slot,
-non-int-slot and older-``Timestamp`` entries, mirrors with sections for
-groups the switch does not have) are fed to both engines, and the cells,
-``canonical_items()``, stats, hybrid clock and merge outcomes must come
-out equal.
+section loop replaced — one ``_merge_entry`` frame per entry through the
+cell's ``apply``, the stats counted entry by entry.  It is swapped in
+through ``__class__``; the same random messages (all three modes, stale,
+duplicate, out-of-range-slot, non-int-slot, ``True``/``False``-slot,
+slotless and older-``Timestamp`` entries, origins inside and outside
+the group, mirrors with sections for groups the switch does not have)
+are fed to both engines, and the cells, ``canonical_items()``, stats,
+hybrid clock and merge outcomes must come out equal — which holds the
+cell types' section merges to ``apply``'s ``isinstance`` and range
+check.
 
 ``TestKeyOrder`` holds the cached sync order to ``sorted(cells,
 key=repr)`` through every way a key gets a cell, a wipe, and the fault
@@ -44,12 +47,14 @@ UNKNOWN_GROUP = 999
 # ----------------------------------------------------------------------
 class _ParentMerge(EwoEngine):
     """Every entry through its own ``_merge_entry`` frame, every entry
-    counted in the stats as it is merged."""
+    counted in the stats as it is merged.  A slotless entry (``version``
+    None) is at the origin's slot; an origin outside the group has none."""
 
     def _merge_section(self, message, group_id, entries, is_sync):
         state = self.groups.get(group_id)
         if state is None:
             return
+        origin_slot = state.slots.get(message.origin)
         if is_sync:
             state.stats.sync_packets_received += 1
         applied = stale = 0
@@ -57,7 +62,7 @@ class _ParentMerge(EwoEngine):
         outcomes = []
         for entry in entries:
             state.stats.updates_received += 1
-            merged = self._merge_entry(state, entry)
+            merged = self._merge_entry(state, entry, origin_slot)
             if merged:
                 state.stats.merges_applied += 1
                 applied += 1
@@ -79,9 +84,11 @@ class _ParentMerge(EwoEngine):
                 outcomes=outcomes,
             )
 
-    def _merge_entry(self, state, entry):
+    def _merge_entry(self, state, entry, origin_slot):
         stamp = entry.version
-        if isinstance(stamp, Timestamp):
+        if stamp is None:
+            stamp = origin_slot
+        elif isinstance(stamp, Timestamp):
             state.clock.witness(stamp)
         cell = state.cells.get(entry.key)
         if cell is None:
@@ -153,12 +160,21 @@ ENTRIES = {
     EwoMode.COUNTER: st.builds(
         EwoEntry,
         keys,
-        # -1, 3 and 4 are out of range for three replicas; "1" and 1.0
-        # are not int slots: each is malformed and names nothing.
-        st.one_of(st.integers(-1, 4), st.sampled_from(["1", 1.0])),
+        # -1, 3 and 4 are out of range for three replicas; "1", 1.0 and
+        # a stamp are not int slots: each is malformed and names nothing.
+        # True and False are int slots (1 and 0).  None is the origin's
+        # slot, malformed when the origin is not a member.
+        st.one_of(
+            st.integers(-1, 4),
+            st.sampled_from(["1", 1.0, True, False, None]),
+            st.none(),
+            stamps,
+        ),
         st.integers(0, 20),
     ),
 }
+#: Members (s1, s2) and a switch outside the group.
+origins = st.sampled_from(["s1", "s2", "x9"])
 
 
 @st.composite
@@ -170,20 +186,20 @@ def sections(draw):
 
 
 messages = st.one_of(
-    st.tuples(st.sampled_from(["update", "sync"]), sections()),
-    st.tuples(st.just("mirror"), st.lists(sections(), min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["update", "sync"]), origins, sections()),
+    st.tuples(st.just("mirror"), origins, st.lists(sections(), min_size=1, max_size=3)),
 )
 
 
-def _message(kind, body, specs):
+def _message(kind, origin, body, specs):
     def gid(index):
         return specs[index].group_id if index is not None else UNKNOWN_GROUP
 
     if kind == "mirror":
-        return EwoMirror("s1", [(gid(index), entries) for index, entries in body])
+        return EwoMirror(origin, [(gid(index), entries) for index, entries in body])
     index, entries = body
     cls = EwoSync if kind == "sync" else EwoUpdate
-    return cls(group=gid(index), origin="s1", entries=entries)
+    return cls(group=gid(index), origin=origin, entries=entries)
 
 
 class TestSectionMergeMatchesParent:
@@ -204,8 +220,8 @@ class TestSectionMergeMatchesParent:
                 engine.__class__ = _ParentMerge
             if watched:
                 engine.obs = _Watch()
-            for kind, body in script:
-                engine.handle_update(_message(kind, body, specs))
+            for kind, origin, body in script:
+                engine.handle_update(_message(kind, origin, body, specs))
             engines.append(engine)
             watches.append(engine.obs.events if watched else None)
         change, parent = engines
@@ -250,6 +266,55 @@ class TestSectionMergeMatchesParent:
         assert engine.local_state(gid) == {"a": "x"}
         # Witnessed first: the next local stamp is after the merged one.
         assert engine.groups[gid].clock.now() > Timestamp(1e-6, 0, 1)
+
+
+# ----------------------------------------------------------------------
+# The counter digest
+# ----------------------------------------------------------------------
+def _entries_digest(state):
+    """The digest as sync rounds first computed it: each key with
+    entries, in ``sorted_keys()`` order, with its cell's entries."""
+    return tuple(
+        (key, tuple(entries))
+        for key in state.sorted_keys()
+        if (entries := state.cells[key].entries())
+    )
+
+
+#: A replica's counter state: key -> its three slots (zeros included).
+counter_states = st.dictionaries(
+    st.sampled_from(["a", "b", 7, ("t", 1)]),
+    st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    max_size=4,
+)
+
+
+class TestCounterDigest:
+    @settings(max_examples=200, deadline=None)
+    @given(left=counter_states, right=counter_states)
+    def test_equal_exactly_when_the_entries_digests_are(self, left, right):
+        deployment, specs = _world()
+        gid = specs[1].group_id
+        states = [deployment.manager(name).ewo.groups[gid] for name in ("s0", "s1")]
+        for state, vectors in zip(states, (left, right)):
+            for key, vector in vectors.items():
+                state.cell_for(key)._vector[:] = vector
+        new = [state.digest() for state in states]
+        old = [_entries_digest(state) for state in states]
+        assert (new[0] == new[1]) == (old[0] == old[1])
+        for state, digest in zip(states, new):
+            assert [key for key, _ in digest] == [key for key, _ in _entries_digest(state)]
+
+    def test_a_counter_digest_is_the_frozen_vectors_of_keys_with_a_count(self):
+        deployment, specs = _world()
+        gid = specs[1].group_id
+        state = deployment.manager("s0").ewo.groups[gid]
+        for key, vector in (("b", [0, 2, 0]), ("a", [0, 0, 0]), ("c", [1, 0, 5])):
+            state.cell_for(key)._vector[:] = vector
+        assert state.digest() == (("b", (0, 2, 0)), ("c", (1, 0, 5)))
+        # recomputed at every call: damage beneath the API shows at once
+        state.cells["b"]._vector[1] = 1
+        assert state.digest() == (("b", (0, 1, 0)), ("c", (1, 0, 5)))
 
 
 # ----------------------------------------------------------------------

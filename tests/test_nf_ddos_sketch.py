@@ -6,7 +6,7 @@ import pytest
 
 from repro.nf.ddos import SKETCH_DEPTH, SKETCH_SEED, SKETCH_WIDTH, DdosDetectorNF
 from repro.nf.heavyhitter import HeavyHitterNF
-from repro.sketch.countmin import row_hash
+from repro.sketch.countmin import MEMO_LIMIT, row_hash
 from repro.workload.attack import AttackScenario
 
 from repro.testing import build_nf_world
@@ -152,3 +152,58 @@ class TestSketchMode:
         scenario.start(duration=20e-3)
         world.sim.run(until=25e-3)
         assert all(not d.alarms for d in detectors)
+
+
+def _row_hash_cells(ip):
+    return tuple((row, row_hash(SKETCH_SEED, row, ip, SKETCH_WIDTH)) for row in range(SKETCH_DEPTH))
+
+
+def _parent_estimate(cells, ip):
+    """``_sketch_estimate`` as written before the memo: hash each row."""
+    return min(cells.get(cell, 0) for cell in _row_hash_cells(ip))
+
+
+class TestCellMemo:
+    """Each IP's ``(row, column)`` cells come from a bounded memo built on
+    ``row_hash``: the same cells for every row, a full memo starting
+    over, and the estimates the per-row hashing gave."""
+
+    def test_the_memo_is_row_hash_through_a_start_over(self):
+        _, detectors = sketch_world()
+        detector = detectors[0]
+        memo = detector._cells
+        ips = [f"10.{i // 250}.{i % 250}.7" for i in range(MEMO_LIMIT + 40)]
+        # equal but differently printed keys keep their own cells
+        ips += [1, 1.0, True, ("10.0.0.1", 80)]
+        delta = {cell: 3 + (hash(cell) % 11) for ip in ips[::7] for cell in _row_hash_cells(ip)}
+        seen_full = False
+        for ip in ips + ips[:50]:  # the first 50 again, after the start-over
+            before = len(memo)
+            estimate = detector._sketch_estimate(delta, ip)
+            if before == MEMO_LIMIT:
+                seen_full = True
+                assert len(memo) in (1, MEMO_LIMIT)
+            assert len(memo) <= MEMO_LIMIT
+            assert memo[repr(ip)] == _row_hash_cells(ip)
+            assert estimate == _parent_estimate(delta, ip)
+        assert seen_full
+        assert len({memo[repr(k)] for k in (1, 1.0, True)}) == 3
+
+    def test_a_packet_writes_and_reads_the_row_hash_cells(self):
+        """A pass over a memoised IP touches the cells ``row_hash``
+        names, and a start-over changes no count."""
+        world, detectors = sketch_world()
+        from repro.net.packet import make_udp_packet
+
+        client, server = world.clients[0], world.servers[0]
+        for i in range(10):
+            world.sim.schedule(
+                i * 20e-6,
+                lambda: client.inject(make_udp_packet(client.ip, server.ip, 1, 2)),
+            )
+        world.sim.schedule(100e-6, lambda: [d._cells.clear() for d in detectors])
+        world.sim.run(until=0.02)
+        spec = world.deployment.spec_by_name("ddos_src")
+        state = world.deployment.manager("ingress").ewo.local_state(spec.group_id)
+        assert state == {cell: 30 for cell in _row_hash_cells(client.ip)}
+        assert all(repr(server.ip) in d._cells for d in detectors if d._cells)

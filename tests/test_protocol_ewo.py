@@ -18,7 +18,7 @@ from repro.net.packet import make_udp_packet
 from repro.nf.base import NetworkFunction
 from repro.protocols import ewo
 from repro.protocols.ewo import MERGE_TYPES
-from repro.protocols.messages import EwoEntry, EwoMirror, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror, EwoUpdate, entries_bytes
 
 
 def declare_counter(deployment, name="ctr", **kwargs):
@@ -688,7 +688,7 @@ def pinned_scenario(make_deployment, mode):
     for entries in (sent, sent + tuple(extra)):
         s2.ewo.handle_update(EwoUpdate(group=gid, origin="s0", entries=entries))
     sync = [
-        (e.key, e.version, e.value, e.wire_bytes(spec.key_bytes, spec.value_bytes))
+        (e.key, e.version, e.value, entries_bytes([e], spec.key_bytes, spec.value_bytes))
         for e in s2.ewo._full_state_entries(s2.ewo.groups[gid])
     ]
     stats = s2.ewo.stats_for(gid)
@@ -747,13 +747,14 @@ class TestPinnedWireAndDigests:
 class TestMergeTypeTable:
     """EWO modes are rows of one table, not branches of the engine."""
 
-    CELL_METHODS = ("apply", "entries", "read", "canonical")
+    CELL_METHODS = ("apply", "entries", "read", "canonical", "merge_section", "digest")
 
     def test_every_mode_is_a_row_whose_cell_has_the_four_methods(self):
         assert set(MERGE_TYPES) == set(EwoMode)
         for mode, row in MERGE_TYPES.items():
             spec = RegisterSpec("t", Consistency.EWO, ewo_mode=mode)
             cell = row.new_cell(spec, 3, 1)
+            assert type(cell) is row.cell_type
             for name in self.CELL_METHODS:
                 assert callable(getattr(type(cell), name, None)), (mode, name)
             assert not hasattr(cell, "__dict__"), f"{type(cell).__name__} needs __slots__"
@@ -772,4 +773,5 @@ class TestMergeTypeTable:
                 for sub in ast.walk(node)
             )
         }
-        assert readers == {"__init__", "seed_group", "_group"}
+        # ``increment`` guards inline and calls ``_group`` only to raise
+        assert readers == {"__init__", "seed_group", "_group", "increment"}

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crdt.clock import Timestamp
 from repro.net.headers import SwiShmemHeader, SwiShmemOp, WireRecord
@@ -26,6 +28,34 @@ from repro.protocols.messages import (
     WriteAck,
     WriteRequest,
     WriteToken,
+    entries_bytes,
+)
+
+
+def _entry_bytes(entry, key_bytes, value_bytes):
+    """One entry's wire size, written per entry: the definition
+    ``entries_bytes``'s arithmetic must agree with."""
+    version = entry.version
+    if version is None:  # a counter update's: the writer's slot, named once
+        version_bytes = 0
+    elif type(version) is Timestamp:
+        version_bytes = Timestamp.wire_size
+    else:  # a sync's counter slot
+        version_bytes = 4
+    return key_bytes + value_bytes + version_bytes
+
+
+class _LaterStamp(Timestamp):
+    """Not a ``Timestamp`` by exact type: sized as a 4-byte slot."""
+
+
+_VERSIONS = st.one_of(
+    st.none(),
+    st.integers(0, 5),
+    st.booleans(),
+    st.builds(Timestamp, st.floats(0, 1), st.integers(0, 3), st.integers(0, 3)),
+    st.builds(_LaterStamp, st.just(0.5), st.just(0), st.just(1)),
+    st.sampled_from(["1", 1.0, (0, 1)]),
 )
 
 
@@ -121,7 +151,7 @@ class TestWireSizes:
         the writer's, named once in the framing."""
         one = EwoUpdate(1, "s0", [EwoEntry("k", None, 1)])
         three = EwoUpdate(1, "s0", [EwoEntry(f"k{i}", None, 1) for i in range(3)])
-        assert EwoEntry("k", None, 1).wire_bytes(8, 8) == 8 + 8
+        assert entries_bytes([EwoEntry("k", None, 1)], 8, 8) == 8 + 8
         assert one.wire_size == 13 + 8 + 8
         assert three.wire_size - one.wire_size == 2 * (8 + 8)
 
@@ -132,9 +162,9 @@ class TestWireSizes:
         update_entry = EwoEntry("k", None, 10)
         slot_entry = EwoEntry("k", 2, 10)
         stamp_entry = EwoEntry("k", Timestamp(1.0, 0, 1), 10)
-        assert update_entry.wire_bytes(13, 4) == 13 + 4
-        assert slot_entry.wire_bytes(13, 4) == 13 + 4 + 4
-        assert stamp_entry.wire_bytes(13, 4) == 13 + 4 + Timestamp.wire_size == 13 + 4 + 10
+        assert entries_bytes([update_entry], 13, 4) == 13 + 4
+        assert entries_bytes([slot_entry], 13, 4) == 13 + 4 + 4
+        assert entries_bytes([stamp_entry], 13, 4) == 13 + 4 + Timestamp.wire_size == 13 + 4 + 10
         mirror = EwoMirror("s0", [(1, [update_entry]), (2, [update_entry])], [(13, 4), (8, 8)])
         assert mirror.wire_size == 13 + 4 + (13 + 4) + (8 + 8)
         assert EwoSync(1, "s0", [slot_entry], 13, 4).wire_size == 13 + 13 + 4 + 4
@@ -180,13 +210,13 @@ class TestWireSizes:
 
     def test_ewo_wire_size_is_computed_once_and_carried_by_copies(self, monkeypatch):
         update = next(m for m in payload_samples() if type(m) is EwoUpdate)
-        per_entry = [e.wire_bytes(13, 4) for e in update.entries]
+        per_entry = [_entry_bytes(e, 13, 4) for e in update.entries]
         assert per_entry == [13 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 4]
         assert update.wire_size == 13 + sum(per_entry)
         # a stored value, not a per-read sum: with the per-entry sizing
         # gone, the size still reads, on the message and on its copy
         assert "wire_size" in EwoUpdate.__slots__
-        monkeypatch.setattr(EwoEntry, "wire_bytes", None)
+        monkeypatch.setattr(messages, "entries_bytes", None)
         assert update.wire_size == update.copy().wire_size == 13 + sum(per_entry)
 
     def test_a_one_section_mirror_costs_exactly_an_update(self):
@@ -202,7 +232,7 @@ class TestWireSizes:
         sections = [(g, entries[: g + 1]) for g in range(3)]
         mirror = EwoMirror("s1", sections, widths)
         entry_bytes = sum(
-            e.wire_bytes(*w) for (_, section), w in zip(sections, widths) for e in section
+            _entry_bytes(e, *w) for (_, section), w in zip(sections, widths) for e in section
         )
         assert mirror.wire_size == 13 + 4 * (3 - 1) + entry_bytes
         # against k separate updates: k - 1 framings saved, 4 bytes each spent
@@ -228,6 +258,31 @@ class TestWireSizes:
         assert update.entries == (EwoEntry("k", 0, 1),)
         with pytest.raises(dataclasses.FrozenInstanceError):
             update.entries[0].value = 9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sections=st.lists(
+            st.tuples(
+                st.lists(st.builds(EwoEntry, st.just("k"), _VERSIONS, st.just(1)), max_size=6),
+                st.sampled_from([(8, 8), (13, 4), (3, 4), (4, 1)]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_a_section_is_sized_as_its_entries_one_by_one(self, sections):
+        """For every mix of versions — none, slot, bool, stamp, a stamp
+        subclass, anything else — an update's and a mirror's arithmetic
+        equals the per-entry sum."""
+        per_section = [sum(_entry_bytes(e, *w) for e in entries) for entries, w in sections]
+        for (entries, widths), size in zip(sections, per_section):
+            assert EwoUpdate(1, "s0", entries, *widths).wire_size == 13 + size
+            assert EwoSync(1, "s0", entries, *widths).wire_size == 13 + size
+        mirror = EwoMirror(
+            "s0", [(g, entries) for g, (entries, _) in enumerate(sections)],
+            [widths for _, widths in sections],
+        )
+        assert mirror.wire_size == 13 + 4 * (len(sections) - 1) + sum(per_section)
 
 
 class TestChainHops:
