@@ -91,11 +91,13 @@ class SwitchFaults:
         """True when the packet was consumed here."""
         op, message, manager = packet.swishmem.op, packet.swishmem_payload, self.manager
         if op is SwiShmemOp.EWO_UPDATE or op is SwiShmemOp.EWO_SYNC:
-            mirror = type(message) is EwoMirror
-            sections = message.sections if mirror else ((message.group, message.entries),)
+            sections = message.sections
             kept = tuple(s for s in sections if not self._loses(manager.ewo, s[0], len(s[1])))
             if kept and len(kept) < len(sections):  # the rest go on, same origin and trace
-                manager.ewo.handle_update(EwoMirror(message.origin, kept, trace=message.trace))
+                manager.ewo.handle_update(
+                    EwoMirror(message.origin, kept, trace=message.trace),
+                    op is SwiShmemOp.EWO_SYNC,
+                )
             return len(kept) < len(sections)
         if op is SwiShmemOp.SCRUB_REPAIR:
             engine = manager.ewo if message.entries else manager.sro

@@ -216,7 +216,7 @@ class SwiShmemManager:
         if op is SwiShmemOp.READ_FORWARD:
             return self.sro.handle_read_forward(packet, header.register_group)
         if op in (SwiShmemOp.EWO_UPDATE, SwiShmemOp.EWO_SYNC):
-            self.ewo.handle_update(payload)
+            self.ewo.handle_update(payload, op is SwiShmemOp.EWO_SYNC)
             return True
         if op is SwiShmemOp.EWO_SYNC_PROBE:
             self.ewo.handle_probe(payload)
@@ -859,21 +859,14 @@ class SwiShmemDeployment:
         """Fail-stop a switch (the controller will detect it)."""
         self.topo.fail_node(name)
 
-    def start_scrubbing(self, period: Optional[float] = None, **kwargs: Any):
-        """Start the anti-entropy scrub loop (idempotent).
-
-        ``kwargs`` pass through to
-        :class:`~repro.protocols.antientropy.ScrubCoordinator`
-        (``buckets``, ``heal_bound``).
-        """
+    def start_scrubbing(self, period: Optional[float] = None):
+        """Start the anti-entropy scrub loop (idempotent)."""
         from repro.protocols.antientropy import DEFAULT_SCRUB_PERIOD, ScrubCoordinator
 
         if self.scrubber is not None:
             return self.scrubber
         self.scrubber = ScrubCoordinator(
-            self,
-            period=period if period is not None else DEFAULT_SCRUB_PERIOD,
-            **kwargs,
+            self, period=period if period is not None else DEFAULT_SCRUB_PERIOD
         )
         self.scrubber.start()
         return self.scrubber

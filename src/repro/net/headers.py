@@ -173,12 +173,15 @@ class SwiShmemOp(enum.Enum):
       READ_FORWARD   — pending-bit hit: packet forwarded to tail for
                        processing against the latest committed value
 
-    EWO protocol:
-      EWO_UPDATE     — asynchronous multicast of (version, value) pairs
+    EWO protocol (both data ops carry an ``EwoMirror``; the op alone
+    says which it is):
+      EWO_UPDATE     — asynchronous multicast of fresh (version, value)
+                       pairs
       EWO_SYNC_PROBE — periodic packet-generator digest of a member's
                        group state, sent to a random member
       EWO_SYNC       — that member's full state, sent back only when
-                       its digest differs (also the scrubber's repair)
+                       its digest differs (scrub repair rides in
+                       SCRUB_REPAIR, not here)
 
     Recovery (section 6.3):
       SNAPSHOT_WRITE — snapshot replay toward a recovering switch

@@ -20,8 +20,8 @@ assigns to in flight and shares everything below them:
   ``update.trace`` are reassigned by retries and by each chain hop).
 * **Shared** — every value *inside* those records: strings, numbers,
   enums, the frozen ``TraceContext`` and ``WriteToken``, chain member
-  tuples, a header's ``relay`` tuple, the ``EwoUpdate.entries`` tuple
-  and its frozen ``EwoEntry`` objects, register keys and values, and
+  tuples, a header's ``relay`` tuple, the ``EwoMirror.sections`` tuples
+  and their frozen ``EwoEntry`` objects, register keys and values, and
   the metadata values ``ingress_node`` and ``at_tail_groups`` (a
   frozenset).
 

@@ -7,8 +7,6 @@ from repro.protocols.messages import (
     ChainUpdate,
     EwoEntry,
     EwoMirror,
-    EwoSync,
-    EwoUpdate,
     SnapshotAck,
     SnapshotWrite,
     WriteAck,
@@ -29,8 +27,6 @@ __all__ = [
     "ChainUpdate",
     "EwoEntry",
     "EwoMirror",
-    "EwoSync",
-    "EwoUpdate",
     "SnapshotAck",
     "SnapshotWrite",
     "WriteAck",

@@ -79,6 +79,10 @@ __all__ = ["DivergenceEvent", "ScrubAgent", "ScrubCoordinator", "ScrubStats"]
 
 #: Default scrub round period.
 DEFAULT_SCRUB_PERIOD = 2e-3
+#: Leaves of every member's per-group digest tree (a power of two).
+SCRUB_BUCKETS = 16
+#: Internal levels of that tree below its root.
+_TREE_DEPTH = SCRUB_BUCKETS.bit_length() - 1
 #: Consecutive rounds a (member, key) must stay divergent before repair
 #: (filters replicas that merely had a write in flight).
 CONFIRM_ROUNDS = 2
@@ -202,10 +206,9 @@ class ScrubAgent:
     monotone sequence guard, EWO ones only while the group is EWO here.
     """
 
-    def __init__(self, manager: "SwiShmemManager", buckets: int = 16) -> None:
+    def __init__(self, manager: "SwiShmemManager") -> None:
         self.manager = manager
         self.switch = manager.switch
-        self.buckets = buckets
         self._trees: Dict[int, DigestTree] = {}
         self.repairs_applied = 0
         self.repairs_fenced = 0
@@ -217,7 +220,7 @@ class ScrubAgent:
         """The group's digest tree, refreshed against the live store."""
         tree = self._trees.get(group_id)
         if tree is None:
-            tree = DigestTree(self.buckets)
+            tree = DigestTree(SCRUB_BUCKETS)
             self._trees[group_id] = tree
         tree.refresh(self._items(group_id))
         return tree
@@ -354,17 +357,15 @@ class ScrubCoordinator:
         self,
         deployment: "SwiShmemDeployment",
         period: float = DEFAULT_SCRUB_PERIOD,
-        buckets: int = 16,
-        heal_bound: Optional[float] = None,
     ) -> None:
         self.deployment = deployment
         self.sim = deployment.sim
         self.period = period
         #: Heal guarantee: a repairable divergence is gone within this
         #: much sim time, counted from when scrubbing was last unable to
-        #: run for its group.  Default: enough for confirmation rounds
-        #: plus repair propagation plus one verifying round.
-        self.heal_bound = heal_bound if heal_bound is not None else 6 * period
+        #: run for its group: enough for confirmation rounds plus repair
+        #: propagation plus one verifying round.
+        self.heal_bound = 6 * period
         self.latency = deployment.controller.config_latency
         self.stats = ScrubStats()
         self._round_ids = itertools.count(1)
@@ -372,12 +373,6 @@ class ScrubCoordinator:
         #: (group, member, key) -> consecutive divergent rounds.
         self._suspects: Dict[Tuple[int, str, Any], int] = {}
         self._process: Optional[Process] = None
-        self._tree_depth = buckets.bit_length() - 1
-        # Every agent shares the coordinator's bucket count; trees are
-        # created lazily at first query, so re-pointing the size here is
-        # safe as long as scrubbing has not started yet.
-        for manager in deployment.managers.values():
-            manager.scrub.buckets = buckets
         #: The deployment's observability spine; coordinator spans and
         #: metrics carry the "scrub" node.
         self.obs = deployment.obs
@@ -551,7 +546,7 @@ class ScrubCoordinator:
         # Majority digest per queried node; members disagreeing with the
         # majority (every voter, at a tie) carry the divergence down to
         # the next stage.
-        depth = self._tree_depth
+        depth = _TREE_DEPTH
         queried = sorted({i for nodes in round_.replies.values() for i in nodes})
         divergent_indexes: Set[int] = set()
         divergent_members: Set[str] = set()

@@ -127,7 +127,6 @@ class RecoveryEvent:
 
     switch: str
     started_at: float
-    ewo_rejoined_at: Optional[float] = None
     promoted_at: Dict[int, float] = field(default_factory=dict)
     #: True when this is a re-admission of a suspected-but-alive switch.
     readmission: bool = False
@@ -776,15 +775,11 @@ class CentralController:
         # EWO: rejoin multicast groups and restart the sync generators.
         # Groups whose multicast was deleted by a re-level promotion are
         # skipped here; reconciliation below re-levels the stale engine.
-        rejoined = False
-        for group_id, state in manager.ewo.groups.items():
+        for group_id in manager.ewo.groups:
             if not self.deployment.multicast.has(group_id):
                 continue
             self.deployment.multicast.get(group_id).add(name)
             manager.restart_ewo_sync(group_id)
-            rejoined = True
-        if rejoined:
-            event.ewo_rejoined_at = self.sim.now
         self._rejoin_chains(name, event, wiped=wipe_state)
         # A switch that was down across a re-level still runs the old
         # engine for the group; re-send it the switch step.
@@ -817,7 +812,6 @@ class CentralController:
         self.recoveries.append(event)
         self.deployment.routing.recompute()
         manager = self.deployment.manager(name)
-        rejoined = False
         for group_id in manager.ewo.groups:
             if not self.deployment.multicast.has(group_id):
                 # Deleted by a re-level promotion while this switch was
@@ -826,9 +820,6 @@ class CentralController:
             group = self.deployment.multicast.get(group_id)
             if name not in group.members:
                 group.add(name)
-            rejoined = True
-        if rejoined:
-            event.ewo_rejoined_at = self.sim.now
         self._rejoin_chains(name, event, wiped=False)
         self.deployment.releveler.reconcile_recovery(self, manager)
 

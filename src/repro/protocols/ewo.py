@@ -9,16 +9,19 @@ replication is asynchronous.
   whole pass: when a packet's pass ends (``end_pass``), the groups it
   wrote leave as one packet per replica set, carrying only this
   switch's new version numbers and values, in write order — an
-  ``EwoUpdate`` for a group alone in its replica set, an ``EwoMirror``
-  with one section per group for several.  A counter entry there names
-  no slot: the slot is the writer's, and the receiver looks the
-  message's ``origin`` up in the group's member list once per section
-  (a sync, which ships every replica's slots, names each).  On the wire
-  the update copies are enqueued first and the output packet after
-  them, at the same simulated instant.  A write outside a pass (window
-  tasks, operators) is broadcast at once.  The multicast engine sends
-  one copy per first-hop link: a member beyond another member rides in
-  that member's copy and is sent on from there (``PisaSwitch.relay``).
+  ``EwoMirror`` with one ``(group, entries)`` section per group.  Every
+  EWO replication packet is an ``EwoMirror``: a write outside a pass
+  (window tasks, operators), broadcast at once, a partial-replication
+  target's share and each chunk of a sync answer are one-section
+  mirrors, and only the header op (``EWO_SYNC``) marks a sync answer.
+  An update's counter entry names no slot: the slot is the writer's,
+  and the receiver looks the message's ``origin`` up in the group's
+  member list once per section (a sync answer, which ships every
+  replica's slots, names each).  On the wire the update copies are
+  enqueued first and the output packet after them, at the same
+  simulated instant.  The multicast engine sends one copy per
+  first-hop link: a member beyond another member rides in that
+  member's copy and is sent on from there (``PisaSwitch.relay``).
   ``ewo_batch_size`` is the number of queued entries below which a
   group's broadcast is held back, trading bandwidth for staleness
   (experiment A2).
@@ -53,7 +56,9 @@ back, and its first sync round pulls the group's state from a peer.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.core.registers import EwoMode, RegisterSpec
 from repro.crdt.clock import HybridClock, Timestamp
@@ -61,7 +66,7 @@ from repro.crdt.gcounter import GCounter
 from repro.crdt.lww import LwwRegister
 from repro.net.headers import SwiShmemHeader, SwiShmemOp
 from repro.net.packet import Packet
-from repro.protocols.messages import EwoEntry, EwoMirror, EwoSync, EwoSyncProbe, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror, EwoSyncProbe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import SwiShmemManager
@@ -277,9 +282,9 @@ class EwoEngine:
         coordinator flushes and waits out the settle window before
         switching, so in the normal path there are none.  Frees the
         group's memory budget; removing an absent group is a no-op so a
-        resumed handoff can replay the command.  Straggler updates,
-        syncs and mirror sections that arrive after removal are already
-        ignored by ``_merge_section``.
+        resumed handoff can replay the command.  Straggler sections
+        that arrive after removal are already ignored by
+        ``handle_update``.
         """
         state = self.groups.pop(group_id, None)
         if state is not None:
@@ -386,8 +391,7 @@ class EwoEngine:
         ``ewo_batch_size`` entries, the pass's own plus any that earlier
         passes left below it — are partitioned by their fan-out
         (``others(switch)`` of their multicast groups), partitions in
-        first-write order.  A partition of one group leaves as its
-        ``EwoUpdate`` (``flush``), one of several as one ``EwoMirror``
+        first-write order, and each partition leaves as one mirror
         (``_mirror``); a partial-replication group is a partition of its
         own, sent per target.  The manager calls this before it disposes
         of the output packet, so on a shared egress channel the update
@@ -407,13 +411,13 @@ class EwoEngine:
         if due is not None:
             self._partition(due)
         elif first is not None:
-            self.flush(first.spec.group_id)
+            self._mirror((first,))
 
     def _partition(self, due: List[EwoGroupState]) -> None:
         """Send several due groups as one packet per fan-out."""
         name = self.switch.name
         registry = self.switch.multicast
-        directory = getattr(self.manager.deployment, "directory", None)
+        directory = self.manager.deployment.directory
         partitions: Dict[Any, List[EwoGroupState]] = {}
         for state in due:
             if directory is not None and state.spec.partial_replication:
@@ -422,24 +426,39 @@ class EwoEngine:
                 fanout = registry.get(state.spec.group_id).others(name)
             partitions.setdefault(fanout, []).append(state)
         for states in partitions.values():
-            if len(states) == 1:
-                self.flush(states[0].spec.group_id)
-            else:
-                self._mirror(states)
+            self._mirror(states)
 
-    def _mirror(self, states: List[EwoGroupState]) -> None:
-        """Broadcast the queued entries of groups that share a fan-out
-        as one ``EwoMirror``, to the first group's multicast group.  As a
+    def flush(self, group_id: int) -> int:
+        """Broadcast queued entries to the replica group.  Returns the
+        copies this switch sent (a member beyond another rides in its
+        copy)."""
+        state = self.groups[group_id]
+        if not state._pending_entries:
+            return 0
+        return self._mirror((state,))
+
+    def _mirror(self, states: Sequence[EwoGroupState]) -> int:
+        """Broadcast the queued entries of ``states`` — one group, or
+        several that share a fan-out — as one ``EwoMirror``, a section
+        per group, to the first group's multicast group; a partial-
+        replication group (always alone) goes per target instead.  As a
         packet it counts once, on the first group's
-        ``update_packets_sent``."""
-        sections, widths = [], []
+        ``update_packets_sent``.  Returns the copies this switch sent."""
+        first = states[0]
+        if first.spec.partial_replication and self.manager.deployment.directory is not None:
+            return self._flush_partial(first)
+        sections = widths = ()
+        total = 0
         for state in states:
             entries, state._pending_entries = state._pending_entries, []
-            state.stats.updates_sent += len(entries)
-            sections.append((state.spec.group_id, entries))
-            widths.append((state.spec.key_bytes, state.spec.value_bytes))
-        states[0].stats.update_packets_sent += 1
-        group_id = sections[0][0]
+            count = len(entries)
+            state.stats.updates_sent += count
+            total += count
+            spec = state.spec
+            sections += ((spec.group_id, entries),)
+            widths += ((spec.key_bytes, spec.value_bytes),)
+        first.stats.update_packets_sent += 1
+        group_id = first.spec.group_id
         mirror = EwoMirror(self.switch.name, sections, widths)
         mirror.trace = self._causal.root()
         packet = Packet(
@@ -454,55 +473,21 @@ class EwoEngine:
                 self.switch.name,
                 mirror.trace,
                 group=group_id,
-                entries=sum(len(entries) for _, entries in mirror.sections),
-                bytes=packet.wire_size,
-            )
-        self.switch.multicast_to_group(packet, group_id)
-
-    def flush(self, group_id: int) -> int:
-        """Broadcast queued entries to the replica group.  Returns the
-        copies this switch sent (a member beyond another rides in its
-        copy)."""
-        state = self.groups[group_id]
-        if not state._pending_entries:
-            return 0
-        entries = state._pending_entries
-        state._pending_entries = []
-        directory = getattr(self.manager.deployment, "directory", None)
-        if directory is not None and state.spec.partial_replication:
-            return self._flush_partial(state, entries, directory)
-        update = EwoUpdate(
-            group=group_id,
-            origin=self.switch.name,
-            entries=entries,
-            key_bytes=state.spec.key_bytes,
-            value_bytes=state.spec.value_bytes,
-        )
-        state.stats.updates_sent += len(update.entries)
-        state.stats.update_packets_sent += 1
-        update.trace = self._causal.root()
-        packet = Packet(
-            swishmem=SwiShmemHeader(op=SwiShmemOp.EWO_UPDATE, register_group=group_id),
-            swishmem_payload=update,
-            trace=update.trace,
-            uid=next(self.sim.packet_ids),
-        )
-        if self.obs.on:
-            self.obs.emit(
-                "ewo.update.broadcast",
-                self.switch.name,
-                update.trace,
-                group=group_id,
-                entries=len(update.entries),
+                entries=total,
                 bytes=packet.wire_size,
             )
         return self.switch.multicast_to_group(packet, group_id)
 
-    def _flush_partial(self, state: EwoGroupState, entries: List[EwoEntry], directory) -> int:
+    def _flush_partial(self, state: EwoGroupState) -> int:
         """Section 9 extension: replicate each key only to its directory-
-        assigned replicas, instead of to the whole group."""
-        group_id = state.spec.group_id
-        live = set(self.switch.multicast.get(group_id).members) if self.switch.multicast else set(state.members)
+        assigned replicas, instead of to the whole group — one
+        one-section mirror per target."""
+        entries, state._pending_entries = state._pending_entries, []
+        directory = self.manager.deployment.directory
+        spec = state.spec
+        group_id = spec.group_id
+        widths = ((spec.key_bytes, spec.value_bytes),)
+        live = set(self.switch.multicast.get(group_id).members)
         per_target: Dict[str, List[EwoEntry]] = {}
         for entry in entries:
             replicas = directory.replicas_of(group_id, entry.key)
@@ -511,34 +496,29 @@ class EwoEngine:
                     per_target.setdefault(target, []).append(entry)
         copies = 0
         for target in sorted(per_target):
-            update = EwoUpdate(
-                group=group_id,
-                origin=self.switch.name,
-                entries=per_target[target],
-                key_bytes=state.spec.key_bytes,
-                value_bytes=state.spec.value_bytes,
-            )
-            update.trace = self._causal.root()
+            sent = per_target[target]
+            mirror = EwoMirror(self.switch.name, ((group_id, sent),), widths)
+            mirror.trace = self._causal.root()
             if self.obs.on:
                 self.obs.emit(
                     "ewo.update.send",
                     self.switch.name,
-                    update.trace,
+                    mirror.trace,
                     group=group_id,
                     target=target,
-                    entries=len(update.entries),
+                    entries=len(sent),
                 )
             packet = Packet(
                 swishmem=SwiShmemHeader(
                     op=SwiShmemOp.EWO_UPDATE, register_group=group_id, dst_node=target
                 ),
-                swishmem_payload=update,
-                trace=update.trace,
+                swishmem_payload=mirror,
+                trace=mirror.trace,
                 uid=next(self.sim.packet_ids),
             )
             if self.switch.forward_to_node(packet, target):
                 copies += 1
-                state.stats.updates_sent += len(update.entries)
+                state.stats.updates_sent += len(sent)
                 state.stats.update_packets_sent += 1
                 if self.obs.on:
                     self.obs.emit("ewo.update.sent", self.switch.name, bytes=packet.wire_size)
@@ -547,68 +527,56 @@ class EwoEngine:
     # ------------------------------------------------------------------
     # Merge path (receiving side)
     # ------------------------------------------------------------------
-    def handle_update(self, message: EwoUpdate | EwoMirror) -> None:
-        """Merge a received ``EwoMirror`` section by section, and an
-        ``EwoUpdate`` or ``EwoSync`` as its one section."""
-        if type(message) is EwoMirror:
-            for group_id, entries in message.sections:
-                self._merge_section(message, group_id, entries, False)
-        else:
-            self._merge_section(
-                message, message.group, message.entries, type(message) is EwoSync
-            )
+    def handle_update(self, message: EwoMirror, sync: bool = False) -> None:
+        """Merge a received ``EwoMirror`` into our replicas section by
+        section — one call into the group's cell type
+        (``merge_section``) — and count each section once: the group's
+        stats and one ``ewo.merge``.  ``sync`` says the packet came
+        under the ``EWO_SYNC`` op, as a sync answer.  A section of a
+        group we do not hold is ignored.
 
-    def _merge_section(
-        self,
-        message: EwoUpdate | EwoMirror,
-        group_id: int,
-        entries: Tuple[EwoEntry, ...],
-        is_sync: bool,
-    ) -> None:
-        """Merge one group's entries from ``message`` into our replica —
-        one call into the group's cell type (``merge_section``) — then
-        count the section once: the group's stats and one ``ewo.merge``.
-
-        A counter update's entry names no slot (``version`` is None): it
-        is applied at the slot of the message's ``origin``, looked up
-        once for the section.  An origin outside the group has no slot,
-        so each such entry is malformed.  An unseen key gets its cell
-        even if the merge is stale, but not from a malformed entry: that
-        is stale and names nothing."""
-        state = self.groups.get(group_id)
-        if state is None:
-            return
-        try:
-            origin_slot = state.slots[message.origin]
-        except KeyError:  # not a member: its slotless entries are malformed
-            origin_slot = None
-        stats = state.stats
-        if is_sync:
-            stats.sync_packets_received += 1
+        An update's counter entry names no slot (``version`` is None):
+        it is applied at the slot of the message's ``origin``, looked up
+        once per section.  An origin outside the group has no slot, so
+        each such entry is malformed.  An unseen key gets its cell even
+        if the merge is stale, but not from a malformed entry: that is
+        stale and names nothing."""
+        origin = message.origin
         obs = self.obs
-        #: (key, applied) per entry, in entry order, while watched.
-        outcomes = [] if obs.on else None
-        applied = state.cell_type.merge_section(state, entries, origin_slot, outcomes)
-        received = len(entries)
-        stale = received - applied
-        stats.updates_received += received
-        stats.merges_applied += applied
-        stats.merges_stale += stale
-        if obs.on:
-            # One event per received section: its fan-in span (merges
-            # from many origins parent into each origin's broadcast/sync
-            # span) and every entry's merge outcome.
-            obs.emit(
-                "ewo.merge",
-                self.switch.name,
-                message.trace,
-                group=group_id,
-                origin=message.origin,
-                sync=is_sync,
-                applied=applied,
-                stale=stale,
-                outcomes=outcomes,
-            )
+        for group_id, entries in message.sections:
+            state = self.groups.get(group_id)
+            if state is None:
+                continue
+            try:
+                origin_slot = state.slots[origin]
+            except KeyError:  # not a member: its slotless entries are malformed
+                origin_slot = None
+            stats = state.stats
+            if sync:
+                stats.sync_packets_received += 1
+            #: (key, applied) per entry, in entry order, while watched.
+            outcomes = [] if obs.on else None
+            applied = state.cell_type.merge_section(state, entries, origin_slot, outcomes)
+            received = len(entries)
+            stale = received - applied
+            stats.updates_received += received
+            stats.merges_applied += applied
+            stats.merges_stale += stale
+            if obs.on:
+                # One event per received section: its fan-in span (merges
+                # from many origins parent into each origin's broadcast/
+                # sync span) and every entry's merge outcome.
+                obs.emit(
+                    "ewo.merge",
+                    self.switch.name,
+                    message.trace,
+                    group=group_id,
+                    origin=origin,
+                    sync=sync,
+                    applied=applied,
+                    stale=stale,
+                    outcomes=outcomes,
+                )
 
     # ------------------------------------------------------------------
     # Periodic synchronization (paper 6.2 / 7)
@@ -665,7 +633,7 @@ class EwoEngine:
         """Answer the probe stamped ``parent`` (which may be ``None``):
         ship full known state to ``target`` in MTU-sized sync packets."""
         entries = self._full_state_entries(state)
-        directory = getattr(self.manager.deployment, "directory", None)
+        directory = self.manager.deployment.directory
         if directory is not None and state.spec.partial_replication:
             # partial replication: gossip to the target only the keys it
             # is a replica of
@@ -680,15 +648,10 @@ class EwoEngine:
                 "ewo.sync.round", self.switch.name, round_ctx, group=group_id,
                 target=target, entries=len(entries),
             )
+        widths = ((state.spec.key_bytes, state.spec.value_bytes),)
         for start in range(0, len(entries), SYNC_ENTRIES_PER_PACKET):
             chunk = entries[start : start + SYNC_ENTRIES_PER_PACKET]
-            sync = EwoSync(
-                group=group_id,
-                origin=self.switch.name,
-                entries=chunk,
-                key_bytes=state.spec.key_bytes,
-                value_bytes=state.spec.value_bytes,
-            )
+            sync = EwoMirror(self.switch.name, ((group_id, chunk),), widths)
             sync.trace = self._causal.child(round_ctx)
             packet = Packet(
                 swishmem=SwiShmemHeader(
@@ -706,7 +669,7 @@ class EwoEngine:
 
     def _pick_sync_target(self, group_id: int) -> Optional[str]:
         registry = self.switch.multicast
-        if registry is None or not registry.has(group_id):
+        if not registry.has(group_id):
             # The group can vanish mid-round when a re-level promotes it
             # to SRO and deletes the multicast fan-out.
             return None

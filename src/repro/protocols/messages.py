@@ -13,13 +13,12 @@ Message flow summary (paper section 6):
 ``ChainUpdate``           hop-by-hop down the chain, per-slot sequence numbers
 ``WriteAck``              tail -> writer (release buffered output packet) and
                           tail -> other members (clear pending bits)
-``EwoUpdate``             asynchronous broadcast of fresh EWO writes (a
-                          counter entry: no slot — the writer's own)
+``EwoMirror``             every EWO replication packet: one or more
+                          ``(group, entries)`` sections — fresh writes (a
+                          counter entry: no slot, the writer's own) or,
+                          under the ``EWO_SYNC`` op, a full-state answer
+                          to a probe (every replica's slots, 4 B each)
 ``EwoSyncProbe``          periodic packet-generator digest to a random member
-``EwoSync``               full-state answer to a probe whose digest differs
-                          (a counter entry: every replica's slots, 4 B each)
-``EwoMirror``             one pass's EWO writes to groups sharing a replica
-                          set (entries as ``EwoUpdate``'s)
 ``SnapshotWrite``         snapshot replay toward a recovering switch (6.3)
 ``SnapshotAck``           recovering switch -> snapshot source
 ``Heartbeat``             every switch -> controller host switch (liveness)
@@ -74,8 +73,6 @@ __all__ = [
     "WriteAck",
     "EwoEntry",
     "entries_bytes",
-    "EwoUpdate",
-    "EwoSync",
     "EwoSyncProbe",
     "EwoMirror",
     "SnapshotWrite",
@@ -224,16 +221,16 @@ class EwoEntry:
 
     For counter-mode groups, ``value`` is one replica slot's count
     (element-wise-max merge) and ``version`` names the slot: ``None`` in
-    an update or mirror, where the slot is the writer's own (paper
+    an update, where the slot is the writer's own (paper
     section 6.2: "only this switch's new version numbers and values"),
     and the receiver takes it from the message's ``origin`` — the
     writer id the framing already carries — so it costs 0 bytes; the
-    replica slot index in a sync, which ships every replica's slots, at
-    4 bytes.  For LWW-mode groups, ``version`` is a :class:`Timestamp`
+    replica slot index in a sync answer, which ships every replica's
+    slots, at 4 bytes.  For LWW-mode groups, ``version`` is a :class:`Timestamp`
     and ``value`` the register value.
 
     Immutable: one entry object is shared by every multicast copy of
-    the update that carries it.  On the wire an entry is its key and
+    the mirror that carries it.  On the wire an entry is its key and
     value at the group's widths plus its version (:func:`entries_bytes`).
     """
 
@@ -259,46 +256,56 @@ def entries_bytes(entries: Sequence[EwoEntry], key_bytes: int, value_bytes: int)
     )
 
 
-@fixed_record
-class EwoUpdate(WireRecord):
-    """Asynchronous broadcast of fresh local writes (paper section 6.2).
+#: Per section after a mirror's first: group (2) + entry count (2).
+_SECTION_BYTES = 4
 
-    "small write update packets containing only this switch's new
-    version numbers and values" — entries hold only the writer's own
-    slots / newly stamped values.  A counter entry names no slot
-    (``version`` is ``None``): it is ``origin``'s, so the writer is
-    named once per message, in the framing.
+
+@fixed_record
+class EwoMirror(WireRecord):
+    """Every EWO replication packet's message (paper sections 6.2 and
+    7): one or more immutable ``(group, entries)`` sections from one
+    switch, ``origin``.
+
+    A switch clones the *packet* once at egress and the multicast engine
+    copies that clone to the replica set, so the groups a pass wrote
+    leave together when they share a fan-out: sections in first-write
+    order, entries in write order.  A group alone in its fan-out, a
+    control-plane write's flush and a partial-replication target's
+    share leave as a one-section mirror; so does each chunk of a sync
+    answer, which the header's ``EWO_SYNC`` op (not this message) marks.
+    An update's counter entry names no slot: every section's writer is
+    ``origin``, whichever member relays the copy; a sync answer's names
+    each replica's.  On the wire it is one framing for the packet plus
+    a group id and an entry count for every section after the first.
     """
 
-    group: int
     origin: str
-    #: Any iterable is accepted; it is frozen into a tuple, which every
-    #: copy of the message then shares.
-    entries: Tuple[EwoEntry, ...] = ()
-    key_bytes: int = 8
-    value_bytes: int = 8
+    #: Any iterables are accepted; they are frozen into tuples, which
+    #: every copy of the message then shares.
+    sections: Tuple[Tuple[int, Tuple[EwoEntry, ...]], ...]
+    #: ``(key_bytes, value_bytes)`` per section, default 8 and 8: they
+    #: size the entries on the wire, and receivers never need them.
+    widths: InitVar[Optional[Sequence[Tuple[int, int]]]] = None
     trace: Any = _trace_field()
-    #: Summed once here, not per copy per hop: the entries and widths
+    #: Summed once here, not per copy per hop: the sections and widths
     #: it depends on never change after construction.
     wire_size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.entries = tuple(self.entries)
-        self.wire_size = _BASE_MSG_BYTES + entries_bytes(
-            self.entries, self.key_bytes, self.value_bytes
-        )
-
-
-@fixed_record
-class EwoSync(EwoUpdate):
-    """Full-state sync (paper sections 6.2 and 7): the answer to an
-    :class:`EwoSyncProbe` whose digest differs from the receiver's.
-
-    Unlike :class:`EwoUpdate`, a sync carries *all* state the sender
-    knows — every replica's slots — which is what makes the protocol
-    self-healing: "any switch that did receive the update can then
-    synchronize the other switches".
-    """
+    def __post_init__(self, widths) -> None:
+        # One loop freezes and sizes the sections, with no frame per
+        # section but its ``entries_bytes``.
+        sections = ()
+        size = _BASE_MSG_BYTES
+        if widths is None:
+            widths = repeat((8, 8))
+        for (group, entries), (key_bytes, value_bytes) in zip(self.sections, widths):
+            if sections:
+                size += _SECTION_BYTES
+            entries = tuple(entries)
+            sections += ((group, entries),)
+            size += entries_bytes(entries, key_bytes, value_bytes)
+        self.sections = sections
+        self.wire_size = size
 
 
 #: A state digest on the wire: 64 bits.
@@ -309,8 +316,9 @@ _DIGEST_BYTES = 8
 class EwoSyncProbe(WireRecord):
     """One periodic sync round's opening (paper section 6.2): the
     prober's 64-bit digest of the state a full sync would ship.  The
-    member it reaches answers with its own full state (an
-    :class:`EwoSync`) only if its digest differs.
+    member it reaches answers with its own full state (one-section
+    :class:`EwoMirror` chunks under the ``EWO_SYNC`` op) only if its
+    digest differs.
 
     ``digest`` holds what the hash is taken over
     (``EwoGroupState.digest``), compared whole: a collision-free
@@ -321,47 +329,6 @@ class EwoSyncProbe(WireRecord):
     digest: Any = field(repr=False)
     trace: Any = _trace_field()
     wire_size: int = field(default=_BASE_MSG_BYTES + _DIGEST_BYTES, init=False, repr=False)
-
-
-#: Per section after a mirror's first: group (2) + entry count (2).
-_SECTION_BYTES = 4
-
-
-@fixed_record
-class EwoMirror(WireRecord):
-    """One packet pass's fresh writes to several groups with the same
-    replica set, as one packet (paper section 7).
-
-    A switch clones the *packet* once at egress and the multicast engine
-    copies that clone to the replica set, so the groups a pass wrote
-    leave together when they share a fan-out.  Each section is an
-    immutable ``(group, entries)`` tuple — sections in first-write
-    order, entries in write order.  On the wire it is one framing for
-    the packet plus a group id and an entry count for every section
-    after the first: one section costs exactly an :class:`EwoUpdate`.
-    As in an update, a counter entry names no slot: every section's
-    writer is ``origin``, whichever member relays the copy.
-    """
-
-    origin: str
-    #: Any iterables are accepted; they are frozen into tuples, which
-    #: every copy of the message then shares.
-    sections: Tuple[Tuple[int, Tuple[EwoEntry, ...]], ...]
-    #: ``(key_bytes, value_bytes)`` per section, default 8 and 8: they
-    #: size the entries on the wire, and receivers never need them.
-    widths: InitVar[Optional[Tuple[Tuple[int, int], ...]]] = None
-    trace: Any = _trace_field()
-    #: Summed once here, as :class:`EwoUpdate`'s is.
-    wire_size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, widths) -> None:
-        self.sections = tuple((group, tuple(entries)) for group, entries in self.sections)
-        if widths is None:
-            widths = [(8, 8)] * len(self.sections)
-        size = _BASE_MSG_BYTES + _SECTION_BYTES * len(self.sections[1:])
-        for (_, entries), (key_bytes, value_bytes) in zip(self.sections, widths):
-            size += entries_bytes(entries, key_bytes, value_bytes)
-        self.wire_size = size
 
 
 @fixed_record

@@ -32,7 +32,7 @@ from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.crdt.clock import Timestamp
 from repro.net.topology import Topology, build_full_mesh
 from repro.protocols.ewo import EwoEngine
-from repro.protocols.messages import EwoEntry, EwoMirror, EwoSync, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -46,9 +46,14 @@ UNKNOWN_GROUP = 999
 # The reference: the receive path as it was, entry by entry
 # ----------------------------------------------------------------------
 class _ParentMerge(EwoEngine):
-    """Every entry through its own ``_merge_entry`` frame, every entry
-    counted in the stats as it is merged.  A slotless entry (``version``
-    None) is at the origin's slot; an origin outside the group has none."""
+    """Every section through its own ``_merge_section`` frame, every
+    entry through its own ``_merge_entry`` frame and counted in the
+    stats as it is merged.  A slotless entry (``version`` None) is at
+    the origin's slot; an origin outside the group has none."""
+
+    def handle_update(self, message, sync=False):
+        for group_id, entries in message.sections:
+            self._merge_section(message, group_id, entries, sync)
 
     def _merge_section(self, message, group_id, entries, is_sync):
         state = self.groups.get(group_id)
@@ -198,8 +203,7 @@ def _message(kind, origin, body, specs):
     if kind == "mirror":
         return EwoMirror(origin, [(gid(index), entries) for index, entries in body])
     index, entries = body
-    cls = EwoSync if kind == "sync" else EwoUpdate
-    return cls(group=gid(index), origin=origin, entries=entries)
+    return EwoMirror(origin, [(gid(index), entries)])
 
 
 class TestSectionMergeMatchesParent:
@@ -221,7 +225,7 @@ class TestSectionMergeMatchesParent:
             if watched:
                 engine.obs = _Watch()
             for kind, origin, body in script:
-                engine.handle_update(_message(kind, origin, body, specs))
+                engine.handle_update(_message(kind, origin, body, specs), kind == "sync")
             engines.append(engine)
             watches.append(engine.obs.events if watched else None)
         change, parent = engines
@@ -244,7 +248,7 @@ class TestSectionMergeMatchesParent:
             EwoEntry("bad", 3, 9),  # out of range: stale, names nothing
             EwoEntry("bad", "1", 9),  # not an int: stale, names nothing
         ]
-        engine.handle_update(EwoSync(group=gid, origin="s1", entries=entries))
+        engine.handle_update(EwoMirror("s1", [(gid, entries)]), True)
         stats = engine.stats_for(gid).as_dict()
         assert (stats["updates_received"], stats["merges_applied"], stats["merges_stale"],
                 stats["sync_packets_received"]) == (5, 1, 4, 1)
@@ -261,8 +265,8 @@ class TestSectionMergeMatchesParent:
         assert not engine.obs.on
         monkeypatch.setattr(engine.obs, "emit", lambda *a, **k: pytest.fail("emitted"))
         gid = specs[0].group_id
-        engine.handle_update(EwoUpdate(
-            group=gid, origin="s1", entries=[EwoEntry("a", Timestamp(1e-6, 0, 1), "x")]))
+        engine.handle_update(
+            EwoMirror("s1", [(gid, [EwoEntry("a", Timestamp(1e-6, 0, 1), "x")])]))
         assert engine.local_state(gid) == {"a": "x"}
         # Witnessed first: the next local stamp is after the merged one.
         assert engine.groups[gid].clock.now() > Timestamp(1e-6, 0, 1)
@@ -350,8 +354,7 @@ class TestKeyOrder:
         assert engine.groups[spec.group_id].sorted_keys() == ("m",)
         # Stale (0 is not above 0) yet it names "c": the cell exists,
         # and the cached order must not keep it out.
-        engine.handle_update(
-            EwoUpdate(group=spec.group_id, origin="s1", entries=[EwoEntry("c", 1, 0)]))
+        engine.handle_update(EwoMirror("s1", [(spec.group_id, [EwoEntry("c", 1, 0)])]))
         assert engine.stats_for(spec.group_id).merges_stale == 1
         assert engine.groups[spec.group_id].sorted_keys() == ("c", "m")
 
@@ -360,8 +363,8 @@ class TestKeyOrder:
         engine = deployment.manager("s0").ewo
         gid = specs[1].group_id
         before = engine.groups[gid].sorted_keys()
-        engine.handle_update(EwoUpdate(group=gid, origin="s1", entries=[
-            EwoEntry("bad", 7, 9), EwoEntry("bad", "1", 9), EwoEntry("a", 2, 3)]))
+        engine.handle_update(EwoMirror("s1", [(gid, [
+            EwoEntry("bad", 7, 9), EwoEntry("bad", "1", 9), EwoEntry("a", 2, 3)])]))
         state = engine.groups[gid]
         assert before == ()
         assert state.sorted_keys() == ("a",)
@@ -389,8 +392,7 @@ class TestKeyOrder:
         assert state.sorted_keys() == () and _sync_keys(manager.ewo, spec.group_id) == []
         manager.register_increment(spec, "c", 1)
         assert _sync_keys(manager.ewo, spec.group_id) == ["c"]
-        manager.ewo.handle_update(EwoUpdate(
-            group=spec.group_id, origin="s1", entries=[EwoEntry("a", 1, 5)]))
+        manager.ewo.handle_update(EwoMirror("s1", [(spec.group_id, [EwoEntry("a", 1, 5)])]))
         assert _sync_keys(manager.ewo, spec.group_id) == ["a", "c"]
 
     def test_a_round_with_no_new_key_sorts_nothing(self, monkeypatch):
@@ -401,8 +403,7 @@ class TestKeyOrder:
             manager.register_increment(spec, key, 1)
         order = manager.ewo.groups[spec.group_id].sorted_keys()
         manager.register_increment(spec, "a", 1)  # an existing key
-        manager.ewo.handle_update(EwoUpdate(
-            group=spec.group_id, origin="s1", entries=[EwoEntry("b", 1, 2)]))
+        manager.ewo.handle_update(EwoMirror("s1", [(spec.group_id, [EwoEntry("b", 1, 2)])]))
         assert manager.ewo.groups[spec.group_id].sorted_keys() is order
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -422,9 +423,9 @@ class TestKeyOrder:
             state.cell_for("never")
         else:
             entries = [EwoEntry(k, 1, 5) for k in ["k3", "a", 10, "k1", ("t", 2), "b"]]
-        engine.handle_update(EwoUpdate(group=gid, origin="s1", entries=entries[:3]))
+        engine.handle_update(EwoMirror("s1", [(gid, entries[:3])]))
         state.sorted_keys()  # cache an order that the next merge outgrows
-        engine.handle_update(EwoUpdate(group=gid, origin="s1", entries=entries[3:]))
+        engine.handle_update(EwoMirror("s1", [(gid, entries[3:])]))
         if index == 0:
             live = sorted((k for k, c in state.cells.items() if c.written), key=repr)
         else:

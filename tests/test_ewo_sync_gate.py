@@ -17,7 +17,7 @@ from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.crdt.clock import Timestamp
 from repro.net.topology import Topology, build_full_mesh
-from repro.protocols.messages import EwoEntry, EwoUpdate
+from repro.protocols.messages import EwoEntry, EwoMirror
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -108,7 +108,7 @@ def _replay(mode: EwoMode, ops: List[tuple]):
         elif kind == "seed":
             engine.seed_group(gid, [(op[1], op[2])], Timestamp(op[3], 0, 7))
         else:
-            engine.handle_update(EwoUpdate(gid, "s1", [EwoEntry(op[1], op[2], op[3])]))
+            engine.handle_update(EwoMirror("s1", [(gid, [EwoEntry(op[1], op[2], op[3])])]))
     return state.digest(), _shipped(engine, gid)
 
 

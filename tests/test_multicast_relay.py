@@ -58,9 +58,9 @@ def _merge_times(world, names):
         engine = world.deployment.manager(name).ewo
         merge = engine.handle_update
 
-        def recording(message, merge=merge, name=name):
+        def recording(message, sync=False, merge=merge, name=name):
             times.setdefault(name, world.sim.now)
-            merge(message)
+            merge(message, sync)
 
         engine.handle_update = recording
     return times
@@ -161,7 +161,8 @@ class TestOneCopyPerLink:
         received = []
         rider = world.deployment.manager(egress.name).ewo
         merge = rider.handle_update
-        rider.handle_update = lambda message: (received.append(message), merge(message))
+        rider.handle_update = lambda message, sync=False: (
+            received.append(message), merge(message, sync))
         relayed = world.deployment.manager(carrier).switch.stats.multicast_copies
         writer._mirror([writer.groups[spec.group_id], writer.groups[other.group_id]])
         world.sim.run(until=1e-3)

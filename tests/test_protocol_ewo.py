@@ -18,7 +18,7 @@ from repro.net.packet import make_udp_packet
 from repro.nf.base import NetworkFunction
 from repro.protocols import ewo
 from repro.protocols.ewo import MERGE_TYPES
-from repro.protocols.messages import EwoEntry, EwoMirror, EwoUpdate, entries_bytes
+from repro.protocols.messages import EwoEntry, EwoMirror, entries_bytes
 
 
 def declare_counter(deployment, name="ctr", **kwargs):
@@ -320,17 +320,17 @@ class PassWorld:
 
     def updates(self, peer):
         """What s0 sent ``peer``, packet by packet: (group name, entry
-        keys) for an EwoUpdate, a list of those, one per section, for an
-        EwoMirror; ``"output"`` stands for the data packet itself."""
+        keys) for a one-section mirror, a list of those, one per
+        section, for several; ``"output"`` stands for the data packet
+        itself."""
         return [self._describe(packet) for packet in self.wire[peer]]
 
     def _describe(self, packet):
         message = packet.swishmem_payload
         if packet.swishmem is None:
             return "output"
-        if isinstance(message, EwoMirror):
-            return [self._section(group, entries) for group, entries in message.sections]
-        return self._section(message.group, message.entries)
+        described = [self._section(group, entries) for group, entries in message.sections]
+        return described if len(described) > 1 else described[0]
 
     def _section(self, group_id, entries):
         return (self.m0.ewo.groups[group_id].spec.name, [entry.key for entry in entries])
@@ -462,7 +462,8 @@ class TestOneMirrorPerPass:
         received = []
         s1 = dep.manager("s1").ewo
         merge = s1.handle_update
-        s1.handle_update = lambda message: (received.append(message), merge(message))
+        s1.handle_update = lambda message, sync=False: (
+            received.append(message), merge(message, sync))
         writer.ewo._mirror(states)
         dep.sim.run(until=1e-3)
         # the rebuilt mirror: same writer, the frozen group's section gone
@@ -603,7 +604,7 @@ class TestStats:
         m0, m1 = deployment.manager("s0"), deployment.manager("s1")
         m1.register_increment(spec, "k", 1)
         m0.ewo.handle_update(
-            EwoUpdate(gid, "s1", [EwoEntry("k", 1, 1)], trace=m0.causal.root())
+            EwoMirror("s1", [(gid, [EwoEntry("k", 1, 1)])], trace=m0.causal.root())
         )
         m0.register_increment(spec, "k", 4)  # s0 now holds all s1 holds, and more
         before = m0.ewo.stats_for(gid).merges_stale
@@ -630,12 +631,12 @@ class TestStats:
         s1.register_increment(spec, "b", 5)
         entries = tuple(s1.ewo.groups[gid]._pending_entries)
         assert [e.version for e in entries] == [None, None]
-        s2.ewo.handle_update(EwoUpdate(gid, "outsider", entries))
         s2.ewo.handle_update(EwoMirror("outsider", [(gid, entries)]))
+        s2.ewo.handle_update(EwoMirror("outsider", [(gid, entries)]), True)
         stats = s2.ewo.stats_for(gid)
         assert (stats.updates_received, stats.merges_applied, stats.merges_stale) == (4, 0, 4)
         assert s2.ewo.groups[gid].cells == {}
-        s2.ewo.handle_update(EwoUpdate(gid, "s1", entries))
+        s2.ewo.handle_update(EwoMirror("s1", [(gid, entries)]))
         assert (stats.merges_applied, stats.merges_stale) == (2, 4)
         cells = s2.ewo.groups[gid].cells
         assert (cells["a"].vector(), cells["b"].vector()) == ([0, 2, 0], [0, 5, 0])
@@ -686,7 +687,7 @@ def pinned_scenario(make_deployment, mode):
         extra = [EwoEntry("b", Timestamp(-1.0, 0, 0), "old")]  # stale
     sent = tuple(s0.ewo.groups[gid]._pending_entries)
     for entries in (sent, sent + tuple(extra)):
-        s2.ewo.handle_update(EwoUpdate(group=gid, origin="s0", entries=entries))
+        s2.ewo.handle_update(EwoMirror("s0", [(gid, entries)]))
     sync = [
         (e.key, e.version, e.value, entries_bytes([e], spec.key_bytes, spec.value_bytes))
         for e in s2.ewo._full_state_entries(s2.ewo.groups[gid])

@@ -18,9 +18,7 @@ from repro.protocols.messages import (
     ChainUpdate,
     EwoEntry,
     EwoMirror,
-    EwoSync,
     EwoSyncProbe,
-    EwoUpdate,
     Heartbeat,
     ScrubRepair,
     SnapshotAck,
@@ -74,8 +72,6 @@ def payload_samples():
         WriteRequest(1, "k", ("10.0.0.9", 4242), token, attempt=2, rmw_delta=1, trace=ctx),
         ChainUpdate(1, ("r", 9), 5, 12, 3, token, ("s0", "s1", "s2"), epoch=4, trace=ctx),
         WriteAck(1, "k", 12, 3, token, value=5, trace=ctx),
-        EwoUpdate(2, "s1", entries, key_bytes=13, value_bytes=4, trace=ctx),
-        EwoSync(2, "s1", [EwoEntry("flow", 2, 41), entries[1]], trace=ctx),
         EwoSyncProbe(2, "s1", (("flow", ((2, 41),)),), trace=ctx),
         EwoMirror("s1", [(2, entries[:1]), (3, entries[1:])], [(13, 4), (8, 8)], trace=ctx),
         SnapshotWrite(1, "k", "v", 12, 3, "s0", transfer_id=6, trace=ctx),
@@ -98,8 +94,8 @@ def _wire_record_classes():
 class TestFixedRecords:
     def test_each_slot_is_declared_once_and_each_copy_is_its_own_code(self):
         """Every header and message is slotted by ``fixed_record``: a
-        subclass (``EwoSync``) adds no slot its base has, a per-class
-        constant (``wire_size`` of a header or a probe) is no slot, and
+        subclass adds no slot its base has, a per-class constant
+        (``wire_size`` of a header or a probe) is no slot, and
         each class's generated ``copy()`` has a code filename of its
         own, so a profile counts each class's copies apart."""
         classes, todo = set(), list(WireRecord.__subclasses__())
@@ -111,7 +107,6 @@ class TestFixedRecords:
             declared = [name for base in cls.__mro__ for name in getattr(base, "__slots__", ())]
             assert len(declared) == len(set(declared)), cls.__name__
             assert set(declared) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
-        assert EwoSync.__slots__ == ()
         assert "wire_size" not in SwiShmemHeader.__slots__ + EwoSyncProbe.__slots__
         filenames = {cls.copy.__code__.co_filename for cls in classes}
         assert len(filenames) == len(classes)
@@ -149,14 +144,14 @@ class TestWireSizes:
     def test_ewo_update_sums_entries(self):
         """A counter update's entry is its key and value: the slot is
         the writer's, named once in the framing."""
-        one = EwoUpdate(1, "s0", [EwoEntry("k", None, 1)])
-        three = EwoUpdate(1, "s0", [EwoEntry(f"k{i}", None, 1) for i in range(3)])
+        one = EwoMirror("s0", [(1, [EwoEntry("k", None, 1)])])
+        three = EwoMirror("s0", [(1, [EwoEntry(f"k{i}", None, 1) for i in range(3)])])
         assert entries_bytes([EwoEntry("k", None, 1)], 8, 8) == 8 + 8
         assert one.wire_size == 13 + 8 + 8
         assert three.wire_size - one.wire_size == 2 * (8 + 8)
 
     def test_entry_version_encodings(self):
-        """Counter update or mirror entry: key + value.  Sync entry: a
+        """Counter update entry: key + value.  Sync answer entry: a
         4-byte slot on top, since a sync ships every replica's slots.
         LWW entry: the 10-byte Timestamp on top."""
         update_entry = EwoEntry("k", None, 10)
@@ -167,12 +162,12 @@ class TestWireSizes:
         assert entries_bytes([stamp_entry], 13, 4) == 13 + 4 + Timestamp.wire_size == 13 + 4 + 10
         mirror = EwoMirror("s0", [(1, [update_entry]), (2, [update_entry])], [(13, 4), (8, 8)])
         assert mirror.wire_size == 13 + 4 + (13 + 4) + (8 + 8)
-        assert EwoSync(1, "s0", [slot_entry], 13, 4).wire_size == 13 + 13 + 4 + 4
+        assert EwoMirror("s0", [(1, [slot_entry])], [(13, 4)]).wire_size == 13 + 13 + 4 + 4
 
     def test_sync_probe_is_framing_plus_a_digest(self):
         """8 bytes of digest, whatever the size of the state it hashes."""
         probe = EwoSyncProbe(1, "s0", (("k", ((0, 1),)),) * 100)
-        assert probe.wire_size == EwoUpdate(1, "s0").wire_size + 8
+        assert probe.wire_size == EwoMirror("s0", [(1, [])]).wire_size + 8 == 13 + 8
 
     def test_snapshot_messages(self):
         write = SnapshotWrite(1, "k", "v", 3, 0, "s0")
@@ -208,26 +203,34 @@ class TestWireSizes:
         with pytest.raises(AttributeError):
             packet.wire_size
 
+    @staticmethod
+    def _entries():
+        """The sample mirror's entries: a slotless counter entry, an
+        LWW stamp and a sync answer's counter slot."""
+        mirror = next(m for m in payload_samples() if type(m) is EwoMirror)
+        return tuple(entry for _, section in mirror.sections for entry in section)
+
     def test_ewo_wire_size_is_computed_once_and_carried_by_copies(self, monkeypatch):
-        update = next(m for m in payload_samples() if type(m) is EwoUpdate)
-        per_entry = [_entry_bytes(e, 13, 4) for e in update.entries]
+        update = EwoMirror("s1", [(2, self._entries())], [(13, 4)])
+        per_entry = [_entry_bytes(e, 13, 4) for e in update.sections[0][1]]
         assert per_entry == [13 + 4, 13 + 4 + Timestamp.wire_size, 13 + 4 + 4]
         assert update.wire_size == 13 + sum(per_entry)
         # a stored value, not a per-read sum: with the per-entry sizing
         # gone, the size still reads, on the message and on its copy
-        assert "wire_size" in EwoUpdate.__slots__
+        assert "wire_size" in EwoMirror.__slots__
         monkeypatch.setattr(messages, "entries_bytes", None)
         assert update.wire_size == update.copy().wire_size == 13 + sum(per_entry)
 
     def test_a_one_section_mirror_costs_exactly_an_update(self):
-        entries = next(m for m in payload_samples() if type(m) is EwoUpdate).entries
+        """One framing and the section's entries: no section bytes."""
+        entries = self._entries()
         for widths in ((8, 8), (13, 4)):
-            update = EwoUpdate(2, "s1", entries, key_bytes=widths[0], value_bytes=widths[1])
-            assert EwoMirror("s1", [(2, entries)], [widths]).wire_size == update.wire_size
-        assert EwoMirror("s1", [(2, entries)]).wire_size == EwoUpdate(2, "s1", entries).wire_size
+            mirror = EwoMirror("s1", [(2, entries)], [widths])
+            assert mirror.wire_size == 13 + entries_bytes(entries, *widths)
+        assert EwoMirror("s1", [(2, entries)]).wire_size == 13 + entries_bytes(entries, 8, 8)
 
     def test_a_mirror_is_one_framing_plus_four_bytes_per_extra_section(self):
-        entries = next(m for m in payload_samples() if type(m) is EwoUpdate).entries
+        entries = self._entries()
         widths = [(13, 4), (8, 8), (4, 1)]
         sections = [(g, entries[: g + 1]) for g in range(3)]
         mirror = EwoMirror("s1", sections, widths)
@@ -236,7 +239,7 @@ class TestWireSizes:
         )
         assert mirror.wire_size == 13 + 4 * (3 - 1) + entry_bytes
         # against k separate updates: k - 1 framings saved, 4 bytes each spent
-        updates = [EwoUpdate(g, "s1", section, *w) for (g, section), w in zip(sections, widths)]
+        updates = [EwoMirror("s1", [(g, section)], [w]) for (g, section), w in zip(sections, widths)]
         assert sum(u.wire_size for u in updates) - mirror.wire_size == (13 - 4) * (3 - 1)
 
     def test_mirror_sections_are_immutable_and_shared_by_a_clone(self):
@@ -253,11 +256,11 @@ class TestWireSizes:
 
     def test_ewo_entries_are_immutable(self):
         source = [EwoEntry("k", 0, 1)]
-        update = EwoUpdate(1, "s0", source)
+        update = EwoMirror("s0", [(1, source)])
         source.append(EwoEntry("late", 0, 2))  # the caller's list is not aliased
-        assert update.entries == (EwoEntry("k", 0, 1),)
+        assert update.sections == ((1, (EwoEntry("k", 0, 1),)),)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            update.entries[0].value = 9
+            update.sections[0][1][0].value = 9
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -272,12 +275,11 @@ class TestWireSizes:
     )
     def test_a_section_is_sized_as_its_entries_one_by_one(self, sections):
         """For every mix of versions — none, slot, bool, stamp, a stamp
-        subclass, anything else — an update's and a mirror's arithmetic
-        equals the per-entry sum."""
+        subclass, anything else — a one-section and a k-section mirror's
+        arithmetic equals the per-entry sum."""
         per_section = [sum(_entry_bytes(e, *w) for e in entries) for entries, w in sections]
         for (entries, widths), size in zip(sections, per_section):
-            assert EwoUpdate(1, "s0", entries, *widths).wire_size == 13 + size
-            assert EwoSync(1, "s0", entries, *widths).wire_size == 13 + size
+            assert EwoMirror("s0", [(1, entries)], [widths]).wire_size == 13 + size
         mirror = EwoMirror(
             "s0", [(g, entries) for g, (entries, _) in enumerate(sections)],
             [widths for _, widths in sections],
@@ -295,8 +297,3 @@ class TestChainHops:
         assert update.role_at("c") is TAIL
         assert update.role_at("zz") is None
         assert ChainUpdate(1, "k", "v", 1, 0, None, chain=()).role_at("a") is None
-
-    def test_sync_is_update_subtype(self):
-        sync = EwoSync(1, "s0", [EwoEntry("k", 0, 1)])
-        assert isinstance(sync, EwoUpdate)
-        assert sync.wire_size > 0

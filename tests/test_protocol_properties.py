@@ -18,7 +18,7 @@ from repro.core.manager import SwiShmemDeployment
 from repro.core.registers import Consistency, EwoMode, RegisterSpec
 from repro.net.topology import Topology, build_full_mesh
 from repro.protocols.ewo import MERGE_TYPES
-from repro.protocols.messages import EwoMirror, EwoUpdate
+from repro.protocols.messages import EwoMirror
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRng
 from repro.switch.pisa import PisaSwitch
@@ -155,7 +155,7 @@ class TestCoalescingProperty:
         per_pass, per_entry = (dep.manager(n).ewo for n in ("s1", "s2"))
 
         def update(entries):
-            return EwoUpdate(group=spec.group_id, origin="s0", entries=entries)
+            return EwoMirror("s0", [(spec.group_id, entries)])
 
         for writes in passes:
             for key, n in writes:
@@ -179,8 +179,9 @@ class TestCoalescingProperty:
     )
     @settings(max_examples=40, deadline=None)
     def test_one_mirror_per_pass_merges_like_one_update_per_group(self, mode, passes, seed):
-        """The pass's writes to three groups, as one mirror (sections in
-        first-write order) on s1 and as one update per group on s2."""
+        """The pass's writes to three groups, as one k-section mirror
+        (sections in first-write order) on s1 and as k one-section
+        mirrors, one update per group, on s2."""
         sim, dep = fresh_deployment(seed)
         specs = [
             dep.declare(RegisterSpec(
@@ -200,7 +201,7 @@ class TestCoalescingProperty:
                 sections.append((state.spec.group_id, entries))
             mirrored.handle_update(EwoMirror("s0", sections))
             for group_id, entries in sections:
-                per_group.handle_update(EwoUpdate(group=group_id, origin="s0", entries=entries))
+                per_group.handle_update(EwoMirror("s0", [(group_id, entries)]))
         for spec in specs:
             merged = mirrored.groups[spec.group_id]
             assert merged.canonical_items() == per_group.groups[spec.group_id].canonical_items()
