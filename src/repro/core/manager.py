@@ -343,7 +343,7 @@ class SwiShmemManager:
             if self.switch.name in members:
                 self.ewo.add_group(spec, members, self.clock)
                 self.ewo.seed_group(group_id, payload["seed"], payload["stamp"])
-                self._start_ewo_sync(group_id)
+                self.start_ewo_sync(group_id)
         elif current is Consistency.EWO:
             # Promotion: broadcast replica -> chain replica, seeded with
             # the merged LWW state.
@@ -378,7 +378,7 @@ class SwiShmemManager:
         self._levels[spec.group_id] = spec.consistency
         if spec.consistency is Consistency.EWO:
             self.ewo.add_group(spec, members, self.clock)
-            self._start_ewo_sync(spec.group_id)
+            self.start_ewo_sync(spec.group_id)
         else:
             assert chain is not None
             self.sro.add_group(spec, chain)
@@ -387,7 +387,7 @@ class SwiShmemManager:
     def handle(self, spec: RegisterSpec) -> RegisterHandle:
         return self._handles[spec.group_id]
 
-    def _start_ewo_sync(self, group_id: int) -> None:
+    def start_ewo_sync(self, group_id: int) -> None:
         """Start (or replace) the periodic EWO sync generator."""
         old = self._sync_generators.pop(group_id, None)
         if old is not None:
@@ -407,14 +407,6 @@ class SwiShmemManager:
         generator = self._sync_generators.pop(group_id, None)
         if generator is not None:
             generator.stop()
-
-    def restart_ewo_sync(self, group_id: int) -> None:
-        """Restart the periodic sync generator after a recovery.
-
-        The old generator self-stopped when the switch failed; a fresh
-        one is created with a newly staggered phase.
-        """
-        self._start_ewo_sync(group_id)
 
     # ------------------------------------------------------------------
     # NF installation

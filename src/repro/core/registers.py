@@ -100,22 +100,22 @@ def _hash64(data: bytes) -> int:
 
 
 class DigestTree:
-    """Incremental Merkle-style digest over one replica's register set.
+    """Incremental two-level digest over one replica's register set.
 
     The anti-entropy scrubber (``repro.protocols.antientropy``) compares
-    these trees across chain/group members to locate silently diverged
+    these digests across chain/group members to locate silently diverged
     registers without shipping full state:
 
-    * Keys hash into one of ``buckets`` leaf buckets
-      (:meth:`bucket_of`, stable across replicas).  A bucket's digest is
-      the XOR of its entries' 64-bit hashes — order-independent, so two
-      replicas holding the same set of (key, value) pairs produce the
-      same digest regardless of insertion order, and an entry change
-      updates the bucket in O(1) (XOR out the old hash, XOR in the new).
-    * Internal nodes hash their two children, up to a single root.
-      Comparing roots answers "identical?"; walking divergent nodes
-      downward (:meth:`node`) bisects to the buckets, and
-      :meth:`bucket_entries` yields per-key hashes for the final step.
+    * Keys hash into one of :attr:`BUCKETS` buckets (:meth:`bucket_of`,
+      stable across replicas).  A bucket's digest is the XOR of its
+      entries' 64-bit hashes — order-independent, so two replicas
+      holding the same set of (key, value) pairs produce the same digest
+      regardless of insertion order, and an entry change updates the
+      bucket in O(1) (XOR out the old hash, XOR in the new).
+    * The :attr:`root` hashes the bucket digests, cached until a bucket
+      changes.  Comparing roots answers "identical?"; comparing buckets
+      (:meth:`bucket`) names the divergent ones, and
+      :meth:`bucket_entries` yields their per-key hashes.
 
     :meth:`refresh` diffs the live store against the cached entries, so
     the steady-state cost per scrub round is proportional to the number
@@ -125,30 +125,21 @@ class DigestTree:
     would defeat.
     """
 
-    __slots__ = ("buckets", "depth", "_entries", "_tree", "_dirty", "refreshed_entries")
+    #: Buckets per tree.
+    BUCKETS = 16
+    #: The level a scrub query names the buckets at (0 names the root):
+    #: the depth of a binary tree over :attr:`BUCKETS` leaves.
+    BUCKET_LEVEL = 4
 
-    def __init__(self, buckets: int = 16) -> None:
-        if buckets < 1 or buckets & (buckets - 1):
-            raise ValueError(f"buckets must be a power of two, got {buckets}")
-        self.buckets = buckets
-        #: Tree depth: level 0 is the root, level ``depth`` the buckets.
-        self.depth = buckets.bit_length() - 1
+    __slots__ = ("_entries", "_buckets", "_root", "refreshed_entries")
+
+    def __init__(self) -> None:
         #: key -> (canonical value, entry hash)
         self._entries: Dict[Any, Tuple[Any, int]] = {}
-        #: Implicit heap: _tree[1] is the root, buckets live at
-        #: [buckets, 2*buckets).  Bucket digests are XOR accumulators.
-        self._tree: List[int] = [0] * (2 * self.buckets)
-        # Internal nodes must equal hash(children) from the start, not
-        # lazily on first dirtying: otherwise two trees holding the same
-        # entries can disagree purely on which sibling subtrees were
-        # ever touched (e.g. after an add-then-remove), which a digest
-        # comparison would misread as divergence.
-        for index in range(self.buckets - 1, 0, -1):
-            left, right = self._tree[2 * index], self._tree[2 * index + 1]
-            self._tree[index] = _hash64(
-                left.to_bytes(8, "big") + right.to_bytes(8, "big")
-            )
-        self._dirty: Set[int] = set()
+        #: Bucket digests: XOR accumulators.
+        self._buckets: List[int] = [0] * self.BUCKETS
+        #: Hash of ``_buckets``; None until read after a bucket changed.
+        self._root: Optional[int] = None
         #: Total entries re-hashed across all refreshes (incrementality
         #: is observable: unchanged stores add zero).
         self.refreshed_entries = 0
@@ -159,13 +150,14 @@ class DigestTree:
 
     def bucket_of(self, key: Any) -> int:
         """Stable bucket index for ``key`` (identical on every replica)."""
-        return _hash64(repr(key).encode()) % self.buckets
+        return _hash64(repr(key).encode()) % self.BUCKETS
 
     # ------------------------------------------------------------------
     def refresh(self, items: Iterable[Tuple[Any, Any]]) -> int:
         """Bring the tree up to date with ``items``; returns changed keys."""
         changed = 0
         seen: Set[Any] = set()
+        buckets = self._buckets
         for key, value in items:
             seen.add(key)
             cached = self._entries.get(key)
@@ -173,44 +165,32 @@ class DigestTree:
                 continue
             h = self.entry_hash(key, value)
             bucket = self.bucket_of(key)
-            slot = self.buckets + bucket
             if cached is not None:
-                self._tree[slot] ^= cached[1]
-            self._tree[slot] ^= h
+                buckets[bucket] ^= cached[1]
+            buckets[bucket] ^= h
             self._entries[key] = (value, h)
-            self._dirty.add(bucket)
             changed += 1
         if len(seen) != len(self._entries):
             for key in [k for k in self._entries if k not in seen]:
                 _, h = self._entries.pop(key)
-                bucket = self.bucket_of(key)
-                self._tree[self.buckets + bucket] ^= h
-                self._dirty.add(bucket)
+                buckets[self.bucket_of(key)] ^= h
                 changed += 1
-        if self._dirty:
-            parents = {
-                i for i in ((self.buckets + b) >> 1 for b in self._dirty) if i >= 1
-            }
-            self._dirty.clear()
-            while parents:
-                for index in parents:
-                    left, right = self._tree[2 * index], self._tree[2 * index + 1]
-                    self._tree[index] = _hash64(
-                        left.to_bytes(8, "big") + right.to_bytes(8, "big")
-                    )
-                parents = {i >> 1 for i in parents if i > 1}
+        if changed:
+            self._root = None
         self.refreshed_entries += changed
         return changed
 
     # ------------------------------------------------------------------
-    def node(self, level: int, index: int) -> int:
-        """Digest of node ``index`` at ``level`` (0 = root, depth = buckets)."""
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level must be in [0, {self.depth}], got {level}")
-        width = 1 << level
-        if not 0 <= index < width:
-            raise ValueError(f"index must be in [0, {width}), got {index}")
-        return self._tree[width + index]
+    @property
+    def root(self) -> int:
+        """Digest of every bucket digest."""
+        if self._root is None:
+            self._root = _hash64(b"".join(d.to_bytes(8, "big") for d in self._buckets))
+        return self._root
+
+    def bucket(self, index: int) -> int:
+        """Digest of bucket ``index``."""
+        return self._buckets[index]
 
     def bucket_entries(self, bucket: int) -> List[Tuple[Any, int]]:
         """(key, entry hash) pairs currently hashed into ``bucket``."""

@@ -11,18 +11,19 @@ CRDT order can still distinguish).
 This module closes the gap with a classic anti-entropy loop, adapted to
 the SwiShmem split between management and data planes:
 
-* Every member keeps an incremental Merkle-style
+* Every member keeps an incremental two-level
   :class:`~repro.core.registers.DigestTree` over each register group
-  (:class:`ScrubAgent`).  Refreshing the tree costs O(changed keys),
-  so steady-state scrubbing is cheap.
+  (:class:`ScrubAgent`): 16 XOR buckets and a root hashed from them.
+  Refreshing it costs O(changed keys), so steady-state scrubbing is
+  cheap.
 
 * A deployment-wide :class:`ScrubCoordinator` — conceptually the
   controller leader's management plane — runs one *scrub round* per
-  group per period: it queries every live member's tree root, bisects
-  down the divergent subtrees, and finally fetches per-key hashes of
-  the divergent buckets.  Digest traffic rides the management network
-  (scheduled callbacks paying ``config_latency``), like controller
-  reconstruction; only its byte volume is accounted.
+  group per period: it queries every live member's root, then, if the
+  roots differ, all 16 bucket digests, and finally the per-key hashes
+  of the divergent buckets.  Digest traffic rides the management
+  network (scheduled callbacks paying ``config_latency``), like
+  controller reconstruction; only its byte volume is accounted.
 
 * Divergence is *confirmed* across consecutive rounds before repair:
   a write in flight down the chain makes replicas differ legitimately
@@ -79,15 +80,9 @@ __all__ = ["DivergenceEvent", "ScrubAgent", "ScrubCoordinator", "ScrubStats"]
 
 #: Default scrub round period.
 DEFAULT_SCRUB_PERIOD = 2e-3
-#: Leaves of every member's per-group digest tree (a power of two).
-SCRUB_BUCKETS = 16
-#: Internal levels of that tree below its root.
-_TREE_DEPTH = SCRUB_BUCKETS.bit_length() - 1
 #: Consecutive rounds a (member, key) must stay divergent before repair
 #: (filters replicas that merely had a write in flight).
 CONFIRM_ROUNDS = 2
-#: Digest-tree levels descended per stage when bisecting.
-LEVEL_STRIDE = 4
 #: Scheduled just after the 2 x config_latency reply round-trip so a
 #: stage-finish callback always runs after every reply of its stage.
 _STAGE_SLACK = 1e-6
@@ -220,7 +215,7 @@ class ScrubAgent:
         """The group's digest tree, refreshed against the live store."""
         tree = self._trees.get(group_id)
         if tree is None:
-            tree = DigestTree(SCRUB_BUCKETS)
+            tree = DigestTree()
             self._trees[group_id] = tree
         tree.refresh(self._items(group_id))
         return tree
@@ -248,8 +243,11 @@ class ScrubAgent:
     def digest_nodes(
         self, group_id: int, level: int, indexes: Tuple[int, ...]
     ) -> Tuple[Tuple[int, int], ...]:
+        """The root at level 0, else the named buckets."""
         tree = self.tree(group_id)
-        return tuple((index, tree.node(level, index)) for index in indexes)
+        if level == 0:
+            return tuple((index, tree.root) for index in indexes)
+        return tuple((index, tree.bucket(index)) for index in indexes)
 
     def key_hashes(
         self, group_id: int, buckets: Tuple[int, ...]
@@ -546,7 +544,6 @@ class ScrubCoordinator:
         # Majority digest per queried node; members disagreeing with the
         # majority (every voter, at a tie) carry the divergence down to
         # the next stage.
-        depth = _TREE_DEPTH
         queried = sorted({i for nodes in round_.replies.values() for i in nodes})
         divergent_indexes: Set[int] = set()
         divergent_members: Set[str] = set()
@@ -558,21 +555,13 @@ class ScrubCoordinator:
         if not divergent_indexes:
             self._complete_round(round_, divergent={})
             return
-        if round_.level >= depth:
+        if round_.level == DigestTree.BUCKET_LEVEL:
             # Bucket level reached: fetch per-key hashes of the
             # divergent buckets from every member.
             self._query_keys(round_, tuple(sorted(divergent_indexes)))
             return
-        next_level = min(depth, round_.level + LEVEL_STRIDE)
-        shift = next_level - round_.level
-        children = tuple(
-            sorted(
-                itertools.chain.from_iterable(
-                    range(index << shift, (index + 1) << shift)
-                    for index in sorted(divergent_indexes)
-                )
-            )
-        )
+        # The root differs: query every bucket.
+        children = tuple(range(DigestTree.BUCKETS))
         if self.obs.on:
             self.obs.emit(
                 "scrub.round.descend",
@@ -580,11 +569,11 @@ class ScrubCoordinator:
                 round_.trace,
                 group=round_.group_id,
                 round=round_.round_id,
-                level=next_level,
+                level=DigestTree.BUCKET_LEVEL,
                 nodes=len(children),
                 members=",".join(sorted(divergent_members)),
             )
-        self._query_digests(round_, next_level, children)
+        self._query_digests(round_, DigestTree.BUCKET_LEVEL, children)
 
     # ------------------------------------------------------------------
     # Key stage

@@ -12,9 +12,13 @@ switches have failed" and sketches the two phases we implement:
 * EWO — "other than removing the failed switch from the multicast
   group, no explicit failover protocol is needed."
 
-**Recovery** (operator-initiated via :meth:`recover_switch`):
+Every failover, detected or found during a takeover, is one
+:meth:`_excise`.
 
-* The switch restarts with volatile data-plane memory wiped.
+**Recovery** (operator-initiated via :meth:`recover_switch`) is a
+restart — volatile data-plane memory wiped, the heartbeat and EWO sync
+generators started afresh — followed by :meth:`_rejoin`:
+
 * EWO — re-join the multicast groups and wait for periodic sync; CRDT
   state (including the rejoining switch's own counter slots) flows back
   from the other replicas.
@@ -22,7 +26,8 @@ switches have failed" and sketches the two phases we implement:
   (gap-tolerant apply), wait a drain delay so in-flight old-chain writes
   settle, transfer a snapshot from a live chain member, and finally
   push the same-version descriptor that no longer lists it, which makes
-  it the read tail.
+  it the read tail.  Every catch-up, a takeover's re-drive included,
+  starts in :meth:`_catch_up`.
 
 **Failure detection** is real: every switch's packet generator emits a
 :class:`Heartbeat` packet each ``heartbeat_period`` toward the *leader's
@@ -36,7 +41,7 @@ not an oracle, it can be *wrong*: a partitioned-but-alive switch
 is excised (split-brain), and its stale in-flight chain updates are
 rejected by epoch fencing (see ``ChainUpdate.epoch``).  When beacons
 from a suspected switch resume, the controller counts a false positive
-and re-admits it through the catch-up + snapshot path.
+and re-admits it: readmission is :meth:`_rejoin` alone, with no restart.
 
 **High availability** (this module + :mod:`repro.protocols.election`):
 the controller itself is replicated.  Each :class:`CentralController`
@@ -468,14 +473,8 @@ class CentralController:
         #    — failed_at is unknowable here; the detector re-reports if
         #    they come back and fail again.
         for name in deployment.switch_names:
-            if name in replies:
-                continue
-            self._known_failed.add(name)
-            for group_id, chain in sorted(deployment.chains.items()):
-                if name in chain and len(chain) > 1:
-                    self._push_chain(chain.without(name))
-            deployment.multicast.remove_member_everywhere(name)
-            deployment.failover.fail_transfers_from(name)
+            if name not in replies:
+                self._excise(name)
         deployment.routing.recompute()
         if deployment.manager(self.host).switch.failed:
             self._rehome()
@@ -523,19 +522,7 @@ class CentralController:
                     )
                 self.recoveries.append(event)
                 for group_id in redrive:
-                    gen = self._recovery_gen.get((group_id, name), 0) + 1
-                    self._recovery_gen[(group_id, name)] = gen
-                    self.sim.schedule(
-                        self.drain_delay,
-                        self._start_snapshot,
-                        group_id,
-                        name,
-                        event,
-                        1,
-                        frozenset(),
-                        gen,
-                        label="controller:snapshot-start",
-                    )
+                    self._catch_up(group_id, name, event)
             # Refresh switches holding descriptors ours supersedes.
             for view in reply.groups:
                 chain = deployment.chains.get(view.chain_id)
@@ -635,7 +622,6 @@ class CentralController:
     def _on_failure_detected(self, name: str) -> None:
         if not self._is_active():
             return
-        self._known_failed.add(name)
         event = FailureEvent(
             switch=name,
             failed_at=self.cluster._fail_times.get(name, self.sim.now),
@@ -658,25 +644,34 @@ class CentralController:
         # "First, we regain connectivity by reprogramming the routing of
         # the failed switch neighbors."
         self.deployment.routing.recompute()
-        # SRO: excise the member from every chain it belongs to.  The
-        # bumped descriptor version doubles as the fencing epoch: updates
-        # sequenced under the old configuration are rejected by members
-        # that installed this one.
-        for group_id, chain in list(self.deployment.chains.items()):
-            if name in chain and len(chain) > 1:
-                repaired = chain.without(name)
-                self._push_chain(repaired, parent=fail_ctx)
-                event.chains_repaired.append(group_id)
-        # EWO: drop from every multicast group; nothing else needed.
-        event.multicast_groups_updated = (
-            self.deployment.multicast.remove_member_everywhere(name)
+        event.chains_repaired, event.multicast_groups_updated = self._excise(
+            name, parent=fail_ctx
         )
-        # Snapshot transfers sourced at the dead switch can't finish —
-        # abandon them now so their on_failure callbacks pick a new
-        # source (the dead CPU would otherwise swallow its own timers).
-        self.deployment.failover.fail_transfers_from(name)
         if name == self.host:
             self._rehome()
+
+    def _excise(self, name: str, parent: Any = None) -> Tuple[List[int], int]:
+        """Take ``name`` out of replication (paper 6.3's failover);
+        returns ``(chains repaired, multicast groups updated)``.
+
+        SRO: every chain it belongs to drops it.  The bumped descriptor
+        version doubles as the fencing epoch: updates sequenced under the
+        old configuration are rejected by members that installed this
+        one.  EWO: it leaves every multicast group; nothing else is
+        needed.  Snapshot transfers sourced at it cannot finish, so they
+        are abandoned now and their ``on_failure`` callbacks pick a new
+        source (a dead CPU would otherwise swallow its own timers).
+        """
+        self._known_failed.add(name)
+        deployment = self.deployment
+        repaired = []
+        for group_id, chain in sorted(deployment.chains.items()):
+            if name in chain and len(chain) > 1:
+                self._push_chain(chain.without(name), parent=parent)
+                repaired.append(group_id)
+        updated = deployment.multicast.remove_member_everywhere(name)
+        deployment.failover.fail_transfers_from(name)
+        return repaired, updated
 
     # ------------------------------------------------------------------
     # Configuration distribution (epoch-fenced commands)
@@ -741,7 +736,8 @@ class CentralController:
     # Recovery
     # ------------------------------------------------------------------
     def recover_switch(self, name: str, wipe_state: bool = True) -> RecoveryEvent:
-        """Bring a failed switch back into the deployment.
+        """Bring a failed switch back into the deployment: restart it,
+        then :meth:`_rejoin` it.
 
         ``wipe_state=True`` models a restarted switch whose volatile
         data-plane registers are empty (the realistic case).
@@ -763,27 +759,22 @@ class CentralController:
             )
         self.recoveries.append(event)
         switch.recover()
-        self._known_failed.discard(name)
-        self.cluster._fail_times.pop(name, None)
         self._last_heard[name] = self.sim.now
+        if wipe_state:
+            for state in manager.sro.groups.values():
+                state.wipe()
+            for state in manager.ewo.groups.values():
+                state.wipe()
+        # The old generators self-stopped when the switch failed.
+        self.cluster.restart_heartbeat_for(name)
+        for group_id in manager.ewo.groups:
+            if self.deployment.multicast.has(group_id):
+                manager.start_ewo_sync(group_id)
+        self._rejoin(name, event, wiped=wipe_state)
+        # After the rejoin, which un-marks ``name``: a re-home skips
+        # known-failed switches.
         if self.deployment.manager(self.host).switch.failed:
             self._rehome()
-        self.deployment.routing.recompute()
-        if wipe_state:
-            self._wipe_state(manager)
-        self.cluster.restart_heartbeat_for(name)
-        # EWO: rejoin multicast groups and restart the sync generators.
-        # Groups whose multicast was deleted by a re-level promotion are
-        # skipped here; reconciliation below re-levels the stale engine.
-        for group_id in manager.ewo.groups:
-            if not self.deployment.multicast.has(group_id):
-                continue
-            self.deployment.multicast.get(group_id).add(name)
-            manager.restart_ewo_sync(group_id)
-        self._rejoin_chains(name, event, wiped=wipe_state)
-        # A switch that was down across a re-level still runs the old
-        # engine for the group; re-send it the switch step.
-        self.deployment.releveler.reconcile_recovery(self, manager)
         return event
 
     def _readmit(self, name: str) -> None:
@@ -794,8 +785,6 @@ class CentralController:
         catch-up + snapshot path as a recovering switch — minus the wipe
         and the process restarts.
         """
-        self._known_failed.discard(name)
-        self.cluster._fail_times.pop(name, None)
         event = RecoveryEvent(
             switch=name, started_at=self.sim.now, readmission=True, epoch=self.epoch
         )
@@ -810,25 +799,25 @@ class CentralController:
                 epoch=self.epoch,
             )
         self.recoveries.append(event)
-        self.deployment.routing.recompute()
-        manager = self.deployment.manager(name)
-        for group_id in manager.ewo.groups:
-            if not self.deployment.multicast.has(group_id):
-                # Deleted by a re-level promotion while this switch was
-                # excised; reconciliation re-levels it instead.
-                continue
-            group = self.deployment.multicast.get(group_id)
-            if name not in group.members:
-                group.add(name)
-        self._rejoin_chains(name, event, wiped=False)
-        self.deployment.releveler.reconcile_recovery(self, manager)
+        self._rejoin(name, event, wiped=False)
 
-    def _rejoin_chains(self, name: str, event: RecoveryEvent, wiped: bool) -> None:
-        """Re-append ``name`` to every chain it replicates, in catch-up
-        mode, and schedule the drain-delayed snapshot transfer."""
-        manager = self.deployment.manager(name)
+    def _rejoin(self, name: str, event: RecoveryEvent, wiped: bool) -> None:
+        """Put a live switch back into replication (paper 6.3's
+        recovery): EWO rejoins the multicast groups and waits for sync;
+        SRO re-appends it to every chain it replicates, in catch-up, and
+        starts the drain-delayed snapshot transfer."""
+        self._known_failed.discard(name)
+        self.cluster._fail_times.pop(name, None)
+        deployment = self.deployment
+        deployment.routing.recompute()
+        manager = deployment.manager(name)
+        for group_id in manager.ewo.groups:
+            # A group whose multicast a re-level promotion deleted is
+            # skipped; reconciliation below re-levels the stale engine.
+            if deployment.multicast.has(group_id):
+                deployment.multicast.get(group_id).add(name)
         for group_id in list(manager.sro.groups):
-            chain = self.deployment.chains.get(group_id)
+            chain = deployment.chains.get(group_id)
             if chain is None:
                 continue
             if name in chain:
@@ -843,28 +832,30 @@ class CentralController:
             else:
                 appended = chain.with_appended(name)
             self._push_chain(appended, parent=event.trace)
-            gen = self._recovery_gen.get((group_id, name), 0) + 1
-            self._recovery_gen[(group_id, name)] = gen
-            # Let in-flight old-chain writes settle before snapshotting,
-            # so the snapshot provably covers every committed write that
-            # did not flow through the new member.
-            self.sim.schedule(
-                self.drain_delay,
-                self._start_snapshot,
-                group_id,
-                name,
-                event,
-                1,
-                frozenset(),
-                gen,
-                label="controller:snapshot-start",
-            )
+            self._catch_up(group_id, name, event)
+        # A switch that was down (or excised) across a re-level still
+        # runs the old engine for the group; re-send it the switch step.
+        deployment.releveler.reconcile_recovery(self, manager)
 
-    def _wipe_state(self, manager) -> None:
-        for state in manager.sro.groups.values():
-            state.wipe()
-        for state in manager.ewo.groups.values():
-            state.wipe()
+    def _catch_up(self, group_id: int, name: str, event: RecoveryEvent) -> None:
+        """Start a fresh catch-up of ``name`` in ``group_id``: bump its
+        recovery generation, so snapshot events of a superseded recovery
+        are ignored, and let in-flight old-chain writes settle before
+        snapshotting, so the snapshot provably covers every committed
+        write that did not flow through the new member."""
+        gen = self._recovery_gen.get((group_id, name), 0) + 1
+        self._recovery_gen[(group_id, name)] = gen
+        self.sim.schedule(
+            self.drain_delay,
+            self._start_snapshot,
+            group_id,
+            name,
+            event,
+            1,
+            frozenset(),
+            gen,
+            label="controller:snapshot-start",
+        )
 
     def _is_full_member(self, group_id: int, name: str) -> bool:
         """A member that provably holds every committed write: live and
@@ -875,27 +866,21 @@ class CentralController:
         state = manager.sro.groups.get(group_id)
         return state is not None and not state.catching_up
 
-    def _abort_recovery(self, group_id: int, target: str) -> None:
-        self.aborted_recoveries.append((group_id, target, self.sim.now))
-
     def _start_snapshot(
         self,
         group_id: int,
         target: str,
         event: RecoveryEvent,
-        attempt: int = 1,
-        exclude: frozenset = frozenset(),
-        gen: Optional[int] = None,
+        attempt: int,
+        exclude: frozenset,
+        gen: int,
     ) -> None:
         if not self._is_active():
             # Deposed (or crashed) since scheduling this.  If the target
             # is still catching up, the successor's reconstruction finds
             # it and re-drives the transfer under its own generation.
             return
-        if (
-            gen is not None
-            and gen != self._recovery_gen.get((group_id, target))
-        ):
+        if gen != self._recovery_gen.get((group_id, target)):
             # Scheduled by a recovery that has since been superseded
             # (the target was excised and readmitted in between); the
             # newer recovery scheduled its own snapshot.
@@ -927,21 +912,16 @@ class CentralController:
             full = [m for m in candidates if self._is_full_member(group_id, m)]
         if not full:
             # Every live candidate is still catching up.  Defer until
-            # one of their own transfers completes; abort (logged) if
-            # that never happens.
-            if attempt >= MAX_TRANSFER_ATTEMPTS:
-                self._abort_recovery(group_id, target)
-                return
-            self.sim.schedule(
+            # one of their own transfers completes.
+            self._reschedule_snapshot(
                 self.drain_delay,
-                self._start_snapshot,
+                "controller:snapshot-defer",
                 group_id,
                 target,
                 event,
-                attempt + 1,
+                attempt,
                 exclude,
                 gen,
-                label="controller:snapshot-defer",
             )
             return
         # Prefer the read tail — it serves reads, so it provably holds
@@ -977,7 +957,7 @@ class CentralController:
         event: RecoveryEvent,
         attempt: int,
         exclude: frozenset,
-        gen: Optional[int],
+        gen: int,
         transfer,
     ) -> None:
         """A snapshot transfer died (source failed / retry budget spent)."""
@@ -985,19 +965,44 @@ class CentralController:
             return
         if self.deployment.manager(target).switch.failed:
             return  # the target itself died; nothing to salvage here
+        self._reschedule_snapshot(
+            self.config_latency,
+            "controller:snapshot-retry",
+            group_id,
+            target,
+            event,
+            attempt,
+            frozenset(exclude | {transfer.source}),
+            gen,
+        )
+
+    def _reschedule_snapshot(
+        self,
+        delay: float,
+        label: str,
+        group_id: int,
+        target: str,
+        event: RecoveryEvent,
+        attempt: int,
+        exclude: frozenset,
+        gen: int,
+    ) -> None:
+        """Try the snapshot again after ``delay``, or give the recovery
+        up (logged in ``aborted_recoveries``) once ``attempt`` spent the
+        last of MAX_TRANSFER_ATTEMPTS."""
         if attempt >= MAX_TRANSFER_ATTEMPTS:
-            self._abort_recovery(group_id, target)
+            self.aborted_recoveries.append((group_id, target, self.sim.now))
             return
         self.sim.schedule(
-            self.config_latency,
+            delay,
             self._start_snapshot,
             group_id,
             target,
             event,
             attempt + 1,
-            frozenset(exclude | {transfer.source}),
+            exclude,
             gen,
-            label="controller:snapshot-retry",
+            label=label,
         )
 
     def _promote(
@@ -1005,7 +1010,7 @@ class CentralController:
         group_id: int,
         target: str,
         event: RecoveryEvent,
-        gen: Optional[int] = None,
+        gen: int,
     ) -> None:
         """Catch-up finished: push the descriptor that no longer lists
         the target as catching up (same version, so nothing is fenced).
@@ -1019,10 +1024,7 @@ class CentralController:
         """
         if not self._is_active():
             return
-        if (
-            gen is not None
-            and gen != self._recovery_gen.get((group_id, target))
-        ):
+        if gen != self._recovery_gen.get((group_id, target)):
             return  # transfer belonged to a superseded recovery
         promote_ctx = self.causal.child(event.trace)
         if self.obs.on:

@@ -107,9 +107,6 @@ class PisaSwitch(Node):
         self,
         name: str,
         sim: Simulator,
-        routing: Optional[RoutingTable] = None,
-        address_book: Optional[AddressBook] = None,
-        multicast: Optional[MulticastRegistry] = None,
         memory_bytes: int = DEFAULT_SWITCH_MEMORY_BYTES,
         control_op_latency: float = DEFAULT_OP_LATENCY,
         pipeline_rate_pps: Optional[float] = None,
@@ -117,9 +114,10 @@ class PisaSwitch(Node):
     ) -> None:
         super().__init__(name)
         self.sim = sim
-        self.routing = routing
-        self.address_book = address_book
-        self.multicast = multicast
+        # Shared fabric services, wired in by the deployment.
+        self.routing: Optional[RoutingTable] = None
+        self.address_book: Optional[AddressBook] = None
+        self.multicast: Optional[MulticastRegistry] = None
         self.memory = MemoryBudget(memory_bytes)
         self.control = ControlPlaneAgent(self, op_latency=control_op_latency)
         # Event labels are fixed per switch; resolve them once instead

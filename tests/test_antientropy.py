@@ -33,17 +33,16 @@ from repro.switch.pisa import PisaSwitch
 
 class TestDigestTree:
     def test_equal_sets_equal_roots_any_insertion_order(self):
-        a, b = DigestTree(buckets=8), DigestTree(buckets=8)
+        a, b = DigestTree(), DigestTree()
         items = [(f"k{i}", i * 11) for i in range(20)]
         a.refresh(items)
         b.refresh(list(reversed(items)))
-        assert a.node(0, 0) == b.node(0, 0)
-        for level in (1, 2, 3):
-            for index in range(1 << level):
-                assert a.node(level, index) == b.node(level, index)
+        assert a.root == b.root
+        for index in range(DigestTree.BUCKETS):
+            assert a.bucket(index) == b.bucket(index)
 
     def test_single_entry_change_is_incremental(self):
-        tree = DigestTree(buckets=8)
+        tree = DigestTree()
         items = dict((f"k{i}", i) for i in range(50))
         tree.refresh(items.items())
         before = tree.refreshed_entries
@@ -53,36 +52,41 @@ class TestDigestTree:
         assert tree.refreshed_entries == before + 1
 
     def test_divergent_value_shows_in_exactly_one_bucket(self):
-        a, b = DigestTree(buckets=16), DigestTree(buckets=16)
+        a, b = DigestTree(), DigestTree()
         items = dict((f"k{i}", i) for i in range(40))
         a.refresh(items.items())
         items["k3"] = -1
         b.refresh(items.items())
-        assert a.node(0, 0) != b.node(0, 0)
-        depth = 16 .bit_length() - 1
+        assert a.root != b.root
         divergent = [
-            i for i in range(16) if a.node(depth, i) != b.node(depth, i)
+            i for i in range(DigestTree.BUCKETS) if a.bucket(i) != b.bucket(i)
         ]
         assert divergent == [a.bucket_of("k3")]
 
     def test_removal_restores_digest(self):
-        tree = DigestTree(buckets=4)
+        tree = DigestTree()
         tree.refresh([("a", 1)])
-        root_one = tree.node(0, 0)
+        root_one = tree.root
         tree.refresh([("a", 1), ("b", 2)])
+        assert tree.root != root_one
         tree.refresh([("a", 1)])
-        assert tree.node(0, 0) == root_one
+        assert tree.root == root_one
         assert len(tree) == 1
 
-    def test_single_bucket_tree(self):
-        tree = DigestTree(buckets=1)
-        tree.refresh([("a", 1), ("b", 2)])
-        assert tree.depth == 0 and tree.node(0, 0) != 0
-        assert len(tree.bucket_entries(0)) == 2
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            DigestTree(buckets=12)
+    def test_agent_answers_root_at_level_zero_and_buckets_below(self):
+        """The wire levels stay 0 (root) and 4 (buckets)."""
+        dep = build(seed=5)
+        spec = dep.declare(RegisterSpec("reg", Consistency.SRO))
+        dep.manager("s0").register_write(spec, "k", 1)
+        dep.sim.run(until=0.01)
+        agent = dep.manager("s1").scrub
+        tree = agent.tree(spec.group_id)
+        assert agent.digest_nodes(spec.group_id, 0, (0,)) == ((0, tree.root),)
+        buckets = tuple(range(DigestTree.BUCKETS))
+        assert agent.digest_nodes(spec.group_id, DigestTree.BUCKET_LEVEL, buckets) == (
+            tuple((i, tree.bucket(i)) for i in buckets)
+        )
+        assert DigestTree.BUCKETS == 1 << DigestTree.BUCKET_LEVEL
 
 
 class TestLwwMergeTiebreak:
