@@ -78,15 +78,16 @@ class ChainDescriptor:
     # ------------------------------------------------------------------
     # Reconfiguration
     # ------------------------------------------------------------------
-    def without(self, node: str) -> "ChainDescriptor":
-        """Remove a failed member, repairing the chain (section 6.3).
+    def without(self, *nodes: str) -> "ChainDescriptor":
+        """Remove failed members, repairing the chain (section 6.3) in
+        one version; unchanged when none of ``nodes`` is a member.
 
         If only catching-up members remain, they hold the chain's only
         copy, so they stop catching up."""
-        if node not in self.members:
+        members = tuple(m for m in self.members if m not in nodes)
+        if len(members) == len(self.members):
             return self
-        members = tuple(m for m in self.members if m != node)
-        catching_up = tuple(m for m in self.catching_up if m != node)
+        catching_up = tuple(m for m in self.catching_up if m not in nodes)
         return ChainDescriptor(
             chain_id=self.chain_id,
             members=members,

@@ -72,21 +72,31 @@ DEFAULT_SYNC_PERIOD = 1e-3
 
 @dataclass(frozen=True)
 class Decision:
-    """What an NF wants done with the packet it just processed."""
+    """What an NF wants done with the packet it just processed.
+
+    Immutable, so every handler shares the two verdicts :data:`FORWARD`
+    and :data:`DROP` (``forward()`` / ``drop()``) instead of building one
+    per packet; the manager reads ``kind``, so a hand-built verdict means
+    the same as the shared one."""
 
     kind: str  # "forward_ip" | "drop"
 
     FORWARD_IP = "forward_ip"
     DROP = "drop"
 
-    @classmethod
-    def forward(cls) -> "Decision":
+    @staticmethod
+    def forward() -> "Decision":
         """Forward by the packet's (possibly rewritten) destination IP."""
-        return cls(kind=cls.FORWARD_IP)
+        return FORWARD
 
-    @classmethod
-    def drop(cls) -> "Decision":
-        return cls(kind=cls.DROP)
+    @staticmethod
+    def drop() -> "Decision":
+        return DROP
+
+
+#: The two shared verdicts.
+FORWARD = Decision(kind=Decision.FORWARD_IP)
+DROP = Decision(kind=Decision.DROP)
 
 
 class PacketContext:
@@ -431,7 +441,7 @@ class SwiShmemManager:
             return False
         ctx = PacketContext(self, packet, from_node)
         self._ctx = ctx
-        decision = Decision.forward()
+        decision = FORWARD
         try:
             for nf in self.nfs:
                 result = nf.process(ctx)

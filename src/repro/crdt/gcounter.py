@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Timestamp
 
@@ -128,6 +128,20 @@ class GCounter:
         are equal exactly when the ``entries()`` of those keys are."""
         vectors = tuple(map(tuple, map(_VECTOR, map(cells.__getitem__, keys))))
         return tuple(compress(zip(keys, vectors), map(any, vectors)))
+
+    @staticmethod
+    def sync_entries(
+        cells: Dict[Any, "GCounter"], keys: Sequence[Any], entry: Callable[[Any, int, int], Any]
+    ) -> List[Any]:
+        """A sync answer's wire entries for ``keys`` (in that order),
+        ``entry(key, slot, value)`` per non-zero slot, ascending: each
+        key's :meth:`entries`, with no frame per key."""
+        return [
+            entry(key, slot, value)
+            for key, vector in zip(keys, map(_VECTOR, map(cells.__getitem__, keys)))
+            for slot, value in enumerate(vector)
+            if value
+        ]
 
     def entries(self) -> List[Tuple[int, int]]:
         """Full state as wire entries: every non-zero slot, ascending."""

@@ -14,7 +14,7 @@ experiments measure exactly that window.
 from __future__ import annotations
 
 from operator import itemgetter, methodcaller
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Timestamp
 
@@ -125,6 +125,19 @@ class LwwRegister:
         return tuple(filter(_ENTRIES, zip(
             keys, map(tuple, map(_CELL_ENTRIES, map(cells.__getitem__, keys)))
         )))
+
+    @staticmethod
+    def sync_entries(
+        cells: Dict[Any, "LwwRegister"], keys: Sequence[Any], entry: Callable[[Any, Timestamp, Any], Any]
+    ) -> List[Any]:
+        """A sync answer's wire entries for ``keys`` (in that order),
+        ``entry(key, version, value)`` per written cell: each key's
+        :meth:`entries`, with no frame per key."""
+        return [
+            entry(key, cell._version, cell._value)
+            for key, cell in zip(keys, map(cells.__getitem__, keys))
+            if cell._version.node_id >= 0
+        ]
 
     def entries(self) -> List[Tuple[Timestamp, Any]]:
         """Full state as wire entries: the one write, once written."""

@@ -19,9 +19,10 @@ assigns to in flight and shares everything below them:
   ``swishmem_payload`` message (``request.attempt`` and
   ``update.trace`` are reassigned by retries and by each chain hop).
 * **Shared** — every value *inside* those records: strings, numbers,
-  enums, the frozen ``TraceContext`` and ``WriteToken``, chain member
-  tuples, a header's ``relay`` tuple, the ``EwoMirror.sections`` tuples
-  and their frozen ``EwoEntry`` objects, register keys and values, and
+  enums, the frozen ``TraceContext``, the ``WriteToken`` named tuple,
+  chain member tuples, a header's ``relay`` tuple, the
+  ``EwoMirror.sections`` tuples and their ``EwoEntry`` named tuples,
+  register keys and values, and
   the metadata values ``ingress_node`` and ``at_tail_groups`` (a
   frozenset).
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.manager import Decision, PacketContext
+from repro.core.manager import FORWARD, Decision, PacketContext
 from repro.core.registers import RegisterHandle, RegisterSpec
 from repro.net.headers import FiveTuple
 
@@ -78,7 +78,7 @@ class NetworkFunction:
 
     def forward(self, decision: Decision = None) -> Decision:
         self.stats.forwarded += 1
-        return decision if decision is not None else Decision.forward()
+        return decision if decision is not None else FORWARD
 
     def drop(self) -> Decision:
         self.stats.dropped += 1

@@ -27,6 +27,7 @@ their traffic dropped.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import List
 
 from repro.core.manager import Decision, PacketContext
@@ -35,6 +36,10 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 
 __all__ = ["IpsNF", "packet_signature"]
+
+#: Content triples whose signature is remembered (least recently used
+#: first out): a cache, not state.
+SIGNATURE_MEMO = 4096
 
 
 def packet_signature(packet: Packet) -> int:
@@ -51,7 +56,15 @@ def packet_signature(packet: Packet) -> int:
     digest_seed = (
         packet.payload_digest if packet.payload_digest is not None else packet.payload_size
     )
-    material = f"{packet.ipv4.protocol}:{dst_port}:{digest_seed}"
+    return _signature(packet.ipv4.protocol, dst_port, digest_seed)
+
+
+@lru_cache(maxsize=SIGNATURE_MEMO, typed=True)
+def _signature(protocol: int, dst_port: int, digest_seed: int) -> int:
+    """The blake2b behind :func:`packet_signature`, memoised: a flow's
+    packets share their content triple.  ``typed`` keeps ``1`` and
+    ``1.0`` apart, as the text they hash differs."""
+    material = f"{protocol}:{dst_port}:{digest_seed}"
     return int.from_bytes(
         hashlib.blake2b(material.encode("utf-8"), digest_size=4).digest(), "big"
     )

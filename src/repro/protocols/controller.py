@@ -469,12 +469,11 @@ class CentralController:
                 chain = deployment.chains.get(view.chain_id)
                 if chain is not None and view.supersedes(chain):
                     deployment.chains[view.chain_id] = view
-        # 2. Non-repliers are unreachable: excise them.  No FailureEvent
-        #    — failed_at is unknowable here; the detector re-reports if
-        #    they come back and fail again.
-        for name in deployment.switch_names:
-            if name not in replies:
-                self._excise(name)
+        # 2. Non-repliers are unreachable: excise them, all at once (one
+        #    descriptor per chain).  No FailureEvent — failed_at is
+        #    unknowable here; the detector re-reports if they come back
+        #    and fail again.
+        self._excise(*(name for name in deployment.switch_names if name not in replies))
         deployment.routing.recompute()
         if deployment.manager(self.host).switch.failed:
             self._rehome()
@@ -650,27 +649,35 @@ class CentralController:
         if name == self.host:
             self._rehome()
 
-    def _excise(self, name: str, parent: Any = None) -> Tuple[List[int], int]:
-        """Take ``name`` out of replication (paper 6.3's failover);
-        returns ``(chains repaired, multicast groups updated)``.
+    def _excise(self, *names: str, parent: Any = None) -> Tuple[List[int], int]:
+        """Take ``names`` out of replication (paper 6.3's failover);
+        returns ``(chains repaired, multicast groups updated)``, the
+        groups counted once per name that left them.
 
-        SRO: every chain it belongs to drops it.  The bumped descriptor
-        version doubles as the fencing epoch: updates sequenced under the
-        old configuration are rejected by members that installed this
-        one.  EWO: it leaves every multicast group; nothing else is
-        needed.  Snapshot transfers sourced at it cannot finish, so they
-        are abandoned now and their ``on_failure`` callbacks pick a new
+        SRO: every chain any of them belongs to drops them all in one
+        pushed descriptor — except a chain's last member, which stays
+        (the last of ``names`` in it).  The bumped descriptor version
+        doubles as the fencing epoch: updates sequenced under the old
+        configuration are rejected by members that installed this one.
+        EWO: each leaves every multicast group; nothing else is needed.
+        Snapshot transfers sourced at them cannot finish, so they are
+        abandoned now and their ``on_failure`` callbacks pick a new
         source (a dead CPU would otherwise swallow its own timers).
         """
-        self._known_failed.add(name)
+        self._known_failed.update(names)
         deployment = self.deployment
         repaired = []
         for group_id, chain in sorted(deployment.chains.items()):
-            if name in chain and len(chain) > 1:
-                self._push_chain(chain.without(name), parent=parent)
+            gone = [name for name in names if name in chain]
+            if len(gone) == len(chain):
+                del gone[-1]
+            if gone:
+                self._push_chain(chain.without(*gone), parent=parent)
                 repaired.append(group_id)
-        updated = deployment.multicast.remove_member_everywhere(name)
-        deployment.failover.fail_transfers_from(name)
+        updated = 0
+        for name in names:
+            updated += deployment.multicast.remove_member_everywhere(name)
+            deployment.failover.fail_transfers_from(name)
         return repaired, updated
 
     # ------------------------------------------------------------------

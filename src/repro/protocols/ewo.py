@@ -30,8 +30,8 @@ replication is asynchronous.
   replica is a dict of cells — ``LwwRegister`` ((timestamp, switch-id)
   versions) or ``GCounter`` (per-switch slot vector, element-wise max)
   — picked by ``MERGE_TYPES``.  The cell type merges a received
-  section whole (``merge_section``) and builds the sync digest; the
-  engine moves sections.
+  section whole (``merge_section``) and builds the sync digest
+  (``digest``) and answer (``sync_entries``); the engine moves sections.
 
 * **Periodic synchronization** replaces retransmission: every
   ``sync_period`` the switch's packet generator sends a randomly
@@ -81,8 +81,8 @@ class MergeType(NamedTuple):
     """What one EWO mode needs: a ``repro.crdt`` cell and its memory
     cost.  (An absent key reads as an empty cell does.)"""
 
-    #: The cell class: its ``merge_section`` and ``digest`` work on a
-    #: whole replica.
+    #: The cell class: its ``merge_section``, ``digest`` and
+    #: ``sync_entries`` work on a whole replica.
     cell_type: type
     #: (spec, replicas, my_slot) -> an empty cell for this replica.
     new_cell: Callable[[RegisterSpec, int, int], Any]
@@ -161,8 +161,8 @@ class EwoGroupState:
         self.stats = EwoStats()
         self._pending_entries: List[EwoEntry] = []
         cell_type, new_cell, bytes_per_key = MERGE_TYPES[spec.ewo_mode]
-        #: The cell class, whose ``merge_section`` and ``digest`` take
-        #: this replica (or its cells) whole.
+        #: The cell class, whose ``merge_section``, ``digest`` and
+        #: ``sync_entries`` take this replica (or its cells) whole.
         self.cell_type = cell_type
         replicas = len(self.members)
         budget.allocate(f"ewo-store:{spec.name}", spec.capacity * bytes_per_key(spec, replicas))
@@ -681,13 +681,8 @@ class EwoEngine:
     def _full_state_entries(self, state: EwoGroupState) -> List[EwoEntry]:
         """All state we know — every replica's slots, not just ours —
         keys sorted by ``repr`` (``sorted_keys``), each cell's entries in
-        its wire order."""
-        cells = state.cells
-        return [
-            EwoEntry(key=key, version=version, value=value)
-            for key in state.sorted_keys()
-            for version, value in cells[key].entries()
-        ]
+        its wire order (the cell type's ``sync_entries``)."""
+        return state.cell_type.sync_entries(state.cells, state.sorted_keys(), EwoEntry)
 
     # ------------------------------------------------------------------
     def stats_for(self, group_id: int) -> EwoStats:

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Timestamp
 from repro.net.headers import WireRecord, fixed_record
@@ -108,13 +108,14 @@ def _trace_field() -> Any:
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class WriteToken:
+class WriteToken(NamedTuple):
     """Identifies one in-flight SRO write for dedup, retry, and ack matching.
 
     ``(writer, number)`` is globally unique; the head keeps a small
     dedup table keyed by tokens so control-plane retries do not double-
     apply (they re-propagate the original sequence number instead).
+    A named tuple: tokens are hashed at every dedup, retry and ack, and
+    a tuple hashes and compares in C.
     """
 
     writer: str
@@ -215,8 +216,7 @@ class WriteAck(WireRecord):
         return _BASE_MSG_BYTES + self.key_bytes + self.value_bytes
 
 
-@dataclass(frozen=True)
-class EwoEntry:
+class EwoEntry(NamedTuple):
     """One register's worth of EWO state.
 
     For counter-mode groups, ``value`` is one replica slot's count
@@ -229,8 +229,9 @@ class EwoEntry:
     slots, at 4 bytes.  For LWW-mode groups, ``version`` is a :class:`Timestamp`
     and ``value`` the register value.
 
-    Immutable: one entry object is shared by every multicast copy of
-    the mirror that carries it.  On the wire an entry is its key and
+    Immutable (a named tuple, built in one call per EWO write): one
+    entry object is shared by every multicast copy of the mirror that
+    carries it.  On the wire an entry is its key and
     value at the group's widths plus its version (:func:`entries_bytes`).
     """
 

@@ -322,6 +322,46 @@ class TestCounterDigest:
 
 
 # ----------------------------------------------------------------------
+# The sync answer
+# ----------------------------------------------------------------------
+def _parent_sync_entries(state):
+    """A sync answer as the engine built it key by key."""
+    return [
+        EwoEntry(key=key, version=version, value=value)
+        for key in state.sorted_keys()
+        for version, value in state.cells[key].entries()
+    ]
+
+
+#: A replica's LWW state: key -> (value, stamp), or None for a cell
+#: that was created (by a stale merge) but never written.
+lww_states = st.dictionaries(
+    st.sampled_from(["a", "b", 7, ("t", 1)]),
+    st.one_of(st.none(), st.tuples(st.sampled_from(["x", 3, None]), stamps)),
+    max_size=4,
+)
+
+
+class TestSyncAnswer:
+    @settings(max_examples=100, deadline=None)
+    @given(vectors=counter_states, registers=lww_states)
+    def test_the_answer_is_the_parents_entries_in_the_parents_order(self, vectors, registers):
+        deployment, specs = _world()
+        engine = deployment.manager("s0").ewo
+        lww, counter = (engine.groups[spec.group_id] for spec in specs)
+        for key, vector in vectors.items():
+            counter.cell_for(key)._vector[:] = vector
+        for key, written in registers.items():
+            cell = lww.cell_for(key)
+            if written is not None:
+                cell._value, cell._version = written
+        for state in (lww, counter):
+            answer = engine._full_state_entries(state)
+            assert answer == _parent_sync_entries(state)
+            assert all(type(entry) is EwoEntry for entry in answer)
+
+
+# ----------------------------------------------------------------------
 # The key order
 # ----------------------------------------------------------------------
 def _sync_keys(engine: EwoEngine, gid: int) -> List[Any]:

@@ -105,6 +105,40 @@ class TestExcise:
         assert successor._known_failed == {"s2"}
         assert _gens(dep) == {}
 
+    def test_reconstruction_excises_every_non_replier_in_one_push(self, make_deployment):
+        """Two switches are silent at the takeover: each chain gets one
+        descriptor without both, not one version per silent switch."""
+        dep, _, _ = make_deployment(5, controller_replicas=2)
+        _declare(dep)
+        pushed = _record_pushes(dep)
+        dep.sim.run(until=1e-3)
+        _fail(dep, "s2")
+        _fail(dep, "s3")
+        dep.controller.crash_replica(0)
+        dep.sim.run(until=0.05)
+        successor = dep.controller.active_leader()
+        assert successor.replica_id == 1
+        assert pushed == [
+            (1, 1, 1, ("s0", "s1", "s4"), ()),
+            (1, 2, 1, ("s0", "s1", "s4"), ()),
+        ]
+        assert _membership(dep) == {3: ("s0", "s1", "s4")}
+        assert successor._known_failed == {"s2", "s3"}
+        assert _gens(dep) == {}
+
+    def test_a_chain_keeps_its_last_member(self, make_deployment):
+        """Excising every member of a chain leaves the last one named."""
+        dep, _, _ = make_deployment(3)
+        _declare(dep)
+        pushed = _record_pushes(dep)
+        dep.sim.run(until=1e-3)
+        repaired, updated = dep.controller.active_leader()._excise("s0", "s2", "s1")
+        assert (repaired, updated) == ([1, 2], 3)
+        assert pushed == [
+            (0, 1, 1, ("s1",), ()),
+            (0, 2, 1, ("s1",), ()),
+        ]
+
 
 class TestRejoin:
     def _recover(self, make_deployment, wipe):

@@ -259,7 +259,7 @@ class TestWireSizes:
         update = EwoMirror("s0", [(1, source)])
         source.append(EwoEntry("late", 0, 2))  # the caller's list is not aliased
         assert update.sections == ((1, (EwoEntry("k", 0, 1),)),)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             update.sections[0][1][0].value = 9
 
     @settings(max_examples=150, deadline=None)
