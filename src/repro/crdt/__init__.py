@@ -30,10 +30,9 @@ object with ``cells``, ``new_cell()``, ``add_cell(key, cell)`` and
 * ``digest(cells, keys) -> tuple`` — the sync-probe digest of those
   keys, built in C: equal on two replicas of a group exactly when the
   keys' ``entries()`` are;
-* ``sync_entries(cells, keys, entry) -> list`` — the sync answer for
-  those keys: ``entry(key, version, value)`` for each of each key's
-  ``entries()``, keys in the given order, with no frame per key.  The
-  engine passes its wire entry type, which this package does not know.
+* ``sync_entries(cells, keys) -> list`` — the sync answer for those
+  keys: ``(key, version, value)`` for each of each key's ``entries()``,
+  keys in the given order; the engine makes them wire entries.
 
 Local updates are each type's own (``increment``, ``write``): that
 pair — a local update plus a merge — is all the paper gives a register

@@ -16,13 +16,18 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Timestamp
 
 __all__ = ["GCounter"]
 
 _VECTOR = attrgetter("_vector")
+
+
+def _slot_entries(vector: List[int]) -> Iterator[Tuple[int, int]]:
+    """A counter vector's wire entries: every non-zero slot, ascending."""
+    return compress(enumerate(vector), vector)
 
 
 class GCounter:
@@ -130,22 +135,18 @@ class GCounter:
         return tuple(compress(zip(keys, vectors), map(any, vectors)))
 
     @staticmethod
-    def sync_entries(
-        cells: Dict[Any, "GCounter"], keys: Sequence[Any], entry: Callable[[Any, int, int], Any]
-    ) -> List[Any]:
-        """A sync answer's wire entries for ``keys`` (in that order),
-        ``entry(key, slot, value)`` per non-zero slot, ascending: each
-        key's :meth:`entries`, with no frame per key."""
+    def sync_entries(cells: Dict[Any, "GCounter"], keys: Sequence[Any]) -> List[Tuple[Any, int, int]]:
+        """A sync answer for ``keys`` (in that order): ``(key, slot,
+        value)`` for each of each key's :meth:`entries`."""
         return [
-            entry(key, slot, value)
+            (key, slot, value)
             for key, vector in zip(keys, map(_VECTOR, map(cells.__getitem__, keys)))
-            for slot, value in enumerate(vector)
-            if value
+            for slot, value in _slot_entries(vector)
         ]
 
     def entries(self) -> List[Tuple[int, int]]:
         """Full state as wire entries: every non-zero slot, ascending."""
-        return [(slot, value) for slot, value in enumerate(self._vector) if value]
+        return list(_slot_entries(self._vector))
 
     def vector(self) -> List[int]:
         """A copy of the state vector."""

@@ -14,7 +14,7 @@ experiments measure exactly that window.
 from __future__ import annotations
 
 from operator import itemgetter, methodcaller
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crdt.clock import Timestamp
 
@@ -28,6 +28,12 @@ _CELL_ENTRIES = methodcaller("entries")
 _ENTRIES = itemgetter(1)
 
 
+def _written(cell: "LwwRegister") -> bool:
+    """Whether any write, local or merged, ever landed in ``cell``;
+    until then the cell is not gossiped, digested or promoted."""
+    return cell._version.node_id >= 0
+
+
 class LwwRegister:
     """A single last-writer-wins cell: (value, version) — an EWO cell
     (see ``repro.crdt`` for the shared methods)."""
@@ -38,11 +44,7 @@ class LwwRegister:
         self._value = initial
         self._version: Timestamp = _ZERO
 
-    @property
-    def written(self) -> bool:
-        """Whether any write, local or merged, ever landed here; until
-        then the cell is not gossiped, digested or promoted."""
-        return self._version.node_id >= 0
+    written = property(_written)
 
     def read(self) -> Any:
         return self._value
@@ -127,16 +129,13 @@ class LwwRegister:
         )))
 
     @staticmethod
-    def sync_entries(
-        cells: Dict[Any, "LwwRegister"], keys: Sequence[Any], entry: Callable[[Any, Timestamp, Any], Any]
-    ) -> List[Any]:
-        """A sync answer's wire entries for ``keys`` (in that order),
-        ``entry(key, version, value)`` per written cell: each key's
-        :meth:`entries`, with no frame per key."""
+    def sync_entries(cells: Dict[Any, "LwwRegister"], keys: Sequence[Any]) -> List[Tuple[Any, Timestamp, Any]]:
+        """A sync answer for ``keys`` (in that order): ``(key, version,
+        value)`` for each of each key's :meth:`entries`."""
         return [
-            entry(key, cell._version, cell._value)
+            (key, cell._version, cell._value)
             for key, cell in zip(keys, map(cells.__getitem__, keys))
-            if cell._version.node_id >= 0
+            if _written(cell)
         ]
 
     def entries(self) -> List[Tuple[Timestamp, Any]]:

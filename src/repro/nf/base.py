@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.manager import FORWARD, Decision, PacketContext
+from repro.core.manager import DROP, FORWARD, Decision, PacketContext
 from repro.core.registers import RegisterHandle, RegisterSpec
 from repro.net.headers import FiveTuple
 
@@ -82,4 +82,4 @@ class NetworkFunction:
 
     def drop(self) -> Decision:
         self.stats.dropped += 1
-        return Decision.drop()
+        return DROP

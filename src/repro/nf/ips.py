@@ -59,11 +59,11 @@ def packet_signature(packet: Packet) -> int:
     return _signature(packet.ipv4.protocol, dst_port, digest_seed)
 
 
-@lru_cache(maxsize=SIGNATURE_MEMO, typed=True)
+@lru_cache(maxsize=SIGNATURE_MEMO)
 def _signature(protocol: int, dst_port: int, digest_seed: int) -> int:
     """The blake2b behind :func:`packet_signature`, memoised: a flow's
-    packets share their content triple.  ``typed`` keeps ``1`` and
-    ``1.0`` apart, as the text they hash differs."""
+    packets share their content triple, and each packet meets the IPS
+    at every switch it crosses."""
     material = f"{protocol}:{dst_port}:{digest_seed}"
     return int.from_bytes(
         hashlib.blake2b(material.encode("utf-8"), digest_size=4).digest(), "big"

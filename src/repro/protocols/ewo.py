@@ -56,6 +56,7 @@ back, and its first sync round pulls the group's state from a peer.
 from __future__ import annotations
 
 from functools import partial
+from itertools import starmap
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING,
 )
@@ -682,7 +683,7 @@ class EwoEngine:
         """All state we know — every replica's slots, not just ours —
         keys sorted by ``repr`` (``sorted_keys``), each cell's entries in
         its wire order (the cell type's ``sync_entries``)."""
-        return state.cell_type.sync_entries(state.cells, state.sorted_keys(), EwoEntry)
+        return list(starmap(EwoEntry, state.cell_type.sync_entries(state.cells, state.sorted_keys())))
 
     # ------------------------------------------------------------------
     def stats_for(self, group_id: int) -> EwoStats:
